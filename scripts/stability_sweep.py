@@ -34,7 +34,7 @@ def main():
                                  "radius": args.radius, "value": 1.0}]},
     })
     basis = scale_to_data_domain(compute_disk_basis(args.c, args.m_max, args.n_max), args.k)
-    chis = np.array([mo.chi for mo in basis.modes])
+    chis = basis.chis
     alphas = np.geomspace(0.95 / chis.min(), 0.9 / chis.max(), args.n_alphas)
     deltas = [float(t) for t in args.deltas.split(",")]
     rows = experiment_stability(setup, basis, deltas, list(alphas), args.seed, args.seeds)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk_basis import DiskBasis, ScaledDiskBasis, eval_psi_scaled
+from .disk_basis import DiskBasis, ScaledDiskBasis
 from .errors import ParameterError
 from .forward import DataGrid
 from .symset_basis import SymSetBasis, analytic_area, mirror_indices
@@ -61,8 +61,7 @@ def project_pi_alpha(u: np.ndarray, basis, alpha: float) -> np.ndarray:
     u = np.asarray(u)
     if u.shape[-1] != len(basis.quad):
         raise ParameterError("samples must live on the basis quadrature")
-    chis = np.array([mo.chi for mo in basis.modes])
-    keep = chis < 1.0 / alpha
+    keep = basis.keep(alpha)
     if not keep.any():
         return np.zeros_like(u)
     psi_hat = _psi_hat(basis)[keep]
@@ -90,8 +89,7 @@ def sobolev_norm_tilde(u: np.ndarray, basis, s: float) -> SobolevNorm:
     w = basis.quad.weights
     psi_hat = _psi_hat(basis)
     coeffs = psi_hat @ (w * u)
-    chis = np.array([mo.chi for mo in basis.modes])
-    value = float(np.sqrt(np.sum(chis**s * np.abs(coeffs) ** 2)))
+    value = float(np.sqrt(np.sum(basis.chis**s * np.abs(coeffs) ** 2)))
     unorm2 = float(np.sum(w * np.abs(u) ** 2))
     tail2 = max(unorm2 - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
     tail_fraction = float(np.sqrt(tail2 / unorm2)) if unorm2 > 0 else 0.0
@@ -103,35 +101,23 @@ def projection_error_report(u: np.ndarray, basis, alpha: float, s: float) -> Pro
     proj = project_pi_alpha(u, basis, alpha)
     w = basis.quad.weights
     err = float(np.sqrt(np.sum(w * np.abs(proj - u) ** 2)))
-    chis = np.array([mo.chi for mo in basis.modes])
-    retained = int(np.sum(chis < 1.0 / alpha))
+    retained = int(np.sum(basis.keep(alpha)))
     bound = alpha ** (s / 2.0) * sobolev_norm_tilde(u, basis, s).value
     return ProjectionReport(alpha=float(alpha), retained=retained, error_l2=err,
                             bound=bound, passed=err <= bound * (1.0 + 1e-10) + 1e-14)
 
 
-def extrapolate(data: DataGrid, basis: ScaledDiskBasis, targets) -> np.ndarray:
-    """Band-limited extension of data off the data disk.
+def extrapolate(data: DataGrid, basis, targets) -> np.ndarray:
+    """Band-limited extension of data off the data domain.
 
     u_bar(p) = sum_i <u, psi_i>_D / lambda_i^2 * psi_i(p) with lambda_i the
     L2(D) mode norm; inside D this reproduces the band-limited part of the
     data, outside it performs the (ill-posed) analytic extrapolation.
     """
-    if not isinstance(basis, ScaledDiskBasis):
-        raise ParameterError("extrapolate needs a ScaledDiskBasis")
     if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
         raise ParameterError("data nodes must match the basis quadrature")
-    w = data.weights.copy()
-    w[~data.valid] = 0.0
-    inner = basis.node_values @ (w * data.values)        # <u, psi_i>
-    lam2 = basis.mode_norms**2
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.zeros(len(pts), dtype=complex)
-    for i, mo in enumerate(basis.modes):
-        if inner[i] == 0.0:
-            continue
-        out += (inner[i] / lam2[i]) * eval_psi_scaled(basis, mo, pts)
-    return out[0] if np.asarray(targets).ndim == 1 else out
+    inner = basis.node_values @ (np.where(data.valid, data.weights, 0.0) * data.values)
+    return basis.combine(inner / basis.mode_norms**2, targets)
 
 
 def _check(name: str, residual: float, threshold: float) -> dict:
@@ -141,32 +127,26 @@ def _check(name: str, residual: float, threshold: float) -> dict:
 
 def validate_basis(basis) -> list[dict]:
     """Self-validation report; each entry is {check, residual, threshold, passed}."""
-    checks: list[dict] = []
-    if _disk_like(basis):
-        base = basis.base if isinstance(basis, ScaledDiskBasis) else basis
-        c = base.c
-        chis = np.array([mo.chi for mo in base.modes])
-        lo = np.array([(mo.m + 2 * mo.n) * (mo.m + 2 * mo.n + 2) for mo in base.modes])
+    disk = _disk_like(basis)
+    if not disk and not isinstance(basis, SymSetBasis):
+        raise ParameterError("validate_basis accepts DiskBasis, ScaledDiskBasis, or SymSetBasis")
+    w = basis.quad.weights
+    vals = basis.node_values
+    gram = (vals * w) @ vals.T
+    d = np.diag(gram)
+    off = np.abs(gram - np.diag(d)) / np.sqrt(np.outer(d, d))
+    shared = [_check("gram_diagonality", off.max(), 1e-8 if disk else 1e-6),
+              _check("norm_alpha_consistency", np.abs(d / basis.mode_norms**2 - 1.0).max(), 1e-6)]
+
+    if disk:
+        c = basis.c
+        chis = basis.chis
+        lo = np.array([(mo.m + 2 * mo.n) * (mo.m + 2 * mo.n + 2) for mo in basis.modes])
         slack = np.maximum(lo - chis, chis - (lo + c * c))
-        checks.append(_check("eigenvalue_bracketing", slack.max(), -1e-12))
-
-        w = basis.quad.weights
-        vals = basis.node_values
-        gram = (vals * w) @ vals.T
-        d = np.diag(gram)
-        off = np.abs(gram - np.diag(d)) / np.sqrt(np.outer(d, d))
-        checks.append(_check("gram_diagonality", off.max(), 1e-8))
-
-        lam2 = basis.mode_norms**2
-        checks.append(_check("norm_alpha_consistency", np.abs(d / lam2 - 1.0).max(), 1e-6))
-
-        phases = np.array([mo.alpha * (-1j) ** mo.m for mo in base.modes])
-        checks.append(_check("alpha_parity",
-                             (np.abs(phases.imag) / np.abs(phases)).max(), 1e-10))
-
+        phases = np.array([mo.alpha * (-1j) ** mo.m for mo in basis.modes])
         worst = 0.0
         by_m: dict[int, list] = {}
-        for mo in base.modes:
+        for mo in basis.modes:
             if mo.ell == 1 and mo.usable:
                 by_m.setdefault(mo.m, []).append((mo.n, abs(mo.alpha)))
         for chain in by_m.values():
@@ -174,38 +154,25 @@ def validate_basis(basis) -> list[dict]:
             mags = np.array([a for _, a in chain])
             if len(mags) > 1:
                 worst = max(worst, float(((mags[1:] - mags[:-1]) / mags[:-1]).max()))
-        checks.append(_check("alpha_monotone_chains", worst, 1e-10))
-    elif isinstance(basis, SymSetBasis):
-        alphas = basis.alphas
-        wrong = np.where(
-            np.array([mo.parity == "even" for mo in basis.modes]),
-            np.abs(alphas.imag), np.abs(alphas.real),
-        )
-        checks.append(_check("parity_eigenvalue_type", (wrong / np.abs(alphas)).max(), 1e-12))
+        return [_check("eigenvalue_bracketing", slack.max(), -1e-12), *shared,
+                _check("alpha_parity", (np.abs(phases.imag) / np.abs(phases)).max(), 1e-10),
+                _check("alpha_monotone_chains", worst, 1e-10)]
 
-        w = basis.quad.weights
-        vals = basis.node_values
-        gram = (vals * w) @ vals.T
-        d = np.diag(gram)
-        off = np.abs(gram - np.diag(d)) / np.sqrt(np.outer(d, d))
-        checks.append(_check("gram_diagonality", off.max(), 1e-6))
-
-        lam2 = basis.mode_norms**2
-        checks.append(_check("norm_alpha_consistency", np.abs(d / lam2 - 1.0).max(), 1e-6))
-
-        total = float(np.sum(basis.spectrum_even**2) + np.sum(basis.spectrum_odd**2))
-        sq = basis.quad.total_weight**2
-        checks.append(_check("hilbert_schmidt_discrete", abs(total - sq) / sq, 1e-10))
-        area2 = analytic_area(basis.geometry) ** 2
-        checks.append(_check("hilbert_schmidt_area", abs(total - area2) / area2, 1e-3))
-
-        mirror = mirror_indices(basis.quad)
-        worst = 0.0
-        for mo in basis.modes:
-            sgn = 1.0 if mo.parity == "even" else -1.0
-            dev = np.abs(mo.node_values[mirror] - sgn * mo.node_values).max()
-            worst = max(worst, dev / np.abs(mo.node_values).max())
-        checks.append(_check("parity_node_symmetry", worst, 1e-8))
-    else:
-        raise ParameterError("validate_basis accepts DiskBasis, ScaledDiskBasis, or SymSetBasis")
-    return checks
+    alphas = basis.alphas
+    wrong = np.where(
+        np.array([mo.parity == "even" for mo in basis.modes]),
+        np.abs(alphas.imag), np.abs(alphas.real),
+    )
+    total = float(np.sum(basis.spectrum_even**2) + np.sum(basis.spectrum_odd**2))
+    sq = basis.quad.total_weight**2
+    area2 = analytic_area(basis.geometry) ** 2
+    mirror = mirror_indices(basis.quad)
+    worst = 0.0
+    for mo in basis.modes:
+        sgn = 1.0 if mo.parity == "even" else -1.0
+        dev = np.abs(mo.node_values[mirror] - sgn * mo.node_values).max()
+        worst = max(worst, dev / np.abs(mo.node_values).max())
+    return [_check("parity_eigenvalue_type", (wrong / np.abs(alphas)).max(), 1e-12), *shared,
+            _check("hilbert_schmidt_discrete", abs(total - sq) / sq, 1e-10),
+            _check("hilbert_schmidt_area", abs(total - area2) / area2, 1e-3),
+            _check("parity_node_symmetry", worst, 1e-8)]

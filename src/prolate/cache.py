@@ -110,7 +110,7 @@ def save_disk_basis(path, basis: DiskBasis) -> None:
         "quad_size": list(basis.quad_size),
         "modes": [[mo.m, mo.n, mo.ell, int(mo.usable)] for mo in basis.modes],
     }
-    chi = np.array([mo.chi for mo in basis.modes])
+    chi = basis.chis
     gamma = np.array([mo.gamma for mo in basis.modes])
     alpha = np.array([[mo.alpha.real, mo.alpha.imag] for mo in basis.modes])
     coeffs = np.array([mo.coeffs for mo in basis.modes])

@@ -215,7 +215,7 @@ def _cmd_ingest(args) -> int:
         for line in f:
             if not line.strip():
                 continue
-            t = [float(v) for v in line.strip().split(",")]
+            t = _floats(line.strip().split(","), "far-field")
             samples.append(((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])))
     data = ingest_farfield(samples, args.k, basis.quad, cutoff=args.cutoff,
                            geometry=basis.geometry)
@@ -224,17 +224,28 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _floats(fields: list[str], what: str) -> list[float]:
+    values = [float(v) for v in fields]
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"non-finite number in {what} row {','.join(fields)}")
+    return values
+
+
+def _scale_to_data(basis: DiskBasis, data):
+    """Scale a unit-disk basis onto the disk of radius h the data was produced on."""
+    if data.geometry is None or data.geometry.kind != "disk":
+        raise ParameterError("data was not produced on a scaled disk domain")
+    return scale_to_data_domain(basis, basis.c / (2.0 * data.geometry.h))
+
+
 def _cmd_reconstruct(args) -> int:
     data = read_datagrid(args.data)
     basis = cachemod.load_basis(args.basis)
     if isinstance(basis, DiskBasis):
-        if data.geometry is None or data.geometry.kind != "disk":
-            raise ParameterError("data was not produced on a scaled disk domain")
-        k = basis.c / (2.0 * data.geometry.h)
-        basis = scale_to_data_domain(basis, k)
-        partial = False
+        basis = _scale_to_data(basis, data)
+        reconstruct, b = reconstruct_full, basis.radius
     else:
-        partial = True
+        reconstruct, b = reconstruct_partial, 2.0 * basis.geometry.h
     if args.auto_alpha:
         for name in ("delta", "E", "sigma", "c0"):
             if getattr(args, name) is None:
@@ -244,16 +255,9 @@ def _cmd_reconstruct(args) -> int:
         alpha = args.alpha
     else:
         raise ParameterError("reconstruct requires --alpha or --auto-alpha")
-    if partial:
-        result = reconstruct_partial(data, basis, alpha, realify=args.realify)
-    else:
-        result = reconstruct_full(data, basis, alpha, realify=args.realify)
+    result = reconstruct(data, basis, alpha, realify=args.realify)
     write_result(args.out, result)
     if args.field_out:
-        if partial:
-            b = 2.0 * basis.geometry.h
-        else:
-            b = basis.radius
         g = np.linspace(-b, b, args.field_grid)
         X, Y = np.meshgrid(g, g, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
@@ -267,10 +271,7 @@ def _cmd_extrapolate(args) -> int:
     basis = cachemod.load_basis(args.basis)
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
-    if data.geometry is None or data.geometry.kind != "disk":
-        raise ParameterError("data was not produced on a scaled disk domain")
-    k = basis.c / (2.0 * data.geometry.h)
-    scaled = scale_to_data_domain(basis, k)
+    scaled = _scale_to_data(basis, data)
     targets = []
     with open(args.targets, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -278,8 +279,7 @@ def _cmd_extrapolate(args) -> int:
             raise ParameterError(f"unexpected target columns {header}")
         for line in f:
             if line.strip():
-                t = line.strip().split(",")
-                targets.append((float(t[0]), float(t[1])))
+                targets.append(_floats(line.strip().split(",")[:2], "target"))
     targets = np.array(targets)
     values = extrapolate(data, scaled, targets)
     with open(args.out, "w", encoding="utf-8") as f:

@@ -37,6 +37,7 @@ from .numerics import (
     SymmetricTridiagonal,
     disk_polar_rule,
     gauss_legendre_01,
+    real_matmul,
     sym_eig,
     zernike_radial_table,
 )
@@ -104,6 +105,52 @@ class DiskBasis:
         """L2(B(0,1)) norms, equal to (c / 2 pi) |alpha| per mode."""
         return np.array([(self.c / (2.0 * np.pi)) * abs(mo.alpha) for mo in self.modes])
 
+    @property
+    def chis(self) -> np.ndarray:
+        """Sturm-Liouville eigenvalues chi per mode."""
+        return np.array([mo.chi for mo in self.modes])
+
+    def keep(self, alpha: float) -> np.ndarray:
+        """Spectral-cutoff mask of the index set J(alpha) = {chi < 1/alpha}."""
+        return self.chis < 1.0 / alpha
+
+    def combine(self, weights, pts) -> np.ndarray:
+        """sum_i weights[i] psi_i(pts) anywhere in the plane; a scalar for one point.
+
+        Inside the unit disk a mode is its coefficient expansion R(r) Y(theta)
+        (finite at the origin for every m).  Outside it is the analytic
+        extension psi(x) = alpha^{-1} int_{B} exp(i c x.p') psi(p') dp', through
+        its radial reduction sqrt(c)/gamma * Y(theta) * int_0^1 J_m(c|x|s) R(s) s ds.
+        Both are linear in the radial coefficients, so the weights (over gamma
+        outside) are folded into one coefficient vector per (m, ell), and one
+        Zernike or Bessel table is built per azimuthal order, not per mode.
+        """
+        weights = np.asarray(weights)
+        xy = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        theta = np.arctan2(xy[:, 1], xy[:, 0])
+        inside = r <= 1.0
+        out = np.zeros(len(xy), dtype=np.result_type(weights, float))
+        live = np.nonzero(weights)[0]
+        for m in sorted({self.modes[i].m for i in live}):
+            idx = [i for i in live if self.modes[i].m == m]
+            fold = np.zeros((len(idx), 2), dtype=out.dtype)  # columns: cos, sin (ell = 1, 2)
+            fold[np.arange(len(idx)), [self.modes[i].ell - 1 for i in idx]] = weights[idx]
+            coeffs = np.array([self.modes[i].coeffs for i in idx]).T
+            J = len(coeffs)
+            radial = np.empty((len(xy), 2), dtype=out.dtype)
+            if inside.any():
+                radial[inside] = real_matmul(zernike_radial_table(m, J, r[inside]).T, coeffs @ fold)
+            if (~inside).any():
+                gamma = np.array([self.modes[i].gamma for i in idx])
+                rule = gauss_legendre_01(_radial_rule_size(self.c, m, J, float(r[~inside].max())))
+                s, w = rule.nodes, rule.weights
+                R = real_matmul(zernike_radial_table(m, J, s).T, coeffs @ (fold / gamma[:, None]))
+                radial[~inside] = math.sqrt(self.c) * real_matmul(
+                    jv(m, self.c * np.outer(r[~inside], s)), (w * s)[:, None] * R)
+            out += radial[:, 0] * np.cos(m * theta) + radial[:, 1] * np.sin(m * theta)
+        return out[0] if np.ndim(pts) == 1 else out
+
     def mode_index(self, key: tuple[int, int, int]) -> int:
         for i, mo in enumerate(self.modes):
             if mo.key == tuple(key):
@@ -134,8 +181,19 @@ class ScaledDiskBasis:
         return 4.0 * self.k**2 / self.base.c
 
     @property
+    def c(self) -> float:
+        return self.base.c
+
+    @property
     def modes(self) -> tuple[DiskMode, ...]:
         return self.base.modes
+
+    @property
+    def chis(self) -> np.ndarray:
+        return self.base.chis
+
+    def keep(self, alpha: float) -> np.ndarray:
+        return self.base.keep(alpha)
 
     @property
     def mode_norms(self) -> np.ndarray:
@@ -143,9 +201,13 @@ class ScaledDiskBasis:
         return self.base.mode_norms
 
     @property
-    def eigenvalues(self) -> np.ndarray:
+    def mu(self) -> np.ndarray:
         """Fourier eigenvalues (c / 2k)^2 alpha_{m,n}(c) of the scaled operator."""
         return np.array([(self.radius**2) * mo.alpha for mo in self.modes])
+
+    def combine(self, weights, pts) -> np.ndarray:
+        """sum_i weights[i] psi_scaled_i(pts) = (2k/c) sum_i weights[i] psi_i(2k pts / c)."""
+        return self.base.combine(weights, np.asarray(pts, dtype=float) / self.radius) / self.radius
 
 
 def default_truncation(c: float, n_max: int) -> int:
@@ -267,31 +329,10 @@ def _mode_node_values(modes, quad: QuadratureRule, n_r: int, n_t: int, J: int) -
 
 
 def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:
-    """Evaluate one disk mode anywhere in the plane.
-
-    Inside the unit disk the coefficient expansion is used (finite at the
-    origin for every m).  Outside, the analytic extension
-    psi(x) = alpha^{-1} int_{B} exp(i c x.p') psi(p') dp' is evaluated through
-    its radial reduction sqrt(c)/gamma * Y(theta) * int_0^1 J_m(c |x| s) R(s) s ds.
-    """
-    mo = mode if isinstance(mode, DiskMode) else basis.modes[basis.mode_index(mode)]
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    J = len(mo.coeffs)
-    out = np.empty(len(pts))
-    inside = r <= 1.0
-    if inside.any():
-        Z = zernike_radial_table(mo.m, J, r[inside])
-        out[inside] = mo.coeffs @ Z
-    if (~inside).any():
-        rule = gauss_legendre_01(_radial_rule_size(basis.c, mo.m, J, float(r[~inside].max())))
-        s, w = rule.nodes, rule.weights
-        R = mo.coeffs @ zernike_radial_table(mo.m, J, s)
-        hankel = jv(mo.m, basis.c * np.outer(r[~inside], s)) @ (w * s * R)
-        out[~inside] = math.sqrt(basis.c) / mo.gamma * hankel
-    out = out * _angular_factor(mo.m, mo.ell, theta)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+    """Evaluate one disk mode (a DiskMode or its (m, n, ell) key) anywhere in the plane."""
+    weights = np.zeros(len(basis.modes))
+    weights[basis.mode_index(mode.key if isinstance(mode, DiskMode) else mode)] = 1.0
+    return basis.combine(weights, x)
 
 
 def scale_to_data_domain(basis: DiskBasis, k: float) -> ScaledDiskBasis:
@@ -307,9 +348,7 @@ def scale_to_data_domain(basis: DiskBasis, k: float) -> ScaledDiskBasis:
 
 def eval_psi_scaled(scaled: ScaledDiskBasis, mode, x) -> float | np.ndarray:
     """Evaluate a scaled mode psi_scaled(x) = (2k/c) psi(2k x / c) anywhere."""
-    rho = scaled.radius
-    pts = np.asarray(x, dtype=float)
-    return eval_psi(scaled.base, mode, pts / rho) / rho
+    return eval_psi(scaled.base, mode, np.asarray(x, dtype=float) / scaled.radius) / scaled.radius
 
 
 def with_perturbed_alpha(basis: DiskBasis, index: int, factor: float) -> DiskBasis:

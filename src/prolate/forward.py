@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError
+from .errors import DataCoverageError, ParameterError
 from .numerics import QuadratureRule, annulus_polar_rule, disk_polar_rule
 from .symset_basis import Geometry, membership
 
@@ -38,12 +38,15 @@ class ContrastField:
     `shapes` is a list of dicts ({type, center, radius, value} for disks,
     r_inner/r_outer for annuli) or a grid dict {origin, dx, dy, values};
     overlapping shape values add.  `evaluate` returns q at (N, 2) points and
-    vanishes off the support.
+    vanishes off the support.  `weighted` holds q times the quadrature weight
+    at each support node; the shape rules are concatenated, so each is
+    weighted by its own shape's value and an overlap is counted once per shape.
     """
 
     shapes: list | dict
     evaluate: Callable[[np.ndarray], np.ndarray]
     quad: QuadratureRule
+    weighted: np.ndarray
 
     @staticmethod
     def from_shapes(shapes: list[dict], resolution: int = 160, method: str = "polar") -> "ContrastField":
@@ -68,6 +71,7 @@ class ContrastField:
                 raise ParameterError(f"unknown shape type {sh['type']!r}")
         quad = QuadratureRule(np.concatenate([r.nodes for r in rules]),
                               np.concatenate([r.weights for r in rules]))
+        weighted = np.concatenate([sh["value"] * r.weights for sh, r in zip(shapes, rules)])
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -82,7 +86,7 @@ class ContrastField:
                     out += np.where(inside, sh["value"], 0.0)
             return out
 
-        return ContrastField(shapes=list(shapes), evaluate=evaluate, quad=quad)
+        return ContrastField(shapes=list(shapes), evaluate=evaluate, quad=quad, weighted=weighted)
 
     @staticmethod
     def from_grid(origin, dx: float, dy: float, values) -> "ContrastField":
@@ -107,7 +111,7 @@ class ContrastField:
 
         return ContrastField(shapes={"grid": {"origin": [ox, oy], "dx": dx, "dy": dy,
                                               "values": vals.tolist()}},
-                             evaluate=evaluate, quad=quad)
+                             evaluate=evaluate, quad=quad, weighted=vals[ii, jj] * quad.weights)
 
     @staticmethod
     def from_callable(evaluate: Callable, quad: QuadratureRule,
@@ -117,7 +121,8 @@ class ContrastField:
                    "radius": circumradius if circumradius is not None
                    else float(np.hypot(quad.nodes[:, 0], quad.nodes[:, 1]).max()),
                    "value": None}]
-        return ContrastField(shapes=shapes, evaluate=evaluate, quad=quad)
+        return ContrastField(shapes=shapes, evaluate=evaluate, quad=quad,
+                             weighted=evaluate(quad.nodes) * quad.weights)
 
     @staticmethod
     def from_config(cfg: dict, resolution: int = 160) -> "ContrastField":
@@ -223,13 +228,12 @@ def synthesize_born(q: ContrastField, kernel_scale: float, targets,
     else:
         nodes = np.atleast_2d(np.asarray(targets, dtype=float))
         weights = np.ones(len(nodes))
-    qv = q.evaluate(q.quad.nodes) * q.quad.weights
     values = np.empty(len(nodes), dtype=complex)
     block = max(1, 4_000_000 // max(len(q.quad), 1))
     for start in range(0, len(nodes), block):
         stop = min(start + block, len(nodes))
         phase = kernel_scale * (nodes[start:stop] @ q.quad.nodes.T)
-        values[start:stop] = np.exp(1j * phase) @ qv
+        values[start:stop] = np.exp(1j * phase) @ q.weighted
     meta = {"kappa": float(kernel_scale), "delta": 0.0, "seed": None,
             "underresolved": not _oscillation_resolved(q, kernel_scale, nodes)}
     return DataGrid(nodes=nodes, weights=weights, values=values,
@@ -243,8 +247,7 @@ def far_field(q: ContrastField, x_hat, theta_hat, k: float) -> complex:
     x_hat = np.asarray(x_hat, dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
     phase = k * (q.quad.nodes @ (theta_hat - x_hat))
-    qv = q.evaluate(q.quad.nodes) * q.quad.weights
-    return complex(k * k * np.sum(np.exp(1j * phase) * qv))
+    return complex(k * k * np.sum(np.exp(1j * phase) * q.weighted))
 
 
 def ingest_farfield(samples, k: float, target: QuadratureRule,
@@ -317,9 +320,11 @@ def add_noise(data: DataGrid, delta: float, seed: int) -> DataGrid:
     if delta == 0.0:
         meta.update({"delta": 0.0, "delta_abs": 0.0, "seed": seed})
         return replace(data, values=data.values.copy(), meta=meta)
+    ok = data.valid
+    if not ok.any():
+        raise DataCoverageError("every node is flagged missing; noise has no level to match")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(len(data.values)) + 1j * rng.standard_normal(len(data.values))
-    ok = data.valid
     raw_norm = np.sqrt(np.sum(data.weights[ok] * np.abs(raw[ok]) ** 2))
     target = delta * data.weighted_norm()
     noise = raw * (target / raw_norm)
@@ -364,6 +369,8 @@ def read_datagrid(path) -> DataGrid:
     flags = np.array([int(r[5]) for r in rows], dtype=np.uint8)
     if len(values) != header["count"]:
         raise ParameterError("row count does not match header")
+    if not all(np.isfinite(a).all() for a in (nodes, weights, values)):
+        raise ParameterError(f"{path}: non-finite number in data rows")
     meta = {"kappa": header.get("kappa"), "delta": header.get("delta", 0.0),
             "seed": header.get("seed")}
     meta.update(header.get("meta", {}))

@@ -23,6 +23,7 @@ __all__ = [
     "gauss_legendre_01",
     "zernike_radial",
     "zernike_radial_table",
+    "real_matmul",
     "sym_eig",
     "disk_polar_rule",
     "annulus_polar_rule",
@@ -122,6 +123,18 @@ def zernike_radial_table(m: int, count: int, r: np.ndarray) -> np.ndarray:
     """Stack of zernike_radial(m, j, r) for j = 0 .. count-1, shape (count, len(r))."""
     r = np.asarray(r, dtype=float)
     return np.array([zernike_radial(m, j, r) for j in range(count)])
+
+
+def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real matrix a and a real or complex b (1-D or 2-D).
+
+    A complex b is multiplied as interleaved real and imaginary columns, so a
+    is never copied to complex.
+    """
+    if not np.iscomplexobj(b):
+        return a @ b
+    pairs = np.ascontiguousarray(b, dtype=complex).view(np.float64).reshape(len(b), -1)
+    return (a @ pairs).view(np.complex128).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .disk_basis import ScaledDiskBasis, eval_psi_scaled
 from .errors import DataCoverageError, EmptyCutoffError, ParameterError
 from .forward import DataGrid
-from .symset_basis import SymSetBasis, eval_symset_psi
 
 __all__ = [
     "ReconstructionResult",
@@ -52,11 +50,6 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_nodes(data: DataGrid, quad_nodes: np.ndarray) -> None:
-    if data.nodes.shape != quad_nodes.shape or not np.array_equal(data.nodes, quad_nodes):
-        raise ParameterError("data nodes must match the basis quadrature bitwise")
-
-
 def _effective_weights(data: DataGrid) -> np.ndarray:
     """Weights with missing nodes zeroed; refuses if too much weight is missing."""
     missing = float(data.weights[~data.valid].sum())
@@ -64,22 +57,7 @@ def _effective_weights(data: DataGrid) -> np.ndarray:
         raise DataCoverageError(
             f"missing nodes carry {missing:.3g} of {data.weights.sum():.3g} total weight"
         )
-    w = data.weights.copy()
-    w[~data.valid] = 0.0
-    return w
-
-
-def _normalized_values(basis) -> tuple[np.ndarray, np.ndarray]:
-    """(psi_hat node values, mu) for either basis kind."""
-    if isinstance(basis, ScaledDiskBasis):
-        norms = basis.mode_norms
-        mu = basis.eigenvalues
-        return basis.node_values / norms[:, None], mu
-    if isinstance(basis, SymSetBasis):
-        norms = basis.mode_norms
-        mu = basis.mu
-        return basis.node_values / norms[:, None], mu
-    raise ParameterError("basis must be a ScaledDiskBasis or SymSetBasis")
+    return np.where(data.valid, data.weights, 0.0)
 
 
 def picard_coefficients(data: DataGrid, basis) -> np.ndarray:
@@ -90,36 +68,34 @@ def picard_coefficients(data: DataGrid, basis) -> np.ndarray:
     alpha_n.  Inner products use the basis quadrature with missing-flagged
     nodes' weight excluded.
     """
-    psi_hat, mu = _normalized_values(basis)
-    _check_nodes(data, _basis_quad(basis).nodes)
+    if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
+        raise ParameterError("data nodes must match the basis quadrature bitwise")
+    mu = basis.mu
     if np.any(mu == 0.0):
         raise ParameterError("basis contains a zero eigenvalue")
     w = _effective_weights(data)
-    inner = psi_hat @ (w * data.values)
+    inner = (basis.node_values / basis.mode_norms[:, None]) @ (w * data.values)
     return inner / mu
 
 
-def _basis_quad(basis):
-    return basis.quad
-
-
-def beta_of_alpha(basis: ScaledDiskBasis, alpha: float) -> float:
+def beta_of_alpha(basis, alpha: float) -> float:
     """Smallest retained |(c/2k)^2 alpha_i| over J(alpha) = {chi_i < 1/alpha}."""
     if alpha <= 0.0:
         raise ParameterError("alpha must be positive")
-    chis = np.array([mo.chi for mo in basis.modes])
-    keep = chis < 1.0 / alpha
+    keep = basis.keep(alpha)
     if not keep.any():
         raise EmptyCutoffError(f"no modes with chi < {1.0 / alpha:.6g}")
-    return float(np.min(np.abs(basis.eigenvalues[keep])))
+    return float(np.min(np.abs(basis.mu[keep])))
 
 
-def _result(basis, keep: np.ndarray, coeffs: np.ndarray, data: DataGrid, alpha: float,
-            beta: float | None, ids: list, realify: bool) -> ReconstructionResult:
-    psi_hat, mu = _normalized_values(basis)
+def _reconstruct(data: DataGrid, basis, alpha: float, keep: np.ndarray, ids: list,
+                 beta: float | None, realify: bool) -> ReconstructionResult:
+    """The spectral-cutoff path shared by both regimes: the Picard series on `keep`."""
+    coeffs = picard_coefficients(data, basis)[keep]
+    psi_hat = basis.node_values / basis.mode_norms[:, None]
     node_field = coeffs @ psi_hat[keep]
     w = _effective_weights(data)
-    predicted = (coeffs * mu[keep]) @ psi_hat[keep]
+    predicted = (coeffs * basis.mu[keep]) @ psi_hat[keep]
     unorm = np.sqrt(np.sum(w * np.abs(data.values) ** 2))
     residual = float(np.sqrt(np.sum(w * np.abs(predicted - data.values) ** 2))
                      / unorm) if unorm > 0 else 0.0
@@ -132,35 +108,19 @@ def _result(basis, keep: np.ndarray, coeffs: np.ndarray, data: DataGrid, alpha: 
         diagnostics["dropped_imag_norm"] = float(np.sqrt(np.sum(w * node_field.imag**2)))
         node_field = node_field.real
 
-    keep_idx = np.nonzero(keep)[0]
+    weights = np.zeros(len(keep), dtype=complex)
+    weights[keep] = coeffs / basis.mode_norms[keep]  # q = sum coeff_i psi_i / ||psi_i||
 
-    if isinstance(basis, ScaledDiskBasis):
-        norms = basis.mode_norms
-
-        def field_eval(x):
-            pts = np.atleast_2d(np.asarray(x, dtype=float))
-            acc = np.zeros(len(pts), dtype=complex)
-            for c_i, i in zip(coeffs, keep_idx):
-                acc += c_i / norms[i] * eval_psi_scaled(basis, basis.modes[i], pts)
-            out = acc.real if realify else acc
-            return out[0] if np.asarray(x).ndim == 1 else out
-    else:
-        norms = basis.mode_norms
-
-        def field_eval(x):
-            pts = np.atleast_2d(np.asarray(x, dtype=float))
-            acc = np.zeros(len(pts), dtype=complex)
-            for c_i, i in zip(coeffs, keep_idx):
-                acc += c_i / norms[i] * eval_symset_psi(basis, i, pts)
-            out = acc.real if realify else acc
-            return out[0] if np.asarray(x).ndim == 1 else out
+    def field_eval(x):
+        values = basis.combine(weights, x)
+        return values.real if realify else values
 
     return ReconstructionResult(coefficients=coeffs, cutoff_set=ids, beta_alpha=beta,
                                 alpha=float(alpha), node_field=node_field, field=field_eval,
                                 diagnostics=diagnostics)
 
 
-def reconstruct_full(data: DataGrid, basis: ScaledDiskBasis, alpha: float,
+def reconstruct_full(data: DataGrid, basis, alpha: float,
                      realify: bool = False) -> ReconstructionResult:
     """Spectral-cutoff regularized reconstruction on the data disk.
 
@@ -168,24 +128,21 @@ def reconstruct_full(data: DataGrid, basis: ScaledDiskBasis, alpha: float,
     returns the field q = sum coeff_i psi_hat_i together with beta(alpha).
     """
     beta = beta_of_alpha(basis, alpha)  # raises on empty cutoff
-    chis = np.array([mo.chi for mo in basis.modes])
-    keep = chis < 1.0 / alpha
-    coeffs = picard_coefficients(data, basis)[keep]
+    keep = basis.keep(alpha)
     ids = [list(basis.modes[i].key) for i in np.nonzero(keep)[0]]
-    return _result(basis, keep, coeffs, data, alpha, beta, ids, realify)
+    return _reconstruct(data, basis, alpha, keep, ids, beta, realify)
 
 
-def reconstruct_partial(data: DataGrid, basis: SymSetBasis, alpha: float,
+def reconstruct_partial(data: DataGrid, basis, alpha: float,
                         realify: bool = False) -> ReconstructionResult:
     """Spectral-cutoff reconstruction for symmetric-set data: keep |mu_n| > alpha."""
     if alpha < 0.0:
         raise ParameterError("alpha must be nonnegative")
-    keep = np.abs(basis.mu) > alpha
+    keep = basis.keep(alpha)
     if not keep.any():
         raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
-    coeffs = picard_coefficients(data, basis)[keep]
     ids = [int(i) for i in np.nonzero(keep)[0]]
-    return _result(basis, keep, coeffs, data, alpha, None, ids, realify)
+    return _reconstruct(data, basis, alpha, keep, ids, None, realify)
 
 
 def choose_alpha_partial(delta: float, E: float, sigma: float, c0: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyQuadratureError, ParameterError
-from .numerics import QuadratureRule, disk_polar_rule, gauss_legendre_01, sym_eig
+from .numerics import QuadratureRule, disk_polar_rule, gauss_legendre_01, real_matmul, sym_eig
 
 __all__ = [
     "Geometry",
@@ -302,6 +302,31 @@ class SymSetBasis:
     def node_values(self) -> np.ndarray:
         return np.array([mo.node_values for mo in self.modes])
 
+    def keep(self, alpha: float) -> np.ndarray:
+        """Spectral-cutoff mask {|mu_n| > alpha}."""
+        return np.abs(self.mu) > alpha
+
+    def combine(self, weights, pts) -> np.ndarray:
+        """sum_n weights[n] psi_n(pts) by Nystrom interpolation; a scalar for one point.
+
+        psi_n(p) = sum_j k(c/h^2 p.p_j) w_j psi_n(p_j) / (h^2 beta_n) with k = cos
+        for even and sin for odd modes: the node values inside A_h, the analytic
+        extension outside.  The node values are summed per parity first, so
+        each kernel is built and applied once.
+        """
+        weights = np.asarray(weights)
+        xy = np.atleast_2d(np.asarray(pts, dtype=float))
+        lam = self.geometry.h**2 * np.array([mo.beta for mo in self.modes])
+        even = np.array([mo.parity == "even" for mo in self.modes])
+        gram = self.kernel_scale * (xy @ self.quad.nodes.T)
+        out = np.zeros(len(xy), dtype=np.result_type(weights, float))
+        for sel, kernel in ((even, np.cos), (~even, np.sin)):
+            sel = sel & (weights != 0)
+            if sel.any():
+                folded = (weights[sel] / lam[sel]) @ self.node_values[sel]
+                out += real_matmul(kernel(gram), self.quad.weights * folded)
+        return out[0] if np.ndim(pts) == 1 else out
+
 
 def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
                          n_modes: int) -> SymSetBasis:
@@ -356,19 +381,10 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
 
 
 def eval_symset_psi(basis: SymSetBasis, n: int, p) -> float | np.ndarray:
-    """Nystrom natural interpolation of mode n at arbitrary points.
-
-    Inside A_h this reproduces the stored node values; outside it evaluates
-    the analytic extension through the same kernel sum.  Even modes use the
-    cosine kernel, odd modes the sine kernel, so values are exactly real.
-    """
-    mo = basis.modes[n]
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    gram = basis.kernel_scale * (pts @ basis.quad.nodes.T)
-    kernel = np.cos(gram) if mo.parity == "even" else np.sin(gram)
-    lam = mo.beta * basis.geometry.h**2  # operator eigenvalue on A_h
-    out = kernel @ (basis.quad.weights * mo.node_values) / lam
-    return float(out[0]) if np.asarray(p).ndim == 1 else out
+    """Evaluate mode n at arbitrary points; values are real (see `SymSetBasis.combine`)."""
+    weights = np.zeros(len(basis.modes))
+    weights[n] = 1.0
+    return basis.combine(weights, p)
 
 
 def mirror_indices(quad: QuadratureRule) -> np.ndarray:

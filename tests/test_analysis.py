@@ -151,7 +151,7 @@ class TestExtrapolate:
         # dropping weak modes barely moves the interior values but changes the
         # exterior extension much more
         n_modes = len(scaled_c6.modes)
-        mags = np.abs(scaled_c6.eigenvalues)
+        mags = np.abs(scaled_c6.mu)
         coeffs = np.linspace(1.0, 0.2, n_modes)
         vals = coeffs @ psi_hat(scaled_c6)
         data = make_grid(scaled_c6, vals + 0j)

@@ -218,6 +218,63 @@ class TestIngestExtrapolate:
         assert all(entry["passed"] for entry in report)
 
 
+class TestNonFiniteInput:
+    """A nan or inf in an input file exits 2 with one stderr line and no output."""
+
+    @staticmethod
+    def _exit_and_error(capsys, argv):
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        return code, err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_data_file(self, tmp_path, disk_basis_file, capsys, bad):
+        setup = write_setup(tmp_path)
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        row = lines[7].split(",")
+        row[3] = bad
+        lines[7] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        rec = tmp_path / "rec.json"
+        code, err = self._exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                                  disk_basis_file, "--alpha", "0.01",
+                                                  "-o", str(rec)])
+        assert code == 2
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert not rec.exists()
+
+    def test_targets_file(self, tmp_path, disk_basis_file, capsys):
+        setup = write_setup(tmp_path)
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data)]) == 0
+        targets = tmp_path / "targets.csv"
+        targets.write_text("x,y\n3.5,1.0\nnan,0.0\n")
+        out = tmp_path / "ext.csv"
+        code, err = self._exit_and_error(capsys, ["extrapolate", str(data), "--basis",
+                                                  disk_basis_file, "--targets", str(targets),
+                                                  "-o", str(out)])
+        assert code == 2
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert not out.exists()
+
+    def test_far_field_file(self, tmp_path, cache_dir, capsys):
+        assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
+                    "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples = tmp_path / "ff.csv"
+        samples.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n"
+                           "1.0,0.0,0.0,1.0,0.5,0.1\n1.0,0.0,-1.0,0.0,inf,0.0\n")
+        out = tmp_path / "ingested.csv"
+        code, err = self._exit_and_error(capsys, ["ingest", str(samples), "--k", "1.0",
+                                                  "--basis", basis_file, "-o", str(out)])
+        assert code == 2
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert not out.exists()
+
+
 class TestStability:
     def test_table_properties(self, tmp_path, cache_dir):
         setup = setup_from_dict(SETUP)

@@ -1,0 +1,111 @@
+"""The shared mode-sum evaluator `basis.combine`, checked against quantities it
+does not compute: the stored node values inside the domain, the discrete
+Fourier eigenrelation
+
+    combine(w, x) = sum_p exp(i kappa x.p) (sum_i w_i psi_i(p) / mu_i) w_p
+
+outside it, and the per-mode sum, for the scaled disk basis and two
+symmetric-set bases.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import prolate as P
+from prolate.recon import reconstruct_full
+
+
+@pytest.fixture(scope="module")
+def symset_L():
+    geo = P.Geometry.limited_aperture(0.75 * math.pi, h=1.0)
+    quad = P.build_quadrature(geo, 64, method="polar")
+    return P.compute_symset_basis(3.0, geo, quad, 16)
+
+
+@pytest.fixture(params=["scaled_c6", "symset_disk_c5", "symset_L"])
+def basis(request):
+    return request.getfixturevalue(request.param)
+
+
+def mode_weights(basis, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(len(basis.mu))
+    return w + 1j * rng.standard_normal(len(w)) if kind == "complex" else w
+
+
+def quadrature_extension(basis, node_field_over_mu, pts):
+    """sum_p exp(i kappa x.p) g(p) w_p with g sampled on the basis nodes."""
+    kernel = np.exp(1j * basis.kernel_scale * (pts @ basis.quad.nodes.T))
+    return kernel @ (basis.quad.weights * node_field_over_mu)
+
+
+def exterior_points(basis, n=6):
+    """Points just outside the data domain (at most 1.3x its outer radius)."""
+    reach = np.hypot(basis.quad.nodes[:, 0], basis.quad.nodes[:, 1]).max()
+    t = 2 * math.pi * (np.arange(n) + 0.25) / n
+    r = reach * np.linspace(1.05, 1.3, n)
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_interior_nodes_match_node_values(basis, kind):
+    w = mode_weights(basis, kind)
+    got = basis.combine(w, basis.quad.nodes)
+    want = w @ basis.node_values
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_exterior_eigenrelation(basis, kind):
+    w = mode_weights(basis, kind, seed=1)
+    pts = exterior_points(basis)
+    got = basis.combine(w, pts)
+    want = quadrature_extension(basis, (w / basis.mu) @ basis.node_values, pts)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    if kind == "real":
+        assert not np.iscomplexobj(got)
+
+
+def test_single_point_gives_scalar(basis):
+    w = mode_weights(basis, "complex")
+    pts = exterior_points(basis, 3)
+    assert basis.combine(w, pts[1]) == pytest.approx(basis.combine(w, pts)[1], rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_matches_per_mode_loop(basis, kind):
+    # the folded sum against the sum of one-mode evaluations; only the
+    # summation order differs, so the tolerance is a few ulps of the terms
+    w = mode_weights(basis, kind, seed=2)
+    pts = np.concatenate([basis.quad.nodes[::37], exterior_points(basis)])
+    if isinstance(basis, P.ScaledDiskBasis):
+        terms = [w[i] * P.eval_psi_scaled(basis, mo, pts) for i, mo in enumerate(basis.modes)]
+    else:
+        terms = [w[i] * P.eval_symset_psi(basis, i, pts) for i in range(len(basis.modes))]
+    want = np.sum(terms, axis=0)
+    assert np.abs(basis.combine(w, pts) - want).max() <= 1e-12 * np.abs(terms).max()
+
+
+def test_disk_reconstruction_field_off_nodes(scaled_c6):
+    q = P.ContrastField.from_shapes(
+        [{"type": "disk", "center": (0.4, -0.3), "radius": 1.2, "value": 1.0}], resolution=80)
+    data = P.synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
+    rec = reconstruct_full(data, scaled_c6, alpha=1.0 / 60.0)
+    keep = scaled_c6.keep(1.0 / 60.0)
+    assert 1 < keep.sum() < len(keep)
+    # at the nodes the field is the node-sampled Picard series
+    assert np.abs(rec.field(scaled_c6.quad.nodes) - rec.node_field).max() \
+        <= 1e-10 * np.abs(rec.node_field).max()
+    # off the nodes, inside and outside the data disk, it is the eigenrelation
+    # applied to the retained modes
+    rng = np.random.default_rng(4)
+    rho = scaled_c6.radius
+    r = rho * np.concatenate([rng.uniform(0.0, 0.95, 8), rng.uniform(1.05, 1.3, 4)])
+    t = rng.uniform(0.0, 2 * math.pi, len(r))
+    pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+    g = (rec.coefficients / (scaled_c6.mode_norms[keep] * scaled_c6.mu[keep])) \
+        @ scaled_c6.node_values[keep]
+    want = quadrature_extension(scaled_c6, g, pts)
+    assert np.abs(rec.field(pts) - want).max() <= 1e-9 * np.abs(want).max()

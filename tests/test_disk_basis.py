@@ -169,7 +169,7 @@ class TestScaled:
         i = 4
         kernel = np.exp(1j * kappa * (quad.nodes @ quad.nodes.T))
         rhs = kernel @ (quad.weights * scaled_c6.node_values[i])
-        lhs = scaled_c6.eigenvalues[i] * scaled_c6.node_values[i]
+        lhs = scaled_c6.mu[i] * scaled_c6.node_values[i]
         assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(lhs).max()
 
     @staticmethod

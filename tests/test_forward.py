@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import prolate as P
 from prolate.disk_basis import eval_psi_scaled
-from prolate.errors import ParameterError
+from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,
                              read_datagrid, synthesize_born, write_datagrid)
 from prolate.numerics import bessel_j, disk_polar_rule
@@ -26,6 +27,19 @@ class TestSynthesize:
         q = ContrastField.from_shapes(DISK, resolution=120)
         data = synthesize_born(q, 1.5, np.array([[0.0, 0.0]]))
         assert data.values[0] == pytest.approx(math.pi * 0.64, rel=1e-12)
+
+    def test_overlapping_shapes_counted_once(self):
+        # two unit disks 0.5 apart: the lens they share belongs to both shapes
+        # and must be integrated once per shape, with that shape's own value
+        two = [{"type": "disk", "center": (0.0, 0.0), "radius": 1.0, "value": 1.0},
+               {"type": "disk", "center": (0.5, 0.0), "radius": 1.0, "value": 1.0}]
+        q = ContrastField.from_shapes(two, resolution=80)
+        u0 = synthesize_born(q, 1.0, np.array([[0.0, 0.0]])).values[0]
+        assert u0 == pytest.approx(2 * math.pi, rel=1e-12)
+        two[1]["value"] = 0.5
+        q = ContrastField.from_shapes(two, resolution=80)
+        d = np.array([0.0, 1.0])
+        assert far_field(q, d, d, 1.0) == pytest.approx(1.5 * math.pi, rel=1e-12)
 
     def test_disk_indicator_closed_form(self):
         q = ContrastField.from_shapes(DISK, resolution=200)
@@ -49,7 +63,7 @@ class TestSynthesize:
             lambda pts: eval_psi_scaled(scaled_c6, scaled_c6.modes[i], pts),
             quad, circumradius=scaled_c6.radius)
         data = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
-        pred = scaled_c6.eigenvalues[i] * scaled_c6.node_values[i]
+        pred = scaled_c6.mu[i] * scaled_c6.node_values[i]
         assert np.abs(data.values - pred).max() < 1e-10 * np.abs(pred).max()
 
     def test_linearity_on_shared_quadrature(self):
@@ -205,6 +219,11 @@ class TestNoise:
         with pytest.raises(ParameterError):
             add_noise(self._data(), -0.1, 0)
 
+    def test_all_missing_rejected(self):
+        data = replace(self._data(), flags=np.ones(64, dtype=np.uint8))
+        with pytest.raises(DataCoverageError):
+            add_noise(data, 0.1, 0)
+
 
 class TestDataGridIO:
     def test_round_trip(self, tmp_path):
@@ -222,6 +241,18 @@ class TestDataGridIO:
         assert np.array_equal(back.flags, data.flags)
         assert back.geometry.kind == "disk" and back.geometry.h == 2.0
         assert back.meta["seed"] == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "grid.csv"
+        write_datagrid(path, TestNoise()._data())
+        lines = path.read_text().splitlines()
+        row = lines[4].split(",")
+        row[4] = bad
+        lines[4] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match="non-finite"):
+            read_datagrid(path)
 
     def test_header_is_json_line(self, tmp_path):
         import json

@@ -18,7 +18,7 @@ def make_grid(basis, values, flags=None, meta=None):
 def eigen_data(basis, coeffs_by_index):
     """Data whose Picard coefficients are exactly the given dictionary."""
     psi_hat = basis.node_values / basis.mode_norms[:, None]
-    mu = basis.eigenvalues if isinstance(basis, P.ScaledDiskBasis) else basis.mu
+    mu = basis.mu
     vals = np.zeros(len(basis.quad), dtype=complex)
     for i, c in coeffs_by_index.items():
         vals += c * mu[i] * psi_hat[i]
