@@ -185,6 +185,7 @@ def _load_basis_for_setup(path: str, setup: ProblemSetup):
 
 
 def _cmd_synthesize(args) -> int:
+    _flag("--noise", args.noise, positive=False)
     setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
     report = validate_setup(setup)
     if not report.ok:
@@ -212,11 +213,10 @@ def _cmd_ingest(args) -> int:
         header = f.readline().strip().split(",")
         if header[:6] != ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y", "re", "im"]:
             raise ParameterError(f"unexpected far-field columns {header}")
-        for line in f:
-            if not line.strip():
-                continue
-            t = _floats(line.strip().split(","), "far-field")
-            samples.append(((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])))
+        for lineno, line in enumerate(f, 2):
+            if line.strip():
+                t = _floats(line, 6, f"{args.samples} line {lineno}")
+                samples.append(((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])))
     data = ingest_farfield(samples, args.k, basis.quad, cutoff=args.cutoff,
                            geometry=basis.geometry)
     write_datagrid(args.out, data)
@@ -224,11 +224,35 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _floats(fields: list[str], what: str) -> list[float]:
-    values = [float(v) for v in fields]
+def _floats(line: str, count: int, where: str) -> list[float]:
+    """The first `count` comma-separated fields of a CSV row as finite floats."""
+    fields = line.strip().split(",")[:count]
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ParameterError(f"{where}: malformed row {line.strip()!r}") from None
+    if len(values) < count:
+        raise ParameterError(f"{where}: expected {count} fields, got {line.strip()!r}")
     if not all(map(math.isfinite, values)):
-        raise ParameterError(f"non-finite number in {what} row {','.join(fields)}")
+        raise ParameterError(f"{where}: non-finite number in row {line.strip()!r}")
     return values
+
+
+def _flag(name: str, value: float, positive: bool) -> float:
+    """A numeric flag value, finite and > 0 (positive) or >= 0."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ParameterError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, "
+                             f"got {value!r}")
+    return value
+
+
+def _flag_list(name: str, text: str, positive: bool) -> list[float]:
+    """A comma-separated numeric flag, each value checked as by `_flag`."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"{name} must be comma-separated numbers, got {text!r}") from None
+    return [_flag(name, v, positive) for v in values]
 
 
 def _scale_to_data(basis: DiskBasis, data):
@@ -252,7 +276,7 @@ def _cmd_reconstruct(args) -> int:
                 raise ParameterError("--auto-alpha requires --delta --E --sigma --c0")
         alpha = choose_alpha_partial(args.delta, args.E, args.sigma, args.c0)
     elif args.alpha is not None:
-        alpha = args.alpha
+        alpha = _flag("--alpha", args.alpha, positive=True)
     else:
         raise ParameterError("reconstruct requires --alpha or --auto-alpha")
     result = reconstruct(data, basis, alpha, realify=args.realify)
@@ -277,9 +301,9 @@ def _cmd_extrapolate(args) -> int:
         header = f.readline().strip().split(",")
         if header[:2] != ["x", "y"]:
             raise ParameterError(f"unexpected target columns {header}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             if line.strip():
-                targets.append(_floats(line.strip().split(",")[:2], "target"))
+                targets.append(_floats(line, 2, f"{args.targets} line {lineno}"))
     targets = np.array(targets)
     values = extrapolate(data, scaled, targets)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -342,10 +366,10 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
 
 
 def _cmd_stability(args) -> int:
+    deltas = _flag_list("--deltas", args.deltas, positive=False)
+    alphas = _flag_list("--alphas", args.alphas, positive=True)
     setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
     basis = _load_basis_for_setup(args.basis, setup)
-    deltas = [float(t) for t in args.deltas.split(",")]
-    alphas = [float(t) for t in args.alphas.split(",")]
     rows = experiment_stability(setup, basis, deltas, alphas, args.seed, args.seeds)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("delta,alpha,error,bound\n")

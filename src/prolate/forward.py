@@ -356,6 +356,30 @@ def _json_safe(v) -> bool:
     return isinstance(v, (int, float, str, bool, type(None)))
 
 
+def _data_columns(rows: list[list[str]]):
+    nodes = np.array([[float(r[0]), float(r[1])] for r in rows])
+    weights = np.array([float(r[2]) for r in rows])
+    values = np.array([float(r[3]) + 1j * float(r[4]) for r in rows])
+    flags = np.array([int(r[5]) for r in rows], dtype=np.uint8)
+    return nodes, weights, values, flags
+
+
+_ROW_ERRORS = (ValueError, IndexError, OverflowError)
+
+
+def _malformed_row(path) -> ParameterError:
+    """The error naming the first data row of `path` that does not parse."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if lineno > 2 and line.strip():
+                try:
+                    _data_columns([line.strip().split(",")])
+                except _ROW_ERRORS:
+                    return ParameterError(f"{path} line {lineno}: malformed data row "
+                                          f"{line.strip()!r}")
+    return ParameterError(f"{path}: malformed data rows")
+
+
 def read_datagrid(path) -> DataGrid:
     with open(path, "r", encoding="utf-8") as f:
         header = json.loads(f.readline())
@@ -363,10 +387,10 @@ def read_datagrid(path) -> DataGrid:
         if cols != ["px", "py", "weight", "re", "im", "flag"]:
             raise ParameterError(f"unexpected data columns {cols}")
         rows = [line.strip().split(",") for line in f if line.strip()]
-    nodes = np.array([[float(r[0]), float(r[1])] for r in rows])
-    weights = np.array([float(r[2]) for r in rows])
-    values = np.array([float(r[3]) + 1j * float(r[4]) for r in rows])
-    flags = np.array([int(r[5]) for r in rows], dtype=np.uint8)
+    try:
+        nodes, weights, values, flags = _data_columns(rows)
+    except _ROW_ERRORS:
+        raise _malformed_row(path) from None
     if len(values) != header["count"]:
         raise ParameterError("row count does not match header")
     if not all(np.isfinite(a).all() for a in (nodes, weights, values)):

@@ -147,8 +147,8 @@ def reconstruct_partial(data: DataGrid, basis, alpha: float,
 
 def choose_alpha_partial(delta: float, E: float, sigma: float, c0: float) -> float:
     """A-priori cutoff alpha(delta) = c0 (delta / E)^(1 / (1 + sigma))."""
-    if min(delta, E, sigma, c0) <= 0.0:
-        raise ParameterError("choose_alpha_partial requires positive arguments")
+    if not all(np.isfinite(v) and v > 0.0 for v in (delta, E, sigma, c0)):
+        raise ParameterError("choose_alpha_partial requires finite positive arguments")
     return float(c0 * (delta / E) ** (1.0 / (1.0 + sigma)))
 
 

@@ -12,15 +12,19 @@ exact radial boundary, used for analytic areas and polar quadratures.
 On the dilated set A_h = h A the Fourier kernel has effective frequency
 c / h^2, and it splits into a cosine part acting on even functions (real
 eigenvalues) and a sine part acting on odd functions (imaginary eigenvalues).
-Both are discretized as symmetrically scaled Nystrom matrices
-sqrt(w_i) k(c/h^2 p_i.p_j) sqrt(w_j); merged eigenpairs are ordered by |alpha|
-and normalized to unit plane energy, i.e. weighted node-norm squared equal to
-(c / 2 pi)^2 |alpha_n|^2.
+Every quadrature rule here is symmetric under p -> -p, so each part is
+discretized on the half-node set (one node of each mirror pair, plus p = 0 for
+the even part) as the symmetrically scaled Nystrom matrix
+sqrt(m_i w_i) k(c/h^2 p_i.p_j) sqrt(m_j w_j), with multiplicity m = 2 on pairs.
+Each parity costs one (N/2)^3 eigensolve on (N/2)^2 memory instead of N^3 on
+N^2.  Merged eigenpairs are ordered by |alpha| and normalized to unit plane
+energy, i.e. weighted node-norm squared equal to (c / 2 pi)^2 |alpha_n|^2.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,8 +271,9 @@ class SymSetMode:
 class SymSetBasis:
     """Retained eigenpairs of the Fourier operator on A_h, |alpha| descending.
 
-    `spectrum_even` / `spectrum_odd` keep the complete Nystrom eigenvalue lists
-    (operator scale, i.e. h^2 beta), which the Hilbert-Schmidt sum rule checks
+    `spectrum_even` / `spectrum_odd` keep the complete folded eigenvalue lists
+    (operator scale, i.e. h^2 beta; about N/2 entries each, the nonzero part
+    of the N x N Nystrom spectra), which the Hilbert-Schmidt sum rule checks
     against the squared domain measure.
     """
 
@@ -328,14 +333,64 @@ class SymSetBasis:
         return out[0] if np.ndim(pts) == 1 else out
 
 
+def _mirror_pairs(quad: QuadratureRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the nodes of a rule symmetric under p -> -p.
+
+    Returns (mirror, pairs, fixed): the mirror index map, the pair
+    representatives i < mirror[i], and the self-mirror nodes (the p = 0 node
+    of an odd midpoint grid).  Raises ParameterError unless the map is an
+    involution that preserves the weights.
+    """
+    mirror = mirror_indices(quad)
+    idx = np.arange(len(quad))
+    if not (np.array_equal(mirror[mirror], idx)
+            and np.array_equal(quad.weights[mirror], quad.weights)):
+        raise ParameterError("quadrature rule is not symmetric under negation")
+    return mirror, idx[mirror > idx], idx[mirror == idx]
+
+
+def _folded_kernel(pts: np.ndarray, scale: float, mw: np.ndarray, kernel) -> np.ndarray:
+    """sqrt(mw_i) kernel(scale p_i.p_j) sqrt(mw_j), assembled in one array."""
+    a = pts @ pts.T
+    a *= scale
+    kernel(a, out=a)
+    s = np.sqrt(mw)
+    a *= s[:, None]
+    a *= s[None, :]
+    return a
+
+
+# Peak bytes of the folded solve per entry of the (N/2)^2 even kernel: the
+# kernel, the eigensolver's copy, its eigenvectors and divide-and-conquer
+# workspace, plus the interpreter and libraries.  The N = 10,276 L(3 pi/4)
+# basis peaks at 1,107 MiB RSS, 44 B per entry; rounded up.
+PEAK_BYTES_PER_ENTRY = 48.0
+
+
+def _check_memory(n_nodes: int) -> None:
+    """Raise ParameterError before allocating if the folded solve cannot fit in RAM."""
+    half = (n_nodes + 1) // 2  # pair representatives plus the p = 0 node, if any
+    need = PEAK_BYTES_PER_ENTRY * half * half
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ParameterError(f"symset basis with {n_nodes} nodes needs ~{need / 2**30:.1f} GiB, "
+                             f"this machine has {have / 2**30:.1f} GiB; lower --resolution")
+
+
 def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
                          n_modes: int) -> SymSetBasis:
-    """Nystrom eigensystem of the Fourier operator on A_h.
+    """Nystrom eigensystem of the Fourier operator on A_h, folded by parity.
 
-    Assembles the symmetrized cosine and sine kernel matrices, eigendecomposes
-    both, merges even modes (alpha = beta_e) with odd modes (alpha = i beta_o),
-    sorts by |alpha| descending, and keeps the top n_modes above the floor
-    1e-14 |alpha_0|.
+    The rule is symmetric under p -> -p, so even modes are fixed by their
+    values on the pair representatives and the p = 0 node, and odd modes by
+    their values on the representatives (they vanish at p = 0).  Each parity
+    is solved as B = sqrt(m w) k(c/h^2 p_i.p_j) sqrt(m w) on those nodes, with
+    multiplicity m = 2 on representatives and 1 at p = 0; its eigenvalues are
+    the nonzero eigenvalues of the full N x N Nystrom matrix, and an
+    eigenvector u lifts to v = u / sqrt(m w), v[mirror] = +-v.  Even modes
+    (alpha = beta_e) and odd modes (alpha = i beta_o) are merged, sorted by
+    |alpha| descending, and the top n_modes above the floor 1e-14 |alpha_0|
+    are kept.
     """
     if c <= 0.0:
         raise ParameterError("compute_symset_basis requires c > 0")
@@ -343,23 +398,27 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         raise ParameterError("n_modes must be positive")
     if n_modes > len(quad) // 2:
         raise ParameterError("n_modes must be much smaller than the node count")
+    _check_memory(len(quad))
+    mirror, pairs, fixed = _mirror_pairs(quad)
     pts, w = quad.nodes, quad.weights
-    sw = np.sqrt(w)
     h2 = geometry.h**2
-    gram = (c / h2) * (pts @ pts.T)
-    scaled = sw[:, None] * sw[None, :]
     candidates: list[tuple[float, int, int, str, float, np.ndarray]] = []
     spectra = {}
-    for parity, kernel in (("even", np.cos(gram)), ("odd", np.sin(gram))):
-        vals, vecs = sym_eig(kernel * scaled)
-        spectra[parity] = vals.copy()
+    folds = (("even", np.concatenate([pairs, fixed]), np.cos, 1.0),
+             ("odd", pairs, np.sin, -1.0))
+    for parity, sub, kernel, sign in folds:
+        mw = np.where(mirror[sub] == sub, 1.0, 2.0) * w[sub]  # multiplicity times weight
+        vals, vecs = sym_eig(_folded_kernel(pts[sub], c / h2, mw, kernel))
+        spectra[parity] = vals
         keep = np.argsort(-np.abs(vals))[: min(2 * n_modes + 8, len(vals))]
         for rank, idx in enumerate(keep):
             lam = float(vals[idx])  # matrix eigenvalue approximates h^2 beta
             alpha = complex(lam / h2) if parity == "even" else complex(0.0, lam / h2)
-            v = vecs[:, idx] / sw
+            v = np.zeros(len(quad))
+            v[sub] = vecs[:, idx] / np.sqrt(mw)
+            v[mirror[sub]] = sign * v[sub]
             candidates.append((-abs(alpha), 0 if parity == "even" else 1, rank, parity, lam, v))
-    del gram
+        del vecs  # free before the next parity's kernel is assembled
     candidates.sort(key=lambda t: (t[0], t[1], t[2]))
     floor = ALPHA_FLOOR * abs(candidates[0][0]) if candidates else 0.0
     modes: list[SymSetMode] = []

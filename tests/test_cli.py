@@ -218,15 +218,15 @@ class TestIngestExtrapolate:
         assert all(entry["passed"] for entry in report)
 
 
+def _exit_and_error(capsys, argv):
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    return code, err
+
+
 class TestNonFiniteInput:
     """A nan or inf in an input file exits 2 with one stderr line and no output."""
-
-    @staticmethod
-    def _exit_and_error(capsys, argv):
-        capsys.readouterr()
-        code = run(argv)
-        err = capsys.readouterr().err.strip().splitlines()
-        return code, err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_data_file(self, tmp_path, disk_basis_file, capsys, bad):
@@ -239,9 +239,9 @@ class TestNonFiniteInput:
         lines[7] = ",".join(row)
         data.write_text("\n".join(lines) + "\n")
         rec = tmp_path / "rec.json"
-        code, err = self._exit_and_error(capsys, ["reconstruct", str(data), "--basis",
-                                                  disk_basis_file, "--alpha", "0.01",
-                                                  "-o", str(rec)])
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01",
+                                             "-o", str(rec)])
         assert code == 2
         assert len(err) == 1 and "non-finite" in err[0]
         assert not rec.exists()
@@ -253,9 +253,9 @@ class TestNonFiniteInput:
         targets = tmp_path / "targets.csv"
         targets.write_text("x,y\n3.5,1.0\nnan,0.0\n")
         out = tmp_path / "ext.csv"
-        code, err = self._exit_and_error(capsys, ["extrapolate", str(data), "--basis",
-                                                  disk_basis_file, "--targets", str(targets),
-                                                  "-o", str(out)])
+        code, err = _exit_and_error(capsys, ["extrapolate", str(data), "--basis",
+                                             disk_basis_file, "--targets", str(targets),
+                                             "-o", str(out)])
         assert code == 2
         assert len(err) == 1 and "non-finite" in err[0]
         assert not out.exists()
@@ -268,11 +268,109 @@ class TestNonFiniteInput:
         samples.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n"
                            "1.0,0.0,0.0,1.0,0.5,0.1\n1.0,0.0,-1.0,0.0,inf,0.0\n")
         out = tmp_path / "ingested.csv"
-        code, err = self._exit_and_error(capsys, ["ingest", str(samples), "--k", "1.0",
-                                                  "--basis", basis_file, "-o", str(out)])
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "1.0",
+                                             "--basis", basis_file, "-o", str(out)])
         assert code == 2
         assert len(err) == 1 and "non-finite" in err[0]
         assert not out.exists()
+
+
+class TestMalformedInput:
+    """A non-numeric field or a short row in an input file exits 2 with one
+    stderr line that names the file and line, and writes no output."""
+
+    @pytest.mark.parametrize("edit", ["abc", "short"])
+    def test_data_file(self, tmp_path, disk_basis_file, capsys, edit):
+        setup = write_setup(tmp_path)
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data),
+                    "--contrast-resolution", "40"]) == 0
+        lines = data.read_text().splitlines()
+        row = lines[7].split(",")
+        lines[7] = ",".join(row[:3] + ["abc"] + row[4:]) if edit == "abc" else ",".join(row[:4])
+        data.write_text("\n".join(lines) + "\n")
+        rec = tmp_path / "rec.json"
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01", "-o", str(rec)])
+        assert code == 2
+        assert len(err) == 1 and f"{data} line 8" in err[0], err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("row", ["abc,0.0", "3.5"])
+    def test_targets_file(self, tmp_path, disk_basis_file, capsys, row):
+        setup = write_setup(tmp_path)
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data),
+                    "--contrast-resolution", "40"]) == 0
+        targets = tmp_path / "targets.csv"
+        targets.write_text(f"x,y\n3.5,1.0\n{row}\n")
+        out = tmp_path / "ext.csv"
+        code, err = _exit_and_error(capsys, ["extrapolate", str(data), "--basis",
+                                             disk_basis_file, "--targets", str(targets),
+                                             "-o", str(out)])
+        assert code == 2
+        assert len(err) == 1 and f"{targets} line 3" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["1.0,0.0,-1.0,0.0,abc,0.0", "1.0,0.0,-1.0,0.0,0.5"])
+    def test_far_field_file(self, tmp_path, cache_dir, capsys, row):
+        assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
+                    "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples = tmp_path / "ff.csv"
+        samples.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n"
+                           f"1.0,0.0,0.0,1.0,0.5,0.1\n{row}\n")
+        out = tmp_path / "ingested.csv"
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "1.0",
+                                             "--basis", basis_file, "-o", str(out)])
+        assert code == 2
+        assert len(err) == 1 and f"{samples} line 3" in err[0], err
+        assert not out.exists()
+
+
+class TestBadFlags:
+    """Non-finite or out-of-range numeric flags exit 2 with one stderr line."""
+
+    @pytest.mark.parametrize("noise", ["nan", "-1", "inf"])
+    def test_synthesize_noise(self, tmp_path, disk_basis_file, capsys, noise):
+        out = tmp_path / "data.csv"
+        code, err = _exit_and_error(capsys, ["synthesize", str(write_setup(tmp_path)),
+                                             "--basis", disk_basis_file, "-o", str(out),
+                                             f"--noise={noise}"])
+        assert code == 2 and len(err) == 1 and "--noise" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "0", "-0.01"])
+    def test_reconstruct_alpha(self, tmp_path, disk_basis_file, capsys, alpha):
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        rec = tmp_path / "rec.json"
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, f"--alpha={alpha}", "-o", str(rec)])
+        assert code == 2 and len(err) == 1 and "--alpha" in err[0], err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("flag,values", [("--deltas", "0,nan"), ("--deltas", "-1e-3"),
+                                             ("--deltas", "0,x"), ("--alphas", "0.05,nan"),
+                                             ("--alphas", "0")])
+    def test_stability_lists(self, tmp_path, disk_basis_file, capsys, flag, values):
+        argv = {"--deltas": "0,1e-3", "--alphas": "0.05,0.02"}
+        argv[flag] = values
+        out = tmp_path / "table.csv"
+        code, err = _exit_and_error(capsys, ["stability", str(write_setup(tmp_path)),
+                                             "--basis", disk_basis_file,
+                                             f"--deltas={argv['--deltas']}",
+                                             f"--alphas={argv['--alphas']}", "-o", str(out)])
+        assert code == 2 and len(err) == 1 and flag in err[0], err
+        assert not out.exists()
+
+    def test_symset_resolution_over_memory_budget(self, cache_dir, capsys):
+        code, err = _exit_and_error(capsys, ["basis", "symset", "--geometry", "M", "--c", "5",
+                                             "--resolution", "2000"])
+        assert code == 2
+        assert len(err) == 1 and "GiB" in err[0] and "lower --resolution" in err[0], err
+        assert not list(cache_dir.glob("*.gpswf"))
 
 
 class TestStability:

@@ -254,6 +254,18 @@ class TestDataGridIO:
         with pytest.raises(ParameterError, match="non-finite"):
             read_datagrid(path)
 
+    @pytest.mark.parametrize("edit", ["abc", "short", "flag"])
+    def test_malformed_row_rejected(self, tmp_path, edit):
+        path = tmp_path / "grid.csv"
+        write_datagrid(path, TestNoise()._data())
+        lines = path.read_text().splitlines()
+        row = lines[4].split(",")
+        lines[4] = {"abc": ",".join(row[:2] + ["abc"] + row[3:]), "short": ",".join(row[:5]),
+                    "flag": ",".join(row[:5] + ["1.5"])}[edit]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match="line 5: malformed data row"):
+            read_datagrid(path)
+
     def test_header_is_json_line(self, tmp_path):
         import json
         data = TestNoise()._data()

@@ -271,3 +271,6 @@ class TestReconstructPartial:
         assert a2 > a1
         with pytest.raises(ParameterError):
             choose_alpha_partial(0.0, 1.0, 1.0, 1.0)
+        for bad in ((float("nan"), 1.0, 1.0, 1.0), (0.04, 1.0, float("inf"), 1.0)):
+            with pytest.raises(ParameterError):
+                choose_alpha_partial(*bad)

@@ -39,3 +39,18 @@ def test_stability_sweep(tmp_path):
     assert rows.shape == (12, 4)  # 4 default deltas x 3 alphas
     assert np.isfinite(rows).all()
     assert (rows[:, 2] <= rows[:, 3] * (1.0 + 1e-9)).all()  # error <= bound
+
+
+def test_aperture_spectra(tmp_path):
+    out = run_script("aperture_spectra.py", ["--resolution", "32", "--modes", "10",
+                                             "--thetas", "1.0,0.5"], tmp_path)
+    assert out.count("modes above") == 2
+    rows = np.loadtxt(tmp_path / "aperture_spectra.csv", delimiter=",", skiprows=1,
+                      usecols=(0, 1, 2))
+    parity = np.loadtxt(tmp_path / "aperture_spectra.csv", delimiter=",", skiprows=1,
+                        usecols=3, dtype=str)
+    assert np.isfinite(rows).all() and set(parity) <= {"even", "odd"}
+    for theta in (1.0, 0.5):
+        mags = rows[rows[:, 0] == theta, 2]
+        assert len(mags) == 10
+        assert (np.diff(mags) <= 0.0).all()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +259,127 @@ class TestEval:
                 rhs = np.sum(fine.weights * kernel * vals_fine)
                 lhs = (lam if mo.parity == "even" else 1j * lam) * eval_symset_psi(basis, i, p)
                 assert abs(lhs - rhs) < 1e-7 * np.abs(mo.node_values).max()
+
+
+def unfolded_reference(c, geo, quad):
+    """Eigenpairs of the full N x N cos and sin Nystrom matrices, |lambda| descending,
+    with eigenvectors mapped to node values of unit weighted norm."""
+    sw = np.sqrt(quad.weights)
+    gram = (c / geo.h**2) * (quad.nodes @ quad.nodes.T)
+    out = {}
+    for parity, kernel in (("even", np.cos), ("odd", np.sin)):
+        vals, vecs = np.linalg.eigh(sw[:, None] * kernel(gram) * sw[None, :])
+        order = np.argsort(-np.abs(vals))
+        out[parity] = (vals[order], vecs[:, order])
+    return out
+
+
+FOLD_CASES = {
+    "L_polar": (Geometry.limited_aperture(0.75 * math.pi), 8, "polar"),
+    "M_polar": (Geometry.multi_freq((0.6, 0.8)), 16, "polar"),
+    "M_midpoint_odd": (Geometry.multi_freq((1.0, 0.0)), 25, "midpoint"),
+    "L_midpoint_odd": (Geometry.limited_aperture(0.75 * math.pi, h=2.0), 25, "midpoint"),
+}
+
+
+class TestParityFold:
+    """The folded solve against the unfolded N x N eigenproblems built here."""
+
+    N_MODES = 20
+
+    @pytest.fixture(scope="class", params=sorted(FOLD_CASES))
+    def case(self, request):
+        geo, res, method = FOLD_CASES[request.param]
+        quad = build_quadrature(geo, res, method=method)
+        basis = compute_symset_basis(5.0, geo, quad, self.N_MODES)
+        return basis, unfolded_reference(5.0, geo, quad)
+
+    def test_case_sizes(self, case):
+        basis, _ = case
+        assert 200 <= len(basis.quad) <= 800
+        n_half = (len(basis.quad) + 1) // 2
+        assert len(basis.spectrum_even) == n_half
+        assert len(basis.spectrum_odd) == len(basis.quad) // 2
+
+    def test_top_eigenvalues(self, case):
+        basis, ref = case
+        top = 2 * self.N_MODES + 8
+        lam0 = max(abs(ref["even"][0][0]), abs(ref["odd"][0][0]))
+        for parity, spectrum in (("even", basis.spectrum_even), ("odd", basis.spectrum_odd)):
+            folded = spectrum[np.argsort(-np.abs(spectrum))][:top]
+            assert np.abs(folded - ref[parity][0][:top]).max() <= 1e-12 * lam0
+
+    def test_hilbert_schmidt_sums(self, case):
+        basis, ref = case
+        for parity, spectrum in (("even", basis.spectrum_even), ("odd", basis.spectrum_odd)):
+            full = float(np.sum(ref[parity][0] ** 2))
+            assert float(np.sum(spectrum**2)) == pytest.approx(full, rel=1e-12)
+
+    def test_node_values_span_reference_clusters(self, case):
+        # eigenvectors are unique only up to rotation inside a (near-)degenerate
+        # cluster, so compare each retained mode with the projector onto the
+        # reference cluster around its eigenvalue; both solves are backward
+        # stable, so the angle between them is bounded by eps |lambda_0| / gap
+        basis, ref = case
+        sw = np.sqrt(basis.quad.weights)
+        lam0 = abs(basis.mu[0])
+        for mo in basis.modes:
+            vals, vecs = ref[mo.parity]
+            lam = mo.beta * basis.geometry.h**2
+            cluster = np.abs(vals - lam) <= 1e-8 * lam0
+            assert cluster.any()
+            gap = np.abs(vals[~cluster] - lam).min()
+            q = vecs[:, cluster]
+            x = sw * mo.node_values
+            residual = np.linalg.norm(x - q @ (q.T @ x)) / np.linalg.norm(x)
+            assert residual <= 1e-13 * lam0 / gap
+
+    def test_odd_modes_vanish_at_self_mirror_node(self, case):
+        basis, _ = case
+        fixed = np.flatnonzero(mirror_indices(basis.quad) == np.arange(len(basis.quad)))
+        assert len(fixed) == len(basis.quad) % 2  # only the p = 0 node is its own mirror
+        odd = [mo for mo in basis.modes if mo.parity == "odd"]
+        assert odd
+        for mo in odd:
+            assert np.all(mo.node_values[fixed] == 0.0)
+
+    def test_exact_node_parity(self, case):
+        basis, _ = case
+        mirror = mirror_indices(basis.quad)
+        for mo in basis.modes:
+            sgn = 1.0 if mo.parity == "even" else -1.0
+            assert np.array_equal(mo.node_values[mirror], sgn * mo.node_values)
+
+
+class TestFoldInputs:
+    def test_midpoint_odd_resolution_has_origin_node(self):
+        quad = build_quadrature(Geometry.limited_aperture(0.75 * math.pi), 25, method="midpoint")
+        assert np.sum(np.all(quad.nodes == 0.0, axis=1)) == 1
+        assert len(quad) % 2 == 1
+
+    def test_asymmetric_nodes_rejected(self):
+        geo = Geometry.disk()
+        quad = build_quadrature(geo, 24, method="polar")
+        shifted = P.QuadratureRule(quad.nodes + np.array([0.01, 0.0]), quad.weights)
+        with pytest.raises(ParameterError, match="symmetric"):
+            compute_symset_basis(5.0, geo, shifted, 4)
+
+    def test_asymmetric_weights_rejected(self):
+        geo = Geometry.disk()
+        quad = build_quadrature(geo, 24, method="polar")
+        weights = quad.weights.copy()
+        weights[0] *= 1.5
+        with pytest.raises(ParameterError, match="symmetric"):
+            compute_symset_basis(5.0, geo, P.QuadratureRule(quad.nodes, weights), 4)
+
+    def test_memory_budget_checked_before_allocating(self):
+        half = np.random.default_rng(0).uniform(-1.0, 1.0, (1_000_000, 2))
+        quad = P.QuadratureRule(np.concatenate([half, -half]), np.ones(2 * len(half)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="lower --resolution"):
+                compute_symset_basis(5.0, Geometry.disk(radius=2.0), quad, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
