@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 
 import numpy as np
 
@@ -59,6 +60,11 @@ def cache_dir(explicit: str | None = None) -> str:
 
 
 def _write_container(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
+    """Write the container to a hidden temporary file beside `path`, then rename it.
+
+    The rename is atomic, so a concurrent reader sees either the old file or
+    the complete new one, and a failed write leaves no partial file behind.
+    """
     decl = []
     blobs = []
     for name, arr in arrays:
@@ -72,10 +78,18 @@ def _write_container(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> 
     meta["format"] = FORMAT_VERSION
     meta["arrays"] = decl
     meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(payload)
+    folder, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(MAGIC)
+            f.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_container(path) -> tuple[dict, dict]:
@@ -87,14 +101,20 @@ def _read_container(path) -> tuple[dict, dict]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CacheError(f"{path}: bad metadata record") from exc
         payload = f.read()
+    if not isinstance(meta, dict):
+        raise CacheError(f"{path}: bad metadata record")
     if hashlib.sha256(payload).hexdigest() != meta.get("payload_sha256"):
         raise CacheError(f"{path}: payload checksum mismatch")
     arrays = {}
     offset = 0
-    for name, dtype, shape in meta["arrays"]:
-        n = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        arrays[name] = np.frombuffer(payload[offset:offset + n], dtype=dtype).reshape(shape).copy()
-        offset += n
+    try:
+        for name, dtype, shape in meta["arrays"]:
+            n = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            blob = payload[offset:offset + n]
+            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+            offset += n
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheError(f"{path}: bad array declaration ({exc})") from None
     if offset != len(payload):
         raise CacheError(f"{path}: payload length mismatch")
     return meta, arrays
@@ -118,10 +138,7 @@ def save_disk_basis(path, basis: DiskBasis) -> None:
                                   ("coeffs", coeffs)])
 
 
-def load_disk_basis(path) -> DiskBasis:
-    meta, arrays = _read_container(path)
-    if meta.get("geometry") != "disk":
-        raise CacheError(f"{path}: not a disk basis file")
+def _disk_basis(meta: dict, arrays: dict) -> DiskBasis:
     modes = []
     for i, (m, n, ell, usable) in enumerate(meta["modes"]):
         coeffs = arrays["coeffs"][i]
@@ -166,10 +183,7 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
     ])
 
 
-def load_symset_basis(path) -> SymSetBasis:
-    meta, arrays = _read_container(path)
-    if meta.get("geometry") not in _LABEL_GEO:
-        raise CacheError(f"{path}: not a symmetric-set basis file")
+def _symset_basis(meta: dict, arrays: dict) -> SymSetBasis:
     geometry = Geometry.from_dict(meta["geometry_params"])
     quad = QuadratureRule(arrays["nodes"], arrays["weights"])
     modes = []
@@ -186,9 +200,32 @@ def load_symset_basis(path) -> SymSetBasis:
                        complete=bool(meta["complete"]))
 
 
+def _basis(path, meta: dict, arrays: dict, symset: bool):
+    """Build a basis of the given kind from a read container.
+
+    A container of the other kind, or one whose metadata lacks an entry or
+    holds a malformed one, raises CacheError.
+    """
+    if symset and meta.get("geometry") not in _LABEL_GEO:
+        raise CacheError(f"{path}: not a symmetric-set basis file")
+    if not symset and meta.get("geometry") != "disk":
+        raise CacheError(f"{path}: not a disk basis file")
+    try:
+        return _symset_basis(meta, arrays) if symset else _disk_basis(meta, arrays)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CacheError(f"{path}: malformed basis container "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
+def load_disk_basis(path) -> DiskBasis:
+    return _basis(path, *_read_container(path), symset=False)
+
+
+def load_symset_basis(path) -> SymSetBasis:
+    return _basis(path, *_read_container(path), symset=True)
+
+
 def load_basis(path):
-    """Load either basis kind, dispatching on the metadata layout."""
-    meta, _ = _read_container(path)
-    if "geometry_params" in meta:
-        return load_symset_basis(path)
-    return load_disk_basis(path)
+    """Load either basis kind from one read of the file, dispatching on the metadata layout."""
+    meta, arrays = _read_container(path)
+    return _basis(path, meta, arrays, symset="geometry_params" in meta)

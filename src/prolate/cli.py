@@ -395,7 +395,7 @@ def run(argv) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProlateError as exc:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import jv
@@ -35,6 +36,7 @@ from .errors import ParameterError
 from .numerics import (
     QuadratureRule,
     SymmetricTridiagonal,
+    _frozen,
     disk_polar_rule,
     gauss_legendre_01,
     real_matmul,
@@ -100,15 +102,15 @@ class DiskBasis:
     node_values: np.ndarray
     quad_size: tuple[int, int] = (0, 0)
 
-    @property
+    @cached_property
     def mode_norms(self) -> np.ndarray:
         """L2(B(0,1)) norms, equal to (c / 2 pi) |alpha| per mode."""
-        return np.array([(self.c / (2.0 * np.pi)) * abs(mo.alpha) for mo in self.modes])
+        return _frozen([(self.c / (2.0 * np.pi)) * abs(mo.alpha) for mo in self.modes])
 
-    @property
+    @cached_property
     def chis(self) -> np.ndarray:
         """Sturm-Liouville eigenvalues chi per mode."""
-        return np.array([mo.chi for mo in self.modes])
+        return _frozen([mo.chi for mo in self.modes])
 
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask of the index set J(alpha) = {chi < 1/alpha}."""
@@ -200,10 +202,10 @@ class ScaledDiskBasis:
         """L2(D) norms on the data disk, equal to (c / 2 pi) |alpha| per mode."""
         return self.base.mode_norms
 
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
         """Fourier eigenvalues (c / 2k)^2 alpha_{m,n}(c) of the scaled operator."""
-        return np.array([(self.radius**2) * mo.alpha for mo in self.modes])
+        return _frozen([(self.radius**2) * mo.alpha for mo in self.modes])
 
     def combine(self, weights, pts) -> np.ndarray:
         """sum_i weights[i] psi_scaled_i(pts) = (2k/c) sum_i weights[i] psi_i(2k pts / c)."""

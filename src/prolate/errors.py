@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-record check that raises one."""
 
 
 class ProlateError(Exception):
@@ -27,3 +27,12 @@ class EmptyQuadratureError(ProlateError, RuntimeError):
 
 class CacheError(ProlateError, RuntimeError):
     """A basis cache file is malformed or fails its checksum."""
+
+
+def check_keys(record, keys, what: str) -> None:
+    """Raise ParameterError unless `record` is a dict holding every key in `keys`."""
+    if not isinstance(record, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {record!r}")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ParameterError(f"{what} is missing {', '.join(map(repr, missing))}")

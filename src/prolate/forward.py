@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataCoverageError, ParameterError
-from .numerics import QuadratureRule, annulus_polar_rule, disk_polar_rule
+from .errors import DataCoverageError, ParameterError, check_keys
+from .numerics import QuadratureRule, annulus_polar_rule, disk_polar_rule, mirror_map, real_matmul
 from .symset_basis import Geometry, membership
 
 __all__ = [
     "ContrastField",
+    "SupportPiece",
     "DataGrid",
     "synthesize_born",
     "far_field",
@@ -31,6 +32,35 @@ __all__ = [
 ]
 
 
+class SupportPiece(NamedTuple):
+    """Support nodes centre + offsets and the values a there, folded by mirror pairs.
+
+    `offsets` keeps one offset d of each pair (d, -d) with even = (a(d) +
+    a(-d)) / 2 and odd = (a(d) - a(-d)) / 2; an offset 0 has even = a / 2 and
+    odd = 0, and a node without a mirror has even = odd = a / 2.  In every case
+    sum_j a_j exp(i x.d_j) = sum_k 2 even_k cos(x.d_k) + 2i odd_k sin(x.d_k).
+    """
+
+    center: np.ndarray
+    offsets: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+
+def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
+    """Fold the support values at centre + offsets by the mirror pairs of the offsets."""
+    center, offsets = np.asarray(center, dtype=float), np.asarray(offsets, dtype=float)
+    mirror = mirror_map(offsets)
+    if mirror is None:
+        return SupportPiece(center, offsets, values / 2.0, values / 2.0)
+    idx = np.arange(len(offsets))
+    keep = idx[mirror >= idx]
+    even = (values[keep] + values[mirror[keep]]) / 2.0
+    odd = (values[keep] - values[mirror[keep]]) / 2.0
+    even[mirror[keep] == keep] /= 2.0
+    return SupportPiece(center, offsets[keep], even, odd)
+
+
 @dataclass(frozen=True)
 class ContrastField:
     """The unknown medium contrast: support descriptor, point oracle, quadrature.
@@ -38,40 +68,39 @@ class ContrastField:
     `shapes` is a list of dicts ({type, center, radius, value} for disks,
     r_inner/r_outer for annuli) or a grid dict {origin, dx, dy, values};
     overlapping shape values add.  `evaluate` returns q at (N, 2) points and
-    vanishes off the support.  `weighted` holds q times the quadrature weight
-    at each support node; the shape rules are concatenated, so each is
-    weighted by its own shape's value and an overlap is counted once per shape.
+    vanishes off the support.  `pieces` holds q times the quadrature weight on
+    the support nodes, as one `SupportPiece` per shape (centred at the shape
+    centre, so an overlap is counted once per shape, each with its own value),
+    one per pixel grid (centred at the grid centre) or one at the origin for
+    an explicit rule; `quad` holds the same nodes, centre + offset.
     """
 
     shapes: list | dict
     evaluate: Callable[[np.ndarray], np.ndarray]
     quad: QuadratureRule
-    weighted: np.ndarray
+    pieces: tuple[SupportPiece, ...]
 
     @staticmethod
     def from_shapes(shapes: list[dict], resolution: int = 160, method: str = "polar") -> "ContrastField":
         if not shapes:
             raise ParameterError("contrast needs at least one shape")
-        rules = []
+        nodes, weights, pieces = [], [], []
         for sh in shapes:
-            center = tuple(sh.get("center", (0.0, 0.0)))
+            _check_shape(sh)
+            center = np.asarray(sh.get("center", (0.0, 0.0)), dtype=float)
+            disk = sh["type"] == "disk"
+            inner, outer = (0.0, sh["radius"]) if disk else (sh["r_inner"], sh["r_outer"])
             n_t = resolution + resolution % 2
-            if sh["type"] == "disk":
-                if method == "polar":
-                    rules.append(disk_polar_rule(sh["radius"], resolution, n_t, center=center))
-                else:
-                    rules.append(_midpoint_disk(center, 0.0, sh["radius"], resolution))
-            elif sh["type"] == "annulus":
-                if method == "polar":
-                    rules.append(annulus_polar_rule(sh["r_inner"], sh["r_outer"], resolution,
-                                                    n_t, center=center))
-                else:
-                    rules.append(_midpoint_disk(center, sh["r_inner"], sh["r_outer"], resolution))
+            if method != "polar":
+                rule = _midpoint_disk(inner, outer, resolution)
+            elif disk:
+                rule = disk_polar_rule(outer, resolution, n_t)
             else:
-                raise ParameterError(f"unknown shape type {sh['type']!r}")
-        quad = QuadratureRule(np.concatenate([r.nodes for r in rules]),
-                              np.concatenate([r.weights for r in rules]))
-        weighted = np.concatenate([sh["value"] * r.weights for sh, r in zip(shapes, rules)])
+                rule = annulus_polar_rule(inner, outer, resolution, n_t)
+            nodes.append(rule.nodes + center)
+            weights.append(rule.weights)
+            pieces.append(_piece(center, rule.nodes, sh["value"] * rule.weights))
+        quad = QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -86,7 +115,8 @@ class ContrastField:
                     out += np.where(inside, sh["value"], 0.0)
             return out
 
-        return ContrastField(shapes=list(shapes), evaluate=evaluate, quad=quad, weighted=weighted)
+        return ContrastField(shapes=list(shapes), evaluate=evaluate, quad=quad,
+                             pieces=tuple(pieces))
 
     @staticmethod
     def from_grid(origin, dx: float, dy: float, values) -> "ContrastField":
@@ -99,6 +129,11 @@ class ContrastField:
             raise ParameterError("grid contrast is identically zero")
         centers = np.stack([ox + (ii + 0.5) * dx, oy + (jj + 0.5) * dy], axis=1)
         quad = QuadratureRule(centers, np.full(len(ii), dx * dy))
+        # the piece spans the nonzero pixels and their mirrors about the grid centre
+        nx, ny = vals.shape
+        pi, pj = np.nonzero((vals != 0.0) | (vals[::-1, ::-1] != 0.0))
+        offsets = np.stack([(pi + 0.5 - nx / 2.0) * dx, (pj + 0.5 - ny / 2.0) * dy], axis=1)
+        piece = _piece((ox + nx * dx / 2.0, oy + ny * dy / 2.0), offsets, vals[pi, pj] * (dx * dy))
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -111,7 +146,7 @@ class ContrastField:
 
         return ContrastField(shapes={"grid": {"origin": [ox, oy], "dx": dx, "dy": dy,
                                               "values": vals.tolist()}},
-                             evaluate=evaluate, quad=quad, weighted=vals[ii, jj] * quad.weights)
+                             evaluate=evaluate, quad=quad, pieces=(piece,))
 
     @staticmethod
     def from_callable(evaluate: Callable, quad: QuadratureRule,
@@ -121,14 +156,17 @@ class ContrastField:
                    "radius": circumradius if circumradius is not None
                    else float(np.hypot(quad.nodes[:, 0], quad.nodes[:, 1]).max()),
                    "value": None}]
-        return ContrastField(shapes=shapes, evaluate=evaluate, quad=quad,
-                             weighted=evaluate(quad.nodes) * quad.weights)
+        piece = _piece((0.0, 0.0), quad.nodes, evaluate(quad.nodes) * quad.weights)
+        return ContrastField(shapes=shapes, evaluate=evaluate, quad=quad, pieces=(piece,))
 
     @staticmethod
     def from_config(cfg: dict, resolution: int = 160) -> "ContrastField":
+        check_keys(cfg, (), "contrast")
         if "grid" in cfg:
             g = cfg["grid"]
+            check_keys(g, ("origin", "dx", "dy", "values"), "contrast grid")
             return ContrastField.from_grid(g["origin"], g["dx"], g["dy"], g["values"])
+        check_keys(cfg, ("shapes",), "contrast")
         return ContrastField.from_shapes(cfg["shapes"], resolution=resolution)
 
     def circumradius(self) -> float:
@@ -165,13 +203,25 @@ class ContrastField:
         return np.concatenate(pts)
 
 
-def _midpoint_disk(center, r_inner: float, r_outer: float, resolution: int) -> QuadratureRule:
+_SHAPE_KEYS = {"disk": ("radius", "value"), "annulus": ("r_inner", "r_outer", "value")}
+
+
+def _check_shape(sh) -> None:
+    """Raise ParameterError unless `sh` is a shape dict with every key its type needs."""
+    check_keys(sh, ("type",), "shape")
+    if sh["type"] not in _SHAPE_KEYS:
+        raise ParameterError(f"unknown shape type {sh['type']!r}")
+    check_keys(sh, _SHAPE_KEYS[sh["type"]], f"{sh['type']} shape")
+
+
+def _midpoint_disk(r_inner: float, r_outer: float, resolution: int) -> QuadratureRule:
+    """Midpoint rule on the origin-centred disk or annulus; symmetric under p -> -p."""
     step = 2.0 * r_outer / resolution
     g = step * (np.arange(resolution) - (resolution - 1) / 2.0)
     X, Y = np.meshgrid(g, g, indexing="ij")
     d2 = X**2 + Y**2
     keep = (d2 < r_outer**2) & (d2 > r_inner**2) if r_inner > 0 else d2 < r_outer**2
-    pts = np.stack([X[keep] + center[0], Y[keep] + center[1]], axis=1)
+    pts = np.stack([X[keep], Y[keep]], axis=1)
     return QuadratureRule(pts, np.full(len(pts), step * step))
 
 
@@ -212,6 +262,60 @@ def _oscillation_resolved(q: ContrastField, kappa: float, targets: np.ndarray) -
     return kappa * pmax * spacing <= 2.0 * np.pi / 10.0
 
 
+# Entries of one real cos or sin table block: 512 kB of float64, so a block
+# stays in cache between the phase product, the cosine and the matvec.
+BLOCK_ENTRIES = 65_536
+
+
+def _cos_sin_sums(x: np.ndarray, offsets: np.ndarray, even: np.ndarray,
+                  odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = sum_k even_k cos(x.d_k) and B = sum_k odd_k sin(x.d_k) at each row x.
+
+    The tables are built in row blocks of at most BLOCK_ENTRIES; the sin table
+    is skipped when `odd` is all zero, as it is for a real symmetric support.
+    """
+    a = np.empty(len(x), dtype=np.result_type(even, float))
+    b = np.zeros(len(x), dtype=np.result_type(odd, float))
+    with_sin = bool(np.any(odd))
+    block = max(1, BLOCK_ENTRIES // max(len(offsets), 1))
+    table = np.empty((min(block, len(x)), len(offsets)))
+    sines = np.empty_like(table) if with_sin else None
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
+        phase = np.matmul(x[rows], offsets.T, out=table[:len(x[rows])])
+        if with_sin:
+            b[rows] = real_matmul(np.sin(phase, out=sines[:len(phase)]), odd)
+        a[rows] = real_matmul(np.cos(phase, out=phase), even)
+    return a, b
+
+
+def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
+    """sum_j a_j exp(i kappa p.q_j) over the support nodes q_j of every piece, at each target p.
+
+    A piece centred at c with half offsets d_k adds exp(i kappa p.c) (A + iB),
+    with A = sum_k 2 even_k cos(kappa p.d_k) and B = sum_k 2 odd_k sin(kappa p.d_k).
+    A is even and B odd in p, so when the targets are symmetric under p -> -p
+    only one node of each mirror pair is computed, and its mirror gets
+    exp(-i kappa p.c) (A - iB).
+    """
+    mirror = mirror_map(targets)
+    idx = np.arange(len(targets))
+    rep = idx if mirror is None else idx[mirror >= idx]
+    x = kappa * targets[rep]
+    plus = np.zeros(len(rep), dtype=complex)
+    minus = np.zeros(len(rep), dtype=complex)
+    for center, offsets, even, odd in pieces:
+        a, b = _cos_sin_sums(x, offsets, even, odd)
+        shift = np.exp(1j * (x @ center))
+        plus += shift * (a + 1j * b)
+        minus += np.conj(shift) * (a - 1j * b)
+    values = np.empty(len(targets), dtype=complex)
+    if mirror is not None:
+        values[mirror[rep]] = 2.0 * minus
+    values[rep] = 2.0 * plus
+    return values
+
+
 def synthesize_born(q: ContrastField, kernel_scale: float, targets,
                     geometry: Geometry | None = None) -> DataGrid:
     """u(p) = int_Omega exp(i kappa p.p') q(p') dp' on the target nodes.
@@ -228,12 +332,7 @@ def synthesize_born(q: ContrastField, kernel_scale: float, targets,
     else:
         nodes = np.atleast_2d(np.asarray(targets, dtype=float))
         weights = np.ones(len(nodes))
-    values = np.empty(len(nodes), dtype=complex)
-    block = max(1, 4_000_000 // max(len(q.quad), 1))
-    for start in range(0, len(nodes), block):
-        stop = min(start + block, len(nodes))
-        phase = kernel_scale * (nodes[start:stop] @ q.quad.nodes.T)
-        values[start:stop] = np.exp(1j * phase) @ q.weighted
+    values = _born_sum(q.pieces, kernel_scale, nodes)
     meta = {"kappa": float(kernel_scale), "delta": 0.0, "seed": None,
             "underresolved": not _oscillation_resolved(q, kernel_scale, nodes)}
     return DataGrid(nodes=nodes, weights=weights, values=values,
@@ -244,10 +343,8 @@ def far_field(q: ContrastField, x_hat, theta_hat, k: float) -> complex:
     """Scattering amplitude k^2 int_Omega exp(-i k x_hat.p') q(p') exp(i k p'.theta_hat) dp'."""
     if k <= 0.0:
         raise ParameterError("far_field requires k > 0")
-    x_hat = np.asarray(x_hat, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    phase = k * (q.quad.nodes @ (theta_hat - x_hat))
-    return complex(k * k * np.sum(np.exp(1j * phase) * q.weighted))
+    p = np.asarray(theta_hat, dtype=float) - np.asarray(x_hat, dtype=float)
+    return complex(k * k * _born_sum(q.pieces, k, p[None, :])[0])
 
 
 def ingest_farfield(samples, k: float, target: QuadratureRule,
@@ -391,12 +488,14 @@ def read_datagrid(path) -> DataGrid:
         nodes, weights, values, flags = _data_columns(rows)
     except _ROW_ERRORS:
         raise _malformed_row(path) from None
+    check_keys(header, ("count",), f"{path} header")
     if len(values) != header["count"]:
         raise ParameterError("row count does not match header")
     if not all(np.isfinite(a).all() for a in (nodes, weights, values)):
         raise ParameterError(f"{path}: non-finite number in data rows")
     meta = {"kappa": header.get("kappa"), "delta": header.get("delta", 0.0),
             "seed": header.get("seed")}
+    check_keys(header.get("meta", {}), (), f"{path} header meta")
     meta.update(header.get("meta", {}))
     geometry = Geometry.from_dict(header["geometry"]) if header.get("geometry") else None
     return DataGrid(nodes=nodes, weights=weights, values=values, flags=flags,

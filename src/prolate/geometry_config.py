@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_keys
 from .forward import ContrastField
 from .symset_basis import Geometry, membership, radial_profile
 
@@ -115,8 +115,16 @@ def default_c_full(contrast: ContrastField, k: float) -> float:
     return 2.0 * k * DEFAULT_MARGIN_FACTOR * contrast.circumradius()
 
 
+# Keys a setup record needs in each regime, besides "regime" and "contrast".
+_REGIME_KEYS = {"full": ("k",), "limited": ("k", "theta"), "multifreq": ("K", "x_star")}
+
+
 def setup_from_dict(cfg: dict, contrast_resolution: int = 160) -> ProblemSetup:
+    check_keys(cfg, ("regime", "contrast"), "setup")
     regime = cfg["regime"]
+    if regime not in REGIMES:
+        raise ParameterError(f"unknown regime {regime!r}")
+    check_keys(cfg, _REGIME_KEYS[regime], f"{regime} setup")
     contrast = ContrastField.from_config(cfg["contrast"], resolution=contrast_resolution)
     if regime == "full":
         k = float(cfg["k"])
@@ -128,14 +136,12 @@ def setup_from_dict(cfg: dict, contrast_resolution: int = 160) -> ProblemSetup:
             raise ParameterError("limited regime requires an explicit c_param")
         return ProblemSetup(contrast=contrast, regime="limited", k=float(cfg["k"]),
                             c_param=float(cfg["c_param"]), theta=float(cfg["theta"]))
-    if regime == "multifreq":
-        if cfg.get("c_param") is None:
-            raise ParameterError("multifreq regime requires an explicit c_param")
-        x_star = cfg["x_star"]
-        return ProblemSetup(contrast=contrast, regime="multifreq", k=float(cfg["K"]),
-                            c_param=float(cfg["c_param"]),
-                            x_star=(float(x_star[0]), float(x_star[1])))
-    raise ParameterError(f"unknown regime {regime!r}")
+    if cfg.get("c_param") is None:
+        raise ParameterError("multifreq regime requires an explicit c_param")
+    x_star = cfg["x_star"]
+    return ProblemSetup(contrast=contrast, regime="multifreq", k=float(cfg["K"]),
+                        c_param=float(cfg["c_param"]),
+                        x_star=(float(x_star[0]), float(x_star[1])))
 
 
 def read_setup(path, contrast_resolution: int = 160) -> ProblemSetup:

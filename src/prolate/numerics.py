@@ -24,6 +24,7 @@ __all__ = [
     "zernike_radial",
     "zernike_radial_table",
     "real_matmul",
+    "mirror_map",
     "sym_eig",
     "disk_polar_rule",
     "annulus_polar_rule",
@@ -137,6 +138,24 @@ def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ pairs).view(np.complex128).reshape(a.shape[:-1] + b.shape[1:])
 
 
+def mirror_map(points) -> np.ndarray | None:
+    """Index map i -> j with points[j] == -points[i] exactly, or None if some point has no mirror.
+
+    Both the points and their negations are sorted lexicographically; the set
+    is symmetric under p -> -p iff the two sorted lists are equal, and then
+    the k-th entries of the two orders are mirrors.  Signed zeros compare
+    equal, so a point at the origin is its own mirror.
+    """
+    pts = np.asarray(points, dtype=float)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    negated = np.lexsort((-pts[:, 1], -pts[:, 0]))
+    if not np.array_equal(pts[order], -pts[negated]):
+        return None
+    mirror = np.empty(len(pts), dtype=np.intp)
+    mirror[order] = negated
+    return mirror
+
+
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix.
 
@@ -194,9 +213,8 @@ def disk_polar_rule(radius: float, n_r: int, n_theta: int, center=(0.0, 0.0)) ->
     return QuadratureRule(pts + np.asarray(center, dtype=float), w)
 
 
-def annulus_polar_rule(r_inner: float, r_outer: float, n_r: int, n_theta: int,
-                       center=(0.0, 0.0)) -> QuadratureRule:
-    """Quadrature on an annulus r_inner < |p - center| < r_outer."""
+def annulus_polar_rule(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> QuadratureRule:
+    """Quadrature on the origin-centred annulus r_inner < |p| < r_outer."""
     if not 0.0 <= r_inner < r_outer:
         raise ParameterError("annulus requires 0 <= r_inner < r_outer")
     if n_theta % 2:
@@ -211,4 +229,4 @@ def annulus_polar_rule(r_inner: float, r_outer: float, n_r: int, n_theta: int,
     y = np.outer(r, np.sin(theta)).ravel()
     pts = np.concatenate([np.stack([x, y], axis=1), np.stack([-x, -y], axis=1)])
     w = np.tile(np.outer(wr, np.full(half, wt)).ravel(), 2)
-    return QuadratureRule(pts + np.asarray(center, dtype=float), w)
+    return QuadratureRule(pts, w)

@@ -68,14 +68,18 @@ def picard_coefficients(data: DataGrid, basis) -> np.ndarray:
     alpha_n.  Inner products use the basis quadrature with missing-flagged
     nodes' weight excluded.
     """
+    return _coefficients(data, basis, basis.node_values / basis.mode_norms[:, None])[0]
+
+
+def _coefficients(data: DataGrid, basis, psi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<u, psi_hat> / mu for the normalized node values psi_hat, and the effective weights."""
     if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
         raise ParameterError("data nodes must match the basis quadrature bitwise")
     mu = basis.mu
     if np.any(mu == 0.0):
         raise ParameterError("basis contains a zero eigenvalue")
     w = _effective_weights(data)
-    inner = (basis.node_values / basis.mode_norms[:, None]) @ (w * data.values)
-    return inner / mu
+    return (psi_hat @ (w * data.values)) / mu, w
 
 
 def beta_of_alpha(basis, alpha: float) -> float:
@@ -91,11 +95,12 @@ def beta_of_alpha(basis, alpha: float) -> float:
 def _reconstruct(data: DataGrid, basis, alpha: float, keep: np.ndarray, ids: list,
                  beta: float | None, realify: bool) -> ReconstructionResult:
     """The spectral-cutoff path shared by both regimes: the Picard series on `keep`."""
-    coeffs = picard_coefficients(data, basis)[keep]
     psi_hat = basis.node_values / basis.mode_norms[:, None]
-    node_field = coeffs @ psi_hat[keep]
-    w = _effective_weights(data)
-    predicted = (coeffs * basis.mu[keep]) @ psi_hat[keep]
+    coeffs, w = _coefficients(data, basis, psi_hat)
+    coeffs = coeffs[keep]
+    kept = psi_hat[keep]
+    node_field = coeffs @ kept
+    predicted = (coeffs * basis.mu[keep]) @ kept
     unorm = np.sqrt(np.sum(w * np.abs(data.values) ** 2))
     residual = float(np.sqrt(np.sum(w * np.abs(predicted - data.values) ** 2))
                      / unorm) if unorm > 0 else 0.0

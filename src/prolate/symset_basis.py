@@ -26,11 +26,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyQuadratureError, ParameterError
-from .numerics import QuadratureRule, disk_polar_rule, gauss_legendre_01, real_matmul, sym_eig
+from .errors import EmptyQuadratureError, ParameterError, check_keys
+from .numerics import (QuadratureRule, _frozen, disk_polar_rule, gauss_legendre_01, mirror_map,
+                       real_matmul, sym_eig)
 
 __all__ = [
     "Geometry",
@@ -97,12 +99,17 @@ class Geometry:
 
     @staticmethod
     def from_dict(d: dict) -> "Geometry":
+        check_keys(d, ("kind",), "geometry record")
         kind = d["kind"]
         if kind == "disk":
             return Geometry.disk(radius=d.get("radius", 1.0), h=d.get("h", 1.0))
         if kind == "limited_aperture":
+            check_keys(d, ("theta",), "limited-aperture geometry record")
             return Geometry.limited_aperture(theta=d["theta"], h=d.get("h", 1.0))
-        return Geometry.multi_freq(d["x_star"], h=d.get("h", 1.0))
+        if kind == "multi_freq":
+            check_keys(d, ("x_star",), "multi-frequency geometry record")
+            return Geometry.multi_freq(d["x_star"], h=d.get("h", 1.0))
+        raise ParameterError(f"unknown geometry kind {kind!r}")
 
 
 def _limited_membership(theta_cap: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -289,23 +296,23 @@ class SymSetBasis:
     def kernel_scale(self) -> float:
         return self.c / self.geometry.h**2
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
-        return np.array([mo.alpha for mo in self.modes])
+        return _frozen([mo.alpha for mo in self.modes])
 
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
         """Eigenvalues h^2 alpha_n of the operator on the dilated set A_h."""
-        return self.geometry.h**2 * self.alphas
+        return _frozen(self.geometry.h**2 * self.alphas)
 
-    @property
+    @cached_property
     def mode_norms(self) -> np.ndarray:
         """L2(A_h) norms, equal to (c / 2 pi) |alpha_n| per mode."""
-        return (self.c / (2.0 * np.pi)) * np.abs(self.alphas)
+        return _frozen((self.c / (2.0 * np.pi)) * np.abs(self.alphas))
 
-    @property
+    @cached_property
     def node_values(self) -> np.ndarray:
-        return np.array([mo.node_values for mo in self.modes])
+        return _frozen([mo.node_values for mo in self.modes])
 
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask {|mu_n| > alpha}."""
@@ -448,8 +455,7 @@ def eval_symset_psi(basis: SymSetBasis, n: int, p) -> float | np.ndarray:
 
 def mirror_indices(quad: QuadratureRule) -> np.ndarray:
     """Index map i -> j with nodes[j] == -nodes[i] (exact for built-in rules)."""
-    lookup = {(-x, -y): i for i, (x, y) in enumerate(map(tuple, quad.nodes))}
-    try:
-        return np.array([lookup[(x, y)] for x, y in map(tuple, quad.nodes)])
-    except KeyError as exc:
-        raise ParameterError("quadrature nodes are not symmetric under negation") from exc
+    mirror = mirror_map(quad.nodes)
+    if mirror is None:
+        raise ParameterError("quadrature nodes are not symmetric under negation")
+    return mirror

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import prolate as P
+from prolate import cache
 from prolate.cache import (cache_key, load_basis, load_disk_basis, load_symset_basis,
                            save_disk_basis, save_symset_basis)
 from prolate.errors import CacheError
@@ -104,3 +107,95 @@ class TestCacheKey:
         a = cache_key("disk", c=10.0, m_max=8, n_max=8, J=38)
         b = cache_key("disk", c=10.0 + 1e-13, m_max=8, n_max=8, J=38)
         assert a == b
+
+
+def _rewrite_metadata(path, edit):
+    """Apply `edit` to the JSON metadata record of a container, payload untouched."""
+    magic, meta, payload = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(meta)
+    edit(meta)
+    path.write_bytes(magic + b"\n" + json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+
+
+class TestMalformedMetadata:
+    @pytest.mark.parametrize("key", ["J", "modes", "quad_size", "arrays"])
+    def test_missing_disk_key(self, disk_c5, tmp_path, key):
+        path = tmp_path / "disk.gpswf"
+        save_disk_basis(path, disk_c5)
+        _rewrite_metadata(path, lambda meta: meta.pop(key))
+        with pytest.raises(CacheError, match=str(path)):
+            load_basis(path)
+
+    @pytest.mark.parametrize("edit", [lambda m: m.pop("n_modes"),
+                                      lambda m: m["geometry_params"].pop("kind"),
+                                      lambda m: m.update(n_modes=10_000)])
+    def test_malformed_symset_record(self, symset_disk_c5, tmp_path, edit):
+        path = tmp_path / "sym.gpswf"
+        save_symset_basis(path, symset_disk_c5)
+        _rewrite_metadata(path, edit)
+        with pytest.raises(CacheError, match=str(path)):
+            load_symset_basis(path)
+
+    def test_metadata_not_an_object(self, tmp_path):
+        path = tmp_path / "list.gpswf"
+        path.write_bytes(b"GPSWF1\n[1, 2]\n")
+        with pytest.raises(CacheError, match="bad metadata"):
+            load_basis(path)
+
+
+class TestOneReadPerLoad:
+    def test_load_basis_reads_the_file_once(self, disk_c5, symset_disk_c5, tmp_path, monkeypatch):
+        calls = []
+        real = cache._read_container
+        monkeypatch.setattr(cache, "_read_container", lambda p: calls.append(p) or real(p))
+        for name, basis, save in (("d.gpswf", disk_c5, save_disk_basis),
+                                  ("s.gpswf", symset_disk_c5, save_symset_basis)):
+            save(tmp_path / name, basis)
+            load_basis(tmp_path / name)
+        assert calls == [tmp_path / "d.gpswf", tmp_path / "s.gpswf"]
+
+
+class TestAtomicWrite:
+    """A cache write goes to a hidden temporary file renamed over the target,
+    so a failed write leaves neither a partial container nor a stray file."""
+
+    def test_failed_rename_leaves_nothing(self, disk_c5, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(cache.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_disk_basis(tmp_path / "disk.gpswf", disk_c5)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, disk_c5, symset_disk_c5, tmp_path,
+                                             monkeypatch):
+        path = tmp_path / "basis.gpswf"
+        save_disk_basis(path, disk_c5)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes the first write and then fails, as on a full disk."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(cache, "open", lambda *a, **k: DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_symset_basis(path, symset_disk_c5)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["basis.gpswf"]
+        assert path.read_bytes() == before
+        assert isinstance(load_basis(path), P.DiskBasis)

@@ -373,6 +373,48 @@ class TestBadFlags:
         assert not list(cache_dir.glob("*.gpswf"))
 
 
+class TestMissingKeys:
+    """A required key missing from an input record exits 2 with one line; a
+    KeyError raised anywhere else is a program fault, not bad input."""
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({**SETUP, "contrast": {"shapes": [{"type": "disk", "value": 1.0}]}}, "radius"),
+        ({k: v for k, v in SETUP.items() if k != "k"}, "'k'"),
+        ({**SETUP, "contrast": {"grid": {"origin": [0, 0], "dx": 0.1}}}, "dy"),
+    ])
+    def test_setup(self, tmp_path, disk_basis_file, capsys, cfg, key):
+        out = tmp_path / "data.csv"
+        code, err = _exit_and_error(capsys, ["synthesize", str(write_setup(tmp_path, cfg)),
+                                             "--basis", disk_basis_file, "-o", str(out)])
+        assert code == 2 and len(err) == 1 and key in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.pop("count"), "'count'"),
+        (lambda h: h.update(meta=5), "header meta"),
+        (lambda h: h.update(geometry={"kind": "limited_aperture", "h": 2.0}), "'theta'"),
+    ])
+    def test_data_header(self, tmp_path, disk_basis_file, capsys, edit, message):
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        lines = data.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        data.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01",
+                                             "-o", str(tmp_path / "rec.json")])
+        assert code == 2 and len(err) == 1 and message in err[0], err
+
+    def test_internal_key_error_is_not_bad_input(self, disk_basis_file, tmp_path, monkeypatch):
+        def broken(basis):
+            raise KeyError("internal")
+        monkeypatch.setattr("prolate.cli.validate_basis", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run(["validate", "--basis", disk_basis_file, "-o", str(tmp_path / "report.json")])
+
+
 class TestStability:
     def test_table_properties(self, tmp_path, cache_dir):
         setup = setup_from_dict(SETUP)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from prolate.disk_basis import eval_psi_scaled
 from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,
                              read_datagrid, synthesize_born, write_datagrid)
-from prolate.numerics import bessel_j, disk_polar_rule
+from prolate.numerics import bessel_j, disk_polar_rule, mirror_map
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
 
@@ -111,6 +112,127 @@ class TestSynthesize:
         data = synthesize_born(q, 1.0, np.array([[0.0, 0.0]]))
         assert data.values[0] == pytest.approx(16 * 0.01, rel=1e-12)
         assert q.evaluate(np.array([[0.05, 0.05], [0.35, 0.35]])).tolist() == [1.0, 0.0]
+
+
+def shape_support(shapes, resolution, method="polar"):
+    """Support nodes and values value * weight, one shape at a time."""
+    rules = [(sh["value"], ContrastField.from_shapes([sh], resolution, method).quad)
+             for sh in shapes]
+    return (np.concatenate([r.nodes for _, r in rules]),
+            np.concatenate([v * r.weights for v, r in rules]))
+
+
+def direct_sum(nodes, values, kappa, targets):
+    """The dense reference sum_j a_j exp(i kappa p.q_j)."""
+    return np.exp(1j * kappa * (targets @ nodes.T)) @ values
+
+
+OFF_CENTRE = [{"type": "disk", "center": (0.7, -0.4), "radius": 0.5, "value": 1.5},
+              {"type": "annulus", "center": (-0.6, 0.3), "r_inner": 0.2, "r_outer": 0.5,
+               "value": -0.7}]
+
+
+def _grid_support():
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(0.5, 2.0, (9, 12))
+    vals[rng.uniform(size=vals.shape) < 0.3] = 0.0  # zeros without a symmetric pattern
+    q = ContrastField.from_grid((-0.6, -0.2), 0.1, 0.08, vals)
+    return q, q.quad.nodes, vals[vals != 0.0] * 0.1 * 0.08
+
+
+def _complex_support():
+    quad = disk_polar_rule(0.9, 20, 24)
+    f = lambda p: (1.0 + 0.5j * p[:, 0]) * np.exp(p[:, 1]) + 0.3j * p[:, 1] ** 2  # noqa: E731
+    return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
+
+
+def _complex_asymmetric_support():
+    quad = disk_polar_rule(0.6, 12, 16, center=(0.2, -0.1))
+    f = lambda p: 1.0 + 2.0j * p[:, 0]  # noqa: E731
+    return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
+
+
+def _shapes(shapes, resolution, method="polar"):
+    return (ContrastField.from_shapes(shapes, resolution, method),
+            *shape_support(shapes, resolution, method))
+
+
+SUPPORTS = {
+    "polar_off_centre": lambda: _shapes(OFF_CENTRE, 24),
+    "midpoint_odd": lambda: _shapes(OFF_CENTRE[:1], 31, "midpoint"),
+    "midpoint_even": lambda: _shapes(OFF_CENTRE, 30, "midpoint"),
+    "grid": _grid_support,
+    "complex_callable": _complex_support,
+    "complex_asymmetric": _complex_asymmetric_support,
+}
+
+
+def _symset_targets(method):
+    geo = P.Geometry.limited_aperture(3 * math.pi / 4, h=2.0)
+    return P.build_quadrature(geo, 25, method=method).nodes
+
+
+TARGETS = {
+    "scaled_disk": lambda: P.scale_to_data_domain(P.compute_disk_basis(6.0, 3, 3), 1.0).quad.nodes,
+    "symset_polar": lambda: _symset_targets("polar"),
+    "symset_midpoint_origin": lambda: _symset_targets("midpoint"),
+    "asymmetric": lambda: np.random.default_rng(8).uniform(-3.0, 3.0, (57, 2)),
+}
+
+
+class TestBornKernel:
+    """The folded kernel equals the dense exp sum to rounding, on every kind of
+    support rule and target set."""
+
+    @pytest.mark.parametrize("support", sorted(SUPPORTS))
+    @pytest.mark.parametrize("targets", sorted(TARGETS))
+    def test_matches_direct_sum(self, support, targets):
+        q, nodes, values = SUPPORTS[support]()
+        pts = TARGETS[targets]()
+        got = synthesize_born(q, 1.3, pts).values
+        want = direct_sum(nodes, values, 1.3, pts)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(values).sum()
+
+    @pytest.mark.parametrize("support", sorted(SUPPORTS))
+    def test_far_field_single_point(self, support):
+        q, nodes, values = SUPPORTS[support]()
+        k, x_hat, t_hat = 1.7, np.array([0.6, 0.8]), np.array([-1.0, 0.0])
+        want = k * k * direct_sum(nodes, values, k, (t_hat - x_hat)[None, :])[0]
+        assert abs(far_field(q, x_hat, t_hat, k) - want) <= 1e-13 * k * k * np.abs(values).sum()
+
+    def test_cases_cover_the_mirror_cases(self):
+        fixed = [np.flatnonzero(mirror_map(TARGETS[t]()) == np.arange(len(TARGETS[t]())))
+                 for t in ("symset_midpoint_origin", "symset_polar")]
+        assert [len(f) for f in fixed] == [1, 0]
+        assert mirror_map(TARGETS["asymmetric"]()) is None
+        # an odd midpoint resolution puts a support node at the shape centre
+        centre = [(SUPPORTS[s]()[0].pieces[0].offsets == 0.0).all(axis=1).sum()
+                  for s in ("midpoint_odd", "midpoint_even")]
+        assert centre == [1, 0]
+        assert mirror_map(SUPPORTS["complex_asymmetric"]()[0].pieces[0].offsets) is None
+
+    def test_real_symmetric_shapes_have_no_odd_part(self):
+        q = ContrastField.from_shapes(OFF_CENTRE, 24)
+        assert len(q.pieces) == 2
+        for piece, sh in zip(q.pieces, OFF_CENTRE):
+            assert np.array_equal(piece.center, sh["center"])
+            assert not piece.odd.any()
+        assert sum(len(p.offsets) for p in q.pieces) == len(q.quad) // 2
+        assert np.any(_grid_support()[0].pieces[0].odd)
+
+    def test_synthesis_memory_stays_small(self):
+        # 3,444 targets (the README disk basis rule) x 25,600 support nodes; the
+        # dense kernel peaked at about 160 MB, the folded one at under 1 MB
+        targets = disk_polar_rule(5.0, 82, 42)
+        q = ContrastField.from_shapes(DISK, resolution=160)
+        assert (len(targets), len(q.quad)) == (3444, 25600)
+        tracemalloc.start()
+        try:
+            synthesize_born(q, 0.4, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestFarField:

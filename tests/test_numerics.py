@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from prolate.errors import ParameterError
 from prolate.numerics import (QuadratureRule, SymmetricTridiagonal, bessel_j, disk_polar_rule,
-                              gauss_legendre, gauss_legendre_01, sym_eig, zernike_radial,
-                              zernike_radial_table)
+                              gauss_legendre, gauss_legendre_01, mirror_map, sym_eig,
+                              zernike_radial, zernike_radial_table)
+from prolate.symset_basis import Geometry, build_quadrature
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -180,3 +181,43 @@ class TestQuadratureRule:
         rule = gauss_legendre(4)
         with pytest.raises(ValueError):
             rule.weights[0] = 5.0
+
+
+def dict_mirror(points):
+    """Reference pairing: a dict from each negated node to its index."""
+    lookup = {(-x, -y): i for i, (x, y) in enumerate(map(tuple, points))}
+    return np.array([lookup[(x, y)] for x, y in map(tuple, points)])
+
+
+SYMMETRIC_RULES = {
+    "disk_polar": lambda: disk_polar_rule(1.3, 9, 12).nodes,
+    "L_polar": lambda: build_quadrature(Geometry.limited_aperture(2.0, h=1.5), 40, "polar").nodes,
+    "L_midpoint_origin": lambda: build_quadrature(Geometry.limited_aperture(2.4), 41,
+                                                  "midpoint").nodes,
+    "M_polar": lambda: build_quadrature(Geometry.multi_freq((0.6, 0.8)), 32, "polar").nodes,
+    "M_midpoint": lambda: build_quadrature(Geometry.multi_freq((1.0, 0.0)), 40,
+                                           "midpoint").nodes,
+}
+
+
+class TestMirrorMap:
+    @pytest.mark.parametrize("rule", sorted(SYMMETRIC_RULES))
+    def test_equals_dict_reference(self, rule):
+        pts = SYMMETRIC_RULES[rule]()
+        mirror = mirror_map(pts)
+        assert np.array_equal(mirror, dict_mirror(pts))
+        assert np.array_equal(pts[mirror], -pts)
+        assert np.array_equal(mirror[mirror], np.arange(len(pts)))
+
+    def test_origin_is_its_own_mirror(self):
+        pts = SYMMETRIC_RULES["L_midpoint_origin"]()
+        fixed = np.flatnonzero(mirror_map(pts) == np.arange(len(pts)))
+        assert len(fixed) == 1 and not pts[fixed].any()
+        assert np.array_equal(mirror_map(np.array([[0.0, -0.0], [-0.0, 0.0]])), [0, 1])
+
+    def test_none_for_asymmetric_sets(self):
+        pts = disk_polar_rule(1.0, 6, 8).nodes
+        assert mirror_map(pts + np.array([1e-12, 0.0])) is None  # shifted off the origin
+        assert mirror_map(pts[1:]) is None                         # one mirror missing
+        assert mirror_map(np.random.default_rng(0).standard_normal((20, 2))) is None
+        assert mirror_map(np.array([[0.5, 0.25]])) is None

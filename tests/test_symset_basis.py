@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prolate as P
+from prolate import symset_basis
 from prolate.errors import EmptyQuadratureError, ParameterError
 from prolate.symset_basis import (Geometry, analytic_area, build_quadrature,
                                   compute_symset_basis, eval_symset_psi, membership,
@@ -356,6 +357,21 @@ class TestFoldInputs:
         quad = build_quadrature(Geometry.limited_aperture(0.75 * math.pi), 25, method="midpoint")
         assert np.sum(np.all(quad.nodes == 0.0, axis=1)) == 1
         assert len(quad) % 2 == 1
+
+    @pytest.mark.parametrize("name", ["L_midpoint_odd", "M_polar"])
+    def test_same_modes_as_dict_pairing(self, name, monkeypatch):
+        # the fold pairs nodes through numerics.mirror_map; a per-node dict of
+        # negated nodes (the reference pairing) must give bitwise the same modes
+        geo, res, method = FOLD_CASES[name]
+        quad = build_quadrature(geo, res, method=method)
+        basis = compute_symset_basis(5.0, geo, quad, 12)
+        lookup = {(-x, -y): i for i, (x, y) in enumerate(map(tuple, quad.nodes))}
+        by_dict = np.array([lookup[(x, y)] for x, y in map(tuple, quad.nodes)])
+        monkeypatch.setattr(symset_basis, "mirror_indices", lambda q: by_dict)
+        ref = compute_symset_basis(5.0, geo, quad, 12)
+        assert np.array_equal(basis.alphas, ref.alphas)
+        assert np.array_equal(basis.node_values, ref.node_values)
+        assert np.array_equal(basis.spectrum_even, ref.spectrum_even)
 
     def test_asymmetric_nodes_rejected(self):
         geo = Geometry.disk()
