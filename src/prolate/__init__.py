@@ -6,8 +6,8 @@ from .analysis import (ProjectionReport, extrapolate, project_pi_alpha,
                        projection_error_report, sobolev_norm_tilde, validate_basis)
 from .cache import (cache_key, load_basis, load_disk_basis, load_symset_basis,
                     save_disk_basis, save_symset_basis)
-from .disk_basis import (DiskBasis, DiskMode, ScaledDiskBasis, assemble_sl_matrix,
-                         compute_disk_basis, eval_psi, eval_psi_scaled, scale_to_data_domain)
+from .disk_basis import (DiskBasis, DiskMode, assemble_sl_matrix, compute_disk_basis, eval_psi,
+                         scale_to_data_domain)
 from .errors import (CacheError, DataCoverageError, EigensolverError, EmptyCutoffError,
                      EmptyQuadratureError, ParameterError, ProlateError)
 from .forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk_basis import DiskBasis, ScaledDiskBasis
+from .disk_basis import DiskBasis
 from .errors import ParameterError
 from .forward import DataGrid
 from .symset_basis import SymSetBasis, analytic_area, mirror_indices
@@ -39,10 +39,6 @@ class ProjectionReport:
     passed: bool
 
 
-def _disk_like(basis) -> bool:
-    return isinstance(basis, (DiskBasis, ScaledDiskBasis))
-
-
 def _psi_hat(basis) -> np.ndarray:
     return basis.node_values / basis.mode_norms[:, None]
 
@@ -56,8 +52,8 @@ def project_pi_alpha(u: np.ndarray, basis, alpha: float) -> np.ndarray:
     """
     if alpha <= 0.0:
         raise ParameterError("alpha must be positive")
-    if not _disk_like(basis):
-        raise ParameterError("project_pi_alpha needs a disk-type basis")
+    if not isinstance(basis, DiskBasis):
+        raise ParameterError("project_pi_alpha needs a DiskBasis")
     u = np.asarray(u)
     if u.shape[-1] != len(basis.quad):
         raise ParameterError("samples must live on the basis quadrature")
@@ -83,8 +79,8 @@ def sobolev_norm_tilde(u: np.ndarray, basis, s: float) -> SobolevNorm:
     """
     if s < 0.0:
         raise ParameterError("s must be nonnegative")
-    if not _disk_like(basis):
-        raise ParameterError("sobolev_norm_tilde needs a disk-type basis")
+    if not isinstance(basis, DiskBasis):
+        raise ParameterError("sobolev_norm_tilde needs a DiskBasis")
     u = np.asarray(u)
     w = basis.quad.weights
     psi_hat = _psi_hat(basis)
@@ -127,9 +123,9 @@ def _check(name: str, residual: float, threshold: float) -> dict:
 
 def validate_basis(basis) -> list[dict]:
     """Self-validation report; each entry is {check, residual, threshold, passed}."""
-    disk = _disk_like(basis)
+    disk = isinstance(basis, DiskBasis)
     if not disk and not isinstance(basis, SymSetBasis):
-        raise ParameterError("validate_basis accepts DiskBasis, ScaledDiskBasis, or SymSetBasis")
+        raise ParameterError("validate_basis accepts DiskBasis or SymSetBasis")
     w = basis.quad.weights
     vals = basis.node_values
     gram = (vals * w) @ vals.T

@@ -16,7 +16,7 @@ import secrets
 import numpy as np
 
 from .disk_basis import DiskBasis, DiskMode, _mode_node_values
-from .errors import CacheError
+from .errors import CacheError, ParameterError
 from .numerics import QuadratureRule, disk_polar_rule
 from .symset_basis import Geometry, SymSetBasis, SymSetMode
 
@@ -121,6 +121,9 @@ def _read_container(path) -> tuple[dict, dict]:
 
 
 def save_disk_basis(path, basis: DiskBasis) -> None:
+    """Write the unit-disk system; a dilated basis is refused, since a load rebuilds radius 1."""
+    if basis.radius != 1.0:
+        raise ParameterError(f"only a unit-disk basis can be cached, got radius {basis.radius!r}")
     meta = {
         "geometry": "disk",
         "c": basis.c,

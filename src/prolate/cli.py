@@ -208,20 +208,24 @@ def _cmd_ingest(args) -> int:
     if isinstance(basis, DiskBasis):
         raise ParameterError("ingest requires a symset basis or a scaled target; "
                              "build a symset disk basis for full-aperture targets")
-    samples = []
-    with open(args.samples, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:6] != ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y", "re", "im"]:
-            raise ParameterError(f"unexpected far-field columns {header}")
-        for lineno, line in enumerate(f, 2):
-            if line.strip():
-                t = _floats(line, 6, f"{args.samples} line {lineno}")
-                samples.append(((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])))
+    rows = _read_rows(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y", "re", "im"],
+                      "far-field")
+    samples = [((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])) for t in rows]
     data = ingest_farfield(samples, args.k, basis.quad, cutoff=args.cutoff,
                            geometry=basis.geometry)
     write_datagrid(args.out, data)
     print(args.out)
     return 0
+
+
+def _read_rows(path: str, columns: list[str], what: str) -> list[list[float]]:
+    """The non-blank rows of a CSV file whose header starts with `columns`, as finite floats."""
+    with open(path, "r", encoding="utf-8") as f:
+        header = f.readline().strip().split(",")
+        if header[:len(columns)] != columns:
+            raise ParameterError(f"unexpected {what} columns {header}")
+        return [_floats(line, len(columns), f"{path} line {lineno}")
+                for lineno, line in enumerate(f, 2) if line.strip()]
 
 
 def _floats(line: str, count: int, where: str) -> list[float]:
@@ -296,15 +300,7 @@ def _cmd_extrapolate(args) -> int:
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
     scaled = _scale_to_data(basis, data)
-    targets = []
-    with open(args.targets, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["x", "y"]:
-            raise ParameterError(f"unexpected target columns {header}")
-        for lineno, line in enumerate(f, 2):
-            if line.strip():
-                targets.append(_floats(line, 2, f"{args.targets} line {lineno}"))
-    targets = np.array(targets)
+    targets = np.array(_read_rows(args.targets, ["x", "y"], "target"))
     values = extrapolate(data, scaled, targets)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x,y,re,im\n")

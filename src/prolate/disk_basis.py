@@ -47,12 +47,10 @@ from .numerics import (
 __all__ = [
     "DiskMode",
     "DiskBasis",
-    "ScaledDiskBasis",
     "assemble_sl_matrix",
     "compute_disk_basis",
     "default_truncation",
     "eval_psi",
-    "eval_psi_scaled",
     "scale_to_data_domain",
 ]
 
@@ -89,8 +87,13 @@ class DiskMode:
 
 @dataclass(frozen=True)
 class DiskBasis:
-    """Computed disk modes plus the unit-disk quadrature used for inner products.
+    """Computed disk modes plus the quadrature of the disk used for inner products.
 
+    The modes live on the disk of radius `radius`: 1 for the unit-disk system,
+    c / (2k) once `scale_to_data_domain` has dilated it onto the data disk.
+    There psi_r(x) = psi(x / r) / r satisfies the Fourier eigenrelation with
+    kernel exp(i (c / r^2) p.p') and eigenvalue r^2 alpha, and keeps unit plane
+    energy and squared norm (c / 2 pi)^2 |alpha|^2 on the disk.
     `node_values[i]` holds mode i sampled on `quad.nodes`; modes are ordered by
     (m + 2n, m, ell).
     """
@@ -101,10 +104,20 @@ class DiskBasis:
     quad: QuadratureRule
     node_values: np.ndarray
     quad_size: tuple[int, int] = (0, 0)
+    radius: float = 1.0
+
+    @property
+    def kernel_scale(self) -> float:
+        return self.c / self.radius**2
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Fourier eigenvalues r^2 alpha of the operator on the disk of radius r."""
+        return _frozen([(self.radius**2) * mo.alpha for mo in self.modes])
 
     @cached_property
     def mode_norms(self) -> np.ndarray:
-        """L2(B(0,1)) norms, equal to (c / 2 pi) |alpha| per mode."""
+        """L2 norms on the disk, equal to (c / 2 pi) |alpha| per mode."""
         return _frozen([(self.c / (2.0 * np.pi)) * abs(mo.alpha) for mo in self.modes])
 
     @cached_property
@@ -119,8 +132,10 @@ class DiskBasis:
     def combine(self, weights, pts) -> np.ndarray:
         """sum_i weights[i] psi_i(pts) anywhere in the plane; a scalar for one point.
 
-        Inside the unit disk a mode is its coefficient expansion R(r) Y(theta)
-        (finite at the origin for every m).  Outside it is the analytic
+        The sum is taken for the unit-disk modes at pts / radius and divided
+        by radius (exact no-ops for the unit disk).  Inside the unit disk a
+        mode is its coefficient expansion R(r) Y(theta) (finite at the origin
+        for every m).  Outside it is the analytic
         extension psi(x) = alpha^{-1} int_{B} exp(i c x.p') psi(p') dp', through
         its radial reduction sqrt(c)/gamma * Y(theta) * int_0^1 J_m(c|x|s) R(s) s ds.
         Both are linear in the radial coefficients, so the weights (over gamma
@@ -128,7 +143,7 @@ class DiskBasis:
         Zernike or Bessel table is built per azimuthal order, not per mode.
         """
         weights = np.asarray(weights)
-        xy = np.atleast_2d(np.asarray(pts, dtype=float))
+        xy = np.atleast_2d(np.asarray(pts, dtype=float) / self.radius)
         r = np.hypot(xy[:, 0], xy[:, 1])
         theta = np.arctan2(xy[:, 1], xy[:, 0])
         inside = r <= 1.0
@@ -151,6 +166,7 @@ class DiskBasis:
                 radial[~inside] = math.sqrt(self.c) * real_matmul(
                     jv(m, self.c * np.outer(r[~inside], s)), (w * s)[:, None] * R)
             out += radial[:, 0] * np.cos(m * theta) + radial[:, 1] * np.sin(m * theta)
+        out /= self.radius
         return out[0] if np.ndim(pts) == 1 else out
 
     def mode_index(self, key: tuple[int, int, int]) -> int:
@@ -158,58 +174,6 @@ class DiskBasis:
             if mo.key == tuple(key):
                 return i
         raise KeyError(f"mode {key} not present in basis")
-
-
-@dataclass(frozen=True)
-class ScaledDiskBasis:
-    """The disk eigensystem mapped onto the data disk of radius base.c / (2k).
-
-    psi_scaled(x) = (2k / c) psi(2k x / c) satisfies the Fourier eigenrelation
-    with kernel exp(i (4 k^2 / c) p.p') and eigenvalue (c / 2k)^2 alpha, has
-    unit plane energy, and squared norm (c / 2 pi)^2 |alpha|^2 on the data disk.
-    """
-
-    base: DiskBasis
-    k: float
-    quad: QuadratureRule
-    node_values: np.ndarray
-
-    @property
-    def radius(self) -> float:
-        return self.base.c / (2.0 * self.k)
-
-    @property
-    def kernel_scale(self) -> float:
-        return 4.0 * self.k**2 / self.base.c
-
-    @property
-    def c(self) -> float:
-        return self.base.c
-
-    @property
-    def modes(self) -> tuple[DiskMode, ...]:
-        return self.base.modes
-
-    @property
-    def chis(self) -> np.ndarray:
-        return self.base.chis
-
-    def keep(self, alpha: float) -> np.ndarray:
-        return self.base.keep(alpha)
-
-    @property
-    def mode_norms(self) -> np.ndarray:
-        """L2(D) norms on the data disk, equal to (c / 2 pi) |alpha| per mode."""
-        return self.base.mode_norms
-
-    @cached_property
-    def mu(self) -> np.ndarray:
-        """Fourier eigenvalues (c / 2k)^2 alpha_{m,n}(c) of the scaled operator."""
-        return _frozen([(self.radius**2) * mo.alpha for mo in self.modes])
-
-    def combine(self, weights, pts) -> np.ndarray:
-        """sum_i weights[i] psi_scaled_i(pts) = (2k/c) sum_i weights[i] psi_i(2k pts / c)."""
-        return self.base.combine(weights, np.asarray(pts, dtype=float) / self.radius) / self.radius
 
 
 def default_truncation(c: float, n_max: int) -> int:
@@ -337,26 +301,20 @@ def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:
     return basis.combine(weights, x)
 
 
-def scale_to_data_domain(basis: DiskBasis, k: float) -> ScaledDiskBasis:
-    """Map the unit-disk system onto the data disk of radius c / (2k)."""
+def scale_to_data_domain(basis: DiskBasis, k: float) -> DiskBasis:
+    """The basis dilated onto the data disk of radius c / (2k), from any radius."""
     if k <= 0.0:
         raise ParameterError("scale_to_data_domain requires k > 0")
     rho = basis.c / (2.0 * k)
-    quad = QuadratureRule(rho * basis.quad.nodes, rho**2 * basis.quad.weights)
-    node_values = basis.node_values / rho
+    s = rho / basis.radius
+    quad = QuadratureRule(s * basis.quad.nodes, s**2 * basis.quad.weights)
+    node_values = basis.node_values / s
     node_values.flags.writeable = False
-    return ScaledDiskBasis(base=basis, k=float(k), quad=quad, node_values=node_values)
-
-
-def eval_psi_scaled(scaled: ScaledDiskBasis, mode, x) -> float | np.ndarray:
-    """Evaluate a scaled mode psi_scaled(x) = (2k/c) psi(2k x / c) anywhere."""
-    return eval_psi(scaled.base, mode, np.asarray(x, dtype=float) / scaled.radius) / scaled.radius
+    return replace(basis, radius=rho, quad=quad, node_values=node_values)
 
 
 def with_perturbed_alpha(basis: DiskBasis, index: int, factor: float) -> DiskBasis:
     """Copy of the basis with one alpha scaled by `factor` (for fault-injection checks)."""
-    modes = list(basis.modes)
-    mo = modes[index]
-    modes[index] = replace(mo, alpha=mo.alpha * factor, gamma=mo.gamma * factor)
-    return DiskBasis(basis.c, basis.truncation, tuple(modes), basis.quad,
-                     basis.node_values, basis.quad_size)
+    mo = basis.modes[index]
+    mo = replace(mo, alpha=mo.alpha * factor, gamma=mo.gamma * factor)
+    return replace(basis, modes=basis.modes[:index] + (mo,) + basis.modes[index + 1:])

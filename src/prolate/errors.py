@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the input-record check that raises one."""
+"""Exception types shared across the package, and the input-record checks that raise one."""
+
+import reprlib
+
+import numpy as np
 
 
 class ProlateError(Exception):
@@ -36,3 +40,28 @@ def check_keys(record, keys, what: str) -> None:
     missing = [key for key in keys if key not in record]
     if missing:
         raise ParameterError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
+_NUMERIC_KINDS = {(): "a finite number", (2,): "a pair of finite numbers",
+                  (None, None): "a 2D array of finite numbers"}
+
+
+def numeric(record: dict, key: str, what: str, shape: tuple = ()):
+    """record[key] as a float (shape ()) or a float array of `shape` (None: any length).
+
+    Raise ParameterError naming the field unless the value is a number, or a
+    nested list of numbers of that shape, and finite; JSON strings, booleans
+    and null are not numbers.
+    """
+    value = record[key]
+    try:
+        arr = np.asarray(value)
+        ok = (arr.dtype.kind in "iuf" and arr.ndim == len(shape)
+              and all(n is None or n == m for n, m in zip(shape, arr.shape))
+              and bool(np.isfinite(arr).all()))
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} {key!r} must be {_NUMERIC_KINDS[shape]}, "
+                             f"got {reprlib.repr(value)}")
+    return float(arr) if shape == () else arr.astype(float)

@@ -15,9 +15,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataCoverageError, ParameterError, check_keys
+from .errors import DataCoverageError, ParameterError, check_keys, numeric
 from .numerics import QuadratureRule, annulus_polar_rule, disk_polar_rule, mirror_map, real_matmul
-from .symset_basis import Geometry, membership
+from .symset_basis import Geometry
 
 __all__ = [
     "ContrastField",
@@ -61,65 +61,73 @@ def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
     return SupportPiece(center, offsets[keep], even, odd)
 
 
+# Points sampled on the support boundary for the containment check.
+BOUNDARY_SAMPLES = 1024
+
+
 @dataclass(frozen=True)
 class ContrastField:
-    """The unknown medium contrast: support descriptor, point oracle, quadrature.
+    """The unknown medium contrast: point oracle, quadrature, and support extent.
 
-    `shapes` is a list of dicts ({type, center, radius, value} for disks,
-    r_inner/r_outer for annuli) or a grid dict {origin, dx, dy, values};
-    overlapping shape values add.  `evaluate` returns q at (N, 2) points and
-    vanishes off the support.  `pieces` holds q times the quadrature weight on
-    the support nodes, as one `SupportPiece` per shape (centred at the shape
-    centre, so an overlap is counted once per shape, each with its own value),
-    one per pixel grid (centred at the grid centre) or one at the origin for
-    an explicit rule; `quad` holds the same nodes, centre + offset.
+    `evaluate` returns q at (N, 2) points and vanishes off the support;
+    overlapping shape values add.  `pieces` holds q times the quadrature
+    weight on the support nodes, as one `SupportPiece` per shape (centred at
+    the shape centre, so an overlap is counted once per shape, each with its
+    own value), one per pixel grid (centred at the grid centre) or one at the
+    origin for an explicit rule; `quad` holds the same nodes, centre + offset.
+    `radius` is that of the smallest origin-centred disk containing the
+    support, and `boundary` holds points sampling the support boundary.
     """
 
-    shapes: list | dict
     evaluate: Callable[[np.ndarray], np.ndarray]
     quad: QuadratureRule
     pieces: tuple[SupportPiece, ...]
+    radius: float
+    boundary: np.ndarray
 
     @staticmethod
     def from_shapes(shapes: list[dict], resolution: int = 160, method: str = "polar") -> "ContrastField":
+        """Disks {type, center, radius, value} and annuli (r_inner, r_outer in place of radius)."""
         if not shapes:
             raise ParameterError("contrast needs at least one shape")
+        shapes = [_check_shape(sh) for sh in shapes]
         nodes, weights, pieces = [], [], []
         for sh in shapes:
-            _check_shape(sh)
-            center = np.asarray(sh.get("center", (0.0, 0.0)), dtype=float)
-            disk = sh["type"] == "disk"
-            inner, outer = (0.0, sh["radius"]) if disk else (sh["r_inner"], sh["r_outer"])
             n_t = resolution + resolution % 2
             if method != "polar":
-                rule = _midpoint_disk(inner, outer, resolution)
-            elif disk:
-                rule = disk_polar_rule(outer, resolution, n_t)
+                rule = _midpoint_disk(sh.inner, sh.outer, resolution)
+            elif sh.disk:
+                rule = disk_polar_rule(sh.outer, resolution, n_t)
             else:
-                rule = annulus_polar_rule(inner, outer, resolution, n_t)
-            nodes.append(rule.nodes + center)
+                rule = annulus_polar_rule(sh.inner, sh.outer, resolution, n_t)
+            nodes.append(rule.nodes + sh.center)
             weights.append(rule.weights)
-            pieces.append(_piece(center, rule.nodes, sh["value"] * rule.weights))
+            pieces.append(_piece(sh.center, rule.nodes, sh.value * rule.weights))
         quad = QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             out = np.zeros(len(pts))
             for sh in shapes:
-                cx, cy = sh.get("center", (0.0, 0.0))
+                cx, cy = sh.center
                 d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
-                if sh["type"] == "disk":
-                    out += np.where(d2 < sh["radius"] ** 2, sh["value"], 0.0)
+                if sh.disk:
+                    out += np.where(d2 < sh.outer**2, sh.value, 0.0)
                 else:
-                    inside = (d2 > sh["r_inner"] ** 2) & (d2 < sh["r_outer"] ** 2)
-                    out += np.where(inside, sh["value"], 0.0)
+                    inside = (d2 > sh.inner**2) & (d2 < sh.outer**2)
+                    out += np.where(inside, sh.value, 0.0)
             return out
 
-        return ContrastField(shapes=list(shapes), evaluate=evaluate, quad=quad,
-                             pieces=tuple(pieces))
+        radius = float(max(np.hypot(*sh.center) + sh.outer for sh in shapes))
+        boundary = _circles([(sh.center, r) for sh in shapes
+                             for r in ((sh.outer,) if sh.disk else (sh.inner, sh.outer))],
+                            max(64, BOUNDARY_SAMPLES // len(shapes)))
+        return ContrastField(evaluate=evaluate, quad=quad, pieces=tuple(pieces),
+                             radius=radius, boundary=boundary)
 
     @staticmethod
     def from_grid(origin, dx: float, dy: float, values) -> "ContrastField":
+        """Pixel values[i, j] on [origin + (i, j) * (dx, dy), origin + (i+1, j+1) * (dx, dy))."""
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2:
             raise ParameterError("grid values must be a 2D array")
@@ -144,74 +152,73 @@ class ContrastField:
             out[ok] = vals[i[ok], j[ok]]
             return out
 
-        return ContrastField(shapes={"grid": {"origin": [ox, oy], "dx": dx, "dy": dy,
-                                              "values": vals.tolist()}},
-                             evaluate=evaluate, quad=quad, pieces=(piece,))
+        corners = [np.stack([ox + (ii + di) * dx, oy + (jj + dj) * dy], axis=1)
+                   for di in (0, 1) for dj in (0, 1)]
+        return ContrastField(evaluate=evaluate, quad=quad, pieces=(piece,),
+                             radius=_node_radius(quad), boundary=np.concatenate(corners))
 
     @staticmethod
     def from_callable(evaluate: Callable, quad: QuadratureRule,
                       circumradius: float | None = None) -> "ContrastField":
-        """Arbitrary oracle backed by an explicit support quadrature (tests, band-limited fields)."""
-        shapes = [{"type": "disk", "center": (0.0, 0.0),
-                   "radius": circumradius if circumradius is not None
-                   else float(np.hypot(quad.nodes[:, 0], quad.nodes[:, 1]).max()),
-                   "value": None}]
+        """Arbitrary oracle backed by an explicit support quadrature (tests, band-limited fields).
+
+        The support is taken to be the origin-centred disk of radius
+        `circumradius` (default: the farthest node).
+        """
+        radius = _node_radius(quad) if circumradius is None else float(circumradius)
         piece = _piece((0.0, 0.0), quad.nodes, evaluate(quad.nodes) * quad.weights)
-        return ContrastField(shapes=shapes, evaluate=evaluate, quad=quad, pieces=(piece,))
+        return ContrastField(evaluate=evaluate, quad=quad, pieces=(piece,), radius=radius,
+                             boundary=_circles([((0.0, 0.0), radius)], BOUNDARY_SAMPLES))
 
     @staticmethod
     def from_config(cfg: dict, resolution: int = 160) -> "ContrastField":
         check_keys(cfg, (), "contrast")
         if "grid" in cfg:
             g = cfg["grid"]
-            check_keys(g, ("origin", "dx", "dy", "values"), "contrast grid")
-            return ContrastField.from_grid(g["origin"], g["dx"], g["dy"], g["values"])
+            what = "contrast grid"
+            check_keys(g, ("origin", "dx", "dy", "values"), what)
+            return ContrastField.from_grid(
+                numeric(g, "origin", what, (2,)), numeric(g, "dx", what), numeric(g, "dy", what),
+                numeric(g, "values", what, (None, None)))
         check_keys(cfg, ("shapes",), "contrast")
         return ContrastField.from_shapes(cfg["shapes"], resolution=resolution)
 
-    def circumradius(self) -> float:
-        """Radius of the smallest origin-centered disk containing the support."""
-        if isinstance(self.shapes, dict):
-            return float(np.hypot(self.quad.nodes[:, 0], self.quad.nodes[:, 1]).max())
-        radii = []
-        for sh in self.shapes:
-            cx, cy = sh.get("center", (0.0, 0.0))
-            r = sh["radius"] if sh["type"] == "disk" else sh["r_outer"]
-            radii.append(np.hypot(cx, cy) + r)
-        return float(max(radii))
 
-    def boundary_points(self, n: int = 1024) -> np.ndarray:
-        """Points sampling the support boundary, used for containment checks."""
-        if isinstance(self.shapes, dict):
-            g = self.shapes["grid"]
-            vals = np.asarray(g["values"])
-            ii, jj = np.nonzero(vals)
-            ox, oy = g["origin"]
-            corners = []
-            for di in (0, 1):
-                for dj in (0, 1):
-                    corners.append(np.stack([ox + (ii + di) * g["dx"], oy + (jj + dj) * g["dy"]], axis=1))
-            return np.concatenate(corners)
-        per = max(64, n // max(len(self.shapes), 1))
-        t = 2.0 * np.pi * np.arange(per) / per
-        pts = []
-        for sh in self.shapes:
-            cx, cy = sh.get("center", (0.0, 0.0))
-            radii = [sh["radius"]] if sh["type"] == "disk" else [sh["r_inner"], sh["r_outer"]]
-            for r in radii:
-                pts.append(np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=1))
-        return np.concatenate(pts)
+def _node_radius(quad: QuadratureRule) -> float:
+    return float(np.hypot(quad.nodes[:, 0], quad.nodes[:, 1]).max())
+
+
+def _circles(circles, per: int) -> np.ndarray:
+    """`per` equally spaced points on each (centre, radius) circle."""
+    t = 2.0 * np.pi * np.arange(per) / per
+    return np.concatenate([np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=1)
+                           for (cx, cy), r in circles])
+
+
+class _Shape(NamedTuple):
+    disk: bool
+    center: np.ndarray
+    inner: float  # 0 for a disk
+    outer: float
+    value: float
 
 
 _SHAPE_KEYS = {"disk": ("radius", "value"), "annulus": ("r_inner", "r_outer", "value")}
 
 
-def _check_shape(sh) -> None:
-    """Raise ParameterError unless `sh` is a shape dict with every key its type needs."""
+def _check_shape(sh) -> _Shape:
+    """The shape record with its numbers as floats; ParameterError unless it is
+    a shape dict with every key its type needs, each holding a finite number."""
     check_keys(sh, ("type",), "shape")
     if sh["type"] not in _SHAPE_KEYS:
         raise ParameterError(f"unknown shape type {sh['type']!r}")
-    check_keys(sh, _SHAPE_KEYS[sh["type"]], f"{sh['type']} shape")
+    what = f"{sh['type']} shape"
+    check_keys(sh, _SHAPE_KEYS[sh["type"]], what)
+    center = numeric(sh, "center", what, (2,)) if "center" in sh else np.zeros(2)
+    x = {key: numeric(sh, key, what) for key in _SHAPE_KEYS[sh["type"]]}
+    if sh["type"] == "disk":
+        return _Shape(True, center, 0.0, x["radius"], x["value"])
+    return _Shape(False, center, x["r_inner"], x["r_outer"], x["value"])
 
 
 def _midpoint_disk(r_inner: float, r_outer: float, resolution: int) -> QuadratureRule:

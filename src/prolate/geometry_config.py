@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_keys
+from .errors import ParameterError, check_keys, numeric
 from .forward import ContrastField
 from .symset_basis import Geometry, membership, radial_profile
 
@@ -91,16 +91,14 @@ class SetupReport:
     violations: list
 
 
-def validate_setup(setup: ProblemSetup, n_samples: int = 1024) -> SetupReport:
-    """Check Omega inside D by sampling the support boundary.
+def validate_setup(setup: ProblemSetup) -> SetupReport:
+    """Check Omega inside D on the sampled support boundary.
 
     Every sampled point must pass the data-domain membership oracle; the
     reported margin is the tightest radial distance h rho(phi) - |p| over the
     samples (negative at a violation since all domains are star-shaped).
     """
-    if n_samples < 1000:
-        n_samples = 1000
-    pts = setup.contrast.boundary_points(n_samples)
+    pts = setup.contrast.boundary
     geo = setup.data_geometry()
     inside = membership(geo, pts)
     phi = np.arctan2(pts[:, 1], pts[:, 0])
@@ -112,7 +110,7 @@ def validate_setup(setup: ProblemSetup, n_samples: int = 1024) -> SetupReport:
 
 def default_c_full(contrast: ContrastField, k: float) -> float:
     """Minimal full-aperture c with a 10 percent containment margin."""
-    return 2.0 * k * DEFAULT_MARGIN_FACTOR * contrast.circumradius()
+    return 2.0 * k * DEFAULT_MARGIN_FACTOR * contrast.radius
 
 
 # Keys a setup record needs in each regime, besides "regime" and "contrast".
@@ -124,23 +122,21 @@ def setup_from_dict(cfg: dict, contrast_resolution: int = 160) -> ProblemSetup:
     regime = cfg["regime"]
     if regime not in REGIMES:
         raise ParameterError(f"unknown regime {regime!r}")
-    check_keys(cfg, _REGIME_KEYS[regime], f"{regime} setup")
+    what = f"{regime} setup"
+    check_keys(cfg, _REGIME_KEYS[regime], what)
     contrast = ContrastField.from_config(cfg["contrast"], resolution=contrast_resolution)
+    k = numeric(cfg, "K" if regime == "multifreq" else "k", what)
+    c_param = None if cfg.get("c_param") is None else numeric(cfg, "c_param", what)
     if regime == "full":
-        k = float(cfg["k"])
-        c_param = cfg.get("c_param")
-        c_param = default_c_full(contrast, k) if c_param is None else float(c_param)
+        c_param = default_c_full(contrast, k) if c_param is None else c_param
         return ProblemSetup(contrast=contrast, regime="full", k=k, c_param=c_param)
+    if c_param is None:
+        raise ParameterError(f"{regime} regime requires an explicit c_param")
     if regime == "limited":
-        if cfg.get("c_param") is None:
-            raise ParameterError("limited regime requires an explicit c_param")
-        return ProblemSetup(contrast=contrast, regime="limited", k=float(cfg["k"]),
-                            c_param=float(cfg["c_param"]), theta=float(cfg["theta"]))
-    if cfg.get("c_param") is None:
-        raise ParameterError("multifreq regime requires an explicit c_param")
-    x_star = cfg["x_star"]
-    return ProblemSetup(contrast=contrast, regime="multifreq", k=float(cfg["K"]),
-                        c_param=float(cfg["c_param"]),
+        return ProblemSetup(contrast=contrast, regime="limited", k=k, c_param=c_param,
+                            theta=numeric(cfg, "theta", what))
+    x_star = numeric(cfg, "x_star", what, (2,))
+    return ProblemSetup(contrast=contrast, regime="multifreq", k=k, c_param=c_param,
                         x_star=(float(x_star[0]), float(x_star[1])))
 
 

@@ -180,18 +180,13 @@ def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _polar_nodes(radius: float, n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polar Gauss-Legendre x uniform-angle rule on a disk centered at the origin.
+def _polar_layout(r: np.ndarray, wr: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r (radial weights wr, including the Jacobian r) times n_theta uniform angles.
 
     n_theta must be even; angles are laid out so that the node set is exactly
     symmetric under p -> -p (the second half is the bitwise negation of the
     first half).
     """
-    if n_r < 1 or n_theta < 2 or n_theta % 2:
-        raise ParameterError("disk rule requires n_r >= 1 and even n_theta >= 2")
-    rad = gauss_legendre_01(n_r)
-    r = radius * rad.nodes
-    wr = radius * rad.weights * r  # weight r dr
     half = n_theta // 2
     theta = np.pi * (np.arange(half) + 0.5) / half
     wt = 2.0 * np.pi / n_theta
@@ -203,13 +198,18 @@ def _polar_nodes(radius: float, n_r: int, n_theta: int) -> tuple[np.ndarray, np.
 
 
 def disk_polar_rule(radius: float, n_r: int, n_theta: int, center=(0.0, 0.0)) -> QuadratureRule:
-    """Quadrature on a disk; spectrally accurate for smooth integrands.
+    """Polar Gauss-Legendre x uniform-angle quadrature on a disk; spectrally accurate for
+    smooth integrands.
 
     Total weight equals pi * radius**2 to rounding.
     """
     if radius <= 0.0:
         raise ParameterError("disk radius must be positive")
-    pts, w = _polar_nodes(radius, n_r, n_theta)
+    if n_r < 1 or n_theta < 2 or n_theta % 2:
+        raise ParameterError("disk rule requires n_r >= 1 and even n_theta >= 2")
+    rad = gauss_legendre_01(n_r)
+    r = radius * rad.nodes
+    pts, w = _polar_layout(r, radius * rad.weights * r, n_theta)
     return QuadratureRule(pts + np.asarray(center, dtype=float), w)
 
 
@@ -221,12 +221,4 @@ def annulus_polar_rule(r_inner: float, r_outer: float, n_r: int, n_theta: int) -
         raise ParameterError("annulus rule requires even n_theta")
     rad = gauss_legendre(n_r)
     r = 0.5 * (r_outer - r_inner) * rad.nodes + 0.5 * (r_outer + r_inner)
-    wr = 0.5 * (r_outer - r_inner) * rad.weights * r
-    half = n_theta // 2
-    theta = np.pi * (np.arange(half) + 0.5) / half
-    wt = 2.0 * np.pi / n_theta
-    x = np.outer(r, np.cos(theta)).ravel()
-    y = np.outer(r, np.sin(theta)).ravel()
-    pts = np.concatenate([np.stack([x, y], axis=1), np.stack([-x, -y], axis=1)])
-    w = np.tile(np.outer(wr, np.full(half, wt)).ravel(), 2)
-    return QuadratureRule(pts, w)
+    return QuadratureRule(*_polar_layout(r, 0.5 * (r_outer - r_inner) * rad.weights * r, n_theta))

@@ -15,7 +15,7 @@ import pytest
 
 import prolate as P
 from prolate.cli import run as cli_run
-from prolate.disk_basis import assemble_sl_matrix, eval_psi_scaled
+from prolate.disk_basis import assemble_sl_matrix, eval_psi
 from prolate.forward import DataGrid, add_noise, synthesize_born
 from prolate.numerics import bessel_j, disk_polar_rule, sym_eig
 from prolate.recon import (choose_alpha_partial, picard_coefficients, reconstruct_full,
@@ -119,7 +119,7 @@ def test_05_picard_round_trip(criterion, scaled_c6):
         def q_field(pts):
             out = np.zeros(len(np.atleast_2d(pts)))
             for a, i in zip(amps, idx):
-                out += a / norms[i] * eval_psi_scaled(scaled_c6, scaled_c6.modes[i], pts)
+                out += a / norms[i] * eval_psi(scaled_c6, scaled_c6.modes[i], pts)
             return out
 
         omega = disk_polar_rule(scaled_c6.radius, 90, 96)
@@ -158,7 +158,7 @@ def test_07_regularized_error_bound(criterion, scaled_c6):
         def q_field(pts):
             out = np.zeros(len(np.atleast_2d(pts)))
             for a, i in zip(amps, idx):
-                out += a / norms[i] * eval_psi_scaled(scaled_c6, scaled_c6.modes[i], pts)
+                out += a / norms[i] * eval_psi(scaled_c6, scaled_c6.modes[i], pts)
             return out
 
         omega = disk_polar_rule(scaled_c6.radius, 90, 96)
@@ -252,7 +252,7 @@ def test_11_extrapolation_consistency(criterion, scaled_c6):
         single = make_grid(scaled_c6, scaled_c6.node_values[i] + 0j)
         pts = scaled_c6.radius * np.array([[1.5, 0.0], [0.8, 1.2], [-2.0, 0.4]])
         got = P.extrapolate(single, scaled_c6, pts)
-        want = eval_psi_scaled(scaled_c6, scaled_c6.modes[i], pts)
+        want = eval_psi(scaled_c6, scaled_c6.modes[i], pts)
         assert np.abs(got - want).max() < 1e-7 * np.abs(scaled_c6.node_values[i]).max()
 
 

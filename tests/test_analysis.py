@@ -144,7 +144,7 @@ class TestExtrapolate:
         radius = scaled_c6.radius
         pts = np.array([[1.4 * radius, 0.2], [2.0 * radius, -0.5]])
         got = extrapolate(data, scaled_c6, pts)
-        want = P.eval_psi_scaled(scaled_c6, scaled_c6.modes[i], pts)
+        want = P.eval_psi(scaled_c6, scaled_c6.modes[i], pts)
         assert np.abs(got - want).max() < 1e-7 * np.abs(scaled_c6.node_values[i]).max()
 
     def test_truncation_exposes_exterior_illposedness(self, scaled_c6, wnorm):

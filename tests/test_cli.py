@@ -415,6 +415,30 @@ class TestMissingKeys:
             run(["validate", "--basis", disk_basis_file, "-o", str(tmp_path / "report.json")])
 
 
+DISK = SETUP["contrast"]["shapes"][0]
+GRID = {"origin": [-1.0, -1.0], "dx": 0.5, "dy": 0.5, "values": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+class TestTypedValues:
+    """A setup number of the wrong type exits 2 with one line naming the field."""
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({**SETUP, "contrast": {"shapes": [{**DISK, "radius": "0.8"}]}}, "'radius'"),
+        ({**SETUP, "k": "x"}, "'k'"),
+        ({**SETUP, "contrast": {"shapes": [{**DISK, "center": "ab"}]}}, "'center'"),
+        ({**SETUP, "contrast": {"grid": {**GRID, "dx": "a"}}}, "'dx'"),
+        ({**SETUP, "contrast": {"grid": {**GRID, "values": [[1.0, 2.0], [3.0]]}}}, "'values'"),
+        ({"regime": "multifreq", "K": 1.0, "c_param": 5.0, "x_star": "1,0",
+          "contrast": SETUP["contrast"]}, "'x_star'"),
+    ])
+    def test_setup(self, tmp_path, disk_basis_file, capsys, cfg, key):
+        out = tmp_path / "data.csv"
+        code, err = _exit_and_error(capsys, ["synthesize", str(write_setup(tmp_path, cfg)),
+                                             "--basis", disk_basis_file, "-o", str(out)])
+        assert code == 2 and len(err) == 1 and key in err[0], err
+        assert not out.exists()
+
+
 class TestStability:
     def test_table_properties(self, tmp_path, cache_dir):
         setup = setup_from_dict(SETUP)

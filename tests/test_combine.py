@@ -80,8 +80,8 @@ def test_matches_per_mode_loop(basis, kind):
     # summation order differs, so the tolerance is a few ulps of the terms
     w = mode_weights(basis, kind, seed=2)
     pts = np.concatenate([basis.quad.nodes[::37], exterior_points(basis)])
-    if isinstance(basis, P.ScaledDiskBasis):
-        terms = [w[i] * P.eval_psi_scaled(basis, mo, pts) for i, mo in enumerate(basis.modes)]
+    if isinstance(basis, P.DiskBasis):
+        terms = [w[i] * P.eval_psi(basis, mo, pts) for i, mo in enumerate(basis.modes)]
     else:
         terms = [w[i] * P.eval_symset_psi(basis, i, pts) for i in range(len(basis.modes))]
     want = np.sum(terms, axis=0)

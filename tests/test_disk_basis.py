@@ -6,7 +6,7 @@ from scipy.special import eval_jacobi
 
 import prolate as P
 from prolate.disk_basis import (assemble_sl_matrix, compute_disk_basis, default_truncation,
-                                eval_psi, eval_psi_scaled, scale_to_data_domain)
+                                eval_psi, scale_to_data_domain)
 from prolate.errors import ParameterError
 from prolate.numerics import gauss_legendre_01, zernike_radial_table
 
@@ -155,7 +155,7 @@ class TestScaled:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.9, 0.9, (20, 2))
         mo = disk_c5.modes[3]
-        assert np.allclose(eval_psi_scaled(scaled, mo, pts), eval_psi(disk_c5, mo, pts),
+        assert np.allclose(eval_psi(scaled, mo, pts), eval_psi(disk_c5, mo, pts),
                            atol=1e-13)
 
     def test_scaled_norms(self, scaled_c6):
@@ -180,7 +180,7 @@ class TestScaled:
         R_out = T * scaled.radius
         r = 0.5 * (R_out - scaled.radius) * rad.nodes + 0.5 * (R_out + scaled.radius)
         w = 0.5 * (R_out - scaled.radius) * rad.weights
-        vals = eval_psi_scaled(scaled, mo, np.stack([r, np.zeros_like(r)], axis=1))
+        vals = eval_psi(scaled, mo, np.stack([r, np.zeros_like(r)], axis=1))
         a_m = 2.0 * np.pi if mo.m == 0 else np.pi
         return inner + a_m * float(np.sum(w * r * vals**2))
 
@@ -199,6 +199,48 @@ class TestScaled:
     def test_rejects_nonpositive_k(self, disk_c5):
         with pytest.raises(ParameterError):
             scale_to_data_domain(disk_c5, 0.0)
+
+    @staticmethod
+    def _weights_and_points(basis, seed=0):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(len(basis.modes)) + 1j * rng.standard_normal(len(basis.modes))
+        pts = np.concatenate([basis.quad.nodes[::29], rng.uniform(-3.0, 3.0, (20, 2))])
+        return w, pts
+
+    def test_unit_radius_is_bitwise_the_unit_basis(self, disk_c5):
+        same = scale_to_data_domain(disk_c5, disk_c5.c / 2.0)
+        assert same.radius == 1.0
+        assert np.array_equal(same.quad.nodes, disk_c5.quad.nodes)
+        assert np.array_equal(same.quad.weights, disk_c5.quad.weights)
+        assert np.array_equal(same.node_values, disk_c5.node_values)
+        assert np.array_equal(same.mu, disk_c5.mu)
+        w, pts = self._weights_and_points(disk_c5)
+        assert np.array_equal(same.combine(w, pts), disk_c5.combine(w, pts))
+
+    def test_combine_is_the_dilated_unit_combine(self, disk_c5):
+        scaled = scale_to_data_domain(disk_c5, 0.7)
+        r = scaled.radius
+        w, pts = self._weights_and_points(scaled, seed=1)
+        assert np.array_equal(scaled.combine(w, pts), disk_c5.combine(w, pts / r) / r)
+        assert scaled.combine(w, pts[3]) == disk_c5.combine(w, pts[3] / r) / r
+
+    def test_rescaling_matches_one_scaling(self, disk_c5):
+        twice = scale_to_data_domain(scale_to_data_domain(disk_c5, 0.7), 1.3)
+        once = scale_to_data_domain(disk_c5, 1.3)
+        assert twice.radius == once.radius
+        for got, want in [(twice.quad.nodes, once.quad.nodes),
+                          (twice.quad.weights, once.quad.weights),
+                          (twice.node_values, once.node_values), (twice.mu, once.mu)]:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        w, pts = self._weights_and_points(once, seed=2)
+        want = once.combine(w, pts)
+        assert np.abs(twice.combine(w, pts) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_cache_refuses_a_scaled_basis(self, scaled_c6, tmp_path):
+        path = tmp_path / "scaled.gpswf"
+        with pytest.raises(ParameterError, match="radius"):
+            P.save_disk_basis(path, scaled_c6)
+        assert not path.exists()
 
 
 class TestRadialOperator:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prolate as P
-from prolate.disk_basis import eval_psi_scaled
+from prolate.disk_basis import eval_psi
 from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,
                              read_datagrid, synthesize_born, write_datagrid)
@@ -61,7 +61,7 @@ class TestSynthesize:
         i = 4
         quad = disk_polar_rule(scaled_c6.radius, 90, 96)
         q = ContrastField.from_callable(
-            lambda pts: eval_psi_scaled(scaled_c6, scaled_c6.modes[i], pts),
+            lambda pts: eval_psi(scaled_c6, scaled_c6.modes[i], pts),
             quad, circumradius=scaled_c6.radius)
         data = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
         pred = scaled_c6.mu[i] * scaled_c6.node_values[i]

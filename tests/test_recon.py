@@ -209,7 +209,7 @@ class TestReconstructPartial:
         # eigensystem and through an independent Nystrom system on the same disk
         geo = P.Geometry.disk(radius=1.0, h=scaled_c6.radius)
         quad = P.build_quadrature(geo, 200, method="polar")
-        sym = P.compute_symset_basis(scaled_c6.base.c, geo, quad, 30)
+        sym = P.compute_symset_basis(scaled_c6.c, geo, quad, 30)
         assert sym.kernel_scale == pytest.approx(scaled_c6.kernel_scale, rel=1e-14)
 
         rng = np.random.default_rng(11)
@@ -220,7 +220,7 @@ class TestReconstructPartial:
         def q_field(pts):
             out = np.zeros(len(np.atleast_2d(pts)))
             for a, i in zip(amps, idx):
-                out += a / scaled_c6.mode_norms[i] * P.eval_psi_scaled(
+                out += a / scaled_c6.mode_norms[i] * P.eval_psi(
                     scaled_c6, scaled_c6.modes[i], pts)
             return out
 
