@@ -8,6 +8,7 @@ arguments.  All outputs are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,7 +29,9 @@ from .symset_basis import Geometry, SymSetBasis, build_quadrature, compute_symse
 __all__ = ["run", "main", "experiment_stability"]
 
 
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not modify it)."""
     p = argparse.ArgumentParser(prog="prolate",
                                 description="Prolate bases for Born inverse scattering")
     sub = p.add_subparsers(dest="command", required=True)
@@ -304,8 +307,8 @@ def _cmd_extrapolate(args) -> int:
     values = extrapolate(data, scaled, targets)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x,y,re,im\n")
-        for (x, y), v in zip(targets, values):
-            f.write(f"{float(x)!r},{float(y)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+        f.writelines(map("{!r},{!r},{!r},{!r}\n".format, targets[:, 0].tolist(),
+                         targets[:, 1].tolist(), values.real.tolist(), values.imag.tolist()))
     print(args.out)
     return 0
 

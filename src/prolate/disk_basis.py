@@ -30,13 +30,13 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import ParameterError
 from .numerics import (
     QuadratureRule,
     SymmetricTridiagonal,
     _frozen,
+    bessel_table,
     disk_polar_rule,
     gauss_legendre_01,
     real_matmul,
@@ -139,33 +139,48 @@ class DiskBasis:
         extension psi(x) = alpha^{-1} int_{B} exp(i c x.p') psi(p') dp', through
         its radial reduction sqrt(c)/gamma * Y(theta) * int_0^1 J_m(c|x|s) R(s) s ds.
         Both are linear in the radial coefficients, so the weights (over gamma
-        outside) are folded into one coefficient vector per (m, ell), and one
-        Zernike or Bessel table is built per azimuthal order, not per mode.
+        outside) are folded into one coefficient vector per (m, ell).  Inside,
+        one Zernike table is built per azimuthal order; outside, one radial
+        rule sized for the largest order and one Bessel table for all orders,
+        built in blocks of points of at most _BESSEL_BLOCK entries.
         """
         weights = np.asarray(weights)
         xy = np.atleast_2d(np.asarray(pts, dtype=float) / self.radius)
         r = np.hypot(xy[:, 0], xy[:, 1])
         theta = np.arctan2(xy[:, 1], xy[:, 0])
         inside = r <= 1.0
+        outside = np.flatnonzero(~inside)
         out = np.zeros(len(xy), dtype=np.result_type(weights, float))
         live = np.nonzero(weights)[0]
-        for m in sorted({self.modes[i].m for i in live}):
+        orders = sorted({self.modes[i].m for i in live})
+        J = self.truncation
+        exterior = {}  # m -> radial coefficients (J, 2) of the weights over gamma
+        for m in orders:
             idx = [i for i in live if self.modes[i].m == m]
             fold = np.zeros((len(idx), 2), dtype=out.dtype)  # columns: cos, sin (ell = 1, 2)
             fold[np.arange(len(idx)), [self.modes[i].ell - 1 for i in idx]] = weights[idx]
             coeffs = np.array([self.modes[i].coeffs for i in idx]).T
-            J = len(coeffs)
-            radial = np.empty((len(xy), 2), dtype=out.dtype)
             if inside.any():
-                radial[inside] = real_matmul(zernike_radial_table(m, J, r[inside]).T, coeffs @ fold)
-            if (~inside).any():
+                radial = real_matmul(zernike_radial_table(m, J, r[inside]).T, coeffs @ fold)
+                out[inside] += _angular_sum(m, radial, theta[inside])
+            if len(outside):
                 gamma = np.array([self.modes[i].gamma for i in idx])
-                rule = gauss_legendre_01(_radial_rule_size(self.c, m, J, float(r[~inside].max())))
-                s, w = rule.nodes, rule.weights
-                R = real_matmul(zernike_radial_table(m, J, s).T, coeffs @ (fold / gamma[:, None]))
-                radial[~inside] = math.sqrt(self.c) * real_matmul(
-                    jv(m, self.c * np.outer(r[~inside], s)), (w * s)[:, None] * R)
-            out += radial[:, 0] * np.cos(m * theta) + radial[:, 1] * np.sin(m * theta)
+                exterior[m] = coeffs @ (fold / gamma[:, None])
+        if exterior:
+            m_top = orders[-1]
+            r_out = r[outside]
+            rule = gauss_legendre_01(_radial_rule_size(self.c, m_top, J, float(r_out.max())))
+            s, w = rule.nodes, rule.weights
+            # sqrt(c) (w s) R_m(s) per order: the radial integrand without the kernel
+            folded = {m: math.sqrt(self.c) * (w * s)[:, None]
+                      * real_matmul(zernike_radial_table(m, J, s).T, v)
+                      for m, v in exterior.items()}
+            block = max(1, _BESSEL_BLOCK // ((m_top + 1) * len(s)))
+            for lo in range(0, len(outside), block):
+                sel = outside[lo:lo + block]
+                kernel = bessel_table(m_top, self.c * np.outer(r_out[lo:lo + block], s))
+                for m, f in folded.items():
+                    out[sel] += _angular_sum(m, real_matmul(kernel[m], f), theta[sel])
         out /= self.radius
         return out[0] if np.ndim(pts) == 1 else out
 
@@ -204,6 +219,15 @@ def assemble_sl_matrix(c: float, m: int, J: int) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(diag, off)
 
 
+# Entries per Bessel table block in `DiskBasis.combine` (2 MiB of float64).
+_BESSEL_BLOCK = 1 << 18
+
+
+def _angular_sum(m: int, radial: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """radial[:, 0] cos(m theta) + radial[:, 1] sin(m theta)."""
+    return radial[:, 0] * np.cos(m * theta) + radial[:, 1] * np.sin(m * theta)
+
+
 def _radial_rule_size(c: float, m: int, J: int, r_max: float = 1.0) -> int:
     # resolves both the disk-polynomial degree and the kernel oscillation
     # c * r_max * s over s in [0, 1]
@@ -223,7 +247,9 @@ def compute_disk_basis(c: float, m_max: int, n_max: int, truncation: int | None 
     For each azimuthal order the tridiagonal Galerkin matrix is diagonalized
     (chi ascending, n-th eigenvalue), gamma is the Rayleigh quotient of the
     radial kernel operator on the eigenfunction, and alpha = 2 pi i^m gamma /
-    sqrt(c).  Modes whose |gamma| underflows are flagged unusable.
+    sqrt(c).  Every order shares one radial rule, sized for m_max, and one
+    Bessel table J_0..J_m_max(c s s').  Modes whose |gamma| underflows are
+    flagged unusable.
     """
     if c <= 0.0:
         raise ParameterError("compute_disk_basis requires c > 0")
@@ -234,13 +260,14 @@ def compute_disk_basis(c: float, m_max: int, n_max: int, truncation: int | None 
         raise ParameterError("truncation must exceed n_max")
 
     modes: list[DiskMode] = []
+    rule = gauss_legendre_01(_radial_rule_size(c, m_max, J))
+    s, w = rule.nodes, rule.weights
+    wr = w * s
+    kernels = bessel_table(m_max, c * np.outer(s, s))
     for m in range(m_max + 1):
         tri = assemble_sl_matrix(c, m, J)
         chis, vecs = sym_eig(tri)  # raises EigensolverError on non-convergence
-        rule = gauss_legendre_01(_radial_rule_size(c, m, J))
-        s, w = rule.nodes, rule.weights
         Z = zernike_radial_table(m, J, s)
-        kernel = jv(m, c * np.outer(s, s))
         amp = 2.0 * np.pi if m == 0 else np.pi  # angular factor squared integral
         for n in range(n_max + 1):
             v = vecs[:, n].copy()
@@ -249,8 +276,7 @@ def compute_disk_basis(c: float, m_max: int, n_max: int, truncation: int | None 
             if v[lead] < 0.0:
                 v = -v
             R = v @ Z
-            wr = w * s
-            KR = math.sqrt(c) * (kernel @ (wr * R))
+            KR = math.sqrt(c) * (kernels[m] @ (wr * R))
             gamma = float(np.dot(wr * R, KR) / np.dot(wr * R, R))
             alpha = complex(2.0 * np.pi * (1j) ** m / math.sqrt(c) * gamma)
             usable = abs(gamma) >= GAMMA_FLOOR

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
 from .numerics import QuadratureRule, annulus_polar_rule, disk_polar_rule, mirror_map, real_matmul
@@ -387,6 +386,8 @@ def ingest_farfield(samples, k: float, target: QuadratureRule,
     merged_pts /= counts[:, None]
     merged_vals /= counts
 
+    from scipy.spatial import cKDTree  # only ingest needs scipy; keep it off the import path
+
     tree = cKDTree(merged_pts)
     if cutoff is None:
         if len(merged_pts) > 1:
@@ -451,24 +452,32 @@ def write_datagrid(path, data: DataGrid) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         f.write("px,py,weight,re,im,flag\n")
-        for (x, y), w, v, fl in zip(data.nodes, data.weights, data.values, data.flags):
-            f.write(f"{float(x)!r},{float(y)!r},{float(w)!r},"
-                    f"{float(v.real)!r},{float(v.imag)!r},{int(fl)}\n")
+        f.writelines(map("{!r},{!r},{!r},{!r},{!r},{:d}\n".format,
+                         data.nodes[:, 0].tolist(), data.nodes[:, 1].tolist(),
+                         data.weights.tolist(), data.values.real.tolist(),
+                         data.values.imag.tolist(), data.flags.tolist()))
 
 
 def _json_safe(v) -> bool:
     return isinstance(v, (int, float, str, bool, type(None)))
 
 
-def _data_columns(rows: list[list[str]]):
-    nodes = np.array([[float(r[0]), float(r[1])] for r in rows])
-    weights = np.array([float(r[2]) for r in rows])
-    values = np.array([float(r[3]) + 1j * float(r[4]) for r in rows])
-    flags = np.array([int(r[5]) for r in rows], dtype=np.uint8)
-    return nodes, weights, values, flags
+def _data_columns(rows: list[str]):
+    """The columns of the data rows, parsed in one pass over all their fields.
+
+    Every row must have exactly six fields: five floats and an integer flag.
+    """
+    if any(row.count(",") != 5 for row in rows):
+        raise ValueError("data rows must have six fields")
+    fields = ",".join(rows).split(",") if rows else []
+    flags = np.array(list(map(int, fields[5::6])), dtype=np.uint8)
+    del fields[5::6]
+    numbers = np.array(list(map(float, fields))).reshape(-1, 5)
+    values = np.ascontiguousarray(numbers[:, 3:]).view(complex)[:, 0]  # re, im bit for bit
+    return numbers[:, :2], numbers[:, 2], values, flags
 
 
-_ROW_ERRORS = (ValueError, IndexError, OverflowError)
+_ROW_ERRORS = (ValueError, OverflowError)
 
 
 def _malformed_row(path) -> ParameterError:
@@ -477,7 +486,7 @@ def _malformed_row(path) -> ParameterError:
         for lineno, line in enumerate(f, 1):
             if lineno > 2 and line.strip():
                 try:
-                    _data_columns([line.strip().split(",")])
+                    _data_columns([line.strip()])
                 except _ROW_ERRORS:
                     return ParameterError(f"{path} line {lineno}: malformed data row "
                                           f"{line.strip()!r}")
@@ -490,7 +499,7 @@ def read_datagrid(path) -> DataGrid:
         cols = f.readline().strip().split(",")
         if cols != ["px", "py", "weight", "re", "im", "flag"]:
             raise ParameterError(f"unexpected data columns {cols}")
-        rows = [line.strip().split(",") for line in f if line.strip()]
+        rows = [line for line in f.read().split("\n") if line.strip()]
     try:
         nodes, weights, values, flags = _data_columns(rows)
     except _ROW_ERRORS:

@@ -1,17 +1,20 @@
 """Quadrature, special functions, and symmetric eigensolver kernel.
 
-Everything here is pure and deterministic: rules and matrices are plain
-immutable containers, and the heavy lifting is delegated to LAPACK via
-numpy/scipy behind small contract-checked wrappers.
+Everything here is pure and deterministic and needs numpy only: rules and
+matrices are plain immutable containers, Gauss-Legendre rules are built once
+per size and shared, the Bessel functions J_0..J_M and the disk polynomials of
+one azimuthal order come as whole tables from three-term recurrences (one pass
+for all orders or degrees, never one special-function call per order), and
+eigensolves go to LAPACK through numpy behind small contract-checked wrappers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_jacobi, jv
 
 from .errors import EigensolverError, ParameterError
 
@@ -19,6 +22,7 @@ __all__ = [
     "QuadratureRule",
     "SymmetricTridiagonal",
     "bessel_j",
+    "bessel_table",
     "gauss_legendre",
     "gauss_legendre_01",
     "zernike_radial",
@@ -84,25 +88,107 @@ def bessel_j(order: int, x):
     """Bessel function of the first kind J_m(x) for integer order m >= 0, x >= 0."""
     if order < 0 or int(order) != order:
         raise ParameterError(f"order must be a nonnegative integer, got {order}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ParameterError("bessel_j requires x >= 0")
-    out = jv(int(order), x)
+    out = bessel_table(int(order), x)[-1]
     return float(out) if out.ndim == 0 else out
 
 
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 2n - 1."""
-    if n < 1:
-        raise ParameterError("gauss_legendre requires n >= 1")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+# Miller's recurrence checks its values once a bound on them passes _CHECK
+# and divides every column above _CHECK / _RESCALE by _RESCALE.  A step grows
+# a value by at most 2n / x + 1 <= 2n / _SERIES_BELOW + 1, far below the gap
+# between _CHECK and the float64 limit, so no value overflows.
+_CHECK = 1e250
+_RESCALE = 1e150
+# Below this argument J_m(x) = (x/2)^m / m! to rounding (the next series term
+# is x^2 / (4 (m+1)) < 1e-16 relative) and is taken from that term directly.
+_SERIES_BELOW = 1e-8
+
+
+def bessel_table(m_max: int, x) -> np.ndarray:
+    """J_0(x) .. J_{m_max}(x) for x >= 0, shape (m_max + 1, *x.shape).
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started past
+    both m_max and the turning point k = x from J_{n+1} = 0, J_n = 1, and
+    normalized by J_0 + 2 sum_k J_{2k} = 1 (Gautschi, SIAM Rev. 9, 1967).
+    The recurrence is stable in this direction, gives every order in one pass
+    over the arguments, and is accurate to about 1e-16 absolute (and relative,
+    away from the zeros of J_m and from values below about 1e-280, which may
+    flush to 0).  A column is rescaled before it can overflow, together with
+    the rows it has already produced.  Arguments below 1e-8 take the leading
+    series term, so x = 0 gives exactly J_0 = 1 and J_m = 0.
+    """
+    if m_max < 0 or int(m_max) != m_max:
+        raise ParameterError(f"m_max must be a nonnegative integer, got {m_max}")
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if not np.all(np.isfinite(flat) & (flat >= 0.0)):
+        raise ParameterError("bessel functions require finite x >= 0")
+    m_max = int(m_max)
+    table = np.empty((m_max + 1, flat.size))
+    small = flat < _SERIES_BELOW
+    xs = np.where(small, 1.0, flat)  # series columns run a dummy recurrence
+    top = float(xs.max(initial=1.0))
+    n = max(m_max, math.ceil(top)) + 16 + math.ceil(10.0 * np.cbrt(0.5 * top))
+    n += n % 2
+    two_over_x = 2.0 / xs
+    nxt, cur, new = np.zeros_like(xs), np.ones_like(xs), np.empty_like(xs)
+    even_sum = np.zeros_like(xs)
+    # log of a bound on max(|cur|, |nxt|), which a step grows by at most 2k/x + 1
+    limit, grow, x_min = math.log(_CHECK), 0.0, float(xs.min(initial=1.0))
+    for k in range(n, 0, -1):
+        if k <= m_max:
+            table[k] = cur
+        if k % 2 == 0:
+            even_sum += cur
+        np.multiply(two_over_x, k, out=new)
+        new *= cur
+        new -= nxt
+        nxt, cur, new = cur, new, nxt
+        grow += math.log1p(2.0 * k / x_min)
+        if grow > limit:
+            size = np.maximum(np.abs(cur), np.abs(nxt))
+            cols = size > _CHECK / _RESCALE
+            for arr in (cur, nxt, even_sum):
+                arr[cols] /= _RESCALE
+            table[k:, cols] /= _RESCALE
+            grow = math.log(max(float(size.max()) / _RESCALE, float(size[~cols].max(initial=1.0))))
+    table[0] = cur
+    table /= 2.0 * even_sum + cur
+    if small.any():
+        half = 0.5 * flat[small]
+        term = np.ones_like(half)  # (x/2)^k / k!, exactly 1 and 0.. at x = 0
+        for k in range(m_max + 1):
+            table[k, small] = term
+            term = term * half / (k + 1)
+    return table.reshape((m_max + 1,) + x.shape)
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre_rule(n: int) -> QuadratureRule:
+    x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(x, w)
 
 
-def gauss_legendre_01(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule mapped to [0, 1]."""
-    base = gauss_legendre(n)
+@lru_cache(maxsize=64)
+def _gauss_legendre_01_rule(n: int) -> QuadratureRule:
+    base = _gauss_legendre_rule(n)
     return QuadratureRule(0.5 * (base.nodes + 1.0), 0.5 * base.weights)
+
+
+def gauss_legendre(n: int) -> QuadratureRule:
+    """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 2n - 1.
+
+    Rules are built once per size and shared; their arrays are read-only.
+    """
+    if n < 1:
+        raise ParameterError("gauss_legendre requires n >= 1")
+    return _gauss_legendre_rule(int(n))
+
+
+def gauss_legendre_01(n: int) -> QuadratureRule:
+    """Gauss-Legendre rule mapped to [0, 1], shared like `gauss_legendre`."""
+    if n < 1:
+        raise ParameterError("gauss_legendre requires n >= 1")
+    return _gauss_legendre_01_rule(int(n))
 
 
 def zernike_radial(m: int, j: int, r):
@@ -115,15 +201,48 @@ def zernike_radial(m: int, j: int, r):
     """
     if m < 0 or j < 0:
         raise ParameterError("zernike_radial requires m >= 0 and j >= 0")
-    r = np.asarray(r, dtype=float)
-    val = np.sqrt(2.0 * (m + 2 * j + 1)) * (-1.0) ** j * r**m * eval_jacobi(j, m, 0, 1.0 - 2.0 * r * r)
+    val = zernike_radial_table(m, j + 1, r)[j]
     return float(val) if val.ndim == 0 else val
 
 
-def zernike_radial_table(m: int, count: int, r: np.ndarray) -> np.ndarray:
-    """Stack of zernike_radial(m, j, r) for j = 0 .. count-1, shape (count, len(r))."""
+def zernike_radial_table(m: int, count: int, r) -> np.ndarray:
+    """zernike_radial(m, j, r) for j = 0 .. count-1, shape (count, *r.shape).
+
+    Z_j(r) = sqrt(2(m+2j+1)) r^m P_j(y) with P_j = P_j^{(0,m)} and y = 2r^2 - 1,
+    from the three-term recurrence of the Jacobi polynomials in j, one vector
+    operation per degree.  With s = 2j + m it reads
+        P_j = (a_j y - b_j) P_{j-1} - g_j P_{j-2},
+        a_j = (s-1) s / (2j(j+m)),   b_j = (s-1) m^2 / (2j(j+m)(s-2)),
+        g_j = (j-1)(j+m-1) s / (j(j+m)(s-2)),
+    with P_0 = 1 and P_1 = 1 - (m+2) u / 2, u = 1 - y = 2(1 - r^2).  Since
+    a_j - b_j = 1 + g_j, the differences D_j = P_j - P_{j-1} obey
+    D_j = g_j D_{j-1} - a_j u P_{j-1}; that form is used for y >= 0, where it
+    is exact at r = 1 (every P_j(1) = 1) and the plain form accumulates
+    rounding, and the plain form near y = -1, where the roles reverse.
+    """
+    if m < 0 or count < 0:
+        raise ParameterError("zernike_radial_table requires m >= 0 and count >= 0")
     r = np.asarray(r, dtype=float)
-    return np.array([zernike_radial(m, j, r) for j in range(count)])
+    y = 2.0 * r * r - 1.0
+    u = 2.0 * (1.0 - r) * (1.0 + r)
+    outer = y >= 0.0
+    table = np.empty((count,) + r.shape)
+    if count:
+        table[0] = 1.0
+    if count > 1:
+        d = -0.5 * (m + 2) * u
+        table[1] = 1.0 + d
+    for j in range(2, count):
+        s = 2 * j + m
+        a = (s - 1) * s / (2.0 * j * (j + m))
+        b = (s - 1) * m * m / (2.0 * j * (j + m) * (s - 2))
+        g = (j - 1) * (j + m - 1) * s / (j * (j + m) * (s - 2))
+        d = g * d - a * u * table[j - 1]
+        plain = (a * y - b) * table[j - 1] - g * table[j - 2]
+        table[j] = np.where(outer, table[j - 1] + d, plain)
+    table *= np.sqrt(2.0 * (m + 2 * np.arange(count) + 1)).reshape((count,) + (1,) * r.ndim)
+    table *= r**m
+    return table
 
 
 def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,18 +282,16 @@ def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     (eigenvalues ascending, eigenvectors as orthonormal columns).  Raises
     EigensolverError if LAPACK fails to converge.
     """
+    if isinstance(matrix, SymmetricTridiagonal):
+        a = matrix.to_dense()  # J ~ 40 for disk bases: dense is as fast as a banded solver
+    else:
+        a = np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ParameterError("sym_eig requires a square matrix")
+        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+            raise ParameterError("sym_eig requires a symmetric matrix")
     try:
-        if isinstance(matrix, SymmetricTridiagonal):
-            if len(matrix.diagonal) == 1:
-                return matrix.diagonal.copy(), np.ones((1, 1))
-            vals, vecs = eigh_tridiagonal(matrix.diagonal, matrix.off_diagonal)
-        else:
-            a = np.asarray(matrix, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ParameterError("sym_eig requires a square matrix")
-            if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-                raise ParameterError("sym_eig requires a symmetric matrix")
-            vals, vecs = np.linalg.eigh(a)
+        vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
     return vals, vecs

@@ -178,9 +178,10 @@ def read_result(path) -> dict:
 
 
 def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
-    values = np.asarray(values)
+    """CSV rows x,y,q: each point and the real part of its field value."""
+    points = np.asarray(points, dtype=float)
+    q = np.real(np.asarray(values)).astype(float)
     with open(path, "w", encoding="utf-8") as f:
         f.write("x,y,q\n")
-        for (x, y), v in zip(points, values):
-            q = float(np.real(v)) if np.iscomplexobj(values) else float(v)
-            f.write(f"{float(x)!r},{float(y)!r},{q!r}\n")
+        f.writelines(map("{!r},{!r},{!r}\n".format,
+                         points[:, 0].tolist(), points[:, 1].tolist(), q.tolist()))

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-14
+# Direction of the sign probe in `compute_symset_basis`: irrational components,
+# so it lies on no symmetry axis of any geometry.
+SIGN_DIRECTION = (0.6180339887498949, 0.4142135623730950)
 
 
 @dataclass(frozen=True)
@@ -428,6 +431,12 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         del vecs  # free before the next parity's kernel is assembled
     candidates.sort(key=lambda t: (t[0], t[1], t[2]))
     floor = ALPHA_FLOOR * abs(candidates[0][0]) if candidates else 0.0
+    # Each mode is signed by its weighted inner product with the generic
+    # function exp(t) cos((c/h) t + pi/4), t = a.p/h.  It has no parity and no
+    # mirror symmetry, so the sign is never a rounding-level tie between
+    # mirror nodes and does not depend on the eigensolver.
+    t = pts @ np.array(SIGN_DIRECTION) / geometry.h
+    probe = w * np.exp(t) * np.cos((c / geometry.h) * t + 0.25 * np.pi)
     modes: list[SymSetMode] = []
     for negabs, _, _, parity, lam, v in candidates:
         if len(modes) >= n_modes:
@@ -437,7 +446,7 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         alpha = complex(lam / h2) if parity == "even" else complex(0.0, lam / h2)
         scale = (c / (2.0 * np.pi)) * abs(alpha)  # weighted node-norm = (c/2pi)|alpha|
         vv = scale * v
-        if vv[int(np.argmax(np.abs(vv)))] < 0.0:
+        if np.dot(probe, vv) < 0.0:
             vv = -vv
         vv.flags.writeable = False
         modes.append(SymSetMode(parity=parity, alpha=alpha, node_values=vv))

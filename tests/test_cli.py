@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import prolate as P
+from prolate import cli
 from prolate.cli import experiment_stability, run
 from prolate.forward import read_datagrid
 from prolate.geometry_config import setup_from_dict
@@ -41,6 +45,27 @@ def write_setup(tmp_path, cfg=SETUP):
     path = tmp_path / "setup.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class TestProcess:
+    def test_import_loads_no_scipy(self):
+        # scipy is needed by `ingest` only and is imported there
+        src = os.path.dirname(os.path.dirname(P.__file__))
+        code = ("import sys, prolate.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_parser_built_once(self, capsys):
+        assert cli._parser() is cli._parser()
+        assert run(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out == first and first.startswith("usage: prolate")
+        assert run(["reconstruct"]) == 2  # a failed parse leaves the parser usable
+        assert run(["basis", "disk", "--help"]) == 0
 
 
 class TestBasisCommand:
@@ -210,6 +235,24 @@ class TestIngestExtrapolate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y,re,im"
         assert len(lines) == 3
+
+    def test_extrapolate_rows_are_the_per_row_format(self, tmp_path, disk_basis_file):
+        setup = write_setup(tmp_path)
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data),
+                    "--contrast-resolution", "40"]) == 0
+        targets = tmp_path / "targets.csv"
+        targets.write_text("x,y\n0.5,-0.0\n3.5,1.0\n-7.25,1e-3\n")
+        out = tmp_path / "ext.csv"
+        assert run(["extrapolate", str(data), "--basis", disk_basis_file,
+                    "--targets", str(targets), "-o", str(out)]) == 0
+        pts = np.array([[0.5, -0.0], [3.5, 1.0], [-7.25, 1e-3]])
+        grid = read_datagrid(data)
+        scaled = P.scale_to_data_domain(P.load_basis(disk_basis_file), 1.0)
+        values = P.extrapolate(grid, scaled, pts)
+        rows = "".join(f"{float(x)!r},{float(y)!r},{float(v.real)!r},{float(v.imag)!r}\n"
+                       for (x, y), v in zip(pts, values))
+        assert out.read_text() == "x,y,re,im\n" + rows
 
     def test_validate_command(self, tmp_path, disk_basis_file):
         out = tmp_path / "report.json"

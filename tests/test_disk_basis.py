@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_jacobi
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import eval_jacobi, jv
 
 import prolate as P
+from prolate import disk_basis
 from prolate.disk_basis import (assemble_sl_matrix, compute_disk_basis, default_truncation,
                                 eval_psi, scale_to_data_domain)
 from prolate.errors import ParameterError
@@ -31,6 +33,75 @@ def apply_radial_operator(c, m, j, r):
     z, z1, z2 = radial_derivatives(m, j, r)
     return (-(1.0 - r * r) * z2 + (3.0 * r - 1.0 / r) * z1
             + (m * m / (r * r)) * z + c * c * r * r * z)
+
+
+def scipy_zernike(m, J, r):
+    """Disk polynomials from scipy's eval_jacobi, one degree per call (oracle only)."""
+    return np.array([math.sqrt(2.0 * (m + 2 * j + 1)) * (-1.0) ** j * r**m
+                     * eval_jacobi(j, m, 0, 1.0 - 2.0 * r * r) for j in range(J)])
+
+
+def scipy_rule(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def scipy_disk_reference(c, m_max, n_max):
+    """(chi, gamma, coeffs) per (m, n), built order by order with scipy's eval_jacobi,
+    eigh_tridiagonal and jv.  The gamma rule is the basis's shared one, sized for
+    m_max: gamma is a Rayleigh quotient whose last digits (about 1e-13 of the
+    chain maximum) move with the rule size, so a rule of another size would
+    measure that rounding rather than the special functions."""
+    J = default_truncation(c, n_max)
+    s, ws = scipy_rule(m_max + 2 * J + math.ceil(c / 2.0) + 16)
+    out = {}
+    for m in range(m_max + 1):
+        x, w = scipy_rule(m + 2 * J + 4)
+        Z = scipy_zernike(m, J, x)
+        gram = (Z * (w * x**3)) @ Z.T
+        degrees = m + 2 * np.arange(J)
+        chis, vecs = eigh_tridiagonal(degrees * (degrees + 2) + c * c * np.diag(gram),
+                                      c * c * np.diag(gram, 1))
+        Zs, kernel = scipy_zernike(m, J, s), jv(m, c * np.outer(s, s))
+        for n in range(n_max + 1):
+            v = vecs[:, n] * np.sign(vecs[np.argmax(np.abs(vecs[:, n]) > 1e-8 * np.abs(
+                vecs[:, n]).max()), n])
+            R = v @ Zs
+            gamma = np.dot(ws * s * R, math.sqrt(c) * (kernel @ (ws * s * R))) / np.dot(
+                ws * s * R, R)
+            amp = 2.0 * np.pi if m == 0 else np.pi
+            out[m, n] = chis[n], gamma, v * c * abs(gamma) / (math.sqrt(c) * math.sqrt(amp))
+    return out
+
+
+class TestAgainstScipyReference:
+    """The recurrence tables, the shared radial rule and the dense eigensolver give the
+    eigensystem that scipy's per-order special functions give, mode by mode."""
+
+    @pytest.mark.parametrize("fixture", ["disk_c5", "disk_c10"])
+    def test_chi_gamma_node_values(self, fixture, request):
+        basis = request.getfixturevalue(fixture)
+        m_max = max(mo.m for mo in basis.modes)
+        n_max = max(mo.n for mo in basis.modes)
+        ref = scipy_disk_reference(basis.c, m_max, n_max)
+        r = np.hypot(basis.quad.nodes[:, 0], basis.quad.nodes[:, 1])
+        theta = np.arctan2(basis.quad.nodes[:, 1], basis.quad.nodes[:, 0])
+        zern = {m: scipy_zernike(m, basis.truncation, r) for m in range(m_max + 1)}
+        chain_gamma = {m: max(abs(ref[m, n][1]) for n in range(n_max + 1))
+                       for m in range(m_max + 1)}
+        chain_values = {}
+        expected = []
+        for mo in basis.modes:
+            chi, gamma, coeffs = ref[mo.m, mo.n]
+            angular = np.ones_like(theta) if mo.m == 0 else (
+                np.cos(mo.m * theta) if mo.ell == 1 else np.sin(mo.m * theta))
+            expected.append((chi, gamma, (coeffs @ zern[mo.m]) * angular))
+            chain_values[mo.m] = max(chain_values.get(mo.m, 0.0), np.abs(expected[-1][2]).max())
+        for mo, values, (chi, gamma, want) in zip(basis.modes, basis.node_values, expected):
+            assert mo.usable
+            assert abs(mo.chi - chi) <= 1e-13 * abs(chi), mo.key
+            assert abs(mo.gamma - gamma) <= 1e-13 * chain_gamma[mo.m], mo.key
+            assert np.abs(values - want).max() <= 1e-13 * chain_values[mo.m], mo.key
 
 
 class TestAssemble:
@@ -146,6 +217,33 @@ class TestEval:
             kernel = np.exp(1j * c * (quad.nodes @ x))
             rhs = np.sum(quad.weights * kernel * eval_psi(disk_c5, mo, quad.nodes))
             assert abs(lhs - rhs) < 1e-8
+
+
+    def test_exterior_blocks_agree(self, disk_c5, monkeypatch):
+        # the exterior Bessel table is built in blocks of points; block size
+        # changes nothing beyond rounding
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal(len(disk_c5.modes))
+        pts = rng.uniform(-2.5, 2.5, (300, 2))
+        whole = disk_c5.combine(w, pts)
+        monkeypatch.setattr(disk_basis, "_BESSEL_BLOCK", 5000)
+        blocked = disk_c5.combine(w, pts)
+        assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    def test_exterior_matches_per_mode_jv_quadrature(self, disk_c5):
+        # the radial reduction sqrt(c)/gamma int_0^1 J_m(c|x|s) R(s) s ds with scipy's
+        # jv; the error scale is the same integral over |J_m R|, its rounding level
+        x = np.array([[1.7, -0.4], [0.0, 3.0], [-1.01, 0.0]])
+        rho, phi = np.hypot(x[:, 0], x[:, 1]), np.arctan2(x[:, 1], x[:, 0])
+        s, w = scipy_rule(200)
+        for key in [(0, 0, 1), (2, 1, 1), (5, 3, 2), (10, 8, 1)]:
+            mo = disk_c5.modes[disk_c5.mode_index(key)]
+            R = mo.coeffs @ scipy_zernike(mo.m, disk_c5.truncation, s)
+            kernel = math.sqrt(disk_c5.c) / mo.gamma * jv(mo.m, disk_c5.c * np.outer(rho, s))
+            angular = np.cos(mo.m * phi) if mo.ell == 1 else np.sin(mo.m * phi)
+            want = (kernel @ (w * s * R)) * angular
+            scale = (np.abs(kernel) @ (w * s * np.abs(R))).max()
+            assert np.abs(eval_psi(disk_c5, mo, x) - want).max() <= 1e-13 * scale, key
 
 
 class TestScaled:

@@ -11,6 +11,7 @@ from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,
                              read_datagrid, synthesize_born, write_datagrid)
 from prolate.numerics import bessel_j, disk_polar_rule, mirror_map
+from prolate.recon import write_field_csv
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
 
@@ -386,6 +387,40 @@ class TestDataGridIO:
                     "flag": ",".join(row[:5] + ["1.5"])}[edit]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParameterError, match="line 5: malformed data row"):
+            read_datagrid(path)
+
+    def test_rows_are_the_per_row_format(self, tmp_path):
+        # the vectorized writers emit the bytes of the row-by-row f"{float(x)!r}" format
+        rng = np.random.default_rng(8)
+        edge = np.array([-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, -2.5, 1e16, 3.0])
+        nodes = np.column_stack([rng.standard_normal(8) * 10.0 ** rng.integers(-12, 12, 8), edge])
+        values = edge[::-1] * rng.uniform(-0.9, 0.9, 8) + 1j * edge
+        data = DataGrid(nodes=nodes, weights=np.abs(edge) + 0.5, values=values,
+                        flags=np.array([0, 1, 0, 0, 1, 0, 0, 2], dtype=np.uint8),
+                        meta={"kappa": 2.0})
+        path = tmp_path / "grid.csv"
+        write_datagrid(path, data)
+        rows = "".join(f"{float(x)!r},{float(y)!r},{float(w)!r},{float(v.real)!r},"
+                       f"{float(v.imag)!r},{int(f)}\n"
+                       for (x, y), w, v, f in zip(data.nodes, data.weights, data.values, data.flags))
+        body = path.read_text().split("\n", 2)[2]
+        assert body == rows
+        back = read_datagrid(path)
+        write_datagrid(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+        for field in (values, values.real):
+            write_field_csv(tmp_path / "field.csv", nodes, field)
+            rows = "".join(f"{float(x)!r},{float(y)!r},{float(np.real(v))!r}\n"
+                           for (x, y), v in zip(nodes, field))
+            assert (tmp_path / "field.csv").read_text() == "x,y,q\n" + rows
+
+    def test_row_with_extra_field_rejected(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_datagrid(path, TestNoise()._data())
+        lines = path.read_text().splitlines()
+        lines[6] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match="line 7: malformed data row"):
             read_datagrid(path)
 
     def test_header_is_json_line(self, tmp_path):

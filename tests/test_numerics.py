@@ -1,14 +1,16 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_jacobi, jv
 
-from prolate.errors import ParameterError
-from prolate.numerics import (QuadratureRule, SymmetricTridiagonal, bessel_j, disk_polar_rule,
-                              gauss_legendre, gauss_legendre_01, mirror_map, sym_eig,
-                              zernike_radial, zernike_radial_table)
+from prolate.errors import EigensolverError, ParameterError
+from prolate.numerics import (QuadratureRule, SymmetricTridiagonal, bessel_j, bessel_table,
+                              disk_polar_rule, gauss_legendre, gauss_legendre_01, mirror_map,
+                              sym_eig, zernike_radial, zernike_radial_table)
 from prolate.symset_basis import Geometry, build_quadrature
 
 J0_FIRST_ZERO = 2.404825557695773
@@ -72,6 +74,57 @@ class TestBessel:
         assert np.allclose(bessel_j(2, x), [bessel_j(2, xi) for xi in x])
 
 
+class TestBesselTable:
+    """One Miller recurrence for every order, against scipy's jv as the oracle."""
+
+    X = np.concatenate([[0.0, 1e-300, 1e-9, 1e-3, 1e-2, 0.1], np.linspace(0.5, 200.0, 1200)])
+
+    def test_matches_jv(self):
+        table = bessel_table(20, self.X)
+        oracle = jv(np.arange(21)[:, None], self.X[None, :])
+        assert table.shape == (21, len(self.X))
+        assert np.abs(table - oracle).max() <= 1e-14
+
+    def test_zero_is_exact(self):
+        table = bessel_table(6, np.zeros(3))
+        assert np.array_equal(table[0], np.ones(3))
+        assert np.array_equal(table[1:], np.zeros((6, 3)))
+
+    def test_small_arguments_relative(self):
+        # values far below 1 keep their relative accuracy (no overflow, no flush);
+        # the oracle is the power series in 40-digit decimal arithmetic
+        def series(m, x):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40
+                y, term, total = (decimal.Decimal(x) / 2) ** 2, decimal.Decimal(1), 0
+                for k in range(12):
+                    total += term
+                    term *= -y / ((k + 1) * (m + k + 1))
+                return float(total * (decimal.Decimal(x) / 2) ** m / math.factorial(m))
+
+        x = np.array([1e-300, 1e-20, 1e-8, 1e-7, 1e-3, 0.5])
+        table = bessel_table(12, x)
+        for m in range(13):
+            for i, xi in enumerate(x):
+                want = series(m, xi)
+                if want > 1e-280:
+                    assert abs(table[m, i] / want - 1.0) <= 4e-15, (m, xi)
+
+    def test_shape_follows_x(self):
+        x = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        table = bessel_table(5, x)
+        assert table.shape == (6, 3, 4)
+        assert np.abs(table[:, 1] - bessel_table(5, x[1])).max() <= 1e-15
+        assert bessel_table(0, 2.5).shape == (1,)
+
+    def test_rejects_bad_arguments(self):
+        for x in (-1.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                bessel_table(3, np.array([1.0, x]))
+        with pytest.raises(ParameterError):
+            bessel_table(-1, 1.0)
+
+
 class TestGaussLegendre:
     def test_one_point(self):
         r = gauss_legendre(1)
@@ -104,6 +157,20 @@ class TestGaussLegendre:
     def test_requires_positive_size(self):
         with pytest.raises(ParameterError):
             gauss_legendre(0)
+        with pytest.raises(ParameterError):
+            gauss_legendre_01(0)
+
+    def test_memoized_rules_are_shared_and_read_only(self):
+        for rule_of in (gauss_legendre, gauss_legendre_01):
+            rule = rule_of(23)
+            assert rule_of(23) is rule
+            for a in (rule.nodes, rule.weights):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        nodes, weights = np.polynomial.legendre.leggauss(23)
+        assert np.array_equal(gauss_legendre(23).nodes, nodes)
+        assert np.array_equal(gauss_legendre(23).weights, weights)
 
 
 class TestZernikeRadial:
@@ -122,6 +189,29 @@ class TestZernikeRadial:
     def test_domain(self):
         with pytest.raises(ParameterError):
             zernike_radial(-1, 0, 0.5)
+
+    def test_matches_eval_jacobi(self):
+        # Dyadic radii make 1 - 2r^2 exact, so the oracle sees the same argument.
+        # scipy's eval_jacobi is accurate near the endpoint its recurrence starts
+        # from, so it is evaluated in the Jacobi form anchored at the nearer one:
+        # (-1)^j P_j^(m,0)(1 - 2r^2) for r^2 < 1/2 and P_j^(0,m)(2r^2 - 1) above.
+        r = np.arange(257) / 256.0
+        inner = r * r < 0.5
+        for m in range(21):
+            table = zernike_radial_table(m, 61, r)
+            for j in range(61):
+                p = np.where(inner, (-1.0) ** j * eval_jacobi(j, m, 0, 1.0 - 2.0 * r * r),
+                             eval_jacobi(j, 0, m, 2.0 * r * r - 1.0))
+                oracle = math.sqrt(2.0 * (m + 2 * j + 1)) * r**m * p
+                assert np.abs(table[j] - oracle).max() <= 1e-13 * np.abs(oracle).max(), (m, j)
+
+    def test_table_rows_are_single_degrees(self):
+        r = np.linspace(0.0, 1.0, 9)
+        table = zernike_radial_table(3, 5, r)
+        for j in range(5):
+            assert np.array_equal(zernike_radial(3, j, r), table[j])
+        assert zernike_radial(2, 1, 1.0) == pytest.approx(math.sqrt(10.0), rel=1e-15)
+        assert zernike_radial_table(4, 0, r).shape == (0, 9)
 
 
 class TestSymEig:
@@ -161,6 +251,18 @@ class TestSymEig:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ParameterError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_single_entry_tridiagonal(self):
+        vals, vecs = sym_eig(SymmetricTridiagonal(np.array([3.5]), np.array([])))
+        assert np.array_equal(vals, [3.5]) and np.array_equal(np.abs(vecs), [[1.0]])
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), SymmetricTridiagonal(np.ones(3), np.ones(2))])
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch, matrix):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            sym_eig(matrix)
 
 
 class TestQuadratureRule:

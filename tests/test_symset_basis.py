@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,6 +222,21 @@ class TestEigensystem:
             mags = np.abs(basis.alphas)
             counts.append(int(np.sum(mags > 1e-3 * mags[0])))
         assert counts == sorted(counts, reverse=True)
+
+    def test_signs_do_not_depend_on_the_eigensolver(self, monkeypatch):
+        # the README L(3pi/4) basis from numpy's eigh and from scipy's MRRR driver:
+        # every mode keeps its sign (the argmax |v| rule flipped 3 of these 30)
+        geo = Geometry.limited_aperture(2.35619449, h=5.0)
+        quad = build_quadrature(geo, 96, method="polar")
+        reference = compute_symset_basis(5.0, geo, quad, 30)
+        monkeypatch.setattr(symset_basis, "sym_eig",
+                            lambda a: scipy.linalg.eigh(a, driver="evr"))
+        other = compute_symset_basis(5.0, geo, quad, 30)
+        w = quad.weights
+        for a, b in zip(reference.modes, other.modes):
+            assert a.parity == b.parity
+            overlap = np.sum(w * a.node_values * b.node_values) / np.sum(w * a.node_values**2)
+            assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_requires_modest_mode_count(self):
         geo = Geometry.disk()
