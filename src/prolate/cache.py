@@ -15,9 +15,9 @@ import secrets
 
 import numpy as np
 
-from .disk_basis import DiskBasis, DiskMode, _mode_node_values
+from .disk_basis import DiskBasis, DiskMode, disk_basis_from_modes
 from .errors import CacheError, ParameterError
-from .numerics import QuadratureRule, disk_polar_rule
+from .numerics import QuadratureRule
 from .symset_basis import Geometry, SymSetBasis, SymSetMode
 
 __all__ = [
@@ -153,11 +153,7 @@ def _disk_basis(meta: dict, arrays: dict) -> DiskBasis:
             coeffs=coeffs, usable=bool(usable),
         ))
     n_r, n_t = meta["quad_size"]
-    quad = disk_polar_rule(1.0, n_r, n_t)
-    node_values = _mode_node_values(modes, quad, n_r, n_t, meta["J"])
-    node_values.flags.writeable = False
-    return DiskBasis(c=float(meta["c"]), truncation=int(meta["J"]), modes=tuple(modes),
-                     quad=quad, node_values=node_values, quad_size=(n_r, n_t))
+    return disk_basis_from_modes(meta["c"], meta["J"], modes, n_r, n_t)
 
 
 _GEO_LABEL = {"disk": "disk", "limited_aperture": "L", "multi_freq": "M"}

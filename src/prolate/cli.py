@@ -303,7 +303,10 @@ def _cmd_extrapolate(args) -> int:
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
     scaled = _scale_to_data(basis, data)
-    targets = np.array(_read_rows(args.targets, ["x", "y"], "target"))
+    rows = _read_rows(args.targets, ["x", "y"], "target")
+    if not rows:
+        raise ParameterError(f"{args.targets}: no target rows")
+    targets = np.array(rows)
     values = extrapolate(data, scaled, targets)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x,y,re,im\n")

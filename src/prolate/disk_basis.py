@@ -19,8 +19,14 @@ The Fourier eigenvalue comes from the radial kernel relation
 
     sqrt(c) int_0^1 J_m(c r s) R(s) s ds = gamma R(r),    alpha = 2 pi i^m gamma / sqrt(c),
 
-with gamma real.  Each mode is normalized to unit energy on the whole plane,
-equivalently ||psi||_{L2(B(0,1))} = (c / 2 pi) |alpha|.
+with gamma real.  For r > 1 the left side extends psi analytically to the
+plane, and the Zernike-Bessel identity
+
+    int_0^1 J_m(a s) Z_j(s) s ds = (-1)^j sqrt(2(m+2j+1)) J_{m+2j+1}(a) / a
+
+gives that extension in closed form from the radial coefficients.  Each mode
+is normalized to unit energy on the whole plane, equivalently
+||psi||_{L2(B(0,1))} = (c / 2 pi) |alpha|.
 """
 
 from __future__ import annotations
@@ -50,11 +56,14 @@ __all__ = [
     "assemble_sl_matrix",
     "compute_disk_basis",
     "default_truncation",
+    "disk_basis_from_modes",
     "eval_psi",
     "scale_to_data_domain",
 ]
 
 GAMMA_FLOOR = 1e-300
+# Entries per Bessel table block in `DiskBasis.combine` (2 MiB of float64).
+_BESSEL_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,15 +143,16 @@ class DiskBasis:
 
         The sum is taken for the unit-disk modes at pts / radius and divided
         by radius (exact no-ops for the unit disk).  Inside the unit disk a
-        mode is its coefficient expansion R(r) Y(theta) (finite at the origin
-        for every m).  Outside it is the analytic
-        extension psi(x) = alpha^{-1} int_{B} exp(i c x.p') psi(p') dp', through
-        its radial reduction sqrt(c)/gamma * Y(theta) * int_0^1 J_m(c|x|s) R(s) s ds.
-        Both are linear in the radial coefficients, so the weights (over gamma
-        outside) are folded into one coefficient vector per (m, ell).  Inside,
-        one Zernike table is built per azimuthal order; outside, one radial
-        rule sized for the largest order and one Bessel table for all orders,
-        built in blocks of points of at most _BESSEL_BLOCK entries.
+        mode is its coefficient expansion R = sum_j a_j Z_j times Y(theta),
+        finite at the origin for every m.  Outside it is the analytic extension
+        psi(x) = alpha^{-1} int_{B} exp(i c x.p') psi(p') dp', which the radial
+        reduction and the Zernike-Bessel identity (module docstring) make
+        sqrt(c)/gamma Y(theta) sum_j a_j (-1)^j sqrt(2(m+2j+1)) J_{m+2j+1}(c|x|) / (c|x|).
+        Both are linear in the a_j, so the weights (over gamma outside) are
+        folded into one coefficient vector per (m, ell).  Inside, one Zernike
+        table is built per azimuthal order; outside, one Bessel table
+        J_0..J_{m+2J-1}(c|x|) serves every order, built in blocks of points of
+        at most _BESSEL_BLOCK entries.
         """
         weights = np.asarray(weights)
         xy = np.atleast_2d(np.asarray(pts, dtype=float) / self.radius)
@@ -154,7 +164,8 @@ class DiskBasis:
         live = np.nonzero(weights)[0]
         orders = sorted({self.modes[i].m for i in live})
         J = self.truncation
-        exterior = {}  # m -> radial coefficients (J, 2) of the weights over gamma
+        j = np.arange(J)
+        exterior = {}  # m -> Bessel-row coefficients (J, 2) of the weights over gamma
         for m in orders:
             idx = [i for i in live if self.modes[i].m == m]
             fold = np.zeros((len(idx), 2), dtype=out.dtype)  # columns: cos, sin (ell = 1, 2)
@@ -165,22 +176,19 @@ class DiskBasis:
                 out[inside] += _angular_sum(m, radial, theta[inside])
             if len(outside):
                 gamma = np.array([self.modes[i].gamma for i in idx])
-                exterior[m] = coeffs @ (fold / gamma[:, None])
+                identity = math.sqrt(self.c) * (-1.0) ** j * np.sqrt(2.0 * (m + 2 * j + 1))
+                exterior[m] = identity[:, None] * (coeffs @ (fold / gamma[:, None]))
         if exterior:
-            m_top = orders[-1]
-            r_out = r[outside]
-            rule = gauss_legendre_01(_radial_rule_size(self.c, m_top, J, float(r_out.max())))
-            s, w = rule.nodes, rule.weights
-            # sqrt(c) (w s) R_m(s) per order: the radial integrand without the kernel
-            folded = {m: math.sqrt(self.c) * (w * s)[:, None]
-                      * real_matmul(zernike_radial_table(m, J, s).T, v)
-                      for m, v in exterior.items()}
-            block = max(1, _BESSEL_BLOCK // ((m_top + 1) * len(s)))
+            top = orders[-1] + 2 * J - 1
+            block = max(1, _BESSEL_BLOCK // (top + 1))
             for lo in range(0, len(outside), block):
                 sel = outside[lo:lo + block]
-                kernel = bessel_table(m_top, self.c * np.outer(r_out[lo:lo + block], s))
-                for m, f in folded.items():
-                    out[sel] += _angular_sum(m, real_matmul(kernel[m], f), theta[sel])
+                cr = self.c * r[sel]
+                table = bessel_table(top, cr)
+                table /= cr
+                for m, f in exterior.items():
+                    rows = table[m + 1:m + 2 * J:2].T  # J_{m+2j+1}(c|x|) / (c|x|)
+                    out[sel] += _angular_sum(m, real_matmul(rows, f), theta[sel])
         out /= self.radius
         return out[0] if np.ndim(pts) == 1 else out
 
@@ -219,29 +227,13 @@ def assemble_sl_matrix(c: float, m: int, J: int) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(diag, off)
 
 
-# Entries per Bessel table block in `DiskBasis.combine` (2 MiB of float64).
-_BESSEL_BLOCK = 1 << 18
-
-
 def _angular_sum(m: int, radial: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """radial[:, 0] cos(m theta) + radial[:, 1] sin(m theta)."""
     return radial[:, 0] * np.cos(m * theta) + radial[:, 1] * np.sin(m * theta)
 
 
-def _radial_rule_size(c: float, m: int, J: int, r_max: float = 1.0) -> int:
-    # resolves both the disk-polynomial degree and the kernel oscillation
-    # c * r_max * s over s in [0, 1]
-    return m + 2 * J + math.ceil(c * max(1.0, r_max) / 2.0) + 16
-
-
-def _angular_factor(m: int, ell: int, theta: np.ndarray) -> np.ndarray:
-    if m == 0:
-        return np.ones_like(theta)
-    return np.cos(m * theta) if ell == 1 else np.sin(m * theta)
-
-
-def compute_disk_basis(c: float, m_max: int, n_max: int, truncation: int | None = None,
-                       quad_size: tuple[int, int] | None = None) -> DiskBasis:
+def compute_disk_basis(c: float, m_max: int, n_max: int,
+                       truncation: int | None = None) -> DiskBasis:
     """Compute the disk eigensystem for m <= m_max, n <= n_max at bandwidth c.
 
     For each azimuthal order the tridiagonal Galerkin matrix is diagonalized
@@ -260,7 +252,8 @@ def compute_disk_basis(c: float, m_max: int, n_max: int, truncation: int | None 
         raise ParameterError("truncation must exceed n_max")
 
     modes: list[DiskMode] = []
-    rule = gauss_legendre_01(_radial_rule_size(c, m_max, J))
+    # resolves both the disk-polynomial degree and the kernel oscillation c s s'
+    rule = gauss_legendre_01(m_max + 2 * J + math.ceil(c / 2.0) + 16)
     s, w = rule.nodes, rule.weights
     wr = w * s
     kernels = bessel_table(m_max, c * np.outer(s, s))
@@ -288,36 +281,34 @@ def compute_disk_basis(c: float, m_max: int, n_max: int, truncation: int | None 
                 modes.append(DiskMode(m, n, ell, float(chis[n]), gamma, alpha, coeffs, usable))
     modes.sort(key=lambda mo: (mo.m + 2 * mo.n, mo.m, mo.ell))
 
-    if quad_size is None:
-        n_r = m_max + 2 * J + 2
-        n_t = max(32, 4 * m_max + 10)
-        n_t += n_t % 2
-    else:
-        n_r, n_t = quad_size
+    n_r = m_max + 2 * J + 2
+    n_t = max(32, 4 * m_max + 10)
+    return disk_basis_from_modes(c, J, modes, n_r, n_t + n_t % 2)
+
+
+def disk_basis_from_modes(c: float, J: int, modes, n_r: int, n_t: int) -> DiskBasis:
+    """The unit-disk basis of sorted `modes`, sampled on the n_r x n_t polar rule.
+
+    Samples use the rule's tensor structure: a radial times an angular factor
+    on the first half of the angles, and psi(-p) = (-1)^m psi(p) on the rest.
+    """
     quad = disk_polar_rule(1.0, n_r, n_t)
-    node_values = _mode_node_values(modes, quad, n_r, n_t, J)
-    node_values.flags.writeable = False
-    return DiskBasis(c=float(c), truncation=J, modes=tuple(modes), quad=quad,
-                     node_values=node_values, quad_size=(n_r, n_t))
-
-
-def _mode_node_values(modes, quad: QuadratureRule, n_r: int, n_t: int, J: int) -> np.ndarray:
-    """Sample every mode on the polar rule, exploiting its tensor structure."""
     half = n_t // 2
     block = n_r * half
     r = np.hypot(quad.nodes[:block, 0], quad.nodes[:block, 1]).reshape(n_r, half)[:, 0]
     theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
     tables = {}
-    vals = np.empty((len(modes), len(quad)))
+    node_values = np.empty((len(modes), len(quad)))
     for i, mo in enumerate(modes):
         if mo.m not in tables:
             tables[mo.m] = zernike_radial_table(mo.m, J, r)
-        R = mo.coeffs @ tables[mo.m]
-        Y = _angular_factor(mo.m, mo.ell, theta)
-        first = np.outer(R, Y).ravel()
-        vals[i, :block] = first
-        vals[i, block:] = (-1.0) ** mo.m * first  # psi(-p) = (-1)^m psi(p)
-    return vals
+        Y = np.cos(mo.m * theta) if mo.ell == 1 else np.sin(mo.m * theta)
+        first = np.outer(mo.coeffs @ tables[mo.m], Y).ravel()
+        node_values[i, :block] = first
+        node_values[i, block:] = (-1.0) ** mo.m * first
+    node_values.flags.writeable = False
+    return DiskBasis(c=float(c), truncation=int(J), modes=tuple(modes), quad=quad,
+                     node_values=node_values, quad_size=(n_r, n_t))
 
 
 def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:

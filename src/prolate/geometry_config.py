@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class ProblemSetup:
     c_param: float                # c_F, c_L, or c_M
     theta: float | None = None    # limited aperture half-angle
     x_star: tuple | None = None   # multi-frequency observation direction
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.regime not in REGIMES:

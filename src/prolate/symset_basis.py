@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-14
+# Entries per kernel block in `SymSetBasis.combine` (2 MiB of float64).
+_KERNEL_BLOCK = 1 << 18
 # Direction of the sign probe in `compute_symset_basis`: irrational components,
 # so it lies on no symmetry axis of any geometry.
 SIGN_DIRECTION = (0.6180339887498949, 0.4142135623730950)
@@ -209,10 +211,11 @@ def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") 
     """Quadrature over A_h.
 
     method "midpoint": tensor midpoint grid over the bounding box filtered by
-    membership, weight equal to the cell area (default for the aperture and
-    multi-frequency sets; first-order boundary accuracy).  method "polar":
-    analytic rules built from the radial profile (default for disks; also
-    available for L and M when spectral accuracy of the total weight matters).
+    membership of both p and -p, weight equal to the cell area (default for
+    the aperture and multi-frequency sets; first-order boundary accuracy).
+    method "polar": analytic rules built from the radial profile (default for
+    disks; also available for L and M when spectral accuracy of the total
+    weight matters).
     """
     if resolution < 8:
         raise ParameterError("resolution must be at least 8")
@@ -225,6 +228,7 @@ def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") 
         X, Y = np.meshgrid(centers, centers, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         keep = membership(geometry, pts)
+        keep &= keep[::-1]  # reversed flat order is the negated grid: keep mirror pairs
         if not keep.any():
             raise EmptyQuadratureError("no quadrature nodes inside the set")
         pts = pts[keep]
@@ -327,19 +331,25 @@ class SymSetBasis:
         psi_n(p) = sum_j k(c/h^2 p.p_j) w_j psi_n(p_j) / (h^2 beta_n) with k = cos
         for even and sin for odd modes: the node values inside A_h, the analytic
         extension outside.  The node values are summed per parity first, so
-        each kernel is built and applied once.
+        each kernel is applied once, built in blocks of points of at most
+        _KERNEL_BLOCK entries.
         """
         weights = np.asarray(weights)
         xy = np.atleast_2d(np.asarray(pts, dtype=float))
         lam = self.geometry.h**2 * np.array([mo.beta for mo in self.modes])
         even = np.array([mo.parity == "even" for mo in self.modes])
-        gram = self.kernel_scale * (xy @ self.quad.nodes.T)
-        out = np.zeros(len(xy), dtype=np.result_type(weights, float))
-        for sel, kernel in ((even, np.cos), (~even, np.sin)):
-            sel = sel & (weights != 0)
+        live = weights != 0
+        folded = []  # (kernel, quadrature weights times the parity's folded node values)
+        for sel, kernel in ((even & live, np.cos), (~even & live, np.sin)):
             if sel.any():
-                folded = (weights[sel] / lam[sel]) @ self.node_values[sel]
-                out += real_matmul(kernel(gram), self.quad.weights * folded)
+                g = (weights[sel] / lam[sel]) @ self.node_values[sel]
+                folded.append((kernel, self.quad.weights * g))
+        out = np.zeros(len(xy), dtype=np.result_type(weights, float))
+        block = max(1, _KERNEL_BLOCK // len(self.quad))
+        for lo in range(0, len(xy), block):
+            gram = self.kernel_scale * (xy[lo:lo + block] @ self.quad.nodes.T)
+            for kernel, f in folded:
+                out[lo:lo + block] += real_matmul(kernel(gram), f)
         return out[0] if np.ndim(pts) == 1 else out
 
 

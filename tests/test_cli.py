@@ -95,6 +95,15 @@ class TestBasisCommand:
         assert isinstance(basis, P.SymSetBasis)
         assert len(basis.modes) == 8
 
+    def test_symset_midpoint_half_aperture(self, cache_dir, capsys):
+        # boundary cells of L(pi/2) whose mirror cell tests outside must be
+        # dropped, or the rule is asymmetric and the command exits 2
+        assert run(["basis", "symset", "--geometry", "L", "--c", "3.0",
+                    "--theta", "1.5707963267948966", "--resolution", "34", "--modes", "8",
+                    "--method", "midpoint"]) == 0
+        path = capsys.readouterr().out.strip().splitlines()[-1]
+        assert len(P.load_basis(path).modes) == 8
+
 
 class TestSynthesizeReconstruct:
     def test_end_to_end(self, tmp_path, disk_basis_file, capsys):
@@ -353,6 +362,21 @@ class TestMalformedInput:
                                              "-o", str(out)])
         assert code == 2
         assert len(err) == 1 and f"{targets} line 3" in err[0], err
+        assert not out.exists()
+
+    def test_targets_file_without_rows(self, tmp_path, disk_basis_file, capsys):
+        setup = write_setup(tmp_path)
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data),
+                    "--contrast-resolution", "40"]) == 0
+        targets = tmp_path / "targets.csv"
+        targets.write_text("x,y\n")
+        out = tmp_path / "ext.csv"
+        code, err = _exit_and_error(capsys, ["extrapolate", str(data), "--basis",
+                                             disk_basis_file, "--targets", str(targets),
+                                             "-o", str(out)])
+        assert code == 2
+        assert len(err) == 1 and str(targets) in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("row", ["1.0,0.0,-1.0,0.0,abc,0.0", "1.0,0.0,-1.0,0.0,0.5"])

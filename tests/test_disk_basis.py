@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,24 +227,49 @@ class TestEval:
         w = rng.standard_normal(len(disk_c5.modes))
         pts = rng.uniform(-2.5, 2.5, (300, 2))
         whole = disk_c5.combine(w, pts)
+        rows = 10 + 2 * disk_c5.truncation  # J_0 .. J_{m_max + 2J - 1}
+        n_out = np.count_nonzero(np.hypot(pts[:, 0], pts[:, 1]) > 1.0)
+        assert n_out > 2 * (5000 // rows)  # at least three blocks
         monkeypatch.setattr(disk_basis, "_BESSEL_BLOCK", 5000)
         blocked = disk_c5.combine(w, pts)
         assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
 
     def test_exterior_matches_per_mode_jv_quadrature(self, disk_c5):
         # the radial reduction sqrt(c)/gamma int_0^1 J_m(c|x|s) R(s) s ds with scipy's
-        # jv; the error scale is the same integral over |J_m R|, its rounding level
-        x = np.array([[1.7, -0.4], [0.0, 3.0], [-1.01, 0.0]])
-        rho, phi = np.hypot(x[:, 0], x[:, 1]), np.arctan2(x[:, 1], x[:, 0])
-        s, w = scipy_rule(200)
-        for key in [(0, 0, 1), (2, 1, 1), (5, 3, 2), (10, 8, 1)]:
-            mo = disk_c5.modes[disk_c5.mode_index(key)]
-            R = mo.coeffs @ scipy_zernike(mo.m, disk_c5.truncation, s)
-            kernel = math.sqrt(disk_c5.c) / mo.gamma * jv(mo.m, disk_c5.c * np.outer(rho, s))
-            angular = np.cos(mo.m * phi) if mo.ell == 1 else np.sin(mo.m * phi)
-            want = (kernel @ (w * s * R)) * angular
-            scale = (np.abs(kernel) @ (w * s * np.abs(R))).max()
-            assert np.abs(eval_psi(disk_c5, mo, x) - want).max() <= 1e-13 * scale, key
+        # jv, on a Gauss rule sized for the oscillation c|x|s; the error scale is
+        # the same integral over |J_m R|, its rounding level, times the phase
+        # error of about eps c|x| that jv carries at large arguments
+        groups = ([[1.7, -0.4], [0.0, 3.0], [-1.01, 0.0]],  # near the disk
+                  [[20.0, 0.0], [-12.0, 16.0]],  # 20 radii
+                  [[0.0, -200.0], [120.0, 160.0]])  # 200 radii
+        for x in map(np.array, groups):
+            rho, phi = np.hypot(x[:, 0], x[:, 1]), np.arctan2(x[:, 1], x[:, 0])
+            s, w = scipy_rule(200 + math.ceil(disk_c5.c * rho.max()))
+            phase = max(1.0, disk_c5.c * rho.max() / 100.0)
+            for key in [(0, 0, 1), (2, 1, 1), (5, 3, 2), (10, 8, 1)]:
+                mo = disk_c5.modes[disk_c5.mode_index(key)]
+                R = mo.coeffs @ scipy_zernike(mo.m, disk_c5.truncation, s)
+                kernel = math.sqrt(disk_c5.c) / mo.gamma * jv(mo.m, disk_c5.c * np.outer(rho, s))
+                angular = np.cos(mo.m * phi) if mo.ell == 1 else np.sin(mo.m * phi)
+                want = (kernel @ (w * s * R)) * angular
+                scale = (np.abs(kernel) @ (w * s * np.abs(R))).max()
+                got = eval_psi(disk_c5, mo, x)
+                assert np.abs(got - want).max() <= 1e-13 * scale * phase, (key, rho.max())
+
+    def test_exterior_memory_does_not_grow_with_distance(self, disk_c5):
+        # the closed form needs a few Bessel table rows per point, whatever its
+        # distance; a radial rule sized for c|x| grows like (c|x|)^2 (13.8 MB here)
+        w = np.random.default_rng(5).standard_normal(len(disk_c5.modes))
+        t = 2 * math.pi * np.arange(8) / 8
+        pts = 500.0 * np.stack([np.cos(t), np.sin(t)], axis=1)
+        tracemalloc.start()
+        try:
+            vals = disk_c5.combine(w, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vals))
+        assert peak < 2_000_000
 
 
 class TestScaled:

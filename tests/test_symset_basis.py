@@ -148,6 +148,20 @@ class TestBuildQuadrature:
             mirror = mirror_indices(quad)
             assert np.array_equal(quad.nodes[mirror], -quad.nodes)
 
+    @pytest.mark.parametrize("resolution", [34, 102, 170])
+    def test_midpoint_rule_symmetric_by_construction(self, resolution):
+        # at these resolutions some boundary cells of L(pi/2) test inside
+        # while their mirror cells test outside; the rule keeps neither
+        geo = Geometry.limited_aperture(math.pi / 2)
+        quad = build_quadrature(geo, resolution, method="midpoint")
+        mirror = mirror_indices(quad)
+        assert np.array_equal(quad.nodes[mirror], -quad.nodes)
+        assert membership(geo, quad.nodes).all() and membership(geo, -quad.nodes).all()
+        step = 4.0 / resolution
+        centers = step * (np.arange(resolution) - (resolution - 1) / 2.0)
+        grid = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert len(quad) < membership(geo, grid).sum()
+
     def test_resolution_floor(self):
         with pytest.raises(ParameterError):
             build_quadrature(Geometry.disk(), 4)
@@ -276,6 +290,28 @@ class TestEval:
                 rhs = np.sum(fine.weights * kernel * vals_fine)
                 lhs = (lam if mo.parity == "even" else 1j * lam) * eval_symset_psi(basis, i, p)
                 assert abs(lhs - rhs) < 1e-7 * np.abs(mo.node_values).max()
+
+    def test_combine_memory_is_blocked(self):
+        # a 64^2 field on the N = 3,200 L(3 pi/4) polar basis: the dense
+        # 4,096 x 3,200 phase matrix and its cosine would take about 210 MB
+        geo = Geometry.limited_aperture(0.75 * math.pi, h=5.0)
+        quad = build_quadrature(geo, 160, method="polar")
+        assert len(quad) == 3200
+        basis = compute_symset_basis(5.0, geo, quad, 40)
+        w = np.random.default_rng(3).standard_normal(len(basis.modes))
+        g = np.linspace(-10.0, 10.0, 64)
+        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert basis.node_values.shape == (40, 3200)  # cached before tracing
+        tracemalloc.start()
+        try:
+            field = basis.combine(w, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        # a point subset fits in one block, so it checks the block seams
+        sub = basis.combine(w, pts[::97])
+        assert np.abs(field[::97] - sub).max() <= 1e-12 * np.abs(field).max()
 
 
 def unfolded_reference(c, geo, quad):
