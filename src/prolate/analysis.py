@@ -18,6 +18,7 @@ import numpy as np
 from .disk_basis import DiskBasis
 from .errors import ParameterError
 from .forward import DataGrid
+from .recon import expand, project
 from .symset_basis import SymSetBasis, analytic_area, mirror_indices
 
 __all__ = [
@@ -39,10 +40,6 @@ class ProjectionReport:
     passed: bool
 
 
-def _psi_hat(basis) -> np.ndarray:
-    return basis.node_values / basis.mode_norms[:, None]
-
-
 def project_pi_alpha(u: np.ndarray, basis, alpha: float) -> np.ndarray:
     """Spectral cutoff projection of node samples onto {chi < 1/alpha}.
 
@@ -60,9 +57,7 @@ def project_pi_alpha(u: np.ndarray, basis, alpha: float) -> np.ndarray:
     keep = basis.keep(alpha)
     if not keep.any():
         return np.zeros_like(u)
-    psi_hat = _psi_hat(basis)[keep]
-    coeffs = psi_hat @ (basis.quad.weights * u)
-    return coeffs @ psi_hat
+    return expand(basis, project(basis, basis.quad.weights * u), keep)
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,7 @@ def sobolev_norm_tilde(u: np.ndarray, basis, s: float) -> SobolevNorm:
         raise ParameterError("sobolev_norm_tilde needs a DiskBasis")
     u = np.asarray(u)
     w = basis.quad.weights
-    psi_hat = _psi_hat(basis)
-    coeffs = psi_hat @ (w * u)
+    coeffs = project(basis, w * u)
     value = float(np.sqrt(np.sum(basis.chis**s * np.abs(coeffs) ** 2)))
     unorm2 = float(np.sum(w * np.abs(u) ** 2))
     tail2 = max(unorm2 - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
@@ -112,8 +106,8 @@ def extrapolate(data: DataGrid, basis, targets) -> np.ndarray:
     """
     if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
         raise ParameterError("data nodes must match the basis quadrature")
-    inner = basis.node_values @ (np.where(data.valid, data.weights, 0.0) * data.values)
-    return basis.combine(inner / basis.mode_norms**2, targets)
+    weighted = np.where(data.valid, data.weights, 0.0) * data.values
+    return basis.combine(project(basis, weighted, basis.mode_norms), targets)
 
 
 def _check(name: str, residual: float, threshold: float) -> dict:

@@ -22,8 +22,9 @@ from .disk_basis import DiskBasis, compute_disk_basis, default_truncation, scale
 from .errors import ParameterError, ProlateError
 from .forward import add_noise, ingest_farfield, read_datagrid, synthesize_born, write_datagrid
 from .geometry_config import ProblemSetup, effective_kernel_scale, read_setup, validate_setup
-from .recon import (beta_of_alpha, choose_alpha_partial, reconstruct_full, reconstruct_partial,
-                    write_field_csv, write_result)
+from .recon import (beta_of_alpha, choose_alpha_partial, expand, partial_cutoff,
+                    picard_coefficients, reconstruct_full, reconstruct_partial, write_field_csv,
+                    write_result)
 from .symset_basis import Geometry, SymSetBasis, build_quadrature, compute_symset_basis
 
 __all__ = ["run", "main", "experiment_stability"]
@@ -213,6 +214,8 @@ def _cmd_ingest(args) -> int:
                              "build a symset disk basis for full-aperture targets")
     rows = _read_rows(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y", "re", "im"],
                       "far-field")
+    if not rows:
+        raise ParameterError(f"{args.samples}: no far-field rows")
     samples = [((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])) for t in rows]
     data = ingest_farfield(samples, args.k, basis.quad, cutoff=args.cutoff,
                            geometry=basis.geometry)
@@ -270,6 +273,8 @@ def _scale_to_data(basis: DiskBasis, data):
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.field_grid < 1:
+        raise ParameterError(f"--field-grid must be at least 1, got {args.field_grid}")
     data = read_datagrid(args.data)
     basis = cachemod.load_basis(args.basis)
     if isinstance(basis, DiskBasis):
@@ -325,6 +330,9 @@ def _cmd_validate(args) -> int:
     return 0 if all(c["passed"] for c in report) else 1
 
 
+_SWEEP_BLOCK = 1 << 17  # samples per block of the stability sweep's data columns (2 MiB)
+
+
 def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
                          n_seeds: int = 1) -> list[dict]:
     """Sweep (delta, alpha): synthesize, perturb, reconstruct, compare to the bound.
@@ -334,35 +342,43 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     delta / beta(alpha) + truncation error, where the truncation term is the
     noise-free reconstruction error (the spectral-cutoff projection error of
     the contrast, up to quadrature), so every row obeys error <= bound.
+    Noise is drawn once per (delta, seed); the clean and noisy data columns
+    are projected together in blocks of at most _SWEEP_BLOCK samples, and each
+    alpha masks a block's coefficients and expands all its fields in one product.
     """
     kappa = effective_kernel_scale(setup)
     clean = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.data_geometry())
     u_norm = clean.weighted_norm()
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights
-    partial = isinstance(basis, SymSetBasis)
-    reconstruct = reconstruct_partial if partial else reconstruct_full
-
-    def err_of(grid, alpha):
-        rec = reconstruct(grid, basis, alpha)
-        return float(np.sqrt(np.sum(w * np.abs(rec.node_field - q_nodes) ** 2)))
+    if isinstance(basis, SymSetBasis):  # the checks of reconstruct_partial / _full, per alpha
+        keeps = [partial_cutoff(basis, alpha) for alpha in alphas]
+        rates = [1.0 / alpha if alpha > 0 else np.inf for alpha in alphas]
+    else:
+        rates = [1.0 / beta_of_alpha(basis, alpha) for alpha in alphas]
+        keeps = [basis.keep(alpha) for alpha in alphas]
+    levels = list(dict.fromkeys(d for d in deltas if d > 0))
+    # (group, seed) per data column: group 0 is the clean data, group g the level levels[g - 1]
+    columns = [(0, None)] + [(g, s) for g in range(1, len(levels) + 1) for s in range(n_seeds)]
+    sums = np.zeros((len(alphas), len(levels) + 1))  # error sums per alpha and group
+    step = max(1, _SWEEP_BLOCK // len(w))
+    for lo in range(0, len(columns), step):
+        block = columns[lo:lo + step]
+        values = np.stack([clean.values if s is None else
+                           add_noise(clean, levels[g - 1] / u_norm, seed + s).values
+                           for g, s in block], axis=1)
+        coeffs = picard_coefficients(clean, basis, values)
+        for a, keep in enumerate(keeps):
+            diff = expand(basis, coeffs, keep) - q_nodes[:, None]
+            errs = np.sqrt(w @ (diff.real**2 + diff.imag**2))
+            sums[a] += np.bincount([g for g, _ in block], weights=errs, minlength=len(levels) + 1)
 
     rows = []
-    for alpha in alphas:
-        trunc_err = err_of(clean, alpha)
-        if partial:
-            rate = 1.0 / alpha if alpha > 0 else np.inf
-        else:
-            rate = 1.0 / beta_of_alpha(basis, alpha)
+    for a, alpha in enumerate(alphas):
         for delta in deltas:
-            if delta > 0:
-                errs = [err_of(add_noise(clean, delta / u_norm, seed + s), alpha)
-                        for s in range(n_seeds)]
-            else:
-                errs = [trunc_err]
-            rows.append({"delta": float(delta), "alpha": float(alpha),
-                         "error": float(np.mean(errs)),
-                         "bound": float(delta * rate + trunc_err)})
+            error = sums[a, levels.index(delta) + 1] / n_seeds if delta > 0 else sums[a, 0]
+            rows.append({"delta": float(delta), "alpha": float(alpha), "error": float(error),
+                         "bound": float(delta * rates[a] + sums[a, 0])})
     rows.sort(key=lambda r: (r["delta"], -r["alpha"]))
     return rows
 

@@ -239,9 +239,9 @@ def compute_disk_basis(c: float, m_max: int, n_max: int,
     For each azimuthal order the tridiagonal Galerkin matrix is diagonalized
     (chi ascending, n-th eigenvalue), gamma is the Rayleigh quotient of the
     radial kernel operator on the eigenfunction, and alpha = 2 pi i^m gamma /
-    sqrt(c).  Every order shares one radial rule, sized for m_max, and one
-    Bessel table J_0..J_m_max(c s s').  Modes whose |gamma| underflows are
-    flagged unusable.
+    sqrt(c).  Every order shares one radial rule, sized for m_max, one Bessel
+    table J_0..J_m_max(c s s') and one pass of Zernike tables.  Modes whose
+    |gamma| underflows are flagged unusable.
     """
     if c <= 0.0:
         raise ParameterError("compute_disk_basis requires c > 0")
@@ -257,10 +257,11 @@ def compute_disk_basis(c: float, m_max: int, n_max: int,
     s, w = rule.nodes, rule.weights
     wr = w * s
     kernels = bessel_table(m_max, c * np.outer(s, s))
+    tables = zernike_radial_table(np.arange(m_max + 1), J, s)
     for m in range(m_max + 1):
         tri = assemble_sl_matrix(c, m, J)
         chis, vecs = sym_eig(tri)  # raises EigensolverError on non-convergence
-        Z = zernike_radial_table(m, J, s)
+        Z = tables[m]
         amp = 2.0 * np.pi if m == 0 else np.pi  # angular factor squared integral
         for n in range(n_max + 1):
             v = vecs[:, n].copy()
@@ -291,21 +292,23 @@ def disk_basis_from_modes(c: float, J: int, modes, n_r: int, n_t: int) -> DiskBa
 
     Samples use the rule's tensor structure: a radial times an angular factor
     on the first half of the angles, and psi(-p) = (-1)^m psi(p) on the rest.
+    One pass gives the Zernike tables of all orders; per order, one product
+    gives the radial factors and one broadcast their cos or sin(m theta) factor.
     """
     quad = disk_polar_rule(1.0, n_r, n_t)
     half = n_t // 2
     block = n_r * half
     r = np.hypot(quad.nodes[:block, 0], quad.nodes[:block, 1]).reshape(n_r, half)[:, 0]
     theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
-    tables = {}
+    orders = np.array([mo.m for mo in modes])
+    tables = zernike_radial_table(np.arange(orders.max(initial=0) + 1), J, r)
     node_values = np.empty((len(modes), len(quad)))
-    for i, mo in enumerate(modes):
-        if mo.m not in tables:
-            tables[mo.m] = zernike_radial_table(mo.m, J, r)
-        Y = np.cos(mo.m * theta) if mo.ell == 1 else np.sin(mo.m * theta)
-        first = np.outer(mo.coeffs @ tables[mo.m], Y).ravel()
-        node_values[i, :block] = first
-        node_values[i, block:] = (-1.0) ** mo.m * first
+    for m in np.unique(orders):
+        idx = np.flatnonzero(orders == m)
+        radial = np.array([modes[i].coeffs for i in idx]) @ tables[m]
+        Y = np.stack([np.cos(m * theta), np.sin(m * theta)])[[modes[i].ell - 1 for i in idx]]
+        first = (radial[:, :, None] * Y[:, None, :]).reshape(len(idx), block)
+        node_values[idx] = np.hstack([first, -first if m % 2 else first])
     node_values.flags.writeable = False
     return DiskBasis(c=float(c), truncation=int(J), modes=tuple(modes), quad=quad,
                      node_values=node_values, quad_size=(n_r, n_t))

@@ -205,7 +205,7 @@ def zernike_radial(m: int, j: int, r):
     return float(val) if val.ndim == 0 else val
 
 
-def zernike_radial_table(m: int, count: int, r) -> np.ndarray:
+def zernike_radial_table(m, count: int, r) -> np.ndarray:
     """zernike_radial(m, j, r) for j = 0 .. count-1, shape (count, *r.shape).
 
     Z_j(r) = sqrt(2(m+2j+1)) r^m P_j(y) with P_j = P_j^{(0,m)} and y = 2r^2 - 1,
@@ -219,14 +219,19 @@ def zernike_radial_table(m: int, count: int, r) -> np.ndarray:
     D_j = g_j D_{j-1} - a_j u P_{j-1}; that form is used for y >= 0, where it
     is exact at r = 1 (every P_j(1) = 1) and the plain form accumulates
     rounding, and the plain form near y = -1, where the roles reverse.
+
+    A 1-D sequence `m` of orders runs them all in one pass, shape (len(m),
+    count, *r.shape), each order's table bitwise equal to a single-order call.
     """
-    if m < 0 or count < 0:
+    orders = np.asarray(m)
+    if orders.ndim > 1 or np.any(orders < 0) or count < 0:
         raise ParameterError("zernike_radial_table requires m >= 0 and count >= 0")
     r = np.asarray(r, dtype=float)
+    m = orders.reshape(orders.shape + (1,) * r.ndim)  # orders along a leading axis
     y = 2.0 * r * r - 1.0
     u = 2.0 * (1.0 - r) * (1.0 + r)
     outer = y >= 0.0
-    table = np.empty((count,) + r.shape)
+    table = np.empty((count,) + orders.shape + r.shape)
     if count:
         table[0] = 1.0
     if count > 1:
@@ -240,9 +245,10 @@ def zernike_radial_table(m: int, count: int, r) -> np.ndarray:
         d = g * d - a * u * table[j - 1]
         plain = (a * y - b) * table[j - 1] - g * table[j - 2]
         table[j] = np.where(outer, table[j - 1] + d, plain)
-    table *= np.sqrt(2.0 * (m + 2 * np.arange(count) + 1)).reshape((count,) + (1,) * r.ndim)
-    table *= r**m
-    return table
+    j = np.arange(count).reshape((count,) + (1,) * (orders.ndim + r.ndim))
+    table *= np.sqrt(2.0 * (m + 2 * j + 1))
+    table *= np.reshape([r ** int(k) for k in orders.ravel()], orders.shape + r.shape)
+    return np.ascontiguousarray(np.moveaxis(table, 0, orders.ndim))
 
 
 def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

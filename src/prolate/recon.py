@@ -22,11 +22,15 @@ import numpy as np
 
 from .errors import DataCoverageError, EmptyCutoffError, ParameterError
 from .forward import DataGrid
+from .numerics import real_matmul
 
 __all__ = [
     "ReconstructionResult",
+    "project",
+    "expand",
     "picard_coefficients",
     "beta_of_alpha",
+    "partial_cutoff",
     "reconstruct_full",
     "reconstruct_partial",
     "choose_alpha_partial",
@@ -60,26 +64,38 @@ def _effective_weights(data: DataGrid) -> np.ndarray:
     return np.where(data.valid, data.weights, 0.0)
 
 
-def picard_coefficients(data: DataGrid, basis) -> np.ndarray:
+def project(basis, weighted, divisor=1.0) -> np.ndarray:
+    """<u, psi_hat_i> / divisor_i per mode i, from weighted samples w u, (N,) or (N, k).
+
+    The real node values enter `real_matmul` as they are, never copied to
+    complex or divided into psi_hat = psi / ||psi||; 1 / ||psi_i|| scales the result.
+    """
+    inner = real_matmul(basis.node_values, weighted)
+    return (inner.T / (basis.mode_norms * divisor)).T
+
+
+def expand(basis, coeffs, keep) -> np.ndarray:
+    """sum of coeffs_i psi_hat_i over the modes in `keep` on the nodes, per column of coeffs."""
+    return real_matmul(basis.node_values.T, np.where(keep, coeffs.T / basis.mode_norms, 0.0).T)
+
+
+def picard_coefficients(data: DataGrid, basis, values=None) -> np.ndarray:
     """Per-mode expansion coefficients of the contrast, <u, psi_hat> / mu.
 
     For the scaled disk basis mu = (c/2k)^2 alpha equals (2k/c)^2 / alpha times
     the norm bookkeeping of the Picard series; for symmetric sets mu = h^2
     alpha_n.  Inner products use the basis quadrature with missing-flagged
-    nodes' weight excluded.
+    nodes' weight excluded.  `values`, (N, k), replaces the data values by k
+    columns on the same nodes and flags and gives (modes, k) coefficients.
     """
-    return _coefficients(data, basis, basis.node_values / basis.mode_norms[:, None])[0]
-
-
-def _coefficients(data: DataGrid, basis, psi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<u, psi_hat> / mu for the normalized node values psi_hat, and the effective weights."""
     if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
         raise ParameterError("data nodes must match the basis quadrature bitwise")
     mu = basis.mu
     if np.any(mu == 0.0):
         raise ParameterError("basis contains a zero eigenvalue")
     w = _effective_weights(data)
-    return (psi_hat @ (w * data.values)) / mu, w
+    values = data.values if values is None else values
+    return project(basis, values * (w if values.ndim == 1 else w[:, None]), mu)
 
 
 def beta_of_alpha(basis, alpha: float) -> float:
@@ -92,15 +108,23 @@ def beta_of_alpha(basis, alpha: float) -> float:
     return float(np.min(np.abs(basis.mu[keep])))
 
 
+def partial_cutoff(basis, alpha: float) -> np.ndarray:
+    """The symmetric-set cutoff mask {|mu_n| > alpha}; raises if it is empty."""
+    if alpha < 0.0:
+        raise ParameterError("alpha must be nonnegative")
+    keep = basis.keep(alpha)
+    if not keep.any():
+        raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
+    return keep
+
+
 def _reconstruct(data: DataGrid, basis, alpha: float, keep: np.ndarray, ids: list,
                  beta: float | None, realify: bool) -> ReconstructionResult:
     """The spectral-cutoff path shared by both regimes: the Picard series on `keep`."""
-    psi_hat = basis.node_values / basis.mode_norms[:, None]
-    coeffs, w = _coefficients(data, basis, psi_hat)
-    coeffs = coeffs[keep]
-    kept = psi_hat[keep]
-    node_field = coeffs @ kept
-    predicted = (coeffs * basis.mu[keep]) @ kept
+    coeffs = picard_coefficients(data, basis)
+    w = _effective_weights(data)
+    # the field sum coeff_i psi_hat_i and the data it predicts, mu_i coeff_i, in one product
+    node_field, predicted = expand(basis, np.stack([coeffs, coeffs * basis.mu], axis=1), keep).T
     unorm = np.sqrt(np.sum(w * np.abs(data.values) ** 2))
     residual = float(np.sqrt(np.sum(w * np.abs(predicted - data.values) ** 2))
                      / unorm) if unorm > 0 else 0.0
@@ -113,14 +137,13 @@ def _reconstruct(data: DataGrid, basis, alpha: float, keep: np.ndarray, ids: lis
         diagnostics["dropped_imag_norm"] = float(np.sqrt(np.sum(w * node_field.imag**2)))
         node_field = node_field.real
 
-    weights = np.zeros(len(keep), dtype=complex)
-    weights[keep] = coeffs / basis.mode_norms[keep]  # q = sum coeff_i psi_i / ||psi_i||
+    weights = np.where(keep, coeffs / basis.mode_norms, 0.0)  # q = sum coeff_i psi_i / ||psi_i||
 
     def field_eval(x):
         values = basis.combine(weights, x)
         return values.real if realify else values
 
-    return ReconstructionResult(coefficients=coeffs, cutoff_set=ids, beta_alpha=beta,
+    return ReconstructionResult(coefficients=coeffs[keep], cutoff_set=ids, beta_alpha=beta,
                                 alpha=float(alpha), node_field=node_field, field=field_eval,
                                 diagnostics=diagnostics)
 
@@ -141,11 +164,7 @@ def reconstruct_full(data: DataGrid, basis, alpha: float,
 def reconstruct_partial(data: DataGrid, basis, alpha: float,
                         realify: bool = False) -> ReconstructionResult:
     """Spectral-cutoff reconstruction for symmetric-set data: keep |mu_n| > alpha."""
-    if alpha < 0.0:
-        raise ParameterError("alpha must be nonnegative")
-    keep = basis.keep(alpha)
-    if not keep.any():
-        raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
+    keep = partial_cutoff(basis, alpha)
     ids = [int(i) for i in np.nonzero(keep)[0]]
     return _reconstruct(data, basis, alpha, keep, ids, None, realify)
 

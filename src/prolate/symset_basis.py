@@ -188,16 +188,19 @@ def radial_profile(geometry: Geometry, phi) -> np.ndarray:
 
 
 def analytic_area(geometry: Geometry) -> float:
-    """Measure of A_h.  Exact for disk and multi-frequency; the limited
-    aperture case integrates the closed-form radial profile."""
+    """Measure of A_h in closed form.  For L(Theta) the integral of rho^2 / 2
+    over the angle is 2 h^2 [F(Theta) - F(Theta - min(Theta, pi/2))], with
+    F(q) = 2 (q - sin q cos q) for q <= pi/2 and 4 q - pi beyond."""
     if geometry.kind == "disk":
         return math.pi * (geometry.radius * geometry.h) ** 2
     if geometry.kind == "multi_freq":
         return 2.0 * math.pi * geometry.h**2  # two tangent unit disks
-    n = 200_000
-    phi = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-    rho = radial_profile(geometry, phi)
-    return float(0.5 * np.sum(rho**2) * (2.0 * math.pi / n) * geometry.h**2)
+
+    def F(q: float) -> float:
+        return 2.0 * (q - math.sin(q) * math.cos(q)) if q <= math.pi / 2 else 4.0 * q - math.pi
+
+    theta = geometry.theta
+    return 2.0 * geometry.h**2 * (F(theta) - F(theta - min(theta, math.pi / 2)))
 
 
 def bounding_box(geometry: Geometry) -> float:

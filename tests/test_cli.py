@@ -11,8 +11,8 @@ import pytest
 import prolate as P
 from prolate import cli
 from prolate.cli import experiment_stability, run
-from prolate.forward import read_datagrid
-from prolate.geometry_config import setup_from_dict
+from prolate.forward import add_noise, read_datagrid
+from prolate.geometry_config import effective_kernel_scale, setup_from_dict
 
 
 SETUP = {
@@ -379,6 +379,19 @@ class TestMalformedInput:
         assert len(err) == 1 and str(targets) in err[0], err
         assert not out.exists()
 
+    def test_far_field_file_without_rows(self, tmp_path, cache_dir, capsys):
+        assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
+                    "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples = tmp_path / "ff.csv"
+        samples.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n")
+        out = tmp_path / "ingested.csv"
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "1.0",
+                                             "--basis", basis_file, "-o", str(out)])
+        assert code == 2
+        assert err == [f"error: {samples}: no far-field rows"], err
+        assert not out.exists()
+
     @pytest.mark.parametrize("row", ["1.0,0.0,-1.0,0.0,abc,0.0", "1.0,0.0,-1.0,0.0,0.5"])
     def test_far_field_file(self, tmp_path, cache_dir, capsys, row):
         assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
@@ -417,6 +430,18 @@ class TestBadFlags:
                                              disk_basis_file, f"--alpha={alpha}", "-o", str(rec)])
         assert code == 2 and len(err) == 1 and "--alpha" in err[0], err
         assert not rec.exists()
+
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_reconstruct_field_grid(self, tmp_path, disk_basis_file, capsys, grid):
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        rec, field = tmp_path / "rec.json", tmp_path / "field.csv"
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01", "-o", str(rec),
+                                             "--field-out", str(field), f"--field-grid={grid}"])
+        assert code == 2 and len(err) == 1 and "--field-grid" in err[0], err
+        assert not rec.exists() and not field.exists()
 
     @pytest.mark.parametrize("flag,values", [("--deltas", "0,nan"), ("--deltas", "-1e-3"),
                                              ("--deltas", "0,x"), ("--alphas", "0.05,nan"),
@@ -506,6 +531,59 @@ class TestTypedValues:
         assert not out.exists()
 
 
+def _stability_case(basis):
+    """A basis on its data domain and a matching setup with a small disk phantom."""
+    phantom = {"shapes": [{"type": "disk", "center": [0.1, -0.05], "radius": 0.3, "value": 1.0}]}
+    if isinstance(basis, P.SymSetBasis):  # kernel scale k^2 / c = c / h^2 at h = 1
+        cfg = {"regime": "limited", "k": basis.c, "c_param": basis.c, "theta": 2.0}
+    else:
+        basis = P.scale_to_data_domain(basis, 1.0)
+        cfg = {"regime": "full", "k": 1.0, "c_param": basis.c}
+    return basis, setup_from_dict({**cfg, "contrast": phantom}, contrast_resolution=40)
+
+
+def _stability_alphas(basis):
+    if isinstance(basis, P.SymSetBasis):
+        mags = np.sort(np.abs(basis.mu))[::-1]
+        return [float(mags[3]), float(mags[12]), float(mags[30])]
+    return [0.05, 0.01, 1e-3]
+
+
+def _stability_by_cell(setup, basis, deltas, alphas, seed, n_seeds):
+    """The stability table cell by cell: fresh noise and one reconstruction per cell."""
+    clean = P.synthesize_born(setup.contrast, effective_kernel_scale(setup), basis.quad,
+                              geometry=setup.data_geometry())
+    u_norm = clean.weighted_norm()
+    q_nodes = setup.contrast.evaluate(basis.quad.nodes)
+    w = basis.quad.weights
+    partial = isinstance(basis, P.SymSetBasis)
+    reconstruct = P.reconstruct_partial if partial else P.reconstruct_full
+
+    def err_of(grid, alpha):
+        rec = reconstruct(grid, basis, alpha)
+        return float(np.sqrt(np.sum(w * np.abs(rec.node_field - q_nodes) ** 2)))
+
+    rows = []
+    for alpha in alphas:
+        trunc = err_of(clean, alpha)
+        rate = 1.0 / alpha if partial else 1.0 / P.beta_of_alpha(basis, alpha)
+        for delta in deltas:
+            errs = ([err_of(add_noise(clean, delta / u_norm, seed + s), alpha)
+                     for s in range(n_seeds)] if delta > 0 else [trunc])
+            rows.append({"delta": delta, "alpha": alpha, "error": float(np.mean(errs)),
+                         "bound": delta * rate + trunc})
+    rows.sort(key=lambda r: (r["delta"], -r["alpha"]))
+    return rows
+
+
+def _assert_tables_agree(got, want, rel):
+    assert [(r["delta"], r["alpha"]) for r in got] == [(r["delta"], r["alpha"]) for r in want]
+    for key in ("error", "bound"):
+        a = np.array([r[key] for r in got])
+        b = np.array([r[key] for r in want])
+        assert np.abs(a - b).max() <= rel * np.abs(b).max(), key
+
+
 class TestStability:
     def test_table_properties(self, tmp_path, cache_dir):
         setup = setup_from_dict(SETUP)
@@ -521,6 +599,31 @@ class TestStability:
             assert zero["error"] == pytest.approx(zero["bound"], rel=1e-6, abs=1e-12)
             assert by[(1e-3, a)]["error"] <= by[(1e-2, a)]["error"] + 1e-12
             assert zero["error"] <= by[(1e-3, a)]["error"] + 1e-12
+
+    @pytest.mark.parametrize("fixture", ["disk_c5", "symset_disk_c5"])
+    def test_batched_table_matches_per_cell_reconstruction(self, fixture, request, monkeypatch):
+        basis, setup = _stability_case(request.getfixturevalue(fixture))
+        deltas, alphas = [0.0, 1e-3, 1e-2, 1e-3], _stability_alphas(basis)
+        want = _stability_by_cell(setup, basis, deltas, alphas, seed=4, n_seeds=3)
+        got = experiment_stability(setup, basis, deltas, alphas, seed=4, n_seeds=3)
+        _assert_tables_agree(got, want, 1e-12)
+        # one column per block: every block seam is crossed
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 1)
+        _assert_tables_agree(experiment_stability(setup, basis, deltas, alphas, seed=4, n_seeds=3),
+                             want, 1e-12)
+
+    def test_noise_drawn_once_per_delta_and_seed(self, disk_c5, monkeypatch):
+        basis, setup = _stability_case(disk_c5)
+        calls = []
+
+        def counting(data, delta, seed):
+            calls.append((delta, seed))
+            return add_noise(data, delta, seed)
+
+        monkeypatch.setattr(cli, "add_noise", counting)
+        experiment_stability(setup, basis, [0.0, 1e-3, 1e-2], [0.05, 0.02, 0.01], seed=7, n_seeds=2)
+        assert len(calls) == len(set(calls)) == 4
+        assert sorted(seed for _, seed in calls) == [7, 7, 8, 8]
 
     def test_stability_command(self, tmp_path, cache_dir, disk_basis_file):
         setup = write_setup(tmp_path)

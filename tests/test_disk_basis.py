@@ -105,6 +105,26 @@ class TestAgainstScipyReference:
             assert np.abs(values - want).max() <= 1e-13 * chain_values[mo.m], mo.key
 
 
+class TestNodeValuesOnLoad:
+    def test_loaded_node_values_match_mode_by_mode(self, disk_c5, tmp_path):
+        # the per-order products on load against one coeffs @ table product per mode
+        path = tmp_path / "disk.gpswf"
+        P.save_disk_basis(path, disk_c5)
+        loaded = P.load_basis(path)
+        n_r, n_t = loaded.quad_size
+        block = n_r * (n_t // 2)
+        r = np.hypot(loaded.quad.nodes[:block, 0], loaded.quad.nodes[:block, 1])
+        theta = np.arctan2(loaded.quad.nodes[:block, 1], loaded.quad.nodes[:block, 0])
+        ref = np.empty_like(loaded.node_values)
+        for i, mo in enumerate(loaded.modes):
+            radial = mo.coeffs @ zernike_radial_table(mo.m, loaded.truncation, r)
+            first = radial * (np.cos(mo.m * theta) if mo.ell == 1 else np.sin(mo.m * theta))
+            ref[i] = np.concatenate([first, (-1.0) ** mo.m * first])
+        assert np.abs(loaded.node_values - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(disk_c5.node_values - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert not loaded.node_values.flags.writeable
+
+
 class TestAssemble:
     def test_c_zero_decouples(self):
         tri = assemble_sl_matrix(0.0, 0, 3)

@@ -213,6 +213,20 @@ class TestZernikeRadial:
         assert zernike_radial(2, 1, 1.0) == pytest.approx(math.sqrt(10.0), rel=1e-15)
         assert zernike_radial_table(4, 0, r).shape == (0, 9)
 
+    @pytest.mark.parametrize("shape", [(), (37,), (5, 6)])
+    def test_all_orders_in_one_pass(self, shape):
+        # each order of the multi-order table is that order's own table, bitwise
+        r = np.random.default_rng(5).uniform(0.0, 1.0, shape)
+        orders = np.arange(21)
+        tables = zernike_radial_table(orders, 40, r)
+        assert tables.shape == (21, 40) + shape
+        for m in orders:
+            assert np.array_equal(tables[m], zernike_radial_table(int(m), 40, r)), m
+        assert np.array_equal(zernike_radial_table([4, 2], 7, r)[1], zernike_radial_table(2, 7, r))
+        assert zernike_radial_table([], 3, r).shape == (0, 3) + shape
+        with pytest.raises(ParameterError):
+            zernike_radial_table([0, -1], 3, r)
+
 
 class TestSymEig:
     def test_identity(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,55 @@ class TestPicardCoefficients:
         data = make_grid(scaled_c6, np.zeros(n, dtype=complex), flags=flags)
         with pytest.raises(DataCoverageError):
             picard_coefficients(data, scaled_c6)
+
+
+class TestProjection:
+    """The real-GEMM projection against the explicit psi_hat = psi / ||psi|| formula."""
+
+    @pytest.mark.parametrize("alpha", [1e-1, 1e-2, 1e-3])
+    def test_reconstruct_matches_explicit_psi_hat(self, disk_c5, alpha):
+        basis = P.scale_to_data_domain(disk_c5, 1.0)
+        rng = np.random.default_rng(11)
+        n = len(basis.quad)
+        flags = (rng.uniform(size=n) < 0.02).astype(np.uint8)
+        data = make_grid(basis, rng.standard_normal(n) + 1j * rng.standard_normal(n), flags)
+        rec = reconstruct_full(data, basis, alpha)
+        w = np.where(data.valid, data.weights, 0.0)
+        psi_hat = basis.node_values / basis.mode_norms[:, None]
+        keep = basis.keep(alpha)
+        coeffs = (psi_hat @ (w * data.values) / basis.mu)[keep]
+        node_field = coeffs @ psi_hat[keep]
+        predicted = (coeffs * basis.mu[keep]) @ psi_hat[keep]
+        residual = (np.sqrt(np.sum(w * np.abs(predicted - data.values) ** 2))
+                    / np.sqrt(np.sum(w * np.abs(data.values) ** 2)))
+        assert np.abs(rec.coefficients - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+        assert np.abs(rec.node_field - node_field).max() <= 1e-13 * np.abs(node_field).max()
+        assert abs(rec.diagnostics["residual"] - residual) <= 1e-13 * residual
+
+    def test_block_of_columns_matches_single_columns(self, scaled_c6):
+        rng = np.random.default_rng(4)
+        n = len(scaled_c6.quad)
+        values = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        block = picard_coefficients(make_grid(scaled_c6, values[:, 0]), scaled_c6, values)
+        assert block.shape == (len(scaled_c6.modes), 3)
+        for k in range(3):
+            single = picard_coefficients(make_grid(scaled_c6, values[:, k]), scaled_c6)
+            assert np.abs(block[:, k] - single).max() <= 1e-14 * np.abs(single).max()
+
+    def test_reconstruct_makes_no_modes_by_nodes_temporary(self, disk_c5):
+        # the node values are multiplied as real numbers: no psi_hat array and
+        # no complex copy of them, so the peak stays far below one modes x N array
+        basis = P.scale_to_data_domain(disk_c5, 1.0)
+        n = len(basis.quad)
+        data = make_grid(basis, np.exp(1j * np.arange(n) / 7.0))
+        reconstruct_full(data, basis, 1e-3)  # cached per-mode arrays are built outside the trace
+        tracemalloc.start()
+        try:
+            reconstruct_full(data, basis, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.node_values.nbytes / 4, peak
 
 
 class TestBetaOfAlpha:

@@ -115,6 +115,28 @@ class TestAreas:
         assert analytic_area(Geometry.disk(radius=1.5, h=2.0)) == pytest.approx(math.pi * 9.0)
 
 
+    @pytest.mark.parametrize("h", [1.0, 2.5])
+    def test_limited_closed_form_exact_values(self, h):
+        assert analytic_area(Geometry.limited_aperture(math.pi, h=h)) == pytest.approx(
+            4 * math.pi * h * h, rel=4e-16)
+        assert analytic_area(Geometry.limited_aperture(math.pi / 2, h=h)) == pytest.approx(
+            2 * math.pi * h * h, rel=4e-16)
+        # F(pi/4) = pi/2 - 1 and F(3pi/4) = 2 pi (see analytic_area)
+        assert analytic_area(Geometry.limited_aperture(math.pi / 4, h=h)) == pytest.approx(
+            (math.pi - 2) * h * h, rel=1e-15)
+        assert analytic_area(Geometry.limited_aperture(3 * math.pi / 4, h=h)) == pytest.approx(
+            (3 * math.pi + 2) * h * h, rel=1e-15)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.356, 2.9])
+    def test_limited_closed_form_matches_profile_sum(self, theta):
+        # the midpoint sum of rho^2 / 2 over 200,000 angles, accurate to about 1e-9
+        geo = Geometry.limited_aperture(theta, h=1.7)
+        n = 200_000
+        rho = radial_profile(geo, 2.0 * math.pi * (np.arange(n) + 0.5) / n)
+        summed = 0.5 * np.sum(rho**2) * (2.0 * math.pi / n) * geo.h**2
+        assert analytic_area(geo) == pytest.approx(summed, rel=1e-8)
+
+
 class TestBuildQuadrature:
     def test_disk_measure(self):
         quad = build_quadrature(Geometry.disk(radius=1.0), 400)
