@@ -18,7 +18,7 @@ import numpy as np
 from .disk_basis import DiskBasis, DiskMode, disk_basis_from_modes
 from .errors import CacheError, ParameterError
 from .numerics import QuadratureRule
-from .symset_basis import Geometry, SymSetBasis, SymSetMode
+from .symset_basis import Geometry, SymSetBasis
 
 __all__ = [
     "cache_key",
@@ -183,20 +183,16 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
 
 
 def _symset_basis(meta: dict, arrays: dict) -> SymSetBasis:
-    geometry = Geometry.from_dict(meta["geometry_params"])
-    quad = QuadratureRule(arrays["nodes"], arrays["weights"])
-    modes = []
-    for i in range(meta["n_modes"]):
-        vals = arrays["node_values"][i]
-        vals.flags.writeable = False
-        modes.append(SymSetMode(
-            parity="even" if arrays["parity"][i] == 0 else "odd",
-            alpha=complex(arrays["alpha"][i, 0], arrays["alpha"][i, 1]),
-            node_values=vals,
-        ))
-    return SymSetBasis(c=float(meta["c"]), geometry=geometry, quad=quad, modes=tuple(modes),
-                       spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"],
-                       complete=bool(meta["complete"]))
+    """The modes are row views of the loaded node-value array, which `node_values` returns."""
+    n = meta["n_modes"]
+    parity, alpha = arrays["parity"], arrays["alpha"]
+    return SymSetBasis.from_table(
+        arrays["node_values"][:n], ["even" if parity[i] == 0 else "odd" for i in range(n)],
+        [complex(alpha[i, 0], alpha[i, 1]) for i in range(n)],
+        c=float(meta["c"]), geometry=Geometry.from_dict(meta["geometry_params"]),
+        quad=QuadratureRule(arrays["nodes"], arrays["weights"]),
+        spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"],
+        complete=bool(meta["complete"]))
 
 
 def _basis(path, meta: dict, arrays: dict, symset: bool):

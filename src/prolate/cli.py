@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -212,26 +213,44 @@ def _cmd_ingest(args) -> int:
     if isinstance(basis, DiskBasis):
         raise ParameterError("ingest requires a symset basis or a scaled target; "
                              "build a symset disk basis for full-aperture targets")
-    rows = _read_rows(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y", "re", "im"],
-                      "far-field")
-    if not rows:
+    table = _read_columns(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y",
+                                         "re", "im"], "far-field")
+    if not len(table):
         raise ParameterError(f"{args.samples}: no far-field rows")
-    samples = [((t[0], t[1]), (t[2], t[3]), complex(t[4], t[5])) for t in rows]
-    data = ingest_farfield(samples, args.k, basis.quad, cutoff=args.cutoff,
-                           geometry=basis.geometry)
+    values = np.ascontiguousarray(table[:, 4:]).view(complex)[:, 0]
+    data = ingest_farfield(table[:, 0:2], table[:, 2:4], values, args.k, basis.quad,
+                           cutoff=args.cutoff, geometry=basis.geometry)
     write_datagrid(args.out, data)
     print(args.out)
     return 0
 
 
-def _read_rows(path: str, columns: list[str], what: str) -> list[list[float]]:
-    """The non-blank rows of a CSV file whose header starts with `columns`, as finite floats."""
+def _read_columns(path: str, columns: list[str], what: str) -> np.ndarray:
+    """The non-blank rows of a CSV file whose header starts with `columns`, as a
+    (rows, len(columns)) array of finite floats; fields past len(columns) are ignored.
+
+    The body is parsed in one `float` map when every row has exactly
+    len(columns) fields; a row with more fields, or any bad row, sends the
+    parse through `_floats` line by line, which names the first bad line.
+    """
+    count = len(columns)
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        if header[:len(columns)] != columns:
+        if header[:count] != columns:
             raise ParameterError(f"unexpected {what} columns {header}")
-        return [_floats(line, len(columns), f"{path} line {lineno}")
-                for lineno, line in enumerate(f, 2) if line.strip()]
+        lines = f.read().split("\n")
+    rows = list(filter(str.strip, lines))
+    if not rows:
+        return np.empty((0, count))
+    if set(map(str.count, rows, itertools.repeat(","))) == {count - 1}:
+        try:
+            table = np.array(list(map(float, ",".join(rows).split(",")))).reshape(-1, count)
+        except ValueError:
+            table = None
+        if table is not None and np.isfinite(table).all():
+            return table
+    return np.array([_floats(line, count, f"{path} line {lineno}")
+                     for lineno, line in enumerate(lines, 2) if line.strip()])
 
 
 def _floats(line: str, count: int, where: str) -> list[float]:
@@ -308,10 +327,9 @@ def _cmd_extrapolate(args) -> int:
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
     scaled = _scale_to_data(basis, data)
-    rows = _read_rows(args.targets, ["x", "y"], "target")
-    if not rows:
+    targets = _read_columns(args.targets, ["x", "y"], "target")
+    if not len(targets):
         raise ParameterError(f"{args.targets}: no target rows")
-    targets = np.array(rows)
     values = extrapolate(data, scaled, targets)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x,y,re,im\n")
@@ -384,6 +402,8 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
 
 
 def _cmd_stability(args) -> int:
+    if args.seeds < 1:
+        raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
     deltas = _flag_list("--deltas", args.deltas, positive=False)
     alphas = _flag_list("--alphas", args.alphas, positive=True)
     setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)

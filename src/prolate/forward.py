@@ -353,30 +353,37 @@ def far_field(q: ContrastField, x_hat, theta_hat, k: float) -> complex:
     return complex(k * k * _born_sum(q.pieces, k, p[None, :])[0])
 
 
-def ingest_farfield(samples, k: float, target: QuadratureRule,
+def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
                     cutoff: float | None = None, geometry: Geometry | None = None) -> DataGrid:
-    """Map far-field samples (x_hat, theta_hat, value) onto the p = theta_hat - x_hat
-    representation and resample onto the target rule.
+    """Map far-field samples (x_hat[j], theta_hat[j], values[j]) onto the
+    p = theta_hat - x_hat representation and resample onto the target rule.
 
-    Duplicate p points (to 1e-12) are averaged; target values come from
-    inverse-distance weighting of the 4 nearest samples; nodes farther than
-    `cutoff` from every sample are flagged missing (cutoff defaults to 3x the
-    median nearest-neighbor spacing of the samples).
+    x_hat and theta_hat are (n, 2) arrays of directions and values the n
+    far-field values; each sample becomes u(p) = values / k^2.  Duplicate p
+    points (to 1e-12) are averaged; target values come from inverse-distance
+    weighting of the 4 nearest samples; nodes farther than `cutoff` from every
+    sample are flagged missing (cutoff defaults to 3x the median
+    nearest-neighbor spacing of the samples).
     """
     if k <= 0.0:
         raise ParameterError("ingest_farfield requires k > 0")
+    x_hat = np.asarray(x_hat, dtype=float).reshape(-1, 2)
+    theta_hat = np.asarray(theta_hat, dtype=float).reshape(-1, 2)
+    values = np.asarray(values).reshape(-1)
+    if not len(x_hat) == len(theta_hat) == len(values):
+        raise ParameterError(f"ingest_farfield needs as many directions as values, got "
+                             f"{len(x_hat)} x_hat, {len(theta_hat)} theta_hat, {len(values)} values")
     n_t = len(target)
-    if len(samples) == 0:
+    if len(values) == 0:
         return DataGrid(nodes=target.nodes, weights=target.weights,
                         values=np.zeros(n_t, dtype=complex),
                         flags=np.ones(n_t, dtype=np.uint8),
                         meta={"kappa": None, "delta": 0.0, "seed": None}, geometry=geometry)
-    pts, vals = [], []
-    for x_hat, theta_hat, value in samples:
-        pts.append(np.asarray(theta_hat, dtype=float) - np.asarray(x_hat, dtype=float))
-        vals.append(complex(value) / k**2)
-    pts = np.array(pts)
-    vals = np.array(vals)
+    pts = theta_hat - x_hat
+    k2 = k**2
+    vals = np.empty(len(values), dtype=complex)
+    vals.real = values.real / k2  # the parts divided separately, as a complex by a real
+    vals.imag = values.imag / k2
     keys = np.round(pts / 1e-12).astype(np.int64)
     _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     merged_pts = np.zeros((len(counts), 2))

@@ -294,8 +294,12 @@ def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ParameterError("sym_eig requires a square matrix")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        # |a - a^T| <= 1e-12 max(1, max|a|) in one temporary; a NaN entry fails the test
+        asym = np.subtract(a, a.T)
+        np.abs(asym, out=asym)
+        if not asym.max(initial=0.0) <= 1e-12 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0)):
             raise ParameterError("sym_eig requires a symmetric matrix")
+        del asym
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -322,7 +322,33 @@ class SymSetBasis:
 
     @cached_property
     def node_values(self) -> np.ndarray:
+        """(modes, N) node values; a basis built by `from_table` returns its table, uncopied."""
         return _frozen([mo.node_values for mo in self.modes])
+
+    @classmethod
+    def from_table(cls, table, parities, alphas, **fields) -> "SymSetBasis":
+        """A basis whose modes are row views of one read-only (modes, N) node-value table.
+
+        `node_values` then returns the table itself, so the values are held once.
+        The remaining fields (c, geometry, quad, spectra, complete) pass through.
+        """
+        table = _frozen(table)
+        if table.shape != (len(parities), len(fields["quad"])) or len(alphas) != len(parities):
+            raise ParameterError(f"node-value table of shape {table.shape} does not match "
+                                 f"{len(parities)} parities, {len(alphas)} eigenvalues and "
+                                 f"{len(fields['quad'])} nodes")
+        modes = tuple(SymSetMode(parity=parity, alpha=alpha, node_values=row)
+                      for parity, alpha, row in zip(parities, alphas, table))
+        basis = cls(modes=modes, **fields)
+        basis.__dict__["node_values"] = table  # the cached property's value
+        return basis
+
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(rep, mirror[rep], number of pairs): the pair representatives, then the self-mirror nodes."""
+        mirror, pairs, fixed = _mirror_pairs(self.quad)
+        rep = np.concatenate([pairs, fixed])
+        return rep, mirror[rep], len(pairs)
 
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask {|mu_n| > alpha}."""
@@ -333,26 +359,40 @@ class SymSetBasis:
 
         psi_n(p) = sum_j k(c/h^2 p.p_j) w_j psi_n(p_j) / (h^2 beta_n) with k = cos
         for even and sin for odd modes: the node values inside A_h, the analytic
-        extension outside.  The node values are summed per parity first, so
-        each kernel is applied once, built in blocks of points of at most
-        _KERNEL_BLOCK entries.
+        extension outside.  The node values are summed per parity first (one
+        real product, g), so each kernel is applied once.  The kernels are even
+        and odd in p_j and the weights are mirror-symmetric, so each kernel runs
+        over the pair representatives r only, with folded values
+        w_r (g_r + g_-r) for cos and w_r (g_r - g_-r) for sin; a self-mirror
+        node (p = 0) adds w g once to the cos sum and nothing to the sin sum.
+        Kernels are built in blocks of points of at most _KERNEL_BLOCK entries.
         """
         weights = np.asarray(weights)
         xy = np.atleast_2d(np.asarray(pts, dtype=float))
         lam = self.geometry.h**2 * np.array([mo.beta for mo in self.modes])
         even = np.array([mo.parity == "even" for mo in self.modes])
         live = weights != 0
-        folded = []  # (kernel, quadrature weights times the parity's folded node values)
-        for sel, kernel in ((even & live, np.cos), (~even & live, np.sin)):
-            if sel.any():
-                g = (weights[sel] / lam[sel]) @ self.node_values[sel]
-                folded.append((kernel, self.quad.weights * g))
+        rep, mirrored, n_pairs = self._fold
+        scaled = weights / lam
+        g = real_matmul(self.node_values.T, np.stack([np.where(even, scaled, 0.0),
+                                                      np.where(even, 0.0, scaled)], axis=1))
+        w = self.quad.weights[rep]
+        folded = []  # (kernel, folded values on the representatives)
+        if (even & live).any():
+            f = w * (g[rep, 0] + g[mirrored, 0])
+            f[n_pairs:] *= 0.5  # a self-mirror node counts once
+            folded.append((np.cos, f))
+        if (~even & live).any():
+            folded.append((np.sin, w * (g[rep, 1] - g[mirrored, 1])))
         out = np.zeros(len(xy), dtype=np.result_type(weights, float))
-        block = max(1, _KERNEL_BLOCK // len(self.quad))
+        nodes = self.quad.nodes[rep]
+        block = max(1, _KERNEL_BLOCK // len(rep))
         for lo in range(0, len(xy), block):
-            gram = self.kernel_scale * (xy[lo:lo + block] @ self.quad.nodes.T)
-            for kernel, f in folded:
-                out[lo:lo + block] += real_matmul(kernel(gram), f)
+            gram = self.kernel_scale * (xy[lo:lo + block] @ nodes.T)
+            for i, (kernel, f) in enumerate(folded):
+                # the last kernel overwrites the gram in place
+                table = kernel(gram, out=gram) if i == len(folded) - 1 else kernel(gram)
+                out[lo:lo + block] += real_matmul(table, f)
         return out[0] if np.ndim(pts) == 1 else out
 
 
@@ -450,9 +490,9 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
     # mirror nodes and does not depend on the eigensolver.
     t = pts @ np.array(SIGN_DIRECTION) / geometry.h
     probe = w * np.exp(t) * np.cos((c / geometry.h) * t + 0.25 * np.pi)
-    modes: list[SymSetMode] = []
+    parities, alphas, table = [], [], []
     for negabs, _, _, parity, lam, v in candidates:
-        if len(modes) >= n_modes:
+        if len(table) >= n_modes:
             break
         if -negabs < floor:
             continue
@@ -461,11 +501,13 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         vv = scale * v
         if np.dot(probe, vv) < 0.0:
             vv = -vv
-        vv.flags.writeable = False
-        modes.append(SymSetMode(parity=parity, alpha=alpha, node_values=vv))
-    return SymSetBasis(c=float(c), geometry=geometry, quad=quad, modes=tuple(modes),
-                       spectrum_even=spectra["even"], spectrum_odd=spectra["odd"],
-                       complete=len(modes) >= n_modes)
+        parities.append(parity)
+        alphas.append(alpha)
+        table.append(vv)
+    return SymSetBasis.from_table(np.reshape(table, (len(table), len(quad))), parities, alphas,
+                                  c=float(c), geometry=geometry, quad=quad,
+                                  spectrum_even=spectra["even"], spectrum_odd=spectra["odd"],
+                                  complete=len(table) >= n_modes)
 
 
 def eval_symset_psi(basis: SymSetBasis, n: int, p) -> float | np.ndarray:

@@ -55,6 +55,19 @@ class TestSymsetRoundTrip:
         assert np.array_equal(back.spectrum_even, symset_disk_c5.spectrum_even)
         assert np.array_equal(back.spectrum_odd, symset_disk_c5.spectrum_odd)
 
+    def test_node_values_held_once(self, symset_disk_c5, tmp_path):
+        path = tmp_path / "sym.gpswf"
+        save_symset_basis(path, symset_disk_c5)
+        back = load_symset_basis(path)
+        table = back.node_values
+        assert table.shape == (len(back.modes), len(back.quad))
+        assert not table.flags.writeable
+        for i, mo in enumerate(back.modes):
+            assert np.shares_memory(mo.node_values, table)
+            assert np.array_equal(mo.node_values, table[i])
+            assert not mo.node_values.flags.writeable
+        assert back.node_values is table  # returned again, not restacked
+
     def test_limited_geometry_label(self, tmp_path):
         geo = P.Geometry.limited_aperture(2.0, h=1.5)
         quad = P.build_quadrature(geo, 48, method="polar")

@@ -277,6 +277,118 @@ def _exit_and_error(capsys, argv):
     return code, err
 
 
+def _per_row_ingest(samples, k, basis):
+    """The far-field ingest one row at a time: each row's first six fields
+    parsed by float(), p = theta_hat - x_hat and value / k^2 formed per row.
+    The per-row samples are handed to ingest_farfield with x_hat = 0 and
+    k = 1, under which its own mapping leaves them bit for bit unchanged."""
+    with open(samples, encoding="utf-8") as f:
+        f.readline()
+        rows = [[float(v) for v in line.strip().split(",")[:6]] for line in f if line.strip()]
+    pts = [np.asarray(r[2:4]) - np.asarray(r[0:2]) for r in rows]
+    vals = [complex(r[4], r[5]) / k**2 for r in rows]
+    return P.ingest_farfield(np.zeros((len(rows), 2)), pts, vals, 1.0, basis.quad,
+                             geometry=basis.geometry)
+
+
+class TestIngestArrayPath:
+    """`ingest` parses the far-field file in one pass and maps it with array
+    arithmetic; its output is byte-identical to the per-row mapping."""
+
+    @pytest.mark.parametrize("geometry", [["--geometry", "L", "--theta", "2.2"],
+                                          ["--geometry", "M", "--x-star=0.6,-0.8"]])
+    def test_byte_identical_to_per_row_reference(self, tmp_path, cache_dir, capsys, geometry):
+        assert run(["basis", "symset", *geometry, "--c", "3.0", "--resolution", "40",
+                    "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        basis = P.load_basis(basis_file)
+        rng = np.random.default_rng(8)
+        t = rng.uniform(-math.pi, math.pi, (2, 150))
+        x_hat = np.stack([np.cos(t[0]), np.sin(t[0])], axis=1)
+        theta_hat = np.stack([np.cos(t[1]), np.sin(t[1])], axis=1)
+        theta_hat[:20] = x_hat[:20]  # twenty samples merge at p = 0
+        node = basis.quad.nodes[7]
+        x_hat = np.concatenate([x_hat, [[0.0, 0.0], [0.0, 0.0]]])
+        theta_hat = np.concatenate([theta_hat, [node, node]])  # a duplicate exact hit
+        values = rng.standard_normal((len(x_hat), 2)) * [[1e3, 1e-3]]
+        rows = ["xhat_x,xhat_y,thetahat_x,thetahat_y,re,im"]
+        rows += [",".join(map(repr, r)) for r in np.column_stack([x_hat, theta_hat,
+                                                                   values]).tolist()]
+        samples = tmp_path / "ff.csv"
+        samples.write_text("\n".join(rows) + "\n")
+        out, ref = tmp_path / "ing.csv", tmp_path / "ref.csv"
+        assert run(["ingest", str(samples), "--k", "1.7", "--basis", basis_file,
+                    "-o", str(out)]) == 0
+        want = _per_row_ingest(samples, 1.7, basis)
+        P.write_datagrid(ref, want)
+        assert out.read_bytes() == ref.read_bytes()
+        # the exact-hit node takes the mean of its two samples, not an interpolation
+        hit = np.flatnonzero(np.all(basis.quad.nodes == node, axis=1))
+        a, b = (complex(*v) / 1.7**2 for v in values[-2:])
+        assert want.values[hit[0]] == (a + b) / 2
+
+    def test_blank_lines_and_extra_columns(self, tmp_path, cache_dir, capsys):
+        # rows with a seventh field or blank lines take the line-by-line parse
+        assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
+                    "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        body = ["1.0,0.0,0.0,1.0,0.5,0.1", "0.0,1.0,-1.0,0.0,-0.25,2.0",
+                "0.6,0.8,0.8,-0.6,1e-3,-4.5"]
+        plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        plain.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n" + "\n".join(body) + "\n")
+        extra.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im,note\n\n"
+                         + "\n  \n".join(r + ",x" for r in body) + "\n\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for samples, out in ((plain, a), (extra, b)):
+            assert run(["ingest", str(samples), "--k", "1.0", "--basis", basis_file,
+                        "-o", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("header,body,message", [
+        ("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im", "1.0,0.0,-1.0,0.0,abc,0.0",
+         "line 4: malformed row '1.0,0.0,-1.0,0.0,abc,0.0'"),
+        ("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im", "  1.0,0.0,-1.0,0.0,0.5  ",
+         "line 4: expected 6 fields, got '1.0,0.0,-1.0,0.0,0.5'"),
+        ("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im", "1.0,0.0,-1.0,0.0,nan,0.0,7",
+         "line 4: non-finite number in row '1.0,0.0,-1.0,0.0,nan,0.0,7'"),
+        ("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im", "1.0,0.0,-1.0,0.0,1e999,0.0",
+         "line 4: non-finite number in row '1.0,0.0,-1.0,0.0,1e999,0.0'"),
+        ("xhat_x,xhat_y,thetahat_x,re,im", "1.0,0.0,-1.0,0.0,0.5,0.1",
+         "unexpected far-field columns ['xhat_x', 'xhat_y', 'thetahat_x', 're', 'im']"),
+    ])
+    def test_far_field_messages(self, tmp_path, cache_dir, capsys, header, body, message):
+        assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
+                    "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples = tmp_path / "ff.csv"
+        # the bad row is the second of three data rows, after a blank line
+        samples.write_text(f"{header}\n1.0,0.0,0.0,1.0,0.5,0.1\n\n{body}\n0.0,1.0,1.0,0.0,abc,0\n")
+        out = tmp_path / "ing.csv"
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "1.0",
+                                             "--basis", basis_file, "-o", str(out)])
+        where = "" if message.startswith("unexpected") else f"{samples} "
+        assert (code, err) == (2, [f"error: {where}{message}"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body,message", [
+        ("1.0,abc", "line 3: malformed row '1.0,abc'"),
+        ("3.5", "line 3: expected 2 fields, got '3.5'"),
+        ("-inf,0.0", "line 3: non-finite number in row '-inf,0.0'"),
+    ])
+    def test_target_messages(self, tmp_path, disk_basis_file, capsys, body, message):
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        targets = tmp_path / "targets.csv"
+        targets.write_text(f"x,y\n3.5,1.0\n{body}\n")
+        out = tmp_path / "ext.csv"
+        code, err = _exit_and_error(capsys, ["extrapolate", str(data), "--basis",
+                                             disk_basis_file, "--targets", str(targets),
+                                             "-o", str(out)])
+        assert (code, err) == (2, [f"error: {targets} {message}"])
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     """A nan or inf in an input file exits 2 with one stderr line and no output."""
 
@@ -455,6 +567,16 @@ class TestBadFlags:
                                              f"--deltas={argv['--deltas']}",
                                              f"--alphas={argv['--alphas']}", "-o", str(out)])
         assert code == 2 and len(err) == 1 and flag in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_stability_seeds(self, tmp_path, disk_basis_file, capsys, seeds):
+        out = tmp_path / "table.csv"
+        code, err = _exit_and_error(capsys, ["stability", str(write_setup(tmp_path)),
+                                             "--basis", disk_basis_file, "--deltas", "0,1e-3",
+                                             "--alphas", "0.05", f"--seeds={seeds}",
+                                             "-o", str(out)])
+        assert code == 2 and len(err) == 1 and "--seeds" in err[0], err
         assert not out.exists()
 
     def test_symset_resolution_over_memory_budget(self, cache_dir, capsys):

@@ -109,3 +109,51 @@ def test_disk_reconstruction_field_off_nodes(scaled_c6):
         @ scaled_c6.node_values[keep]
     want = quadrature_extension(scaled_c6, g, pts)
     assert np.abs(rec.field(pts) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def symset_M():
+    geo = P.Geometry.multi_freq((0.6, 0.8), h=1.0)
+    quad = P.build_quadrature(geo, 64, method="polar")
+    return P.compute_symset_basis(3.0, geo, quad, 16)
+
+
+@pytest.fixture(scope="module")
+def symset_L_odd_midpoint():
+    """An odd midpoint grid: its centre node p = 0 is its own mirror."""
+    geo = P.Geometry.limited_aperture(0.75 * math.pi, h=1.0)
+    quad = P.build_quadrature(geo, 33, method="midpoint")
+    assert np.count_nonzero(np.all(quad.nodes == 0.0, axis=1)) == 1
+    return P.compute_symset_basis(3.0, geo, quad, 16)
+
+
+def unfolded_sum(basis, w, pts):
+    """sum_n w_n psi_n(pts) as a kernel sum over every node, per parity."""
+    lam = basis.geometry.h**2 * np.array([mo.beta for mo in basis.modes])
+    even = np.array([mo.parity == "even" for mo in basis.modes])
+    gram = basis.kernel_scale * (pts @ basis.quad.nodes.T)
+    out = np.zeros(len(pts), dtype=np.result_type(w, float))
+    for sel, kernel in ((even, np.cos), (~even, np.sin)):
+        g = (w[sel] / lam[sel]) @ basis.node_values[sel]
+        out += kernel(gram) @ (basis.quad.weights * g)
+    return out
+
+
+@pytest.mark.parametrize("name", ["symset_L", "symset_M", "symset_L_odd_midpoint"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_pair_folded_matches_all_node_sum(request, name, kind):
+    # the fold runs each kernel over one node of each mirror pair
+    basis = request.getfixturevalue(name)
+    w = mode_weights(basis, kind, seed=5)
+    pts = np.concatenate([basis.quad.nodes[::11], exterior_points(basis),
+                          np.zeros((1, 2))])
+    want = unfolded_sum(basis, w, pts)
+    got = basis.combine(w, pts)
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # one parity only: the other kernel is skipped
+    for parity in ("even", "odd"):
+        sel = np.array([mo.parity == parity for mo in basis.modes])
+        one = np.where(sel, w, 0.0)
+        want = unfolded_sum(basis, one, pts)
+        assert np.abs(basis.combine(one, pts) - want).max() <= 1e-13 * np.abs(want).max()

@@ -264,8 +264,7 @@ class TestIngest:
     def test_coincident_directions_land_at_origin(self):
         target = disk_polar_rule(2.0, 8, 8)
         d = np.array([1.0, 0.0])
-        samples = [(d, d, 3.0 + 0j)]
-        data = ingest_farfield(samples, 2.0, target, cutoff=5.0)
+        data = ingest_farfield([d], [d], [3.0 + 0j], 2.0, target, cutoff=5.0)
         # every target value comes from the single sample at p = 0
         assert np.allclose(data.values[data.valid], 3.0 / 4.0)
 
@@ -282,7 +281,7 @@ class TestIngest:
             for th, v in zip(dirs, born):
                 samples.append((xh, th, k * k * v))
         target = disk_polar_rule(2.0, 24, 32)
-        data = ingest_farfield(samples, k, target)
+        data = ingest_farfield(*map(np.array, zip(*samples)), k, target)
         want = synthesize_born(q, k, target).values
         assert not data.flags.any()
         err = np.abs(data.values - want).max() / np.abs(want).max()
@@ -290,20 +289,20 @@ class TestIngest:
 
     def test_empty_samples_all_missing(self):
         target = disk_polar_rule(1.0, 6, 8)
-        data = ingest_farfield([], 1.0, target)
+        data = ingest_farfield([], [], [], 1.0, target)
         assert data.flags.all()
 
     def test_duplicate_p_points_averaged(self):
         target = P.QuadratureRule(np.array([[0.0, 1e-15]]), np.array([1.0]))
         d1, d2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        samples = [(d1, d1, 2.0 + 0j), (d2, d2, 4.0 + 0j)]  # both land at p = 0
-        data = ingest_farfield(samples, 1.0, target, cutoff=1.0)
+        # both samples land at p = 0
+        data = ingest_farfield([d1, d2], [d1, d2], [2.0 + 0j, 4.0 + 0j], 1.0, target, cutoff=1.0)
         assert data.values[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_far_targets_flagged_missing(self):
         target = P.QuadratureRule(np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([1.0, 1.0]))
         d = np.array([1.0, 0.0])
-        data = ingest_farfield([(d, d, 1.0 + 0j)], 1.0, target, cutoff=0.5)
+        data = ingest_farfield([d], [d], [1.0 + 0j], 1.0, target, cutoff=0.5)
         assert data.flags.tolist() == [0, 1]
         assert data.values[1] == 0.0
 

@@ -266,6 +266,24 @@ class TestSymEig:
         with pytest.raises(ParameterError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_nan(self, where):
+        a = np.eye(3)
+        a[where] = a[where[::-1]] = np.nan
+        with pytest.raises(ParameterError, match="symmetric"):
+            sym_eig(a)
+
+    def test_symmetry_tolerance_scales_with_the_largest_entry(self):
+        # |a - a^T| <= 1e-12 max(1, max|a|): a skew of 1e-13 max|a| passes, 1e-11 fails
+        a = np.diag([-1e6, 2.0, 3.0])
+        a[0, 1] = a[1, 0] = 5.0
+        b = a.copy()
+        b[0, 1] += 1e-7
+        assert len(sym_eig(b)[0]) == 3
+        b[0, 1] += 1e-5
+        with pytest.raises(ParameterError):
+            sym_eig(b)
+
     def test_single_entry_tridiagonal(self):
         vals, vecs = sym_eig(SymmetricTridiagonal(np.array([3.5]), np.array([])))
         assert np.array_equal(vals, [3.5]) and np.array_equal(np.abs(vecs), [[1.0]])
