@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -136,11 +137,16 @@ def _geometry_from_args(args) -> Geometry:
         if args.theta is None:
             raise ParameterError("geometry L requires --theta")
         return Geometry.limited_aperture(args.theta, h=args.h)
-    x = [float(t) for t in args.x_star.split(",")]
-    return Geometry.multi_freq(x, h=args.h)
+    return Geometry.multi_freq(_numbers("--x-star", args.x_star), h=args.h)
 
 
 def _cmd_basis(args) -> int:
+    _flag("--c", args.c, positive=True)
+    if args.basis_kind == "symset":
+        _flag("--h", args.h, positive=True)
+        _flag("--radius", args.radius, positive=True)
+        if args.theta is not None:
+            _flag("--theta", args.theta, positive=True)
     path, params = _basis_cache_path(args)
     if os.path.exists(path):
         try:
@@ -209,6 +215,9 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    _flag("--k", args.k, positive=True)
+    if args.cutoff is not None:
+        _flag("--cutoff", args.cutoff, positive=True)
     basis = cachemod.load_basis(args.basis)
     if isinstance(basis, DiskBasis):
         raise ParameterError("ingest requires a symset basis or a scaled target; "
@@ -275,13 +284,42 @@ def _flag(name: str, value: float, positive: bool) -> float:
     return value
 
 
-def _flag_list(name: str, text: str, positive: bool) -> list[float]:
-    """A comma-separated numeric flag, each value checked as by `_flag`."""
+def _numbers(name: str, text: str) -> list[float]:
+    """A comma-separated numeric flag as finite floats."""
     try:
         values = [float(t) for t in text.split(",")]
     except ValueError:
         raise ParameterError(f"{name} must be comma-separated numbers, got {text!r}") from None
-    return [_flag(name, v, positive) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"{name} must be finite numbers, got {text!r}")
+    return values
+
+
+def _flag_list(name: str, text: str, positive: bool) -> list[float]:
+    """A comma-separated numeric flag, each value checked as by `_flag`."""
+    return [_flag(name, v, positive) for v in _numbers(name, text)]
+
+
+# Flags whose value is a comma-separated list of numbers.
+_LIST_FLAGS = ("--x-star", "--deltas", "--alphas")
+_SIGNED_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_list_values(argv) -> list[str]:
+    """argv with a list flag and a following value that starts with '-' joined
+    as `--flag=value`.
+
+    argparse reads a separate argument that starts with '-' as an option
+    unless it is one negative number, so `--x-star -0.6,0.8` would be a usage
+    error; joined, it is the value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _scale_to_data(basis: DiskBasis, data):
@@ -419,7 +457,7 @@ def _cmd_stability(args) -> int:
 
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_list_values(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     handlers = {

@@ -41,7 +41,9 @@ from .errors import ParameterError
 from .numerics import (
     QuadratureRule,
     SymmetricTridiagonal,
+    _from_real_columns,
     _frozen,
+    _real_columns,
     bessel_table,
     disk_polar_rule,
     gauss_legendre_01,
@@ -103,15 +105,23 @@ class DiskBasis:
     There psi_r(x) = psi(x / r) / r satisfies the Fourier eigenrelation with
     kernel exp(i (c / r^2) p.p') and eigenvalue r^2 alpha, and keeps unit plane
     energy and squared norm (c / 2 pi)^2 |alpha|^2 on the disk.
-    `node_values[i]` holds mode i sampled on `quad.nodes`; modes are ordered by
-    (m + 2n, m, ell).
+    Modes are ordered by (m + 2n, m, ell).
+
+    `quad` is the n_r x n_t polar rule: n_r rings, each with the n_t / 2
+    angles `angles` of a half circle and their mirrors theta + pi, where mode
+    (m, ell) takes (-1)^m its value.  A mode is R(r) Y(theta) on the rule,
+    so the basis holds `radial[i]`, R_i at the rule's radii on the unit
+    disk, and no (modes, N) table: `inner` and `on_nodes` give the products
+    with the node values ring by ring, and `node_values` builds the table on
+    first use.
     """
 
     c: float
     truncation: int
     modes: tuple[DiskMode, ...]
     quad: QuadratureRule
-    node_values: np.ndarray
+    radial: np.ndarray
+    angles: np.ndarray
     quad_size: tuple[int, int] = (0, 0)
     radius: float = 1.0
 
@@ -137,6 +147,89 @@ class DiskBasis:
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask of the index set J(alpha) = {chi < 1/alpha}."""
         return self.chis < 1.0 / alpha
+
+    @cached_property
+    def node_values(self) -> np.ndarray:
+        """(modes, N) samples of the modes on `quad.nodes`, built on first use.
+
+        Per azimuthal order, the radial factors times cos or sin(m theta) on
+        the first half of the angles and (-1)^m that on the rest, divided by
+        `radius`.
+        """
+        n_r, half = self.radial.shape[1], len(self.angles)
+        table = np.empty((len(self.modes), 2 * n_r * half))
+        orders = np.array([mo.m for mo in self.modes])
+        for m in np.unique(orders):
+            idx = np.flatnonzero(orders == m)
+            Y = np.stack([np.cos(m * self.angles), np.sin(m * self.angles)])
+            Y = Y[[self.modes[i].ell - 1 for i in idx]]
+            first = (self.radial[idx][:, :, None] * Y[:, None, :]).reshape(len(idx), n_r * half)
+            table[idx] = np.hstack([first, -first if m % 2 else first])
+        table /= self.radius
+        return _frozen(table)
+
+    @cached_property
+    def _rings(self) -> tuple[np.ndarray, list]:
+        """The angular table and the radial blocks that `inner` and `on_nodes` apply.
+
+        The table is (2 half, 2 (m_max + 1)): column m holds cos(m theta) and
+        column m_max + 1 + m sin(m theta), in the first half of the rows for
+        even m and the second half for odd m, zero elsewhere.  The blocks are
+        (column, mode indices, their radial factors) per (m, ell).
+        """
+        orders = np.array([mo.m for mo in self.modes], dtype=int)
+        top = int(orders.max(initial=0))
+        half = len(self.angles)
+        phase = np.outer(self.angles, np.arange(top + 1))
+        trig = np.zeros((2, half, 2 * (top + 1)))
+        for parity in (0, 1):
+            trig[parity, :, parity:top + 1:2] = np.cos(phase[:, parity::2])
+            trig[parity, :, top + 1 + parity::2] = np.sin(phase[:, parity::2])
+        ells = np.array([mo.ell for mo in self.modes], dtype=int)
+        blocks = []
+        for m, ell in sorted({(mo.m, mo.ell) for mo in self.modes}):
+            idx = np.flatnonzero((orders == m) & (ells == ell))
+            blocks.append((m if ell == 1 else top + 1 + m, idx, self.radial[idx]))
+        return trig.reshape(2 * half, -1), blocks
+
+    def inner(self, weighted) -> np.ndarray:
+        """node_values @ weighted for node samples, (N,) or (N, k), real or complex.
+
+        The sum over the mirrored half of the rule folds onto the first half
+        as f(p) + f(-p) for even m and f(p) - f(-p) for odd m.  One real
+        product with the angular table sums every ring of both folds, and one
+        product with the radial factors per (m, ell) sums the rings.  Costs
+        O(N m_max + modes n_r) per column.
+        """
+        trig, blocks = self._rings
+        f = _real_columns(weighted)
+        n_r, half, k = self.radial.shape[1], len(self.angles), f.shape[1]
+        f = f.reshape(2, n_r, half, k).transpose(0, 2, 1, 3)  # (mirror half, angle, ring, column)
+        folded = np.empty((2, half, n_r, k))
+        np.add(f[0], f[1], out=folded[0])
+        np.subtract(f[0], f[1], out=folded[1])
+        rings = (trig.T @ folded.reshape(2 * half, n_r * k)).reshape(-1, n_r, k)
+        out = np.empty((len(self.modes), k))
+        for col, idx, radial in blocks:
+            out[idx] = radial @ rings[col]
+        out /= self.radius
+        return _from_real_columns(out, weighted)
+
+    def on_nodes(self, weights) -> np.ndarray:
+        """node_values.T @ weights for per-mode weights, (modes,) or (modes, k): the
+        steps of `inner` transposed, so the same cost."""
+        trig, blocks = self._rings
+        g = _real_columns(weights)
+        n_r, half, k = self.radial.shape[1], len(self.angles), g.shape[1]
+        rings = np.zeros((trig.shape[1], n_r, k))
+        for col, idx, radial in blocks:
+            rings[col] = radial.T @ g[idx]
+        halves = (trig @ rings.reshape(-1, n_r * k)).reshape(2, half, n_r, k).transpose(0, 2, 1, 3)
+        out = np.empty((2, n_r, half, k))  # (mirror half, ring, angle, column)
+        np.add(halves[0], halves[1], out=out[0])
+        np.subtract(halves[0], halves[1], out=out[1])
+        out /= self.radius
+        return _from_real_columns(out.reshape(2 * n_r * half, k), weights)
 
     def combine(self, weights, pts) -> np.ndarray:
         """sum_i weights[i] psi_i(pts) anywhere in the plane; a scalar for one point.
@@ -288,12 +381,11 @@ def compute_disk_basis(c: float, m_max: int, n_max: int,
 
 
 def disk_basis_from_modes(c: float, J: int, modes, n_r: int, n_t: int) -> DiskBasis:
-    """The unit-disk basis of sorted `modes`, sampled on the n_r x n_t polar rule.
+    """The unit-disk basis of sorted `modes` on the n_r x n_t polar rule.
 
-    Samples use the rule's tensor structure: a radial times an angular factor
-    on the first half of the angles, and psi(-p) = (-1)^m psi(p) on the rest.
+    The radii and angles are read off the rule's first rings and first angles.
     One pass gives the Zernike tables of all orders; per order, one product
-    gives the radial factors and one broadcast their cos or sin(m theta) factor.
+    gives the radial factors of its modes.
     """
     quad = disk_polar_rule(1.0, n_r, n_t)
     half = n_t // 2
@@ -302,16 +394,12 @@ def disk_basis_from_modes(c: float, J: int, modes, n_r: int, n_t: int) -> DiskBa
     theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
     orders = np.array([mo.m for mo in modes])
     tables = zernike_radial_table(np.arange(orders.max(initial=0) + 1), J, r)
-    node_values = np.empty((len(modes), len(quad)))
+    radial = np.empty((len(modes), n_r))
     for m in np.unique(orders):
         idx = np.flatnonzero(orders == m)
-        radial = np.array([modes[i].coeffs for i in idx]) @ tables[m]
-        Y = np.stack([np.cos(m * theta), np.sin(m * theta)])[[modes[i].ell - 1 for i in idx]]
-        first = (radial[:, :, None] * Y[:, None, :]).reshape(len(idx), block)
-        node_values[idx] = np.hstack([first, -first if m % 2 else first])
-    node_values.flags.writeable = False
+        radial[idx] = np.array([modes[i].coeffs for i in idx]) @ tables[m]
     return DiskBasis(c=float(c), truncation=int(J), modes=tuple(modes), quad=quad,
-                     node_values=node_values, quad_size=(n_r, n_t))
+                     radial=_frozen(radial), angles=_frozen(theta), quad_size=(n_r, n_t))
 
 
 def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:
@@ -328,9 +416,7 @@ def scale_to_data_domain(basis: DiskBasis, k: float) -> DiskBasis:
     rho = basis.c / (2.0 * k)
     s = rho / basis.radius
     quad = QuadratureRule(s * basis.quad.nodes, s**2 * basis.quad.weights)
-    node_values = basis.node_values / s
-    node_values.flags.writeable = False
-    return replace(basis, radius=rho, quad=quad, node_values=node_values)
+    return replace(basis, radius=rho, quad=quad)
 
 
 def with_perturbed_alpha(basis: DiskBasis, index: int, factor: float) -> DiskBasis:

@@ -8,7 +8,9 @@ k^2 u(theta_hat - x_hat).
 
 from __future__ import annotations
 
+import io
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -353,6 +355,22 @@ def far_field(q: ContrastField, x_hat, theta_hat, k: float) -> complex:
     return complex(k * k * _born_sum(q.pieces, k, p[None, :])[0])
 
 
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The group of each row of the (n, 2) keys and each group's size, the
+    groups being the distinct rows in lexicographic order, as from
+    np.unique(keys, axis=0, return_inverse=True, return_counts=True).
+
+    One lexsort of the two columns; a group starts wherever a sorted row
+    differs from the one before it.
+    """
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return inverse, np.diff(np.append(np.flatnonzero(start), len(order)))
+
+
 def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
                     cutoff: float | None = None, geometry: Geometry | None = None) -> DataGrid:
     """Map far-field samples (x_hat[j], theta_hat[j], values[j]) onto the
@@ -384,8 +402,7 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
     vals = np.empty(len(values), dtype=complex)
     vals.real = values.real / k2  # the parts divided separately, as a complex by a real
     vals.imag = values.imag / k2
-    keys = np.round(pts / 1e-12).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inverse, counts = _group_rows(np.round(pts / 1e-12).astype(np.int64))
     merged_pts = np.zeros((len(counts), 2))
     merged_vals = np.zeros(len(counts), dtype=complex)
     np.add.at(merged_pts, inverse, pts)
@@ -469,6 +486,12 @@ def _json_safe(v) -> bool:
     return isinstance(v, (int, float, str, bool, type(None)))
 
 
+def _split_columns(numbers: np.ndarray, flags: np.ndarray):
+    """Nodes, weights, values and flags from the (rows, 5) numbers and the flags."""
+    values = np.ascontiguousarray(numbers[:, 3:]).view(complex)[:, 0]  # re, im bit for bit
+    return numbers[:, :2], numbers[:, 2], values, flags
+
+
 def _data_columns(rows: list[str]):
     """The columns of the data rows, parsed in one pass over all their fields.
 
@@ -479,12 +502,35 @@ def _data_columns(rows: list[str]):
     fields = ",".join(rows).split(",") if rows else []
     flags = np.array(list(map(int, fields[5::6])), dtype=np.uint8)
     del fields[5::6]
-    numbers = np.array(list(map(float, fields))).reshape(-1, 5)
-    values = np.ascontiguousarray(numbers[:, 3:]).view(complex)[:, 0]  # re, im bit for bit
-    return numbers[:, :2], numbers[:, 2], values, flags
+    return _split_columns(np.array(list(map(float, fields))).reshape(-1, 5), flags)
 
 
 _ROW_ERRORS = (ValueError, OverflowError)
+_ROW_DTYPE = np.dtype([("numbers", "<f8", (5,)), ("flag", "u1")])
+# Field padding that numpy's reader strips and `float` and `int` refuse.
+_READER_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _loadtxt_columns(body: str):
+    """The columns of the data rows from one `np.loadtxt` call, or None where it
+    refuses the body, warns, or might accept a field that `_data_columns` refuses.
+
+    Where the reader accepts a body, each field reads as `float` or `int`
+    reads it, so `_data_columns` gives the same arrays; a body it refuses
+    (a blank line of spaces, `1_0`, a flag of 1.0 or 300, a row of the wrong
+    length) goes through `_data_columns`, which accepts or names a bad line.
+    """
+    if any(ch in body for ch in _READER_ONLY_SPACE):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy < 2 only warns where it reads an int as a float
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",",
+                               comments=None, ndmin=1)
+        except _ROW_ERRORS + (Warning,):
+            return None
+    return _split_columns(np.ascontiguousarray(table["numbers"]),
+                          np.ascontiguousarray(table["flag"]))
 
 
 def _malformed_row(path) -> ParameterError:
@@ -506,11 +552,14 @@ def read_datagrid(path) -> DataGrid:
         cols = f.readline().strip().split(",")
         if cols != ["px", "py", "weight", "re", "im", "flag"]:
             raise ParameterError(f"unexpected data columns {cols}")
-        rows = [line for line in f.read().split("\n") if line.strip()]
-    try:
-        nodes, weights, values, flags = _data_columns(rows)
-    except _ROW_ERRORS:
-        raise _malformed_row(path) from None
+        body = f.read()
+    columns = _loadtxt_columns(body)
+    if columns is None:
+        try:
+            columns = _data_columns([line for line in body.split("\n") if line.strip()])
+        except _ROW_ERRORS:
+            raise _malformed_row(path) from None
+    nodes, weights, values, flags = columns
     check_keys(header, ("count",), f"{path} header")
     if len(values) != header["count"]:
         raise ParameterError("row count does not match header")

@@ -220,6 +220,9 @@ def zernike_radial_table(m, count: int, r) -> np.ndarray:
     is exact at r = 1 (every P_j(1) = 1) and the plain form accumulates
     rounding, and the plain form near y = -1, where the roles reverse.
 
+    The coefficients of every degree come from one vector step, and a_j u is
+    written into row j of the table until the recurrence reaches it.
+
     A 1-D sequence `m` of orders runs them all in one pass, shape (len(m),
     count, *r.shape), each order's table bitwise equal to a single-order call.
     """
@@ -237,18 +240,36 @@ def zernike_radial_table(m, count: int, r) -> np.ndarray:
     if count > 1:
         d = -0.5 * (m + 2) * u
         table[1] = 1.0 + d
-    for j in range(2, count):
-        s = 2 * j + m
-        a = (s - 1) * s / (2.0 * j * (j + m))
-        b = (s - 1) * m * m / (2.0 * j * (j + m) * (s - 2))
-        g = (j - 1) * (j + m - 1) * s / (j * (j + m) * (s - 2))
-        d = g * d - a * u * table[j - 1]
-        plain = (a * y - b) * table[j - 1] - g * table[j - 2]
-        table[j] = np.where(outer, table[j - 1] + d, plain)
+    j = np.arange(2, max(count, 2)).reshape((-1,) + (1,) * m.ndim)  # degrees on a leading axis
+    s = 2 * j + m
+    a = (s - 1) * s / (2.0 * j * (j + m))
+    b = (s - 1) * m * m / (2.0 * j * (j + m) * (s - 2))
+    g = (j - 1) * (j + m - 1) * s / (j * (j + m) * (s - 2))
+    np.multiply(a, u, out=table[2:])
+    for k in range(count - 2):
+        d = g[k] * d - table[k + 2] * table[k + 1]
+        plain = (a[k] * y - b[k]) * table[k + 1] - g[k] * table[k]
+        table[k + 2] = np.where(outer, table[k + 1] + d, plain)
     j = np.arange(count).reshape((count,) + (1,) * (orders.ndim + r.ndim))
     table *= np.sqrt(2.0 * (m + 2 * j + 1))
     table *= np.reshape([r ** int(k) for k in orders.ravel()], orders.shape + r.shape)
     return np.ascontiguousarray(np.moveaxis(table, 0, orders.ndim))
+
+
+def _real_columns(b) -> np.ndarray:
+    """A 1-D or 2-D real or complex array as 2-D real columns; a complex column
+    becomes its real and imaginary parts, interleaved, with no copy when contiguous."""
+    b = np.asarray(b)
+    if np.iscomplexobj(b):
+        return np.ascontiguousarray(b, dtype=complex).view(np.float64).reshape(len(b), -1)
+    return np.asarray(b, dtype=float).reshape(len(b), -1)
+
+
+def _from_real_columns(a: np.ndarray, like) -> np.ndarray:
+    """A 2-D product of `_real_columns(like)` as a (len(a),) + like.shape[1:]
+    array, complex where `like` is."""
+    shape = (len(a),) + np.shape(like)[1:]
+    return (a.view(np.complex128) if np.iscomplexobj(like) else a).reshape(shape)
 
 
 def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,8 +280,7 @@ def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not np.iscomplexobj(b):
         return a @ b
-    pairs = np.ascontiguousarray(b, dtype=complex).view(np.float64).reshape(len(b), -1)
-    return (a @ pairs).view(np.complex128).reshape(a.shape[:-1] + b.shape[1:])
+    return _from_real_columns(a @ _real_columns(b), b)
 
 
 def mirror_map(points) -> np.ndarray | None:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DataCoverageError, EmptyCutoffError, ParameterError
 from .forward import DataGrid
-from .numerics import real_matmul
 
 __all__ = [
     "ReconstructionResult",
@@ -67,16 +66,16 @@ def _effective_weights(data: DataGrid) -> np.ndarray:
 def project(basis, weighted, divisor=1.0) -> np.ndarray:
     """<u, psi_hat_i> / divisor_i per mode i, from weighted samples w u, (N,) or (N, k).
 
-    The real node values enter `real_matmul` as they are, never copied to
-    complex or divided into psi_hat = psi / ||psi||; 1 / ||psi_i|| scales the result.
+    The basis forms the products with its real node values (`basis.inner`),
+    never copied to complex or divided into psi_hat = psi / ||psi||;
+    1 / ||psi_i|| scales the result.
     """
-    inner = real_matmul(basis.node_values, weighted)
-    return (inner.T / (basis.mode_norms * divisor)).T
+    return (basis.inner(weighted).T / (basis.mode_norms * divisor)).T
 
 
 def expand(basis, coeffs, keep) -> np.ndarray:
     """sum of coeffs_i psi_hat_i over the modes in `keep` on the nodes, per column of coeffs."""
-    return real_matmul(basis.node_values.T, np.where(keep, coeffs.T / basis.mode_norms, 0.0).T)
+    return basis.on_nodes(np.where(keep, coeffs.T / basis.mode_norms, 0.0).T)
 
 
 def picard_coefficients(data: DataGrid, basis, values=None) -> np.ndarray:

@@ -354,6 +354,14 @@ class SymSetBasis:
         """Spectral-cutoff mask {|mu_n| > alpha}."""
         return np.abs(self.mu) > alpha
 
+    def inner(self, weighted) -> np.ndarray:
+        """node_values @ weighted for node samples, (N,) or (N, k), real or complex."""
+        return real_matmul(self.node_values, weighted)
+
+    def on_nodes(self, weights) -> np.ndarray:
+        """node_values.T @ weights for per-mode weights, (modes,) or (modes, k)."""
+        return real_matmul(self.node_values.T, weights)
+
     def combine(self, weights, pts) -> np.ndarray:
         """sum_n weights[n] psi_n(pts) by Nystrom interpolation; a scalar for one point.
 
@@ -374,8 +382,8 @@ class SymSetBasis:
         live = weights != 0
         rep, mirrored, n_pairs = self._fold
         scaled = weights / lam
-        g = real_matmul(self.node_values.T, np.stack([np.where(even, scaled, 0.0),
-                                                      np.where(even, 0.0, scaled)], axis=1))
+        g = self.on_nodes(np.stack([np.where(even, scaled, 0.0), np.where(even, 0.0, scaled)],
+                                   axis=1))
         w = self.quad.weights[rep]
         folded = []  # (kernel, folded values on the representatives)
         if (even & live).any():

@@ -579,6 +579,50 @@ class TestBadFlags:
         assert code == 2 and len(err) == 1 and "--seeds" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        *[(["disk", "--c", bad, "--m-max", "2", "--n-max", "2"], "--c") for bad in ("nan", "inf")],
+        *[(["symset", "--geometry", "disk", "--c", "3", f"--{name}", bad], f"--{name}")
+          for name in ("c", "h", "radius") for bad in ("nan", "inf")],
+        (["symset", "--geometry", "L", "--c", "3", "--theta", "nan"], "--theta"),
+        (["symset", "--geometry", "M", "--c", "3", "--x-star", "-0.6,nan"], "--x-star"),
+    ])
+    def test_basis_numbers(self, cache_dir, capsys, argv, flag):
+        code, err = _exit_and_error(capsys, ["basis", *argv])
+        assert code == 2 and len(err) == 1 and flag in err[0], err
+        assert not list(cache_dir.glob("*.gpswf"))
+
+    @pytest.mark.parametrize("flag,value", [("--k", "nan"), ("--k", "inf"),
+                                            ("--cutoff", "nan"), ("--cutoff", "-1")])
+    def test_ingest_numbers(self, tmp_path, cache_dir, capsys, flag, value):
+        assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
+                    "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples = tmp_path / "ff.csv"
+        samples.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n"
+                           "1.0,0.0,0.0,1.0,0.5,0.1\n0.0,1.0,-1.0,0.0,0.25,0.0\n")
+        flags = [f"{k}={v}" for k, v in {"--k": "1.0", flag: value}.items()]
+        out = tmp_path / "ingested.csv"
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--basis", basis_file,
+                                             "-o", str(out), *flags])
+        assert code == 2 and len(err) == 1 and flag in err[0], err
+        assert not out.exists()
+
+    def test_negative_list_value_is_a_value(self, tmp_path, cache_dir, capsys):
+        # argparse would read -0.6,0.8 as an unknown option; a list flag takes it
+        base = ["basis", "symset", "--geometry", "M", "--c", "3.0", "--resolution", "40",
+                "--modes", "6", "--method", "polar"]
+        assert run([*base, "--x-star", "-0.6,0.8"]) == 0
+        path = capsys.readouterr().out.strip().splitlines()[-1]
+        assert P.load_basis(path).geometry.x_star == pytest.approx((-0.6, 0.8), abs=1e-15)
+        assert run([*base, "--x-star=-0.6,0.8"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == path
+        out = tmp_path / "table.csv"
+        code, err = _exit_and_error(capsys, ["stability", str(write_setup(tmp_path)),
+                                             "--basis", path, "--deltas", "-1e-3,0",
+                                             "--alphas", "0.05", "-o", str(out)])
+        assert code == 2 and len(err) == 1 and "--deltas" in err[0], err
+        assert not out.exists()
+
     def test_symset_resolution_over_memory_budget(self, cache_dir, capsys):
         code, err = _exit_and_error(capsys, ["basis", "symset", "--geometry", "M", "--c", "5",
                                              "--resolution", "2000"])

@@ -418,3 +418,84 @@ class TestRadialOperator:
         for chain in by_m.values():
             mags = [a for _, a in sorted(chain)]
             assert all(b <= a * (1.0 + 1e-10) for a, b in zip(mags, mags[1:]))
+
+
+def dense_node_values(basis):
+    """The (modes, N) table built as the basis stored it before it held only
+    radial factors: per order, coeffs @ Zernike table times cos or sin(m theta)
+    on the unit rule's first half circle, mirrored with (-1)^m; scaling divided
+    the table by radius / 1 (an exact no-op on the unit disk)."""
+    n_r, n_t = basis.quad_size
+    quad = P.disk_polar_rule(1.0, n_r, n_t)
+    half = n_t // 2
+    block = n_r * half
+    r = np.hypot(quad.nodes[:block, 0], quad.nodes[:block, 1]).reshape(n_r, half)[:, 0]
+    theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
+    orders = np.array([mo.m for mo in basis.modes])
+    tables = zernike_radial_table(np.arange(orders.max() + 1), basis.truncation, r)
+    table = np.empty((len(basis.modes), len(quad)))
+    for m in np.unique(orders):
+        idx = np.flatnonzero(orders == m)
+        radial = np.array([basis.modes[i].coeffs for i in idx]) @ tables[m]
+        Y = np.stack([np.cos(m * theta), np.sin(m * theta)])[[basis.modes[i].ell - 1 for i in idx]]
+        first = (radial[:, :, None] * Y[:, None, :]).reshape(len(idx), block)
+        table[idx] = np.hstack([first, -first if m % 2 else first])
+    return table / basis.radius
+
+
+class TestRingProducts:
+    """`inner` and `on_nodes` form the node-value products ring by ring."""
+
+    @pytest.fixture(params=["disk_c5", "disk_c10", "scaled"])
+    def basis(self, request):
+        if request.param == "scaled":
+            return scale_to_data_domain(request.getfixturevalue("disk_c10"), 0.8)
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def _columns(rng, n, shape):
+        return {"real": rng.standard_normal((n,) + shape),
+                "complex": rng.standard_normal((n,) + shape)
+                + 1j * rng.standard_normal((n,) + shape)}
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,)])
+    def test_match_the_dense_products(self, basis, shape):
+        rng = np.random.default_rng(11)
+        table = basis.node_values
+        for kind, u in self._columns(rng, len(basis.quad), shape).items():
+            got, want = basis.inner(u), table @ u
+            assert got.shape == want.shape and got.dtype == want.dtype, kind
+            scale = (np.abs(table) @ np.abs(u)).max()
+            assert np.abs(got - want).max() <= 1e-14 * scale, kind
+        for kind, w in self._columns(rng, len(basis.modes), shape).items():
+            got, want = basis.on_nodes(w), table.T @ w
+            assert got.shape == want.shape and got.dtype == want.dtype, kind
+            scale = (np.abs(table.T) @ np.abs(w)).max()
+            assert np.abs(got - want).max() <= 1e-14 * scale, kind
+
+    def test_modes_missing_from_a_ring_order(self, disk_c5):
+        # a basis without some (m, ell) blocks, e.g. after dropping modes
+        keep = [i for i, mo in enumerate(disk_c5.modes) if not (mo.m == 3 or mo.ell == 2)]
+        sub = disk_basis.disk_basis_from_modes(disk_c5.c, disk_c5.truncation,
+                                               [disk_c5.modes[i] for i in keep],
+                                               *disk_c5.quad_size)
+        assert np.array_equal(sub.node_values, disk_c5.node_values[keep])
+        u = np.random.default_rng(2).standard_normal(len(sub.quad))
+        want = sub.node_values @ u
+        assert np.abs(sub.inner(u) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestLazyNodeValues:
+    def test_bitwise_the_dense_table(self, disk_c5):
+        for basis in (disk_c5, scale_to_data_domain(disk_c5, 0.7)):
+            assert np.array_equal(basis.node_values, dense_node_values(basis))
+            assert not basis.node_values.flags.writeable
+            assert basis.node_values is basis.node_values  # built once
+
+    def test_scaling_builds_no_table(self, disk_c5):
+        fresh = disk_basis.disk_basis_from_modes(disk_c5.c, disk_c5.truncation, disk_c5.modes,
+                                                 *disk_c5.quad_size)
+        scaled = scale_to_data_domain(fresh, 1.3)
+        assert "node_values" not in vars(fresh) and "node_values" not in vars(scaled)
+        assert scaled.radial is fresh.radial
+        assert scaled.radial.shape == (len(fresh.modes), fresh.quad_size[0])

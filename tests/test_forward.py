@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,8 +9,9 @@ import pytest
 import prolate as P
 from prolate.disk_basis import eval_psi
 from prolate.errors import DataCoverageError, ParameterError
-from prolate.forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,
-                             read_datagrid, synthesize_born, write_datagrid)
+from prolate.forward import (ContrastField, DataGrid, _data_columns, _group_rows,
+                             _loadtxt_columns, _malformed_row, add_noise, far_field,
+                             ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
 from prolate.numerics import bessel_j, disk_polar_rule, mirror_map
 from prolate.recon import write_field_csv
 
@@ -307,6 +309,15 @@ class TestIngest:
         assert data.values[1] == 0.0
 
 
+    @pytest.mark.parametrize("n,spread", [(1, 1), (2, 1), (50, 2), (3000, 4), (3000, 10**15)])
+    def test_grouping_is_the_unique_rows(self, n, spread):
+        keys = np.random.default_rng(n).integers(-spread, spread, (n, 2), endpoint=True)
+        _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        got_inverse, got_counts = _group_rows(keys)
+        assert np.array_equal(got_inverse, inverse.ravel())
+        assert np.array_equal(got_counts, counts)
+
+
 class TestNoise:
     def _data(self):
         rng = np.random.default_rng(5)
@@ -412,6 +423,79 @@ class TestDataGridIO:
             rows = "".join(f"{float(x)!r},{float(y)!r},{float(np.real(v))!r}\n"
                            for (x, y), v in zip(nodes, field))
             assert (tmp_path / "field.csv").read_text() == "x,y,q\n" + rows
+
+    ROW = "0.5,-0.25,0.125,1.5,-2.0,0"
+    # data bodies (as bytes, after the two header lines) and whether the
+    # loadtxt parse takes them; the rest go through `_data_columns`
+    CORPUS = {
+        "plain": ("\n".join([ROW, "1e-300,-0.0,5e-324,1.7976931348623157e308,nan,1"] * 3) + "\n",
+                  True),
+        "no final newline": (ROW + "\n" + ROW, True),
+        "blank lines": ("\n" + ROW + "\n\n" + ROW + "\n\n", True),
+        "line of spaces": (ROW + "\n   \n" + ROW + "\n", False),
+        "crlf": (ROW + "\r\n" + ROW + "\r\n", True),
+        "padded fields": (" 0.5 , -0.25,\t0.125 ,1.5,-2.0, 0 \n" + ROW + "\n", True),
+        "plus flag": (ROW[:-1] + "+1\n", True),
+        "underscore float": ("1_0" + ROW[3:] + "\n", False),
+        "underscore flag": (ROW[:-1] + "1_0\n", False),
+        "float flag": (ROW + "\n" + ROW[:-1] + "1.0\n", False),
+        "wide flag": (ROW[:-1] + "300\n", False),
+        "negative flag": (ROW[:-1] + "-1\n", False),
+        "short row": (ROW + "\n" + ROW[:-2] + "\n", False),
+        "long row": (ROW + ",0\n" + ROW + "\n", False),
+        "empty field": (",-0.25,0.125,1.5,-2.0,0\n", False),
+        "unit separator": (ROW + "\x1f\n", False),
+        "non-ascii digit": ("\u0661" + ROW[3:] + "\n", False),
+        "no rows": ("", False),
+    }
+
+    @staticmethod
+    def _write(path, body: str) -> str:
+        """A data file with `body` under a valid header; returns the body as read back."""
+        reference = [line for line in body.replace("\r\n", "\n").split("\n") if line.strip()]
+        header = {"kappa": 1.0, "delta": 0.0, "seed": None, "geometry": None,
+                  "count": len(reference), "meta": {}}
+        path.write_bytes((json.dumps(header) + "\npx,py,weight,re,im,flag\n" + body).encode())
+        with open(path, encoding="utf-8") as f:
+            return f.read().split("\n", 2)[2]
+
+    @pytest.mark.parametrize("case", list(CORPUS))
+    def test_loadtxt_path_is_the_row_parse(self, tmp_path, case):
+        body, fast = self.CORPUS[case]
+        path = tmp_path / "grid.csv"
+        read_back = self._write(path, body)
+        rows = [line for line in read_back.split("\n") if line.strip()]
+        columns = _loadtxt_columns(read_back)
+        assert (columns is not None) == fast
+        try:
+            want = _data_columns(rows)
+        except (ValueError, OverflowError):
+            want = None
+        if columns is not None:  # whatever the reader takes, the row parse takes the same way
+            assert want is not None
+            for got, ref in zip(columns, want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                      np.ascontiguousarray(ref).view(np.uint8))
+        if want is None:
+            with pytest.raises(ParameterError) as err:
+                read_datagrid(path)
+            assert str(err.value) == str(_malformed_row(path))
+            return
+        if not all(np.isfinite(a).all() for a in want[:3]):
+            with pytest.raises(ParameterError, match="non-finite"):
+                read_datagrid(path)
+            return
+        back = read_datagrid(path)
+        for got, ref in zip((back.nodes, back.weights, back.values, back.flags), want):
+            assert np.array_equal(got, ref)
+
+    def test_written_files_take_the_loadtxt_path(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        data = add_noise(TestNoise()._data(), 0.05, 3)
+        write_datagrid(path, data)
+        with open(path, encoding="utf-8") as f:
+            assert _loadtxt_columns(f.read().split("\n", 2)[2]) is not None
 
     def test_row_with_extra_field_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"

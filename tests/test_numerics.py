@@ -228,6 +228,48 @@ class TestZernikeRadial:
             zernike_radial_table([0, -1], 3, r)
 
 
+def zernike_table_by_degree(m, count, r):
+    """zernike_radial_table with its coefficients computed degree by degree in
+    the loop, as the recurrence was first written (reference only)."""
+    orders = np.asarray(m)
+    r = np.asarray(r, dtype=float)
+    m = orders.reshape(orders.shape + (1,) * r.ndim)
+    y = 2.0 * r * r - 1.0
+    u = 2.0 * (1.0 - r) * (1.0 + r)
+    outer = y >= 0.0
+    table = np.empty((count,) + orders.shape + r.shape)
+    if count:
+        table[0] = 1.0
+    if count > 1:
+        d = -0.5 * (m + 2) * u
+        table[1] = 1.0 + d
+    for j in range(2, count):
+        s = 2 * j + m
+        a = (s - 1) * s / (2.0 * j * (j + m))
+        b = (s - 1) * m * m / (2.0 * j * (j + m) * (s - 2))
+        g = (j - 1) * (j + m - 1) * s / (j * (j + m) * (s - 2))
+        d = g * d - a * u * table[j - 1]
+        plain = (a * y - b) * table[j - 1] - g * table[j - 2]
+        table[j] = np.where(outer, table[j - 1] + d, plain)
+    j = np.arange(count).reshape((count,) + (1,) * (orders.ndim + r.ndim))
+    table *= np.sqrt(2.0 * (m + 2 * j + 1))
+    table *= np.reshape([r ** int(k) for k in orders.ravel()], orders.shape + r.shape)
+    return np.ascontiguousarray(np.moveaxis(table, 0, orders.ndim))
+
+
+class TestZernikeVectorCoefficients:
+    @pytest.mark.parametrize("m,count,shape", [(np.arange(9), 36, (82,)), (3, 36, (82,)),
+                                               (0, 5, (7, 3)), ([4, 2], 2, (9,)), (2, 1, (9,)),
+                                               (1, 0, (9,)), (5, 3, ()), (20, 61, (257,))])
+    def test_bitwise_the_degree_by_degree_loop(self, m, count, shape):
+        r = np.random.default_rng(7).uniform(0.0, 1.0, shape)
+        if len(shape) == 1:
+            r[:3] = [0.0, 1.0, np.sqrt(0.5)]  # the ends and the switch of form, y = 0
+        got, want = zernike_radial_table(m, count, r), zernike_table_by_degree(m, count, r)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestSymEig:
     def test_identity(self):
         vals, vecs = sym_eig(np.eye(5))

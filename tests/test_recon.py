@@ -6,8 +6,10 @@ import pytest
 import prolate as P
 from prolate.errors import DataCoverageError, EmptyCutoffError, ParameterError
 from prolate.forward import DataGrid, add_noise
-from prolate.recon import (beta_of_alpha, choose_alpha_partial, picard_coefficients,
-                           read_result, reconstruct_full, reconstruct_partial, write_result)
+from prolate.numerics import real_matmul
+from prolate.recon import (beta_of_alpha, choose_alpha_partial, expand, picard_coefficients,
+                           project, read_result, reconstruct_full, reconstruct_partial,
+                           write_result)
 
 
 def make_grid(basis, values, flags=None, meta=None):
@@ -129,6 +131,39 @@ class TestProjection:
         finally:
             tracemalloc.stop()
         assert peak < basis.node_values.nbytes / 4, peak
+
+    def test_load_scale_reconstruct_builds_no_node_table(self, disk_c5, tmp_path):
+        # a disk basis holds radial factors and forms its products ring by
+        # ring, so reading it from the cache and reconstructing never makes a
+        # modes x N array
+        path = tmp_path / "disk.gpswf"
+        P.save_disk_basis(path, disk_c5)
+        nodes = P.scale_to_data_domain(disk_c5, 1.0).quad
+        data = make_grid(P.scale_to_data_domain(disk_c5, 1.0),
+                         np.exp(1j * np.arange(len(nodes)) / 7.0))
+        tracemalloc.start()
+        try:
+            basis = P.scale_to_data_domain(P.load_basis(path), 1.0)
+            reconstruct_full(data, basis, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "node_values" not in vars(basis)
+        assert peak < len(disk_c5.modes) * len(nodes) * 8 / 4, peak
+
+    def test_symset_products_are_the_real_matmul(self, symset_disk_c5):
+        # the symmetric-set products are the node-value products, bit for bit
+        basis = symset_disk_c5
+        rng = np.random.default_rng(6)
+        n = len(basis.quad)
+        u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        w = rng.standard_normal(len(basis.modes)) + 1j * rng.standard_normal(len(basis.modes))
+        keep = np.arange(len(basis.modes)) % 3 != 0
+        assert np.array_equal(project(basis, u, 2.0),
+                              (real_matmul(basis.node_values, u).T / (basis.mode_norms * 2.0)).T)
+        assert np.array_equal(expand(basis, w, keep),
+                              real_matmul(basis.node_values.T,
+                                          np.where(keep, w / basis.mode_norms, 0.0)))
 
 
 class TestBetaOfAlpha:
