@@ -28,6 +28,7 @@ __all__ = [
     "save_symset_basis",
     "load_symset_basis",
     "load_basis",
+    "verify_basis",
 ]
 
 MAGIC = b"GPSWF1\n"
@@ -195,21 +196,49 @@ def _symset_basis(meta: dict, arrays: dict) -> SymSetBasis:
         complete=bool(meta["complete"]))
 
 
+def _check_kind(path, meta: dict, symset: bool) -> None:
+    if symset and meta.get("geometry") not in _LABEL_GEO:
+        raise CacheError(f"{path}: not a symmetric-set basis file")
+    if not symset and meta.get("geometry") != "disk":
+        raise CacheError(f"{path}: not a disk basis file")
+
+
 def _basis(path, meta: dict, arrays: dict, symset: bool):
     """Build a basis of the given kind from a read container.
 
     A container of the other kind, or one whose metadata lacks an entry or
     holds a malformed one, raises CacheError.
     """
-    if symset and meta.get("geometry") not in _LABEL_GEO:
-        raise CacheError(f"{path}: not a symmetric-set basis file")
-    if not symset and meta.get("geometry") != "disk":
-        raise CacheError(f"{path}: not a disk basis file")
+    _check_kind(path, meta, symset)
     try:
         return _symset_basis(meta, arrays) if symset else _disk_basis(meta, arrays)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CacheError(f"{path}: malformed basis container "
                          f"({type(exc).__name__}: {exc})") from None
+
+
+# Metadata entries and arrays a load reads, per basis kind.
+_REQUIRED = {
+    False: (("c", "m_max", "n_max", "J", "quad_size", "modes"), ("chi", "gamma", "alpha", "coeffs")),
+    True: (("geometry_params", "c", "n_modes", "n_nodes", "complete"),
+           ("nodes", "weights", "parity", "alpha", "node_values", "spectrum_even",
+            "spectrum_odd")),
+}
+
+
+def verify_basis(path, symset: bool) -> None:
+    """Check a basis file of the given kind without building the basis.
+
+    Checks the payload checksum, the array declarations, the kind, and that
+    every metadata entry and array a load reads is present; raises CacheError
+    otherwise.  No mode objects, tables or quadrature rules are built.
+    """
+    meta, arrays = _read_container(path)
+    _check_kind(path, meta, symset)
+    keys, names = _REQUIRED[symset]
+    missing = [k for k in keys if k not in meta] + [n for n in names if n not in arrays]
+    if missing:
+        raise CacheError(f"{path}: malformed basis container (missing {', '.join(missing)})")
 
 
 def load_disk_basis(path) -> DiskBasis:

@@ -27,7 +27,8 @@ from .geometry_config import ProblemSetup, effective_kernel_scale, read_setup, v
 from .recon import (beta_of_alpha, choose_alpha_partial, expand, partial_cutoff,
                     picard_coefficients, reconstruct_full, reconstruct_partial, write_field_csv,
                     write_result)
-from .symset_basis import Geometry, SymSetBasis, build_quadrature, compute_symset_basis
+from .symset_basis import (RULE_VERSION, Geometry, SymSetBasis, build_quadrature,
+                           compute_symset_basis)
 
 __all__ = ["run", "main", "experiment_stability"]
 
@@ -121,7 +122,7 @@ def _basis_cache_path(args) -> tuple[str, dict]:
         geo = _geometry_from_args(args)
         key = cachemod.cache_key(
             f"symset-{args.geometry}", c=args.c, h=args.h, resolution=args.resolution,
-            modes=args.modes, method=args.method,
+            modes=args.modes, method=args.method, rule=RULE_VERSION,
             radius=args.radius if args.geometry == "disk" else 0.0,
             theta=args.theta or 0.0,
             x_star=geo.x_star if args.geometry == "M" else (0.0, 0.0),
@@ -150,7 +151,7 @@ def _cmd_basis(args) -> int:
     path, params = _basis_cache_path(args)
     if os.path.exists(path):
         try:
-            cachemod.load_basis(path)
+            cachemod.verify_basis(path, symset=args.basis_kind == "symset")
             print(path)
             return 0
         except ProlateError:

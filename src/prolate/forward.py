@@ -356,19 +356,32 @@ def far_field(q: ContrastField, x_hat, theta_hat, k: float) -> complex:
 
 
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The group of each row of the (n, 2) keys and each group's size, the
+    """The group of each row of the (n, d) keys and each group's size, the
     groups being the distinct rows in lexicographic order, as from
     np.unique(keys, axis=0, return_inverse=True, return_counts=True).
 
-    One lexsort of the two columns; a group starts wherever a sorted row
-    differs from the one before it.
+    One lexsort of the columns; a group starts wherever a sorted row differs
+    from the one before it.
     """
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    order = np.lexsort(keys.T[::-1])
     start = np.ones(len(order), dtype=bool)
     start[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(start) - 1
     return inverse, np.diff(np.append(np.flatnonzero(start), len(order)))
+
+
+def _median_spacing(rows: np.ndarray) -> float:
+    """Median distance from each distinct row (to 1e-12) to the nearest other
+    one; 0 if there are fewer than two."""
+    from scipy.spatial import cKDTree
+
+    inverse, counts = _group_rows(np.round(rows / 1e-12).astype(np.int64))
+    if len(counts) < 2:
+        return 0.0
+    distinct = np.empty((len(counts), rows.shape[1]))
+    distinct[inverse] = rows
+    return float(np.median(cKDTree(distinct).query(distinct, k=2)[0][:, 1]))
 
 
 def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
@@ -380,8 +393,12 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
     far-field values; each sample becomes u(p) = values / k^2.  Duplicate p
     points (to 1e-12) are averaged; target values come from inverse-distance
     weighting of the 4 nearest samples; nodes farther than `cutoff` from every
-    sample are flagged missing (cutoff defaults to 3x the median
-    nearest-neighbor spacing of the samples).
+    sample are flagged missing.  The cutoff defaults to 3x the sampling step
+    of the directions: the median distance from each distinct (x_hat,
+    theta_hat) pair to its nearest neighbour, which on a tensor grid of
+    directions is the step of the grid.  (The merged p points are no measure
+    of it: where distinct pairs nearly repeat a p, their spacing collapses far
+    below the step.)
     """
     if k <= 0.0:
         raise ParameterError("ingest_farfield requires k > 0")
@@ -414,11 +431,8 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
 
     tree = cKDTree(merged_pts)
     if cutoff is None:
-        if len(merged_pts) > 1:
-            nn = tree.query(merged_pts, k=2)[0][:, 1]
-            cutoff = 3.0 * float(np.median(nn))
-        else:
-            cutoff = np.inf
+        spacing = _median_spacing(np.concatenate([x_hat, theta_hat], axis=1))
+        cutoff = 3.0 * spacing if spacing > 0.0 else np.inf
     kq = min(4, len(merged_pts))
     dist, idx = tree.query(target.nodes, k=kq)
     dist = np.atleast_2d(dist.T).T.reshape(n_t, kq)

@@ -32,6 +32,8 @@ __all__ = [
     "sym_eig",
     "disk_polar_rule",
     "annulus_polar_rule",
+    "half_circle",
+    "axis_reflection",
 ]
 
 
@@ -43,10 +45,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights; nodes are (N,) for 1D rules, (N,2) for 2D."""
+    """Nodes and positive weights; nodes are (N,) for 1D rules, (N,2) for 2D.
+
+    A 2D rule may record `reflection`, the index map i -> j with nodes[j] the
+    mirror image of nodes[i] in the line through the origin along the unit
+    vector `axis`.  The rules built here record it by construction, so it is
+    exact even where the mirrored coordinates are not bitwise reflections.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
+    reflection: np.ndarray | None = None
+    axis: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _frozen(np.asarray(self.nodes, dtype=float)))
@@ -55,6 +65,12 @@ class QuadratureRule:
             raise ParameterError("nodes and weights length mismatch")
         if np.any(self.weights <= 0.0):
             raise ParameterError("quadrature weights must be positive")
+        if self.reflection is not None:
+            refl = _frozen(np.asarray(self.reflection, dtype=np.intp))
+            if refl.shape != self.weights.shape:
+                raise ParameterError("reflection map must have one entry per node")
+            object.__setattr__(self, "reflection", refl)
+            object.__setattr__(self, "axis", (float(self.axis[0]), float(self.axis[1])))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -327,28 +343,50 @@ def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _polar_layout(r: np.ndarray, wr: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+def half_circle(half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angles t_k = pi (k + 1/2) / half in (0, pi) with their cosines and sines.
+
+    The tables are symmetrized about pi/2, so that cos(pi - t) = -cos t and
+    sin(pi - t) = sin t hold bitwise (and cos pi/2 = 0 for odd half): node
+    sets laid out on these angles and negated are then exactly symmetric under
+    both axis reflections, not only under p -> -p.
+    """
+    t = np.pi * (np.arange(half) + 0.5) / half
+    c, s = np.cos(t), np.sin(t)
+    return t, 0.5 * (c - c[::-1]), 0.5 * (s + s[::-1])
+
+
+def axis_reflection(rows: int, cols: int) -> np.ndarray:
+    """Reflection map in the x-axis of a `half_circle` layout: rows x cols
+    nodes (radius-major) at angles mirrored about pi/2, then their negations.
+    Node (i, k) reflects to the negation of node (i, cols - 1 - k)."""
+    idx = np.arange(rows * cols).reshape(rows, cols)[:, ::-1].ravel()
+    return np.concatenate([idx + rows * cols, idx])
+
+
+def _polar_layout(r: np.ndarray, wr: np.ndarray, n_theta: int) -> QuadratureRule:
     """Radii r (radial weights wr, including the Jacobian r) times n_theta uniform angles.
 
-    n_theta must be even; angles are laid out so that the node set is exactly
-    symmetric under p -> -p (the second half is the bitwise negation of the
-    first half).
+    n_theta must be even.  The angles come from `half_circle`, and the second
+    half of the nodes is the bitwise negation of the first, so the rule
+    records its exact reflection in the x-axis.
     """
     half = n_theta // 2
-    theta = np.pi * (np.arange(half) + 0.5) / half
+    _, cos, sin = half_circle(half)
     wt = 2.0 * np.pi / n_theta
-    x = np.outer(r, np.cos(theta)).ravel()
-    y = np.outer(r, np.sin(theta)).ravel()
+    x = np.outer(r, cos).ravel()
+    y = np.outer(r, sin).ravel()
     pts = np.concatenate([np.stack([x, y], axis=1), np.stack([-x, -y], axis=1)])
     w = np.tile(np.outer(wr, np.full(half, wt)).ravel(), 2)
-    return pts, w
+    return QuadratureRule(pts, w, reflection=axis_reflection(len(r), half))
 
 
 def disk_polar_rule(radius: float, n_r: int, n_theta: int, center=(0.0, 0.0)) -> QuadratureRule:
     """Polar Gauss-Legendre x uniform-angle quadrature on a disk; spectrally accurate for
     smooth integrands.
 
-    Total weight equals pi * radius**2 to rounding.
+    Total weight equals pi * radius**2 to rounding.  An origin-centred rule
+    records its reflection in the x-axis.
     """
     if radius <= 0.0:
         raise ParameterError("disk radius must be positive")
@@ -356,8 +394,10 @@ def disk_polar_rule(radius: float, n_r: int, n_theta: int, center=(0.0, 0.0)) ->
         raise ParameterError("disk rule requires n_r >= 1 and even n_theta >= 2")
     rad = gauss_legendre_01(n_r)
     r = radius * rad.nodes
-    pts, w = _polar_layout(r, radius * rad.weights * r, n_theta)
-    return QuadratureRule(pts + np.asarray(center, dtype=float), w)
+    rule = _polar_layout(r, radius * rad.weights * r, n_theta)
+    if not np.any(center):
+        return rule
+    return QuadratureRule(rule.nodes + np.asarray(center, dtype=float), rule.weights)
 
 
 def annulus_polar_rule(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> QuadratureRule:
@@ -368,4 +408,4 @@ def annulus_polar_rule(r_inner: float, r_outer: float, n_r: int, n_theta: int) -
         raise ParameterError("annulus rule requires even n_theta")
     rad = gauss_legendre(n_r)
     r = 0.5 * (r_outer - r_inner) * rad.nodes + 0.5 * (r_outer + r_inner)
-    return QuadratureRule(*_polar_layout(r, 0.5 * (r_outer - r_inner) * rad.weights * r, n_theta))
+    return _polar_layout(r, 0.5 * (r_outer - r_inner) * rad.weights * r, n_theta)

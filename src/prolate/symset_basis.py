@@ -12,12 +12,19 @@ exact radial boundary, used for analytic areas and polar quadratures.
 On the dilated set A_h = h A the Fourier kernel has effective frequency
 c / h^2, and it splits into a cosine part acting on even functions (real
 eigenvalues) and a sine part acting on odd functions (imaginary eigenvalues).
-Every quadrature rule here is symmetric under p -> -p, so each part is
-discretized on the half-node set (one node of each mirror pair, plus p = 0 for
-the even part) as the symmetrically scaled Nystrom matrix
-sqrt(m_i w_i) k(c/h^2 p_i.p_j) sqrt(m_j w_j), with multiplicity m = 2 on pairs.
-Each parity costs one (N/2)^3 eigensolve on (N/2)^2 memory instead of N^3 on
-N^2.  Merged eigenpairs are ordered by |alpha| and normalized to unit plane
+The kernel depends on p.q only, so the Nystrom matrix commutes with every
+symmetry of the quadrature rule.  Every rule here is symmetric under p -> -p;
+the polar rules, and the midpoint grids of sets symmetric about the x-axis,
+are also symmetric under the reflection R in the set's axis (the x-axis for
+the disk and L, x* for M), and so under the Klein four-group {1, -1, R, -R}.
+The solve is folded over that group: one block per character, on one node
+per orbit, sqrt(m_i w_i) K(p_i, p_j) sqrt(m_j w_j) with m the orbit size.  In
+frame coordinates (u, v) of the axis the four kernels are the separable
+products cos cos, -sin sin (even modes) and sin cos, cos sin (odd modes) of
+c/h^2 u_i u_j and c/h^2 v_i v_j.  Each class costs one (N/4)^3 eigensolve on
+(N/4)^2 memory instead of N^3 on N^2; a rule with p -> -p only (the midpoint
+grid of M at a generic x*) folds the same way into two (N/2)^3 parity blocks.
+Merged eigenpairs are ordered by |alpha| and normalized to unit plane
 energy, i.e. weighted node-norm squared equal to (c / 2 pi)^2 |alpha_n|^2.
 """
 
@@ -31,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyQuadratureError, ParameterError, check_keys
-from .numerics import (QuadratureRule, _frozen, disk_polar_rule, gauss_legendre_01, mirror_map,
-                       real_matmul, sym_eig)
+from .numerics import (QuadratureRule, _frozen, axis_reflection, disk_polar_rule,
+                       gauss_legendre_01, half_circle, mirror_map, real_matmul, sym_eig)
 
 __all__ = [
     "Geometry",
@@ -48,6 +55,11 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-14
+# Version of the node layouts `build_quadrature` produces; basis cache keys
+# record it, so a basis cached on an older layout is never served.  Version 2
+# lays the M polar rule out in the x* frame and symmetrizes the polar angle
+# tables about pi/2.
+RULE_VERSION = 2
 # Entries per kernel block in `SymSetBasis.combine` (2 MiB of float64).
 _KERNEL_BLOCK = 1 << 18
 # Direction of the sign probe in `compute_symset_basis`: irrational components,
@@ -219,6 +231,11 @@ def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") 
     method "polar": analytic rules built from the radial profile (default for
     disks; also available for L and M when spectral accuracy of the total
     weight matters).
+
+    Every rule is exactly symmetric under p -> -p.  The polar rules, and the
+    midpoint grids of sets symmetric about the x-axis, also record their
+    reflection in the set's axis (`QuadratureRule.reflection`): the x-axis for
+    the disk and L, x* for M, whose polar rule is laid out in the x* frame.
     """
     if resolution < 8:
         raise ParameterError("resolution must be at least 8")
@@ -232,10 +249,16 @@ def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") 
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         keep = membership(geometry, pts)
         keep &= keep[::-1]  # reversed flat order is the negated grid: keep mirror pairs
+        # a set symmetric about the x-axis also keeps mirror images in it, and the rule records them
+        mirrored = geometry.kind != "multi_freq" or 0.0 in geometry.x_star
+        flip = np.arange(resolution**2).reshape(resolution, resolution)[:, ::-1].ravel()
+        if mirrored:
+            keep &= keep[flip]
         if not keep.any():
             raise EmptyQuadratureError("no quadrature nodes inside the set")
-        pts = pts[keep]
-        return QuadratureRule(pts, np.full(len(pts), step * step))
+        index = np.cumsum(keep) - 1  # node index of each kept cell
+        return QuadratureRule(pts[keep], np.full(int(keep.sum()), step * step),
+                              reflection=index[flip[keep]] if mirrored else None)
     if method != "polar":
         raise ParameterError(f"unknown quadrature method {method!r}")
 
@@ -245,29 +268,35 @@ def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") 
     if geometry.kind == "disk":
         return disk_polar_rule(geometry.radius * geometry.h, n_r, n_t)
     if geometry.kind == "multi_freq":
-        cx, cy = geometry.h * geometry.x_star[0], geometry.h * geometry.x_star[1]
-        plus = disk_polar_rule(geometry.h, n_r, n_t, center=(cx, cy))
-        nodes = np.concatenate([plus.nodes, -plus.nodes])
-        weights = np.concatenate([plus.weights, plus.weights])
-        return QuadratureRule(nodes, weights)
+        # B(h x*, h) in frame coordinates u = h + x, v = y of the axis e = x*;
+        # its reflection (u, v) -> (u, -v) is the local rule's x-axis reflection
+        local = disk_polar_rule(geometry.h, n_r, n_t)
+        e = np.array(geometry.x_star)
+        u = geometry.h + local.nodes[:, 0]
+        v = local.nodes[:, 1]
+        plus = u[:, None] * e + v[:, None] * np.array([-e[1], e[0]])
+        return QuadratureRule(np.concatenate([plus, -plus]), np.tile(local.weights, 2),
+                              reflection=np.concatenate([local.reflection,
+                                                         local.reflection + len(plus)]),
+                              axis=geometry.x_star)
     # star-shaped rule for L: uniform angles, Gauss in radius up to the profile
     n_phi = max(64, resolution)
     n_phi += n_phi % 2
-    half = n_phi // 2
-    phi = np.pi * (np.arange(half) + 0.5) / half
+    phi, cos, sin = half_circle(n_phi // 2)
     wphi = 2.0 * np.pi / n_phi
     rad = gauss_legendre_01(n_r)
-    rho = geometry.h * radial_profile(geometry, phi)
+    rho = radial_profile(geometry, phi)
+    rho = geometry.h * (0.5 * (rho + rho[::-1]))  # the profile is even about pi/2
     live = rho > 0.0
     if not live.any():
         raise EmptyQuadratureError("no quadrature nodes inside the set")
     r = np.outer(rad.nodes, rho[live])                    # (n_r, n_live)
     w = np.outer(rad.weights, rho[live]) * r * wphi       # r dr dphi
-    cosq, sinq = np.cos(phi[live]), np.sin(phi[live])
-    x = (r * cosq).ravel()
-    y = (r * sinq).ravel()
+    x = (r * cos[live]).ravel()
+    y = (r * sin[live]).ravel()
     pts = np.concatenate([np.stack([x, y], axis=1), np.stack([-x, -y], axis=1)])
-    return QuadratureRule(pts, np.tile(w.ravel(), 2))
+    return QuadratureRule(pts, np.tile(w.ravel(), 2),
+                          reflection=axis_reflection(n_r, int(live.sum())))
 
 
 @dataclass(frozen=True)
@@ -346,8 +375,10 @@ class SymSetBasis:
     @cached_property
     def _fold(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(rep, mirror[rep], number of pairs): the pair representatives, then the self-mirror nodes."""
-        mirror, pairs, fixed = _mirror_pairs(self.quad)
-        rep = np.concatenate([pairs, fixed])
+        mirror = _symmetry_maps(self.quad)[1]
+        idx = np.arange(len(mirror))
+        pairs = idx[mirror > idx]
+        rep = np.concatenate([pairs, idx[mirror == idx]])
         return rep, mirror[rep], len(pairs)
 
     def keep(self, alpha: float) -> np.ndarray:
@@ -404,44 +435,86 @@ class SymSetBasis:
         return out[0] if np.ndim(pts) == 1 else out
 
 
-def _mirror_pairs(quad: QuadratureRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the nodes of a rule symmetric under p -> -p.
+def _symmetry_maps(quad: QuadratureRule) -> np.ndarray:
+    """Index maps of the rule's symmetry group, shape (order, N).
 
-    Returns (mirror, pairs, fixed): the mirror index map, the pair
-    representatives i < mirror[i], and the self-mirror nodes (the p = 0 node
-    of an odd midpoint grid).  Raises ParameterError unless the map is an
-    involution that preserves the weights.
+    Rows: the identity and p -> -p, then, if the rule records its reflection R
+    in an axis, R and -R.  Raises ParameterError unless every map is an
+    involution that preserves the weights, R commutes with p -> -p, and R
+    moves each node to its mirror image in the axis.
     """
-    mirror = mirror_indices(quad)
     idx = np.arange(len(quad))
-    if not (np.array_equal(mirror[mirror], idx)
-            and np.array_equal(quad.weights[mirror], quad.weights)):
-        raise ParameterError("quadrature rule is not symmetric under negation")
-    return mirror, idx[mirror > idx], idx[mirror == idx]
+    mirror = mirror_indices(quad)
+    maps = [idx, mirror]
+    refl = quad.reflection
+    if refl is not None:
+        if refl.min(initial=0) < 0 or refl.max(initial=0) >= len(quad):
+            raise ParameterError("quadrature rule's reflection map is out of range")
+        e = np.array(quad.axis)
+        image = 2.0 * (quad.nodes @ e)[:, None] * e - quad.nodes
+        scale = np.abs(quad.nodes).max(initial=1.0)
+        if not (np.array_equal(mirror[refl], refl[mirror])
+                and np.abs(quad.nodes[refl] - image).max(initial=0.0) <= 1e-12 * scale):
+            raise ParameterError("quadrature rule's reflection map is not a reflection in its axis")
+        maps += [refl, mirror[refl]]
+    for g in maps[1:]:
+        if not (np.array_equal(g[g], idx) and np.array_equal(quad.weights[g], quad.weights)):
+            raise ParameterError("quadrature rule is not symmetric under its reflections")
+    return np.array(maps)
 
 
-def _folded_kernel(pts: np.ndarray, scale: float, mw: np.ndarray, kernel) -> np.ndarray:
-    """sqrt(mw_i) kernel(scale p_i.p_j) sqrt(mw_j), assembled in one array."""
-    a = pts @ pts.T
-    a *= scale
-    kernel(a, out=a)
+# Characters of the symmetry group, one row per symmetry class, on the rows
+# of `_symmetry_maps`: (identity, p -> -p) for order 2, and (identity, p -> -p,
+# R, -R) for order 4.  The second entry is the parity.
+_CHARACTERS = {2: np.array([[1, 1], [1, -1]]),
+               4: np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])}
+
+
+def _class_kernel(pts: np.ndarray, axis, scale: float, mw: np.ndarray,
+                  chars: np.ndarray) -> np.ndarray:
+    """sqrt(mw_i) K(p_i, p_j) sqrt(mw_j), assembled in one array, for one symmetry class.
+
+    Order 2: K = cos or sin of scale p_i.p_j for even or odd parity.  Order 4:
+    in frame coordinates (u, v) of the axis, K is the separable product
+    f(scale u_i u_j) g(scale v_i v_j): cos cos, -sin sin, sin cos or cos sin,
+    with g = cos for classes even under the reflection and f = cos for classes
+    even under -R.
+    """
+    if len(chars) == 2:
+        a = pts @ pts.T
+        a *= scale
+        (np.cos if chars[1] > 0 else np.sin)(a, out=a)
+    else:
+        e = np.asarray(axis)
+        u, v = pts @ e, pts @ np.array([-e[1], e[0]])
+        a = np.multiply.outer(u, u)
+        a *= scale
+        (np.cos if chars[3] > 0 else np.sin)(a, out=a)
+        b = np.multiply.outer(v, v)
+        b *= scale
+        (np.cos if chars[2] > 0 else np.sin)(b, out=b)
+        a *= b
+        del b
+        if chars[1] > 0 > chars[2]:
+            np.negative(a, out=a)  # -sin sin
     s = np.sqrt(mw)
     a *= s[:, None]
     a *= s[None, :]
     return a
 
 
-# Peak bytes of the folded solve per entry of the (N/2)^2 even kernel: the
+# Peak bytes of the folded solve per entry of the largest class block: the
 # kernel, the eigensolver's copy, its eigenvectors and divide-and-conquer
-# workspace, plus the interpreter and libraries.  The N = 10,276 L(3 pi/4)
-# basis peaks at 1,107 MiB RSS, 44 B per entry; rounded up.
+# workspace, plus the interpreter and libraries.  The CLI-default L(3 pi/4),
+# h = 5 basis (midpoint rule, N = 10,276, four class blocks of 2,569) peaks at
+# 294 MiB RSS with 2 BLAS threads, 47 B per entry; rounded up.
 PEAK_BYTES_PER_ENTRY = 48.0
 
 
-def _check_memory(n_nodes: int) -> None:
+def _check_memory(n_nodes: int, order: int) -> None:
     """Raise ParameterError before allocating if the folded solve cannot fit in RAM."""
-    half = (n_nodes + 1) // 2  # pair representatives plus the p = 0 node, if any
-    need = PEAK_BYTES_PER_ENTRY * half * half
+    block = -(-n_nodes // order)  # orbit representatives of the largest symmetry class
+    need = PEAK_BYTES_PER_ENTRY * block * block
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ParameterError(f"symset basis with {n_nodes} nodes needs ~{need / 2**30:.1f} GiB, "
@@ -450,18 +523,21 @@ def _check_memory(n_nodes: int) -> None:
 
 def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
                          n_modes: int) -> SymSetBasis:
-    """Nystrom eigensystem of the Fourier operator on A_h, folded by parity.
+    """Nystrom eigensystem of the Fourier operator on A_h, folded over the rule's symmetry group.
 
-    The rule is symmetric under p -> -p, so even modes are fixed by their
-    values on the pair representatives and the p = 0 node, and odd modes by
-    their values on the representatives (they vanish at p = 0).  Each parity
-    is solved as B = sqrt(m w) k(c/h^2 p_i.p_j) sqrt(m w) on those nodes, with
-    multiplicity m = 2 on representatives and 1 at p = 0; its eigenvalues are
-    the nonzero eigenvalues of the full N x N Nystrom matrix, and an
-    eigenvector u lifts to v = u / sqrt(m w), v[mirror] = +-v.  Even modes
-    (alpha = beta_e) and odd modes (alpha = i beta_o) are merged, sorted by
-    |alpha| descending, and the top n_modes above the floor 1e-14 |alpha_0|
-    are kept.
+    The group G holds p -> -p and, when the rule records one, its reflection
+    R in an axis (order 2 or 4).  The kernel depends on p.q only, so the N x N
+    Nystrom matrix splits into one block per character chi of G.  A mode of
+    class chi is fixed by its values on one representative per node orbit,
+    v(g p) = chi(g) v(p), and vanishes on orbits whose stabilizer chi does not
+    fix.  Each class is solved as B = sqrt(m w) K_chi sqrt(m w) over those
+    representatives (m the orbit size, K_chi as in `_class_kernel`); its
+    eigenvalues are nonzero eigenvalues of the full Nystrom matrix, and an
+    eigenvector u lifts to v = u / sqrt(m w) on the representatives.  Classes
+    even under p -> -p give even modes (alpha = beta, the cos kernel), the
+    others odd modes (alpha = i beta, the sin kernel).  Eigenpairs are merged,
+    sorted by |alpha| descending, and the top n_modes above the floor
+    1e-14 |alpha_0| are kept.
     """
     if c <= 0.0:
         raise ParameterError("compute_symset_basis requires c > 0")
@@ -469,29 +545,30 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         raise ParameterError("n_modes must be positive")
     if n_modes > len(quad) // 2:
         raise ParameterError("n_modes must be much smaller than the node count")
-    _check_memory(len(quad))
-    mirror, pairs, fixed = _mirror_pairs(quad)
+    _check_memory(len(quad), 2 if quad.reflection is None else 4)
+    maps = _symmetry_maps(quad)
+    order = len(maps)
+    rep = np.flatnonzero(maps.min(axis=0) == np.arange(len(quad)))  # lowest index of each orbit
+    fixes = maps[:, rep] == rep  # (order, representatives): the stabilizers
+    orbit = order / fixes.sum(axis=0)
     pts, w = quad.nodes, quad.weights
     h2 = geometry.h**2
-    candidates: list[tuple[float, int, int, str, float, np.ndarray]] = []
-    spectra = {}
-    folds = (("even", np.concatenate([pairs, fixed]), np.cos, 1.0),
-             ("odd", pairs, np.sin, -1.0))
-    for parity, sub, kernel, sign in folds:
-        mw = np.where(mirror[sub] == sub, 1.0, 2.0) * w[sub]  # multiplicity times weight
-        vals, vecs = sym_eig(_folded_kernel(pts[sub], c / h2, mw, kernel))
-        spectra[parity] = vals
-        keep = np.argsort(-np.abs(vals))[: min(2 * n_modes + 8, len(vals))]
-        for rank, idx in enumerate(keep):
-            lam = float(vals[idx])  # matrix eigenvalue approximates h^2 beta
-            alpha = complex(lam / h2) if parity == "even" else complex(0.0, lam / h2)
-            v = np.zeros(len(quad))
-            v[sub] = vecs[:, idx] / np.sqrt(mw)
-            v[mirror[sub]] = sign * v[sub]
-            candidates.append((-abs(alpha), 0 if parity == "even" else 1, rank, parity, lam, v))
-        del vecs  # free before the next parity's kernel is assembled
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-    floor = ALPHA_FLOOR * abs(candidates[0][0]) if candidates else 0.0
+    candidates: list[tuple[float, int, int]] = []
+    spectra = {"even": [], "odd": []}
+    classes = []  # (characters, representatives, m w, top eigenvectors, their eigenvalues)
+    for k, chars in enumerate(_CHARACTERS[order]):
+        live = ~np.any(fixes & (chars[:, None] < 0), axis=0)
+        sub = rep[live]
+        mw = orbit[live] * w[sub]
+        vals, vecs = sym_eig(_class_kernel(pts[sub], quad.axis, c / h2, mw, chars))
+        spectra["even" if chars[1] > 0 else "odd"].append(vals)
+        top = np.argsort(-np.abs(vals))[:n_modes]
+        classes.append((chars, sub, mw, vecs[:, top], vals[top]))
+        del vecs  # free before the next class's kernel is assembled
+        # the matrix eigenvalue lambda approximates h^2 beta
+        candidates += [(-abs(float(vals[j]) / h2), k, rank) for rank, j in enumerate(top)]
+    candidates.sort()
+    floor = ALPHA_FLOOR * -candidates[0][0] if candidates else 0.0
     # Each mode is signed by its weighted inner product with the generic
     # function exp(t) cos((c/h) t + pi/4), t = a.p/h.  It has no parity and no
     # mirror symmetry, so the sign is never a rounding-level tie between
@@ -499,22 +576,29 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
     t = pts @ np.array(SIGN_DIRECTION) / geometry.h
     probe = w * np.exp(t) * np.cos((c / geometry.h) * t + 0.25 * np.pi)
     parities, alphas, table = [], [], []
-    for negabs, _, _, parity, lam, v in candidates:
+    for negabs, k, rank in candidates:
         if len(table) >= n_modes:
             break
         if -negabs < floor:
             continue
-        alpha = complex(lam / h2) if parity == "even" else complex(0.0, lam / h2)
+        chars, sub, mw, vecs, lams = classes[k]
+        even = chars[1] > 0
+        lam = float(lams[rank])
+        alpha = complex(lam / h2) if even else complex(0.0, lam / h2)
         scale = (c / (2.0 * np.pi)) * abs(alpha)  # weighted node-norm = (c/2pi)|alpha|
-        vv = scale * v
-        if np.dot(probe, vv) < 0.0:
-            vv = -vv
-        parities.append(parity)
+        x = vecs[:, rank] / np.sqrt(mw) * scale
+        v = np.zeros(len(quad))
+        for g, chi in zip(maps, chars):
+            v[g[sub]] = chi * x
+        if np.dot(probe, v) < 0.0:
+            v = -v
+        parities.append("even" if even else "odd")
         alphas.append(alpha)
-        table.append(vv)
+        table.append(v)
     return SymSetBasis.from_table(np.reshape(table, (len(table), len(quad))), parities, alphas,
                                   c=float(c), geometry=geometry, quad=quad,
-                                  spectrum_even=spectra["even"], spectrum_odd=spectra["odd"],
+                                  spectrum_even=np.sort(np.concatenate(spectra["even"])),
+                                  spectrum_odd=np.sort(np.concatenate(spectra["odd"])),
                                   complete=len(table) >= n_modes)
 
 

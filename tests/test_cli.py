@@ -87,6 +87,45 @@ class TestBasisCommand:
         assert run(["basis", "disk", "--c", "4.0", "--m-max", "2", "--n-max", "2"]) == 0
         assert P.load_basis(f) is not None  # checksum valid again
 
+    def test_cache_hit_builds_no_zernike_table(self, cache_dir, capsys, monkeypatch):
+        # a hit checks the checksum and the metadata only: no mode objects,
+        # Zernike tables or polar rule are built for it
+        argv = ["basis", "disk", "--c", "4.0", "--m-max", "2", "--n-max", "2"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("Zernike table built on a cache hit")
+
+        monkeypatch.setattr(P.disk_basis, "zernike_radial_table", no_table)
+        monkeypatch.setattr(P.numerics, "zernike_radial_table", no_table)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_cache_hit_of_the_other_kind_is_recomputed(self, cache_dir, capsys):
+        # a file at the key's path is served only if it holds a basis of the
+        # requested kind with every entry a load reads
+        argv = ["basis", "symset", "--geometry", "disk", "--c", "2.0", "--resolution", "32",
+                "--modes", "4"]
+        assert run(argv) == 0
+        path = capsys.readouterr().out.strip()
+        assert run(["basis", "disk", "--c", "4.0", "--m-max", "2", "--n-max", "2"]) == 0
+        disk_file = capsys.readouterr().out.strip()
+        os.replace(disk_file, path)
+        assert run(argv) == 0
+        assert isinstance(P.load_basis(path), P.SymSetBasis)
+
+    def test_symset_cache_key_records_rule_version(self, cache_dir, capsys, monkeypatch):
+        # a basis cached on an older quadrature layout is never served
+        argv = ["basis", "symset", "--geometry", "M", "--c", "3.0", "--resolution", "40",
+                "--modes", "6", "--method", "polar"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out.strip()
+        monkeypatch.setattr(cli, "RULE_VERSION", cli.RULE_VERSION + 1)
+        assert run(argv) == 0
+        second = capsys.readouterr().out.strip()
+        assert second != first and os.path.exists(first) and os.path.exists(second)
+
     def test_symset_basis(self, cache_dir, capsys):
         assert run(["basis", "symset", "--geometry", "L", "--c", "3.0", "--theta", "2.2",
                     "--resolution", "48", "--modes", "8", "--method", "polar"]) == 0
@@ -231,6 +270,32 @@ class TestIngestExtrapolate:
         grid = read_datagrid(out)
         assert grid.valid.sum() > 0.9 * len(grid.values)
 
+    @pytest.mark.parametrize("theta", [2.356, 2.6, 2.9])
+    def test_default_cutoff_is_the_direction_step(self, tmp_path, cache_dir, capsys, theta):
+        # a uniform 96-direction grid over L(theta): at the wider apertures the
+        # merged p points nearly repeat, and a cutoff taken from their spacing
+        # (2.5e-4 at 2.6) flagged all the weight missing; three direction
+        # steps flag none
+        assert run(["basis", "symset", "--geometry", "L", "--c", "5.0", "--theta", repr(theta),
+                    "--resolution", "96", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        n = 96
+        t = theta * ((np.arange(n) + 0.5) / n * 2.0 - 1.0)
+        e = np.stack([np.cos(t), np.sin(t)], axis=1)
+        table = np.column_stack([np.repeat(e, n, axis=0), np.tile(e, (n, 1)),
+                                 np.ones(n * n), np.zeros(n * n)])
+        samples = tmp_path / "ff.csv"
+        np.savetxt(samples, table, delimiter=",", fmt="%.17g", comments="",
+                   header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
+        out = tmp_path / "ingested.csv"
+        assert run(["ingest", str(samples), "--k", "1.0", "--basis", basis_file,
+                    "-o", str(out)]) == 0
+        with open(out, encoding="utf-8") as f:
+            header = json.loads(f.readline())
+        assert header["meta"]["cutoff"] == pytest.approx(3.0 * 2.0 * math.sin(theta / n),
+                                                         rel=1e-12)
+        assert read_datagrid(out).valid.all()
+
     def test_extrapolate_command(self, tmp_path, disk_basis_file):
         setup = write_setup(tmp_path)
         data = tmp_path / "data.csv"
@@ -279,16 +344,17 @@ def _exit_and_error(capsys, argv):
 
 def _per_row_ingest(samples, k, basis):
     """The far-field ingest one row at a time: each row's first six fields
-    parsed by float(), p = theta_hat - x_hat and value / k^2 formed per row.
-    The per-row samples are handed to ingest_farfield with x_hat = 0 and
-    k = 1, under which its own mapping leaves them bit for bit unchanged."""
+    parsed by float() and value / k^2 formed per row.  The per-row samples
+    are handed to ingest_farfield with k = 1, under which its own mapping
+    leaves the values bit for bit unchanged; the directions are handed over
+    as parsed, since the default cutoff is taken from their spacing."""
     with open(samples, encoding="utf-8") as f:
         f.readline()
         rows = [[float(v) for v in line.strip().split(",")[:6]] for line in f if line.strip()]
-    pts = [np.asarray(r[2:4]) - np.asarray(r[0:2]) for r in rows]
+    x_hat = [r[0:2] for r in rows]
+    theta_hat = [r[2:4] for r in rows]
     vals = [complex(r[4], r[5]) / k**2 for r in rows]
-    return P.ingest_farfield(np.zeros((len(rows), 2)), pts, vals, 1.0, basis.quad,
-                             geometry=basis.geometry)
+    return P.ingest_farfield(x_hat, theta_hat, vals, 1.0, basis.quad, geometry=basis.geometry)
 
 
 class TestIngestArrayPath:

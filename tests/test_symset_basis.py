@@ -170,6 +170,37 @@ class TestBuildQuadrature:
             mirror = mirror_indices(quad)
             assert np.array_equal(quad.nodes[mirror], -quad.nodes)
 
+    @pytest.mark.parametrize("geo,resolution,method", [
+        (Geometry.limited_aperture(2.2), 48, "midpoint"),
+        (Geometry.limited_aperture(0.85 * math.pi), 112, "polar"),
+        (Geometry.limited_aperture(0.55 * math.pi), 113, "polar"),
+        (Geometry.disk(radius=1.3, h=2.0), 120, "polar"),
+        (Geometry.multi_freq((0.0, 1.0)), 41, "midpoint"),
+        (Geometry.multi_freq((1.0, 0.0)), 40, "midpoint"),
+    ])
+    def test_reflection_in_the_x_axis_is_exact(self, geo, resolution, method):
+        # the angle tables are symmetrized about pi/2, so cos(pi - t) is
+        # bitwise -cos t (most L polar nodes had no bitwise mirror otherwise)
+        quad = build_quadrature(geo, resolution, method=method)
+        assert quad.axis == (1.0, 0.0)
+        assert np.array_equal(quad.nodes[quad.reflection], quad.nodes * [1.0, -1.0])
+
+    def test_multifreq_polar_laid_out_in_the_x_star_frame(self):
+        geo = Geometry.multi_freq((math.cos(2.0), math.sin(2.0)), h=1.5)
+        quad = build_quadrature(geo, 96, method="polar")
+        assert len(quad) == 2 * 12 * 24  # n_r = 12 radii, n_t = 24 angles per disk
+        assert quad.axis == geo.x_star
+        e = np.array(geo.x_star)
+        u, v = quad.nodes @ e, quad.nodes @ np.array([-e[1], e[0]])
+        assert np.abs(u[quad.reflection] - u).max() <= 1e-15
+        assert np.abs(v[quad.reflection] + v).max() <= 1e-15
+        assert np.array_equal(quad.weights[quad.reflection], quad.weights)
+        assert quad.total_weight == pytest.approx(analytic_area(geo), rel=1e-13)
+
+    def test_multifreq_midpoint_generic_axis_records_no_reflection(self):
+        quad = build_quadrature(Geometry.multi_freq((0.6, 0.8)), 40, method="midpoint")
+        assert quad.reflection is None
+
     @pytest.mark.parametrize("resolution", [34, 102, 170])
     def test_midpoint_rule_symmetric_by_construction(self, resolution):
         # at these resolutions some boundary cells of L(pi/2) test inside
@@ -350,15 +381,23 @@ def unfolded_reference(c, geo, quad):
 
 
 FOLD_CASES = {
+    "disk_polar": (Geometry.disk(), 96, "polar"),
     "L_polar": (Geometry.limited_aperture(0.75 * math.pi), 8, "polar"),
     "M_polar": (Geometry.multi_freq((0.6, 0.8)), 16, "polar"),
     "M_midpoint_odd": (Geometry.multi_freq((1.0, 0.0)), 25, "midpoint"),
+    "M_midpoint_generic": (Geometry.multi_freq((math.cos(1.1), math.sin(1.1))), 25, "midpoint"),
     "L_midpoint_odd": (Geometry.limited_aperture(0.75 * math.pi, h=2.0), 25, "midpoint"),
 }
+# the rules with p -> -p as their only recorded symmetry (order-2 fold)
+ORDER_TWO = {"M_midpoint_generic"}
 
 
 class TestParityFold:
-    """The folded solve against the unfolded N x N eigenproblems built here."""
+    """The folded solve against the unfolded N x N eigenproblems built here.
+
+    Every rule folds over p -> -p; all but the M midpoint grid at a generic
+    x* also fold over the reflection in the set's axis.
+    """
 
     N_MODES = 20
 
@@ -425,6 +464,52 @@ class TestParityFold:
             sgn = 1.0 if mo.parity == "even" else -1.0
             assert np.array_equal(mo.node_values[mirror], sgn * mo.node_values)
 
+    def test_exact_reflection_symmetry(self, case, request):
+        # each mode is even or odd under the reflection R, bitwise, and every
+        # one of the four symmetry classes holds some of the retained modes
+        basis, _ = case
+        refl = basis.quad.reflection
+        assert (refl is None) == (request.node.callspec.params["case"] in ORDER_TWO)
+        if refl is None:
+            return
+        classes = set()
+        for mo in basis.modes:
+            v = mo.node_values
+            r = 1.0 if np.array_equal(v[refl], v) else -1.0
+            assert np.array_equal(v[refl], r * v)
+            classes.add((mo.parity, r))
+        assert len(classes) == 4
+
+    def test_retained_alphas_match_complex_kernel(self, case):
+        # the unfolded N x N Nystrom matrix of the complex kernel e^{i s p.q}:
+        # on a rule symmetric under p -> -p its real (cos) part acts on even
+        # and its imaginary (sin) part on odd node functions, so the real
+        # symmetric Re + Im has the eigenvalues beta of both, |alpha| = |beta|
+        basis, _ = case
+        quad = basis.quad
+        sw = np.sqrt(quad.weights)
+        kernel = np.exp(1j * basis.kernel_scale * (quad.nodes @ quad.nodes.T))
+        lam = np.linalg.eigh(sw[:, None] * (kernel.real + kernel.imag) * sw[None, :])[0]
+        ref = np.sort(np.abs(lam))[::-1][:len(basis.modes)] / basis.geometry.h**2
+        assert len(basis.modes) == self.N_MODES
+        assert np.abs(np.abs(basis.alphas) - ref).max() <= 1e-12 * ref[0]
+
+    def test_validate_passes(self, case, request):
+        # midpoint grids miss the set's area at first order, so the sum rule
+        # against the analytic area fails there by exactly the rule's own area
+        # error (the eigenvalues meet the discrete sum rule); every other
+        # check passes at its threshold
+        basis, _ = case
+        report = {chk["check"]: chk for chk in P.validate_basis(basis)}
+        area = report.pop("hilbert_schmidt_area")
+        assert all(chk["passed"] for chk in report.values()), report
+        if FOLD_CASES[request.node.callspec.params["case"]][2] == "polar":
+            assert area["passed"], area
+        else:
+            exact = analytic_area(basis.geometry) ** 2
+            rule_error = abs(basis.quad.total_weight**2 - exact) / exact
+            assert area["residual"] == pytest.approx(rule_error, rel=1e-8)
+
 
 class TestFoldInputs:
     def test_midpoint_odd_resolution_has_origin_node(self):
@@ -446,6 +531,35 @@ class TestFoldInputs:
         assert np.array_equal(basis.alphas, ref.alphas)
         assert np.array_equal(basis.node_values, ref.node_values)
         assert np.array_equal(basis.spectrum_even, ref.spectrum_even)
+
+    @pytest.mark.parametrize("name", ["L_midpoint_odd", "L_polar", "M_polar", "disk_polar"])
+    def test_same_modes_as_dict_reflection(self, name):
+        # the fold takes R from the map the rule records as it is built; it must
+        # be the per-node dict pairing of mirrored frame coordinates (u, v) ->
+        # (u, -v), and a rule carrying the dict's map gives bitwise the same modes
+        geo, res, method = FOLD_CASES[name]
+        quad = build_quadrature(geo, res, method=method)
+        e = np.array(quad.axis)
+        frame = np.round(quad.nodes @ np.array([[e[0], -e[1]], [e[1], e[0]]]), 9) + 0.0
+        lookup = {(u, -v): i for i, (u, v) in enumerate(map(tuple, frame))}
+        by_dict = np.array([lookup[(u, v)] for u, v in map(tuple, frame)])
+        assert np.array_equal(quad.reflection, by_dict)
+        basis = compute_symset_basis(5.0, geo, quad, 12)
+        ref = compute_symset_basis(5.0, geo, P.QuadratureRule(quad.nodes, quad.weights,
+                                                              reflection=by_dict,
+                                                              axis=quad.axis), 12)
+        assert np.array_equal(basis.alphas, ref.alphas)
+        assert np.array_equal(basis.node_values, ref.node_values)
+        assert np.array_equal(basis.spectrum_even, ref.spectrum_even)
+        assert np.array_equal(basis.spectrum_odd, ref.spectrum_odd)
+
+    def test_wrong_reflection_rejected(self):
+        geo = Geometry.disk()
+        quad = build_quadrature(geo, 24, method="polar")
+        for refl, axis in ((np.arange(len(quad)), (1.0, 0.0)), (quad.reflection, (0.6, 0.8))):
+            bad = P.QuadratureRule(quad.nodes, quad.weights, reflection=refl, axis=axis)
+            with pytest.raises(ParameterError, match="reflection"):
+                compute_symset_basis(5.0, geo, bad, 4)
 
     def test_asymmetric_nodes_rejected(self):
         geo = Geometry.disk()
