@@ -7,6 +7,7 @@ Emits one CSV row per (theta, n, |alpha_n|, parity).
 """
 
 import argparse
+import itertools
 import math
 
 import numpy as np
@@ -35,8 +36,9 @@ def main():
             count = int(np.sum(mags > 1e-3 * mags[0]))
             print(f"theta = {frac:.2f} pi: |A| = {quad.total_weight:.4f}, "
                   f"{count} modes above 1e-3 |alpha_0|")
-            for n, mo in enumerate(basis.modes):
-                f.write(f"{frac!r},{n},{abs(mo.alpha)!r},{mo.parity}\n")
+            parity = np.where(basis.modes["even"], "even", "odd")
+            f.writelines(map("{!r},{},{!r},{}\n".format, itertools.repeat(frac),
+                             range(len(mags)), mags.tolist(), parity.tolist()))
     print(f"wrote {args.out}")
 
 

@@ -6,7 +6,7 @@ from .analysis import (ProjectionReport, extrapolate, project_pi_alpha,
                        projection_error_report, sobolev_norm_tilde, validate_basis)
 from .cache import (cache_key, load_basis, load_disk_basis, load_symset_basis,
                     save_disk_basis, save_symset_basis)
-from .disk_basis import (DiskBasis, DiskMode, assemble_sl_matrix, compute_disk_basis, eval_psi,
+from .disk_basis import (DiskBasis, assemble_sl_matrix, compute_disk_basis, eval_psi,
                          scale_to_data_domain)
 from .errors import (CacheError, DataCoverageError, EigensolverError, EmptyCutoffError,
                      EmptyQuadratureError, ParameterError, ProlateError)
@@ -18,7 +18,7 @@ from .numerics import (QuadratureRule, SymmetricTridiagonal, bessel_j, disk_pola
                        gauss_legendre, gauss_legendre_01, sym_eig, zernike_radial)
 from .recon import (ReconstructionResult, beta_of_alpha, choose_alpha_partial,
                     picard_coefficients, reconstruct_full, reconstruct_partial)
-from .symset_basis import (Geometry, SymSetBasis, SymSetMode, analytic_area, build_quadrature,
+from .symset_basis import (Geometry, SymSetBasis, analytic_area, build_quadrature,
                            compute_symset_basis, eval_symset_psi, membership, radial_profile)
 
 __version__ = "0.1.0"

@@ -15,10 +15,10 @@ import secrets
 
 import numpy as np
 
-from .disk_basis import DiskBasis, DiskMode, disk_basis_from_modes
+from .disk_basis import MODE_DTYPE as DISK_MODE, DiskBasis, disk_basis_from_modes
 from .errors import CacheError, ParameterError
-from .numerics import QuadratureRule
-from .symset_basis import Geometry, SymSetBasis
+from .numerics import QuadratureRule, _frozen
+from .symset_basis import MODE_DTYPE as SYMSET_MODE, Geometry, SymSetBasis
 
 __all__ = [
     "cache_key",
@@ -121,40 +121,38 @@ def _read_container(path) -> tuple[dict, dict]:
     return meta, arrays
 
 
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """Complex values as a (len, 2) float array of real and imaginary parts."""
+    return np.stack([values.real, values.imag], axis=1)
+
+
 def save_disk_basis(path, basis: DiskBasis) -> None:
     """Write the unit-disk system; a dilated basis is refused, since a load rebuilds radius 1."""
     if basis.radius != 1.0:
         raise ParameterError(f"only a unit-disk basis can be cached, got radius {basis.radius!r}")
+    modes = basis.modes
     meta = {
         "geometry": "disk",
         "c": basis.c,
-        "m_max": max(mo.m for mo in basis.modes),
-        "n_max": max(mo.n for mo in basis.modes),
+        "m_max": int(modes["m"].max()),
+        "n_max": int(modes["n"].max()),
         "J": basis.truncation,
         "quad_size": list(basis.quad_size),
-        "modes": [[mo.m, mo.n, mo.ell, int(mo.usable)] for mo in basis.modes],
+        "modes": np.column_stack([basis.keys, modes["usable"]]).tolist(),
     }
-    chi = basis.chis
-    gamma = np.array([mo.gamma for mo in basis.modes])
-    alpha = np.array([[mo.alpha.real, mo.alpha.imag] for mo in basis.modes])
-    coeffs = np.array([mo.coeffs for mo in basis.modes])
-    _write_container(path, meta, [("chi", chi), ("gamma", gamma), ("alpha", alpha),
-                                  ("coeffs", coeffs)])
+    _write_container(path, meta, [("chi", modes["chi"]), ("gamma", modes["gamma"]),
+                                  ("alpha", _pairs(modes["alpha"])), ("coeffs", basis.coeffs)])
 
 
 def _disk_basis(meta: dict, arrays: dict) -> DiskBasis:
-    modes = []
-    for i, (m, n, ell, usable) in enumerate(meta["modes"]):
-        coeffs = arrays["coeffs"][i]
-        coeffs.flags.writeable = False
-        modes.append(DiskMode(
-            m=int(m), n=int(n), ell=int(ell),
-            chi=float(arrays["chi"][i]), gamma=float(arrays["gamma"][i]),
-            alpha=complex(arrays["alpha"][i, 0], arrays["alpha"][i, 1]),
-            coeffs=coeffs, usable=bool(usable),
-        ))
+    records = np.array(meta["modes"], dtype=np.int64).reshape(len(meta["modes"]), 4)
+    modes = np.empty(len(records), dtype=DISK_MODE)
+    modes["m"], modes["n"], modes["ell"] = records[:, :3].T
+    modes["usable"] = records[:, 3] != 0
+    modes["chi"], modes["gamma"] = arrays["chi"], arrays["gamma"]
+    modes["alpha"] = arrays["alpha"].view(complex)[:, 0]
     n_r, n_t = meta["quad_size"]
-    return disk_basis_from_modes(meta["c"], meta["J"], modes, n_r, n_t)
+    return disk_basis_from_modes(meta["c"], meta["J"], modes, arrays["coeffs"], n_r, n_t)
 
 
 _GEO_LABEL = {"disk": "disk", "limited_aperture": "L", "multi_freq": "M"}
@@ -170,13 +168,11 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
         "n_nodes": len(basis.quad),
         "complete": basis.complete,
     }
-    parity = np.array([0 if mo.parity == "even" else 1 for mo in basis.modes], dtype=np.uint8)
-    alpha = np.array([[mo.alpha.real, mo.alpha.imag] for mo in basis.modes])
     _write_container(path, meta, [
         ("nodes", basis.quad.nodes),
         ("weights", basis.quad.weights),
-        ("parity", parity),
-        ("alpha", alpha),
+        ("parity", ~basis.modes["even"]),
+        ("alpha", _pairs(basis.alphas)),
         ("node_values", basis.node_values),
         ("spectrum_even", basis.spectrum_even),
         ("spectrum_odd", basis.spectrum_odd),
@@ -184,32 +180,62 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
 
 
 def _symset_basis(meta: dict, arrays: dict) -> SymSetBasis:
-    """The modes are row views of the loaded node-value array, which `node_values` returns."""
-    n = meta["n_modes"]
-    parity, alpha = arrays["parity"], arrays["alpha"]
-    return SymSetBasis.from_table(
-        arrays["node_values"][:n], ["even" if parity[i] == 0 else "odd" for i in range(n)],
-        [complex(alpha[i, 0], alpha[i, 1]) for i in range(n)],
+    modes = np.empty(meta["n_modes"], dtype=SYMSET_MODE)
+    modes["even"] = arrays["parity"] == 0
+    modes["alpha"] = arrays["alpha"].view(complex)[:, 0]
+    return SymSetBasis(
         c=float(meta["c"]), geometry=Geometry.from_dict(meta["geometry_params"]),
-        quad=QuadratureRule(arrays["nodes"], arrays["weights"]),
+        quad=QuadratureRule(arrays["nodes"], arrays["weights"]), modes=_frozen(modes),
+        node_values=_frozen(arrays["node_values"]),
         spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"],
         complete=bool(meta["complete"]))
 
 
-def _check_kind(path, meta: dict, symset: bool) -> None:
+# Metadata entries a load reads, per basis kind.
+_REQUIRED = {False: ("c", "m_max", "n_max", "J", "quad_size", "modes"),
+             True: ("geometry_params", "c", "n_modes", "n_nodes", "complete")}
+
+
+def _array_shapes(meta: dict, symset: bool) -> dict:
+    """The arrays a load reads, each with the shape the metadata gives it (None:
+    any): one row per mode record, one column per node or radial coefficient."""
+    if symset:
+        n, nodes = meta["n_modes"], meta["n_nodes"]
+        return {"nodes": (nodes, 2), "weights": (nodes,), "parity": (n,), "alpha": (n, 2),
+                "node_values": (n, nodes), "spectrum_even": None, "spectrum_odd": None}
+    n = len(meta["modes"])
+    return {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, meta["J"])}
+
+
+def _check_layout(path, meta: dict, arrays: dict, symset: bool) -> None:
+    """Raise CacheError unless the container is of the given kind, holds every
+    metadata entry and array a load reads, and each array has the shape its
+    metadata gives it."""
     if symset and meta.get("geometry") not in _LABEL_GEO:
         raise CacheError(f"{path}: not a symmetric-set basis file")
     if not symset and meta.get("geometry") != "disk":
         raise CacheError(f"{path}: not a disk basis file")
+    missing = [k for k in _REQUIRED[symset] if k not in meta]
+    try:
+        shapes = {} if missing else _array_shapes(meta, symset)
+    except TypeError as exc:
+        raise CacheError(f"{path}: malformed basis container (TypeError: {exc})") from None
+    missing += [name for name in shapes if name not in arrays]
+    if missing:
+        raise CacheError(f"{path}: malformed basis container (missing {', '.join(missing)})")
+    wrong = [f"{name} {arrays[name].shape} for {tuple(shape)}" for name, shape in shapes.items()
+             if shape is not None and arrays[name].shape != tuple(shape)]
+    if wrong:
+        raise CacheError(f"{path}: malformed basis container (array shape {', '.join(wrong)})")
 
 
 def _basis(path, meta: dict, arrays: dict, symset: bool):
     """Build a basis of the given kind from a read container.
 
-    A container of the other kind, or one whose metadata lacks an entry or
-    holds a malformed one, raises CacheError.
+    A container that fails `_check_layout`, or whose metadata holds a
+    malformed entry, raises CacheError.
     """
-    _check_kind(path, meta, symset)
+    _check_layout(path, meta, arrays, symset)
     try:
         return _symset_basis(meta, arrays) if symset else _disk_basis(meta, arrays)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -217,28 +243,15 @@ def _basis(path, meta: dict, arrays: dict, symset: bool):
                          f"({type(exc).__name__}: {exc})") from None
 
 
-# Metadata entries and arrays a load reads, per basis kind.
-_REQUIRED = {
-    False: (("c", "m_max", "n_max", "J", "quad_size", "modes"), ("chi", "gamma", "alpha", "coeffs")),
-    True: (("geometry_params", "c", "n_modes", "n_nodes", "complete"),
-           ("nodes", "weights", "parity", "alpha", "node_values", "spectrum_even",
-            "spectrum_odd")),
-}
-
-
 def verify_basis(path, symset: bool) -> None:
     """Check a basis file of the given kind without building the basis.
 
-    Checks the payload checksum, the array declarations, the kind, and that
-    every metadata entry and array a load reads is present; raises CacheError
-    otherwise.  No mode objects, tables or quadrature rules are built.
+    Checks the payload checksum and array declarations (`_read_container`)
+    and the kind, entries and array shapes (`_check_layout`); raises
+    CacheError otherwise.  No mode table, Zernike table or quadrature rule is
+    built.
     """
-    meta, arrays = _read_container(path)
-    _check_kind(path, meta, symset)
-    keys, names = _REQUIRED[symset]
-    missing = [k for k in keys if k not in meta] + [n for n in names if n not in arrays]
-    if missing:
-        raise CacheError(f"{path}: malformed basis container (missing {', '.join(missing)})")
+    _check_layout(path, *_read_container(path), symset)
 
 
 def load_disk_basis(path) -> DiskBasis:

@@ -53,7 +53,7 @@ from .numerics import (
 )
 
 __all__ = [
-    "DiskMode",
+    "MODE_DTYPE",
     "DiskBasis",
     "assemble_sl_matrix",
     "compute_disk_basis",
@@ -68,44 +68,28 @@ GAMMA_FLOOR = 1e-300
 _BESSEL_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
-class DiskMode:
-    """One disk eigenfunction: indices, eigenvalues, and radial coefficients.
-
-    `coeffs` expands the radial factor in the orthonormal disk polynomials of
-    matching azimuthal order, scaled so the plane energy of the mode is 1 and
-    signed so the first significant coefficient is positive.
-    """
-
-    m: int
-    n: int
-    ell: int
-    chi: float
-    gamma: float
-    alpha: complex
-    coeffs: np.ndarray
-    usable: bool = True
-
-    @property
-    def chi_radial(self) -> float:
-        """Eigenvalue of the radial operator acting on sqrt(r) R(r); exceeds chi by 3/4."""
-        return self.chi + 0.75
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.m, self.n, self.ell)
+# One record per disk mode: indices, Sturm-Liouville eigenvalue chi, radial
+# kernel eigenvalue gamma, Fourier eigenvalue alpha, and whether |gamma| is
+# above GAMMA_FLOOR.
+MODE_DTYPE = np.dtype([("m", np.int64), ("n", np.int64), ("ell", np.int64), ("chi", float),
+                       ("gamma", float), ("alpha", complex), ("usable", bool)], align=True)
 
 
 @dataclass(frozen=True)
 class DiskBasis:
-    """Computed disk modes plus the quadrature of the disk used for inner products.
+    """The disk mode table plus the quadrature of the disk used for inner products.
+
+    `modes` is a read-only MODE_DTYPE array with one record per mode, ordered
+    by (m + 2n, m, ell), and `coeffs[i]` expands the radial factor of mode i
+    in the orthonormal disk polynomials of order m, scaled so the plane energy
+    of the mode is 1 and signed so the first significant coefficient is
+    positive; the modes ell = 1 and 2 of an order m > 0 have equal rows.
 
     The modes live on the disk of radius `radius`: 1 for the unit-disk system,
     c / (2k) once `scale_to_data_domain` has dilated it onto the data disk.
     There psi_r(x) = psi(x / r) / r satisfies the Fourier eigenrelation with
     kernel exp(i (c / r^2) p.p') and eigenvalue r^2 alpha, and keeps unit plane
     energy and squared norm (c / 2 pi)^2 |alpha|^2 on the disk.
-    Modes are ordered by (m + 2n, m, ell).
 
     `quad` is the n_r x n_t polar rule: n_r rings, each with the n_t / 2
     angles `angles` of a half circle and their mirrors theta + pi, where mode
@@ -118,31 +102,41 @@ class DiskBasis:
 
     c: float
     truncation: int
-    modes: tuple[DiskMode, ...]
+    modes: np.ndarray
+    coeffs: np.ndarray
     quad: QuadratureRule
     radial: np.ndarray
     angles: np.ndarray
-    quad_size: tuple[int, int] = (0, 0)
     radius: float = 1.0
 
     @property
     def kernel_scale(self) -> float:
         return self.c / self.radius**2
 
+    @property
+    def quad_size(self) -> tuple[int, int]:
+        """(n_r, n_t) of the polar rule."""
+        return self.radial.shape[1], 2 * len(self.angles)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """(modes, 3) array of the (m, n, ell) of each mode."""
+        return _frozen(np.stack([self.modes["m"], self.modes["n"], self.modes["ell"]], axis=1))
+
     @cached_property
     def mu(self) -> np.ndarray:
         """Fourier eigenvalues r^2 alpha of the operator on the disk of radius r."""
-        return _frozen([(self.radius**2) * mo.alpha for mo in self.modes])
+        return _frozen((self.radius**2) * self.modes["alpha"])
 
     @cached_property
     def mode_norms(self) -> np.ndarray:
         """L2 norms on the disk, equal to (c / 2 pi) |alpha| per mode."""
-        return _frozen([(self.c / (2.0 * np.pi)) * abs(mo.alpha) for mo in self.modes])
+        return _frozen((self.c / (2.0 * np.pi)) * np.abs(self.modes["alpha"]))
 
-    @cached_property
+    @property
     def chis(self) -> np.ndarray:
         """Sturm-Liouville eigenvalues chi per mode."""
-        return _frozen([mo.chi for mo in self.modes])
+        return self.modes["chi"]
 
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask of the index set J(alpha) = {chi < 1/alpha}."""
@@ -158,11 +152,10 @@ class DiskBasis:
         """
         n_r, half = self.radial.shape[1], len(self.angles)
         table = np.empty((len(self.modes), 2 * n_r * half))
-        orders = np.array([mo.m for mo in self.modes])
+        orders, ells = self.modes["m"], self.modes["ell"]
         for m in np.unique(orders):
             idx = np.flatnonzero(orders == m)
-            Y = np.stack([np.cos(m * self.angles), np.sin(m * self.angles)])
-            Y = Y[[self.modes[i].ell - 1 for i in idx]]
+            Y = np.stack([np.cos(m * self.angles), np.sin(m * self.angles)])[ells[idx] - 1]
             first = (self.radial[idx][:, :, None] * Y[:, None, :]).reshape(len(idx), n_r * half)
             table[idx] = np.hstack([first, -first if m % 2 else first])
         table /= self.radius
@@ -177,7 +170,7 @@ class DiskBasis:
         even m and the second half for odd m, zero elsewhere.  The blocks are
         (column, mode indices, their radial factors) per (m, ell).
         """
-        orders = np.array([mo.m for mo in self.modes], dtype=int)
+        orders = self.modes["m"]
         top = int(orders.max(initial=0))
         half = len(self.angles)
         phase = np.outer(self.angles, np.arange(top + 1))
@@ -185,11 +178,11 @@ class DiskBasis:
         for parity in (0, 1):
             trig[parity, :, parity:top + 1:2] = np.cos(phase[:, parity::2])
             trig[parity, :, top + 1 + parity::2] = np.sin(phase[:, parity::2])
-        ells = np.array([mo.ell for mo in self.modes], dtype=int)
+        cols = np.where(self.modes["ell"] == 1, orders, top + 1 + orders)
         blocks = []
-        for m, ell in sorted({(mo.m, mo.ell) for mo in self.modes}):
-            idx = np.flatnonzero((orders == m) & (ells == ell))
-            blocks.append((m if ell == 1 else top + 1 + m, idx, self.radial[idx]))
+        for col in np.unique(cols):
+            idx = np.flatnonzero(cols == col)
+            blocks.append((col, idx, self.radial[idx]))
         return trig.reshape(2 * half, -1), blocks
 
     def inner(self, weighted) -> np.ndarray:
@@ -255,24 +248,25 @@ class DiskBasis:
         outside = np.flatnonzero(~inside)
         out = np.zeros(len(xy), dtype=np.result_type(weights, float))
         live = np.nonzero(weights)[0]
-        orders = sorted({self.modes[i].m for i in live})
+        live_orders = self.modes["m"][live]
+        orders = np.unique(live_orders)
         J = self.truncation
         j = np.arange(J)
         exterior = {}  # m -> Bessel-row coefficients (J, 2) of the weights over gamma
         for m in orders:
-            idx = [i for i in live if self.modes[i].m == m]
+            idx = live[live_orders == m]
             fold = np.zeros((len(idx), 2), dtype=out.dtype)  # columns: cos, sin (ell = 1, 2)
-            fold[np.arange(len(idx)), [self.modes[i].ell - 1 for i in idx]] = weights[idx]
-            coeffs = np.array([self.modes[i].coeffs for i in idx]).T
+            fold[np.arange(len(idx)), self.modes["ell"][idx] - 1] = weights[idx]
+            coeffs = self.coeffs[idx].T
             if inside.any():
                 radial = real_matmul(zernike_radial_table(m, J, r[inside]).T, coeffs @ fold)
                 out[inside] += _angular_sum(m, radial, theta[inside])
             if len(outside):
-                gamma = np.array([self.modes[i].gamma for i in idx])
+                gamma = self.modes["gamma"][idx]
                 identity = math.sqrt(self.c) * (-1.0) ** j * np.sqrt(2.0 * (m + 2 * j + 1))
                 exterior[m] = identity[:, None] * (coeffs @ (fold / gamma[:, None]))
         if exterior:
-            top = orders[-1] + 2 * J - 1
+            top = int(orders[-1]) + 2 * J - 1
             block = max(1, _BESSEL_BLOCK // (top + 1))
             for lo in range(0, len(outside), block):
                 sel = outside[lo:lo + block]
@@ -286,10 +280,11 @@ class DiskBasis:
         return out[0] if np.ndim(pts) == 1 else out
 
     def mode_index(self, key: tuple[int, int, int]) -> int:
-        for i, mo in enumerate(self.modes):
-            if mo.key == tuple(key):
-                return i
-        raise KeyError(f"mode {key} not present in basis")
+        """Index of the mode with (m, n, ell) == key."""
+        hit = np.flatnonzero((self.keys == tuple(key)).all(axis=1))
+        if not len(hit):
+            raise KeyError(f"mode {key} not present in basis")
+        return int(hit[0])
 
 
 def default_truncation(c: float, n_max: int) -> int:
@@ -344,7 +339,7 @@ def compute_disk_basis(c: float, m_max: int, n_max: int,
     if J < n_max + 1:
         raise ParameterError("truncation must exceed n_max")
 
-    modes: list[DiskMode] = []
+    rows, coeffs = [], []
     # resolves both the disk-polynomial degree and the kernel oscillation c s s'
     rule = gauss_legendre_01(m_max + 2 * J + math.ceil(c / 2.0) + 16)
     s, w = rule.nodes, rule.weights
@@ -369,19 +364,21 @@ def compute_disk_basis(c: float, m_max: int, n_max: int,
             usable = abs(gamma) >= GAMMA_FLOOR
             # unit plane energy: squared norm on B(0,1) equals (c/2pi)^2 |alpha|^2
             scale = (c / (2.0 * np.pi)) * abs(alpha) / math.sqrt(amp) if usable else 1.0
-            coeffs = scale * v
-            coeffs.flags.writeable = False
             for ell in ((1,) if m == 0 else (1, 2)):
-                modes.append(DiskMode(m, n, ell, float(chis[n]), gamma, alpha, coeffs, usable))
-    modes.sort(key=lambda mo: (mo.m + 2 * mo.n, mo.m, mo.ell))
+                rows.append((m, n, ell, chis[n], gamma, alpha, usable))
+                coeffs.append(scale * v)
+    modes = np.array(rows, dtype=MODE_DTYPE)
+    order = np.lexsort((modes["ell"], modes["m"], modes["m"] + 2 * modes["n"]))
 
     n_r = m_max + 2 * J + 2
     n_t = max(32, 4 * m_max + 10)
-    return disk_basis_from_modes(c, J, modes, n_r, n_t + n_t % 2)
+    return disk_basis_from_modes(c, J, modes[order], np.array(coeffs)[order], n_r, n_t + n_t % 2)
 
 
-def disk_basis_from_modes(c: float, J: int, modes, n_r: int, n_t: int) -> DiskBasis:
-    """The unit-disk basis of sorted `modes` on the n_r x n_t polar rule.
+def disk_basis_from_modes(c: float, J: int, modes: np.ndarray, coeffs: np.ndarray,
+                          n_r: int, n_t: int) -> DiskBasis:
+    """The unit-disk basis of the sorted mode table and its (modes, J) radial
+    coefficients on the n_r x n_t polar rule.
 
     The radii and angles are read off the rule's first rings and first angles.
     One pass gives the Zernike tables of all orders; per order, one product
@@ -392,20 +389,20 @@ def disk_basis_from_modes(c: float, J: int, modes, n_r: int, n_t: int) -> DiskBa
     block = n_r * half
     r = np.hypot(quad.nodes[:block, 0], quad.nodes[:block, 1]).reshape(n_r, half)[:, 0]
     theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
-    orders = np.array([mo.m for mo in modes])
+    orders = modes["m"]
     tables = zernike_radial_table(np.arange(orders.max(initial=0) + 1), J, r)
     radial = np.empty((len(modes), n_r))
     for m in np.unique(orders):
         idx = np.flatnonzero(orders == m)
-        radial[idx] = np.array([modes[i].coeffs for i in idx]) @ tables[m]
-    return DiskBasis(c=float(c), truncation=int(J), modes=tuple(modes), quad=quad,
-                     radial=_frozen(radial), angles=_frozen(theta), quad_size=(n_r, n_t))
+        radial[idx] = coeffs[idx] @ tables[m]
+    return DiskBasis(c=float(c), truncation=int(J), modes=_frozen(modes), coeffs=_frozen(coeffs),
+                     quad=quad, radial=_frozen(radial), angles=_frozen(theta))
 
 
 def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:
-    """Evaluate one disk mode (a DiskMode or its (m, n, ell) key) anywhere in the plane."""
+    """Evaluate one disk mode (its index or its (m, n, ell) key) anywhere in the plane."""
     weights = np.zeros(len(basis.modes))
-    weights[basis.mode_index(mode.key if isinstance(mode, DiskMode) else mode)] = 1.0
+    weights[mode if np.ndim(mode) == 0 else basis.mode_index(mode)] = 1.0
     return basis.combine(weights, x)
 
 
@@ -421,6 +418,7 @@ def scale_to_data_domain(basis: DiskBasis, k: float) -> DiskBasis:
 
 def with_perturbed_alpha(basis: DiskBasis, index: int, factor: float) -> DiskBasis:
     """Copy of the basis with one alpha scaled by `factor` (for fault-injection checks)."""
-    mo = basis.modes[index]
-    mo = replace(mo, alpha=mo.alpha * factor, gamma=mo.gamma * factor)
-    return replace(basis, modes=basis.modes[:index] + (mo,) + basis.modes[index + 1:])
+    modes = basis.modes.copy()
+    modes["alpha"][index] *= factor
+    modes["gamma"][index] *= factor
+    return replace(basis, modes=_frozen(modes))

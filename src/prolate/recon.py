@@ -156,7 +156,7 @@ def reconstruct_full(data: DataGrid, basis, alpha: float,
     """
     beta = beta_of_alpha(basis, alpha)  # raises on empty cutoff
     keep = basis.keep(alpha)
-    ids = [list(basis.modes[i].key) for i in np.nonzero(keep)[0]]
+    ids = basis.keys[keep].tolist()
     return _reconstruct(data, basis, alpha, keep, ids, beta, realify)
 
 
@@ -164,7 +164,7 @@ def reconstruct_partial(data: DataGrid, basis, alpha: float,
                         realify: bool = False) -> ReconstructionResult:
     """Spectral-cutoff reconstruction for symmetric-set data: keep |mu_n| > alpha."""
     keep = partial_cutoff(basis, alpha)
-    ids = [int(i) for i in np.nonzero(keep)[0]]
+    ids = np.flatnonzero(keep).tolist()
     return _reconstruct(data, basis, alpha, keep, ids, None, realify)
 
 

@@ -43,7 +43,7 @@ from .numerics import (QuadratureRule, _frozen, axis_reflection, disk_polar_rule
 
 __all__ = [
     "Geometry",
-    "SymSetMode",
+    "MODE_DTYPE",
     "SymSetBasis",
     "membership",
     "radial_profile",
@@ -62,6 +62,9 @@ ALPHA_FLOOR = 1e-14
 RULE_VERSION = 2
 # Entries per kernel block in `SymSetBasis.combine` (2 MiB of float64).
 _KERNEL_BLOCK = 1 << 18
+# One record per symmetric-set mode: its parity under p -> -p and its
+# eigenvalue alpha on the unit-scale set A (real if even, imaginary if odd).
+MODE_DTYPE = np.dtype([("even", bool), ("alpha", complex)], align=True)
 # Direction of the sign probe in `compute_symset_basis`: irrational components,
 # so it lies on no symmetry axis of any geometry.
 SIGN_DIRECTION = (0.6180339887498949, 0.4142135623730950)
@@ -300,23 +303,11 @@ def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") 
 
 
 @dataclass(frozen=True)
-class SymSetMode:
-    """One Nystrom eigenpair: parity, operator eigenvalue, node samples."""
-
-    parity: str  # "even" | "odd"
-    alpha: complex  # eigenvalue of the unit-scale set A (real if even, imaginary if odd)
-    node_values: np.ndarray
-
-    @property
-    def beta(self) -> float:
-        """Signed real eigenvalue of the cos (even) or sin (odd) kernel on A."""
-        return self.alpha.real if self.parity == "even" else self.alpha.imag
-
-
-@dataclass(frozen=True)
 class SymSetBasis:
     """Retained eigenpairs of the Fourier operator on A_h, |alpha| descending.
 
+    `modes` is a read-only MODE_DTYPE array with one record per mode, and
+    `node_values` the read-only (modes, N) table of their samples on `quad`.
     `spectrum_even` / `spectrum_odd` keep the complete folded eigenvalue lists
     (operator scale, i.e. h^2 beta; about N/2 entries each, the nonzero part
     of the N x N Nystrom spectra), which the Hilbert-Schmidt sum rule checks
@@ -326,7 +317,8 @@ class SymSetBasis:
     c: float
     geometry: Geometry
     quad: QuadratureRule
-    modes: tuple[SymSetMode, ...]
+    modes: np.ndarray
+    node_values: np.ndarray
     spectrum_even: np.ndarray = None
     spectrum_odd: np.ndarray = None
     complete: bool = True  # False if fewer than requested survived the floor
@@ -335,9 +327,10 @@ class SymSetBasis:
     def kernel_scale(self) -> float:
         return self.c / self.geometry.h**2
 
-    @cached_property
+    @property
     def alphas(self) -> np.ndarray:
-        return _frozen([mo.alpha for mo in self.modes])
+        """Eigenvalues alpha_n on the unit-scale set A, the `alpha` field of `modes`."""
+        return self.modes["alpha"]
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -348,29 +341,6 @@ class SymSetBasis:
     def mode_norms(self) -> np.ndarray:
         """L2(A_h) norms, equal to (c / 2 pi) |alpha_n| per mode."""
         return _frozen((self.c / (2.0 * np.pi)) * np.abs(self.alphas))
-
-    @cached_property
-    def node_values(self) -> np.ndarray:
-        """(modes, N) node values; a basis built by `from_table` returns its table, uncopied."""
-        return _frozen([mo.node_values for mo in self.modes])
-
-    @classmethod
-    def from_table(cls, table, parities, alphas, **fields) -> "SymSetBasis":
-        """A basis whose modes are row views of one read-only (modes, N) node-value table.
-
-        `node_values` then returns the table itself, so the values are held once.
-        The remaining fields (c, geometry, quad, spectra, complete) pass through.
-        """
-        table = _frozen(table)
-        if table.shape != (len(parities), len(fields["quad"])) or len(alphas) != len(parities):
-            raise ParameterError(f"node-value table of shape {table.shape} does not match "
-                                 f"{len(parities)} parities, {len(alphas)} eigenvalues and "
-                                 f"{len(fields['quad'])} nodes")
-        modes = tuple(SymSetMode(parity=parity, alpha=alpha, node_values=row)
-                      for parity, alpha, row in zip(parities, alphas, table))
-        basis = cls(modes=modes, **fields)
-        basis.__dict__["node_values"] = table  # the cached property's value
-        return basis
 
     @cached_property
     def _fold(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -408,8 +378,9 @@ class SymSetBasis:
         """
         weights = np.asarray(weights)
         xy = np.atleast_2d(np.asarray(pts, dtype=float))
-        lam = self.geometry.h**2 * np.array([mo.beta for mo in self.modes])
-        even = np.array([mo.parity == "even" for mo in self.modes])
+        even = self.modes["even"]
+        # the signed real eigenvalue beta of the cos (even) or sin (odd) kernel, at scale h^2
+        lam = self.geometry.h**2 * np.where(even, self.alphas.real, self.alphas.imag)
         live = weights != 0
         rep, mirrored, n_pairs = self._fold
         scaled = weights / lam
@@ -575,7 +546,7 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
     # mirror nodes and does not depend on the eigensolver.
     t = pts @ np.array(SIGN_DIRECTION) / geometry.h
     probe = w * np.exp(t) * np.cos((c / geometry.h) * t + 0.25 * np.pi)
-    parities, alphas, table = [], [], []
+    rows, table = [], []
     for negabs, k, rank in candidates:
         if len(table) >= n_modes:
             break
@@ -592,14 +563,14 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
             v[g[sub]] = chi * x
         if np.dot(probe, v) < 0.0:
             v = -v
-        parities.append("even" if even else "odd")
-        alphas.append(alpha)
+        rows.append((even, alpha))
         table.append(v)
-    return SymSetBasis.from_table(np.reshape(table, (len(table), len(quad))), parities, alphas,
-                                  c=float(c), geometry=geometry, quad=quad,
-                                  spectrum_even=np.sort(np.concatenate(spectra["even"])),
-                                  spectrum_odd=np.sort(np.concatenate(spectra["odd"])),
-                                  complete=len(table) >= n_modes)
+    return SymSetBasis(c=float(c), geometry=geometry, quad=quad,
+                       modes=_frozen(np.array(rows, dtype=MODE_DTYPE)),
+                       node_values=_frozen(np.reshape(table, (len(table), len(quad)))),
+                       spectrum_even=np.sort(np.concatenate(spectra["even"])),
+                       spectrum_odd=np.sort(np.concatenate(spectra["odd"])),
+                       complete=len(table) >= n_modes)
 
 
 def eval_symset_psi(basis: SymSetBasis, n: int, p) -> float | np.ndarray:

@@ -6,6 +6,7 @@ from prolate.analysis import (project_pi_alpha, projection_error_report, sobolev
                               extrapolate, validate_basis)
 from prolate.disk_basis import with_perturbed_alpha
 from prolate.forward import DataGrid
+from prolate.symset_basis import mirror_indices
 
 
 def psi_hat(basis):
@@ -21,7 +22,7 @@ class TestProjection:
     def test_identity_on_retained_span(self, disk_c5, wnorm):
         hat = psi_hat(disk_c5)
         u = 1.5 * hat[0] - 0.7 * hat[4]
-        chi4 = disk_c5.modes[4].chi
+        chi4 = disk_c5.chis[4]
         proj = project_pi_alpha(u, disk_c5, alpha=0.9 / chi4)
         assert wnorm(disk_c5.quad.weights, proj - u) < 1e-9 * wnorm(disk_c5.quad.weights, u)
 
@@ -53,7 +54,7 @@ class TestProjection:
         # projection error obeys the alpha^{s/2} bound for every cutoff
         rng = np.random.default_rng(3)
         s = 1.0
-        chis = np.array([mo.chi for mo in disk_c5.modes])
+        chis = disk_c5.chis
         b = rng.uniform(-1.0, 1.0, len(chis))
         u = (chis ** (-s / 2.0) * b) @ psi_hat(disk_c5)
         hnorm = np.linalg.norm(b)
@@ -72,7 +73,7 @@ class TestProjection:
 
     def test_projection_report(self, disk_c5):
         rng = np.random.default_rng(6)
-        chis = np.array([mo.chi for mo in disk_c5.modes])
+        chis = disk_c5.chis
         b = rng.uniform(-1.0, 1.0, len(chis))
         u = (chis**-0.5 * b) @ psi_hat(disk_c5)
         rep = projection_error_report(u, disk_c5, alpha=1e-2, s=1.0)
@@ -87,7 +88,7 @@ class TestSobolevNorm:
         u = psi_hat(disk_c5)[i]
         for s in (0.0, 1.0, 2.0, 0.5):
             got = sobolev_norm_tilde(u, disk_c5, s)
-            assert got.value == pytest.approx(disk_c5.modes[i].chi ** (s / 2.0), rel=1e-9)
+            assert got.value == pytest.approx(disk_c5.chis[i] ** (s / 2.0), rel=1e-9)
             assert got.tail_fraction < 1e-6
 
     def test_s_zero_is_l2_of_projected_part(self, disk_c5, wnorm):
@@ -144,7 +145,7 @@ class TestExtrapolate:
         radius = scaled_c6.radius
         pts = np.array([[1.4 * radius, 0.2], [2.0 * radius, -0.5]])
         got = extrapolate(data, scaled_c6, pts)
-        want = P.eval_psi(scaled_c6, scaled_c6.modes[i], pts)
+        want = P.eval_psi(scaled_c6, i, pts)
         assert np.abs(got - want).max() < 1e-7 * np.abs(scaled_c6.node_values[i]).max()
 
     def test_truncation_exposes_exterior_illposedness(self, scaled_c6, wnorm):
@@ -197,9 +198,35 @@ class TestValidateBasis:
         assert not report["norm_alpha_consistency"]["passed"]
 
     def test_symset_disk_cross_check(self, disk_c5, symset_disk_c5):
-        galerkin = np.sort([abs(mo.alpha) for mo in disk_c5.modes])[::-1][:20]
+        galerkin = np.sort(np.abs(disk_c5.modes["alpha"]))[::-1][:20]
         nystrom = np.abs(symset_disk_c5.alphas[:20])
         assert np.abs(nystrom / galerkin - 1.0).max() < 1e-4
+
+    def test_table_checks_match_per_mode_loops(self, disk_c5, symset_disk_c5):
+        # the chain and parity checks read the mode tables; the same arithmetic
+        # mode by mode gives the same residuals, bitwise
+        bad = with_perturbed_alpha(disk_c5, disk_c5.mode_index((2, 1, 1)), 10.0)
+        chains = {}
+        for (m, n, ell), alpha, usable in zip(bad.keys.tolist(), bad.modes["alpha"].tolist(),
+                                              bad.modes["usable"].tolist()):
+            if ell == 1 and usable:
+                chains.setdefault(m, []).append((n, abs(alpha)))
+        worst = 0.0
+        for chain in chains.values():
+            mags = np.array([a for _, a in sorted(chain)])
+            if len(mags) > 1:
+                worst = max(worst, float(((mags[1:] - mags[:-1]) / mags[:-1]).max()))
+        report = {c["check"]: c["residual"] for c in validate_basis(bad)}
+        assert worst > 1.0
+        assert report["alpha_monotone_chains"] == worst
+
+        mirror = mirror_indices(symset_disk_c5.quad)
+        worst = 0.0
+        for even, v in zip(symset_disk_c5.modes["even"].tolist(), symset_disk_c5.node_values):
+            dev = np.abs(v[mirror] - (1.0 if even else -1.0) * v).max()
+            worst = max(worst, dev / np.abs(v).max())
+        report = {c["check"]: c["residual"] for c in validate_basis(symset_disk_c5)}
+        assert report["parity_node_symmetry"] == worst
 
     def test_report_schema(self, disk_c5):
         for entry in validate_basis(disk_c5):

@@ -18,12 +18,11 @@ class TestDiskRoundTrip:
         assert back.c == disk_c5.c
         assert back.truncation == disk_c5.truncation
         assert len(back.modes) == len(disk_c5.modes)
-        for a, b in zip(back.modes, disk_c5.modes):
-            assert a.key == b.key
-            assert a.chi == b.chi  # bitwise
-            assert a.gamma == b.gamma
-            assert a.alpha == b.alpha
-            assert np.array_equal(a.coeffs, b.coeffs)
+        assert back.modes.dtype == disk_c5.modes.dtype
+        assert np.array_equal(back.keys, disk_c5.keys)
+        for name in ("chi", "gamma", "alpha", "usable"):
+            assert np.array_equal(back.modes[name], disk_c5.modes[name])  # bitwise
+        assert np.array_equal(back.coeffs, disk_c5.coeffs)
         assert np.array_equal(back.quad.nodes, disk_c5.quad.nodes)
         assert np.array_equal(back.node_values, disk_c5.node_values)
 
@@ -48,25 +47,26 @@ class TestSymsetRoundTrip:
         assert back.geometry == symset_disk_c5.geometry
         assert np.array_equal(back.quad.nodes, symset_disk_c5.quad.nodes)
         assert np.array_equal(back.quad.weights, symset_disk_c5.quad.weights)
-        for a, b in zip(back.modes, symset_disk_c5.modes):
-            assert a.parity == b.parity
-            assert a.alpha == b.alpha
-            assert np.array_equal(a.node_values, b.node_values)
+        assert back.modes.dtype == symset_disk_c5.modes.dtype
+        assert np.array_equal(back.modes["even"], symset_disk_c5.modes["even"])
+        assert np.array_equal(back.alphas, symset_disk_c5.alphas)
+        assert np.array_equal(back.node_values, symset_disk_c5.node_values)
         assert np.array_equal(back.spectrum_even, symset_disk_c5.spectrum_even)
         assert np.array_equal(back.spectrum_odd, symset_disk_c5.spectrum_odd)
 
-    def test_node_values_held_once(self, symset_disk_c5, tmp_path):
+    def test_node_values_held_once(self, symset_disk_c5, tmp_path, monkeypatch):
+        # the loaded table is the array read from the container, not a copy
         path = tmp_path / "sym.gpswf"
         save_symset_basis(path, symset_disk_c5)
+        read = []
+        real = cache._read_container
+        monkeypatch.setattr(cache, "_read_container", lambda p: read.append(real(p)) or read[-1])
         back = load_symset_basis(path)
         table = back.node_values
         assert table.shape == (len(back.modes), len(back.quad))
         assert not table.flags.writeable
-        for i, mo in enumerate(back.modes):
-            assert np.shares_memory(mo.node_values, table)
-            assert np.array_equal(mo.node_values, table[i])
-            assert not mo.node_values.flags.writeable
-        assert back.node_values is table  # returned again, not restacked
+        assert not back.modes.flags.writeable
+        assert np.shares_memory(table, read[0][1]["node_values"])
 
     def test_limited_geometry_label(self, tmp_path):
         geo = P.Geometry.limited_aperture(2.0, h=1.5)
@@ -154,6 +154,92 @@ class TestMalformedMetadata:
         path.write_bytes(b"GPSWF1\n[1, 2]\n")
         with pytest.raises(CacheError, match="bad metadata"):
             load_basis(path)
+
+
+def _rewrite_arrays(path, edit):
+    """Apply `edit(meta, arrays)` to a container and write it back with a fresh checksum."""
+    meta, arrays = cache._read_container(path)
+    edit(meta, arrays)
+    for key in ("format", "arrays", "payload_sha256"):
+        meta.pop(key)
+    cache._write_container(path, meta, list(arrays.items()))
+
+
+def _extra_row(arrays, name):
+    arrays[name] = np.concatenate([arrays[name], arrays[name][:1]])
+
+
+class TestArrayShapes:
+    """A load, and the cache-hit check of `prolate basis`, refuse per-mode
+    arrays whose row count disagrees with the mode records."""
+
+    @pytest.mark.parametrize("edit", ["chi", "gamma", "alpha", "coeffs", "records"])
+    def test_disk_rows_match_mode_records(self, disk_c5, tmp_path, edit):
+        def change(meta, arrays):
+            if edit == "records":  # one record fewer than the rows of every array
+                meta["modes"].pop()
+            else:
+                _extra_row(arrays, edit)
+
+        path = tmp_path / "disk.gpswf"
+        save_disk_basis(path, disk_c5)
+        _rewrite_arrays(path, change)
+        with pytest.raises(CacheError, match="array shape"):
+            load_basis(path)
+        with pytest.raises(CacheError, match="array shape"):
+            cache.verify_basis(path, symset=False)
+
+    @pytest.mark.parametrize("edit", ["parity", "alpha", "node_values", "n_modes",
+                                      "node_columns"])
+    def test_symset_rows_match_mode_count(self, symset_disk_c5, tmp_path, edit):
+        def change(meta, arrays):
+            if edit == "n_modes":  # fewer modes than the rows of every array
+                meta["n_modes"] -= 4
+            elif edit == "node_columns":
+                arrays["node_values"] = np.ascontiguousarray(arrays["node_values"][:, 1:])
+            else:
+                _extra_row(arrays, edit)
+
+        path = tmp_path / "sym.gpswf"
+        save_symset_basis(path, symset_disk_c5)
+        _rewrite_arrays(path, change)
+        with pytest.raises(CacheError, match="array shape"):
+            load_basis(path)
+        with pytest.raises(CacheError, match="array shape"):
+            cache.verify_basis(path, symset=True)
+
+    def test_unedited_rewrite_loads(self, disk_c5, tmp_path):
+        path = tmp_path / "disk.gpswf"
+        save_disk_basis(path, disk_c5)
+        before = path.read_bytes()
+        _rewrite_arrays(path, lambda meta, arrays: None)
+        assert path.read_bytes() == before
+        cache.verify_basis(path, symset=False)
+
+
+class TestPinnedMetadata:
+    # json.loads reads `1` and `true` as equal values, so the record is compared
+    # as text: a writer that emits bools or floats for the integer entries fails
+    DISK_5_1_1 = {
+        "J": 17,
+        "arrays": [["chi", "<f8", [6]], ["gamma", "<f8", [6]], ["alpha", "<f8", [6, 2]],
+                   ["coeffs", "<f8", [6, 17]]],
+        "c": 5.0,
+        "format": 1,
+        "geometry": "disk",
+        "m_max": 1,
+        "modes": [[0, 0, 1, 1], [1, 0, 1, 1], [1, 0, 2, 1], [0, 1, 1, 1], [1, 1, 1, 1],
+                  [1, 1, 2, 1]],
+        "n_max": 1,
+        "quad_size": [37, 32],
+    }
+
+    def test_disk_metadata_record(self, tmp_path):
+        path = tmp_path / "disk.gpswf"
+        save_disk_basis(path, P.compute_disk_basis(5.0, 1, 1))
+        meta = json.loads(path.read_bytes().split(b"\n", 2)[1])
+        meta.pop("payload_sha256")
+        assert json.dumps(meta, sort_keys=True) == json.dumps(self.DISK_5_1_1, sort_keys=True)
 
 
 class TestOneReadPerLoad:

@@ -82,8 +82,8 @@ class TestAgainstScipyReference:
     @pytest.mark.parametrize("fixture", ["disk_c5", "disk_c10"])
     def test_chi_gamma_node_values(self, fixture, request):
         basis = request.getfixturevalue(fixture)
-        m_max = max(mo.m for mo in basis.modes)
-        n_max = max(mo.n for mo in basis.modes)
+        m_max = int(basis.modes["m"].max())
+        n_max = int(basis.modes["n"].max())
         ref = scipy_disk_reference(basis.c, m_max, n_max)
         r = np.hypot(basis.quad.nodes[:, 0], basis.quad.nodes[:, 1])
         theta = np.arctan2(basis.quad.nodes[:, 1], basis.quad.nodes[:, 0])
@@ -92,17 +92,18 @@ class TestAgainstScipyReference:
                        for m in range(m_max + 1)}
         chain_values = {}
         expected = []
-        for mo in basis.modes:
-            chi, gamma, coeffs = ref[mo.m, mo.n]
-            angular = np.ones_like(theta) if mo.m == 0 else (
-                np.cos(mo.m * theta) if mo.ell == 1 else np.sin(mo.m * theta))
-            expected.append((chi, gamma, (coeffs @ zern[mo.m]) * angular))
-            chain_values[mo.m] = max(chain_values.get(mo.m, 0.0), np.abs(expected[-1][2]).max())
-        for mo, values, (chi, gamma, want) in zip(basis.modes, basis.node_values, expected):
-            assert mo.usable
-            assert abs(mo.chi - chi) <= 1e-13 * abs(chi), mo.key
-            assert abs(mo.gamma - gamma) <= 1e-13 * chain_gamma[mo.m], mo.key
-            assert np.abs(values - want).max() <= 1e-13 * chain_values[mo.m], mo.key
+        for m, n, ell in basis.keys.tolist():
+            chi, gamma, coeffs = ref[m, n]
+            angular = np.ones_like(theta) if m == 0 else (
+                np.cos(m * theta) if ell == 1 else np.sin(m * theta))
+            expected.append((chi, gamma, (coeffs @ zern[m]) * angular))
+            chain_values[m] = max(chain_values.get(m, 0.0), np.abs(expected[-1][2]).max())
+        for key, mo, values, (chi, gamma, want) in zip(basis.keys.tolist(), basis.modes,
+                                                       basis.node_values, expected):
+            assert mo["usable"]
+            assert abs(mo["chi"] - chi) <= 1e-13 * abs(chi), key
+            assert abs(mo["gamma"] - gamma) <= 1e-13 * chain_gamma[key[0]], key
+            assert np.abs(values - want).max() <= 1e-13 * chain_values[key[0]], key
 
 
 class TestNodeValuesOnLoad:
@@ -116,10 +117,10 @@ class TestNodeValuesOnLoad:
         r = np.hypot(loaded.quad.nodes[:block, 0], loaded.quad.nodes[:block, 1])
         theta = np.arctan2(loaded.quad.nodes[:block, 1], loaded.quad.nodes[:block, 0])
         ref = np.empty_like(loaded.node_values)
-        for i, mo in enumerate(loaded.modes):
-            radial = mo.coeffs @ zernike_radial_table(mo.m, loaded.truncation, r)
-            first = radial * (np.cos(mo.m * theta) if mo.ell == 1 else np.sin(mo.m * theta))
-            ref[i] = np.concatenate([first, (-1.0) ** mo.m * first])
+        for i, (m, n, ell) in enumerate(loaded.keys.tolist()):
+            radial = loaded.coeffs[i] @ zernike_radial_table(m, loaded.truncation, r)
+            first = radial * (np.cos(m * theta) if ell == 1 else np.sin(m * theta))
+            ref[i] = np.concatenate([first, (-1.0) ** m * first])
         assert np.abs(loaded.node_values - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.abs(disk_c5.node_values - ref).max() <= 1e-14 * np.abs(ref).max()
         assert not loaded.node_values.flags.writeable
@@ -157,39 +158,34 @@ class TestAssemble:
 class TestComputeBasis:
     def test_bracketing_example_c20(self):
         basis = compute_disk_basis(20.0, m_max=3, n_max=2)
-        chi = basis.modes[basis.mode_index((3, 2, 1))].chi
+        chi = basis.chis[basis.mode_index((3, 2, 1))]
         assert 63.0 < chi < 63.0 + 400.0
 
     def test_tiny_c_limit(self):
         basis = compute_disk_basis(1e-6, m_max=1, n_max=1)
-        chi = basis.modes[basis.mode_index((1, 1, 1))].chi
+        chi = basis.chis[basis.mode_index((1, 1, 1))]
         assert chi == pytest.approx(15.0, abs=1e-9)
 
     def test_alpha_matches_nystrom(self, disk_c5, symset_disk_c5):
-        wanted = sorted(
-            abs(mo.alpha)
-            for mo in disk_c5.modes
-            if mo.m <= 3 and mo.n <= 3 and mo.ell == 1
-        )
+        modes = disk_c5.modes
+        wanted = sorted(np.abs(modes["alpha"][(modes["m"] <= 3) & (modes["n"] <= 3)
+                                              & (modes["ell"] == 1)]))
         nystrom = sorted(np.abs(symset_disk_c5.alphas), reverse=True)
         for target in wanted:
             best = min(abs(a - target) / target for a in nystrom)
             assert best < 1e-5
 
     def test_mode_ordering(self, disk_c5):
-        keys = [(mo.m + 2 * mo.n, mo.m, mo.ell) for mo in disk_c5.modes]
+        keys = [(m + 2 * n, m, ell) for m, n, ell in disk_c5.keys.tolist()]
         assert keys == sorted(keys)
 
-    def test_chi_radial_offset_exact(self, disk_c5):
-        for mo in disk_c5.modes[:10]:
-            assert mo.chi_radial == mo.chi + 0.75
-
     def test_alpha_structure(self, disk_c5):
-        for mo in disk_c5.modes:
+        for m, gamma, alpha in zip(disk_c5.modes["m"].tolist(), disk_c5.modes["gamma"].tolist(),
+                                   disk_c5.modes["alpha"].tolist()):
             # alpha = 2 pi i^m gamma / sqrt(c) with gamma real
-            predicted = 2.0 * np.pi * 1j**mo.m * mo.gamma / math.sqrt(disk_c5.c)
-            assert abs(mo.alpha - predicted) <= 1e-15 * abs(mo.alpha)
-            assert mo.alpha != 0.0
+            predicted = 2.0 * np.pi * 1j**m * gamma / math.sqrt(disk_c5.c)
+            assert abs(alpha - predicted) <= 1e-15 * abs(alpha)
+            assert alpha != 0.0
 
     def test_validation_report_passes(self, disk_c10):
         report = P.validate_basis(disk_c10)
@@ -201,8 +197,8 @@ class TestComputeBasis:
         a = compute_disk_basis(c, m, n_max, truncation=J)
         b = compute_disk_basis(c, m, n_max, truncation=J + 10)
         for n in range(n_max + 1):
-            chi_a = a.modes[a.mode_index((m, n, 1))].chi
-            chi_b = b.modes[b.mode_index((m, n, 1))].chi
+            chi_a = a.chis[a.mode_index((m, n, 1))]
+            chi_b = b.chis[b.mode_index((m, n, 1))]
             assert abs(chi_a - chi_b) <= 1e-9 * abs(chi_b)
 
     def test_rejects_bad_parameters(self):
@@ -233,10 +229,10 @@ class TestEval:
         n_t = 2 * int(c * np.hypot(*x)) + 48
         quad = P.disk_polar_rule(1.0, 60, n_t + n_t % 2)
         for key in [(0, 0, 1), (2, 1, 1), (1, 0, 2)]:
-            mo = disk_c5.modes[disk_c5.mode_index(key)]
-            lhs = mo.alpha * eval_psi(disk_c5, mo, x)
+            i = disk_c5.mode_index(key)
+            lhs = disk_c5.modes["alpha"][i] * eval_psi(disk_c5, i, x)
             kernel = np.exp(1j * c * (quad.nodes @ x))
-            rhs = np.sum(quad.weights * kernel * eval_psi(disk_c5, mo, quad.nodes))
+            rhs = np.sum(quad.weights * kernel * eval_psi(disk_c5, i, quad.nodes))
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -267,13 +263,15 @@ class TestEval:
             s, w = scipy_rule(200 + math.ceil(disk_c5.c * rho.max()))
             phase = max(1.0, disk_c5.c * rho.max() / 100.0)
             for key in [(0, 0, 1), (2, 1, 1), (5, 3, 2), (10, 8, 1)]:
-                mo = disk_c5.modes[disk_c5.mode_index(key)]
-                R = mo.coeffs @ scipy_zernike(mo.m, disk_c5.truncation, s)
-                kernel = math.sqrt(disk_c5.c) / mo.gamma * jv(mo.m, disk_c5.c * np.outer(rho, s))
-                angular = np.cos(mo.m * phi) if mo.ell == 1 else np.sin(mo.m * phi)
+                m, _, ell = key
+                i = disk_c5.mode_index(key)
+                R = disk_c5.coeffs[i] @ scipy_zernike(m, disk_c5.truncation, s)
+                gamma = disk_c5.modes["gamma"][i]
+                kernel = math.sqrt(disk_c5.c) / gamma * jv(m, disk_c5.c * np.outer(rho, s))
+                angular = np.cos(m * phi) if ell == 1 else np.sin(m * phi)
                 want = (kernel @ (w * s * R)) * angular
                 scale = (np.abs(kernel) @ (w * s * np.abs(R))).max()
-                got = eval_psi(disk_c5, mo, x)
+                got = eval_psi(disk_c5, key, x)
                 assert np.abs(got - want).max() <= 1e-13 * scale * phase, (key, rho.max())
 
     def test_exterior_memory_does_not_grow_with_distance(self, disk_c5):
@@ -298,8 +296,7 @@ class TestScaled:
         assert scaled.radius == pytest.approx(1.0, abs=1e-15)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.9, 0.9, (20, 2))
-        mo = disk_c5.modes[3]
-        assert np.allclose(eval_psi(scaled, mo, pts), eval_psi(disk_c5, mo, pts),
+        assert np.allclose(eval_psi(scaled, 3, pts), eval_psi(disk_c5, 3, pts),
                            atol=1e-13)
 
     def test_scaled_norms(self, scaled_c6):
@@ -319,13 +316,12 @@ class TestScaled:
     @staticmethod
     def _plane_energy(scaled, index, T, n_gl):
         inner = float(np.sum(scaled.quad.weights * scaled.node_values[index] ** 2))
-        mo = scaled.modes[index]
         rad = P.gauss_legendre(n_gl)
         R_out = T * scaled.radius
         r = 0.5 * (R_out - scaled.radius) * rad.nodes + 0.5 * (R_out + scaled.radius)
         w = 0.5 * (R_out - scaled.radius) * rad.weights
-        vals = eval_psi(scaled, mo, np.stack([r, np.zeros_like(r)], axis=1))
-        a_m = 2.0 * np.pi if mo.m == 0 else np.pi
+        vals = eval_psi(scaled, index, np.stack([r, np.zeros_like(r)], axis=1))
+        a_m = 2.0 * np.pi if scaled.modes["m"][index] == 0 else np.pi
         return inner + a_m * float(np.sum(w * r * vals**2))
 
     def test_plane_energy_unit(self, disk_c10):
@@ -389,12 +385,13 @@ class TestScaled:
 
 class TestRadialOperator:
     def test_finite_difference_eigenrelation(self, disk_c5):
-        mo = disk_c5.modes[disk_c5.mode_index((2, 1, 1))]
-        J = len(mo.coeffs)
+        i = disk_c5.mode_index((2, 1, 1))
+        m, coeffs = 2, disk_c5.coeffs[i]
+        J = len(coeffs)
         c = disk_c5.c
 
         def phi(r):
-            return np.sqrt(r) * (mo.coeffs @ zernike_radial_table(mo.m, J, r))
+            return np.sqrt(r) * (coeffs @ zernike_radial_table(m, J, r))
 
         r = np.linspace(0.15, 0.85, 141)
 
@@ -402,8 +399,9 @@ class TestRadialOperator:
             d2 = (phi(r + h) - 2.0 * phi(r) + phi(r - h)) / h**2
             d1 = (phi(r + h) - phi(r - h)) / (2.0 * h)
             dphi = (-(1.0 - r * r) * d2 + 2.0 * r * d1
-                    - ((0.25 - mo.m**2) / r**2 - c * c * r * r) * phi(r))
-            target = mo.chi_radial * phi(r)
+                    - ((0.25 - m**2) / r**2 - c * c * r * r) * phi(r))
+            # the radial operator on sqrt(r) R(r) has eigenvalue chi + 3/4
+            target = (disk_c5.chis[i] + 0.75) * phi(r)
             return np.abs(dphi - target).max() / np.abs(target).max()
 
         r1, r2 = residual(2e-3), residual(1e-3)
@@ -412,9 +410,9 @@ class TestRadialOperator:
 
     def test_alpha_monotone_along_chains(self, disk_c10):
         by_m = {}
-        for mo in disk_c10.modes:
-            if mo.ell == 1:
-                by_m.setdefault(mo.m, []).append((mo.n, abs(mo.alpha)))
+        for (m, n, ell), alpha in zip(disk_c10.keys.tolist(), disk_c10.modes["alpha"].tolist()):
+            if ell == 1:
+                by_m.setdefault(m, []).append((n, abs(alpha)))
         for chain in by_m.values():
             mags = [a for _, a in sorted(chain)]
             assert all(b <= a * (1.0 + 1e-10) for a, b in zip(mags, mags[1:]))
@@ -431,13 +429,13 @@ def dense_node_values(basis):
     block = n_r * half
     r = np.hypot(quad.nodes[:block, 0], quad.nodes[:block, 1]).reshape(n_r, half)[:, 0]
     theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
-    orders = np.array([mo.m for mo in basis.modes])
+    orders = basis.modes["m"]
     tables = zernike_radial_table(np.arange(orders.max() + 1), basis.truncation, r)
     table = np.empty((len(basis.modes), len(quad)))
     for m in np.unique(orders):
         idx = np.flatnonzero(orders == m)
-        radial = np.array([basis.modes[i].coeffs for i in idx]) @ tables[m]
-        Y = np.stack([np.cos(m * theta), np.sin(m * theta)])[[basis.modes[i].ell - 1 for i in idx]]
+        radial = basis.coeffs[idx] @ tables[m]
+        Y = np.stack([np.cos(m * theta), np.sin(m * theta)])[basis.modes["ell"][idx] - 1]
         first = (radial[:, :, None] * Y[:, None, :]).reshape(len(idx), block)
         table[idx] = np.hstack([first, -first if m % 2 else first])
     return table / basis.radius
@@ -475,10 +473,10 @@ class TestRingProducts:
 
     def test_modes_missing_from_a_ring_order(self, disk_c5):
         # a basis without some (m, ell) blocks, e.g. after dropping modes
-        keep = [i for i, mo in enumerate(disk_c5.modes) if not (mo.m == 3 or mo.ell == 2)]
-        sub = disk_basis.disk_basis_from_modes(disk_c5.c, disk_c5.truncation,
-                                               [disk_c5.modes[i] for i in keep],
-                                               *disk_c5.quad_size)
+        modes = disk_c5.modes
+        keep = np.flatnonzero(~((modes["m"] == 3) | (modes["ell"] == 2)))
+        sub = disk_basis.disk_basis_from_modes(disk_c5.c, disk_c5.truncation, modes[keep],
+                                               disk_c5.coeffs[keep], *disk_c5.quad_size)
         assert np.array_equal(sub.node_values, disk_c5.node_values[keep])
         u = np.random.default_rng(2).standard_normal(len(sub.quad))
         want = sub.node_values @ u
@@ -494,7 +492,7 @@ class TestLazyNodeValues:
 
     def test_scaling_builds_no_table(self, disk_c5):
         fresh = disk_basis.disk_basis_from_modes(disk_c5.c, disk_c5.truncation, disk_c5.modes,
-                                                 *disk_c5.quad_size)
+                                                 disk_c5.coeffs, *disk_c5.quad_size)
         scaled = scale_to_data_domain(fresh, 1.3)
         assert "node_values" not in vars(fresh) and "node_values" not in vars(scaled)
         assert scaled.radial is fresh.radial

@@ -64,7 +64,7 @@ class TestSynthesize:
         i = 4
         quad = disk_polar_rule(scaled_c6.radius, 90, 96)
         q = ContrastField.from_callable(
-            lambda pts: eval_psi(scaled_c6, scaled_c6.modes[i], pts),
+            lambda pts: eval_psi(scaled_c6, i, pts),
             quad, circumradius=scaled_c6.radius)
         data = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
         pred = scaled_c6.mu[i] * scaled_c6.node_values[i]

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -168,18 +169,18 @@ class TestProjection:
 
 class TestBetaOfAlpha:
     def test_singleton_cutoff(self, scaled_c6):
-        chi0 = scaled_c6.modes[0].chi
+        chi0 = scaled_c6.chis[0]
         alpha = 1.0 / (chi0 + 1e-6)
         beta = beta_of_alpha(scaled_c6, alpha)
-        expected = scaled_c6.radius**2 * abs(scaled_c6.modes[0].alpha)
+        expected = scaled_c6.radius**2 * abs(scaled_c6.modes["alpha"][0])
         assert beta == pytest.approx(expected, rel=1e-14)
 
     def test_empty_cutoff_raises(self, scaled_c6):
         with pytest.raises(EmptyCutoffError):
-            beta_of_alpha(scaled_c6, 1.0 / scaled_c6.modes[0].chi)
+            beta_of_alpha(scaled_c6, 1.0 / scaled_c6.chis[0])
 
     def test_nonincreasing_as_alpha_decreases(self, scaled_c6):
-        chis = np.array([mo.chi for mo in scaled_c6.modes])
+        chis = scaled_c6.chis
         alphas = np.geomspace(0.99 / chis.min(), 1.01 / chis.max(), 20)
         betas = [beta_of_alpha(scaled_c6, a) for a in alphas]
         # alphas descend, so the cutoff set grows and beta cannot increase
@@ -192,7 +193,7 @@ class TestReconstructFull:
         idx = rng.choice(12, 6, replace=False)
         coeffs = {int(i): complex(v) for i, v in zip(idx, rng.standard_normal(6))}
         data = eigen_data(scaled_c6, coeffs)
-        chi_max = scaled_c6.modes[max(coeffs)].chi
+        chi_max = scaled_c6.chis[max(coeffs)]
         rec = reconstruct_full(data, scaled_c6, alpha=0.99 / chi_max)
         psi_hat = scaled_c6.node_values / scaled_c6.mode_norms[:, None]
         want = np.zeros(len(scaled_c6.quad), dtype=complex)
@@ -204,7 +205,7 @@ class TestReconstructFull:
 
     def test_fewer_modes_for_larger_alpha(self, scaled_c6):
         data = eigen_data(scaled_c6, {0: 1.0})
-        chis = sorted(mo.chi for mo in scaled_c6.modes)
+        chis = sorted(scaled_c6.chis)
         small = reconstruct_full(data, scaled_c6, alpha=0.99 / chis[-1])
         large = reconstruct_full(data, scaled_c6, alpha=1.01 / chis[2])
         assert large.diagnostics["mode_count"] < small.diagnostics["mode_count"]
@@ -234,7 +235,7 @@ class TestReconstructFull:
         w = scaled_c6.quad.weights
         u_norm = clean.weighted_norm()
         delta = 1e-2
-        chis = np.array([mo.chi for mo in scaled_c6.modes])
+        chis = scaled_c6.chis
         for alpha in np.geomspace(0.9 / chis.min(), 1.2 / chis.max(), 8):
             noisy = add_noise(clean, delta / u_norm, 5)
             rec = reconstruct_full(noisy, scaled_c6, alpha=float(alpha))
@@ -248,7 +249,7 @@ class TestReconstructFull:
         q_nodes = np.exp(-np.hypot(*scaled_c6.quad.nodes.T) ** 2)
         data = make_grid(scaled_c6, discrete_forward(scaled_c6, q_nodes))
         w = scaled_c6.quad.weights
-        chis = np.array([mo.chi for mo in scaled_c6.modes])
+        chis = scaled_c6.chis
         errs = []
         for alpha in (1.0 / 20.0, 1.0 / 50.0, 1.0 / 90.0, 0.99 / chis.max()):
             rec = reconstruct_full(data, scaled_c6, alpha=float(alpha))
@@ -272,6 +273,19 @@ class TestReconstructFull:
         assert len(back["modes"]) == rec.diagnostics["mode_count"]
         ids = [m["id"] for m in back["modes"]]
         assert [0, 0, 1] in ids
+
+    def test_result_ids_pinned(self, symset_disk_c5, tmp_path):
+        # rec.json names disk modes by [m, n, ell] and symset modes by index, as
+        # JSON integers (json.loads reads `true` as 1, so the ids are compared as text)
+        disk = P.scale_to_data_domain(P.compute_disk_basis(5.0, 1, 1), 1.0)
+        for basis, rec, want in (
+                (disk, reconstruct_full, "[[0, 0, 1], [1, 0, 1], [1, 0, 2]]"),
+                (symset_disk_c5, reconstruct_partial, "[0, 1, 2]")):
+            mu = np.abs(basis.mu)
+            alpha = 1.0 / 20.0 if basis is disk else 0.5 * (mu[2] + mu[3])
+            path = tmp_path / "rec.json"
+            write_result(path, rec(eigen_data(basis, {0: 1.0}), basis, alpha))
+            assert json.dumps([m["id"] for m in read_result(path)["modes"]]) == want
 
 
 class TestReconstructPartial:
@@ -307,14 +321,14 @@ class TestReconstructPartial:
             out = np.zeros(len(np.atleast_2d(pts)))
             for a, i in zip(amps, idx):
                 out += a / scaled_c6.mode_norms[i] * P.eval_psi(
-                    scaled_c6, scaled_c6.modes[i], pts)
+                    scaled_c6, i, pts)
             return out
 
         data_full = make_grid(scaled_c6, discrete_forward(scaled_c6, q_field(scaled_c6.quad.nodes)))
         data_part = DataGrid(nodes=sym.quad.nodes, weights=sym.quad.weights,
                              values=discrete_forward(sym, q_field(sym.quad.nodes)),
                              flags=np.zeros(len(sym.quad), dtype=np.uint8))
-        chi_cut = scaled_c6.modes[max(idx)].chi
+        chi_cut = scaled_c6.chis[max(idx)]
         rec_full = reconstruct_full(data_full, scaled_c6, alpha=0.9 / chi_cut)
         mu_cut = np.abs(sym.mu[len(idx) + 10])
         rec_part = reconstruct_partial(data_part, sym, alpha=float(mu_cut))

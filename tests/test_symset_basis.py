@@ -15,6 +15,12 @@ from prolate.symset_basis import (Geometry, analytic_area, build_quadrature,
                                   mirror_indices, radial_profile)
 
 
+def beta(basis, i):
+    """Signed real eigenvalue of the cos (even) or sin (odd) kernel on A for mode i."""
+    alpha = basis.alphas[i]
+    return alpha.real if basis.modes["even"][i] else alpha.imag
+
+
 def limited_area_param_oracle(theta, n=3000):
     """|L| from the (a, b) parametrization with analytic multiplicity."""
     a = -theta + (np.arange(n) + 0.5) * (2 * theta / n)
@@ -227,10 +233,7 @@ class TestBuildQuadrature:
 
 class TestEigensystem:
     def test_top_alphas_match_disk_basis(self, disk_c5, symset_disk_c5):
-        galerkin = []
-        for mo in disk_c5.modes:
-            galerkin.append(abs(mo.alpha))
-        galerkin = np.sort(galerkin)[::-1][:20]
+        galerkin = np.sort(np.abs(disk_c5.modes["alpha"]))[::-1][:20]
         nystrom = np.abs(symset_disk_c5.alphas[:20])
         assert np.abs(nystrom - galerkin).max() / galerkin.min() < 1e-4
 
@@ -241,24 +244,24 @@ class TestEigensystem:
         assert total == pytest.approx(math.pi**2, rel=1e-3)
 
     def test_parity_types(self, symset_disk_c5):
-        for mo in symset_disk_c5.modes:
-            if mo.parity == "even":
-                assert mo.alpha.imag == 0.0
+        for even, alpha in symset_disk_c5.modes.tolist():
+            if even:
+                assert alpha.imag == 0.0
             else:
-                assert mo.alpha.real == 0.0
-            assert abs(mo.alpha) > 0.0
+                assert alpha.real == 0.0
+            assert abs(alpha) > 0.0
 
     def test_mode_parity_on_nodes(self, symset_disk_c5):
         mirror = mirror_indices(symset_disk_c5.quad)
-        for mo in symset_disk_c5.modes[:12]:
-            sgn = 1.0 if mo.parity == "even" else -1.0
-            dev = np.abs(mo.node_values[mirror] - sgn * mo.node_values).max()
-            assert dev < 1e-8 * np.abs(mo.node_values).max()
+        for even, v in zip(symset_disk_c5.modes["even"][:12], symset_disk_c5.node_values):
+            sgn = 1.0 if even else -1.0
+            dev = np.abs(v[mirror] - sgn * v).max()
+            assert dev < 1e-8 * np.abs(v).max()
 
     def test_weighted_norms(self, symset_disk_c5):
         w = symset_disk_c5.quad.weights
-        for i, mo in enumerate(symset_disk_c5.modes):
-            n2 = float(np.sum(w * mo.node_values**2))
+        for i, v in enumerate(symset_disk_c5.node_values):
+            n2 = float(np.sum(w * v**2))
             assert n2 == pytest.approx(symset_disk_c5.mode_norms[i] ** 2, rel=1e-10)
 
     def test_ordering_by_modulus(self, symset_disk_c5):
@@ -300,9 +303,9 @@ class TestEigensystem:
                             lambda a: scipy.linalg.eigh(a, driver="evr"))
         other = compute_symset_basis(5.0, geo, quad, 30)
         w = quad.weights
-        for a, b in zip(reference.modes, other.modes):
-            assert a.parity == b.parity
-            overlap = np.sum(w * a.node_values * b.node_values) / np.sum(w * a.node_values**2)
+        assert np.array_equal(reference.modes["even"], other.modes["even"])
+        for a, b in zip(reference.node_values, other.node_values):
+            overlap = np.sum(w * a * b) / np.sum(w * a**2)
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_requires_modest_mode_count(self):
@@ -318,11 +321,11 @@ class TestEval:
         sample = symset_disk_c5.quad.nodes[::29]
         for i in idx:
             got = eval_symset_psi(symset_disk_c5, i, sample)
-            want = symset_disk_c5.modes[i].node_values[::29]
+            want = symset_disk_c5.node_values[i, ::29]
             assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
 
     def test_even_mode_symmetry(self, symset_disk_c5):
-        i = next(j for j, mo in enumerate(symset_disk_c5.modes) if mo.parity == "even")
+        i = int(np.flatnonzero(symset_disk_c5.modes["even"])[0])
         pts = np.random.default_rng(2).uniform(-0.9, 0.9, (25, 2))
         a = eval_symset_psi(symset_disk_c5, i, pts)
         b = eval_symset_psi(symset_disk_c5, i, -pts)
@@ -335,14 +338,14 @@ class TestEval:
         fine = build_quadrature(basis.geometry, 400, method="polar")
         pts = np.array([[1.4, 0.3], [2.2, -0.8]])
         for i in (0, 1, 2):
-            mo = basis.modes[i]
+            even = basis.modes["even"][i]
             vals_fine = eval_symset_psi(basis, i, fine.nodes)
-            lam = mo.beta * basis.geometry.h**2
+            lam = beta(basis, i) * basis.geometry.h**2
             for p in pts:
                 kernel = np.exp(1j * basis.kernel_scale * (fine.nodes @ p))
                 rhs = np.sum(fine.weights * kernel * vals_fine)
-                lhs = (lam if mo.parity == "even" else 1j * lam) * eval_symset_psi(basis, i, p)
-                assert abs(lhs - rhs) < 1e-7 * np.abs(mo.node_values).max()
+                lhs = (lam if even else 1j * lam) * eval_symset_psi(basis, i, p)
+                assert abs(lhs - rhs) < 1e-7 * np.abs(basis.node_values[i]).max()
 
     def test_combine_memory_is_blocked(self):
         # a 64^2 field on the N = 3,200 L(3 pi/4) polar basis: the dense
@@ -437,14 +440,14 @@ class TestParityFold:
         basis, ref = case
         sw = np.sqrt(basis.quad.weights)
         lam0 = abs(basis.mu[0])
-        for mo in basis.modes:
-            vals, vecs = ref[mo.parity]
-            lam = mo.beta * basis.geometry.h**2
+        for i, v in enumerate(basis.node_values):
+            vals, vecs = ref["even" if basis.modes["even"][i] else "odd"]
+            lam = beta(basis, i) * basis.geometry.h**2
             cluster = np.abs(vals - lam) <= 1e-8 * lam0
             assert cluster.any()
             gap = np.abs(vals[~cluster] - lam).min()
             q = vecs[:, cluster]
-            x = sw * mo.node_values
+            x = sw * v
             residual = np.linalg.norm(x - q @ (q.T @ x)) / np.linalg.norm(x)
             assert residual <= 1e-13 * lam0 / gap
 
@@ -452,17 +455,17 @@ class TestParityFold:
         basis, _ = case
         fixed = np.flatnonzero(mirror_indices(basis.quad) == np.arange(len(basis.quad)))
         assert len(fixed) == len(basis.quad) % 2  # only the p = 0 node is its own mirror
-        odd = [mo for mo in basis.modes if mo.parity == "odd"]
-        assert odd
-        for mo in odd:
-            assert np.all(mo.node_values[fixed] == 0.0)
+        odd = basis.node_values[~basis.modes["even"]]
+        assert len(odd)
+        for v in odd:
+            assert np.all(v[fixed] == 0.0)
 
     def test_exact_node_parity(self, case):
         basis, _ = case
         mirror = mirror_indices(basis.quad)
-        for mo in basis.modes:
-            sgn = 1.0 if mo.parity == "even" else -1.0
-            assert np.array_equal(mo.node_values[mirror], sgn * mo.node_values)
+        for even, v in zip(basis.modes["even"], basis.node_values):
+            sgn = 1.0 if even else -1.0
+            assert np.array_equal(v[mirror], sgn * v)
 
     def test_exact_reflection_symmetry(self, case, request):
         # each mode is even or odd under the reflection R, bitwise, and every
@@ -473,11 +476,10 @@ class TestParityFold:
         if refl is None:
             return
         classes = set()
-        for mo in basis.modes:
-            v = mo.node_values
+        for even, v in zip(basis.modes["even"].tolist(), basis.node_values):
             r = 1.0 if np.array_equal(v[refl], v) else -1.0
             assert np.array_equal(v[refl], r * v)
-            classes.add((mo.parity, r))
+            classes.add((even, r))
         assert len(classes) == 4
 
     def test_retained_alphas_match_complex_kernel(self, case):
