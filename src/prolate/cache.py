@@ -144,15 +144,15 @@ def save_disk_basis(path, basis: DiskBasis) -> None:
                                   ("alpha", _pairs(modes["alpha"])), ("coeffs", basis.coeffs)])
 
 
-def _disk_basis(meta: dict, arrays: dict) -> DiskBasis:
-    records = np.array(meta["modes"], dtype=np.int64).reshape(len(meta["modes"]), 4)
+def _disk_basis(entries: dict, arrays: dict) -> DiskBasis:
+    records = entries["modes"]
     modes = np.empty(len(records), dtype=DISK_MODE)
     modes["m"], modes["n"], modes["ell"] = records[:, :3].T
     modes["usable"] = records[:, 3] != 0
     modes["chi"], modes["gamma"] = arrays["chi"], arrays["gamma"]
     modes["alpha"] = arrays["alpha"].view(complex)[:, 0]
-    n_r, n_t = meta["quad_size"]
-    return disk_basis_from_modes(meta["c"], meta["J"], modes, arrays["coeffs"], n_r, n_t)
+    return disk_basis_from_modes(entries["c"], entries["J"], modes, arrays["coeffs"],
+                                 *entries["quad_size"])
 
 
 _GEO_LABEL = {"disk": "disk", "limited_aperture": "L", "multi_freq": "M"}
@@ -179,16 +179,16 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
     ])
 
 
-def _symset_basis(meta: dict, arrays: dict) -> SymSetBasis:
-    modes = np.empty(meta["n_modes"], dtype=SYMSET_MODE)
+def _symset_basis(entries: dict, arrays: dict) -> SymSetBasis:
+    modes = np.empty(entries["n_modes"], dtype=SYMSET_MODE)
     modes["even"] = arrays["parity"] == 0
     modes["alpha"] = arrays["alpha"].view(complex)[:, 0]
     return SymSetBasis(
-        c=float(meta["c"]), geometry=Geometry.from_dict(meta["geometry_params"]),
+        c=entries["c"], geometry=entries["geometry"],
         quad=QuadratureRule(arrays["nodes"], arrays["weights"]), modes=_frozen(modes),
         node_values=_frozen(arrays["node_values"]),
         spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"],
-        complete=bool(meta["complete"]))
+        complete=entries["complete"])
 
 
 # Metadata entries a load reads, per basis kind.
@@ -196,37 +196,60 @@ _REQUIRED = {False: ("c", "m_max", "n_max", "J", "quad_size", "modes"),
              True: ("geometry_params", "c", "n_modes", "n_nodes", "complete")}
 
 
-def _array_shapes(meta: dict, symset: bool) -> dict:
-    """The arrays a load reads, each with the shape the metadata gives it (None:
-    any): one row per mode record, one column per node or radial coefficient."""
+def _count(value) -> int:
+    """A nonnegative integer metadata entry; ValueError otherwise."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {value!r}")
+    return value
+
+
+def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
+    """The metadata entries a load reads, parsed as the load uses them, and the
+    arrays it reads, each with the shape the entries give it (None: any): one
+    row per mode, one column per node or radial coefficient.  TypeError or
+    ValueError where an entry is malformed; builds no table."""
     if symset:
-        n, nodes = meta["n_modes"], meta["n_nodes"]
-        return {"nodes": (nodes, 2), "weights": (nodes,), "parity": (n,), "alpha": (n, 2),
-                "node_values": (n, nodes), "spectrum_even": None, "spectrum_odd": None}
-    n = len(meta["modes"])
-    return {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, meta["J"])}
+        n, nodes = _count(meta["n_modes"]), _count(meta["n_nodes"])
+        return ({"c": float(meta["c"]), "geometry": Geometry.from_dict(meta["geometry_params"]),
+                 "n_modes": n, "complete": bool(meta["complete"])},
+                {"nodes": (nodes, 2), "weights": (nodes,), "parity": (n,), "alpha": (n, 2),
+                 "node_values": (n, nodes), "spectrum_even": None, "spectrum_odd": None})
+    records = np.array(meta["modes"], dtype=np.int64)
+    if records.ndim != 2 or records.shape[1] != 4:
+        raise ValueError("mode records must hold 4 integers each")
+    n_r, n_t = map(_count, meta["quad_size"])
+    if n_r < 1 or n_t < 2 or n_t % 2:
+        raise ValueError(f"quad_size must be 2 positive integers, the second even, "
+                         f"got {[n_r, n_t]}")
+    n, J = len(records), _count(meta["J"])
+    return ({"c": float(meta["c"]), "J": J, "modes": records, "quad_size": (n_r, n_t)},
+            {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, J)})
 
 
-def _check_layout(path, meta: dict, arrays: dict, symset: bool) -> None:
-    """Raise CacheError unless the container is of the given kind, holds every
-    metadata entry and array a load reads, and each array has the shape its
-    metadata gives it."""
+def _check_layout(path, meta: dict, arrays: dict, symset: bool) -> dict:
+    """The parsed metadata entries (`_entries`) of a container of the given
+    kind; CacheError unless it holds every metadata entry and array a load
+    reads, each entry parses, and each array has the shape its metadata gives it."""
     if symset and meta.get("geometry") not in _LABEL_GEO:
         raise CacheError(f"{path}: not a symmetric-set basis file")
     if not symset and meta.get("geometry") != "disk":
         raise CacheError(f"{path}: not a disk basis file")
     missing = [k for k in _REQUIRED[symset] if k not in meta]
-    try:
-        shapes = {} if missing else _array_shapes(meta, symset)
-    except TypeError as exc:
-        raise CacheError(f"{path}: malformed basis container (TypeError: {exc})") from None
-    missing += [name for name in shapes if name not in arrays]
     if missing:
         raise CacheError(f"{path}: malformed basis container (missing {', '.join(missing)})")
-    wrong = [f"{name} {arrays[name].shape} for {tuple(shape)}" for name, shape in shapes.items()
-             if shape is not None and arrays[name].shape != tuple(shape)]
+    try:
+        entries, shapes = _entries(meta, symset)
+    except (TypeError, ValueError) as exc:
+        raise CacheError(f"{path}: malformed basis container "
+                         f"({type(exc).__name__}: {exc})") from None
+    missing = [name for name in shapes if name not in arrays]
+    if missing:
+        raise CacheError(f"{path}: malformed basis container (missing {', '.join(missing)})")
+    wrong = [f"{name} {arrays[name].shape} for {shape}" for name, shape in shapes.items()
+             if shape is not None and arrays[name].shape != shape]
     if wrong:
         raise CacheError(f"{path}: malformed basis container (array shape {', '.join(wrong)})")
+    return entries
 
 
 def _basis(path, meta: dict, arrays: dict, symset: bool):
@@ -235,9 +258,9 @@ def _basis(path, meta: dict, arrays: dict, symset: bool):
     A container that fails `_check_layout`, or whose metadata holds a
     malformed entry, raises CacheError.
     """
-    _check_layout(path, meta, arrays, symset)
+    entries = _check_layout(path, meta, arrays, symset)
     try:
-        return _symset_basis(meta, arrays) if symset else _disk_basis(meta, arrays)
+        return _symset_basis(entries, arrays) if symset else _disk_basis(entries, arrays)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CacheError(f"{path}: malformed basis container "
                          f"({type(exc).__name__}: {exc})") from None

@@ -471,6 +471,8 @@ def run(argv) -> int:
         "stability": _cmd_stability,
     }
     try:
+        if getattr(args, "seed", 0) < 0:  # synthesize and stability
+            raise ParameterError(f"--seed must be a nonnegative integer, got {args.seed}")
         return handlers[args.command](args)
     except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

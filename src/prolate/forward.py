@@ -17,12 +17,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
-from .numerics import QuadratureRule, annulus_polar_rule, disk_polar_rule, mirror_map, real_matmul
+from .numerics import (QuadratureRule, SupportPiece, _born_sum, _piece, annulus_polar_rule,
+                       disk_polar_rule)
 from .symset_basis import Geometry
 
 __all__ = [
     "ContrastField",
-    "SupportPiece",
     "DataGrid",
     "synthesize_born",
     "far_field",
@@ -31,35 +31,6 @@ __all__ = [
     "write_datagrid",
     "read_datagrid",
 ]
-
-
-class SupportPiece(NamedTuple):
-    """Support nodes centre + offsets and the values a there, folded by mirror pairs.
-
-    `offsets` keeps one offset d of each pair (d, -d) with even = (a(d) +
-    a(-d)) / 2 and odd = (a(d) - a(-d)) / 2; an offset 0 has even = a / 2 and
-    odd = 0, and a node without a mirror has even = odd = a / 2.  In every case
-    sum_j a_j exp(i x.d_j) = sum_k 2 even_k cos(x.d_k) + 2i odd_k sin(x.d_k).
-    """
-
-    center: np.ndarray
-    offsets: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-
-
-def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
-    """Fold the support values at centre + offsets by the mirror pairs of the offsets."""
-    center, offsets = np.asarray(center, dtype=float), np.asarray(offsets, dtype=float)
-    mirror = mirror_map(offsets)
-    if mirror is None:
-        return SupportPiece(center, offsets, values / 2.0, values / 2.0)
-    idx = np.arange(len(offsets))
-    keep = idx[mirror >= idx]
-    even = (values[keep] + values[mirror[keep]]) / 2.0
-    odd = (values[keep] - values[mirror[keep]]) / 2.0
-    even[mirror[keep] == keep] /= 2.0
-    return SupportPiece(center, offsets[keep], even, odd)
 
 
 # Points sampled on the support boundary for the containment check.
@@ -270,60 +241,6 @@ def _oscillation_resolved(q: ContrastField, kappa: float, targets: np.ndarray) -
     return kappa * pmax * spacing <= 2.0 * np.pi / 10.0
 
 
-# Entries of one real cos or sin table block: 512 kB of float64, so a block
-# stays in cache between the phase product, the cosine and the matvec.
-BLOCK_ENTRIES = 65_536
-
-
-def _cos_sin_sums(x: np.ndarray, offsets: np.ndarray, even: np.ndarray,
-                  odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = sum_k even_k cos(x.d_k) and B = sum_k odd_k sin(x.d_k) at each row x.
-
-    The tables are built in row blocks of at most BLOCK_ENTRIES; the sin table
-    is skipped when `odd` is all zero, as it is for a real symmetric support.
-    """
-    a = np.empty(len(x), dtype=np.result_type(even, float))
-    b = np.zeros(len(x), dtype=np.result_type(odd, float))
-    with_sin = bool(np.any(odd))
-    block = max(1, BLOCK_ENTRIES // max(len(offsets), 1))
-    table = np.empty((min(block, len(x)), len(offsets)))
-    sines = np.empty_like(table) if with_sin else None
-    for start in range(0, len(x), block):
-        rows = slice(start, start + block)
-        phase = np.matmul(x[rows], offsets.T, out=table[:len(x[rows])])
-        if with_sin:
-            b[rows] = real_matmul(np.sin(phase, out=sines[:len(phase)]), odd)
-        a[rows] = real_matmul(np.cos(phase, out=phase), even)
-    return a, b
-
-
-def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
-    """sum_j a_j exp(i kappa p.q_j) over the support nodes q_j of every piece, at each target p.
-
-    A piece centred at c with half offsets d_k adds exp(i kappa p.c) (A + iB),
-    with A = sum_k 2 even_k cos(kappa p.d_k) and B = sum_k 2 odd_k sin(kappa p.d_k).
-    A is even and B odd in p, so when the targets are symmetric under p -> -p
-    only one node of each mirror pair is computed, and its mirror gets
-    exp(-i kappa p.c) (A - iB).
-    """
-    mirror = mirror_map(targets)
-    idx = np.arange(len(targets))
-    rep = idx if mirror is None else idx[mirror >= idx]
-    x = kappa * targets[rep]
-    plus = np.zeros(len(rep), dtype=complex)
-    minus = np.zeros(len(rep), dtype=complex)
-    for center, offsets, even, odd in pieces:
-        a, b = _cos_sin_sums(x, offsets, even, odd)
-        shift = np.exp(1j * (x @ center))
-        plus += shift * (a + 1j * b)
-        minus += np.conj(shift) * (a - 1j * b)
-    values = np.empty(len(targets), dtype=complex)
-    if mirror is not None:
-        values[mirror[rep]] = 2.0 * minus
-    values[rep] = 2.0 * plus
-    return values
-
-
 def synthesize_born(q: ContrastField, kernel_scale: float, targets,
                     geometry: Geometry | None = None) -> DataGrid:
     """u(p) = int_Omega exp(i kappa p.p') q(p') dp' on the target nodes.
@@ -459,6 +376,8 @@ def add_noise(data: DataGrid, delta: float, seed: int) -> DataGrid:
     """
     if delta < 0.0:
         raise ParameterError("noise level must be nonnegative")
+    if seed < 0:
+        raise ParameterError(f"noise seed must be nonnegative, got {seed}")
     meta = dict(data.meta)
     if delta == 0.0:
         meta.update({"delta": 0.0, "delta_abs": 0.0, "seed": seed})

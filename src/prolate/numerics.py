@@ -6,6 +6,8 @@ per size and shared, the Bessel functions J_0..J_M and the disk polynomials of
 one azimuthal order come as whole tables from three-term recurrences (one pass
 for all orders or degrees, never one special-function call per order), and
 eigensolves go to LAPACK through numpy behind small contract-checked wrappers.
+One evaluator of the Fourier operator, `_born_sum`, synthesizes Born data
+and far fields and extends symmetric-set modes off their nodes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "zernike_radial_table",
     "real_matmul",
     "mirror_map",
+    "SupportPiece",
     "sym_eig",
     "disk_polar_rule",
     "annulus_polar_rule",
@@ -315,6 +319,89 @@ def mirror_map(points) -> np.ndarray | None:
     mirror = np.empty(len(pts), dtype=np.intp)
     mirror[order] = negated
     return mirror
+
+
+class SupportPiece(NamedTuple):
+    """Support nodes centre + offsets and the values a there, folded by mirror pairs.
+
+    `offsets` keeps one offset d of each pair (d, -d) with even = (a(d) +
+    a(-d)) / 2 and odd = (a(d) - a(-d)) / 2; an offset 0 has even = a / 2 and
+    odd = 0, and a node without a mirror has even = odd = a / 2.  In every case
+    sum_j a_j exp(i x.d_j) = sum_k 2 even_k cos(x.d_k) + 2i odd_k sin(x.d_k).
+    """
+
+    center: np.ndarray
+    offsets: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+
+def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
+    """Fold the support values at centre + offsets by the mirror pairs of the offsets."""
+    center, offsets = np.asarray(center, dtype=float), np.asarray(offsets, dtype=float)
+    mirror = mirror_map(offsets)
+    if mirror is None:
+        return SupportPiece(center, offsets, values / 2.0, values / 2.0)
+    idx = np.arange(len(offsets))
+    keep = idx[mirror >= idx]
+    even = (values[keep] + values[mirror[keep]]) / 2.0
+    odd = (values[keep] - values[mirror[keep]]) / 2.0
+    even[mirror[keep] == keep] /= 2.0
+    return SupportPiece(center, offsets[keep], even, odd)
+
+
+# Entries of one real cos or sin table block: 512 kB of float64, so a block
+# stays in cache between the phase product, the cosine and the matvec.
+BLOCK_ENTRIES = 65_536
+
+
+def _cos_sin_sums(x: np.ndarray, offsets: np.ndarray, even: np.ndarray,
+                  odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = sum_k even_k cos(x.d_k) and B = sum_k odd_k sin(x.d_k) at each row x.
+
+    The tables are built in row blocks of at most BLOCK_ENTRIES; the sin table
+    is skipped when `odd` is all zero, as it is for a real symmetric support.
+    """
+    a = np.empty(len(x), dtype=np.result_type(even, float))
+    b = np.zeros(len(x), dtype=np.result_type(odd, float))
+    with_sin = bool(np.any(odd))
+    block = max(1, BLOCK_ENTRIES // max(len(offsets), 1))
+    table = np.empty((min(block, len(x)), len(offsets)))
+    sines = np.empty_like(table) if with_sin else None
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
+        phase = np.matmul(x[rows], offsets.T, out=table[:len(x[rows])])
+        if with_sin:
+            b[rows] = real_matmul(np.sin(phase, out=sines[:len(phase)]), odd)
+        a[rows] = real_matmul(np.cos(phase, out=phase), even)
+    return a, b
+
+
+def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
+    """sum_j a_j exp(i kappa p.q_j) over the support nodes q_j of every piece, at each target p.
+
+    A piece centred at c with half offsets d_k adds exp(i kappa p.c) (A + iB),
+    with A = sum_k 2 even_k cos(kappa p.d_k) and B = sum_k 2 odd_k sin(kappa p.d_k).
+    A is even and B odd in p, so when the targets are symmetric under p -> -p
+    only one node of each mirror pair is computed, and its mirror gets
+    exp(-i kappa p.c) (A - iB).
+    """
+    mirror = mirror_map(targets)
+    idx = np.arange(len(targets))
+    rep = idx if mirror is None else idx[mirror >= idx]
+    x = kappa * targets[rep]
+    plus = np.zeros(len(rep), dtype=complex)
+    minus = np.zeros(len(rep), dtype=complex)
+    for center, offsets, even, odd in pieces:
+        a, b = _cos_sin_sums(x, offsets, even, odd)
+        shift = np.exp(1j * (x @ center))
+        plus += shift * (a + 1j * b)
+        minus += np.conj(shift) * (a - 1j * b)
+    values = np.empty(len(targets), dtype=complex)
+    if mirror is not None:
+        values[mirror[rep]] = 2.0 * minus
+    values[rep] = 2.0 * plus
+    return values
 
 
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -13,17 +13,16 @@ On the dilated set A_h = h A the Fourier kernel has effective frequency
 c / h^2, and it splits into a cosine part acting on even functions (real
 eigenvalues) and a sine part acting on odd functions (imaginary eigenvalues).
 The kernel depends on p.q only, so the Nystrom matrix commutes with every
-symmetry of the quadrature rule.  Every rule here is symmetric under p -> -p;
-the polar rules, and the midpoint grids of sets symmetric about the x-axis,
-are also symmetric under the reflection R in the set's axis (the x-axis for
-the disk and L, x* for M), and so under the Klein four-group {1, -1, R, -R}.
+symmetry of the quadrature rule.  Every rule here is symmetric under p -> -p
+and under the reflection R in the set's axis (the x-axis for the disk and L,
+x* for M), and so under the Klein four-group {1, -1, R, -R}.
 The solve is folded over that group: one block per character, on one node
 per orbit, sqrt(m_i w_i) K(p_i, p_j) sqrt(m_j w_j) with m the orbit size.  In
 frame coordinates (u, v) of the axis the four kernels are the separable
 products cos cos, -sin sin (even modes) and sin cos, cos sin (odd modes) of
 c/h^2 u_i u_j and c/h^2 v_i v_j.  Each class costs one (N/4)^3 eigensolve on
-(N/4)^2 memory instead of N^3 on N^2; a rule with p -> -p only (the midpoint
-grid of M at a generic x*) folds the same way into two (N/2)^3 parity blocks.
+(N/4)^2 memory instead of N^3 on N^2; a rule that records no reflection
+folds the same way into two (N/2)^3 parity blocks.
 Merged eigenpairs are ordered by |alpha| and normalized to unit plane
 energy, i.e. weighted node-norm squared equal to (c / 2 pi)^2 |alpha_n|^2.
 """
@@ -38,8 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyQuadratureError, ParameterError, check_keys
-from .numerics import (QuadratureRule, _frozen, axis_reflection, disk_polar_rule,
-                       gauss_legendre_01, half_circle, mirror_map, real_matmul, sym_eig)
+from .numerics import (QuadratureRule, _born_sum, _frozen, _piece, axis_reflection,
+                       disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
+                       sym_eig)
 
 __all__ = [
     "Geometry",
@@ -58,10 +58,8 @@ ALPHA_FLOOR = 1e-14
 # Version of the node layouts `build_quadrature` produces; basis cache keys
 # record it, so a basis cached on an older layout is never served.  Version 2
 # lays the M polar rule out in the x* frame and symmetrizes the polar angle
-# tables about pi/2.
-RULE_VERSION = 2
-# Entries per kernel block in `SymSetBasis.combine` (2 MiB of float64).
-_KERNEL_BLOCK = 1 << 18
+# tables about pi/2; version 3 lays the M midpoint grid out in that frame too.
+RULE_VERSION = 3
 # One record per symmetric-set mode: its parity under p -> -p and its
 # eigenvalue alpha on the unit-scale set A (real if even, imaginary if odd).
 MODE_DTYPE = np.dtype([("even", bool), ("alpha", complex)], align=True)
@@ -228,40 +226,40 @@ def bounding_box(geometry: Geometry) -> float:
 def build_quadrature(geometry: Geometry, resolution: int, method: str = "auto") -> QuadratureRule:
     """Quadrature over A_h.
 
-    method "midpoint": tensor midpoint grid over the bounding box filtered by
-    membership of both p and -p, weight equal to the cell area (default for
-    the aperture and multi-frequency sets; first-order boundary accuracy).
+    method "midpoint": tensor midpoint grid over the bounding box, laid out
+    in the frame of the set's axis and filtered by membership of p, -p and
+    their mirror images in the axis, weight equal to the cell area (default
+    for the aperture and multi-frequency sets; first-order boundary accuracy).
     method "polar": analytic rules built from the radial profile (default for
     disks; also available for L and M when spectral accuracy of the total
     weight matters).
 
-    Every rule is exactly symmetric under p -> -p.  The polar rules, and the
-    midpoint grids of sets symmetric about the x-axis, also record their
-    reflection in the set's axis (`QuadratureRule.reflection`): the x-axis for
-    the disk and L, x* for M, whose polar rule is laid out in the x* frame.
+    Every rule is exactly symmetric under p -> -p and records its reflection
+    in the set's axis (`QuadratureRule.reflection`): the x-axis for the disk
+    and L, x* for M, whose rules are laid out in the x* frame.
     """
     if resolution < 8:
         raise ParameterError("resolution must be at least 8")
     if method == "auto":
         method = "polar" if geometry.kind == "disk" else "midpoint"
     if method == "midpoint":
-        b = bounding_box(geometry)
-        step = 2.0 * b / resolution
+        # tensor grid in frame coordinates (u, v) of the set's axis e; reversed
+        # flat order is the negated grid and reversed columns (v -> -v) the
+        # reflection in the axis: keep only cells whose images all test inside
+        e = np.array(geometry.x_star if geometry.kind == "multi_freq" else (1.0, 0.0))
+        step = 2.0 * bounding_box(geometry) / resolution
         centers = step * (np.arange(resolution) - (resolution - 1) / 2.0)
-        X, Y = np.meshgrid(centers, centers, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        U, V = np.meshgrid(centers, centers, indexing="ij")
+        pts = np.outer(U.ravel(), e) + np.outer(V.ravel(), (-e[1], e[0]))
         keep = membership(geometry, pts)
-        keep &= keep[::-1]  # reversed flat order is the negated grid: keep mirror pairs
-        # a set symmetric about the x-axis also keeps mirror images in it, and the rule records them
-        mirrored = geometry.kind != "multi_freq" or 0.0 in geometry.x_star
+        keep &= keep[::-1]
         flip = np.arange(resolution**2).reshape(resolution, resolution)[:, ::-1].ravel()
-        if mirrored:
-            keep &= keep[flip]
+        keep &= keep[flip]
         if not keep.any():
             raise EmptyQuadratureError("no quadrature nodes inside the set")
         index = np.cumsum(keep) - 1  # node index of each kept cell
         return QuadratureRule(pts[keep], np.full(int(keep.sum()), step * step),
-                              reflection=index[flip[keep]] if mirrored else None)
+                              reflection=index[flip[keep]], axis=tuple(e))
     if method != "polar":
         raise ParameterError(f"unknown quadrature method {method!r}")
 
@@ -342,15 +340,6 @@ class SymSetBasis:
         """L2(A_h) norms, equal to (c / 2 pi) |alpha_n| per mode."""
         return _frozen((self.c / (2.0 * np.pi)) * np.abs(self.alphas))
 
-    @cached_property
-    def _fold(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(rep, mirror[rep], number of pairs): the pair representatives, then the self-mirror nodes."""
-        mirror = _symmetry_maps(self.quad)[1]
-        idx = np.arange(len(mirror))
-        pairs = idx[mirror > idx]
-        rep = np.concatenate([pairs, idx[mirror == idx]])
-        return rep, mirror[rep], len(pairs)
-
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask {|mu_n| > alpha}."""
         return np.abs(self.mu) > alpha
@@ -366,43 +355,17 @@ class SymSetBasis:
     def combine(self, weights, pts) -> np.ndarray:
         """sum_n weights[n] psi_n(pts) by Nystrom interpolation; a scalar for one point.
 
-        psi_n(p) = sum_j k(c/h^2 p.p_j) w_j psi_n(p_j) / (h^2 beta_n) with k = cos
-        for even and sin for odd modes: the node values inside A_h, the analytic
-        extension outside.  The node values are summed per parity first (one
-        real product, g), so each kernel is applied once.  The kernels are even
-        and odd in p_j and the weights are mirror-symmetric, so each kernel runs
-        over the pair representatives r only, with folded values
-        w_r (g_r + g_-r) for cos and w_r (g_r - g_-r) for sin; a self-mirror
-        node (p = 0) adds w g once to the cos sum and nothing to the sin sum.
-        Kernels are built in blocks of points of at most _KERNEL_BLOCK entries.
+        psi_n(p) = mu_n^-1 sum_j exp(i c/h^2 p.p_j) w_j psi_n(p_j): the node
+        values inside A_h, the analytic extension outside.  The sum over n is
+        therefore one Born sum (`numerics._born_sum`) of the node field
+        w_j sum_n weights[n] psi_n(p_j) / mu_n, folded over the mirror pairs
+        of the nodes and of the points.  Real weights give the real part.
         """
         weights = np.asarray(weights)
-        xy = np.atleast_2d(np.asarray(pts, dtype=float))
-        even = self.modes["even"]
-        # the signed real eigenvalue beta of the cos (even) or sin (odd) kernel, at scale h^2
-        lam = self.geometry.h**2 * np.where(even, self.alphas.real, self.alphas.imag)
-        live = weights != 0
-        rep, mirrored, n_pairs = self._fold
-        scaled = weights / lam
-        g = self.on_nodes(np.stack([np.where(even, scaled, 0.0), np.where(even, 0.0, scaled)],
-                                   axis=1))
-        w = self.quad.weights[rep]
-        folded = []  # (kernel, folded values on the representatives)
-        if (even & live).any():
-            f = w * (g[rep, 0] + g[mirrored, 0])
-            f[n_pairs:] *= 0.5  # a self-mirror node counts once
-            folded.append((np.cos, f))
-        if (~even & live).any():
-            folded.append((np.sin, w * (g[rep, 1] - g[mirrored, 1])))
-        out = np.zeros(len(xy), dtype=np.result_type(weights, float))
-        nodes = self.quad.nodes[rep]
-        block = max(1, _KERNEL_BLOCK // len(rep))
-        for lo in range(0, len(xy), block):
-            gram = self.kernel_scale * (xy[lo:lo + block] @ nodes.T)
-            for i, (kernel, f) in enumerate(folded):
-                # the last kernel overwrites the gram in place
-                table = kernel(gram, out=gram) if i == len(folded) - 1 else kernel(gram)
-                out[lo:lo + block] += real_matmul(table, f)
+        field = self.quad.weights * self.on_nodes(weights / self.mu)
+        out = _born_sum((_piece((0.0, 0.0), self.quad.nodes, field),), self.kernel_scale,
+                        np.atleast_2d(np.asarray(pts, dtype=float)))
+        out = out if np.iscomplexobj(weights) else out.real.copy()
         return out[0] if np.ndim(pts) == 1 else out
 
 

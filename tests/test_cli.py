@@ -115,6 +115,34 @@ class TestBasisCommand:
         assert run(argv) == 0
         assert isinstance(P.load_basis(path), P.SymSetBasis)
 
+    @pytest.mark.parametrize("edit", ["mode_records", "quad_size", "theta"])
+    def test_cache_hit_with_malformed_metadata_is_recomputed(self, cache_dir, capsys, edit):
+        # each rewrite keeps the payload and its checksum, and a load refuses
+        # it; the cache-hit check refuses it too, so the printed path loads
+        if edit == "theta":
+            argv = ["basis", "symset", "--geometry", "L", "--c", "3.0", "--theta", "2.2",
+                    "--resolution", "32", "--modes", "4", "--method", "polar"]
+        else:
+            argv = ["basis", "disk", "--c", "4.0", "--m-max", "2", "--n-max", "2"]
+        assert run(argv) == 0
+        path = capsys.readouterr().out.strip()
+        with open(path, "rb") as f:
+            magic, meta, payload = f.read().split(b"\n", 2)
+        meta = json.loads(meta)
+        if edit == "mode_records":
+            meta["modes"] = [record[:3] for record in meta["modes"]]
+        elif edit == "quad_size":
+            meta["quad_size"] = [12, 7]
+        else:
+            meta["geometry_params"].pop("theta")
+        with open(path, "wb") as f:
+            f.write(magic + b"\n" + json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(P.CacheError, match="malformed basis container"):
+            P.load_basis(path)
+        assert run(argv) == 0
+        assert capsys.readouterr().out.strip() == path
+        assert P.load_basis(path) is not None
+
     def test_symset_cache_key_records_rule_version(self, cache_dir, capsys, monkeypatch):
         # a basis cached on an older quadrature layout is never served
         argv = ["basis", "symset", "--geometry", "M", "--c", "3.0", "--resolution", "40",
@@ -596,6 +624,17 @@ class TestBadFlags:
                                              "--basis", disk_basis_file, "-o", str(out),
                                              f"--noise={noise}"])
         assert code == 2 and len(err) == 1 and "--noise" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "stability"])
+    def test_negative_seed(self, tmp_path, disk_basis_file, capsys, command):
+        out = tmp_path / "out.csv"
+        extra = (["--noise", "0.01"] if command == "synthesize"
+                 else ["--deltas", "0,1e-3", "--alphas", "0.05"])
+        code, err = _exit_and_error(capsys, [command, str(write_setup(tmp_path)), "--basis",
+                                             disk_basis_file, "-o", str(out), *extra,
+                                             "--seed=-1"])
+        assert code == 2 and len(err) == 1 and "--seed" in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "0", "-0.01"])

@@ -4,7 +4,7 @@ Fourier eigenrelation
 
     combine(w, x) = sum_p exp(i kappa x.p) (sum_i w_i psi_i(p) / mu_i) w_p
 
-outside it, and the per-mode sum, for the scaled disk basis and two
+outside it, and the per-mode sum, for the scaled disk basis and three
 symmetric-set bases.
 """
 
@@ -24,7 +24,15 @@ def symset_L():
     return P.compute_symset_basis(3.0, geo, quad, 16)
 
 
-@pytest.fixture(params=["scaled_c6", "symset_disk_c5", "symset_L"])
+@pytest.fixture(scope="module")
+def symset_M_midpoint():
+    """A midpoint grid at a generic x*, laid out in the x* frame."""
+    geo = P.Geometry.multi_freq((math.cos(1.1), math.sin(1.1)), h=1.5)
+    quad = P.build_quadrature(geo, 40, method="midpoint")
+    return P.compute_symset_basis(3.0, geo, quad, 16)
+
+
+@pytest.fixture(params=["scaled_c6", "symset_disk_c5", "symset_L", "symset_M_midpoint"])
 def basis(request):
     return request.getfixturevalue(request.param)
 

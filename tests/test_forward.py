@@ -352,6 +352,11 @@ class TestNoise:
         with pytest.raises(ParameterError):
             add_noise(self._data(), -0.1, 0)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_negative_seed_rejected(self, delta):
+        with pytest.raises(ParameterError, match="seed"):
+            add_noise(self._data(), delta, -1)
+
     def test_all_missing_rejected(self):
         data = replace(self._data(), flags=np.ones(64, dtype=np.uint8))
         with pytest.raises(DataCoverageError):

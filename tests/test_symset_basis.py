@@ -181,7 +181,7 @@ class TestBuildQuadrature:
         (Geometry.limited_aperture(0.85 * math.pi), 112, "polar"),
         (Geometry.limited_aperture(0.55 * math.pi), 113, "polar"),
         (Geometry.disk(radius=1.3, h=2.0), 120, "polar"),
-        (Geometry.multi_freq((0.0, 1.0)), 41, "midpoint"),
+        (Geometry.limited_aperture(0.75 * math.pi, h=2.0), 41, "midpoint"),
         (Geometry.multi_freq((1.0, 0.0)), 40, "midpoint"),
     ])
     def test_reflection_in_the_x_axis_is_exact(self, geo, resolution, method):
@@ -203,9 +203,20 @@ class TestBuildQuadrature:
         assert np.array_equal(quad.weights[quad.reflection], quad.weights)
         assert quad.total_weight == pytest.approx(analytic_area(geo), rel=1e-13)
 
-    def test_multifreq_midpoint_generic_axis_records_no_reflection(self):
-        quad = build_quadrature(Geometry.multi_freq((0.6, 0.8)), 40, method="midpoint")
-        assert quad.reflection is None
+    @pytest.mark.parametrize("x_star,resolution", [((0.6, 0.8), 40), ((0.0, 1.0), 41),
+                                                   ((math.cos(1.1), math.sin(1.1)), 45)])
+    def test_multifreq_midpoint_generic_axis_records_its_reflection(self, x_star, resolution):
+        # the grid is laid out in the x* frame: its frame coordinates are
+        # centres of the x* = (1, 0) grid, and the rule records its reflection in x*
+        geo = Geometry.multi_freq(x_star, h=1.5)
+        quad = build_quadrature(geo, resolution, method="midpoint")
+        assert quad.axis == geo.x_star
+        e = np.array(geo.x_star)
+        u, v = quad.nodes @ e, quad.nodes @ np.array([-e[1], e[0]])
+        assert np.abs(u[quad.reflection] - u).max() <= 1e-15
+        assert np.abs(v[quad.reflection] + v).max() <= 1e-15
+        cell = np.stack([u, v], axis=1) / (4.0 * geo.h / resolution) + (resolution - 1) / 2.0
+        assert np.abs(cell - np.round(cell)).max() <= 1e-12
 
     @pytest.mark.parametrize("resolution", [34, 102, 170])
     def test_midpoint_rule_symmetric_by_construction(self, resolution):
@@ -389,17 +400,20 @@ FOLD_CASES = {
     "M_polar": (Geometry.multi_freq((0.6, 0.8)), 16, "polar"),
     "M_midpoint_odd": (Geometry.multi_freq((1.0, 0.0)), 25, "midpoint"),
     "M_midpoint_generic": (Geometry.multi_freq((math.cos(1.1), math.sin(1.1))), 25, "midpoint"),
+    "M_midpoint_generic_order2": (Geometry.multi_freq((math.cos(1.1), math.sin(1.1))), 25,
+                                  "midpoint"),
     "L_midpoint_odd": (Geometry.limited_aperture(0.75 * math.pi, h=2.0), 25, "midpoint"),
 }
-# the rules with p -> -p as their only recorded symmetry (order-2 fold)
-ORDER_TWO = {"M_midpoint_generic"}
+# rules stripped of their recorded reflection, so that p -> -p is their only
+# symmetry and the solve takes the order-2 fold
+ORDER_TWO = {"M_midpoint_generic_order2"}
 
 
 class TestParityFold:
     """The folded solve against the unfolded N x N eigenproblems built here.
 
-    Every rule folds over p -> -p; all but the M midpoint grid at a generic
-    x* also fold over the reflection in the set's axis.
+    Every rule folds over p -> -p; all but those in ORDER_TWO also fold over
+    the reflection in the set's axis.
     """
 
     N_MODES = 20
@@ -408,6 +422,8 @@ class TestParityFold:
     def case(self, request):
         geo, res, method = FOLD_CASES[request.param]
         quad = build_quadrature(geo, res, method=method)
+        if request.param in ORDER_TWO:
+            quad = P.QuadratureRule(quad.nodes, quad.weights)
         basis = compute_symset_basis(5.0, geo, quad, self.N_MODES)
         return basis, unfolded_reference(5.0, geo, quad)
 
