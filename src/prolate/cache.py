@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import secrets
 
@@ -203,6 +204,14 @@ def _count(value) -> int:
     return value
 
 
+def _bandwidth(value) -> float:
+    """The bandwidth c, a finite positive number; ValueError otherwise."""
+    c = float(value)
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"bandwidth c must be a finite positive number, got {value!r}")
+    return c
+
+
 def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
     """The metadata entries a load reads, parsed as the load uses them, and the
     arrays it reads, each with the shape the entries give it (None: any): one
@@ -210,7 +219,8 @@ def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
     ValueError where an entry is malformed; builds no table."""
     if symset:
         n, nodes = _count(meta["n_modes"]), _count(meta["n_nodes"])
-        return ({"c": float(meta["c"]), "geometry": Geometry.from_dict(meta["geometry_params"]),
+        return ({"c": _bandwidth(meta["c"]),
+                 "geometry": Geometry.from_dict(meta["geometry_params"]),
                  "n_modes": n, "complete": bool(meta["complete"])},
                 {"nodes": (nodes, 2), "weights": (nodes,), "parity": (n,), "alpha": (n, 2),
                  "node_values": (n, nodes), "spectrum_even": None, "spectrum_odd": None})
@@ -222,7 +232,7 @@ def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
         raise ValueError(f"quad_size must be 2 positive integers, the second even, "
                          f"got {[n_r, n_t]}")
     n, J = len(records), _count(meta["J"])
-    return ({"c": float(meta["c"]), "J": J, "modes": records, "quad_size": (n_r, n_t)},
+    return ({"c": _bandwidth(meta["c"]), "J": J, "modes": records, "quad_size": (n_r, n_t)},
             {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, J)})
 
 

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
-from .numerics import (QuadratureRule, SupportPiece, _born_sum, _piece, annulus_polar_rule,
-                       disk_polar_rule)
+from .numerics import (GridPiece, QuadratureRule, SupportPiece, _born_sum, _piece,
+                       annulus_polar_rule, disk_polar_rule)
 from .symset_basis import Geometry
 
 __all__ = [
@@ -45,15 +45,16 @@ class ContrastField:
     overlapping shape values add.  `pieces` holds q times the quadrature
     weight on the support nodes, as one `SupportPiece` per shape (centred at
     the shape centre, so an overlap is counted once per shape, each with its
-    own value), one per pixel grid (centred at the grid centre) or one at the
-    origin for an explicit rule; `quad` holds the same nodes, centre + offset.
-    `radius` is that of the smallest origin-centred disk containing the
-    support, and `boundary` holds points sampling the support boundary.
+    own value), one `GridPiece` per pixel grid (centred at the grid centre)
+    or one at the origin for an explicit rule; `quad` holds the same nodes,
+    centre + offset.  `radius` is that of the smallest origin-centred disk
+    containing the support, and `boundary` holds points sampling the support
+    boundary.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     quad: QuadratureRule
-    pieces: tuple[SupportPiece, ...]
+    pieces: tuple[SupportPiece | GridPiece, ...]
     radius: float
     boundary: np.ndarray
 
@@ -103,17 +104,22 @@ class ContrastField:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2:
             raise ParameterError("grid values must be a 2D array")
+        for key, step in (("dx", dx), ("dy", dy)):
+            if not (np.isfinite(step) and step > 0.0):
+                raise ParameterError(f"contrast grid {key!r} must be a positive number, "
+                                     f"got {step!r}")
         ox, oy = float(origin[0]), float(origin[1])
         ii, jj = np.nonzero(vals)
         if len(ii) == 0:
             raise ParameterError("grid contrast is identically zero")
         centers = np.stack([ox + (ii + 0.5) * dx, oy + (jj + 0.5) * dy], axis=1)
         quad = QuadratureRule(centers, np.full(len(ii), dx * dy))
-        # the piece spans the nonzero pixels and their mirrors about the grid centre
+        # the piece spans the grid's nonzero rows and columns, about the grid centre
         nx, ny = vals.shape
-        pi, pj = np.nonzero((vals != 0.0) | (vals[::-1, ::-1] != 0.0))
-        offsets = np.stack([(pi + 0.5 - nx / 2.0) * dx, (pj + 0.5 - ny / 2.0) * dy], axis=1)
-        piece = _piece((ox + nx * dx / 2.0, oy + ny * dy / 2.0), offsets, vals[pi, pj] * (dx * dy))
+        rows, cols = np.flatnonzero(vals.any(axis=1)), np.flatnonzero(vals.any(axis=0))
+        piece = GridPiece(np.array([ox + nx * dx / 2.0, oy + ny * dy / 2.0]),
+                          (rows + 0.5 - nx / 2.0) * dx, (cols + 0.5 - ny / 2.0) * dy,
+                          vals[np.ix_(rows, cols)] * (dx * dy))
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -33,6 +33,7 @@ __all__ = [
     "real_matmul",
     "mirror_map",
     "SupportPiece",
+    "GridPiece",
     "sym_eig",
     "disk_polar_rule",
     "annulus_polar_rule",
@@ -303,51 +304,32 @@ def real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _from_real_columns(a @ _real_columns(b), b)
 
 
+def _point_map(points, signs) -> np.ndarray | None:
+    """Index map i -> j with points[j] == signs * points[i] exactly, or None if
+    some image is not a point of the set; `signs` is a pair of +-1.
+
+    Both the points and their images are sorted lexicographically; the set
+    is symmetric under the map iff the two sorted lists are equal, and then
+    the k-th entries of the two orders are images of each other.  Signed
+    zeros compare equal, so a point on the map's fixed line is its own image.
+    """
+    pts = np.asarray(points, dtype=float)
+    image = pts * np.asarray(signs, dtype=float)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    moved = np.lexsort((image[:, 1], image[:, 0]))
+    if not np.array_equal(pts[order], image[moved]):
+        return None
+    out = np.empty(len(pts), dtype=np.intp)
+    out[order] = moved
+    return out
+
+
 def mirror_map(points) -> np.ndarray | None:
     """Index map i -> j with points[j] == -points[i] exactly, or None if some point has no mirror.
 
-    Both the points and their negations are sorted lexicographically; the set
-    is symmetric under p -> -p iff the two sorted lists are equal, and then
-    the k-th entries of the two orders are mirrors.  Signed zeros compare
-    equal, so a point at the origin is its own mirror.
+    A point at the origin is its own mirror.
     """
-    pts = np.asarray(points, dtype=float)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    negated = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    if not np.array_equal(pts[order], -pts[negated]):
-        return None
-    mirror = np.empty(len(pts), dtype=np.intp)
-    mirror[order] = negated
-    return mirror
-
-
-class SupportPiece(NamedTuple):
-    """Support nodes centre + offsets and the values a there, folded by mirror pairs.
-
-    `offsets` keeps one offset d of each pair (d, -d) with even = (a(d) +
-    a(-d)) / 2 and odd = (a(d) - a(-d)) / 2; an offset 0 has even = a / 2 and
-    odd = 0, and a node without a mirror has even = odd = a / 2.  In every case
-    sum_j a_j exp(i x.d_j) = sum_k 2 even_k cos(x.d_k) + 2i odd_k sin(x.d_k).
-    """
-
-    center: np.ndarray
-    offsets: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-
-
-def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
-    """Fold the support values at centre + offsets by the mirror pairs of the offsets."""
-    center, offsets = np.asarray(center, dtype=float), np.asarray(offsets, dtype=float)
-    mirror = mirror_map(offsets)
-    if mirror is None:
-        return SupportPiece(center, offsets, values / 2.0, values / 2.0)
-    idx = np.arange(len(offsets))
-    keep = idx[mirror >= idx]
-    even = (values[keep] + values[mirror[keep]]) / 2.0
-    odd = (values[keep] - values[mirror[keep]]) / 2.0
-    even[mirror[keep] == keep] /= 2.0
-    return SupportPiece(center, offsets[keep], even, odd)
+    return _point_map(points, (-1.0, -1.0))
 
 
 # Entries of one real cos or sin table block: 512 kB of float64, so a block
@@ -357,13 +339,14 @@ BLOCK_ENTRIES = 65_536
 
 def _cos_sin_sums(x: np.ndarray, offsets: np.ndarray, even: np.ndarray,
                   odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = sum_k even_k cos(x.d_k) and B = sum_k odd_k sin(x.d_k) at each row x.
+    """A = sum_k even_k cos(x.d_k) and B = sum_k odd_k sin(x.d_k) at each row x,
+    for weights of shape (K,) or (K, columns).
 
     The tables are built in row blocks of at most BLOCK_ENTRIES; the sin table
     is skipped when `odd` is all zero, as it is for a real symmetric support.
     """
-    a = np.empty(len(x), dtype=np.result_type(even, float))
-    b = np.zeros(len(x), dtype=np.result_type(odd, float))
+    a = np.empty((len(x),) + even.shape[1:], dtype=np.result_type(even, float))
+    b = np.zeros((len(x),) + odd.shape[1:], dtype=np.result_type(odd, float))
     with_sin = bool(np.any(odd))
     block = max(1, BLOCK_ENTRIES // max(len(offsets), 1))
     table = np.empty((min(block, len(x)), len(offsets)))
@@ -377,30 +360,141 @@ def _cos_sin_sums(x: np.ndarray, offsets: np.ndarray, even: np.ndarray,
     return a, b
 
 
+class SupportPiece(NamedTuple):
+    """Support nodes centre + offsets and the values a there, folded by mirror pairs.
+
+    `offsets` keeps one offset d of each pair (d, -d) with even = a(d) + a(-d)
+    and odd = a(d) - a(-d); an offset 0 has even = a and odd = 0, and a node
+    without a mirror has even = odd = a.  In every case
+    sum_j a_j exp(i x.d_j) = sum_k even_k cos(x.d_k) + i odd_k sin(x.d_k).
+    Where the offsets are also symmetric under the x-axis reflection R,
+    R d_k = sign_k d_perm[k], and the sums at R x take the same tables with
+    the weights even[perm] and sign odd[perm]; otherwise `perm` is None.
+    """
+
+    center: np.ndarray
+    offsets: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    perm: np.ndarray | None
+    sign: np.ndarray | None
+
+    def sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cos and sin sums (A, B) at the (g, n, 2) points x, each (g, n),
+        where g = 2 means x[1] is the reflection R x[0]."""
+        if len(x) == 2 and self.perm is not None:
+            even = np.stack([self.even, self.even[self.perm]], axis=1)
+            odd = np.stack([self.odd, self.sign * self.odd[self.perm]], axis=1)
+            a, b = _cos_sin_sums(x[0], self.offsets, even, odd)
+            return a.T, b.T
+        a, b = _cos_sin_sums(x.reshape(-1, 2), self.offsets, self.even, self.odd)
+        return a.reshape(x.shape[:2]), b.reshape(x.shape[:2])
+
+
+def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
+    """Fold the support values at centre + offsets by the mirror pairs of the
+    offsets, and record the map that the x-axis reflection induces on them."""
+    center, offsets = np.asarray(center, dtype=float), np.asarray(offsets, dtype=float)
+    idx = np.arange(len(offsets))
+    mirror = mirror_map(offsets)
+    if mirror is None:
+        keep, mirror, even, odd = idx, idx, values, values
+    else:
+        keep = idx[mirror >= idx]
+        even = values[keep] + values[mirror[keep]]
+        odd = values[keep] - values[mirror[keep]]
+        even[mirror[keep] == keep] /= 2.0
+    refl = _point_map(offsets, (1.0, -1.0))
+    perm = sign = None
+    if refl is not None:
+        # R d_k is a kept offset (sign +1) or the mirror of one (sign -1); an
+        # unpaired set keeps every offset and stands as its own mirror here
+        pos = np.empty(len(offsets), dtype=np.intp)
+        pos[keep] = np.arange(len(keep))
+        image = refl[keep]
+        flipped = mirror[image] < image
+        perm = pos[np.where(flipped, mirror[image], image)]
+        sign = np.where(flipped, -1.0, 1.0)
+    return SupportPiece(center, offsets[keep], even, odd, perm, sign)
+
+
+class GridPiece(NamedTuple):
+    """Pixel-grid support: nodes centre + (xs_a, ys_b) with values V[a, b] (node
+    value times weight), over the grid's nonzero rows and columns.
+
+    The sum separates by axis, sum_ab V_ab exp(i x.(xs_a, ys_b)) =
+    sum_a exp(i x_0 xs_a) (V exp(i x_1 ys))_a, so it takes cos and sin tables
+    of x_0 xs and x_1 ys and two real products with V, not one table over
+    every pixel.
+    """
+
+    center: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    values: np.ndarray
+
+    def sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cos and sin sums (A, B) at the (g, n, 2) points x, each (g, n),
+        where g = 2 means x[1] is the reflection R x[0].
+
+        With c, s the cos and sin tables, sum_a of p = c_x (V c_y), q = s_x (V s_y),
+        u = s_x (V c_y) and w = c_x (V s_y) gives A = p - q, B = u + w at x; R
+        flips the sign of s_y, so A = p + q, B = u - w at R x.
+        """
+        nx, ny = self.values.shape
+        n = x.shape[1]
+        sums = np.empty((4, n), dtype=np.result_type(self.values, float))
+        # the tables of one row block hold at most BLOCK_ENTRIES entries together
+        block = max(1, BLOCK_ENTRIES // (2 * (nx + ny)))
+        ty, tx = np.empty((2, min(block, n), ny)), np.empty((2, min(block, n), nx))
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            m = len(x[0, rows])
+            for table, coord, offsets in ((ty, 1, self.ys), (tx, 0, self.xs)):
+                phase = np.multiply.outer(x[0, rows, coord], offsets, out=table[0, :m])
+                np.sin(phase, out=table[1, :m])
+                np.cos(phase, out=phase)
+            cy, sy = ty[:, :m] @ self.values.T
+            cx, sx = tx[:, :m]
+            for k, (left, right) in enumerate(((cx, cy), (sx, sy), (sx, cy), (cx, sy))):
+                sums[k, rows] = np.einsum("ij,ij->i", left, right)
+        p, q, u, w = sums
+        return np.stack([p - q, p + q])[:len(x)], np.stack([u + w, u - w])[:len(x)]
+
+
 def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
     """sum_j a_j exp(i kappa p.q_j) over the support nodes q_j of every piece, at each target p.
 
-    A piece centred at c with half offsets d_k adds exp(i kappa p.c) (A + iB),
-    with A = sum_k 2 even_k cos(kappa p.d_k) and B = sum_k 2 odd_k sin(kappa p.d_k).
-    A is even and B odd in p, so when the targets are symmetric under p -> -p
-    only one node of each mirror pair is computed, and its mirror gets
-    exp(-i kappa p.c) (A - iB).
+    A piece centred at c adds exp(i kappa p.c) (A + iB), with A even and B
+    odd in p (`SupportPiece`, `GridPiece`), so when the targets are symmetric
+    under p -> -p only one target of each mirror pair is computed, and its
+    mirror gets exp(-i kappa p.c) (A - iB).  When they are also symmetric
+    under the x-axis reflection R, one target of each orbit {p, -p, Rp, -Rp}
+    is computed, and a piece gives its sums at p and Rp from one table.
     """
-    mirror = mirror_map(targets)
     idx = np.arange(len(targets))
-    rep = idx if mirror is None else idx[mirror >= idx]
-    x = kappa * targets[rep]
-    plus = np.zeros(len(rep), dtype=complex)
-    minus = np.zeros(len(rep), dtype=complex)
-    for center, offsets, even, odd in pieces:
-        a, b = _cos_sin_sums(x, offsets, even, odd)
-        shift = np.exp(1j * (x @ center))
+    mirror = mirror_map(targets)
+    refl = None if mirror is None else _point_map(targets, (1.0, -1.0))
+    if mirror is None:
+        rows = idx[None]
+    elif refl is None:
+        rows = idx[mirror >= idx][None]
+    else:
+        rep = idx[(mirror >= idx) & (refl >= idx) & (mirror[refl] >= idx)]
+        rows = np.stack([rep, refl[rep]])
+    x = kappa * targets[rows]
+    plus = np.zeros(rows.shape, dtype=complex)
+    minus = np.zeros(rows.shape, dtype=complex)
+    for piece in pieces:
+        a, b = piece.sums(x)
+        shift = np.exp(1j * (x @ piece.center))
         plus += shift * (a + 1j * b)
         minus += np.conj(shift) * (a - 1j * b)
     values = np.empty(len(targets), dtype=complex)
-    if mirror is not None:
-        values[mirror[rep]] = 2.0 * minus
-    values[rep] = 2.0 * plus
+    for g in reversed(range(len(rows))):  # a point on an axis keeps its own sum
+        if mirror is not None:
+            values[mirror[rows[g]]] = minus[g]
+        values[rows[g]] = plus[g]
     return values
 
 

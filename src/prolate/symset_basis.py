@@ -359,7 +359,8 @@ class SymSetBasis:
         values inside A_h, the analytic extension outside.  The sum over n is
         therefore one Born sum (`numerics._born_sum`) of the node field
         w_j sum_n weights[n] psi_n(p_j) / mu_n, folded over the mirror pairs
-        of the nodes and of the points.  Real weights give the real part.
+        and the x-axis reflection of the nodes and of the points, where they
+        have them.  Real weights give the real part.
         """
         weights = np.asarray(weights)
         field = self.quad.weights * self.on_nodes(weights / self.mu)

@@ -149,6 +149,22 @@ class TestMalformedMetadata:
         with pytest.raises(CacheError, match=str(path)):
             load_symset_basis(path)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("kind", ["disk", "L"])
+    def test_bandwidth_must_be_finite_and_positive(self, disk_c5, tmp_path, kind, c):
+        path = tmp_path / f"{kind}.gpswf"
+        if kind == "disk":
+            save_disk_basis(path, disk_c5)
+        else:
+            geo = P.Geometry.limited_aperture(2.0, h=1.5)
+            save_symset_basis(path, P.compute_symset_basis(
+                3.0, geo, P.build_quadrature(geo, 32, method="polar"), 4))
+        _rewrite_metadata(path, lambda meta: meta.update(c=c))
+        with pytest.raises(CacheError, match="bandwidth c"):
+            load_basis(path)
+        with pytest.raises(CacheError, match="bandwidth c"):
+            cache.verify_basis(path, symset=kind == "L")
+
     def test_metadata_not_an_object(self, tmp_path):
         path = tmp_path / "list.gpswf"
         path.write_bytes(b"GPSWF1\n[1, 2]\n")

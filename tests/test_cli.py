@@ -143,6 +143,33 @@ class TestBasisCommand:
         assert capsys.readouterr().out.strip() == path
         assert P.load_basis(path) is not None
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("kind", ["disk", "L"])
+    def test_cache_hit_with_bad_bandwidth(self, cache_dir, tmp_path, capsys, kind, c):
+        # a bandwidth that is not a finite positive number is refused by a
+        # load and by the cache-hit check: `basis` recomputes the file, and
+        # `validate` on it exits 1 with one line and writes no report
+        if kind == "L":
+            argv = ["basis", "symset", "--geometry", "L", "--c", "3.0", "--theta", "2.2",
+                    "--resolution", "32", "--modes", "4", "--method", "polar"]
+        else:
+            argv = ["basis", "disk", "--c", "4.0", "--m-max", "2", "--n-max", "2"]
+        assert run(argv) == 0
+        path = capsys.readouterr().out.strip()
+        with open(path, "rb") as f:
+            magic, meta, payload = f.read().split(b"\n", 2)
+        meta = json.loads(meta)
+        meta["c"] = c
+        with open(path, "wb") as f:
+            f.write(magic + b"\n" + json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+        report = tmp_path / "report.json"
+        code, err = _exit_and_error(capsys, ["validate", "--basis", path, "-o", str(report)])
+        assert code == 1 and len(err) == 1 and "bandwidth c" in err[0], err
+        assert not report.exists()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.strip() == path
+        assert P.load_basis(path).c == float(argv[argv.index("--c") + 1])
+
     def test_symset_cache_key_records_rule_version(self, cache_dir, capsys, monkeypatch):
         # a basis cached on an older quadrature layout is never served
         argv = ["basis", "symset", "--geometry", "M", "--c", "3.0", "--resolution", "40",
@@ -793,6 +820,9 @@ class TestTypedValues:
         ({**SETUP, "contrast": {"grid": {**GRID, "values": [[1.0, 2.0], [3.0]]}}}, "'values'"),
         ({"regime": "multifreq", "K": 1.0, "c_param": 5.0, "x_star": "1,0",
           "contrast": SETUP["contrast"]}, "'x_star'"),
+        ({**SETUP, "contrast": {"grid": {**GRID, "dx": 0}}}, "'dx'"),
+        ({**SETUP, "contrast": {"grid": {**GRID, "dy": 0}}}, "'dy'"),
+        ({**SETUP, "contrast": {"grid": {**GRID, "dx": -0.1, "dy": -0.1}}}, "'dx'"),
     ])
     def test_setup(self, tmp_path, disk_basis_file, capsys, cfg, key):
         out = tmp_path / "data.csv"

@@ -12,7 +12,7 @@ from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (ContrastField, DataGrid, _data_columns, _group_rows,
                              _loadtxt_columns, _malformed_row, add_noise, far_field,
                              ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
-from prolate.numerics import bessel_j, disk_polar_rule, mirror_map
+from prolate.numerics import GridPiece, _point_map, bessel_j, disk_polar_rule, mirror_map
 from prolate.recon import write_field_csv
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
@@ -160,13 +160,57 @@ def _shapes(shapes, resolution, method="polar"):
             *shape_support(shapes, resolution, method))
 
 
+def _callable_support(quad, f):
+    return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
+
+
+def _real(p):
+    return 1.0 + 0.5 * p[:, 0] + p[:, 1] + 0.8 * p[:, 1] ** 2
+
+
+def _complex(p):
+    return (1.0 + 0.5j * p[:, 0]) * np.exp(p[:, 1]) + 0.3j * p[:, 1] ** 3
+
+
+def _mirror_only_rule():
+    # a set symmetric under p -> -p whose reflection in the x-axis is not in it
+    half = np.random.default_rng(11).uniform(-0.7, 0.7, (40, 2))
+    return P.QuadratureRule(np.concatenate([half, -half]), np.full(80, 0.01))
+
+
+def _grid(vals, dx=0.05, dy=0.04):
+    q = ContrastField.from_grid((-0.5, -0.3), dx, dy, vals)
+    ii, jj = np.nonzero(vals)
+    return q, q.quad.nodes, vals[ii, jj] * dx * dy
+
+
+def _zero_lines_grid():
+    vals = np.random.default_rng(4).uniform(-1.0, 2.0, (12, 10))
+    vals[[0, 3, 4, 11], :] = 0.0
+    vals[:, [1, 2, 9]] = 0.0
+    return _grid(vals)
+
+
 SUPPORTS = {
     "polar_off_centre": lambda: _shapes(OFF_CENTRE, 24),
     "midpoint_odd": lambda: _shapes(OFF_CENTRE[:1], 31, "midpoint"),
     "midpoint_even": lambda: _shapes(OFF_CENTRE, 30, "midpoint"),
     "grid": _grid_support,
+    "grid_40": lambda: _grid(np.random.default_rng(5).uniform(-1.0, 2.0, (40, 40)), 0.03, 0.03),
+    "grid_zero_lines": _zero_lines_grid,
+    "grid_row": lambda: _grid(np.random.default_rng(6).uniform(0.5, 2.0, (1, 17))),
     "complex_callable": _complex_support,
     "complex_asymmetric": _complex_asymmetric_support,
+    # off the origin on the x-axis: reflection but no mirror pairs
+    "real_x_axis": lambda: _callable_support(disk_polar_rule(0.5, 10, 14, center=(0.3, 0.0)),
+                                             _real),
+    "complex_x_axis": lambda: _callable_support(disk_polar_rule(0.5, 10, 14, center=(0.3, 0.0)),
+                                                _complex),
+    # off both axes: neither symmetry
+    "real_off_axis": lambda: _callable_support(disk_polar_rule(0.6, 12, 16, center=(0.2, -0.1)),
+                                               _real),
+    "real_mirror_only": lambda: _callable_support(_mirror_only_rule(), _real),
+    "complex_mirror_only": lambda: _callable_support(_mirror_only_rule(), _complex),
 }
 
 
@@ -175,10 +219,19 @@ def _symset_targets(method):
     return P.build_quadrature(geo, 25, method=method).nodes
 
 
+def _axis_grid():
+    # 7 x 7 points on a grid through the origin: 13 of them reflect to themselves
+    g = 0.37 * (np.arange(7) - 3)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=1)
+
+
 TARGETS = {
     "scaled_disk": lambda: P.scale_to_data_domain(P.compute_disk_basis(6.0, 3, 3), 1.0).quad.nodes,
+    "readme_disk": lambda: disk_polar_rule(5.0, 82, 42).nodes / 4.0,
     "symset_polar": lambda: _symset_targets("polar"),
     "symset_midpoint_origin": lambda: _symset_targets("midpoint"),
+    "axis_grid": _axis_grid,
     "asymmetric": lambda: np.random.default_rng(8).uniform(-3.0, 3.0, (57, 2)),
 }
 
@@ -221,7 +274,40 @@ class TestBornKernel:
             assert np.array_equal(piece.center, sh["center"])
             assert not piece.odd.any()
         assert sum(len(p.offsets) for p in q.pieces) == len(q.quad) // 2
-        assert np.any(_grid_support()[0].pieces[0].odd)
+
+    def test_cases_cover_the_reflection_cases(self):
+        # every target set but the random one is symmetric under both p -> -p
+        # and the x-axis reflection R; on the axis grid 13 points are fixed by R
+        for name, make in TARGETS.items():
+            pts = make()
+            has = mirror_map(pts) is not None and _point_map(pts, (1.0, -1.0)) is not None
+            assert has == (name != "asymmetric"), name
+        pts = _axis_grid()
+        assert (_point_map(pts, (1.0, -1.0)) == np.arange(len(pts))).sum() == 7
+        assert (_point_map(pts, (1.0, -1.0)) == mirror_map(pts)).sum() == 7
+        # supports with and without R, with and without mirror pairs
+        perm = {name: [p.perm is not None for p in make()[0].pieces]
+                for name, make in SUPPORTS.items() if not name.startswith("grid")}
+        assert perm == {"polar_off_centre": [True, True], "midpoint_odd": [True],
+                        "midpoint_even": [True, True], "complex_callable": [True],
+                        "complex_asymmetric": [False], "real_x_axis": [True],
+                        "complex_x_axis": [True], "real_off_axis": [False],
+                        "real_mirror_only": [False], "complex_mirror_only": [False]}
+        for name in ("real_x_axis", "real_mirror_only"):
+            nodes = SUPPORTS[name]()[1]
+            assert (mirror_map(nodes) is None) == (name == "real_x_axis")
+        # the reflection reaches values that are not symmetric under it
+        piece = SUPPORTS["complex_callable"]()[0].pieces[0]
+        assert np.any(piece.even[piece.perm] != piece.even)
+        assert np.any(piece.sign < 0.0) and np.any(piece.odd[piece.sign < 0.0])
+
+    def test_grid_pieces_keep_nonzero_lines(self):
+        q, _, _ = _zero_lines_grid()
+        (piece,) = q.pieces
+        assert isinstance(piece, GridPiece)
+        assert piece.values.shape == (8, 7) and piece.values.all()
+        assert np.array_equal(piece.center, [-0.5 + 12 * 0.05 / 2, -0.3 + 10 * 0.04 / 2])
+        assert np.array_equal(piece.xs, (np.array([1, 2, 5, 6, 7, 8, 9, 10]) - 5.5) * 0.05)
 
     def test_synthesis_memory_stays_small(self):
         # 3,444 targets (the README disk basis rule) x 25,600 support nodes; the
@@ -229,6 +315,19 @@ class TestBornKernel:
         targets = disk_polar_rule(5.0, 82, 42)
         q = ContrastField.from_shapes(DISK, resolution=160)
         assert (len(targets), len(q.quad)) == (3444, 25600)
+        tracemalloc.start()
+        try:
+            synthesize_born(q, 0.4, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_grid_synthesis_memory_stays_small(self):
+        # 3,444 targets x a 160 x 160 pixel grid, by the separable contraction
+        targets = disk_polar_rule(5.0, 82, 42)
+        q = ContrastField.from_grid((-0.8, -0.8), 0.01, 0.01,
+                                    np.random.default_rng(2).uniform(0.5, 1.5, (160, 160)))
         tracemalloc.start()
         try:
             synthesize_born(q, 0.4, targets)
