@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -22,7 +21,8 @@ from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
 from .disk_basis import DiskBasis, compute_disk_basis, default_truncation, scale_to_data_domain
 from .errors import ParameterError, ProlateError
-from .forward import add_noise, ingest_farfield, read_datagrid, synthesize_born, write_datagrid
+from .forward import (_loadtxt, add_noise, ingest_farfield, read_datagrid, synthesize_born,
+                      write_datagrid)
 from .geometry_config import ProblemSetup, effective_kernel_scale, read_setup, validate_setup
 from .recon import (beta_of_alpha, choose_alpha_partial, expand, partial_cutoff,
                     picard_coefficients, reconstruct_full, reconstruct_partial, write_field_csv,
@@ -239,28 +239,23 @@ def _read_columns(path: str, columns: list[str], what: str) -> np.ndarray:
     """The non-blank rows of a CSV file whose header starts with `columns`, as a
     (rows, len(columns)) array of finite floats; fields past len(columns) are ignored.
 
-    The body is parsed in one `float` map when every row has exactly
-    len(columns) fields; a row with more fields, or any bad row, sends the
-    parse through `_floats` line by line, which names the first bad line.
+    numpy's reader parses the body straight from the file (`forward._loadtxt`);
+    where it refuses a row, or a number is not finite, the body is parsed
+    again through `_floats` line by line, which names the first bad line.
     """
     count = len(columns)
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         if header[:count] != columns:
             raise ParameterError(f"unexpected {what} columns {header}")
-        lines = f.read().split("\n")
-    rows = list(filter(str.strip, lines))
-    if not rows:
-        return np.empty((0, count))
-    if set(map(str.count, rows, itertools.repeat(","))) == {count - 1}:
-        try:
-            table = np.array(list(map(float, ",".join(rows).split(",")))).reshape(-1, count)
-        except ValueError:
-            table = None
+        body = f.tell()
+        table = _loadtxt(path, f, float, range(count))
         if table is not None and np.isfinite(table).all():
-            return table
-    return np.array([_floats(line, count, f"{path} line {lineno}")
-                     for lineno, line in enumerate(lines, 2) if line.strip()])
+            return table.reshape(-1, count)
+        f.seek(body)
+        rows = [_floats(line, count, f"{path} line {lineno}")
+                for lineno, line in enumerate(f, 2) if line.strip()]
+    return np.array(rows) if rows else np.empty((0, count))
 
 
 def _floats(line: str, count: int, where: str) -> list[float]:
@@ -352,12 +347,19 @@ def _cmd_reconstruct(args) -> int:
     result = reconstruct(data, basis, alpha, realify=args.realify)
     write_result(args.out, result)
     if args.field_out:
-        g = np.linspace(-b, b, args.field_grid)
+        g = _field_axis(b, args.field_grid)
         X, Y = np.meshgrid(g, g, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         write_field_csv(args.field_out, pts, result.field(pts))
     print(args.out)
     return 0
+
+
+def _field_axis(b: float, n: int) -> np.ndarray:
+    """n points spaced evenly over [-b, b] and exactly symmetric about 0 (g == -g[::-1]
+    bitwise, which np.linspace is not), so Born sums over the field grid fold over
+    p -> -p; the one point of n = 1 is 0."""
+    return b * ((2.0 * np.arange(n) - (n - 1)) / max(n - 1, 1))
 
 
 def _cmd_extrapolate(args) -> int:

@@ -8,7 +8,6 @@ k^2 u(theta_hat - x_hat).
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
 from .numerics import (GridPiece, QuadratureRule, SupportPiece, _born_sum, _piece,
-                       annulus_polar_rule, disk_polar_rule)
+                       annulus_polar_rule, disk_polar_rule, nearest)
 from .symset_basis import Geometry
 
 __all__ = [
@@ -297,14 +296,12 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _median_spacing(rows: np.ndarray) -> float:
     """Median distance from each distinct row (to 1e-12) to the nearest other
     one; 0 if there are fewer than two."""
-    from scipy.spatial import cKDTree
-
     inverse, counts = _group_rows(np.round(rows / 1e-12).astype(np.int64))
     if len(counts) < 2:
         return 0.0
     distinct = np.empty((len(counts), rows.shape[1]))
     distinct[inverse] = rows
-    return float(np.median(cKDTree(distinct).query(distinct, k=2)[0][:, 1]))
+    return float(np.median(nearest(distinct, distinct, 2)[0][:, 1]))
 
 
 def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
@@ -315,13 +312,14 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
     x_hat and theta_hat are (n, 2) arrays of directions and values the n
     far-field values; each sample becomes u(p) = values / k^2.  Duplicate p
     points (to 1e-12) are averaged; target values come from inverse-distance
-    weighting of the 4 nearest samples; nodes farther than `cutoff` from every
-    sample are flagged missing.  The cutoff defaults to 3x the sampling step
-    of the directions: the median distance from each distinct (x_hat,
-    theta_hat) pair to its nearest neighbour, which on a tensor grid of
-    directions is the step of the grid.  (The merged p points are no measure
-    of it: where distinct pairs nearly repeat a p, their spacing collapses far
-    below the step.)
+    weighting of the 4 nearest samples (`numerics.nearest`: of samples at
+    equal distance, the one whose p comes first in lexicographic order);
+    nodes farther than `cutoff` from every sample are flagged missing.  The
+    cutoff defaults to 3x the sampling step of the directions: the median
+    distance from each distinct (x_hat, theta_hat) pair to its nearest
+    neighbour, which on a tensor grid of directions is the step of the grid.
+    (The merged p points are no measure of it: where distinct pairs nearly
+    repeat a p, their spacing collapses far below the step.)
     """
     if k <= 0.0:
         raise ParameterError("ingest_farfield requires k > 0")
@@ -343,23 +341,17 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
     vals.real = values.real / k2  # the parts divided separately, as a complex by a real
     vals.imag = values.imag / k2
     inverse, counts = _group_rows(np.round(pts / 1e-12).astype(np.int64))
-    merged_pts = np.zeros((len(counts), 2))
-    merged_vals = np.zeros(len(counts), dtype=complex)
-    np.add.at(merged_pts, inverse, pts)
-    np.add.at(merged_vals, inverse, vals)
+    # group sums in sample order, as sequential adds
+    merged_pts = np.stack([np.bincount(inverse, pts[:, j], len(counts)) for j in (0, 1)], axis=1)
+    merged_vals = np.empty(len(counts), dtype=complex)
+    merged_vals.real = np.bincount(inverse, vals.real, len(counts))
+    merged_vals.imag = np.bincount(inverse, vals.imag, len(counts))
     merged_pts /= counts[:, None]
     merged_vals /= counts
-
-    from scipy.spatial import cKDTree  # only ingest needs scipy; keep it off the import path
-
-    tree = cKDTree(merged_pts)
     if cutoff is None:
         spacing = _median_spacing(np.concatenate([x_hat, theta_hat], axis=1))
         cutoff = 3.0 * spacing if spacing > 0.0 else np.inf
-    kq = min(4, len(merged_pts))
-    dist, idx = tree.query(target.nodes, k=kq)
-    dist = np.atleast_2d(dist.T).T.reshape(n_t, kq)
-    idx = np.atleast_2d(idx.T).T.reshape(n_t, kq)
+    dist, idx = nearest(merged_pts, target.nodes, 4)
     flags = (dist[:, 0] > cutoff).astype(np.uint8)
     values = np.zeros(n_t, dtype=complex)
     exact = dist[:, 0] < 1e-13
@@ -447,29 +439,32 @@ def _data_columns(rows: list[str]):
 _ROW_ERRORS = (ValueError, OverflowError)
 _ROW_DTYPE = np.dtype([("numbers", "<f8", (5,)), ("flag", "u1")])
 # Field padding that numpy's reader strips and `float` and `int` refuse.
-_READER_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+_READER_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _loadtxt_columns(body: str):
-    """The columns of the data rows from one `np.loadtxt` call, or None where it
-    refuses the body, warns, or might accept a field that `_data_columns` refuses.
+def _loadtxt(path, f, dtype, usecols=None) -> np.ndarray | None:
+    """The rest of the text file `f`, opened from `path`, as one `np.loadtxt`
+    table (rows of `dtype`, or of the fields `usecols`), read straight from
+    the file; None where the reader refuses it, warns, or would strip field
+    padding that `float` and `int` refuse.
 
-    Where the reader accepts a body, each field reads as `float` or `int`
-    reads it, so `_data_columns` gives the same arrays; a body it refuses
-    (a blank line of spaces, `1_0`, a flag of 1.0 or 300, a row of the wrong
-    length) goes through `_data_columns`, which accepts or names a bad line.
+    Where the reader accepts the rows, it reads each field as `float` or
+    `int` does, so a line-by-line parse gives the same numbers.  Rows it
+    refuses (a line of spaces, `1_0`, a flag of 1.0 or 300, a row of the
+    wrong length) are left to the caller's line-by-line parse, which
+    accepts them or names a bad line.
     """
-    if any(ch in body for ch in _READER_ONLY_SPACE):
-        return None
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 16), b""):
+            if any(ch in chunk for ch in _READER_ONLY_SPACE):
+                return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy < 2 only warns where it reads an int as a float
         try:
-            table = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",",
-                               comments=None, ndmin=1)
+            return np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, usecols=usecols,
+                              ndmin=1)
         except _ROW_ERRORS + (Warning,):
             return None
-    return _split_columns(np.ascontiguousarray(table["numbers"]),
-                          np.ascontiguousarray(table["flag"]))
 
 
 def _malformed_row(path) -> ParameterError:
@@ -491,13 +486,17 @@ def read_datagrid(path) -> DataGrid:
         cols = f.readline().strip().split(",")
         if cols != ["px", "py", "weight", "re", "im", "flag"]:
             raise ParameterError(f"unexpected data columns {cols}")
-        body = f.read()
-    columns = _loadtxt_columns(body)
-    if columns is None:
-        try:
-            columns = _data_columns([line for line in body.split("\n") if line.strip()])
-        except _ROW_ERRORS:
-            raise _malformed_row(path) from None
+        body = f.tell()
+        table = _loadtxt(path, f, _ROW_DTYPE)
+        if table is not None:
+            columns = _split_columns(np.ascontiguousarray(table["numbers"]),
+                                     np.ascontiguousarray(table["flag"]))
+        else:
+            f.seek(body)
+            try:
+                columns = _data_columns([line for line in f.read().split("\n") if line.strip()])
+            except _ROW_ERRORS:
+                raise _malformed_row(path) from None
     nodes, weights, values, flags = columns
     check_keys(header, ("count",), f"{path} header")
     if len(values) != header["count"]:

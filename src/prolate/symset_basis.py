@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyQuadratureError, ParameterError, check_keys
-from .numerics import (QuadratureRule, _born_sum, _frozen, _piece, axis_reflection,
+from .numerics import (QuadratureRule, _born_sum, _fold, _frozen, _piece, axis_reflection,
                        disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
                        sym_eig)
 
@@ -340,6 +340,11 @@ class SymSetBasis:
         """L2(A_h) norms, equal to (c / 2 pi) |alpha_n| per mode."""
         return _frozen((self.c / (2.0 * np.pi)) * np.abs(self.alphas))
 
+    @cached_property
+    def _node_fold(self):
+        """The nodes' mirror pairs and reflection map, found once per basis for `combine`."""
+        return _fold(self.quad.nodes)
+
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask {|mu_n| > alpha}."""
         return np.abs(self.mu) > alpha
@@ -364,8 +369,8 @@ class SymSetBasis:
         """
         weights = np.asarray(weights)
         field = self.quad.weights * self.on_nodes(weights / self.mu)
-        out = _born_sum((_piece((0.0, 0.0), self.quad.nodes, field),), self.kernel_scale,
-                        np.atleast_2d(np.asarray(pts, dtype=float)))
+        out = _born_sum((_piece((0.0, 0.0), self.quad.nodes, field, self._node_fold),),
+                        self.kernel_scale, np.atleast_2d(np.asarray(pts, dtype=float)))
         out = out if np.iscomplexobj(weights) else out.real.copy()
         return out[0] if np.ndim(pts) == 1 else out
 

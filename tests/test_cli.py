@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ import pytest
 import prolate as P
 from prolate import cli
 from prolate.cli import experiment_stability, run
+from prolate.errors import ParameterError
 from prolate.forward import add_noise, read_datagrid
 from prolate.geometry_config import effective_kernel_scale, setup_from_dict
+from prolate.numerics import mirror_map
 
 
 SETUP = {
@@ -49,7 +52,7 @@ def write_setup(tmp_path, cfg=SETUP):
 
 class TestProcess:
     def test_import_loads_no_scipy(self):
-        # scipy is needed by `ingest` only and is imported there
+        # scipy is a test oracle only; no module of the package imports it
         src = os.path.dirname(os.path.dirname(P.__file__))
         code = ("import sys, prolate.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -508,6 +511,123 @@ class TestIngestArrayPath:
                                              "-o", str(out)])
         assert (code, err) == (2, [f"error: {targets} {message}"])
         assert not out.exists()
+
+
+FAR_COLUMNS = ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y", "re", "im"]
+FAR_ROW = "0.6,0.8,-0.8,0.6,1.5,-0.25"
+
+
+def _far_field_file(path, n=48, theta=2.2):
+    """Far-field rows on a uniform n x n grid of directions over L(theta)."""
+    t = theta * ((np.arange(n) + 0.5) / n * 2.0 - 1.0)
+    e = np.stack([np.cos(t), np.sin(t)], axis=1)
+    table = np.column_stack([np.repeat(e, n, axis=0), np.tile(e, (n, 1)),
+                             np.cos(np.arange(n * n)), np.sin(np.arange(n * n))])
+    np.savetxt(path, table, delimiter=",", fmt="%.17g", comments="",
+               header=",".join(FAR_COLUMNS))
+    return table
+
+
+class TestFarFieldReader:
+    """`cli._read_columns` reads a far-field file with numpy's reader straight
+    from the file, and falls back to its line-by-line parse where the reader
+    refuses a row or meets a non-finite number: the two give the same arrays,
+    or the same one-line exit-2 message."""
+
+    CORPUS = {
+        "plain": (FAR_ROW + "\n") * 3,
+        "no final newline": FAR_ROW + "\n" + FAR_ROW,
+        "blank lines": "\n" + FAR_ROW + "\n\n" + FAR_ROW + "\n\n",
+        "crlf": FAR_ROW + "\r\n" + FAR_ROW + "\r\n",
+        "extra column": FAR_ROW + ",7\n" + FAR_ROW + ",x\n",
+        "extra empty field": FAR_ROW + ",\n",
+        "padded fields": " 0.6 ,0.8,\t-0.8 ,0.6,1.5, -0.25 \n",
+        "line of spaces": FAR_ROW + "\n   \n" + FAR_ROW + "\n",
+        "file separator padding": "0.6\x1c,0.8,-0.8,0.6,1.5,-0.25\n",
+        "unit separator at the end": FAR_ROW + "\x1f\n",
+        "underscore": FAR_ROW + "\n0.6,0.8,-0.8,0.6,1_5,-0.25\n",
+        "non-ascii digit": "١" + FAR_ROW[3:] + "\n",
+        "nan": FAR_ROW + "\n0.6,0.8,-0.8,0.6,nan,-0.25\n",
+        "inf": "0.6,0.8,-0.8,0.6,1.5,-inf\n",
+        "overflow": "0.6,0.8,-0.8,0.6,1e999,-0.25\n",
+        "short row": FAR_ROW + "\n0.6,0.8,-0.8,0.6,1.5\n",
+        "non-numeric field": FAR_ROW + "\n0.6,0.8,abc,0.6,1.5,-0.25\n",
+        "empty field": ",0.8,-0.8,0.6,1.5,-0.25\n",
+        "no rows": "",
+        "blank lines only": "\n\n",
+    }
+    # the cases numpy's reader takes; the rest go through the fallback
+    READER = {"plain", "no final newline", "blank lines", "crlf", "extra column",
+              "extra empty field", "padded fields"}
+
+    @staticmethod
+    def _parse(path):
+        try:
+            return cli._read_columns(str(path), FAR_COLUMNS, "far-field")
+        except ParameterError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("case", list(CORPUS))
+    def test_reader_and_fallback_agree(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "ff.csv"
+        path.write_bytes((",".join(FAR_COLUMNS) + "\n" + self.CORPUS[case]).encode())
+        taken = []
+        loadtxt = cli._loadtxt
+        monkeypatch.setattr(cli, "_loadtxt", lambda *a: taken.append(loadtxt(*a)) or taken[-1])
+        fast = self._parse(path)
+        assert (taken[0] is not None and np.isfinite(taken[0]).all()) == (case in self.READER)
+        monkeypatch.setattr(cli, "_loadtxt", lambda *a: None)
+        slow = self._parse(path)
+        if isinstance(slow, str):
+            assert fast == slow and "\n" not in slow
+        else:
+            assert fast.dtype == slow.dtype and fast.shape == slow.shape
+            assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+    def test_parse_memory(self, tmp_path):
+        # a file of the benchmark's far-field size, 96 x 96 direction pairs:
+        # the reader holds no copy of the body, only the table it returns
+        path = tmp_path / "ff.csv"
+        table = _far_field_file(path, n=96)
+        cli._read_columns(str(path), FAR_COLUMNS, "far-field")
+        tracemalloc.start()
+        try:
+            got = cli._read_columns(str(path), FAR_COLUMNS, "far-field")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, table)
+        assert peak - got.nbytes < 1_000_000, peak
+
+    def test_ingest_loads_no_scipy(self, tmp_path, cache_dir, capsys):
+        assert run(["basis", "symset", "--geometry", "L", "--c", "5.0", "--theta", "2.2",
+                    "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples, out = tmp_path / "ff.csv", tmp_path / "ing.csv"
+        _far_field_file(samples)
+        code = ("import sys; from prolate.cli import run; rc = run(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "sys.exit(rc)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(P.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code, "ingest", str(samples), "--k", "5.0",
+                               "--basis", basis_file, "-o", str(out)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert read_datagrid(out).valid.any()
+
+
+@pytest.mark.parametrize("b", [1.0, 2.0, 2.5, 3.7, 5.123, 10.0 / 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 32, 64, 97])
+def test_field_axis_is_symmetric(b, n):
+    # np.linspace(-b, b, n) is not (g != -g[::-1] at every b here for n = 24,
+    # 32, 64), so the field's Born sums could not fold over p -> -p
+    g = cli._field_axis(b, n)
+    assert np.array_equal(g, -g[::-1])
+    if n > 1:
+        assert g[0] == -b and g[-1] == b
+        assert np.abs(g - np.linspace(-b, b, n)).max() <= 4 * np.spacing(b)
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        assert mirror_map(np.stack([X.ravel(), Y.ravel()], axis=1)) is not None
 
 
 class TestNonFiniteInput:

@@ -9,13 +9,26 @@ import pytest
 import prolate as P
 from prolate.disk_basis import eval_psi
 from prolate.errors import DataCoverageError, ParameterError
-from prolate.forward import (ContrastField, DataGrid, _data_columns, _group_rows,
-                             _loadtxt_columns, _malformed_row, add_noise, far_field,
+from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_columns, _group_rows,
+                             _loadtxt, _malformed_row, _split_columns, add_noise, far_field,
                              ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
 from prolate.numerics import GridPiece, _point_map, bessel_j, disk_polar_rule, mirror_map
 from prolate.recon import write_field_csv
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
+
+
+def _loadtxt_columns(path):
+    """The columns that `read_datagrid` takes from numpy's reader, or None where
+    the reader declines the file and the row parse takes over."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        f.readline()
+        table = _loadtxt(path, f, _ROW_DTYPE)
+    if table is None:
+        return None
+    return _split_columns(np.ascontiguousarray(table["numbers"]),
+                          np.ascontiguousarray(table["flag"]))
 
 
 def disk_closed_form(radius, kappa, pts):
@@ -400,6 +413,20 @@ class TestIngest:
         data = ingest_farfield([d1, d2], [d1, d2], [2.0 + 0j, 4.0 + 0j], 1.0, target, cutoff=1.0)
         assert data.values[0] == pytest.approx(3.0, rel=1e-12)
 
+    def test_duplicates_merge_in_sample_order(self):
+        # 400 samples on 12 points p: each group sums in sample order, one add
+        # at a time (as np.add.at does), so the merged values are reproducible
+        # bit for bit; a node at p takes its group's merged value
+        rng = np.random.default_rng(7)
+        p = rng.uniform(-1.0, 1.0, (12, 2))
+        group = rng.integers(0, 12, 400)
+        values = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+        data = ingest_farfield(np.zeros((400, 2)), p[group], values, 1.0,
+                               P.QuadratureRule(p, np.ones(12)), cutoff=1.0)
+        sums = np.zeros(12, dtype=complex)
+        np.add.at(sums, group, values)
+        assert np.array_equal(data.values, sums / np.bincount(group))
+
     def test_far_targets_flagged_missing(self):
         target = P.QuadratureRule(np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([1.0, 1.0]))
         d = np.array([1.0, 0.0])
@@ -569,7 +596,7 @@ class TestDataGridIO:
         path = tmp_path / "grid.csv"
         read_back = self._write(path, body)
         rows = [line for line in read_back.split("\n") if line.strip()]
-        columns = _loadtxt_columns(read_back)
+        columns = _loadtxt_columns(path)
         assert (columns is not None) == fast
         try:
             want = _data_columns(rows)
@@ -598,8 +625,7 @@ class TestDataGridIO:
         path = tmp_path / "grid.csv"
         data = add_noise(TestNoise()._data(), 0.05, 3)
         write_datagrid(path, data)
-        with open(path, encoding="utf-8") as f:
-            assert _loadtxt_columns(f.read().split("\n", 2)[2]) is not None
+        assert _loadtxt_columns(path) is not None
 
     def test_row_with_extra_field_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
