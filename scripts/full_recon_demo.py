@@ -6,7 +6,7 @@ import argparse
 
 import numpy as np
 
-from prolate.disk_basis import compute_disk_basis, scale_to_data_domain
+from prolate.disk_basis import compute_disk_basis
 from prolate.forward import add_noise, synthesize_born
 from prolate.geometry_config import effective_kernel_scale, setup_from_dict, validate_setup
 from prolate.recon import reconstruct_full, write_field_csv
@@ -31,9 +31,9 @@ def main():
     })
     report = validate_setup(setup)
     print(f"containment margin: {report.margin:.4f}")
-    basis = scale_to_data_domain(compute_disk_basis(args.c, 10, 8), args.k)
+    basis = compute_disk_basis(args.c, 10, 8).dilated(setup.h)
     data = synthesize_born(setup.contrast, effective_kernel_scale(setup), basis.quad,
-                           geometry=setup.data_geometry())
+                           geometry=setup.domain)
     if args.noise > 0:
         data = add_noise(data, args.noise, args.seed)
 

@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from prolate.cli import experiment_stability
-from prolate.disk_basis import compute_disk_basis, scale_to_data_domain
+from prolate.disk_basis import compute_disk_basis
 from prolate.geometry_config import setup_from_dict
 
 
@@ -33,7 +33,7 @@ def main():
         "contrast": {"shapes": [{"type": "disk", "center": [0.0, 0.0],
                                  "radius": args.radius, "value": 1.0}]},
     })
-    basis = scale_to_data_domain(compute_disk_basis(args.c, args.m_max, args.n_max), args.k)
+    basis = compute_disk_basis(args.c, args.m_max, args.n_max).dilated(setup.h)
     chis = basis.chis
     alphas = np.geomspace(0.95 / chis.min(), 0.9 / chis.max(), args.n_alphas)
     deltas = [float(t) for t in args.deltas.split(",")]

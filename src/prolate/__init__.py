@@ -6,8 +6,7 @@ from .analysis import (ProjectionReport, extrapolate, project_pi_alpha,
                        projection_error_report, sobolev_norm_tilde, validate_basis)
 from .cache import (cache_key, load_basis, load_disk_basis, load_symset_basis,
                     save_disk_basis, save_symset_basis)
-from .disk_basis import (DiskBasis, assemble_sl_matrix, compute_disk_basis, eval_psi,
-                         scale_to_data_domain)
+from .disk_basis import DiskBasis, assemble_sl_matrix, compute_disk_basis, eval_psi
 from .errors import (CacheError, DataCoverageError, EigensolverError, EmptyCutoffError,
                      EmptyQuadratureError, ParameterError, ProlateError)
 from .forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farfield,

@@ -36,8 +36,12 @@ MAGIC = b"GPSWF1\n"
 FORMAT_VERSION = 1
 
 
-def _quantize(x: float) -> int:
-    return int(round(float(x) / 1e-12))
+def _quantize(name: str, x: float) -> int:
+    """x in units of 1e-12; ParameterError naming the parameter where that overflows."""
+    if not math.isfinite(q := float(x) / 1e-12):
+        raise ParameterError(f"cache key parameter {name!r} must be finite and below "
+                             f"about 1.8e296 in magnitude, got {x!r}")
+    return int(round(q))
 
 
 def cache_key(kind: str, **params) -> str:
@@ -46,9 +50,9 @@ def cache_key(kind: str, **params) -> str:
     for name in sorted(params):
         v = params[name]
         if isinstance(v, float):
-            parts.append(f"{name}={_quantize(v)}")
+            parts.append(f"{name}={_quantize(name, v)}")
         elif isinstance(v, (tuple, list)):
-            parts.append(f"{name}=" + ",".join(str(_quantize(x)) for x in v))
+            parts.append(f"{name}=" + ",".join(str(_quantize(name, x)) for x in v))
         else:
             parts.append(f"{name}={v}")
     digest = hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
@@ -205,11 +209,11 @@ def _count(value) -> int:
 
 
 def _bandwidth(value) -> float:
-    """The bandwidth c, a finite positive number; ValueError otherwise."""
-    c = float(value)
-    if not (math.isfinite(c) and c > 0.0):
+    """The bandwidth c, a finite positive JSON number (no string or boolean); else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > 0.0)):
         raise ValueError(f"bandwidth c must be a finite positive number, got {value!r}")
-    return c
+    return float(value)
 
 
 def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:

@@ -8,6 +8,7 @@ arguments.  All outputs are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
-from .disk_basis import DiskBasis, compute_disk_basis, default_truncation, scale_to_data_domain
+from .disk_basis import DiskBasis, compute_disk_basis, default_truncation
 from .errors import ParameterError, ProlateError
 from .forward import (_loadtxt, add_noise, ingest_farfield, read_datagrid, synthesize_born,
                       write_datagrid)
@@ -27,7 +28,7 @@ from .geometry_config import ProblemSetup, effective_kernel_scale, read_setup, v
 from .recon import (beta_of_alpha, choose_alpha_partial, expand, partial_cutoff,
                     picard_coefficients, reconstruct_full, reconstruct_partial, write_field_csv,
                     write_result)
-from .symset_basis import (RULE_VERSION, Geometry, SymSetBasis, build_quadrature,
+from .symset_basis import (PAIRING_TOL, RULE_VERSION, Geometry, SymSetBasis, build_quadrature,
                            compute_symset_basis)
 
 __all__ = ["run", "main", "experiment_stability"]
@@ -141,6 +142,15 @@ def _geometry_from_args(args) -> Geometry:
     return Geometry.multi_freq(_numbers("--x-star", args.x_star), h=args.h)
 
 
+@contextlib.contextmanager
+def _sized_by(flags: str):
+    """An OverflowError where `flags` size an allocation, as a ParameterError naming them."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ParameterError(f"{flags} too large to honour ({exc})") from exc
+
+
 def _cmd_basis(args) -> int:
     _flag("--c", args.c, positive=True)
     if args.basis_kind == "symset":
@@ -157,48 +167,40 @@ def _cmd_basis(args) -> int:
         except ProlateError:
             pass  # checksum mismatch: recompute below, never trust a corrupt cache
     if args.basis_kind == "disk":
-        basis = compute_disk_basis(args.c, args.m_max, args.n_max, truncation=params["J"])
+        with _sized_by("--c, --m-max and --n-max"):
+            basis = compute_disk_basis(args.c, args.m_max, args.n_max, truncation=params["J"])
         cachemod.save_disk_basis(path, basis)
     else:
         geo = params["geometry"]
-        quad = build_quadrature(geo, args.resolution, method=args.method)
-        basis = compute_symset_basis(args.c, geo, quad, args.modes)
+        with _sized_by("--resolution"):
+            quad = build_quadrature(geo, args.resolution, method=args.method)
+            basis = compute_symset_basis(args.c, geo, quad, args.modes)
         cachemod.save_symset_basis(path, basis)
     print(path)
     return 0
 
 
 def _load_basis_for_setup(path: str, setup: ProblemSetup):
-    """Pair a cached basis with a setup, scaling disk bases onto the data disk."""
+    """Pair a cached basis with a setup, dilating a disk basis onto the data disk."""
     basis = cachemod.load_basis(path)
+    if isinstance(basis, DiskBasis) != (setup.regime == "full"):
+        raise ParameterError("the full-aperture regime pairs with a disk basis file, "
+                             "the limited and multifreq regimes with a symset basis file")
+    if abs(basis.c - setup.c_param) > PAIRING_TOL * max(1.0, setup.c_param):
+        raise ParameterError(f"basis bandwidth {basis.c!r} does not match the setup "
+                             f"c parameter {setup.c_param!r}")
     if isinstance(basis, DiskBasis):
-        if setup.regime != "full":
-            raise ParameterError("disk basis files pair with the full-aperture regime")
-        if abs(basis.c - setup.bandwidth) > 1e-9 * max(1.0, setup.bandwidth):
-            raise ParameterError(
-                f"basis bandwidth {basis.c} does not match setup c_F {setup.bandwidth}")
-        return scale_to_data_domain(basis, setup.k)
-    if setup.regime == "full":
-        raise ParameterError("full-aperture regime needs a disk basis file")
-    if abs(basis.c - setup.bandwidth) > 1e-9 * max(1.0, setup.bandwidth):
-        raise ParameterError("basis bandwidth does not match the setup c parameter")
-    want = setup.data_geometry()
-    got = basis.geometry
-    same = got.kind == want.kind and abs(got.h - want.h) <= 1e-9 * want.h
-    if same and want.kind == "limited_aperture":
-        same = abs(got.theta - want.theta) <= 1e-9
-    if same and want.kind == "multi_freq":
-        same = math.hypot(got.x_star[0] - want.x_star[0],
-                          got.x_star[1] - want.x_star[1]) <= 1e-9
-    if not same:
-        raise ParameterError(
-            f"basis geometry {got.to_dict()} does not match the setup domain {want.to_dict()}")
+        return _scale_to_data(basis, setup.domain)
+    if not basis.geometry.matches(setup.domain):
+        raise ParameterError(f"basis geometry {basis.geometry.to_dict()} does not match "
+                             f"the setup domain {setup.domain.to_dict()}")
     return basis
 
 
 def _cmd_synthesize(args) -> int:
     _flag("--noise", args.noise, positive=False)
-    setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
+    with _sized_by("--contrast-resolution"):
+        setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
     report = validate_setup(setup)
     if not report.ok:
         raise ParameterError(
@@ -206,7 +208,7 @@ def _cmd_synthesize(args) -> int:
             f"(margin {report.margin:.4g}, {len(report.violations)} offending points)")
     basis = _load_basis_for_setup(args.basis, setup)
     kappa = effective_kernel_scale(setup)
-    data = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.data_geometry())
+    data = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.domain)
     if args.noise > 0.0:
         data = add_noise(data, args.noise, args.seed)
         print(f"noise: relative {args.noise!r}, absolute {data.meta['delta_abs']!r}")
@@ -318,11 +320,11 @@ def _attach_list_values(argv) -> list[str]:
     return out
 
 
-def _scale_to_data(basis: DiskBasis, data):
-    """Scale a unit-disk basis onto the disk of radius h the data was produced on."""
-    if data.geometry is None or data.geometry.kind != "disk":
+def _scale_to_data(basis: DiskBasis, domain: Geometry | None) -> DiskBasis:
+    """A unit-disk basis dilated onto the disk `domain` of a setup or data file: radius h."""
+    if domain is None or domain.kind != "disk":
         raise ParameterError("data was not produced on a scaled disk domain")
-    return scale_to_data_domain(basis, basis.c / (2.0 * data.geometry.h))
+    return basis.dilated(domain.h)
 
 
 def _cmd_reconstruct(args) -> int:
@@ -331,7 +333,7 @@ def _cmd_reconstruct(args) -> int:
     data = read_datagrid(args.data)
     basis = cachemod.load_basis(args.basis)
     if isinstance(basis, DiskBasis):
-        basis = _scale_to_data(basis, data)
+        basis = _scale_to_data(basis, data.geometry)
         reconstruct, b = reconstruct_full, basis.radius
     else:
         reconstruct, b = reconstruct_partial, 2.0 * basis.geometry.h
@@ -345,12 +347,14 @@ def _cmd_reconstruct(args) -> int:
     else:
         raise ParameterError("reconstruct requires --alpha or --auto-alpha")
     result = reconstruct(data, basis, alpha, realify=args.realify)
+    if args.field_out:  # evaluated first, so a field too large to build writes no file
+        with _sized_by("--field-grid"):
+            g = _field_axis(b, args.field_grid)
+            pts = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)  # x-major
+            field = result.field(pts)
     write_result(args.out, result)
     if args.field_out:
-        g = _field_axis(b, args.field_grid)
-        X, Y = np.meshgrid(g, g, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        write_field_csv(args.field_out, pts, result.field(pts))
+        write_field_csv(args.field_out, pts, field)
     print(args.out)
     return 0
 
@@ -367,7 +371,7 @@ def _cmd_extrapolate(args) -> int:
     basis = cachemod.load_basis(args.basis)
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
-    scaled = _scale_to_data(basis, data)
+    scaled = _scale_to_data(basis, data.geometry)
     targets = _read_columns(args.targets, ["x", "y"], "target")
     if not len(targets):
         raise ParameterError(f"{args.targets}: no target rows")
@@ -406,7 +410,7 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     alpha masks a block's coefficients and expands all its fields in one product.
     """
     kappa = effective_kernel_scale(setup)
-    clean = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.data_geometry())
+    clean = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.domain)
     u_norm = clean.weighted_norm()
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights
@@ -447,7 +451,8 @@ def _cmd_stability(args) -> int:
         raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
     deltas = _flag_list("--deltas", args.deltas, positive=False)
     alphas = _flag_list("--alphas", args.alphas, positive=True)
-    setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
+    with _sized_by("--contrast-resolution"):
+        setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
     basis = _load_basis_for_setup(args.basis, setup)
     rows = experiment_stability(setup, basis, deltas, alphas, args.seed, args.seeds)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -478,6 +483,10 @@ def run(argv) -> int:
         return handlers[args.command](args)
     except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size flag too large to honour
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory; a size argument is too large{detail}", file=sys.stderr)
         return 2
     except ProlateError as exc:
         print(f"error: {exc}", file=sys.stderr)

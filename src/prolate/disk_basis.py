@@ -60,7 +60,6 @@ __all__ = [
     "default_truncation",
     "disk_basis_from_modes",
     "eval_psi",
-    "scale_to_data_domain",
 ]
 
 GAMMA_FLOOR = 1e-300
@@ -86,7 +85,7 @@ class DiskBasis:
     positive; the modes ell = 1 and 2 of an order m > 0 have equal rows.
 
     The modes live on the disk of radius `radius`: 1 for the unit-disk system,
-    c / (2k) once `scale_to_data_domain` has dilated it onto the data disk.
+    h once `dilated` has put it on the data disk of radius h = c / (2k).
     There psi_r(x) = psi(x / r) / r satisfies the Fourier eigenrelation with
     kernel exp(i (c / r^2) p.p') and eigenvalue r^2 alpha, and keeps unit plane
     energy and squared norm (c / 2 pi)^2 |alpha|^2 on the disk.
@@ -286,6 +285,14 @@ class DiskBasis:
             raise KeyError(f"mode {key} not present in basis")
         return int(hit[0])
 
+    def dilated(self, radius: float) -> "DiskBasis":
+        """The basis dilated onto the disk of `radius`, from any radius."""
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ParameterError(f"dilation radius must be a finite number > 0, got {radius!r}")
+        s = radius / self.radius
+        quad = QuadratureRule(s * self.quad.nodes, s**2 * self.quad.weights)
+        return replace(self, radius=radius, quad=quad)
+
 
 def default_truncation(c: float, n_max: int) -> int:
     """Disk-polynomial count resolving the c^2 r^2 coupling for n <= n_max."""
@@ -404,16 +411,6 @@ def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:
     weights = np.zeros(len(basis.modes))
     weights[mode if np.ndim(mode) == 0 else basis.mode_index(mode)] = 1.0
     return basis.combine(weights, x)
-
-
-def scale_to_data_domain(basis: DiskBasis, k: float) -> DiskBasis:
-    """The basis dilated onto the data disk of radius c / (2k), from any radius."""
-    if k <= 0.0:
-        raise ParameterError("scale_to_data_domain requires k > 0")
-    rho = basis.c / (2.0 * k)
-    s = rho / basis.radius
-    quad = QuadratureRule(s * basis.quad.nodes, s**2 * basis.quad.weights)
-    return replace(basis, radius=rho, quad=quad)
 
 
 def with_perturbed_alpha(basis: DiskBasis, index: int, factor: float) -> DiskBasis:

@@ -51,14 +51,15 @@ def numeric(record: dict, key: str, what: str, shape: tuple = ()):
 
     Raise ParameterError naming the field unless the value is a number, or a
     nested list of numbers of that shape, and finite; JSON strings, booleans
-    and null are not numbers.
+    and null are not numbers, also as an item of a list ([true, 0.0]).
     """
     value = record[key]
     try:
         arr = np.asarray(value)
         ok = (arr.dtype.kind in "iuf" and arr.ndim == len(shape)
               and all(n is None or n == m for n, m in zip(shape, arr.shape))
-              and bool(np.isfinite(arr).all()))
+              and bool(np.isfinite(arr).all())
+              and not {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).flat)))
     except ValueError:  # ragged nesting
         ok = False
     if not ok:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,46 +34,35 @@ DEFAULT_MARGIN_FACTOR = 1.1
 
 @dataclass(frozen=True)
 class ProblemSetup:
-    """One inverse-problem instance: contrast, regime, and scale bookkeeping."""
+    """One inverse-problem instance: contrast, regime, scale bookkeeping, and
+    the data domain D = A_h, built once from them."""
 
     contrast: ContrastField
     regime: str
     k: float                      # wavenumber (K in the multi-frequency regime)
     c_param: float                # c_F, c_L, or c_M
-    theta: float | None = None    # limited aperture half-angle
-    x_star: tuple | None = None   # multi-frequency observation direction
+    theta: float | None = None    # limited aperture half-angle, checked into `domain`
+    x_star: tuple | None = None   # multi-frequency observation direction, likewise
+    domain: Geometry = field(init=False)
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ParameterError(f"regime must be one of {REGIMES}")
         if self.k <= 0.0 or self.c_param <= 0.0:
             raise ParameterError("wavenumber and c parameter must be positive")
-        if self.regime == "limited":
-            if self.theta is None or not 0.0 < self.theta < math.pi:
+        if self.regime == "full":
+            domain = Geometry.disk(h=self.c_param / (2.0 * self.k))
+        elif self.regime == "limited":
+            domain = Geometry.limited_aperture(self.theta, h=self.c_param / self.k)
+            if not domain.theta < math.pi:
                 raise ParameterError("limited regime needs theta in (0, pi)")
-        if self.regime == "multifreq":
-            if self.x_star is None:
-                raise ParameterError("multifreq regime needs x_star")
-            if abs(math.hypot(*self.x_star) - 1.0) > 1e-9:
-                raise ParameterError("x_star must be a unit vector")
+        else:
+            domain = Geometry.multi_freq(self.x_star, h=self.c_param / self.k)
+        object.__setattr__(self, "domain", domain)
 
     @property
     def h(self) -> float:
-        if self.regime == "full":
-            return self.c_param / (2.0 * self.k)
-        return self.c_param / self.k
-
-    @property
-    def bandwidth(self) -> float:
-        """The c passed to the basis; equals kernel scale times h^2."""
-        return self.c_param
-
-    def data_geometry(self) -> Geometry:
-        if self.regime == "full":
-            return Geometry.disk(radius=1.0, h=self.h)
-        if self.regime == "limited":
-            return Geometry.limited_aperture(self.theta, h=self.h)
-        return Geometry.multi_freq(self.x_star, h=self.h)
+        return self.domain.h
 
 
 def effective_kernel_scale(setup: ProblemSetup) -> float:
@@ -98,7 +87,7 @@ def validate_setup(setup: ProblemSetup) -> SetupReport:
     samples (negative at a violation since all domains are star-shaped).
     """
     pts = setup.contrast.boundary
-    geo = setup.data_geometry()
+    geo = setup.domain
     inside = membership(geo, pts)
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     margins = geo.h * radial_profile(geo, phi) - np.hypot(pts[:, 0], pts[:, 1])
@@ -125,18 +114,15 @@ def setup_from_dict(cfg: dict, contrast_resolution: int = 160) -> ProblemSetup:
     check_keys(cfg, _REGIME_KEYS[regime], what)
     contrast = ContrastField.from_config(cfg["contrast"], resolution=contrast_resolution)
     k = numeric(cfg, "K" if regime == "multifreq" else "k", what)
-    c_param = None if cfg.get("c_param") is None else numeric(cfg, "c_param", what)
-    if regime == "full":
-        c_param = default_c_full(contrast, k) if c_param is None else c_param
-        return ProblemSetup(contrast=contrast, regime="full", k=k, c_param=c_param)
-    if c_param is None:
+    if cfg.get("c_param") is not None:
+        c_param = numeric(cfg, "c_param", what)
+    elif regime == "full":
+        c_param = default_c_full(contrast, k)
+    else:
         raise ParameterError(f"{regime} regime requires an explicit c_param")
-    if regime == "limited":
-        return ProblemSetup(contrast=contrast, regime="limited", k=k, c_param=c_param,
-                            theta=numeric(cfg, "theta", what))
-    x_star = numeric(cfg, "x_star", what, (2,))
-    return ProblemSetup(contrast=contrast, regime="multifreq", k=k, c_param=c_param,
-                        x_star=(float(x_star[0]), float(x_star[1])))
+    return ProblemSetup(contrast=contrast, regime=regime, k=k, c_param=c_param,
+                        theta=cfg["theta"] if regime == "limited" else None,
+                        x_star=cfg["x_star"] if regime == "multifreq" else None)
 
 
 def read_setup(path, contrast_resolution: int = 160) -> ProblemSetup:

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyQuadratureError, ParameterError, check_keys
+from .errors import EmptyQuadratureError, ParameterError, check_keys, numeric
 from .numerics import (QuadratureRule, _born_sum, _fold, _frozen, _piece, axis_reflection,
                        disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
                        sym_eig)
@@ -68,30 +68,45 @@ MODE_DTYPE = np.dtype([("even", bool), ("alpha", complex)], align=True)
 SIGN_DIRECTION = (0.6180339887498949, 0.4142135623730950)
 
 
+# Relative tolerance to which a cached basis's bandwidth c and domain pair with a setup's.
+PAIRING_TOL = 1e-9
+# The field that shapes each kind of data domain, besides its scale h.
+_SHAPE_FIELD = {"disk": "radius", "limited_aperture": "theta", "multi_freq": "x_star"}
+
+
 @dataclass(frozen=True)
 class Geometry:
-    """A symmetric data domain A dilated by h: membership tests run on p / h."""
+    """A symmetric data domain A dilated by h: membership tests run on p / h.
 
-    kind: str  # "disk" | "limited_aperture" | "multi_freq"
+    Setups, flags, data-file headers and cache metadata all build their domain
+    here, so each field is checked once: a finite number (x_star a pair of
+    them), then its range.
+    """
+
+    kind: str  # a key of _SHAPE_FIELD
     h: float = 1.0
     radius: float = 1.0
     theta: float = math.pi
     x_star: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
-        if self.kind not in ("disk", "limited_aperture", "multi_freq"):
+        if not isinstance(self.kind, str) or self.kind not in _SHAPE_FIELD:
             raise ParameterError(f"unknown geometry kind {self.kind!r}")
+        for name in ("h", "radius", "theta"):
+            object.__setattr__(self, name, numeric(vars(self), name, "geometry"))
+        x_star = numeric(vars(self), "x_star", "geometry", (2,))
         if self.h <= 0.0:
-            raise ParameterError("geometry scale h must be positive")
+            raise ParameterError(f"geometry 'h' must be positive, got {self.h!r}")
         if self.kind == "disk" and self.radius <= 0.0:
-            raise ParameterError("disk radius must be positive")
+            raise ParameterError(f"geometry 'radius' must be positive, got {self.radius!r}")
         if self.kind == "limited_aperture" and not 0.0 < self.theta <= math.pi:
-            raise ParameterError("aperture half-angle must lie in (0, pi]")
+            raise ParameterError(f"geometry 'theta' must lie in (0, pi], got {self.theta!r}")
         if self.kind == "multi_freq":
-            norm = math.hypot(*self.x_star)
+            norm = math.hypot(*x_star)
             if abs(norm - 1.0) > 1e-9:
-                raise ParameterError("x_star must be a unit vector")
-            object.__setattr__(self, "x_star", (self.x_star[0] / norm, self.x_star[1] / norm))
+                raise ParameterError(f"geometry 'x_star' must be a unit vector, got {x_star}")
+            x_star = x_star / norm
+        object.__setattr__(self, "x_star", (float(x_star[0]), float(x_star[1])))
 
     @staticmethod
     def disk(radius: float = 1.0, h: float = 1.0) -> "Geometry":
@@ -103,31 +118,31 @@ class Geometry:
 
     @staticmethod
     def multi_freq(x_star, h: float = 1.0) -> "Geometry":
-        return Geometry(kind="multi_freq", h=h, x_star=(float(x_star[0]), float(x_star[1])))
+        return Geometry(kind="multi_freq", h=h, x_star=x_star)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "h": self.h}
-        if self.kind == "disk":
-            out["radius"] = self.radius
-        elif self.kind == "limited_aperture":
-            out["theta"] = self.theta
-        else:
-            out["x_star"] = [self.x_star[0], self.x_star[1]]
-        return out
+        shape = _SHAPE_FIELD[self.kind]
+        value = getattr(self, shape)
+        return {"kind": self.kind, "h": self.h, shape: list(value) if shape == "x_star" else value}
+
+    def matches(self, other: "Geometry") -> bool:
+        """True iff `other` is this domain up to rounding: the same kind, and h and
+        the shape field (radius, theta or x_star) equal to PAIRING_TOL."""
+        shape = _SHAPE_FIELD[self.kind]
+        return (self.kind == other.kind and abs(self.h - other.h) <= PAIRING_TOL * other.h
+                and math.dist(np.ravel(getattr(self, shape)),
+                              np.ravel(getattr(other, shape))) <= PAIRING_TOL)
 
     @staticmethod
     def from_dict(d: dict) -> "Geometry":
         check_keys(d, ("kind",), "geometry record")
         kind = d["kind"]
-        if kind == "disk":
-            return Geometry.disk(radius=d.get("radius", 1.0), h=d.get("h", 1.0))
-        if kind == "limited_aperture":
-            check_keys(d, ("theta",), "limited-aperture geometry record")
-            return Geometry.limited_aperture(theta=d["theta"], h=d.get("h", 1.0))
-        if kind == "multi_freq":
-            check_keys(d, ("x_star",), "multi-frequency geometry record")
-            return Geometry.multi_freq(d["x_star"], h=d.get("h", 1.0))
-        raise ParameterError(f"unknown geometry kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _SHAPE_FIELD:
+            raise ParameterError(f"unknown geometry kind {kind!r}")
+        shape = _SHAPE_FIELD[kind]
+        if kind != "disk":  # only a disk's shape field, its radius, has a default (1)
+            check_keys(d, (shape,), f"{kind} geometry record")
+        return Geometry(kind=kind, h=d.get("h", 1.0), **{shape: d.get(shape, 1.0)})
 
 
 def _limited_membership(theta_cap: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ def disk_c10():
 @pytest.fixture(scope="session")
 def scaled_c6():
     """Scaled basis on the data disk D = B(0, 3) for k = 1, c_F = 6."""
-    return P.scale_to_data_domain(P.compute_disk_basis(6.0, m_max=5, n_max=4), 1.0)
+    return P.compute_disk_basis(6.0, m_max=5, n_max=4).dilated(3.0)
 
 
 @pytest.fixture(scope="session")

@@ -149,7 +149,7 @@ class TestMalformedMetadata:
         with pytest.raises(CacheError, match=str(path)):
             load_symset_basis(path)
 
-    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0, "4.0", True])
     @pytest.mark.parametrize("kind", ["disk", "L"])
     def test_bandwidth_must_be_finite_and_positive(self, disk_c5, tmp_path, kind, c):
         path = tmp_path / f"{kind}.gpswf"

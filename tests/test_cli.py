@@ -27,6 +27,17 @@ SETUP = {
 }
 
 
+# Values every geometry field refuses, from whichever source it is read: a
+# string, null, a boolean and non-finite numbers; x_star also refuses a list
+# that is not a pair, and a pair holding a boolean (numpy reads [true, 0.0] as
+# floats).
+BAD_NUMBERS = ["x", None, True, math.nan, math.inf, -math.inf]
+BAD_PAIRS = [[1.0], [0.6, 0.8, 7.0], [True, 0.0]]
+BAD_FIELDS = ([("h", v) for v in BAD_NUMBERS] + [("radius", v) for v in BAD_NUMBERS]
+              + [("theta", v) for v in BAD_NUMBERS]
+              + [("x_star", v) for v in BAD_PAIRS + BAD_NUMBERS])
+
+
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -146,7 +157,7 @@ class TestBasisCommand:
         assert capsys.readouterr().out.strip() == path
         assert P.load_basis(path) is not None
 
-    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0, "4.0", True])
     @pytest.mark.parametrize("kind", ["disk", "L"])
     def test_cache_hit_with_bad_bandwidth(self, cache_dir, tmp_path, capsys, kind, c):
         # a bandwidth that is not a finite positive number is refused by a
@@ -380,7 +391,7 @@ class TestIngestExtrapolate:
                     "--targets", str(targets), "-o", str(out)]) == 0
         pts = np.array([[0.5, -0.0], [3.5, 1.0], [-7.25, 1e-3]])
         grid = read_datagrid(data)
-        scaled = P.scale_to_data_domain(P.load_basis(disk_basis_file), 1.0)
+        scaled = P.load_basis(disk_basis_file).dilated(2.5)
         values = P.extrapolate(grid, scaled, pts)
         rows = "".join(f"{float(x)!r},{float(y)!r},{float(v.real)!r},{float(v.imag)!r}\n"
                        for (x, y), v in zip(pts, values))
@@ -837,6 +848,12 @@ class TestBadFlags:
           for name in ("c", "h", "radius") for bad in ("nan", "inf")],
         (["symset", "--geometry", "L", "--c", "3", "--theta", "nan"], "--theta"),
         (["symset", "--geometry", "M", "--c", "3", "--x-star", "-0.6,nan"], "--x-star"),
+        *[(["symset", "--geometry", "L", "--c", "3", f"--{name}={bad}"], f"--{name}")
+          for name in ("c", "h", "theta") for bad in ("inf", "-inf")],
+        (["symset", "--geometry", "disk", "--c", "3", "--radius=-inf"], "--radius"),
+        (["symset", "--geometry", "M", "--c", "3", "--x-star", "x,0"], "--x-star"),
+        (["symset", "--geometry", "M", "--c", "3", "--x-star", "1"], "'x_star'"),
+        (["symset", "--geometry", "M", "--c", "3", "--x-star", "0.6,0.8,7"], "'x_star'"),
     ])
     def test_basis_numbers(self, cache_dir, capsys, argv, flag):
         code, err = _exit_and_error(capsys, ["basis", *argv])
@@ -874,6 +891,72 @@ class TestBadFlags:
                                              "--alphas", "0.05", "-o", str(out)])
         assert code == 2 and len(err) == 1 and "--deltas" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["disk", "--c", "1e300", "--m-max", "2", "--n-max", "2"], "'c'"),
+        (["symset", "--geometry", "disk", "--c", "3", "--h", "1e300"], "'h'"),
+        (["symset", "--geometry", "disk", "--c", "3", "--radius", "1e300"], "'radius'"),
+    ])
+    def test_basis_numbers_past_the_cache_key(self, cache_dir, capsys, argv, name):
+        # finite, but not once quantized to the cache key's 1e-12 steps
+        code, err = _exit_and_error(capsys, ["basis", *argv])
+        assert code == 2 and len(err) == 1 and f"cache key parameter {name}" in err[0], err
+        assert not list(cache_dir.glob("*.gpswf"))
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.16 TiB for an array"),
+                                       MemoryError(),
+                                       OverflowError("cannot fit 'int' into an index-sized "
+                                                     "integer")])
+    def test_basis_too_large_to_compute(self, cache_dir, capsys, monkeypatch, error):
+        # stands in for the allocation of an oversized --n-max or --m-max table
+        def too_large(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "compute_disk_basis", too_large)
+        code, err = _exit_and_error(capsys, ["basis", "disk", "--c", "4", "--m-max", "2",
+                                             "--n-max", "2"])
+        assert code == 2 and len(err) == 1 and "too large" in err[0], err
+        assert str(error) in err[0]
+        assert not list(cache_dir.glob("*.gpswf"))
+
+    def test_contrast_grid_too_large_to_build(self, tmp_path, disk_basis_file, capsys,
+                                              monkeypatch):
+        # stands in for an --contrast-resolution whose grid size overflows an index
+        def too_large(*args, **kwargs):
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+        monkeypatch.setattr(cli, "read_setup", too_large)
+        out = tmp_path / "data.csv"
+        code, err = _exit_and_error(capsys, ["synthesize", str(write_setup(tmp_path)),
+                                             "--basis", disk_basis_file, "-o", str(out),
+                                             "--contrast-resolution", "10000000"])
+        assert code == 2 and len(err) == 1 and "--contrast-resolution" in err[0], err
+        assert not out.exists()
+
+    def test_overflow_outside_a_sized_allocation_is_not_a_flag_error(self, tmp_path,
+                                                                     disk_basis_file,
+                                                                     monkeypatch):
+        # only allocations a size flag controls report an overflow as bad input
+        def defect(*args, **kwargs):
+            raise OverflowError("math range error")
+        monkeypatch.setattr(cli, "validate_basis", defect)
+        with pytest.raises(OverflowError, match="math range error"):
+            run(["validate", "--basis", disk_basis_file, "-o", str(tmp_path / "report.json")])
+
+    def test_field_grid_too_large_to_build(self, tmp_path, disk_basis_file, capsys, monkeypatch):
+        # the field is built before any output is written, so neither file appears
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+
+        def too_large(b, n):
+            raise MemoryError(f"Unable to allocate 29.1 TiB for an array with shape ({n}, {n})")
+        monkeypatch.setattr(cli, "_field_axis", too_large)
+        rec, field = tmp_path / "rec.json", tmp_path / "field.csv"
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01", "-o", str(rec),
+                                             "--field-out", str(field),
+                                             "--field-grid", "2000000"])
+        assert code == 2 and len(err) == 1 and "out of memory" in err[0], err
+        assert not rec.exists() and not field.exists()
 
     def test_symset_resolution_over_memory_budget(self, cache_dir, capsys):
         code, err = _exit_and_error(capsys, ["basis", "symset", "--geometry", "M", "--c", "5",
@@ -943,6 +1026,10 @@ class TestTypedValues:
         ({**SETUP, "contrast": {"grid": {**GRID, "dx": 0}}}, "'dx'"),
         ({**SETUP, "contrast": {"grid": {**GRID, "dy": 0}}}, "'dy'"),
         ({**SETUP, "contrast": {"grid": {**GRID, "dx": -0.1, "dy": -0.1}}}, "'dx'"),
+        *[({**SETUP, "regime": "limited", "k": 5.0, "c_param": 5.0, "theta": v}, "'theta'")
+          for v in BAD_NUMBERS],
+        *[({**SETUP, "regime": "multifreq", "K": 5.0, "c_param": 5.0, "x_star": v}, "'x_star'")
+          for v in BAD_PAIRS + BAD_NUMBERS],
     ])
     def test_setup(self, tmp_path, disk_basis_file, capsys, cfg, key):
         out = tmp_path / "data.csv"
@@ -952,13 +1039,100 @@ class TestTypedValues:
         assert not out.exists()
 
 
+class TestOneDataDomain:
+    """Every stage dilates a disk basis onto the data disk of radius h, whether
+    h comes from the setup or from a data-file header."""
+
+    def test_default_c_full_round_trip(self, tmp_path, cache_dir, capsys):
+        # c_F defaults to 4.09547008329006 here; a basis at c = 4.09547008329
+        # pairs with it, and the data file it yields reconstructs and extrapolates
+        cfg = {"regime": "full", "k": 1.0,
+               "contrast": {"shapes": [{"type": "disk", "center": [0.7, 0.3], "radius": 1.1,
+                                        "value": 1.0}]}}
+        setup = write_setup(tmp_path, cfg)
+        assert run(["basis", "disk", "--c", "4.09547008329", "--m-max", "4", "--n-max", "4"]) == 0
+        basis = capsys.readouterr().out.strip()
+        data, rec, field = tmp_path / "data.csv", tmp_path / "rec.json", tmp_path / "field.csv"
+        assert run(["synthesize", str(setup), "--basis", basis, "-o", str(data),
+                    "--contrast-resolution", "40"]) == 0
+        assert run(["reconstruct", str(data), "--basis", basis, "--alpha", "0.01", "-o", str(rec),
+                    "--field-out", str(field), "--field-grid", "8"]) == 0
+        targets, out = tmp_path / "targets.csv", tmp_path / "ext.csv"
+        targets.write_text("x,y\n0.1,0.2\n3.0,0.5\n")
+        assert run(["extrapolate", str(data), "--basis", basis, "--targets", str(targets),
+                    "-o", str(out)]) == 0
+        h = setup_from_dict(cfg).h
+        assert h == 4.09547008329006 / 2.0 and read_datagrid(data).geometry.h == h
+        assert np.array_equal(read_datagrid(data).nodes,
+                              P.load_basis(basis).dilated(h).quad.nodes)
+
+
+# A valid geometry record with each field, and the symset flags that build it.
+GEOMETRY_RECORDS = {
+    "h": {"kind": "disk", "h": 1.0, "radius": 1.0},
+    "radius": {"kind": "disk", "h": 1.0, "radius": 1.0},
+    "theta": {"kind": "limited_aperture", "h": 1.0, "theta": 2.2},
+    "x_star": {"kind": "multi_freq", "h": 1.0, "x_star": [0.6, 0.8]},
+}
+GEOMETRY_FLAGS = {"disk": ["--geometry", "disk"], "limited_aperture": ["--geometry", "L",
+                                                                       "--theta", "2.2"],
+                  "multi_freq": ["--geometry", "M", "--x-star", "0.6,0.8"]}
+
+
+def _rewrite_json_line(path, index, edit):
+    """Apply `edit` to the JSON record on line `index` (0-based) of a file, in place."""
+    with open(path, "rb") as f:
+        lines = f.read().split(b"\n", index + 1)
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record, sort_keys=True).encode()
+    with open(path, "wb") as f:
+        f.write(b"\n".join(lines))
+
+
+class TestBadGeometry:
+    """A bad geometry field (BAD_FIELDS) in a data-file header exits 2 with one
+    line naming it; in cache metadata it is a CacheError (exit 1), and `basis`
+    recomputes such a file.  TestTypedValues and TestBadFlags run the corpus
+    through setups and `basis symset` flags."""
+
+    @pytest.mark.parametrize("key,value", BAD_FIELDS)
+    def test_data_header(self, tmp_path, disk_basis_file, capsys, key, value):
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        _rewrite_json_line(data, 0, lambda h: h.update(
+            geometry={**GEOMETRY_RECORDS[key], key: value}))
+        rec = tmp_path / "rec.json"
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01", "-o", str(rec)])
+        assert code == 2 and len(err) == 1 and f"geometry '{key}'" in err[0], err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("key,value", BAD_FIELDS)
+    def test_cache_metadata(self, tmp_path, cache_dir, capsys, key, value):
+        argv = ["basis", "symset", "--c", "3", *GEOMETRY_FLAGS[GEOMETRY_RECORDS[key]["kind"]],
+                "--resolution", "24", "--modes", "4", "--method", "polar"]
+        assert run(argv) == 0
+        path = capsys.readouterr().out.strip()
+        _rewrite_json_line(path, 1, lambda meta: meta["geometry_params"].update({key: value}))
+        report = tmp_path / "report.json"
+        code, err = _exit_and_error(capsys, ["validate", "--basis", path, "-o", str(report)])
+        assert code == 1 and len(err) == 1, err
+        assert "malformed basis container" in err[0] and f"geometry '{key}'" in err[0], err
+        assert not report.exists()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.strip() == path
+        assert P.load_basis(path).geometry.matches(P.Geometry.from_dict(GEOMETRY_RECORDS[key]))
+
+
 def _stability_case(basis):
     """A basis on its data domain and a matching setup with a small disk phantom."""
     phantom = {"shapes": [{"type": "disk", "center": [0.1, -0.05], "radius": 0.3, "value": 1.0}]}
     if isinstance(basis, P.SymSetBasis):  # kernel scale k^2 / c = c / h^2 at h = 1
         cfg = {"regime": "limited", "k": basis.c, "c_param": basis.c, "theta": 2.0}
     else:
-        basis = P.scale_to_data_domain(basis, 1.0)
+        basis = basis.dilated(basis.c / 2.0)
         cfg = {"regime": "full", "k": 1.0, "c_param": basis.c}
     return basis, setup_from_dict({**cfg, "contrast": phantom}, contrast_resolution=40)
 
@@ -973,7 +1147,7 @@ def _stability_alphas(basis):
 def _stability_by_cell(setup, basis, deltas, alphas, seed, n_seeds):
     """The stability table cell by cell: fresh noise and one reconstruction per cell."""
     clean = P.synthesize_born(setup.contrast, effective_kernel_scale(setup), basis.quad,
-                              geometry=setup.data_geometry())
+                              geometry=setup.domain)
     u_norm = clean.weighted_norm()
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights
@@ -1008,7 +1182,7 @@ def _assert_tables_agree(got, want, rel):
 class TestStability:
     def test_table_properties(self, tmp_path, cache_dir):
         setup = setup_from_dict(SETUP)
-        basis = P.scale_to_data_domain(P.compute_disk_basis(5.0, 3, 3), 1.0)
+        basis = P.compute_disk_basis(5.0, 3, 3).dilated(2.5)
         alphas = [0.05, 0.02, 0.01, 0.005]
         rows = experiment_stability(setup, basis, [0.0, 1e-3, 1e-2], alphas, seed=0, n_seeds=5)
         by = {(r["delta"], r["alpha"]): r for r in rows}

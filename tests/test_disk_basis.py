@@ -9,7 +9,7 @@ from scipy.special import eval_jacobi, jv
 import prolate as P
 from prolate import disk_basis
 from prolate.disk_basis import (assemble_sl_matrix, compute_disk_basis, default_truncation,
-                                eval_psi, scale_to_data_domain)
+                                eval_psi)
 from prolate.errors import ParameterError
 from prolate.numerics import gauss_legendre_01, zernike_radial_table
 
@@ -292,7 +292,7 @@ class TestEval:
 
 class TestScaled:
     def test_unit_scaling_is_identity(self, disk_c5):
-        scaled = scale_to_data_domain(disk_c5, disk_c5.c / 2.0)
+        scaled = disk_c5.dilated(1.0)
         assert scaled.radius == pytest.approx(1.0, abs=1e-15)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.9, 0.9, (20, 2))
@@ -328,7 +328,7 @@ class TestScaled:
         # the exterior energy density decays like 1/r^3, leaving a 1/T tail
         # after truncation at T; well-concentrated modes meet 1e-6 at T = 40
         # radii and the less concentrated ones converge to 1 at the 1/T rate
-        scaled = scale_to_data_domain(disk_c10, 2.0)
+        scaled = disk_c10.dilated(disk_c10.c / 4.0)
         for idx in (0, 1):
             assert self._plane_energy(scaled, idx, 40.0, 800) == pytest.approx(1.0, abs=1e-6)
         e40 = abs(self._plane_energy(scaled, 3, 40.0, 800) - 1.0)
@@ -336,9 +336,18 @@ class TestScaled:
         assert e40 < 1e-5
         assert 0.4 * e40 < e80 < 0.6 * e40
 
-    def test_rejects_nonpositive_k(self, disk_c5):
-        with pytest.raises(ParameterError):
-            scale_to_data_domain(disk_c5, 0.0)
+    def test_dilated_radius_is_exact(self, disk_c5):
+        # the radius is the data disk's h as given, with no round trip through a k
+        h = 4.09547008329006 / 2.0
+        scaled = disk_c5.dilated(h)
+        assert scaled.radius == h
+        assert np.array_equal(scaled.quad.nodes, h * disk_c5.quad.nodes)
+        assert np.array_equal(scaled.quad.weights, h**2 * disk_c5.quad.weights)
+
+    def test_rejects_nonpositive_radius(self, disk_c5):
+        for radius in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="dilation radius"):
+                disk_c5.dilated(radius)
 
     @staticmethod
     def _weights_and_points(basis, seed=0):
@@ -348,7 +357,7 @@ class TestScaled:
         return w, pts
 
     def test_unit_radius_is_bitwise_the_unit_basis(self, disk_c5):
-        same = scale_to_data_domain(disk_c5, disk_c5.c / 2.0)
+        same = disk_c5.dilated(1.0)
         assert same.radius == 1.0
         assert np.array_equal(same.quad.nodes, disk_c5.quad.nodes)
         assert np.array_equal(same.quad.weights, disk_c5.quad.weights)
@@ -358,15 +367,15 @@ class TestScaled:
         assert np.array_equal(same.combine(w, pts), disk_c5.combine(w, pts))
 
     def test_combine_is_the_dilated_unit_combine(self, disk_c5):
-        scaled = scale_to_data_domain(disk_c5, 0.7)
+        scaled = disk_c5.dilated(disk_c5.c / 1.4)
         r = scaled.radius
         w, pts = self._weights_and_points(scaled, seed=1)
         assert np.array_equal(scaled.combine(w, pts), disk_c5.combine(w, pts / r) / r)
         assert scaled.combine(w, pts[3]) == disk_c5.combine(w, pts[3] / r) / r
 
     def test_rescaling_matches_one_scaling(self, disk_c5):
-        twice = scale_to_data_domain(scale_to_data_domain(disk_c5, 0.7), 1.3)
-        once = scale_to_data_domain(disk_c5, 1.3)
+        twice = disk_c5.dilated(disk_c5.c / 1.4).dilated(disk_c5.c / 2.6)
+        once = disk_c5.dilated(disk_c5.c / 2.6)
         assert twice.radius == once.radius
         for got, want in [(twice.quad.nodes, once.quad.nodes),
                           (twice.quad.weights, once.quad.weights),
@@ -447,7 +456,7 @@ class TestRingProducts:
     @pytest.fixture(params=["disk_c5", "disk_c10", "scaled"])
     def basis(self, request):
         if request.param == "scaled":
-            return scale_to_data_domain(request.getfixturevalue("disk_c10"), 0.8)
+            return request.getfixturevalue("disk_c10").dilated(10.0 / 1.6)
         return request.getfixturevalue(request.param)
 
     @staticmethod
@@ -485,7 +494,7 @@ class TestRingProducts:
 
 class TestLazyNodeValues:
     def test_bitwise_the_dense_table(self, disk_c5):
-        for basis in (disk_c5, scale_to_data_domain(disk_c5, 0.7)):
+        for basis in (disk_c5, disk_c5.dilated(disk_c5.c / 1.4)):
             assert np.array_equal(basis.node_values, dense_node_values(basis))
             assert not basis.node_values.flags.writeable
             assert basis.node_values is basis.node_values  # built once
@@ -493,7 +502,7 @@ class TestLazyNodeValues:
     def test_scaling_builds_no_table(self, disk_c5):
         fresh = disk_basis.disk_basis_from_modes(disk_c5.c, disk_c5.truncation, disk_c5.modes,
                                                  disk_c5.coeffs, *disk_c5.quad_size)
-        scaled = scale_to_data_domain(fresh, 1.3)
+        scaled = fresh.dilated(fresh.c / 2.6)
         assert "node_values" not in vars(fresh) and "node_values" not in vars(scaled)
         assert scaled.radial is fresh.radial
         assert scaled.radial.shape == (len(fresh.modes), fresh.quad_size[0])

@@ -240,7 +240,7 @@ def _axis_grid():
 
 
 TARGETS = {
-    "scaled_disk": lambda: P.scale_to_data_domain(P.compute_disk_basis(6.0, 3, 3), 1.0).quad.nodes,
+    "scaled_disk": lambda: P.compute_disk_basis(6.0, 3, 3).dilated(3.0).quad.nodes,
     "readme_disk": lambda: disk_polar_rule(5.0, 82, 42).nodes / 4.0,
     "symset_polar": lambda: _symset_targets("polar"),
     "symset_midpoint_origin": lambda: _symset_targets("midpoint"),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import prolate as P
 from prolate.errors import ParameterError
 from prolate.forward import ContrastField
 from prolate.geometry_config import (ProblemSetup, default_c_full, effective_kernel_scale,
@@ -65,7 +66,7 @@ class TestKernelScale:
             ProblemSetup(contrast=disk_contrast(0.2), regime="multifreq", k=3.0,
                          c_param=4.0, x_star=(0.0, 1.0)),
         ):
-            assert effective_kernel_scale(s) * s.h**2 == pytest.approx(s.bandwidth, rel=1e-14)
+            assert effective_kernel_scale(s) * s.h**2 == pytest.approx(s.c_param, rel=1e-14)
 
 
 class TestSetupIO:
@@ -89,9 +90,30 @@ class TestSetupIO:
         cfg = {"regime": "multifreq", "K": 3.0, "c_param": 9.0, "x_star": [0.0, 1.0],
                "contrast": {"shapes": [{"type": "disk", "radius": 0.2, "value": 1.0}]}}
         setup = setup_from_dict(cfg)
-        geo = setup.data_geometry()
+        geo = setup.domain
         assert geo.kind == "multi_freq"
         assert geo.h == pytest.approx(3.0)
+
+    def test_domain_built_once_per_regime(self):
+        q = disk_contrast(0.2)
+        full = ProblemSetup(contrast=q, regime="full", k=2.0, c_param=6.0)
+        assert full.domain == P.Geometry.disk(h=1.5) and full.h == 1.5
+        lim = ProblemSetup(contrast=q, regime="limited", k=2.0, c_param=6.0, theta=2.0)
+        assert lim.domain == P.Geometry.limited_aperture(2.0, h=3.0)
+        mf = ProblemSetup(contrast=q, regime="multifreq", k=2.0, c_param=6.0, x_star=(0.0, 1.0))
+        assert mf.domain == P.Geometry.multi_freq((0.0, 1.0), h=3.0)
+
+    @pytest.mark.parametrize("theta", [math.pi, 0.0, None, math.nan])
+    def test_limited_theta_below_pi(self, theta):
+        with pytest.raises(ParameterError, match="theta"):
+            ProblemSetup(contrast=disk_contrast(0.2), regime="limited", k=1.0, c_param=1.0,
+                         theta=theta)
+
+    @pytest.mark.parametrize("x_star", [None, (0.6, 0.7), (1.0,)])
+    def test_multifreq_x_star_unit_pair(self, x_star):
+        with pytest.raises(ParameterError, match="x_star"):
+            ProblemSetup(contrast=disk_contrast(0.2), regime="multifreq", k=1.0, c_param=1.0,
+                         x_star=x_star)
 
     def test_invalid_regime_rejected(self):
         with pytest.raises(ParameterError):

@@ -90,7 +90,7 @@ class TestProjection:
 
     @pytest.mark.parametrize("alpha", [1e-1, 1e-2, 1e-3])
     def test_reconstruct_matches_explicit_psi_hat(self, disk_c5, alpha):
-        basis = P.scale_to_data_domain(disk_c5, 1.0)
+        basis = disk_c5.dilated(2.5)
         rng = np.random.default_rng(11)
         n = len(basis.quad)
         flags = (rng.uniform(size=n) < 0.02).astype(np.uint8)
@@ -121,7 +121,7 @@ class TestProjection:
     def test_reconstruct_makes_no_modes_by_nodes_temporary(self, disk_c5):
         # the node values are multiplied as real numbers: no psi_hat array and
         # no complex copy of them, so the peak stays far below one modes x N array
-        basis = P.scale_to_data_domain(disk_c5, 1.0)
+        basis = disk_c5.dilated(2.5)
         n = len(basis.quad)
         data = make_grid(basis, np.exp(1j * np.arange(n) / 7.0))
         reconstruct_full(data, basis, 1e-3)  # cached per-mode arrays are built outside the trace
@@ -139,12 +139,12 @@ class TestProjection:
         # modes x N array
         path = tmp_path / "disk.gpswf"
         P.save_disk_basis(path, disk_c5)
-        nodes = P.scale_to_data_domain(disk_c5, 1.0).quad
-        data = make_grid(P.scale_to_data_domain(disk_c5, 1.0),
+        nodes = disk_c5.dilated(2.5).quad
+        data = make_grid(disk_c5.dilated(2.5),
                          np.exp(1j * np.arange(len(nodes)) / 7.0))
         tracemalloc.start()
         try:
-            basis = P.scale_to_data_domain(P.load_basis(path), 1.0)
+            basis = P.load_basis(path).dilated(2.5)
             reconstruct_full(data, basis, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -277,7 +277,7 @@ class TestReconstructFull:
     def test_result_ids_pinned(self, symset_disk_c5, tmp_path):
         # rec.json names disk modes by [m, n, ell] and symset modes by index, as
         # JSON integers (json.loads reads `true` as 1, so the ids are compared as text)
-        disk = P.scale_to_data_domain(P.compute_disk_basis(5.0, 1, 1), 1.0)
+        disk = P.compute_disk_basis(5.0, 1, 1).dilated(2.5)
         for basis, rec, want in (
                 (disk, reconstruct_full, "[[0, 0, 1], [1, 0, 1], [1, 0, 2]]"),
                 (symset_disk_c5, reconstruct_partial, "[0, 1, 2]")):

@@ -107,6 +107,46 @@ class TestMembership:
         assert not np.any(got[near > 0.25])
 
 
+class TestGeometryFields:
+    @pytest.mark.parametrize("field,value", [
+        *[(name, bad) for name in ("h", "radius", "theta")
+          for bad in ("1", None, True, math.nan, math.inf, -math.inf)],
+        *[(name, bad) for name in ("h", "radius") for bad in (0.0, -1.0)],
+        ("theta", 0.0), ("theta", 3.2),
+        ("x_star", (1.0,)), ("x_star", (0.6, 0.8, 7.0)), ("x_star", (0.6, 0.7)),
+        ("x_star", (math.nan, 1.0)), ("x_star", None), ("x_star", (True, 0.0)),
+    ])
+    def test_refuses_a_bad_field_by_name(self, field, value):
+        kind = {"radius": "disk", "theta": "limited_aperture"}.get(field, "multi_freq")
+        with pytest.raises(ParameterError, match=f"geometry '{field}'"):
+            Geometry(kind=kind, **{field: value})
+
+    @pytest.mark.parametrize("kind", ["annulus", ["disk"], None])
+    def test_refuses_an_unknown_kind(self, kind):
+        with pytest.raises(ParameterError, match="unknown geometry kind"):
+            Geometry(kind=kind)
+        with pytest.raises(ParameterError, match="unknown geometry kind"):
+            Geometry.from_dict({"kind": kind, "h": 1.0})
+
+    def test_fields_become_floats(self):
+        geo = Geometry.multi_freq(np.array([0, 1]), h=2)
+        assert geo.x_star == (0.0, 1.0) and type(geo.x_star[0]) is float
+        assert type(geo.h) is float and geo.to_dict() == {"kind": "multi_freq", "h": 2.0,
+                                                          "x_star": [0.0, 1.0]}
+
+    def test_matches_up_to_rounding(self):
+        for geo, near, far in [
+            (Geometry.disk(1.3, h=2.0), Geometry.disk(1.3 + 1e-12, h=2.0 * (1 + 1e-12)),
+             Geometry.disk(1.3 + 1e-6, h=2.0)),
+            (Geometry.limited_aperture(2.2, h=5.0), Geometry.limited_aperture(2.2 + 1e-12, h=5.0),
+             Geometry.limited_aperture(2.2, h=5.0 * (1 + 1e-6))),
+            (Geometry.multi_freq((0.6, 0.8)), Geometry.multi_freq((0.6 + 1e-12, 0.8)),
+             Geometry.multi_freq((0.8, 0.6))),
+        ]:
+            assert geo.matches(geo) and geo.matches(near) and not geo.matches(far)
+        assert not Geometry.disk(h=5.0).matches(Geometry.limited_aperture(math.pi, h=5.0))
+
+
 class TestAreas:
     def test_limited_area_against_parameter_oracle(self):
         for theta in (math.pi, 3 * math.pi / 4, math.pi / 2, math.pi / 4):
