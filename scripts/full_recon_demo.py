@@ -9,7 +9,7 @@ import numpy as np
 from prolate.disk_basis import compute_disk_basis
 from prolate.forward import add_noise, synthesize_born
 from prolate.geometry_config import effective_kernel_scale, setup_from_dict, validate_setup
-from prolate.recon import reconstruct_full, write_field_csv
+from prolate.recon import reconstruct, write_field_csv
 
 
 def main():
@@ -47,7 +47,7 @@ def main():
     w = basis.quad.weights
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     for alpha in (1.0 / 30.0, 1.0 / 80.0, 1.0 / 200.0):
-        rec = reconstruct_full(data, basis, alpha=float(alpha), realify=True)
+        rec = reconstruct(data, basis, alpha=float(alpha), realify=True)
         err = np.sqrt(np.sum(w * (rec.node_field - q_nodes) ** 2))
         print(f"alpha = {alpha:.5f}: {rec.diagnostics['mode_count']} modes, "
               f"beta = {rec.beta_alpha:.3e}, L2 error = {err:.4f}")

@@ -15,9 +15,8 @@ from .geometry_config import (ProblemSetup, SetupReport, effective_kernel_scale,
                               setup_from_dict, validate_setup)
 from .numerics import (QuadratureRule, SymmetricTridiagonal, bessel_j, disk_polar_rule,
                        gauss_legendre, gauss_legendre_01, sym_eig, zernike_radial)
-from .recon import (ReconstructionResult, beta_of_alpha, choose_alpha_partial,
-                    picard_coefficients, reconstruct_full, reconstruct_partial)
+from .recon import ReconstructionResult, choose_alpha_partial, picard_coefficients, reconstruct
 from .symset_basis import (Geometry, SymSetBasis, analytic_area, build_quadrature,
-                           compute_symset_basis, eval_symset_psi, membership, radial_profile)
+                           compute_symset_basis, membership, radial_profile)
 
 __version__ = "0.1.0"

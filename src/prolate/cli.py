@@ -25,10 +25,9 @@ from .errors import ParameterError, ProlateError
 from .forward import (_loadtxt, add_noise, ingest_farfield, read_datagrid, synthesize_born,
                       write_datagrid)
 from .geometry_config import ProblemSetup, effective_kernel_scale, read_setup, validate_setup
-from .recon import (beta_of_alpha, choose_alpha_partial, expand, partial_cutoff,
-                    picard_coefficients, reconstruct_full, reconstruct_partial, write_field_csv,
-                    write_result)
-from .symset_basis import (PAIRING_TOL, RULE_VERSION, Geometry, SymSetBasis, build_quadrature,
+from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
+                    write_field_csv, write_result)
+from .symset_basis import (PAIRING_TOL, RULE_VERSION, Geometry, build_quadrature,
                            compute_symset_basis)
 
 __all__ = ["run", "main", "experiment_stability"]
@@ -154,6 +153,7 @@ def _sized_by(flags: str):
 def _cmd_basis(args) -> int:
     _flag("--c", args.c, positive=True)
     if args.basis_kind == "symset":
+        _grid_flag("--resolution", args.resolution)
         _flag("--h", args.h, positive=True)
         _flag("--radius", args.radius, positive=True)
         if args.theta is not None:
@@ -181,7 +181,7 @@ def _cmd_basis(args) -> int:
 
 
 def _load_basis_for_setup(path: str, setup: ProblemSetup):
-    """Pair a cached basis with a setup, dilating a disk basis onto the data disk."""
+    """A cached basis paired with a setup's bandwidth and data domain."""
     basis = cachemod.load_basis(path)
     if isinstance(basis, DiskBasis) != (setup.regime == "full"):
         raise ParameterError("the full-aperture regime pairs with a disk basis file, "
@@ -189,12 +189,7 @@ def _load_basis_for_setup(path: str, setup: ProblemSetup):
     if abs(basis.c - setup.c_param) > PAIRING_TOL * max(1.0, setup.c_param):
         raise ParameterError(f"basis bandwidth {basis.c!r} does not match the setup "
                              f"c parameter {setup.c_param!r}")
-    if isinstance(basis, DiskBasis):
-        return _scale_to_data(basis, setup.domain)
-    if not basis.geometry.matches(setup.domain):
-        raise ParameterError(f"basis geometry {basis.geometry.to_dict()} does not match "
-                             f"the setup domain {setup.domain.to_dict()}")
-    return basis
+    return basis.paired(setup.domain)
 
 
 def _cmd_synthesize(args) -> int:
@@ -282,6 +277,13 @@ def _flag(name: str, value: float, positive: bool) -> float:
     return value
 
 
+def _grid_flag(name: str, n: int) -> None:
+    """A size flag of an n x n grid, refused where numpy cannot index the (n^2, 2)
+    float64 array of the grid's points (it refuses such a size before allocating)."""
+    if 16 * n * n > np.iinfo(np.intp).max:
+        raise ParameterError(f"{name} {n} is too large: numpy cannot index an {n} x {n} grid")
+
+
 def _numbers(name: str, text: str) -> list[float]:
     """A comma-separated numeric flag as finite floats."""
     try:
@@ -320,23 +322,12 @@ def _attach_list_values(argv) -> list[str]:
     return out
 
 
-def _scale_to_data(basis: DiskBasis, domain: Geometry | None) -> DiskBasis:
-    """A unit-disk basis dilated onto the disk `domain` of a setup or data file: radius h."""
-    if domain is None or domain.kind != "disk":
-        raise ParameterError("data was not produced on a scaled disk domain")
-    return basis.dilated(domain.h)
-
-
 def _cmd_reconstruct(args) -> int:
     if args.field_grid < 1:
         raise ParameterError(f"--field-grid must be at least 1, got {args.field_grid}")
+    _grid_flag("--field-grid", args.field_grid)
     data = read_datagrid(args.data)
-    basis = cachemod.load_basis(args.basis)
-    if isinstance(basis, DiskBasis):
-        basis = _scale_to_data(basis, data.geometry)
-        reconstruct, b = reconstruct_full, basis.radius
-    else:
-        reconstruct, b = reconstruct_partial, 2.0 * basis.geometry.h
+    basis = cachemod.load_basis(args.basis).paired(data.geometry)
     if args.auto_alpha:
         for name in ("delta", "E", "sigma", "c0"):
             if getattr(args, name) is None:
@@ -349,7 +340,7 @@ def _cmd_reconstruct(args) -> int:
     result = reconstruct(data, basis, alpha, realify=args.realify)
     if args.field_out:  # evaluated first, so a field too large to build writes no file
         with _sized_by("--field-grid"):
-            g = _field_axis(b, args.field_grid)
+            g = _field_axis(basis.extent, args.field_grid)
             pts = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)  # x-major
             field = result.field(pts)
     write_result(args.out, result)
@@ -371,11 +362,11 @@ def _cmd_extrapolate(args) -> int:
     basis = cachemod.load_basis(args.basis)
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
-    scaled = _scale_to_data(basis, data.geometry)
+    basis = basis.paired(data.geometry)
     targets = _read_columns(args.targets, ["x", "y"], "target")
     if not len(targets):
         raise ParameterError(f"{args.targets}: no target rows")
-    values = extrapolate(data, scaled, targets)
+    values = extrapolate(data, basis, targets)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x,y,re,im\n")
         f.writelines(map("{!r},{!r},{!r},{!r}\n".format, targets[:, 0].tolist(),
@@ -414,12 +405,11 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     u_norm = clean.weighted_norm()
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights
-    if isinstance(basis, SymSetBasis):  # the checks of reconstruct_partial / _full, per alpha
-        keeps = [partial_cutoff(basis, alpha) for alpha in alphas]
-        rates = [1.0 / alpha if alpha > 0 else np.inf for alpha in alphas]
-    else:
-        rates = [1.0 / beta_of_alpha(basis, alpha) for alpha in alphas]
-        keeps = [basis.keep(alpha) for alpha in alphas]
+    cuts = [basis.cutoff(alpha) for alpha in alphas]  # the checks of `reconstruct`, per alpha
+    keeps = [keep for keep, _ in cuts]
+    # noise rate 1/beta(alpha), or 1/alpha on a set, whose cutoff keeps |mu| > alpha
+    floors = [alpha if beta is None else beta for alpha, (_, beta) in zip(alphas, cuts)]
+    rates = [1.0 / f if f > 0 else np.inf for f in floors]
     levels = list(dict.fromkeys(d for d in deltas if d > 0))
     # (group, seed) per data column: group 0 is the clean data, group g the level levels[g - 1]
     columns = [(0, None)] + [(g, s) for g in range(1, len(levels) + 1) for s in range(n_seeds)]

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EmptyCutoffError, ParameterError
 from .numerics import (
     QuadratureRule,
     SymmetricTridiagonal,
@@ -113,6 +113,11 @@ class DiskBasis:
         return self.c / self.radius**2
 
     @property
+    def extent(self) -> float:
+        """Half-width r of the field square [-r, r]^2 around the disk of radius r."""
+        return self.radius
+
+    @property
     def quad_size(self) -> tuple[int, int]:
         """(n_r, n_t) of the polar rule."""
         return self.radial.shape[1], 2 * len(self.angles)
@@ -140,6 +145,16 @@ class DiskBasis:
     def keep(self, alpha: float) -> np.ndarray:
         """Spectral-cutoff mask of the index set J(alpha) = {chi < 1/alpha}."""
         return self.chis < 1.0 / alpha
+
+    def cutoff(self, alpha: float) -> tuple[np.ndarray, float]:
+        """The mask of J(alpha) and beta(alpha), the smallest retained |mu|; raises if
+        J(alpha) is empty."""
+        if alpha <= 0.0:
+            raise ParameterError("alpha must be positive")
+        keep = self.keep(alpha)
+        if not keep.any():
+            raise EmptyCutoffError(f"no modes with chi < {1.0 / alpha:.6g}")
+        return keep, float(np.min(np.abs(self.mu[keep])))
 
     @cached_property
     def node_values(self) -> np.ndarray:
@@ -293,6 +308,12 @@ class DiskBasis:
         quad = QuadratureRule(s * self.quad.nodes, s**2 * self.quad.weights)
         return replace(self, radius=radius, quad=quad)
 
+    def paired(self, domain) -> "DiskBasis":
+        """The basis dilated onto the disk `domain` of a setup or data file: radius h."""
+        if domain is None or domain.kind != "disk":
+            raise ParameterError("data was not produced on a scaled disk domain")
+        return self.dilated(domain.h)
+
 
 def default_truncation(c: float, n_max: int) -> int:
     """Disk-polynomial count resolving the c^2 r^2 coupling for n <= n_max."""
@@ -406,8 +427,9 @@ def disk_basis_from_modes(c: float, J: int, modes: np.ndarray, coeffs: np.ndarra
                      quad=quad, radial=_frozen(radial), angles=_frozen(theta))
 
 
-def eval_psi(basis: DiskBasis, mode, x) -> float | np.ndarray:
-    """Evaluate one disk mode (its index or its (m, n, ell) key) anywhere in the plane."""
+def eval_psi(basis, mode, x) -> float | np.ndarray:
+    """Evaluate one mode of either basis (its index, or a disk mode's (m, n, ell) key)
+    anywhere in the plane."""
     weights = np.zeros(len(basis.modes))
     weights[mode if np.ndim(mode) == 0 else basis.mode_index(mode)] = 1.0
     return basis.combine(weights, x)

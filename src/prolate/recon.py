@@ -10,6 +10,9 @@ mu_n = h^2 alpha_n and mode norms lambda_n = (c/2pi)|alpha_n|, the spectral
 cutoff keeps |mu_n| > alpha and inverts mode by mode; the a-priori parameter
 choice alpha(delta) = c0 (delta/E)^(1/(1+sigma)) balances noise against a
 source condition of order sigma.
+
+Both are one Picard series: each basis gives its own cutoff mask and
+beta(alpha) (`cutoff`, beta None on a set), and `reconstruct` inverts over it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataCoverageError, EmptyCutoffError, ParameterError
+from .errors import DataCoverageError, ParameterError
 from .forward import DataGrid
 
 __all__ = [
@@ -28,10 +31,7 @@ __all__ = [
     "project",
     "expand",
     "picard_coefficients",
-    "beta_of_alpha",
-    "partial_cutoff",
-    "reconstruct_full",
-    "reconstruct_partial",
+    "reconstruct",
     "choose_alpha_partial",
     "write_result",
     "read_result",
@@ -46,7 +46,7 @@ class ReconstructionResult:
 
     coefficients: np.ndarray          # complex, aligned with cutoff_set
     cutoff_set: list                  # retained mode identifiers
-    beta_alpha: float | None          # full aperture only
+    beta_alpha: float | None          # on the data disk only
     alpha: float
     node_field: np.ndarray            # reconstruction sampled on the basis quadrature
     field: Callable[[np.ndarray], np.ndarray]
@@ -97,29 +97,14 @@ def picard_coefficients(data: DataGrid, basis, values=None) -> np.ndarray:
     return project(basis, values * (w if values.ndim == 1 else w[:, None]), mu)
 
 
-def beta_of_alpha(basis, alpha: float) -> float:
-    """Smallest retained |(c/2k)^2 alpha_i| over J(alpha) = {chi_i < 1/alpha}."""
-    if alpha <= 0.0:
-        raise ParameterError("alpha must be positive")
-    keep = basis.keep(alpha)
-    if not keep.any():
-        raise EmptyCutoffError(f"no modes with chi < {1.0 / alpha:.6g}")
-    return float(np.min(np.abs(basis.mu[keep])))
+def reconstruct(data: DataGrid, basis, alpha: float,
+                realify: bool = False) -> ReconstructionResult:
+    """Spectral-cutoff regularized reconstruction: the Picard series over `basis.cutoff(alpha)`.
 
-
-def partial_cutoff(basis, alpha: float) -> np.ndarray:
-    """The symmetric-set cutoff mask {|mu_n| > alpha}; raises if it is empty."""
-    if alpha < 0.0:
-        raise ParameterError("alpha must be nonnegative")
-    keep = basis.keep(alpha)
-    if not keep.any():
-        raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
-    return keep
-
-
-def _reconstruct(data: DataGrid, basis, alpha: float, keep: np.ndarray, ids: list,
-                 beta: float | None, realify: bool) -> ReconstructionResult:
-    """The spectral-cutoff path shared by both regimes: the Picard series on `keep`."""
+    Returns the field q = sum coeff_i psi_hat_i over the retained modes, their
+    `keys` as the cutoff set, and beta(alpha) on the data disk (None on a set).
+    """
+    keep, beta = basis.cutoff(alpha)  # raises on an empty cutoff
     coeffs = picard_coefficients(data, basis)
     w = _effective_weights(data)
     # the field sum coeff_i psi_hat_i and the data it predicts, mu_i coeff_i, in one product
@@ -142,30 +127,9 @@ def _reconstruct(data: DataGrid, basis, alpha: float, keep: np.ndarray, ids: lis
         values = basis.combine(weights, x)
         return values.real if realify else values
 
-    return ReconstructionResult(coefficients=coeffs[keep], cutoff_set=ids, beta_alpha=beta,
-                                alpha=float(alpha), node_field=node_field, field=field_eval,
-                                diagnostics=diagnostics)
-
-
-def reconstruct_full(data: DataGrid, basis, alpha: float,
-                     realify: bool = False) -> ReconstructionResult:
-    """Spectral-cutoff regularized reconstruction on the data disk.
-
-    Keeps modes with chi < 1/alpha (strict), computes Picard coefficients, and
-    returns the field q = sum coeff_i psi_hat_i together with beta(alpha).
-    """
-    beta = beta_of_alpha(basis, alpha)  # raises on empty cutoff
-    keep = basis.keep(alpha)
-    ids = basis.keys[keep].tolist()
-    return _reconstruct(data, basis, alpha, keep, ids, beta, realify)
-
-
-def reconstruct_partial(data: DataGrid, basis, alpha: float,
-                        realify: bool = False) -> ReconstructionResult:
-    """Spectral-cutoff reconstruction for symmetric-set data: keep |mu_n| > alpha."""
-    keep = partial_cutoff(basis, alpha)
-    ids = np.flatnonzero(keep).tolist()
-    return _reconstruct(data, basis, alpha, keep, ids, None, realify)
+    return ReconstructionResult(coefficients=coeffs[keep], cutoff_set=basis.keys[keep].tolist(),
+                                beta_alpha=beta, alpha=float(alpha), node_field=node_field,
+                                field=field_eval, diagnostics=diagnostics)
 
 
 def choose_alpha_partial(delta: float, E: float, sigma: float, c0: float) -> float:

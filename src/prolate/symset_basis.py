@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyQuadratureError, ParameterError, check_keys, numeric
+from .errors import EmptyCutoffError, EmptyQuadratureError, ParameterError, check_keys, numeric
 from .numerics import (QuadratureRule, _born_sum, _fold, _frozen, _piece, axis_reflection,
                        disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
                        sym_eig)
@@ -51,7 +51,6 @@ __all__ = [
     "bounding_box",
     "build_quadrature",
     "compute_symset_basis",
-    "eval_symset_psi",
 ]
 
 ALPHA_FLOOR = 1e-14
@@ -341,6 +340,16 @@ class SymSetBasis:
         return self.c / self.geometry.h**2
 
     @property
+    def extent(self) -> float:
+        """Half-width 2h of the field square [-2h, 2h]^2, which holds L(Theta)_h and M_h."""
+        return 2.0 * self.geometry.h
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The index of each mode, which identifies it."""
+        return _frozen(np.arange(len(self.modes)))
+
+    @property
     def alphas(self) -> np.ndarray:
         """Eigenvalues alpha_n on the unit-scale set A, the `alpha` field of `modes`."""
         return self.modes["alpha"]
@@ -360,9 +369,21 @@ class SymSetBasis:
         """The nodes' mirror pairs and reflection map, found once per basis for `combine`."""
         return _fold(self.quad.nodes)
 
-    def keep(self, alpha: float) -> np.ndarray:
-        """Spectral-cutoff mask {|mu_n| > alpha}."""
-        return np.abs(self.mu) > alpha
+    def cutoff(self, alpha: float) -> tuple[np.ndarray, None]:
+        """The spectral-cutoff mask {|mu_n| > alpha} and no beta; raises if it is empty."""
+        if alpha < 0.0:
+            raise ParameterError("alpha must be nonnegative")
+        keep = np.abs(self.mu) > alpha
+        if not keep.any():
+            raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
+        return keep, None
+
+    def paired(self, domain: Geometry | None) -> "SymSetBasis":
+        """The basis itself, once `domain`, of a setup or data file, matches its geometry."""
+        if domain is None or not self.geometry.matches(domain):
+            raise ParameterError(f"basis geometry {self.geometry.to_dict()} does not match the "
+                                 f"data domain {domain and domain.to_dict()}")
+        return self
 
     def inner(self, weighted) -> np.ndarray:
         """node_values @ weighted for node samples, (N,) or (N, k), real or complex."""
@@ -555,13 +576,6 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
                        spectrum_even=np.sort(np.concatenate(spectra["even"])),
                        spectrum_odd=np.sort(np.concatenate(spectra["odd"])),
                        complete=len(table) >= n_modes)
-
-
-def eval_symset_psi(basis: SymSetBasis, n: int, p) -> float | np.ndarray:
-    """Evaluate mode n at arbitrary points; values are real (see `SymSetBasis.combine`)."""
-    weights = np.zeros(len(basis.modes))
-    weights[n] = 1.0
-    return basis.combine(weights, p)
 
 
 def mirror_indices(quad: QuadratureRule) -> np.ndarray:

@@ -18,8 +18,7 @@ from prolate.cli import run as cli_run
 from prolate.disk_basis import assemble_sl_matrix, eval_psi
 from prolate.forward import DataGrid, add_noise, synthesize_born
 from prolate.numerics import bessel_j, disk_polar_rule, sym_eig
-from prolate.recon import (choose_alpha_partial, picard_coefficients, reconstruct_full,
-                           reconstruct_partial)
+from prolate.recon import choose_alpha_partial, picard_coefficients, reconstruct
 
 
 @pytest.fixture()
@@ -126,7 +125,7 @@ def test_05_picard_round_trip(criterion, scaled_c6):
         q = P.ContrastField.from_callable(q_field, omega, circumradius=scaled_c6.radius)
         data = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
         chi_max = scaled_c6.chis.max()
-        rec = reconstruct_full(data, scaled_c6, alpha=0.99 / chi_max)
+        rec = reconstruct(data, scaled_c6, alpha=0.99 / chi_max)
         q_nodes = q_field(scaled_c6.quad.nodes)
         w = scaled_c6.quad.weights
         assert wnorm(w, rec.node_field - q_nodes) < 1e-6 * wnorm(w, q_nodes)
@@ -173,7 +172,7 @@ def test_07_regularized_error_bound(criterion, scaled_c6):
                 proj_err = wnorm(w, P.project_pi_alpha(q_nodes, scaled_c6, float(alpha)) - q_nodes)
                 for seed in range(5):
                     noisy = add_noise(clean, delta / u_norm, seed)
-                    rec = reconstruct_full(noisy, scaled_c6, alpha=float(alpha))
+                    rec = reconstruct(noisy, scaled_c6, alpha=float(alpha))
                     err = wnorm(w, rec.node_field - q_nodes)
                     assert err <= delta / rec.beta_alpha + proj_err + 1e-12
 
@@ -217,7 +216,7 @@ def test_09_partial_data_stability(criterion):
                 delta = ratio * E
                 noisy = add_noise(data, delta / u_norm, 41)
                 alpha = choose_alpha_partial(delta, E, sigma, c0)
-                rec = reconstruct_partial(noisy, basis, alpha=alpha)
+                rec = reconstruct(noisy, basis, alpha=alpha)
                 err = wnorm(w, rec.node_field - q_nodes)
                 assert err <= math.sqrt(delta) * math.sqrt(E) * (1.0 / c0 + c0), geo.kind
 

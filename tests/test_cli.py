@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -539,6 +540,61 @@ def _far_field_file(path, n=48, theta=2.2):
     return table
 
 
+class TestPairing:
+    """A basis file of the wrong kind for a stage, setup or data file, or one
+    on another domain than the setup's, exits 2 with one line and writes no
+    output."""
+
+    SETUP_L = {"regime": "limited", "k": 1.0, "c_param": 5.0, "theta": 2.2,
+               "contrast": {"shapes": [{"type": "disk", "center": [0.0, 0.0], "radius": 1.0,
+                                        "value": 1.0}]}}
+
+    @pytest.fixture()
+    def files(self, tmp_path, disk_basis_file, capsys):
+        def symset(*flags):
+            assert run(["basis", "symset", "--c", "5", *flags, "--resolution", "24",
+                        "--modes", "6", "--method", "polar"]) == 0
+            return capsys.readouterr().out.strip().splitlines()[-1]
+
+        def setup(name, cfg):
+            path = tmp_path / name
+            path.write_text(json.dumps(cfg))
+            return str(path)
+
+        files = {"disk": disk_basis_file,
+                 "L": symset("--geometry", "L", "--theta", "2.2", "--h", "5"),
+                 "symset-disk": symset("--geometry", "disk", "--h", "2.5"),
+                 "full": setup("full.json", SETUP),
+                 "limited": setup("limited.json", self.SETUP_L),
+                 "limited-theta": setup("theta.json", {**self.SETUP_L, "theta": 2.0}),
+                 "dataL": str(tmp_path / "dataL.csv"),
+                 "targets": str(tmp_path / "targets.csv"),
+                 "farfield": str(tmp_path / "ff.csv")}
+        assert run(["synthesize", files["limited"], "--basis", files["L"], "-o", files["dataL"],
+                    "--contrast-resolution", "24"]) == 0
+        (tmp_path / "targets.csv").write_text("x,y\n0.1,0.2\n")
+        _far_field_file(files["farfield"], n=8)
+        return files
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synthesize", "limited", "--basis", "disk"], "regime"),
+        (["synthesize", "full", "--basis", "L"], "regime"),
+        (["synthesize", "full", "--basis", "symset-disk"], "regime"),
+        (["synthesize", "limited-theta", "--basis", "L"], "does not match"),
+        (["stability", "limited-theta", "--basis", "L", "--deltas", "0,1e-3",
+          "--alphas", "0.5"], "does not match"),
+        (["reconstruct", "dataL", "--basis", "disk", "--alpha", "0.01"], "disk domain"),
+        (["extrapolate", "dataL", "--basis", "L", "--targets", "targets"], "disk basis"),
+        (["ingest", "farfield", "--k", "1", "--basis", "disk"], "symset basis"),
+    ], ids=["disk-limited", "L-full", "symset-disk-full", "theta-synthesize",
+            "theta-stability", "disk-L-data", "extrapolate-symset", "ingest-disk"])
+    def test_refused(self, tmp_path, files, capsys, argv, message):
+        out = tmp_path / "out"
+        code, err = _exit_and_error(capsys, [files.get(a, a) for a in argv] + ["-o", str(out)])
+        assert code == 2 and len(err) == 1 and message in err[0], err
+        assert not out.exists()
+
+
 class TestFarFieldReader:
     """`cli._read_columns` reads a far-field file with numpy's reader straight
     from the file, and falls back to its line-by-line parse where the reader
@@ -772,6 +828,20 @@ class TestMalformedInput:
         assert not out.exists()
 
 
+def _run_capped(argv):
+    """(exit code, stderr lines) of `prolate argv` in a child process whose address
+    space is capped at 2 GiB, so an allocation a bad size flag asks for fails there
+    and cannot exhaust the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    code = "import sys; from prolate.cli import run; sys.exit(run(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(P.__file__)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, preexec_fn=cap)
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
 class TestBadFlags:
     """Non-finite or out-of-range numeric flags exit 2 with one stderr line."""
 
@@ -957,6 +1027,30 @@ class TestBadFlags:
                                              "--field-grid", "2000000"])
         assert code == 2 and len(err) == 1 and "out of memory" in err[0], err
         assert not rec.exists() and not field.exists()
+
+    @pytest.mark.parametrize("grid", ["9223372036854775807", "10000000000000000000"])
+    def test_field_grid_too_large_to_index(self, tmp_path, disk_basis_file, grid):
+        # np.arange(2^63 - 1) is empty (a header-only field); 10^19 is a size numpy
+        # refuses with a ValueError
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        rec, field = tmp_path / "rec.json", tmp_path / "field.csv"
+        code, err = _run_capped(["reconstruct", str(data), "--basis", disk_basis_file,
+                                 "--alpha", "0.01", "-o", str(rec), "--field-out", str(field),
+                                 "--field-grid", grid])
+        assert code == 2 and len(err) == 1 and "--field-grid" in err[0], err
+        assert not rec.exists() and not field.exists()
+
+    @pytest.mark.parametrize("method", ["midpoint", "polar"])
+    def test_symset_resolution_too_large_to_index(self, tmp_path, method):
+        # numpy refuses the grid's size with a ValueError before allocating
+        out = tmp_path / "cache"
+        code, err = _run_capped(["basis", "symset", "--geometry", "L", "--theta", "2.356",
+                                 "--c", "5", "--method", method,
+                                 "--resolution", "9223372036854775807", "-o", str(out)])
+        assert code == 2 and len(err) == 1 and "--resolution" in err[0], err
+        assert not list(out.glob("*.gpswf"))
 
     def test_symset_resolution_over_memory_budget(self, cache_dir, capsys):
         code, err = _exit_and_error(capsys, ["basis", "symset", "--geometry", "M", "--c", "5",
@@ -1152,16 +1246,15 @@ def _stability_by_cell(setup, basis, deltas, alphas, seed, n_seeds):
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights
     partial = isinstance(basis, P.SymSetBasis)
-    reconstruct = P.reconstruct_partial if partial else P.reconstruct_full
 
     def err_of(grid, alpha):
-        rec = reconstruct(grid, basis, alpha)
+        rec = P.reconstruct(grid, basis, alpha)
         return float(np.sqrt(np.sum(w * np.abs(rec.node_field - q_nodes) ** 2)))
 
     rows = []
     for alpha in alphas:
         trunc = err_of(clean, alpha)
-        rate = 1.0 / alpha if partial else 1.0 / P.beta_of_alpha(basis, alpha)
+        rate = 1.0 / alpha if partial else 1.0 / basis.cutoff(alpha)[1]
         for delta in deltas:
             errs = ([err_of(add_noise(clean, delta / u_norm, seed + s), alpha)
                      for s in range(n_seeds)] if delta > 0 else [trunc])

@@ -16,7 +16,7 @@ import pytest
 
 import prolate as P
 from prolate import numerics
-from prolate.recon import reconstruct_full
+from prolate.recon import reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +90,7 @@ def test_matches_per_mode_loop(basis, kind):
     # summation order differs, so the tolerance is a few ulps of the terms
     w = mode_weights(basis, kind, seed=2)
     pts = np.concatenate([basis.quad.nodes[::37], exterior_points(basis)])
-    if isinstance(basis, P.DiskBasis):
-        terms = [w[i] * P.eval_psi(basis, i, pts) for i in range(len(basis.modes))]
-    else:
-        terms = [w[i] * P.eval_symset_psi(basis, i, pts) for i in range(len(basis.modes))]
+    terms = [w[i] * P.eval_psi(basis, i, pts) for i in range(len(basis.modes))]
     want = np.sum(terms, axis=0)
     assert np.abs(basis.combine(w, pts) - want).max() <= 1e-12 * np.abs(terms).max()
 
@@ -102,7 +99,7 @@ def test_disk_reconstruction_field_off_nodes(scaled_c6):
     q = P.ContrastField.from_shapes(
         [{"type": "disk", "center": (0.4, -0.3), "radius": 1.2, "value": 1.0}], resolution=80)
     data = P.synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
-    rec = reconstruct_full(data, scaled_c6, alpha=1.0 / 60.0)
+    rec = reconstruct(data, scaled_c6, alpha=1.0 / 60.0)
     keep = scaled_c6.keep(1.0 / 60.0)
     assert 1 < keep.sum() < len(keep)
     # at the nodes the field is the node-sampled Picard series

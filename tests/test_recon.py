@@ -8,9 +8,8 @@ import prolate as P
 from prolate.errors import DataCoverageError, EmptyCutoffError, ParameterError
 from prolate.forward import DataGrid, add_noise
 from prolate.numerics import real_matmul
-from prolate.recon import (beta_of_alpha, choose_alpha_partial, expand, picard_coefficients,
-                           project, read_result, reconstruct_full, reconstruct_partial,
-                           write_result)
+from prolate.recon import (choose_alpha_partial, expand, picard_coefficients, project,
+                           read_result, reconstruct, write_result)
 
 
 def make_grid(basis, values, flags=None, meta=None):
@@ -95,7 +94,7 @@ class TestProjection:
         n = len(basis.quad)
         flags = (rng.uniform(size=n) < 0.02).astype(np.uint8)
         data = make_grid(basis, rng.standard_normal(n) + 1j * rng.standard_normal(n), flags)
-        rec = reconstruct_full(data, basis, alpha)
+        rec = reconstruct(data, basis, alpha)
         w = np.where(data.valid, data.weights, 0.0)
         psi_hat = basis.node_values / basis.mode_norms[:, None]
         keep = basis.keep(alpha)
@@ -124,10 +123,10 @@ class TestProjection:
         basis = disk_c5.dilated(2.5)
         n = len(basis.quad)
         data = make_grid(basis, np.exp(1j * np.arange(n) / 7.0))
-        reconstruct_full(data, basis, 1e-3)  # cached per-mode arrays are built outside the trace
+        reconstruct(data, basis, 1e-3)  # cached per-mode arrays are built outside the trace
         tracemalloc.start()
         try:
-            reconstruct_full(data, basis, 1e-3)
+            reconstruct(data, basis, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,7 +144,7 @@ class TestProjection:
         tracemalloc.start()
         try:
             basis = P.load_basis(path).dilated(2.5)
-            reconstruct_full(data, basis, 1e-3)
+            reconstruct(data, basis, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -171,18 +170,18 @@ class TestBetaOfAlpha:
     def test_singleton_cutoff(self, scaled_c6):
         chi0 = scaled_c6.chis[0]
         alpha = 1.0 / (chi0 + 1e-6)
-        beta = beta_of_alpha(scaled_c6, alpha)
+        beta = scaled_c6.cutoff(alpha)[1]
         expected = scaled_c6.radius**2 * abs(scaled_c6.modes["alpha"][0])
         assert beta == pytest.approx(expected, rel=1e-14)
 
     def test_empty_cutoff_raises(self, scaled_c6):
         with pytest.raises(EmptyCutoffError):
-            beta_of_alpha(scaled_c6, 1.0 / scaled_c6.chis[0])
+            scaled_c6.cutoff(1.0 / scaled_c6.chis[0])[1]
 
     def test_nonincreasing_as_alpha_decreases(self, scaled_c6):
         chis = scaled_c6.chis
         alphas = np.geomspace(0.99 / chis.min(), 1.01 / chis.max(), 20)
-        betas = [beta_of_alpha(scaled_c6, a) for a in alphas]
+        betas = [scaled_c6.cutoff(a)[1] for a in alphas]
         # alphas descend, so the cutoff set grows and beta cannot increase
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(betas, betas[1:]))
 
@@ -194,7 +193,7 @@ class TestReconstructFull:
         coeffs = {int(i): complex(v) for i, v in zip(idx, rng.standard_normal(6))}
         data = eigen_data(scaled_c6, coeffs)
         chi_max = scaled_c6.chis[max(coeffs)]
-        rec = reconstruct_full(data, scaled_c6, alpha=0.99 / chi_max)
+        rec = reconstruct(data, scaled_c6, alpha=0.99 / chi_max)
         psi_hat = scaled_c6.node_values / scaled_c6.mode_norms[:, None]
         want = np.zeros(len(scaled_c6.quad), dtype=complex)
         for i, cf in coeffs.items():
@@ -206,8 +205,8 @@ class TestReconstructFull:
     def test_fewer_modes_for_larger_alpha(self, scaled_c6):
         data = eigen_data(scaled_c6, {0: 1.0})
         chis = sorted(scaled_c6.chis)
-        small = reconstruct_full(data, scaled_c6, alpha=0.99 / chis[-1])
-        large = reconstruct_full(data, scaled_c6, alpha=1.01 / chis[2])
+        small = reconstruct(data, scaled_c6, alpha=0.99 / chis[-1])
+        large = reconstruct(data, scaled_c6, alpha=1.01 / chis[2])
         assert large.diagnostics["mode_count"] < small.diagnostics["mode_count"]
         assert large.beta_alpha >= small.beta_alpha
 
@@ -220,7 +219,7 @@ class TestReconstructFull:
         raw *= delta / np.sqrt(np.sum(w * np.abs(raw) ** 2))
         data = make_grid(scaled_c6, raw)
         for alpha in (0.02, 0.005, 0.002):
-            rec = reconstruct_full(data, scaled_c6, alpha=alpha)
+            rec = reconstruct(data, scaled_c6, alpha=alpha)
             norm = np.sqrt(np.sum(w * np.abs(rec.node_field) ** 2))
             assert norm <= delta / rec.beta_alpha * (1.0 + 1e-12)
 
@@ -238,7 +237,7 @@ class TestReconstructFull:
         chis = scaled_c6.chis
         for alpha in np.geomspace(0.9 / chis.min(), 1.2 / chis.max(), 8):
             noisy = add_noise(clean, delta / u_norm, 5)
-            rec = reconstruct_full(noisy, scaled_c6, alpha=float(alpha))
+            rec = reconstruct(noisy, scaled_c6, alpha=float(alpha))
             proj = P.project_pi_alpha(q_nodes, scaled_c6, float(alpha))
             bound = delta / rec.beta_alpha + wnorm(w, q_nodes - proj)
             assert wnorm(w, rec.node_field - q_nodes) <= bound * (1.0 + 1e-10)
@@ -252,19 +251,19 @@ class TestReconstructFull:
         chis = scaled_c6.chis
         errs = []
         for alpha in (1.0 / 20.0, 1.0 / 50.0, 1.0 / 90.0, 0.99 / chis.max()):
-            rec = reconstruct_full(data, scaled_c6, alpha=float(alpha))
+            rec = reconstruct(data, scaled_c6, alpha=float(alpha))
             errs.append(wnorm(w, rec.node_field - q_nodes))
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(errs, errs[1:]))
 
     def test_realify_diagnostic(self, scaled_c6):
         data = eigen_data(scaled_c6, {1: 1.0 + 0.5j})
-        rec = reconstruct_full(data, scaled_c6, alpha=1.0 / 40.0, realify=True)
+        rec = reconstruct(data, scaled_c6, alpha=1.0 / 40.0, realify=True)
         assert not np.iscomplexobj(rec.node_field)
         assert rec.diagnostics["dropped_imag_norm"] > 0.0
 
     def test_result_file_round_trip(self, scaled_c6, tmp_path):
         data = eigen_data(scaled_c6, {0: 2.0})
-        rec = reconstruct_full(data, scaled_c6, alpha=1.0 / 30.0)
+        rec = reconstruct(data, scaled_c6, alpha=1.0 / 30.0)
         path = tmp_path / "rec.json"
         write_result(path, rec)
         back = read_result(path)
@@ -279,8 +278,8 @@ class TestReconstructFull:
         # JSON integers (json.loads reads `true` as 1, so the ids are compared as text)
         disk = P.compute_disk_basis(5.0, 1, 1).dilated(2.5)
         for basis, rec, want in (
-                (disk, reconstruct_full, "[[0, 0, 1], [1, 0, 1], [1, 0, 2]]"),
-                (symset_disk_c5, reconstruct_partial, "[0, 1, 2]")):
+                (disk, reconstruct, "[[0, 0, 1], [1, 0, 1], [1, 0, 2]]"),
+                (symset_disk_c5, reconstruct, "[0, 1, 2]")):
             mu = np.abs(basis.mu)
             alpha = 1.0 / 20.0 if basis is disk else 0.5 * (mu[2] + mu[3])
             path = tmp_path / "rec.json"
@@ -292,7 +291,7 @@ class TestReconstructPartial:
     def test_single_mode_recovery(self, symset_disk_c5):
         data = eigen_data(symset_disk_c5, {3: 2.5})
         mags = np.abs(symset_disk_c5.mu)
-        rec = reconstruct_partial(data, symset_disk_c5, alpha=0.5 * mags[3])
+        rec = reconstruct(data, symset_disk_c5, alpha=0.5 * mags[3])
         assert 3 in rec.cutoff_set
         got = rec.coefficients[rec.cutoff_set.index(3)]
         assert abs(got - 2.5) < 1e-8
@@ -302,7 +301,7 @@ class TestReconstructPartial:
     def test_empty_cutoff(self, symset_disk_c5):
         data = eigen_data(symset_disk_c5, {0: 1.0})
         with pytest.raises(EmptyCutoffError):
-            reconstruct_partial(data, symset_disk_c5, alpha=2.0 * abs(symset_disk_c5.mu[0]))
+            reconstruct(data, symset_disk_c5, alpha=2.0 * abs(symset_disk_c5.mu[0]))
 
     def test_agrees_with_full_reconstruction_on_disk(self, scaled_c6, wnorm):
         # the same band-limited contrast, reconstructed through the scaled disk
@@ -329,9 +328,9 @@ class TestReconstructPartial:
                              values=discrete_forward(sym, q_field(sym.quad.nodes)),
                              flags=np.zeros(len(sym.quad), dtype=np.uint8))
         chi_cut = scaled_c6.chis[max(idx)]
-        rec_full = reconstruct_full(data_full, scaled_c6, alpha=0.9 / chi_cut)
+        rec_full = reconstruct(data_full, scaled_c6, alpha=0.9 / chi_cut)
         mu_cut = np.abs(sym.mu[len(idx) + 10])
-        rec_part = reconstruct_partial(data_part, sym, alpha=float(mu_cut))
+        rec_part = reconstruct(data_part, sym, alpha=float(mu_cut))
         probe = scaled_c6.quad
         a = rec_full.node_field
         b = rec_part.field(probe.nodes)
@@ -358,7 +357,7 @@ class TestReconstructPartial:
             delta = ratio * E
             noisy = add_noise(data, delta / u_norm, 31)
             alpha = choose_alpha_partial(delta, E, sigma, c0)
-            rec = reconstruct_partial(noisy, basis, alpha=alpha)
+            rec = reconstruct(noisy, basis, alpha=alpha)
             err = wnorm(w, rec.node_field - q_nodes)
             bound = delta**0.5 * E**0.5 * (1.0 / c0 + c0)
             assert err <= bound

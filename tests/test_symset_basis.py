@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import prolate as P
 from prolate import symset_basis
+from prolate.disk_basis import eval_psi
 from prolate.errors import EmptyQuadratureError, ParameterError
 from prolate.symset_basis import (Geometry, analytic_area, build_quadrature,
-                                  compute_symset_basis, eval_symset_psi, membership,
+                                  compute_symset_basis, membership,
                                   mirror_indices, radial_profile)
 
 
@@ -371,15 +372,15 @@ class TestEval:
         idx = [0, 3, 7]
         sample = symset_disk_c5.quad.nodes[::29]
         for i in idx:
-            got = eval_symset_psi(symset_disk_c5, i, sample)
+            got = eval_psi(symset_disk_c5, i, sample)
             want = symset_disk_c5.node_values[i, ::29]
             assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
 
     def test_even_mode_symmetry(self, symset_disk_c5):
         i = int(np.flatnonzero(symset_disk_c5.modes["even"])[0])
         pts = np.random.default_rng(2).uniform(-0.9, 0.9, (25, 2))
-        a = eval_symset_psi(symset_disk_c5, i, pts)
-        b = eval_symset_psi(symset_disk_c5, i, -pts)
+        a = eval_psi(symset_disk_c5, i, pts)
+        b = eval_psi(symset_disk_c5, i, -pts)
         assert np.abs(a - b).max() < 1e-10 * np.abs(a).max()
 
     def test_exterior_extension_residual(self, symset_disk_c5):
@@ -390,12 +391,12 @@ class TestEval:
         pts = np.array([[1.4, 0.3], [2.2, -0.8]])
         for i in (0, 1, 2):
             even = basis.modes["even"][i]
-            vals_fine = eval_symset_psi(basis, i, fine.nodes)
+            vals_fine = eval_psi(basis, i, fine.nodes)
             lam = beta(basis, i) * basis.geometry.h**2
             for p in pts:
                 kernel = np.exp(1j * basis.kernel_scale * (fine.nodes @ p))
                 rhs = np.sum(fine.weights * kernel * vals_fine)
-                lhs = (lam if even else 1j * lam) * eval_symset_psi(basis, i, p)
+                lhs = (lam if even else 1j * lam) * eval_psi(basis, i, p)
                 assert abs(lhs - rhs) < 1e-7 * np.abs(basis.node_values[i]).max()
 
     def test_combine_memory_is_blocked(self):
