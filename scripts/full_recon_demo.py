@@ -7,8 +7,8 @@ import argparse
 import numpy as np
 
 from prolate.disk_basis import compute_disk_basis
-from prolate.forward import add_noise, synthesize_born
-from prolate.geometry_config import effective_kernel_scale, setup_from_dict, validate_setup
+from prolate.forward import add_noise
+from prolate.geometry_config import setup_from_dict, synthesize_setup
 from prolate.recon import reconstruct, write_field_csv
 
 
@@ -29,11 +29,8 @@ def main():
             {"type": "disk", "center": [-0.8, -0.5], "radius": 0.35, "value": 0.6},
         ]},
     })
-    report = validate_setup(setup)
-    print(f"containment margin: {report.margin:.4f}")
     basis = compute_disk_basis(args.c, 10, 8).dilated(setup.h)
-    data = synthesize_born(setup.contrast, effective_kernel_scale(setup), basis.quad,
-                           geometry=setup.domain)
+    data = synthesize_setup(setup, basis.quad)  # refuses a phantom outside the data disk
     if args.noise > 0:
         data = add_noise(data, args.noise, args.seed)
 

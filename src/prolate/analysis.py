@@ -18,7 +18,7 @@ import numpy as np
 from .disk_basis import DiskBasis
 from .errors import ParameterError
 from .forward import DataGrid
-from .recon import expand, project
+from .recon import effective_weights, expand, project
 from .symset_basis import SymSetBasis, analytic_area, mirror_indices
 
 __all__ = [
@@ -102,11 +102,11 @@ def extrapolate(data: DataGrid, basis, targets) -> np.ndarray:
 
     u_bar(p) = sum_i <u, psi_i>_D / lambda_i^2 * psi_i(p) with lambda_i the
     L2(D) mode norm; inside D this reproduces the band-limited part of the
-    data, outside it performs the (ill-posed) analytic extrapolation.
+    data, outside it performs the (ill-posed) analytic extrapolation.  The
+    data's nodes, weights and coverage are checked as for `reconstruct`
+    (`recon.effective_weights`).
     """
-    if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
-        raise ParameterError("data nodes must match the basis quadrature")
-    weighted = np.where(data.valid, data.weights, 0.0) * data.values
+    weighted = effective_weights(data, basis) * data.values
     return basis.combine(project(basis, weighted, basis.mode_norms), targets)
 
 

@@ -25,9 +25,7 @@ __all__ = [
     "cache_key",
     "cache_dir",
     "save_disk_basis",
-    "load_disk_basis",
     "save_symset_basis",
-    "load_symset_basis",
     "load_basis",
     "verify_basis",
 ]
@@ -289,14 +287,6 @@ def verify_basis(path, symset: bool) -> None:
     built.
     """
     _check_layout(path, *_read_container(path), symset)
-
-
-def load_disk_basis(path) -> DiskBasis:
-    return _basis(path, *_read_container(path), symset=False)
-
-
-def load_symset_basis(path) -> SymSetBasis:
-    return _basis(path, *_read_container(path), symset=True)
 
 
 def load_basis(path):

@@ -22,9 +22,8 @@ from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
 from .disk_basis import DiskBasis, compute_disk_basis, default_truncation
 from .errors import ParameterError, ProlateError
-from .forward import (_loadtxt, add_noise, ingest_farfield, read_datagrid, synthesize_born,
-                      write_datagrid)
-from .geometry_config import ProblemSetup, effective_kernel_scale, read_setup, validate_setup
+from .forward import _loadtxt, add_noise, ingest_farfield, read_datagrid, write_datagrid
+from .geometry_config import ProblemSetup, read_setup, synthesize_setup
 from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
                     write_field_csv, write_result)
 from .symset_basis import (PAIRING_TOL, RULE_VERSION, Geometry, build_quadrature,
@@ -186,24 +185,31 @@ def _load_basis_for_setup(path: str, setup: ProblemSetup):
     if isinstance(basis, DiskBasis) != (setup.regime == "full"):
         raise ParameterError("the full-aperture regime pairs with a disk basis file, "
                              "the limited and multifreq regimes with a symset basis file")
-    if abs(basis.c - setup.c_param) > PAIRING_TOL * max(1.0, setup.c_param):
-        raise ParameterError(f"basis bandwidth {basis.c!r} does not match the setup "
-                             f"c parameter {setup.c_param!r}")
+    _check_bandwidth(basis, setup.c_param, "setup c parameter")
     return basis.paired(setup.domain)
+
+
+def _pair_with_data(basis, data):
+    """A cached basis paired with a data file's domain and, where its header
+    records the kernel scale kappa, with its bandwidth kappa h^2."""
+    basis = basis.paired(data.geometry)
+    if data.meta.get("kappa") is not None:
+        _check_bandwidth(basis, data.meta["kappa"] * data.geometry.h**2, "data kappa h^2")
+    return basis
+
+
+def _check_bandwidth(basis, c: float, source: str) -> None:
+    """ParameterError unless basis.c is c, the bandwidth of a setup or data file, to PAIRING_TOL."""
+    if abs(basis.c - c) > PAIRING_TOL * max(1.0, c):
+        raise ParameterError(f"basis bandwidth {basis.c!r} does not match the {source} {c!r}")
 
 
 def _cmd_synthesize(args) -> int:
     _flag("--noise", args.noise, positive=False)
     with _sized_by("--contrast-resolution"):
         setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
-    report = validate_setup(setup)
-    if not report.ok:
-        raise ParameterError(
-            f"contrast support is not contained in the data domain "
-            f"(margin {report.margin:.4g}, {len(report.violations)} offending points)")
     basis = _load_basis_for_setup(args.basis, setup)
-    kappa = effective_kernel_scale(setup)
-    data = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.domain)
+    data = synthesize_setup(setup, basis.quad)
     if args.noise > 0.0:
         data = add_noise(data, args.noise, args.seed)
         print(f"noise: relative {args.noise!r}, absolute {data.meta['delta_abs']!r}")
@@ -225,8 +231,8 @@ def _cmd_ingest(args) -> int:
     if not len(table):
         raise ParameterError(f"{args.samples}: no far-field rows")
     values = np.ascontiguousarray(table[:, 4:]).view(complex)[:, 0]
-    data = ingest_farfield(table[:, 0:2], table[:, 2:4], values, args.k, basis.quad,
-                           cutoff=args.cutoff, geometry=basis.geometry)
+    data = ingest_farfield(table[:, 0:2], table[:, 2:4], values, args.k, basis.kernel_scale,
+                           basis.quad, cutoff=args.cutoff, geometry=basis.geometry)
     write_datagrid(args.out, data)
     print(args.out)
     return 0
@@ -327,7 +333,7 @@ def _cmd_reconstruct(args) -> int:
         raise ParameterError(f"--field-grid must be at least 1, got {args.field_grid}")
     _grid_flag("--field-grid", args.field_grid)
     data = read_datagrid(args.data)
-    basis = cachemod.load_basis(args.basis).paired(data.geometry)
+    basis = _pair_with_data(cachemod.load_basis(args.basis), data)
     if args.auto_alpha:
         for name in ("delta", "E", "sigma", "c0"):
             if getattr(args, name) is None:
@@ -362,7 +368,7 @@ def _cmd_extrapolate(args) -> int:
     basis = cachemod.load_basis(args.basis)
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
-    basis = basis.paired(data.geometry)
+    basis = _pair_with_data(basis, data)
     targets = _read_columns(args.targets, ["x", "y"], "target")
     if not len(targets):
         raise ParameterError(f"{args.targets}: no target rows")
@@ -400,8 +406,7 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     are projected together in blocks of at most _SWEEP_BLOCK samples, and each
     alpha masks a block's coefficients and expands all its fields in one product.
     """
-    kappa = effective_kernel_scale(setup)
-    clean = synthesize_born(setup.contrast, kappa, basis.quad, geometry=setup.domain)
+    clean = synthesize_setup(setup, basis.quad)  # refuses a setup not contained in its domain
     u_norm = clean.weighted_norm()
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights

@@ -304,28 +304,32 @@ def _median_spacing(rows: np.ndarray) -> float:
     return float(np.median(nearest(distinct, distinct, 2)[0][:, 1]))
 
 
-def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
+def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: QuadratureRule,
                     cutoff: float | None = None, geometry: Geometry | None = None) -> DataGrid:
-    """Map far-field samples (x_hat[j], theta_hat[j], values[j]) onto the
-    p = theta_hat - x_hat representation and resample onto the target rule.
+    """Map far-field samples (x_hat[j], theta_hat[j], values[j]) at wavenumber k
+    onto p = (k / kappa)(theta_hat - x_hat), where the data of kernel scale
+    kappa (the target basis's c / h^2) is u(p) = values / k^2, and resample
+    onto the target rule; kappa is recorded in the meta.
 
-    x_hat and theta_hat are (n, 2) arrays of directions and values the n
-    far-field values; each sample becomes u(p) = values / k^2.  Duplicate p
-    points (to 1e-12) are averaged; target values come from inverse-distance
-    weighting of the 4 nearest samples (`numerics.nearest`: of samples at
-    equal distance, the one whose p comes first in lexicographic order);
-    nodes farther than `cutoff` from every sample are flagged missing.  The
-    cutoff defaults to 3x the sampling step of the directions: the median
-    distance from each distinct (x_hat, theta_hat) pair to its nearest
-    neighbour, which on a tensor grid of directions is the step of the grid.
-    (The merged p points are no measure of it: where distinct pairs nearly
-    repeat a p, their spacing collapses far below the step.)
+    x_hat and theta_hat are (n, 2) arrays of directions, both scaled by
+    k / kappa first.  Duplicate p points (to 1e-12) are averaged; target
+    values come from inverse-distance weighting of the 4 nearest samples
+    (`numerics.nearest`: of samples at equal distance, the one whose p comes
+    first in lexicographic order); nodes farther than `cutoff` (in node units)
+    from every sample are flagged missing.  The cutoff defaults to 3x the
+    sampling step of the scaled directions: the median distance from each
+    distinct (x_hat, theta_hat) pair to its nearest neighbour, which on a
+    tensor grid of directions is the step of the grid.  (The merged p points
+    are no measure of it: where distinct pairs nearly repeat a p, their
+    spacing collapses far below the step.)
     """
-    if k <= 0.0:
-        raise ParameterError("ingest_farfield requires k > 0")
-    x_hat = np.asarray(x_hat, dtype=float).reshape(-1, 2)
-    theta_hat = np.asarray(theta_hat, dtype=float).reshape(-1, 2)
+    if not (k > 0.0 and kappa > 0.0):
+        raise ParameterError(f"ingest_farfield requires k, kappa > 0, got {k!r}, {kappa!r}")
+    scale = k / kappa
+    x_hat = scale * np.asarray(x_hat, dtype=float).reshape(-1, 2)
+    theta_hat = scale * np.asarray(theta_hat, dtype=float).reshape(-1, 2)
     values = np.asarray(values).reshape(-1)
+    meta = {"kappa": float(kappa), "delta": 0.0, "seed": None}
     if not len(x_hat) == len(theta_hat) == len(values):
         raise ParameterError(f"ingest_farfield needs as many directions as values, got "
                              f"{len(x_hat)} x_hat, {len(theta_hat)} theta_hat, {len(values)} values")
@@ -334,7 +338,7 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
         return DataGrid(nodes=target.nodes, weights=target.weights,
                         values=np.zeros(n_t, dtype=complex),
                         flags=np.ones(n_t, dtype=np.uint8),
-                        meta={"kappa": None, "delta": 0.0, "seed": None}, geometry=geometry)
+                        meta=meta, geometry=geometry)
     pts = theta_hat - x_hat
     k2 = k**2
     vals = np.empty(len(values), dtype=complex)
@@ -362,8 +366,7 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, target: QuadratureRule,
         values[rest] = np.sum(wgt * merged_vals[idx[rest]], axis=1) / np.sum(wgt, axis=1)
     values[flags == 1] = 0.0
     return DataGrid(nodes=target.nodes, weights=target.weights, values=values, flags=flags,
-                    meta={"kappa": None, "delta": 0.0, "seed": None, "cutoff": float(cutoff)},
-                    geometry=geometry)
+                    meta={**meta, "cutoff": float(cutoff)}, geometry=geometry)
 
 
 def add_noise(data: DataGrid, delta: float, seed: int) -> DataGrid:
@@ -480,6 +483,20 @@ def _malformed_row(path) -> ParameterError:
     return ParameterError(f"{path}: malformed data rows")
 
 
+def _check_meta(meta: dict, what: str) -> None:
+    """ParameterError naming the field unless kappa is a finite number > 0 or
+    null, delta and delta_abs (where present) finite numbers >= 0, and seed a
+    nonnegative integer or null."""
+    if meta["kappa"] is not None and not numeric(meta, "kappa", what) > 0.0:
+        raise ParameterError(f"{what} 'kappa' must be > 0 or null, got {meta['kappa']!r}")
+    for key in ("delta", "delta_abs"):
+        if key in meta and not numeric(meta, key, what) >= 0.0:
+            raise ParameterError(f"{what} {key!r} must be >= 0, got {meta[key]!r}")
+    seed = meta["seed"]
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ParameterError(f"{what} 'seed' must be a nonnegative integer or null, got {seed!r}")
+
+
 def read_datagrid(path) -> DataGrid:
     with open(path, "r", encoding="utf-8") as f:
         header = json.loads(f.readline())
@@ -503,10 +520,15 @@ def read_datagrid(path) -> DataGrid:
         raise ParameterError("row count does not match header")
     if not all(np.isfinite(a).all() for a in (nodes, weights, values)):
         raise ParameterError(f"{path}: non-finite number in data rows")
+    if np.any(flags > 1):
+        row = int(np.argmax(flags > 1))
+        raise ParameterError(f"{path}: data row {row + 1} flag must be 0 (valid) or 1 (missing), "
+                             f"got {flags[row]}")
     meta = {"kappa": header.get("kappa"), "delta": header.get("delta", 0.0),
             "seed": header.get("seed")}
     check_keys(header.get("meta", {}), (), f"{path} header meta")
     meta.update(header.get("meta", {}))
+    _check_meta(meta, f"{path} header")
     geometry = Geometry.from_dict(header["geometry"]) if header.get("geometry") else None
     return DataGrid(nodes=nodes, weights=weights, values=values, flags=flags,
                     meta=meta, geometry=geometry)

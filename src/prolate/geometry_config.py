@@ -1,5 +1,5 @@
 """Problem setup: binds the contrast, the data geometry, and the scale
-parameters, and validates the containment precondition Omega inside D.
+parameters, and synthesizes Born data once the containment Omega in D holds.
 
 The data domain is D = A_h with h = c_F/(2k) (full aperture disk), c_L/k
 (limited aperture), or c_M/K (multi-frequency); in every regime the effective
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, check_keys, numeric
-from .forward import ContrastField
+from .forward import ContrastField, DataGrid, synthesize_born
+from .numerics import QuadratureRule
 from .symset_basis import Geometry, membership, radial_profile
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "SetupReport",
     "validate_setup",
     "effective_kernel_scale",
+    "synthesize_setup",
     "read_setup",
     "setup_from_dict",
 ]
@@ -94,6 +96,18 @@ def validate_setup(setup: ProblemSetup) -> SetupReport:
     violations = [[float(x), float(y)] for (x, y) in pts[~inside]]
     return SetupReport(ok=bool(inside.all()), margin=float(margins.min()),
                        violations=violations)
+
+
+def synthesize_setup(setup: ProblemSetup, rule: QuadratureRule) -> DataGrid:
+    """Born data of the contrast on `rule`, a rule of the setup's domain, at its kernel
+    scale; ParameterError unless `validate_setup` finds the support inside the domain."""
+    report = validate_setup(setup)
+    if not report.ok:
+        raise ParameterError(
+            f"contrast support is not contained in the data domain "
+            f"(margin {report.margin:.4g}, {len(report.violations)} offending points)")
+    kappa = effective_kernel_scale(setup)
+    return synthesize_born(setup.contrast, kappa, rule, geometry=setup.domain)
 
 
 def default_c_full(contrast: ContrastField, k: float) -> float:

@@ -1,11 +1,11 @@
 """Quadrature, special functions, and symmetric eigensolver kernel.
 
-Everything here is pure and deterministic and needs numpy only: rules and
-matrices are plain immutable containers, Gauss-Legendre rules are built once
-per size and shared, the Bessel functions J_0..J_M and the disk polynomials of
-one azimuthal order come as whole tables from three-term recurrences (one pass
-for all orders or degrees, never one special-function call per order), and
-eigensolves go to LAPACK through numpy behind small contract-checked wrappers.
+Everything here is pure and deterministic and needs numpy only: rules are
+plain immutable containers, Gauss-Legendre rules are built once per size and
+shared, the Bessel functions J_0..J_M and the disk polynomials of one
+azimuthal order come as whole tables from three-term recurrences (one pass for
+all orders or degrees, never one special-function call per order), and dense
+eigensolves go to LAPACK through numpy behind a small contract-checked wrapper.
 One evaluator of the Fourier operator, `_born_sum`, synthesizes Born data
 and far fields and extends symmetric-set modes off their nodes.
 """
@@ -23,7 +23,6 @@ from .errors import EigensolverError, ParameterError
 
 __all__ = [
     "QuadratureRule",
-    "SymmetricTridiagonal",
     "bessel_j",
     "bessel_table",
     "gauss_legendre",
@@ -84,26 +83,6 @@ class QuadratureRule:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
-class SymmetricTridiagonal:
-    """Real symmetric tridiagonal matrix stored as diagonal + off-diagonal."""
-
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal", _frozen(np.asarray(self.diagonal, dtype=float)))
-        object.__setattr__(self, "off_diagonal", _frozen(np.asarray(self.off_diagonal, dtype=float)))
-        if len(self.off_diagonal) != max(len(self.diagonal) - 1, 0):
-            raise ParameterError("off_diagonal must have length len(diagonal) - 1")
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diagonal)
-        if len(self.off_diagonal):
-            a += np.diag(self.off_diagonal, 1) + np.diag(self.off_diagonal, -1)
-        return a
 
 
 def bessel_j(order: int, x):
@@ -757,24 +736,17 @@ def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix.
-
-    Accepts a SymmetricTridiagonal or a dense symmetric ndarray.  Returns
-    (eigenvalues ascending, eigenvectors as orthonormal columns).  Raises
-    EigensolverError if LAPACK fails to converge.
-    """
-    if isinstance(matrix, SymmetricTridiagonal):
-        a = matrix.to_dense()  # J ~ 40 for disk bases: dense is as fast as a banded solver
-    else:
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterError("sym_eig requires a square matrix")
-        # |a - a^T| <= 1e-12 max(1, max|a|) in one temporary; a NaN entry fails the test
-        asym = np.subtract(a, a.T)
-        np.abs(asym, out=asym)
-        if not asym.max(initial=0.0) <= 1e-12 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0)):
-            raise ParameterError("sym_eig requires a symmetric matrix")
-        del asym
+    """(eigenvalues ascending, eigenvectors as orthonormal columns) of a dense real
+    symmetric matrix; EigensolverError if LAPACK fails to converge."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError("sym_eig requires a square matrix")
+    # |a - a^T| <= 1e-12 max(1, max|a|) in one temporary; a NaN entry fails the test
+    asym = np.subtract(a, a.T)
+    np.abs(asym, out=asym)
+    if not asym.max(initial=0.0) <= 1e-12 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0)):
+        raise ParameterError("sym_eig requires a symmetric matrix")
+    del asym
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

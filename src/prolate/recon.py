@@ -30,6 +30,7 @@ __all__ = [
     "ReconstructionResult",
     "project",
     "expand",
+    "effective_weights",
     "picard_coefficients",
     "reconstruct",
     "choose_alpha_partial",
@@ -53,8 +54,13 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _effective_weights(data: DataGrid) -> np.ndarray:
-    """Weights with missing nodes zeroed; refuses if too much weight is missing."""
+def effective_weights(data: DataGrid, basis) -> np.ndarray:
+    """The data weights with missing nodes zeroed; ParameterError unless the data's
+    nodes and weights are bitwise those of the basis rule, DataCoverageError where
+    missing nodes carry more than MAX_MISSING_WEIGHT of the total weight."""
+    quad = basis.quad
+    if not (np.array_equal(data.nodes, quad.nodes) and np.array_equal(data.weights, quad.weights)):
+        raise ParameterError("data nodes and weights must match the basis quadrature bitwise")
     missing = float(data.weights[~data.valid].sum())
     if missing > MAX_MISSING_WEIGHT * float(data.weights.sum()):
         raise DataCoverageError(
@@ -78,6 +84,13 @@ def expand(basis, coeffs, keep) -> np.ndarray:
     return basis.on_nodes(np.where(keep, coeffs.T / basis.mode_norms, 0.0).T)
 
 
+def _picard(basis, w, values) -> np.ndarray:
+    """<u, psi_hat> / mu per mode for samples `values`, (N,) or (N, k), under the weights w."""
+    if np.any(basis.mu == 0.0):
+        raise ParameterError("basis contains a zero eigenvalue")
+    return project(basis, values * (w if values.ndim == 1 else w[:, None]), basis.mu)
+
+
 def picard_coefficients(data: DataGrid, basis, values=None) -> np.ndarray:
     """Per-mode expansion coefficients of the contrast, <u, psi_hat> / mu.
 
@@ -87,14 +100,8 @@ def picard_coefficients(data: DataGrid, basis, values=None) -> np.ndarray:
     nodes' weight excluded.  `values`, (N, k), replaces the data values by k
     columns on the same nodes and flags and gives (modes, k) coefficients.
     """
-    if data.nodes.shape != basis.quad.nodes.shape or not np.array_equal(data.nodes, basis.quad.nodes):
-        raise ParameterError("data nodes must match the basis quadrature bitwise")
-    mu = basis.mu
-    if np.any(mu == 0.0):
-        raise ParameterError("basis contains a zero eigenvalue")
-    w = _effective_weights(data)
-    values = data.values if values is None else values
-    return project(basis, values * (w if values.ndim == 1 else w[:, None]), mu)
+    return _picard(basis, effective_weights(data, basis),
+                   data.values if values is None else values)
 
 
 def reconstruct(data: DataGrid, basis, alpha: float,
@@ -105,8 +112,8 @@ def reconstruct(data: DataGrid, basis, alpha: float,
     `keys` as the cutoff set, and beta(alpha) on the data disk (None on a set).
     """
     keep, beta = basis.cutoff(alpha)  # raises on an empty cutoff
-    coeffs = picard_coefficients(data, basis)
-    w = _effective_weights(data)
+    w = effective_weights(data, basis)
+    coeffs = _picard(basis, w, data.values)
     # the field sum coeff_i psi_hat_i and the data it predicts, mu_i coeff_i, in one product
     node_field, predicted = expand(basis, np.stack([coeffs, coeffs * basis.mu], axis=1), keep).T
     unorm = np.sqrt(np.sum(w * np.abs(data.values) ** 2))

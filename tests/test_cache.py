@@ -5,8 +5,7 @@ import pytest
 
 import prolate as P
 from prolate import cache
-from prolate.cache import (cache_key, load_basis, load_disk_basis, load_symset_basis,
-                           save_disk_basis, save_symset_basis)
+from prolate.cache import cache_key, load_basis, save_disk_basis, save_symset_basis
 from prolate.errors import CacheError
 
 
@@ -14,7 +13,7 @@ class TestDiskRoundTrip:
     def test_bit_exact(self, disk_c5, tmp_path):
         path = tmp_path / "disk.gpswf"
         save_disk_basis(path, disk_c5)
-        back = load_disk_basis(path)
+        back = load_basis(path)
         assert back.c == disk_c5.c
         assert back.truncation == disk_c5.truncation
         assert len(back.modes) == len(disk_c5.modes)
@@ -42,7 +41,7 @@ class TestSymsetRoundTrip:
     def test_bit_exact(self, symset_disk_c5, tmp_path):
         path = tmp_path / "sym.gpswf"
         save_symset_basis(path, symset_disk_c5)
-        back = load_symset_basis(path)
+        back = load_basis(path)
         assert back.c == symset_disk_c5.c
         assert back.geometry == symset_disk_c5.geometry
         assert np.array_equal(back.quad.nodes, symset_disk_c5.quad.nodes)
@@ -61,7 +60,7 @@ class TestSymsetRoundTrip:
         read = []
         real = cache._read_container
         monkeypatch.setattr(cache, "_read_container", lambda p: read.append(real(p)) or read[-1])
-        back = load_symset_basis(path)
+        back = load_basis(path)
         table = back.node_values
         assert table.shape == (len(back.modes), len(back.quad))
         assert not table.flags.writeable
@@ -88,7 +87,7 @@ class TestIntegrity:
         blob[-5] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CacheError):
-            load_disk_basis(path)
+            load_basis(path)
 
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "junk.gpswf"
@@ -147,7 +146,7 @@ class TestMalformedMetadata:
         save_symset_basis(path, symset_disk_c5)
         _rewrite_metadata(path, edit)
         with pytest.raises(CacheError, match=str(path)):
-            load_symset_basis(path)
+            load_basis(path)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0, "4.0", True])
     @pytest.mark.parametrize("kind", ["disk", "L"])

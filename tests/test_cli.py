@@ -6,6 +6,8 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +322,7 @@ class TestIngestExtrapolate:
         assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
                     "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
         basis_file = capsys.readouterr().out.strip().splitlines()[-1]
-        k = 1.0
+        k = 2.0  # the basis's kernel scale c / h^2, so p = theta_hat - x_hat
         n = 48
         ang = 2 * math.pi * np.arange(n) / n
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -335,7 +337,7 @@ class TestIngestExtrapolate:
         samples = tmp_path / "ff.csv"
         samples.write_text("\n".join(rows) + "\n")
         out = tmp_path / "ingested.csv"
-        assert run(["ingest", str(samples), "--k", "1.0", "--basis", basis_file,
+        assert run(["ingest", str(samples), "--k", "2.0", "--basis", basis_file,
                     "-o", str(out)]) == 0
         grid = read_datagrid(out)
         assert grid.valid.sum() > 0.9 * len(grid.values)
@@ -358,7 +360,8 @@ class TestIngestExtrapolate:
         np.savetxt(samples, table, delimiter=",", fmt="%.17g", comments="",
                    header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
         out = tmp_path / "ingested.csv"
-        assert run(["ingest", str(samples), "--k", "1.0", "--basis", basis_file,
+        # k = c / h^2 = 5: the directions map onto the nodes unscaled
+        assert run(["ingest", str(samples), "--k", "5.0", "--basis", basis_file,
                     "-o", str(out)]) == 0
         with open(out, encoding="utf-8") as f:
             header = json.loads(f.readline())
@@ -414,17 +417,21 @@ def _exit_and_error(capsys, argv):
 
 def _per_row_ingest(samples, k, basis):
     """The far-field ingest one row at a time: each row's first six fields
-    parsed by float() and value / k^2 formed per row.  The per-row samples
-    are handed to ingest_farfield with k = 1, under which its own mapping
-    leaves the values bit for bit unchanged; the directions are handed over
-    as parsed, since the default cutoff is taken from their spacing."""
+    parsed by float(), each direction scaled by k / kappa and value / k^2
+    formed per row.  The per-row samples are handed to ingest_farfield with
+    k = kappa = 1, under which its own mapping leaves them bit for bit
+    unchanged (the default cutoff is taken from the scaled directions), and
+    the basis's kappa is put back in the meta."""
     with open(samples, encoding="utf-8") as f:
         f.readline()
         rows = [[float(v) for v in line.strip().split(",")[:6]] for line in f if line.strip()]
-    x_hat = [r[0:2] for r in rows]
-    theta_hat = [r[2:4] for r in rows]
+    scale = k / basis.kernel_scale
+    x_hat = [[scale * v for v in r[0:2]] for r in rows]
+    theta_hat = [[scale * v for v in r[2:4]] for r in rows]
     vals = [complex(r[4], r[5]) / k**2 for r in rows]
-    return P.ingest_farfield(x_hat, theta_hat, vals, 1.0, basis.quad, geometry=basis.geometry)
+    data = P.ingest_farfield(x_hat, theta_hat, vals, 1.0, 1.0, basis.quad,
+                             geometry=basis.geometry)
+    return replace(data, meta={**data.meta, "kappa": basis.kernel_scale})
 
 
 class TestIngestArrayPath:
@@ -445,7 +452,9 @@ class TestIngestArrayPath:
         theta_hat[:20] = x_hat[:20]  # twenty samples merge at p = 0
         node = basis.quad.nodes[7]
         x_hat = np.concatenate([x_hat, [[0.0, 0.0], [0.0, 0.0]]])
-        theta_hat = np.concatenate([theta_hat, [node, node]])  # a duplicate exact hit
+        # a duplicate exact hit: p = (k / kappa) theta_hat is the node to rounding
+        hit_dir = node / (1.7 / basis.kernel_scale)
+        theta_hat = np.concatenate([theta_hat, [hit_dir, hit_dir]])
         values = rng.standard_normal((len(x_hat), 2)) * [[1e3, 1e-3]]
         rows = ["xhat_x,xhat_y,thetahat_x,thetahat_y,re,im"]
         rows += [",".join(map(repr, r)) for r in np.column_stack([x_hat, theta_hat,
@@ -1325,3 +1334,151 @@ class TestStability:
         for line in lines[1:]:
             delta, alpha, error, bound = map(float, line.split(","))
             assert error <= bound * (1.0 + 1e-9)
+
+
+def _edit_field(path, row, column, value):
+    """Set field `column` of data row `row` (0-based) of a data file to `value`."""
+    lines = path.read_text().split("\n")
+    fields = lines[2 + row].split(",")
+    fields[column] = value
+    lines[2 + row] = ",".join(fields)
+    path.write_text("\n".join(lines))
+
+
+class TestBornDataOfTheBasis:
+    """A stage reads a data file only as the Born data of its basis's rule,
+    domain and bandwidth, and a setup only where its contrast lies in its
+    domain; anything else exits 2 with one stderr line and writes no output."""
+
+    # contained in the h = c / (2k) = 5 data disk of c = 10, k = 1
+    SETUP = {"regime": "full", "k": 1.0, "c_param": 10.0,
+             "contrast": {"shapes": [{"type": "disk", "center": [1.0, 0.5], "radius": 1.5,
+                                      "value": 1.0}]}}
+    OUTSIDE = {**SETUP, "contrast": {"shapes": [{"type": "disk", "center": [4.5, 0.0],
+                                                 "radius": 1.5, "value": 1.0}]}}
+
+    @pytest.fixture()
+    def files(self, tmp_path, cache_dir, capsys):
+        files = {}
+        # c = 9.5 and c = 10 at m, n <= 4 share J = 28 and so their rule, bit for bit
+        for c in ("9.5", "10"):
+            assert run(["basis", "disk", "--c", c, "--m-max", "4", "--n-max", "4"]) == 0
+            files["c" + c] = capsys.readouterr().out.strip()
+        for name, cfg in (("setup", self.SETUP), ("outside", self.OUTSIDE)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            files[name] = str(path)
+        files["data"] = str(tmp_path / "data.csv")
+        assert run(["synthesize", files["setup"], "--basis", files["c10"], "-o", files["data"],
+                    "--contrast-resolution", "40"]) == 0
+        files["targets"] = str(tmp_path / "targets.csv")
+        (tmp_path / "targets.csv").write_text("x,y\n0.5,0.0\n7.0,1.0\n")
+        capsys.readouterr()
+        return files
+
+    RECONSTRUCT = ["reconstruct", "data", "--basis", "c10", "--alpha", "0.01"]
+    EXTRAPOLATE = ["extrapolate", "data", "--basis", "c10", "--targets", "targets"]
+
+    @pytest.mark.parametrize("argv,edit,message", [
+        (["stability", "outside", "--basis", "c10", "--deltas", "0", "--alphas", "0.05"],
+         None, "not contained in the data domain"),
+        (RECONSTRUCT, lambda p: _edit_field(p, 0, 2, "-1.0"), "weights must match"),
+        (EXTRAPOLATE, lambda p: _edit_field(p, 0, 2, "-1.0"), "weights must match"),
+        (["reconstruct", "data", "--basis", "c9.5", "--alpha", "0.01"], None,
+         "basis bandwidth 9.5"),
+        (["extrapolate", "data", "--basis", "c9.5", "--targets", "targets"], None,
+         "basis bandwidth 9.5"),
+        (RECONSTRUCT, lambda p: _edit_field(p, 0, 5, "7"), "flag must be 0"),
+        (RECONSTRUCT, lambda p: _rewrite_json_line(p, 0, lambda h: h.update(delta="x")),
+         "'delta'"),
+        (RECONSTRUCT, lambda p: _rewrite_json_line(p, 0, lambda h: h.update(kappa="abc")),
+         "'kappa'"),
+    ], ids=["stability-uncontained", "reconstruct-negative-weight",
+            "extrapolate-negative-weight", "reconstruct-c9.5-on-c10", "extrapolate-c9.5-on-c10",
+            "flag-7", "delta-x", "kappa-abc"])
+    def test_refused(self, tmp_path, files, capsys, argv, edit, message):
+        if edit is not None:
+            edit(Path(files["data"]))
+        out = tmp_path / "out"
+        code, err = _exit_and_error(capsys, [files.get(a, a) for a in argv] + ["-o", str(out)])
+        assert code == 2 and len(err) == 1 and message in err[0], err
+        assert not out.exists()
+
+    def test_intact_data_accepted(self, tmp_path, files, capsys):
+        for argv in (self.RECONSTRUCT, self.EXTRAPOLATE):
+            assert run([files.get(a, a) for a in argv] + ["-o", str(tmp_path / "out")]) == 0
+        assert run(["stability", files["setup"], "--basis", files["c10"], "--deltas", "0",
+                    "--alphas", "0.05", "-o", str(tmp_path / "table.csv")]) == 0
+
+    @pytest.mark.parametrize("command", ["reconstruct", "extrapolate"])
+    def test_missing_weight_guard(self, tmp_path, files, capsys, command):
+        # flag rows missing until they carry over a fifth of the weight
+        data = Path(files["data"])
+        weights = read_datagrid(data).weights
+        for row in range(int(np.searchsorted(np.cumsum(weights), 0.2 * weights.sum())) + 1):
+            _edit_field(data, row, 5, "1")
+        argv = self.RECONSTRUCT if command == "reconstruct" else self.EXTRAPOLATE
+        out = tmp_path / "out"
+        code, err = _exit_and_error(capsys, [files.get(a, a) for a in argv] + ["-o", str(out)])
+        assert code == 1 and len(err) == 1 and "missing nodes carry" in err[0], err
+        assert not out.exists()
+
+
+class TestIngestScale:
+    """`ingest` maps the far field at k onto the nodes at p = (k / kappa)(theta_hat
+    - x_hat), kappa = c / h^2, so on a data domain of any scale h it matches the
+    Born data `synthesize` writes for the same phantom."""
+
+    C = 5.0
+
+    @pytest.mark.parametrize("h", [0.5, 2.0])
+    @pytest.mark.parametrize("geo", ["L", "M"])
+    def test_matches_synthesized_data(self, tmp_path, cache_dir, capsys, geo, h):
+        k, n = self.C / h, 64
+        if geo == "L":
+            theta = 2.2
+            flags = ["--geometry", "L", "--theta", repr(theta)]
+            cfg = {"regime": "limited", "k": k, "theta": theta}
+            shape = {"type": "disk", "center": [0.9 * h, 0.2 * h], "radius": 0.25 * h}
+            t = theta * ((np.arange(n) + 0.5) / n * 2.0 - 1.0)
+            e = np.stack([np.cos(t), np.sin(t)], axis=1)
+            x_hat, theta_hat = np.repeat(e, n, axis=0), np.tile(e, (n, 1))
+        else:
+            x_star = np.array([0.6, 0.8])
+            flags = ["--geometry", "M", "--x-star", "0.6,0.8"]
+            cfg = {"regime": "multifreq", "K": k, "x_star": x_star.tolist()}
+            shape = {"type": "disk", "center": (0.9 * h * x_star).tolist(), "radius": 0.3 * h}
+            # one observation direction -+x* at n / 2 equispaced frequency fractions s,
+            # as direction vectors
+            s = (np.arange(n // 2) + 0.5) / (n // 2)
+            t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+            e = np.stack([np.cos(t), np.sin(t)], axis=1)
+            x_hat = np.concatenate([np.repeat(-sign * s[:, None] * x_star, n, axis=0)
+                                    for sign in (1.0, -1.0)])
+            theta_hat = np.tile((s[:, None, None] * e).reshape(-1, 2), (2, 1))
+        shapes = [{**shape, "value": 1.0}]
+        setup = write_setup(tmp_path, {**cfg, "c_param": self.C, "contrast": {"shapes": shapes}})
+        q = P.ContrastField.from_shapes(shapes, resolution=40)
+        u = k * k * P.synthesize_born(q, k, theta_hat - x_hat).values
+        samples = tmp_path / "ff.csv"
+        np.savetxt(samples, np.column_stack([x_hat, theta_hat, u.real, u.imag]), delimiter=",",
+                   fmt="%.17g", comments="", header=",".join(FAR_COLUMNS))
+        assert run(["basis", "symset", *flags, "--c", repr(self.C), "--h", repr(h),
+                    "--resolution", "48", "--modes", "10", "--method", "polar"]) == 0
+        basis = capsys.readouterr().out.strip()
+        data, ing = tmp_path / "data.csv", tmp_path / "ing.csv"
+        assert run(["synthesize", str(setup), "--basis", basis, "-o", str(data),
+                    "--contrast-resolution", "40"]) == 0
+        assert run(["ingest", str(samples), "--k", repr(k), "--basis", basis,
+                    "-o", str(ing)]) == 0
+        want, got = read_datagrid(data), read_datagrid(ing)
+        assert got.meta["kappa"] == P.load_basis(basis).kernel_scale
+        assert got.meta["kappa"] * h**2 == pytest.approx(self.C, rel=1e-14)
+        w = got.weights
+        assert w[got.valid].sum() >= 0.9 * w.sum()
+        diff = got.values - want.values
+        err = np.sqrt(np.sum(w[got.valid] * np.abs(diff[got.valid]) ** 2)
+                      / np.sum(w[got.valid] * np.abs(want.values[got.valid]) ** 2))
+        assert err <= 0.05, err
+        assert run(["reconstruct", str(ing), "--basis", basis, "--alpha", "1e-3",
+                    "-o", str(tmp_path / "rec.json")]) == 0

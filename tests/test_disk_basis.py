@@ -129,13 +129,17 @@ class TestNodeValuesOnLoad:
 class TestAssemble:
     def test_c_zero_decouples(self):
         tri = assemble_sl_matrix(0.0, 0, 3)
-        assert np.allclose(tri.diagonal, [0.0, 8.0, 24.0], atol=1e-12)
-        assert np.allclose(tri.off_diagonal, 0.0, atol=1e-13)
+        assert np.allclose(np.diag(tri), [0.0, 8.0, 24.0], atol=1e-12)
+        assert np.allclose(np.diag(tri, 1), 0.0, atol=1e-13)
 
     def test_symmetric_by_construction(self):
-        tri = assemble_sl_matrix(7.3, 4, 12)
-        dense = tri.to_dense()
+        dense = assemble_sl_matrix(7.3, 4, 12)
         assert np.array_equal(dense, dense.T)
+
+    def test_tridiagonal(self):
+        dense = assemble_sl_matrix(7.3, 4, 12)
+        assert dense.shape == (12, 12)
+        assert not np.triu(dense, 2).any() and not np.tril(dense, -2).any()
 
     def test_matches_dense_quadrature_oracle(self):
         c, m, J = 10.0, 2, 20
@@ -146,7 +150,7 @@ class TestAssemble:
         for j in range(J):
             dz = apply_radial_operator(c, m, j, r)
             dense[j] = Z @ (w * r * dz)
-        tri = assemble_sl_matrix(c, m, J).to_dense()
+        tri = assemble_sl_matrix(c, m, J)
         scale = np.abs(dense).max()
         assert np.abs(tri - dense).max() <= 1e-11 * scale
 

@@ -378,7 +378,7 @@ class TestIngest:
     def test_coincident_directions_land_at_origin(self):
         target = disk_polar_rule(2.0, 8, 8)
         d = np.array([1.0, 0.0])
-        data = ingest_farfield([d], [d], [3.0 + 0j], 2.0, target, cutoff=5.0)
+        data = ingest_farfield([d], [d], [3.0 + 0j], 2.0, 2.0, target, cutoff=5.0)
         # every target value comes from the single sample at p = 0
         assert np.allclose(data.values[data.valid], 3.0 / 4.0)
 
@@ -395,7 +395,7 @@ class TestIngest:
             for th, v in zip(dirs, born):
                 samples.append((xh, th, k * k * v))
         target = disk_polar_rule(2.0, 24, 32)
-        data = ingest_farfield(*map(np.array, zip(*samples)), k, target)
+        data = ingest_farfield(*map(np.array, zip(*samples)), k, k, target)
         want = synthesize_born(q, k, target).values
         assert not data.flags.any()
         err = np.abs(data.values - want).max() / np.abs(want).max()
@@ -403,14 +403,15 @@ class TestIngest:
 
     def test_empty_samples_all_missing(self):
         target = disk_polar_rule(1.0, 6, 8)
-        data = ingest_farfield([], [], [], 1.0, target)
+        data = ingest_farfield([], [], [], 1.0, 1.0, target)
         assert data.flags.all()
 
     def test_duplicate_p_points_averaged(self):
         target = P.QuadratureRule(np.array([[0.0, 1e-15]]), np.array([1.0]))
         d1, d2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         # both samples land at p = 0
-        data = ingest_farfield([d1, d2], [d1, d2], [2.0 + 0j, 4.0 + 0j], 1.0, target, cutoff=1.0)
+        data = ingest_farfield([d1, d2], [d1, d2], [2.0 + 0j, 4.0 + 0j], 1.0, 1.0, target,
+                               cutoff=1.0)
         assert data.values[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_duplicates_merge_in_sample_order(self):
@@ -421,7 +422,7 @@ class TestIngest:
         p = rng.uniform(-1.0, 1.0, (12, 2))
         group = rng.integers(0, 12, 400)
         values = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-        data = ingest_farfield(np.zeros((400, 2)), p[group], values, 1.0,
+        data = ingest_farfield(np.zeros((400, 2)), p[group], values, 1.0, 1.0,
                                P.QuadratureRule(p, np.ones(12)), cutoff=1.0)
         sums = np.zeros(12, dtype=complex)
         np.add.at(sums, group, values)
@@ -430,7 +431,7 @@ class TestIngest:
     def test_far_targets_flagged_missing(self):
         target = P.QuadratureRule(np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([1.0, 1.0]))
         d = np.array([1.0, 0.0])
-        data = ingest_farfield([d], [d], [1.0 + 0j], 1.0, target, cutoff=0.5)
+        data = ingest_farfield([d], [d], [1.0 + 0j], 1.0, 1.0, target, cutoff=0.5)
         assert data.flags.tolist() == [0, 1]
         assert data.values[1] == 0.0
 
@@ -537,7 +538,7 @@ class TestDataGridIO:
         nodes = np.column_stack([rng.standard_normal(8) * 10.0 ** rng.integers(-12, 12, 8), edge])
         values = edge[::-1] * rng.uniform(-0.9, 0.9, 8) + 1j * edge
         data = DataGrid(nodes=nodes, weights=np.abs(edge) + 0.5, values=values,
-                        flags=np.array([0, 1, 0, 0, 1, 0, 0, 2], dtype=np.uint8),
+                        flags=np.array([0, 1, 0, 0, 1, 0, 0, 1], dtype=np.uint8),
                         meta={"kappa": 2.0})
         path = tmp_path / "grid.csv"
         write_datagrid(path, data)
@@ -568,7 +569,7 @@ class TestDataGridIO:
         "padded fields": (" 0.5 , -0.25,\t0.125 ,1.5,-2.0, 0 \n" + ROW + "\n", True),
         "plus flag": (ROW[:-1] + "+1\n", True),
         "underscore float": ("1_0" + ROW[3:] + "\n", False),
-        "underscore flag": (ROW[:-1] + "1_0\n", False),
+        "underscore flag": (ROW[:-1] + "0_1\n", False),
         "float flag": (ROW + "\n" + ROW[:-1] + "1.0\n", False),
         "wide flag": (ROW[:-1] + "300\n", False),
         "negative flag": (ROW[:-1] + "-1\n", False),
@@ -634,6 +635,45 @@ class TestDataGridIO:
         lines[6] += ",0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParameterError, match="line 7: malformed data row"):
+            read_datagrid(path)
+
+    @staticmethod
+    def _with_header(path, **fields):
+        """Write TestNoise's grid to `path` with `fields` set in its JSON header."""
+        write_datagrid(path, TestNoise()._data())
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(header), **fields}) + "\n" + rest)
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"kappa": "abc"}, "kappa"), ({"kappa": 0.0}, "kappa"), ({"kappa": -2.0}, "kappa"),
+        ({"kappa": math.inf}, "kappa"), ({"kappa": True}, "kappa"),
+        ({"delta": "x"}, "delta"), ({"delta": None}, "delta"), ({"delta": -0.1}, "delta"),
+        ({"delta": math.nan}, "delta"), ({"meta": {"delta_abs": "x"}}, "delta_abs"),
+        ({"meta": {"delta_abs": -1e-3}}, "delta_abs"), ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"), ({"seed": "3"}, "seed"), ({"seed": True}, "seed"),
+    ])
+    def test_header_field_refused(self, tmp_path, fields, name):
+        path = tmp_path / "grid.csv"
+        self._with_header(path, **fields)
+        with pytest.raises(ParameterError, match=f"header '{name}'"):
+            read_datagrid(path)
+
+    @pytest.mark.parametrize("fields", [{"kappa": None}, {"kappa": 2.5}, {"seed": None},
+                                        {"seed": 0}, {"seed": 7}, {"delta": 0},
+                                        {"meta": {"delta_abs": 0.0}}])
+    def test_header_field_accepted(self, tmp_path, fields):
+        path = tmp_path / "grid.csv"
+        self._with_header(path, **fields)
+        read_datagrid(path)
+
+    @pytest.mark.parametrize("flag", ["2", "7", "255"])
+    def test_flag_other_than_0_or_1_refused(self, tmp_path, flag):
+        path = tmp_path / "grid.csv"
+        write_datagrid(path, TestNoise()._data())
+        lines = path.read_text().split("\n")
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + flag
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParameterError, match=f"data row 4 flag must be 0 .* got {flag}"):
             read_datagrid(path)
 
     def test_header_is_json_line(self, tmp_path):

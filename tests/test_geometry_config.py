@@ -8,7 +8,8 @@ import prolate as P
 from prolate.errors import ParameterError
 from prolate.forward import ContrastField
 from prolate.geometry_config import (ProblemSetup, default_c_full, effective_kernel_scale,
-                                     read_setup, setup_from_dict, validate_setup)
+                                     read_setup, setup_from_dict, synthesize_setup,
+                                     validate_setup)
 
 
 def disk_contrast(radius, value=1.0):
@@ -41,6 +42,25 @@ class TestValidateSetup:
         assert report.margin < 0.0
         worst = min(report.violations, key=lambda p: abs(p[1]))
         assert abs(worst[1]) < 0.1  # offending points cluster near the x axis
+
+
+class TestSynthesizeSetup:
+    @pytest.mark.parametrize("regime,extra", [("full", {}), ("limited", {"theta": 2.0}),
+                                              ("multifreq", {"x_star": (0.6, 0.8)})])
+    def test_born_data_of_the_setup(self, regime, extra):
+        shapes = [{"type": "disk", "center": (0.3, 0.4), "radius": 0.2, "value": 1.0}]
+        setup = ProblemSetup(contrast=ContrastField.from_shapes(shapes, resolution=24),
+                             regime=regime, k=1.5, c_param=6.0, **extra)
+        rule = P.build_quadrature(setup.domain, 24, method="polar")
+        data = synthesize_setup(setup, rule)
+        want = P.synthesize_born(setup.contrast, effective_kernel_scale(setup), rule)
+        assert np.array_equal(data.values, want.values) and data.meta == want.meta
+        assert data.geometry == setup.domain
+
+    def test_refuses_uncontained_support(self):
+        setup = ProblemSetup(contrast=disk_contrast(0.6), regime="full", k=1.0, c_param=1.0)
+        with pytest.raises(ParameterError, match="not contained in the data domain"):
+            synthesize_setup(setup, P.disk_polar_rule(setup.h, 8, 8))
 
 
 class TestKernelScale:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, jv
 
 from prolate.errors import EigensolverError, ParameterError
-from prolate.numerics import (QuadratureRule, SymmetricTridiagonal, bessel_j, bessel_table,
-                              disk_polar_rule, gauss_legendre, gauss_legendre_01, mirror_map,
-                              sym_eig, zernike_radial, zernike_radial_table)
+from prolate.numerics import (QuadratureRule, bessel_j, bessel_table, disk_polar_rule,
+                              gauss_legendre, gauss_legendre_01, mirror_map, sym_eig,
+                              zernike_radial, zernike_radial_table)
 from prolate.symset_basis import Geometry, build_quadrature
 
 J0_FIRST_ZERO = 2.404825557695773
@@ -285,9 +285,9 @@ class TestSymEig:
         assert np.allclose(vals, [-1.0, 1.0])
 
     def test_tridiagonal_form(self):
-        tri = SymmetricTridiagonal(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]))
+        tri = np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, -1.0], 1) + np.diag([-1.0, -1.0], -1)
         vals, vecs = sym_eig(tri)
-        dense_vals, _ = sym_eig(tri.to_dense())
+        dense_vals, _ = sym_eig(tri)
         assert np.allclose(vals, dense_vals, atol=1e-12)
         assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
 
@@ -327,10 +327,11 @@ class TestSymEig:
             sym_eig(b)
 
     def test_single_entry_tridiagonal(self):
-        vals, vecs = sym_eig(SymmetricTridiagonal(np.array([3.5]), np.array([])))
+        vals, vecs = sym_eig(np.diag([3.5]))
         assert np.array_equal(vals, [3.5]) and np.array_equal(np.abs(vecs), [[1.0]])
 
-    @pytest.mark.parametrize("matrix", [np.eye(3), SymmetricTridiagonal(np.ones(3), np.ones(2))])
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.diag(np.ones(3)) + np.diag(np.ones(2), 1)
+                                        + np.diag(np.ones(2), -1)])
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch, matrix):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

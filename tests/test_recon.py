@@ -8,8 +8,8 @@ import prolate as P
 from prolate.errors import DataCoverageError, EmptyCutoffError, ParameterError
 from prolate.forward import DataGrid, add_noise
 from prolate.numerics import real_matmul
-from prolate.recon import (choose_alpha_partial, expand, picard_coefficients, project,
-                           read_result, reconstruct, write_result)
+from prolate.recon import (choose_alpha_partial, effective_weights, expand, picard_coefficients,
+                           project, read_result, reconstruct, write_result)
 
 
 def make_grid(basis, values, flags=None, meta=None):
@@ -72,6 +72,27 @@ class TestPicardCoefficients:
                            values=data.values, flags=data.flags)
         with pytest.raises(ParameterError):
             picard_coefficients(shifted, scaled_c6)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-15, -1.0])
+    def test_weight_mismatch_rejected(self, scaled_c6, scale):
+        # the weights must be the basis rule's bit for bit, as the nodes must
+        weights = scaled_c6.quad.weights.copy()
+        weights[0] *= scale
+        data = DataGrid(nodes=scaled_c6.quad.nodes, weights=weights,
+                        values=np.ones(len(weights), dtype=complex),
+                        flags=np.zeros(len(weights), dtype=np.uint8))
+        for call in (lambda: picard_coefficients(data, scaled_c6),
+                     lambda: reconstruct(data, scaled_c6, alpha=0.01),
+                     lambda: P.extrapolate(data, scaled_c6, np.zeros((1, 2)))):
+            with pytest.raises(ParameterError, match="weights must match"):
+                call()
+
+    def test_effective_weights_zero_missing_nodes(self, scaled_c6):
+        flags = np.zeros(len(scaled_c6.quad), dtype=np.uint8)
+        flags[:3] = 1
+        data = make_grid(scaled_c6, np.zeros(len(flags), dtype=complex), flags=flags)
+        w = effective_weights(data, scaled_c6)
+        assert np.array_equal(w, np.where(flags == 0, scaled_c6.quad.weights, 0.0))
 
     def test_refuses_poor_coverage(self, scaled_c6):
         n = len(scaled_c6.quad)
