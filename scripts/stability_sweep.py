@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from prolate.cli import experiment_stability
+from prolate.cli import experiment_stability, write_stability
 from prolate.disk_basis import compute_disk_basis
 from prolate.geometry_config import setup_from_dict
 
@@ -38,10 +38,7 @@ def main():
     alphas = np.geomspace(0.95 / chis.min(), 0.9 / chis.max(), args.n_alphas)
     deltas = [float(t) for t in args.deltas.split(",")]
     rows = experiment_stability(setup, basis, deltas, list(alphas), args.seed, args.seeds)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("delta,alpha,error,bound\n")
-        for r in rows:
-            f.write(f"{r['delta']!r},{r['alpha']!r},{r['error']!r},{r['bound']!r}\n")
+    write_stability(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
 
 

@@ -22,14 +22,15 @@ from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
 from .disk_basis import DiskBasis, compute_disk_basis, default_truncation
 from .errors import ParameterError, ProlateError
-from .forward import _loadtxt, add_noise, ingest_farfield, read_datagrid, write_datagrid
+from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, write_csv,
+                      write_datagrid)
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
 from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
                     write_field_csv, write_result)
 from .symset_basis import (PAIRING_TOL, RULE_VERSION, Geometry, build_quadrature,
                            compute_symset_basis)
 
-__all__ = ["run", "main", "experiment_stability"]
+__all__ = ["run", "main", "experiment_stability", "write_stability"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,8 +227,8 @@ def _cmd_ingest(args) -> int:
     if isinstance(basis, DiskBasis):
         raise ParameterError("ingest requires a symset basis or a scaled target; "
                              "build a symset disk basis for full-aperture targets")
-    table = _read_columns(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y",
-                                         "re", "im"], "far-field")
+    table = read_columns(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y",
+                                        "re", "im"], "far-field")
     if not len(table):
         raise ParameterError(f"{args.samples}: no far-field rows")
     values = np.ascontiguousarray(table[:, 4:]).view(complex)[:, 0]
@@ -236,43 +237,6 @@ def _cmd_ingest(args) -> int:
     write_datagrid(args.out, data)
     print(args.out)
     return 0
-
-
-def _read_columns(path: str, columns: list[str], what: str) -> np.ndarray:
-    """The non-blank rows of a CSV file whose header starts with `columns`, as a
-    (rows, len(columns)) array of finite floats; fields past len(columns) are ignored.
-
-    numpy's reader parses the body straight from the file (`forward._loadtxt`);
-    where it refuses a row, or a number is not finite, the body is parsed
-    again through `_floats` line by line, which names the first bad line.
-    """
-    count = len(columns)
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:count] != columns:
-            raise ParameterError(f"unexpected {what} columns {header}")
-        body = f.tell()
-        table = _loadtxt(path, f, float, range(count))
-        if table is not None and np.isfinite(table).all():
-            return table.reshape(-1, count)
-        f.seek(body)
-        rows = [_floats(line, count, f"{path} line {lineno}")
-                for lineno, line in enumerate(f, 2) if line.strip()]
-    return np.array(rows) if rows else np.empty((0, count))
-
-
-def _floats(line: str, count: int, where: str) -> list[float]:
-    """The first `count` comma-separated fields of a CSV row as finite floats."""
-    fields = line.strip().split(",")[:count]
-    try:
-        values = [float(v) for v in fields]
-    except ValueError:
-        raise ParameterError(f"{where}: malformed row {line.strip()!r}") from None
-    if len(values) < count:
-        raise ParameterError(f"{where}: expected {count} fields, got {line.strip()!r}")
-    if not all(map(math.isfinite, values)):
-        raise ParameterError(f"{where}: non-finite number in row {line.strip()!r}")
-    return values
 
 
 def _flag(name: str, value: float, positive: bool) -> float:
@@ -369,14 +333,11 @@ def _cmd_extrapolate(args) -> int:
     if not isinstance(basis, DiskBasis):
         raise ParameterError("extrapolate requires a disk basis file")
     basis = _pair_with_data(basis, data)
-    targets = _read_columns(args.targets, ["x", "y"], "target")
+    targets = read_columns(args.targets, ["x", "y"], "target")
     if not len(targets):
         raise ParameterError(f"{args.targets}: no target rows")
     values = extrapolate(data, basis, targets)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("x,y,re,im\n")
-        f.writelines(map("{!r},{!r},{!r},{!r}\n".format, targets[:, 0].tolist(),
-                         targets[:, 1].tolist(), values.real.tolist(), values.imag.tolist()))
+    write_csv(args.out, "x,y,re,im", targets[:, 0], targets[:, 1], values.real, values.imag)
     print(args.out)
     return 0
 
@@ -441,6 +402,12 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     return rows
 
 
+def write_stability(path, rows: list[dict]) -> None:
+    """The rows of `experiment_stability` as the CSV table delta,alpha,error,bound."""
+    keys = ("delta", "alpha", "error", "bound")
+    write_csv(path, ",".join(keys), *([r[key] for r in rows] for key in keys))
+
+
 def _cmd_stability(args) -> int:
     if args.seeds < 1:
         raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
@@ -449,11 +416,8 @@ def _cmd_stability(args) -> int:
     with _sized_by("--contrast-resolution"):
         setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
     basis = _load_basis_for_setup(args.basis, setup)
-    rows = experiment_stability(setup, basis, deltas, alphas, args.seed, args.seeds)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("delta,alpha,error,bound\n")
-        for r in rows:
-            f.write(f"{r['delta']!r},{r['alpha']!r},{r['error']!r},{r['bound']!r}\n")
+    write_stability(args.out, experiment_stability(setup, basis, deltas, alphas, args.seed,
+                                                   args.seeds))
     print(args.out)
     return 0
 

@@ -9,6 +9,7 @@ k^2 u(theta_hat - x_hat).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -29,6 +30,8 @@ __all__ = [
     "add_noise",
     "write_datagrid",
     "read_datagrid",
+    "read_columns",
+    "write_csv",
 ]
 
 
@@ -225,6 +228,9 @@ class DataGrid:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
         object.__setattr__(self, "flags", np.asarray(self.flags, dtype=np.uint8))
+        if np.any(self.flags > 1):
+            raise ParameterError(f"data grid flags must be 0 (valid) or 1 (missing), "
+                                 f"got {self.flags.max()}")
 
     @property
     def valid(self) -> np.ndarray:
@@ -405,41 +411,23 @@ def write_datagrid(path, data: DataGrid) -> None:
         "geometry": data.geometry.to_dict() if data.geometry is not None else None,
         "count": len(data.values),
     }
-    extra = {k: v for k, v in data.meta.items() if k not in header and _json_safe(v)}
-    header["meta"] = extra
+    header["meta"] = {k: v for k, v in data.meta.items()
+                      if k not in header and isinstance(v, (int, float, str, bool, type(None)))}
+    write_csv(path, json.dumps(header, sort_keys=True) + "\npx,py,weight,re,im,flag",
+              data.nodes[:, 0], data.nodes[:, 1], data.weights, data.values.real,
+              data.values.imag, data.flags)
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """The text file `path`: the header lines, then one CSV row per entry of the
+    columns, each field the repr of the entry as a Python number (a float's
+    shortest round-trip digits)."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        f.write("px,py,weight,re,im,flag\n")
-        f.writelines(map("{!r},{!r},{!r},{!r},{!r},{:d}\n".format,
-                         data.nodes[:, 0].tolist(), data.nodes[:, 1].tolist(),
-                         data.weights.tolist(), data.values.real.tolist(),
-                         data.values.imag.tolist(), data.flags.tolist()))
+        f.write(header + "\n")
+        f.writelines(map((",".join(["{!r}"] * len(columns)) + "\n").format,
+                         *(np.asarray(c).tolist() for c in columns)))
 
 
-def _json_safe(v) -> bool:
-    return isinstance(v, (int, float, str, bool, type(None)))
-
-
-def _split_columns(numbers: np.ndarray, flags: np.ndarray):
-    """Nodes, weights, values and flags from the (rows, 5) numbers and the flags."""
-    values = np.ascontiguousarray(numbers[:, 3:]).view(complex)[:, 0]  # re, im bit for bit
-    return numbers[:, :2], numbers[:, 2], values, flags
-
-
-def _data_columns(rows: list[str]):
-    """The columns of the data rows, parsed in one pass over all their fields.
-
-    Every row must have exactly six fields: five floats and an integer flag.
-    """
-    if any(row.count(",") != 5 for row in rows):
-        raise ValueError("data rows must have six fields")
-    fields = ",".join(rows).split(",") if rows else []
-    flags = np.array(list(map(int, fields[5::6])), dtype=np.uint8)
-    del fields[5::6]
-    return _split_columns(np.array(list(map(float, fields))).reshape(-1, 5), flags)
-
-
-_ROW_ERRORS = (ValueError, OverflowError)
 _ROW_DTYPE = np.dtype([("numbers", "<f8", (5,)), ("flag", "u1")])
 # Field padding that numpy's reader strips and `float` and `int` refuse.
 _READER_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -449,14 +437,11 @@ def _loadtxt(path, f, dtype, usecols=None) -> np.ndarray | None:
     """The rest of the text file `f`, opened from `path`, as one `np.loadtxt`
     table (rows of `dtype`, or of the fields `usecols`), read straight from
     the file; None where the reader refuses it, warns, or would strip field
-    padding that `float` and `int` refuse.
-
-    Where the reader accepts the rows, it reads each field as `float` or
-    `int` does, so a line-by-line parse gives the same numbers.  Rows it
-    refuses (a line of spaces, `1_0`, a flag of 1.0 or 300, a row of the
-    wrong length) are left to the caller's line-by-line parse, which
-    accepts them or names a bad line.
-    """
+    padding that `float` and `int` refuse.  Where it accepts the rows, it
+    reads each field as `float` or `int` does, so the line-by-line pass of
+    `_read_table` gives the same numbers; that pass takes the rows it refuses
+    (a line of spaces, `1_0`, a flag of 1.0 or 300, a row of the wrong
+    length), or names a bad line."""
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(1 << 16), b""):
             if any(ch in chunk for ch in _READER_ONLY_SPACE):
@@ -466,21 +451,69 @@ def _loadtxt(path, f, dtype, usecols=None) -> np.ndarray | None:
         try:
             return np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, usecols=usecols,
                               ndmin=1)
-        except _ROW_ERRORS + (Warning,):
+        except (ValueError, OverflowError, Warning):
             return None
 
 
-def _malformed_row(path) -> ParameterError:
-    """The error naming the first data row of `path` that does not parse."""
+def _read_table(path, f, first: int, dtype, parse, usecols=None) -> np.ndarray:
+    """The rest of the text file `f`, opened from `path`, as a table of `dtype`:
+    numpy's reader (`_loadtxt`) where it takes the file and reads only finite
+    numbers (in a record table, its `numbers`), else one pass that parses each
+    non-blank line as `parse(line, "PATH line N")` (numbered from `first`),
+    which raises on the first bad one."""
+    body = f.tell()
+    table = _loadtxt(path, f, dtype, usecols)
+    if table is not None and np.isfinite(table["numbers"] if table.dtype.names else table).all():
+        return table
+    f.seek(body)
+    return np.array([parse(line, f"{path} line {lineno}")
+                     for lineno, line in enumerate(f, first) if line.strip()], dtype=dtype)
+
+
+def _split_columns(table: np.ndarray):
+    """Nodes, weights, values and flags of a table of `_ROW_DTYPE` data rows."""
+    numbers = np.ascontiguousarray(table["numbers"])
+    values = np.ascontiguousarray(numbers[:, 3:]).view(complex)[:, 0]  # re, im bit for bit
+    return numbers[:, :2], numbers[:, 2], values, np.ascontiguousarray(table["flag"])
+
+
+def _data_row(line: str, where: str) -> tuple[list[float], int]:
+    """The five floats and the uint8 flag of a data row.  Its fields are parsed
+    unstripped, so padding that `float` and `int` refuse (a trailing 0x1f)
+    makes the row malformed."""
+    fields = line.split(",")
+    try:
+        if len(fields) == 6 and 0 <= (flag := int(fields[5])) <= 255:
+            return [float(v) for v in fields[:5]], flag
+    except ValueError:
+        pass
+    raise ParameterError(f"{where}: malformed data row {line.strip()!r}")
+
+
+def read_columns(path, columns: list[str], what: str) -> np.ndarray:
+    """The non-blank rows of a CSV file whose header starts with `columns`, as a
+    (rows, len(columns)) array of finite floats; fields past len(columns) are
+    ignored.  A bad row raises ParameterError naming its line."""
+    count = len(columns)
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if lineno > 2 and line.strip():
-                try:
-                    _data_columns([line.strip()])
-                except _ROW_ERRORS:
-                    return ParameterError(f"{path} line {lineno}: malformed data row "
-                                          f"{line.strip()!r}")
-    return ParameterError(f"{path}: malformed data rows")
+        header = f.readline().strip().split(",")
+        if header[:count] != columns:
+            raise ParameterError(f"unexpected {what} columns {header}")
+        return _read_table(path, f, 2, float, lambda line, where: _floats(line, count, where),
+                           range(count)).reshape(-1, count)
+
+
+def _floats(line: str, count: int, where: str) -> list[float]:
+    """The first `count` comma-separated fields of a CSV row as finite floats."""
+    try:
+        values = [float(v) for v in line.strip().split(",")[:count]]
+    except ValueError:
+        raise ParameterError(f"{where}: malformed row {line.strip()!r}") from None
+    if len(values) < count:
+        raise ParameterError(f"{where}: expected {count} fields, got {line.strip()!r}")
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"{where}: non-finite number in row {line.strip()!r}")
+    return values
 
 
 def _check_meta(meta: dict, what: str) -> None:
@@ -503,18 +536,8 @@ def read_datagrid(path) -> DataGrid:
         cols = f.readline().strip().split(",")
         if cols != ["px", "py", "weight", "re", "im", "flag"]:
             raise ParameterError(f"unexpected data columns {cols}")
-        body = f.tell()
-        table = _loadtxt(path, f, _ROW_DTYPE)
-        if table is not None:
-            columns = _split_columns(np.ascontiguousarray(table["numbers"]),
-                                     np.ascontiguousarray(table["flag"]))
-        else:
-            f.seek(body)
-            try:
-                columns = _data_columns([line for line in f.read().split("\n") if line.strip()])
-            except _ROW_ERRORS:
-                raise _malformed_row(path) from None
-    nodes, weights, values, flags = columns
+        nodes, weights, values, flags = _split_columns(_read_table(path, f, 3, _ROW_DTYPE,
+                                                                   _data_row))
     check_keys(header, ("count",), f"{path} header")
     if len(values) != header["count"]:
         raise ParameterError("row count does not match header")

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataCoverageError, ParameterError
-from .forward import DataGrid
+from .forward import DataGrid, write_csv
 
 __all__ = [
     "ReconstructionResult",
@@ -169,8 +169,4 @@ def read_result(path) -> dict:
 def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
     """CSV rows x,y,q: each point and the real part of its field value."""
     points = np.asarray(points, dtype=float)
-    q = np.real(np.asarray(values)).astype(float)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("x,y,q\n")
-        f.writelines(map("{!r},{!r},{!r}\n".format,
-                         points[:, 0].tolist(), points[:, 1].tolist(), q.tolist()))
+    write_csv(path, "x,y,q", points[:, 0], points[:, 1], np.real(values).astype(float))

@@ -21,8 +21,8 @@ per orbit, sqrt(m_i w_i) K(p_i, p_j) sqrt(m_j w_j) with m the orbit size.  In
 frame coordinates (u, v) of the axis the four kernels are the separable
 products cos cos, -sin sin (even modes) and sin cos, cos sin (odd modes) of
 c/h^2 u_i u_j and c/h^2 v_i v_j.  Each class costs one (N/4)^3 eigensolve on
-(N/4)^2 memory instead of N^3 on N^2; a rule that records no reflection
-folds the same way into two (N/2)^3 parity blocks.
+(N/4)^2 memory instead of N^3 on N^2.  A rule that records no reflection
+has no such fold and is refused.
 Merged eigenpairs are ordered by |alpha| and normalized to unit plane
 energy, i.e. weighted node-norm squared equal to (c / 2 pi)^2 |alpha_n|^2.
 """
@@ -412,27 +412,27 @@ class SymSetBasis:
 
 
 def _symmetry_maps(quad: QuadratureRule) -> np.ndarray:
-    """Index maps of the rule's symmetry group, shape (order, N).
+    """Index maps of the rule's symmetry group, shape (4, N): the identity,
+    p -> -p, the reflection R in the rule's axis, and -R.
 
-    Rows: the identity and p -> -p, then, if the rule records its reflection R
-    in an axis, R and -R.  Raises ParameterError unless every map is an
+    Raises ParameterError unless the rule records R, every map is an
     involution that preserves the weights, R commutes with p -> -p, and R
     moves each node to its mirror image in the axis.
     """
     idx = np.arange(len(quad))
     mirror = mirror_indices(quad)
-    maps = [idx, mirror]
     refl = quad.reflection
-    if refl is not None:
-        if refl.min(initial=0) < 0 or refl.max(initial=0) >= len(quad):
-            raise ParameterError("quadrature rule's reflection map is out of range")
-        e = np.array(quad.axis)
-        image = 2.0 * (quad.nodes @ e)[:, None] * e - quad.nodes
-        scale = np.abs(quad.nodes).max(initial=1.0)
-        if not (np.array_equal(mirror[refl], refl[mirror])
-                and np.abs(quad.nodes[refl] - image).max(initial=0.0) <= 1e-12 * scale):
-            raise ParameterError("quadrature rule's reflection map is not a reflection in its axis")
-        maps += [refl, mirror[refl]]
+    if refl is None:
+        raise ParameterError("quadrature rule records no reflection in an axis")
+    if refl.min(initial=0) < 0 or refl.max(initial=0) >= len(quad):
+        raise ParameterError("quadrature rule's reflection map is out of range")
+    e = np.array(quad.axis)
+    image = 2.0 * (quad.nodes @ e)[:, None] * e - quad.nodes
+    scale = np.abs(quad.nodes).max(initial=1.0)
+    if not (np.array_equal(mirror[refl], refl[mirror])
+            and np.abs(quad.nodes[refl] - image).max(initial=0.0) <= 1e-12 * scale):
+        raise ParameterError("quadrature rule's reflection map is not a reflection in its axis")
+    maps = [idx, mirror, refl, mirror[refl]]
     for g in maps[1:]:
         if not (np.array_equal(g[g], idx) and np.array_equal(quad.weights[g], quad.weights)):
             raise ParameterError("quadrature rule is not symmetric under its reflections")
@@ -440,39 +440,31 @@ def _symmetry_maps(quad: QuadratureRule) -> np.ndarray:
 
 
 # Characters of the symmetry group, one row per symmetry class, on the rows
-# of `_symmetry_maps`: (identity, p -> -p) for order 2, and (identity, p -> -p,
-# R, -R) for order 4.  The second entry is the parity.
-_CHARACTERS = {2: np.array([[1, 1], [1, -1]]),
-               4: np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])}
+# (identity, p -> -p, R, -R) of `_symmetry_maps`.  The second entry is the parity.
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
 
 
 def _class_kernel(pts: np.ndarray, axis, scale: float, mw: np.ndarray,
                   chars: np.ndarray) -> np.ndarray:
     """sqrt(mw_i) K(p_i, p_j) sqrt(mw_j), assembled in one array, for one symmetry class.
 
-    Order 2: K = cos or sin of scale p_i.p_j for even or odd parity.  Order 4:
-    in frame coordinates (u, v) of the axis, K is the separable product
+    In frame coordinates (u, v) of the axis, K is the separable product
     f(scale u_i u_j) g(scale v_i v_j): cos cos, -sin sin, sin cos or cos sin,
     with g = cos for classes even under the reflection and f = cos for classes
     even under -R.
     """
-    if len(chars) == 2:
-        a = pts @ pts.T
-        a *= scale
-        (np.cos if chars[1] > 0 else np.sin)(a, out=a)
-    else:
-        e = np.asarray(axis)
-        u, v = pts @ e, pts @ np.array([-e[1], e[0]])
-        a = np.multiply.outer(u, u)
-        a *= scale
-        (np.cos if chars[3] > 0 else np.sin)(a, out=a)
-        b = np.multiply.outer(v, v)
-        b *= scale
-        (np.cos if chars[2] > 0 else np.sin)(b, out=b)
-        a *= b
-        del b
-        if chars[1] > 0 > chars[2]:
-            np.negative(a, out=a)  # -sin sin
+    e = np.asarray(axis)
+    u, v = pts @ e, pts @ np.array([-e[1], e[0]])
+    a = np.multiply.outer(u, u)
+    a *= scale
+    (np.cos if chars[3] > 0 else np.sin)(a, out=a)
+    b = np.multiply.outer(v, v)
+    b *= scale
+    (np.cos if chars[2] > 0 else np.sin)(b, out=b)
+    a *= b
+    del b
+    if chars[1] > 0 > chars[2]:
+        np.negative(a, out=a)  # -sin sin
     s = np.sqrt(mw)
     a *= s[:, None]
     a *= s[None, :]
@@ -487,9 +479,9 @@ def _class_kernel(pts: np.ndarray, axis, scale: float, mw: np.ndarray,
 PEAK_BYTES_PER_ENTRY = 48.0
 
 
-def _check_memory(n_nodes: int, order: int) -> None:
+def _check_memory(n_nodes: int) -> None:
     """Raise ParameterError before allocating if the folded solve cannot fit in RAM."""
-    block = -(-n_nodes // order)  # orbit representatives of the largest symmetry class
+    block = -(-n_nodes // 4)  # orbit representatives of the largest symmetry class
     need = PEAK_BYTES_PER_ENTRY * block * block
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -501,19 +493,20 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
                          n_modes: int) -> SymSetBasis:
     """Nystrom eigensystem of the Fourier operator on A_h, folded over the rule's symmetry group.
 
-    The group G holds p -> -p and, when the rule records one, its reflection
-    R in an axis (order 2 or 4).  The kernel depends on p.q only, so the N x N
-    Nystrom matrix splits into one block per character chi of G.  A mode of
-    class chi is fixed by its values on one representative per node orbit,
-    v(g p) = chi(g) v(p), and vanishes on orbits whose stabilizer chi does not
-    fix.  Each class is solved as B = sqrt(m w) K_chi sqrt(m w) over those
-    representatives (m the orbit size, K_chi as in `_class_kernel`); its
-    eigenvalues are nonzero eigenvalues of the full Nystrom matrix, and an
-    eigenvector u lifts to v = u / sqrt(m w) on the representatives.  Classes
-    even under p -> -p give even modes (alpha = beta, the cos kernel), the
-    others odd modes (alpha = i beta, the sin kernel).  Eigenpairs are merged,
-    sorted by |alpha| descending, and the top n_modes above the floor
-    1e-14 |alpha_0| are kept.
+    The group G = {1, -1, R, -R} holds p -> -p and the reflection R in the
+    axis the rule records (every `build_quadrature` rule does; a rule that
+    records none raises ParameterError).  The kernel depends on p.q only, so
+    the N x N Nystrom matrix splits into one block per character chi of G.
+    A mode of class chi is fixed by its values on one representative per
+    node orbit, v(g p) = chi(g) v(p), and vanishes on orbits whose
+    stabilizer chi does not fix.  Each class is solved as B = sqrt(m w)
+    K_chi sqrt(m w) over those representatives (m the orbit size, K_chi as
+    in `_class_kernel`); its eigenvalues are nonzero eigenvalues of the full
+    Nystrom matrix, and an eigenvector u lifts to v = u / sqrt(m w) on the
+    representatives.  Classes even under p -> -p give even modes (alpha =
+    beta, the cos kernel), the others odd modes (alpha = i beta, the sin
+    kernel).  Eigenpairs are merged, sorted by |alpha| descending, and the
+    top n_modes above the floor 1e-14 |alpha_0| are kept.
     """
     if c <= 0.0:
         raise ParameterError("compute_symset_basis requires c > 0")
@@ -521,18 +514,17 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         raise ParameterError("n_modes must be positive")
     if n_modes > len(quad) // 2:
         raise ParameterError("n_modes must be much smaller than the node count")
-    _check_memory(len(quad), 2 if quad.reflection is None else 4)
+    _check_memory(len(quad))
     maps = _symmetry_maps(quad)
-    order = len(maps)
     rep = np.flatnonzero(maps.min(axis=0) == np.arange(len(quad)))  # lowest index of each orbit
-    fixes = maps[:, rep] == rep  # (order, representatives): the stabilizers
-    orbit = order / fixes.sum(axis=0)
+    fixes = maps[:, rep] == rep  # (4, representatives): the stabilizers
+    orbit = len(maps) / fixes.sum(axis=0)
     pts, w = quad.nodes, quad.weights
     h2 = geometry.h**2
     candidates: list[tuple[float, int, int]] = []
     spectra = {"even": [], "odd": []}
     classes = []  # (characters, representatives, m w, top eigenvectors, their eigenvalues)
-    for k, chars in enumerate(_CHARACTERS[order]):
+    for k, chars in enumerate(_CHARACTERS):
         live = ~np.any(fixes & (chars[:, None] < 0), axis=0)
         sub = rep[live]
         mw = orbit[live] * w[sub]

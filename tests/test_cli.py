@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import prolate as P
-from prolate import cli
+from prolate import cli, forward
 from prolate.cli import experiment_stability, run
 from prolate.errors import ParameterError
 from prolate.forward import add_noise, read_datagrid
@@ -605,7 +605,7 @@ class TestPairing:
 
 
 class TestFarFieldReader:
-    """`cli._read_columns` reads a far-field file with numpy's reader straight
+    """`forward.read_columns` reads a far-field file with numpy's reader straight
     from the file, and falls back to its line-by-line parse where the reader
     refuses a row or meets a non-finite number: the two give the same arrays,
     or the same one-line exit-2 message."""
@@ -639,7 +639,7 @@ class TestFarFieldReader:
     @staticmethod
     def _parse(path):
         try:
-            return cli._read_columns(str(path), FAR_COLUMNS, "far-field")
+            return forward.read_columns(str(path), FAR_COLUMNS, "far-field")
         except ParameterError as exc:
             return str(exc)
 
@@ -648,11 +648,12 @@ class TestFarFieldReader:
         path = tmp_path / "ff.csv"
         path.write_bytes((",".join(FAR_COLUMNS) + "\n" + self.CORPUS[case]).encode())
         taken = []
-        loadtxt = cli._loadtxt
-        monkeypatch.setattr(cli, "_loadtxt", lambda *a: taken.append(loadtxt(*a)) or taken[-1])
+        loadtxt = forward._loadtxt
+        monkeypatch.setattr(forward, "_loadtxt",
+                            lambda *a: taken.append(loadtxt(*a)) or taken[-1])
         fast = self._parse(path)
         assert (taken[0] is not None and np.isfinite(taken[0]).all()) == (case in self.READER)
-        monkeypatch.setattr(cli, "_loadtxt", lambda *a: None)
+        monkeypatch.setattr(forward, "_loadtxt", lambda *a: None)  # the line-by-line pass
         slow = self._parse(path)
         if isinstance(slow, str):
             assert fast == slow and "\n" not in slow
@@ -665,10 +666,10 @@ class TestFarFieldReader:
         # the reader holds no copy of the body, only the table it returns
         path = tmp_path / "ff.csv"
         table = _far_field_file(path, n=96)
-        cli._read_columns(str(path), FAR_COLUMNS, "far-field")
+        forward.read_columns(str(path), FAR_COLUMNS, "far-field")
         tracemalloc.start()
         try:
-            got = cli._read_columns(str(path), FAR_COLUMNS, "far-field")
+            got = forward.read_columns(str(path), FAR_COLUMNS, "far-field")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -690,6 +691,77 @@ class TestFarFieldReader:
                               env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert read_datagrid(out).valid.any()
+
+
+# The two tiny pipelines of the CI job that installs the package without
+# scipy, run in one process in which `import scipy` fails: L(2.2) at h = 1
+# (k = c = 5) and at h = 2 (k = 2.5, so ingest scales p by k / kappa = h),
+# basis -> synthesize -> ingest -> reconstruct --field-out -> stability; and
+# the full-aperture disk, basis -> synthesize -> reconstruct -> extrapolate.
+# Prints the exit code of each stage, then the scipy modules loaded.
+NUMPY_ONLY_PIPELINES = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from prolate import ContrastField, synthesize_born
+from prolate.cli import run
+
+codes = []
+
+def stage(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(run([str(a) for a in argv]))
+    return out.getvalue().strip().splitlines()[-1] if out.getvalue().strip() else ""
+
+shapes = [{"type": "disk", "center": [0.9, 0.2], "radius": 0.25, "value": 1.0}]
+for h, k in ((1.0, 5.0), (2.0, 2.5)):
+    setup = f"setup{h:g}.json"
+    with open(setup, "w") as f:
+        json.dump({"regime": "limited", "k": k, "theta": 2.2, "c_param": 5.0,
+                   "contrast": {"shapes": shapes}}, f)
+    t = 2.2 * ((np.arange(48) + 0.5) / 48 * 2.0 - 1.0)
+    e = np.stack([np.cos(t), np.sin(t)], axis=1)
+    x_hat, theta_hat = np.repeat(e, 48, axis=0), np.tile(e, (48, 1))
+    u = k * k * synthesize_born(ContrastField.from_shapes(shapes, resolution=40), k,
+                                theta_hat - x_hat).values
+    np.savetxt(f"ff{h:g}.csv", np.column_stack([x_hat, theta_hat, u.real, u.imag]),
+               delimiter=",", fmt="%.17g", comments="",
+               header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
+    basis = stage("basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5", "--h", h,
+                  "--resolution", "24", "--modes", "6", "--method", "polar", "-o", "cache")
+    stage("synthesize", setup, "--basis", basis, "-o", f"data{h:g}.csv",
+          "--contrast-resolution", "24")
+    stage("ingest", f"ff{h:g}.csv", "--k", k, "--basis", basis, "-o", f"ing{h:g}.csv")
+    stage("reconstruct", f"ing{h:g}.csv", "--basis", basis, "--alpha", "1e-3",
+          "-o", f"rec{h:g}.json", "--field-out", f"field{h:g}.csv", "--field-grid", "8")
+    stage("stability", setup, "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
+          "-o", f"table{h:g}.csv")
+
+with open("full.json", "w") as f:
+    json.dump({"regime": "full", "k": 1.0, "contrast": {"shapes": [
+        {"type": "disk", "center": [0.7, 0.3], "radius": 1.1, "value": 1.0}]}}, f)
+with open("targets.csv", "w") as f:
+    f.write("x,y\\n0.1,0.2\\n3.0,0.5\\n")
+basis = stage("basis", "disk", "--c", "4.09547008329", "--m-max", "4", "--n-max", "4",
+              "-o", "cache")
+stage("synthesize", "full.json", "--basis", basis, "-o", "full.csv", "--contrast-resolution", "24")
+stage("reconstruct", "full.csv", "--basis", basis, "--alpha", "1e-2", "-o", "full_rec.json",
+      "--field-out", "full_field.csv", "--field-grid", "8")
+stage("extrapolate", "full.csv", "--basis", basis, "--targets", "targets.csv", "-o", "ext.csv")
+print(codes)
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+def test_numpy_only_pipelines(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(P.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PIPELINES], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = proc.stdout.strip().splitlines()[-2:]
+    assert codes == str([0] * 14), proc.stderr
+    assert scipy_modules == "[]"
 
 
 @pytest.mark.parametrize("b", [1.0, 2.0, 2.5, 3.7, 5.123, 10.0 / 3.0])

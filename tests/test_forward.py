@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import prolate as P
+from prolate import forward
 from prolate.disk_basis import eval_psi
 from prolate.errors import DataCoverageError, ParameterError
-from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_columns, _group_rows,
-                             _loadtxt, _malformed_row, _split_columns, add_noise, far_field,
+from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_row, _group_rows,
+                             _loadtxt, _read_table, _split_columns, add_noise, far_field,
                              ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
 from prolate.numerics import GridPiece, _point_map, bessel_j, disk_polar_rule, mirror_map
 from prolate.recon import write_field_csv
@@ -25,10 +26,17 @@ def _loadtxt_columns(path):
         f.readline()
         f.readline()
         table = _loadtxt(path, f, _ROW_DTYPE)
-    if table is None:
-        return None
-    return _split_columns(np.ascontiguousarray(table["numbers"]),
-                          np.ascontiguousarray(table["flag"]))
+    return None if table is None else _split_columns(table)
+
+
+def _row_pass_columns(path, monkeypatch):
+    """The columns of the line-by-line pass that `read_datagrid` makes where
+    numpy's reader declines the file; raises its ParameterError on a bad row."""
+    with monkeypatch.context() as m, open(path, encoding="utf-8") as f:
+        m.setattr(forward, "_loadtxt", lambda *a: None)
+        f.readline()
+        f.readline()
+        return _split_columns(_read_table(path, f, 3, _ROW_DTYPE, _data_row))
 
 
 def disk_closed_form(radius, kappa, pts):
@@ -507,6 +515,16 @@ class TestDataGridIO:
         assert back.geometry.kind == "disk" and back.geometry.h == 2.0
         assert back.meta["seed"] == 3
 
+    def test_flag_other_than_0_or_1_refused(self):
+        # a grid write_datagrid would write and read_datagrid refuse
+        data = TestNoise()._data()
+        flags = data.flags.copy()
+        flags[3] = 2
+        with pytest.raises(ParameterError, match="flags must be 0"):
+            DataGrid(nodes=data.nodes, weights=data.weights, values=data.values, flags=flags)
+        with pytest.raises(ParameterError, match="flags must be 0"):
+            replace(data, flags=flags)
+
     @pytest.mark.parametrize("bad", ["nan", "-inf"])
     def test_non_finite_rejected(self, tmp_path, bad):
         path = tmp_path / "grid.csv"
@@ -558,7 +576,7 @@ class TestDataGridIO:
 
     ROW = "0.5,-0.25,0.125,1.5,-2.0,0"
     # data bodies (as bytes, after the two header lines) and whether the
-    # loadtxt parse takes them; the rest go through `_data_columns`
+    # loadtxt parse takes them; the rest go through the line-by-line pass
     CORPUS = {
         "plain": ("\n".join([ROW, "1e-300,-0.0,5e-324,1.7976931348623157e308,nan,1"] * 3) + "\n",
                   True),
@@ -577,32 +595,34 @@ class TestDataGridIO:
         "long row": (ROW + ",0\n" + ROW + "\n", False),
         "empty field": (",-0.25,0.125,1.5,-2.0,0\n", False),
         "unit separator": (ROW + "\x1f\n", False),
+        "file separator after a row": (ROW + "\n" + ROW + "\x1c\n", False),
         "non-ascii digit": ("\u0661" + ROW[3:] + "\n", False),
         "no rows": ("", False),
     }
+    # the errors of bodies whose last field ends in padding that `float` and
+    # `int` refuse and `str.strip` removes: the pass names the line
+    MESSAGES = {"unit separator": f"line 3: malformed data row {ROW!r}",
+                "file separator after a row": f"line 4: malformed data row {ROW!r}"}
 
     @staticmethod
-    def _write(path, body: str) -> str:
-        """A data file with `body` under a valid header; returns the body as read back."""
+    def _write(path, body: str) -> None:
+        """A data file with `body` under a valid header."""
         reference = [line for line in body.replace("\r\n", "\n").split("\n") if line.strip()]
         header = {"kappa": 1.0, "delta": 0.0, "seed": None, "geometry": None,
                   "count": len(reference), "meta": {}}
         path.write_bytes((json.dumps(header) + "\npx,py,weight,re,im,flag\n" + body).encode())
-        with open(path, encoding="utf-8") as f:
-            return f.read().split("\n", 2)[2]
 
     @pytest.mark.parametrize("case", list(CORPUS))
-    def test_loadtxt_path_is_the_row_parse(self, tmp_path, case):
+    def test_loadtxt_path_is_the_row_parse(self, tmp_path, monkeypatch, case):
         body, fast = self.CORPUS[case]
         path = tmp_path / "grid.csv"
-        read_back = self._write(path, body)
-        rows = [line for line in read_back.split("\n") if line.strip()]
+        self._write(path, body)
         columns = _loadtxt_columns(path)
         assert (columns is not None) == fast
         try:
-            want = _data_columns(rows)
-        except (ValueError, OverflowError):
-            want = None
+            want, error = _row_pass_columns(path, monkeypatch), None
+        except ParameterError as exc:
+            want, error = None, exc
         if columns is not None:  # whatever the reader takes, the row parse takes the same way
             assert want is not None
             for got, ref in zip(columns, want):
@@ -612,7 +632,9 @@ class TestDataGridIO:
         if want is None:
             with pytest.raises(ParameterError) as err:
                 read_datagrid(path)
-            assert str(err.value) == str(_malformed_row(path))
+            assert str(err.value) == str(error)
+            if case in self.MESSAGES:
+                assert str(err.value) == f"{path} {self.MESSAGES[case]}"
             return
         if not all(np.isfinite(a).all() for a in want[:3]):
             with pytest.raises(ParameterError, match="non-finite"):

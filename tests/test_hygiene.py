@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the standard-library `ast`: no
-module imports a name it never uses, and no private module-level name is left
-unreferenced across the package.  The re-exports of `__init__` are exempt."""
+module imports a name it never uses, no private module-level name is left
+unreferenced across the package, and the command line imports no private name
+of another module.  The re-exports of `__init__` are exempt."""
 
 import ast
 import pathlib
@@ -96,3 +97,12 @@ def test_every_private_name_is_referenced():
     dead = [f"{path.name}:{line} {name}" for path, tree in trees.items()
             for name, line in _private_definitions(tree) if name not in reads]
     assert not dead, dead
+
+
+def test_cli_imports_no_private_name():
+    # the command line uses each layer through its public names only
+    tree = _tree(PACKAGE / "cli.py")
+    private = [f"cli.py:{node.lineno} {alias.name}" for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private

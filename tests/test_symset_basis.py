@@ -441,20 +441,14 @@ FOLD_CASES = {
     "M_polar": (Geometry.multi_freq((0.6, 0.8)), 16, "polar"),
     "M_midpoint_odd": (Geometry.multi_freq((1.0, 0.0)), 25, "midpoint"),
     "M_midpoint_generic": (Geometry.multi_freq((math.cos(1.1), math.sin(1.1))), 25, "midpoint"),
-    "M_midpoint_generic_order2": (Geometry.multi_freq((math.cos(1.1), math.sin(1.1))), 25,
-                                  "midpoint"),
     "L_midpoint_odd": (Geometry.limited_aperture(0.75 * math.pi, h=2.0), 25, "midpoint"),
 }
-# rules stripped of their recorded reflection, so that p -> -p is their only
-# symmetry and the solve takes the order-2 fold
-ORDER_TWO = {"M_midpoint_generic_order2"}
 
 
 class TestParityFold:
     """The folded solve against the unfolded N x N eigenproblems built here.
 
-    Every rule folds over p -> -p; all but those in ORDER_TWO also fold over
-    the reflection in the set's axis.
+    Every rule folds over p -> -p and the reflection in the set's axis.
     """
 
     N_MODES = 20
@@ -463,8 +457,6 @@ class TestParityFold:
     def case(self, request):
         geo, res, method = FOLD_CASES[request.param]
         quad = build_quadrature(geo, res, method=method)
-        if request.param in ORDER_TWO:
-            quad = P.QuadratureRule(quad.nodes, quad.weights)
         basis = compute_symset_basis(5.0, geo, quad, self.N_MODES)
         return basis, unfolded_reference(5.0, geo, quad)
 
@@ -524,14 +516,11 @@ class TestParityFold:
             sgn = 1.0 if even else -1.0
             assert np.array_equal(v[mirror], sgn * v)
 
-    def test_exact_reflection_symmetry(self, case, request):
+    def test_exact_reflection_symmetry(self, case):
         # each mode is even or odd under the reflection R, bitwise, and every
         # one of the four symmetry classes holds some of the retained modes
         basis, _ = case
         refl = basis.quad.reflection
-        assert (refl is None) == (request.node.callspec.params["case"] in ORDER_TWO)
-        if refl is None:
-            return
         classes = set()
         for even, v in zip(basis.modes["even"].tolist(), basis.node_values):
             r = 1.0 if np.array_equal(v[refl], v) else -1.0
@@ -632,8 +621,23 @@ class TestFoldInputs:
         quad = build_quadrature(geo, 24, method="polar")
         weights = quad.weights.copy()
         weights[0] *= 1.5
+        bad = P.QuadratureRule(quad.nodes, weights, reflection=quad.reflection, axis=quad.axis)
         with pytest.raises(ParameterError, match="symmetric"):
-            compute_symset_basis(5.0, geo, P.QuadratureRule(quad.nodes, weights), 4)
+            compute_symset_basis(5.0, geo, bad, 4)
+
+    @pytest.mark.parametrize("resolution", [24, 25])
+    @pytest.mark.parametrize("method", ["auto", "midpoint", "polar"])
+    @pytest.mark.parametrize("geo", [Geometry.disk(radius=1.3, h=2.0),
+                                     Geometry.limited_aperture(2.2),
+                                     Geometry.multi_freq((math.cos(1.1), math.sin(1.1)))],
+                             ids=["disk", "L", "M_generic"])
+    def test_every_built_rule_folds(self, geo, method, resolution):
+        # the solve folds over {1, -1, R, -R} only: every rule build_quadrature
+        # makes records its reflection R, and a rule without one is refused
+        quad = build_quadrature(geo, resolution, method=method)
+        assert compute_symset_basis(5.0, geo, quad, 4).complete
+        with pytest.raises(ParameterError, match="records no reflection"):
+            compute_symset_basis(5.0, geo, P.QuadratureRule(quad.nodes, quad.weights), 4)
 
     def test_memory_budget_checked_before_allocating(self):
         half = np.random.default_rng(0).uniform(-1.0, 1.0, (1_000_000, 2))
