@@ -232,8 +232,11 @@ def _cmd_ingest(args) -> int:
     if not len(table):
         raise ParameterError(f"{args.samples}: no far-field rows")
     values = np.ascontiguousarray(table[:, 4:]).view(complex)[:, 0]
-    data = ingest_farfield(table[:, 0:2], table[:, 2:4], values, args.k, basis.kernel_scale,
-                           basis.quad, cutoff=args.cutoff, geometry=basis.geometry)
+    try:
+        data = ingest_farfield(table[:, 0:2], table[:, 2:4], values, args.k, basis.kernel_scale,
+                               basis.quad, cutoff=args.cutoff, geometry=basis.geometry)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.samples}: {exc}") from exc
     write_datagrid(args.out, data)
     print(args.out)
     return 0

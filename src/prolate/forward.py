@@ -301,13 +301,262 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _median_spacing(rows: np.ndarray) -> float:
     """Median distance from each distinct row (to 1e-12) to the nearest other
-    one; 0 if there are fewer than two."""
+    one; ParameterError if there are fewer than two."""
     inverse, counts = _group_rows(np.round(rows / 1e-12).astype(np.int64))
     if len(counts) < 2:
-        return 0.0
+        raise ParameterError(f"{len(counts)} distinct direction pair; the default cutoff "
+                             f"needs at least 2")
     distinct = np.empty((len(counts), rows.shape[1]))
     distinct[inverse] = rows
     return float(np.median(nearest(distinct, distinct, 2)[0][:, 1]))
+
+
+# Points per axis of the Lagrange stencils that interpolate far fields on a
+# direction grid, and the tolerance (relative) of the layout tests that
+# recognise such a grid: unit lengths, ring radii, the line through the
+# origin, and ring angles shared by every group.
+GRID_ORDER = 8
+GRID_TOL = 1e-12
+
+
+class _Arc(NamedTuple):
+    """Increasing sample positions along one axis of a direction grid;
+    `closed` where they are angles that close the circle (period 2 pi)."""
+
+    x: np.ndarray
+    closed: bool
+
+    def wrap(self, t: np.ndarray) -> np.ndarray:
+        """Angles t in the frame of the arc: in [x_0, x_0 + 2 pi) if it is
+        closed, else cut in the middle of the gap it leaves open."""
+        start = self.x[0] - (0.0 if self.closed else (self.x[0] + 2.0 * np.pi - self.x[-1]) / 2.0)
+        return start + np.mod(t - start, 2.0 * np.pi)
+
+    def depth(self, t: np.ndarray) -> np.ndarray:
+        """Distance from t to the nearer end of the sampled range (inf if closed)."""
+        if self.closed:
+            return np.full(len(t), np.inf)
+        return np.minimum(t - self.x[0], self.x[-1] - t)
+
+    def covered(self, t: np.ndarray) -> np.ndarray:
+        """Whether t lies within half a step of the sampled range."""
+        if self.closed:
+            return np.ones(len(t), dtype=bool)
+        x = self.x
+        return (t >= x[0] - (x[1] - x[0]) / 2.0) & (t <= x[-1] + (x[-1] - x[-2]) / 2.0)
+
+    def stencil(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the GRID_ORDER samples about each t (all of them if
+        the arc has fewer), one-sided at the ends of an open arc and wrapped
+        on a closed one, and their Lagrange coefficients at t."""
+        x, n = self.x, len(self.x)
+        q = min(GRID_ORDER, n)
+        start = np.searchsorted(x, t) - q // 2
+        if self.closed:
+            turns, start = np.divmod(start, n)
+            raw = np.arange(n)[:, None] + np.arange(q)
+            table = x[raw % n] + 2.0 * np.pi * (raw // n)
+            t = t - 2.0 * np.pi * turns
+        else:
+            start = np.clip(start, 0, n - q)
+            table = x[np.arange(n - q + 1)[:, None] + np.arange(q)]
+        return (start[:, None] + np.arange(q)) % n, _lagrange(table, start, t)
+
+
+def _lagrange(table: np.ndarray, start: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (m, q) coefficients, at the m points t, of the Lagrange
+    interpolants through the stencils table[start] (rows of q increasing
+    points), in barycentric form (Berrut & Trefethen, SIAM Review 46, 2004);
+    a t on a node takes that node's value."""
+    lo, span = table[:, :1], table[:, -1:] - table[:, :1]
+    x = (table - lo) / span  # on [0, 1], so the weights neither overflow nor vanish
+    diff = x[:, :, None] - x[:, None, :]
+    q = x.shape[1]
+    diff[:, np.arange(q), np.arange(q)] = 1.0
+    w = 1.0 / diff.prod(axis=2)
+    d = (t[:, None] - lo[start]) / span[start] - x[start]
+    hit = d == 0.0
+    c = w[start] / np.where(hit, 1.0, d)
+    c /= c.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    c[on_node] = hit[on_node]
+    return c
+
+
+def _arc(angles: np.ndarray) -> tuple[_Arc, int]:
+    """Increasing angles in (-pi, pi] as an arc, and the shift that rolls them
+    into its order: they close the circle if no gap between neighbours (the
+    wrap-around one included) exceeds 1.5 median gaps; otherwise the arc
+    starts after the widest gap, unwrapped to increase."""
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    if gaps.max() <= 1.5 * np.median(gaps):
+        return _Arc(angles, True), 0
+    start = (int(np.argmax(gaps)) + 1) % len(angles)
+    x = np.roll(angles, -start)
+    x[len(x) - start:] += 2.0 * np.pi
+    return _Arc(x, False), start
+
+
+class _DirectionGrid(NamedTuple):
+    """Far-field rows on a direction grid: row order[g, i] pairs x_hat group g
+    with the i-th angle of the ring of theta_hat shared by every group.  The
+    groups run in `sides`, each the (first group, arc of the group parameter)
+    of a run of groups one stencil may span: for unit pairs the x_hat angle,
+    one run; on rings (x_star set) the fraction s, one run on each side of
+    x*, sigma = +1 (x_hat = -s x*) then sigma = -1, None where a side is
+    empty."""
+
+    order: np.ndarray
+    ring: _Arc
+    sides: tuple
+    x_star: np.ndarray | None
+
+
+def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid | None:
+    """The direction grid the rows lie on, or None.  Rows sharing an exact
+    x_hat form a group; every group must hold the same ring of theta_hat
+    angles, at least 2, strictly increasing.  Either every x_hat and theta_hat
+    is a unit vector, or the x_hat lie on one line through the origin, x_hat =
+    -+s x*, and each group's theta_hat has length s, with at least 2 groups on
+    each side of x* that holds any."""
+    group, counts = _group_rows(x_hat)
+    m = int(counts[0])
+    if len(counts) < 2 or m < 2 or np.any(counts != m):
+        return None
+    head = np.empty(len(counts), dtype=np.intp)
+    head[group] = np.arange(len(group))
+    gx = x_hat[head]
+    rx, rt = np.hypot(x_hat[:, 0], x_hat[:, 1]), np.hypot(theta_hat[:, 0], theta_hat[:, 1])
+    if np.all(np.abs(rx - 1.0) <= GRID_TOL) and np.all(np.abs(rt - 1.0) <= GRID_TOL):
+        x_star = None
+        a = np.arctan2(gx[:, 1], gx[:, 0])
+        rank = np.argsort(a)
+        if not np.all(np.diff(a[rank]) > 0.0):
+            return None
+        arc, shift = _arc(a[rank])
+        rank = np.roll(rank, -shift)
+        sides = ((0, arc),)
+    else:
+        r = np.hypot(gx[:, 0], gx[:, 1])
+        x_star = gx[np.argmax(r)] / r.max()
+        if not (np.all(r > 0.0) and np.all(np.abs(rt - rx) <= GRID_TOL * rx)
+                and np.all(np.abs(gx[:, 0] * x_star[1] - gx[:, 1] * x_star[0]) <= GRID_TOL * r)):
+            return None
+        a = gx @ x_star
+        rank = np.lexsort((r, a > 0.0))
+        s = r[rank]
+        split = int(np.count_nonzero(a < 0.0))
+        sides = []
+        for lo, hi in ((0, split), (split, len(s))):
+            if hi - lo == 1 or not np.all(np.diff(s[lo:hi]) > 0.0):
+                return None
+            sides.append((lo, _Arc(s[lo:hi], False)) if hi > lo else None)
+        sides = tuple(sides)
+    position = np.empty(len(counts), dtype=np.intp)
+    position[rank] = np.arange(len(counts))
+    b = np.arctan2(theta_hat[:, 1], theta_hat[:, 0])
+    order = np.lexsort((b, position[group])).reshape(len(counts), m)
+    angles = b[order]
+    if not (np.all(np.diff(angles, axis=1) > 0.0)
+            and np.all(np.abs(angles - angles[0]) <= GRID_TOL)):
+        return None
+    ring, shift = _arc(angles[0])
+    return _DirectionGrid(np.roll(order, -shift, axis=1), ring, sides, x_star)
+
+
+def _preimages(grid: _DirectionGrid, p: np.ndarray):
+    """Each node p's grid parameters (a, b) and run in `grid.sides`, and
+    whether it is covered: its preimage lies within half a step of the
+    sampled range on both axes.
+
+    Unit pairs: x_hat = -p/2 + sigma r p_perp/|p|, theta_hat = p/2 + sigma r
+    p_perp/|p| with r = sqrt(1 - |p|^2/4), of the two signs the covered one
+    farther from the ends of the ranges (the + sign on a tie); p = 0 is taken
+    on the diagonal x_hat = theta_hat, in the middle of the x_hat range.
+    Rings: s = |p|^2 / (2 |p.x*|) and e(t) = p/s - sigma x* on the side sigma
+    = sign(p.x*).
+    """
+    n = len(p)
+    ring = grid.ring
+    rho2 = p[:, 0] ** 2 + p[:, 1] ** 2
+    if grid.x_star is None:
+        (_, arc), = grid.sides
+        rho = np.sqrt(rho2)
+        origin = rho == 0.0
+        mid = arc.x[0] if arc.closed else (arc.x[0] + arc.x[-1]) / 2.0
+        u = p / np.where(origin, 1.0, rho)[:, None]
+        lift = np.sqrt(np.maximum(0.0, 1.0 - rho2 / 4.0))[:, None] * np.stack([-u[:, 1], u[:, 0]], 1)
+        a, b, covered = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+        depth = np.full(n, -np.inf)
+        for sign in (1.0, -1.0):
+            xh, th = sign * lift - p / 2.0, sign * lift + p / 2.0
+            ta = arc.wrap(np.where(origin, mid, np.arctan2(xh[:, 1], xh[:, 0])))
+            tb = ring.wrap(np.where(origin, mid, np.arctan2(th[:, 1], th[:, 0])))
+            ok = (rho <= 2.0) & arc.covered(ta) & ring.covered(tb)
+            d = np.minimum(arc.depth(ta), ring.depth(tb))
+            take = ok & (~covered | (d > depth))
+            a[take], b[take], depth[take] = ta[take], tb[take], d[take]
+            covered |= ok
+        return a, b, np.zeros(n, dtype=np.intp), covered
+    d = p @ grid.x_star
+    side = (d < 0.0).astype(np.intp)  # sigma = +1 is run 0
+    reach = max(arc.x[-1] + (arc.x[-1] - arc.x[-2]) / 2.0 for _, arc in filter(None, grid.sides))
+    ok = (d != 0.0) & (rho2 <= 2.0 * np.abs(d) * reach)
+    s = np.divide(rho2, 2.0 * np.abs(d), out=np.ones(n), where=ok)
+    e = p / s[:, None] - np.where(side == 0, 1.0, -1.0)[:, None] * grid.x_star
+    b = ring.wrap(np.arctan2(e[:, 1], e[:, 0]))
+    covered = ok & ring.covered(b)
+    for j, run in enumerate(grid.sides):
+        on = side == j
+        covered[on] &= run is not None and run[1].covered(s[on])
+    return s, b, side, covered
+
+
+def _ingest_grid(grid: _DirectionGrid, x_hat, theta_hat, vals, scale: float,
+                 target: QuadratureRule, cutoff: float | None) -> tuple:
+    """Values, flags and cutoff of the angle path of `ingest_farfield`."""
+    a, b, side, covered = _preimages(grid, target.nodes / scale)
+    table = vals[grid.order]
+    values = np.zeros(len(target), dtype=complex)
+    for j, run in enumerate(grid.sides):
+        sel = covered & (side == j)
+        if run is None or not sel.any():
+            continue
+        ia, ca = run[1].stencil(a[sel])
+        ib, cb = grid.ring.stencil(b[sel])
+        # along the ring angle on each stencil group, then across the groups
+        rows = np.einsum("nab,nb->na", table[run[0] + ia[:, :, None], ib[:, None, :]], cb)
+        values[sel] = np.einsum("na,na->n", rows, ca)
+    if cutoff is None:
+        cutoff = 3.0 * _grid_spacing(grid, x_hat, theta_hat)
+    else:
+        covered &= nearest(theta_hat - x_hat, target.nodes, 1)[0][:, 0] <= cutoff
+    values[~covered] = 0.0
+    return values, (~covered).astype(np.uint8), cutoff
+
+
+def _grid_spacing(grid: _DirectionGrid, x_hat: np.ndarray, theta_hat: np.ndarray) -> float:
+    """Median over the rows of the distance in (x_hat, theta_hat) to the
+    nearer of the nearest other sample of its group and the sample at the
+    same ring angle in the nearest other group: on unit pairs, the distance
+    to the nearest other pair."""
+    X, T = x_hat[grid.order], theta_hat[grid.order]
+    dt = T - np.roll(T, 1, axis=1)
+    step = np.sqrt(dt[..., 0] ** 2 + dt[..., 1] ** 2)
+    own = np.minimum(step, np.roll(step, -1, axis=1))
+    # the groups' x_hat lie on the unit circle, in angle order, or on the line
+    # through x*: the nearest other group is a neighbour along it
+    g = X[:, 0]
+    chain = np.arange(len(g)) if grid.x_star is None else np.argsort(g @ grid.x_star)
+    before, after = np.roll(chain, 1), np.roll(chain, -1)
+    if grid.x_star is not None:
+        before[0], after[-1] = chain[1], chain[-2]
+    gap = [np.sum((g[chain] - g[nb]) ** 2, axis=1) for nb in (before, after)]
+    other = np.empty(len(g), dtype=np.intp)
+    other[chain] = np.where(gap[1] < gap[0], after, before)
+    dx, dt = X - X[other], T - T[other]
+    across = np.sqrt(dx[..., 0] ** 2 + dx[..., 1] ** 2 + dt[..., 0] ** 2 + dt[..., 1] ** 2)
+    return float(np.median(np.minimum(own, across)))
 
 
 def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: QuadratureRule,
@@ -315,25 +564,41 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
     """Map far-field samples (x_hat[j], theta_hat[j], values[j]) at wavenumber k
     onto p = (k / kappa)(theta_hat - x_hat), where the data of kernel scale
     kappa (the target basis's c / h^2) is u(p) = values / k^2, and resample
-    onto the target rule; kappa is recorded in the meta.
+    onto the target rule; kappa and the cutoff are recorded in the meta.
 
-    x_hat and theta_hat are (n, 2) arrays of directions, both scaled by
-    k / kappa first.  Duplicate p points (to 1e-12) are averaged; target
-    values come from inverse-distance weighting of the 4 nearest samples
-    (`numerics.nearest`: of samples at equal distance, the one whose p comes
-    first in lexicographic order); nodes farther than `cutoff` (in node units)
-    from every sample are flagged missing.  The cutoff defaults to 3x the
-    sampling step of the scaled directions: the median distance from each
-    distinct (x_hat, theta_hat) pair to its nearest neighbour, which on a
-    tensor grid of directions is the step of the grid.  (The merged p points
-    are no measure of it: where distinct pairs nearly repeat a p, their
-    spacing collapses far below the step.)
+    x_hat and theta_hat are (n, 2) arrays of directions.  Where they lie on a
+    direction grid (`_direction_grid`: rows grouped by exact x_hat, each group
+    the same ring of theta_hat angles; unit pairs, or x_hat = -+s x* on a line
+    with |theta_hat| = s), each node p is mapped to its preimage
+    (kappa / k) p in the two grid parameters (`_preimages`) and its value
+    interpolated there with GRID_ORDER-point barycentric Lagrange stencils,
+    along the ring angle on the nearest groups, then across them; a node is
+    covered if its preimage lies within half a step of the sampled range, and
+    the meta records "interp": "angle".  The cutoff defaults to 3x the median
+    distance from each scaled (x_hat, theta_hat) row to the nearer of its
+    group's nearest other sample and the sample at its ring angle in the
+    nearest other group, which on unit pairs is the default of the scattered
+    path below.
+
+    Other samples are scattered: duplicate p points (to 1e-12) are averaged;
+    target values come from inverse-distance weighting of the 4 nearest
+    samples (`numerics.nearest`: of samples at equal distance, the one whose
+    p comes first in lexicographic order), first order only.  The cutoff
+    defaults to 3x the sampling step of the scaled directions: the median
+    distance from each distinct (x_hat, theta_hat) pair to its nearest
+    neighbour, which needs at least two distinct pairs (ParameterError
+    otherwise).  (The merged p points are no measure of the step: where
+    distinct pairs nearly repeat a p, their spacing collapses far below it.)
+
+    On both paths a node farther than an explicit `cutoff` (in node units)
+    from every sample is flagged missing.
     """
     if not (k > 0.0 and kappa > 0.0):
         raise ParameterError(f"ingest_farfield requires k, kappa > 0, got {k!r}, {kappa!r}")
     scale = k / kappa
-    x_hat = scale * np.asarray(x_hat, dtype=float).reshape(-1, 2)
-    theta_hat = scale * np.asarray(theta_hat, dtype=float).reshape(-1, 2)
+    directions = np.asarray(x_hat, dtype=float).reshape(-1, 2)
+    incident = np.asarray(theta_hat, dtype=float).reshape(-1, 2)
+    x_hat, theta_hat = scale * directions, scale * incident
     values = np.asarray(values).reshape(-1)
     meta = {"kappa": float(kappa), "delta": 0.0, "seed": None}
     if not len(x_hat) == len(theta_hat) == len(values):
@@ -345,11 +610,17 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
                         values=np.zeros(n_t, dtype=complex),
                         flags=np.ones(n_t, dtype=np.uint8),
                         meta=meta, geometry=geometry)
-    pts = theta_hat - x_hat
     k2 = k**2
     vals = np.empty(len(values), dtype=complex)
     vals.real = values.real / k2  # the parts divided separately, as a complex by a real
     vals.imag = values.imag / k2
+    grid = _direction_grid(directions, incident)
+    if grid is not None:
+        values, flags, cutoff = _ingest_grid(grid, x_hat, theta_hat, vals, scale, target, cutoff)
+        return DataGrid(nodes=target.nodes, weights=target.weights, values=values, flags=flags,
+                        meta={**meta, "cutoff": float(cutoff), "interp": "angle"},
+                        geometry=geometry)
+    pts = theta_hat - x_hat
     inverse, counts = _group_rows(np.round(pts / 1e-12).astype(np.int64))
     # group sums in sample order, as sequential adds
     merged_pts = np.stack([np.bincount(inverse, pts[:, j], len(counts)) for j in (0, 1)], axis=1)
@@ -359,8 +630,7 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
     merged_pts /= counts[:, None]
     merged_vals /= counts
     if cutoff is None:
-        spacing = _median_spacing(np.concatenate([x_hat, theta_hat], axis=1))
-        cutoff = 3.0 * spacing if spacing > 0.0 else np.inf
+        cutoff = 3.0 * _median_spacing(np.concatenate([x_hat, theta_hat], axis=1))
     dist, idx = nearest(merged_pts, target.nodes, 4)
     flags = (dist[:, 0] > cutoff).astype(np.uint8)
     values = np.zeros(n_t, dtype=complex)
@@ -402,8 +672,9 @@ def add_noise(data: DataGrid, delta: float, seed: int) -> DataGrid:
 
 
 def write_datagrid(path, data: DataGrid) -> None:
-    """One JSON header line {kappa, delta, seed, geometry, count}, then CSV rows
-    px,py,weight,re,im,flag."""
+    """One JSON header line {kappa, delta, seed, geometry, count, meta}, then
+    CSV rows px,py,weight,re,im,flag; ParameterError, and no file, where a
+    header number is not finite (strict JSON has no NaN or Infinity)."""
     header = {
         "kappa": data.meta.get("kappa"),
         "delta": data.meta.get("delta", 0.0),
@@ -413,7 +684,12 @@ def write_datagrid(path, data: DataGrid) -> None:
     }
     header["meta"] = {k: v for k, v in data.meta.items()
                       if k not in header and isinstance(v, (int, float, str, bool, type(None)))}
-    write_csv(path, json.dumps(header, sort_keys=True) + "\npx,py,weight,re,im,flag",
+    try:
+        text = json.dumps(header, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ParameterError(f"data header must hold finite numbers, got "
+                             f"{json.dumps(header, sort_keys=True)}") from None
+    write_csv(path, text + "\npx,py,weight,re,im,flag",
               data.nodes[:, 0], data.nodes[:, 1], data.weights, data.values.real,
               data.values.imag, data.flags)
 
@@ -504,9 +780,12 @@ def read_columns(path, columns: list[str], what: str) -> np.ndarray:
 
 
 def _floats(line: str, count: int, where: str) -> list[float]:
-    """The first `count` comma-separated fields of a CSV row as finite floats."""
+    """The first `count` comma-separated fields of a CSV row as finite floats.
+    The fields are parsed unstripped, as `float` takes them with the line
+    terminator, so padding that `float` refuses (a trailing 0x1f) makes the
+    row malformed wherever it stands."""
     try:
-        values = [float(v) for v in line.strip().split(",")[:count]]
+        values = [float(v) for v in line.split(",")[:count]]
     except ValueError:
         raise ParameterError(f"{where}: malformed row {line.strip()!r}") from None
     if len(values) < count:

@@ -549,6 +549,109 @@ def _far_field_file(path, n=48, theta=2.2):
     return table
 
 
+def _ring_far_field_file(path, n=16, x_star=(0.6, -0.8)):
+    """Far-field rows on a ring layout: x_hat = -+s x* at n / 2 fractions s,
+    each with theta_hat = s e(t) at n angles round the circle."""
+    s = np.sqrt((np.arange(n // 2) + 0.5) / (n // 2))
+    t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    e = np.stack([np.cos(t), np.sin(t)], axis=1)
+    x_hat = np.concatenate([np.repeat(-sign * s[:, None] * np.asarray(x_star), n, axis=0)
+                            for sign in (1.0, -1.0)])
+    theta_hat = np.tile((s[:, None, None] * e).reshape(-1, 2), (2, 1))
+    m = len(x_hat)
+    table = np.column_stack([x_hat, theta_hat, np.cos(np.arange(m)), np.sin(np.arange(m))])
+    np.savetxt(path, table, delimiter=",", fmt="%.17g", comments="",
+               header=",".join(FAR_COLUMNS))
+    return table
+
+
+def _header_meta(path):
+    with open(path, encoding="utf-8") as f:
+        return json.loads(f.readline())["meta"]
+
+
+class TestIngestGrid:
+    """`ingest` of a far-field file on a direction grid interpolates in the
+    grid's angles with no neighbour search, whatever the order of the rows; a
+    file that is not quite such a grid takes the scattered path, unchanged."""
+
+    GEOMETRIES = {"L": ["--geometry", "L", "--theta", "2.2"],
+                  "M": ["--geometry", "M", "--x-star=0.6,-0.8"]}
+
+    @pytest.fixture(params=["L", "M"])
+    def grid_case(self, request, tmp_path, cache_dir, capsys):
+        """(basis file, far-field file, its table) of a small L or M grid."""
+        assert run(["basis", "symset", *self.GEOMETRIES[request.param], "--c", "5.0",
+                    "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples = tmp_path / "ff.csv"
+        write = _far_field_file if request.param == "L" else _ring_far_field_file
+        return basis_file, samples, write(samples, n=16)
+
+    def _ingest(self, samples, basis_file, out, *flags):
+        assert run(["ingest", str(samples), "--k", "5.0", "--basis", basis_file,
+                    "-o", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    def test_rows_in_any_order(self, tmp_path, grid_case):
+        basis_file, samples, table = grid_case
+        got = self._ingest(samples, basis_file, tmp_path / "ing.csv")
+        shuffled = tmp_path / "shuffled.csv"
+        np.savetxt(shuffled, table[np.random.default_rng(4).permutation(len(table))],
+                   delimiter=",", fmt="%.17g", comments="", header=",".join(FAR_COLUMNS))
+        assert self._ingest(shuffled, basis_file, tmp_path / "again.csv") == got
+        meta = _header_meta(tmp_path / "ing.csv")
+        assert meta["interp"] == "angle" and 0.0 < meta["cutoff"] < math.inf
+
+    def test_no_neighbour_search(self, tmp_path, grid_case, monkeypatch):
+        basis_file, samples, _ = grid_case
+
+        def refuse(*args):
+            raise AssertionError("numerics.nearest called")
+
+        monkeypatch.setattr(forward, "nearest", refuse)
+        self._ingest(samples, basis_file, tmp_path / "ing.csv")
+        with pytest.raises(AssertionError, match="nearest called"):  # only to honour --cutoff
+            run(["ingest", str(samples), "--k", "5.0", "--basis", basis_file,
+                 "-o", str(tmp_path / "cut.csv"), "--cutoff", "0.5"])
+
+    @pytest.mark.parametrize("edit", ["dropped row", "jittered direction", "duplicated row"])
+    def test_near_grids_take_the_scattered_path(self, tmp_path, grid_case, monkeypatch, edit):
+        basis_file, samples, table = grid_case
+        if edit == "dropped row":
+            table = np.delete(table, 37, axis=0)
+        elif edit == "jittered direction":
+            table = table.copy()
+            table[37, 0] += 1e-9
+        else:
+            table = np.insert(table, 37, table[37], axis=0)
+        near = tmp_path / "near.csv"
+        np.savetxt(near, table, delimiter=",", fmt="%.17g", comments="",
+                   header=",".join(FAR_COLUMNS))
+        got = self._ingest(near, basis_file, tmp_path / "ing.csv")
+        assert "interp" not in _header_meta(tmp_path / "ing.csv")
+        monkeypatch.setattr(forward, "_direction_grid", lambda *a: None)
+        assert self._ingest(near, basis_file, tmp_path / "scattered.csv") == got
+
+    @pytest.mark.parametrize("body", ["1.0,0.0,0.0,1.0,0.5,0.1\n",
+                                      "1.0,0.0,0.0,1.0,0.5,0.1\n" * 2 + "1.0,0.0,0.0,1.0,0.7,0.0\n"])
+    def test_one_direction_pair(self, tmp_path, cache_dir, capsys, body):
+        # no step to take a default cutoff from: without --cutoff it once
+        # flagged every node valid and wrote "cutoff": Infinity
+        assert run(["basis", "symset", *self.GEOMETRIES["L"], "--c", "5.0",
+                    "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip().splitlines()[-1]
+        samples, out = tmp_path / "ff.csv", tmp_path / "ing.csv"
+        samples.write_text(",".join(FAR_COLUMNS) + "\n" + body)
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "5.0",
+                                             "--basis", basis_file, "-o", str(out)])
+        assert (code, err) == (2, [f"error: {samples}: 1 distinct direction pair; "
+                                   f"the default cutoff needs at least 2"])
+        assert not out.exists()
+        self._ingest(samples, basis_file, out, "--cutoff", "0.5")
+        assert _header_meta(out) == {"cutoff": 0.5}
+
+
 class TestPairing:
     """A basis file of the wrong kind for a stage, setup or data file, or one
     on another domain than the setup's, exits 2 with one line and writes no
@@ -635,6 +738,9 @@ class TestFarFieldReader:
     # the cases numpy's reader takes; the rest go through the fallback
     READER = {"plain", "no final newline", "blank lines", "crlf", "extra column",
               "extra empty field", "padded fields"}
+    # padding that `float` refuses is refused wherever it stands in a row, as
+    # in a data row; the message shows the row stripped
+    MESSAGES = {"unit separator at the end": f"line 2: malformed row {FAR_ROW!r}"}
 
     @staticmethod
     def _parse(path):
@@ -655,6 +761,8 @@ class TestFarFieldReader:
         assert (taken[0] is not None and np.isfinite(taken[0]).all()) == (case in self.READER)
         monkeypatch.setattr(forward, "_loadtxt", lambda *a: None)  # the line-by-line pass
         slow = self._parse(path)
+        if case in self.MESSAGES:
+            assert slow == f"{path} {self.MESSAGES[case]}"
         if isinstance(slow, str):
             assert fast == slow and "\n" not in slow
         else:
@@ -693,12 +801,14 @@ class TestFarFieldReader:
         assert read_datagrid(out).valid.any()
 
 
-# The two tiny pipelines of the CI job that installs the package without
-# scipy, run in one process in which `import scipy` fails: L(2.2) at h = 1
-# (k = c = 5) and at h = 2 (k = 2.5, so ingest scales p by k / kappa = h),
-# basis -> synthesize -> ingest -> reconstruct --field-out -> stability; and
-# the full-aperture disk, basis -> synthesize -> reconstruct -> extrapolate.
-# Prints the exit code of each stage, then the scipy modules loaded.
+# The tiny pipelines of the CI job that installs the package without scipy,
+# run in one process in which `import scipy` fails: L(2.2) at h = 1 (k = c =
+# 5) and at h = 2 (k = 2.5, so ingest scales p by k / kappa = h), and
+# M(0.6, 0.8) at h = 1 on a ring layout of far-field directions, each basis ->
+# synthesize -> ingest -> reconstruct --field-out -> stability; and the
+# full-aperture disk, basis -> synthesize -> reconstruct -> extrapolate.
+# Prints the exit code of each stage, the interpolation each ingest recorded,
+# then the scipy modules loaded.
 NUMPY_ONLY_PIPELINES = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -738,6 +848,31 @@ for h, k in ((1.0, 5.0), (2.0, 2.5)):
     stage("stability", setup, "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
           "-o", f"table{h:g}.csv")
 
+# M(0.6, 0.8): x_hat = -+s x* at 24 fractions s, theta_hat = s e(t) at 48 angles
+x_star = np.array([0.6, 0.8])
+shapes = [{"type": "disk", "center": [0.54, 0.72], "radius": 0.3, "value": 1.0}]
+with open("setupM.json", "w") as f:
+    json.dump({"regime": "multifreq", "K": 5.0, "x_star": x_star.tolist(), "c_param": 5.0,
+               "contrast": {"shapes": shapes}}, f)
+s = np.sqrt((np.arange(24) + 0.5) / 24)
+t = 2.0 * np.pi * (np.arange(48) + 0.5) / 48
+e = np.stack([np.cos(t), np.sin(t)], axis=1)
+x_hat = np.concatenate([np.repeat(-sign * s[:, None] * x_star, 48, axis=0) for sign in (1, -1)])
+theta_hat = np.tile((s[:, None, None] * e).reshape(-1, 2), (2, 1))
+u = 25.0 * synthesize_born(ContrastField.from_shapes(shapes, resolution=40), 5.0,
+                           theta_hat - x_hat).values
+np.savetxt("ffM.csv", np.column_stack([x_hat, theta_hat, u.real, u.imag]), delimiter=",",
+           fmt="%.17g", comments="", header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
+basis = stage("basis", "symset", "--geometry", "M", "--x-star", "0.6,0.8", "--c", "5",
+              "--resolution", "24", "--modes", "6", "--method", "polar", "-o", "cache")
+stage("synthesize", "setupM.json", "--basis", basis, "-o", "dataM.csv",
+      "--contrast-resolution", "24")
+stage("ingest", "ffM.csv", "--k", 5.0, "--basis", basis, "-o", "ingM.csv")
+stage("reconstruct", "ingM.csv", "--basis", basis, "--alpha", "1e-3", "-o", "recM.json",
+      "--field-out", "fieldM.csv", "--field-grid", "8")
+stage("stability", "setupM.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
+      "-o", "tableM.csv")
+
 with open("full.json", "w") as f:
     json.dump({"regime": "full", "k": 1.0, "contrast": {"shapes": [
         {"type": "disk", "center": [0.7, 0.3], "radius": 1.1, "value": 1.0}]}}, f)
@@ -750,6 +885,11 @@ stage("reconstruct", "full.csv", "--basis", basis, "--alpha", "1e-2", "-o", "ful
       "--field-out", "full_field.csv", "--field-grid", "8")
 stage("extrapolate", "full.csv", "--basis", basis, "--targets", "targets.csv", "-o", "ext.csv")
 print(codes)
+interp = []
+for name in ("ing1.csv", "ing2.csv", "ingM.csv"):
+    with open(name) as f:
+        interp.append(json.loads(f.readline())["meta"].get("interp"))
+print(interp)
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
 """
 
@@ -759,8 +899,9 @@ def test_numpy_only_pipelines(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PIPELINES], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = proc.stdout.strip().splitlines()[-2:]
-    assert codes == str([0] * 14), proc.stderr
+    codes, interp, scipy_modules = proc.stdout.strip().splitlines()[-3:]
+    assert codes == str([0] * 19), proc.stderr
+    assert interp == str(["angle"] * 3)
     assert scipy_modules == "[]"
 
 

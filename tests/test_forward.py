@@ -453,6 +453,136 @@ class TestIngest:
         assert np.array_equal(got_counts, counts)
 
 
+def benchmark_directions(kind, param, n=96):
+    """Direction pairs laid out as the benchmark's far-field files lay them
+    out: L(Theta), every pair of n midpoint angles in (-Theta, Theta); M(x*),
+    x_hat = -+s x* at n / 2 square-root-spaced fractions s, each with theta_hat
+    = s e(t) at n angles round the circle."""
+    if kind == "L":
+        t = param * ((np.arange(n) + 0.5) / n * 2.0 - 1.0)
+        e = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return np.repeat(e, n, axis=0), np.tile(e, (n, 1))
+    s = np.sqrt((np.arange(n // 2) + 0.5) / (n // 2))
+    t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    e = np.stack([np.cos(t), np.sin(t)], axis=1)
+    x_hat = np.concatenate([np.repeat(-sign * s[:, None] * np.asarray(param), n, axis=0)
+                            for sign in (1.0, -1.0)])
+    return x_hat, np.tile((s[:, None, None] * e).reshape(-1, 2), (2, 1))
+
+
+# x* at a generic angle; a two-disk phantom whose support reaches 0.8 from the origin
+X_STAR = (math.cos(1.971), math.sin(1.971))
+PHANTOM = ContrastField.from_shapes([
+    {"type": "disk", "center": [0.5, 0.2], "radius": 0.25, "value": 1.0},
+    {"type": "disk", "center": [-0.3, 0.6], "radius": 0.2, "value": 0.7}], resolution=16)
+
+
+def _angle_ingest(geometry, kind, param, rule, resolution, k=5.0, q=PHANTOM, n=96):
+    """The data ingested from far-field samples of q on the direction grid of
+    (kind, param) at wavenumber k onto the rule of the geometry, the rule, and
+    the weighted relative error on the covered nodes against the Born data
+    of the geometry's kernel scale kappa = k / h."""
+    x_hat, theta_hat = benchmark_directions(kind, param, n)
+    kappa = k / geometry.h
+    values = k * k * synthesize_born(q, k, theta_hat - x_hat).values
+    rule_ = P.build_quadrature(geometry, resolution, rule)
+    data = ingest_farfield(x_hat, theta_hat, values, k, kappa, rule_, geometry=geometry)
+    want = synthesize_born(q, kappa, rule_.nodes).values
+    ok, w = data.valid, rule_.weights
+    err = math.sqrt(np.sum(w[ok] * np.abs(data.values[ok] - want[ok]) ** 2)
+                    / np.sum(w[ok] * np.abs(want[ok]) ** 2))
+    return data, rule_, err
+
+
+class TestIngestAngle:
+    """Far fields on a direction grid are interpolated in the grid's two angle
+    parameters: spectral accuracy where inverse-distance weighting gave about
+    1e-2, and coverage of the data domain up to half a grid step."""
+
+    # resolutions that put 1,250 and 1,550 nodes on each set (the benchmark's
+    # extreme node levels); 51, 57 and 45 are odd midpoint grids, with a node at p = 0
+    CELLS = [(kind, param, rule, res)
+             for kind, param, resolutions in [
+                 ("L", 0.55 * math.pi, {"polar": (102, 112), "midpoint": (51, 57)}),
+                 ("L", 0.7 * math.pi, {"polar": (102, 112), "midpoint": (43, 48)}),
+                 ("L", 0.85 * math.pi, {"polar": (102, 112), "midpoint": (40, 45)}),
+                 ("M", X_STAR, {"polar": (144, 160), "midpoint": (56, 63)})]
+             for rule, pair in resolutions.items() for res in pair]
+
+    @pytest.mark.parametrize("kind,param,rule,res", CELLS)
+    def test_matches_closed_form(self, kind, param, rule, res):
+        geometry = (P.Geometry.limited_aperture(param) if kind == "L"
+                    else P.Geometry.multi_freq(param))
+        data, rule_, err = _angle_ingest(geometry, kind, param, rule, res)
+        assert data.meta["interp"] == "angle"
+        assert err <= 1e-6, err
+        assert rule_.weights[data.valid].sum() >= 0.99 * rule_.weights.sum()
+        origin = np.flatnonzero(np.all(rule_.nodes == 0.0, axis=1))
+        assert len(origin) == (kind == "L" and rule == "midpoint" and res % 2)
+        assert data.valid[origin].all()  # p = 0, taken on the diagonal x_hat = theta_hat
+
+    def test_full_circle_disk_grid(self):
+        # both rings close the circle: every node of a disk of radius < 2 is covered
+        n = 64
+        t = 2.0 * math.pi * np.arange(n) / n
+        e = np.stack([np.cos(t), np.sin(t)], axis=1)
+        x_hat, theta_hat = np.repeat(e, n, axis=0), np.tile(e, (n, 1))
+        values = 4.0 * synthesize_born(PHANTOM, 2.0, theta_hat - x_hat).values
+        target = disk_polar_rule(1.9, 24, 48)
+        data = ingest_farfield(x_hat, theta_hat, values, 2.0, 2.0, target)
+        want = synthesize_born(PHANTOM, 2.0, target.nodes).values
+        assert data.meta["interp"] == "angle" and data.valid.all()
+        assert np.abs(data.values - want).max() <= 1e-7 * np.abs(want).max()
+
+    @pytest.mark.parametrize("h", [0.5, 2.0])
+    @pytest.mark.parametrize("kind,param", [("L", 0.7 * math.pi), ("M", X_STAR)])
+    def test_scaled_directions(self, kind, param, h):
+        # k / kappa = h: node p has its preimage at p / h in direction space
+        geometry = (P.Geometry.limited_aperture(param, h=h) if kind == "L"
+                    else P.Geometry.multi_freq(param, h=h))
+        data, rule_, err = _angle_ingest(geometry, kind, param, "polar", 102)
+        assert data.meta["kappa"] == 5.0 / h
+        assert err <= 1e-6, err
+        assert rule_.weights[data.valid].sum() >= 0.99 * rule_.weights.sum()
+
+    def test_innermost_rings_limit_m_accuracy(self):
+        # a phantom at the benchmark's reach (support to 1.9 from the origin):
+        # the square-root-spaced fractions leave the innermost rings of M data
+        # 0.075 apart in s (0.15 in p along x*, 1.4 radians of phase), and the
+        # error collects at s < 0.3, a hundred times that further out
+        q = ContrastField.from_shapes([
+            {"type": "disk", "center": (1.6 * np.asarray(X_STAR)).tolist(), "radius": 0.3,
+             "value": 1.0},
+            {"type": "disk", "center": [-0.9, 0.3], "radius": 0.25, "value": 0.8}], resolution=16)
+        geometry = P.Geometry.multi_freq(X_STAR)
+        data, rule_, err = _angle_ingest(geometry, "M", X_STAR, "polar", 160, q=q)
+        p = rule_.nodes
+        s = np.sum(p * p, axis=1) / (2.0 * np.abs(p @ np.asarray(X_STAR)))
+        outer = data.valid & (s >= 0.3)
+        want = synthesize_born(q, 5.0, p[outer]).values
+        w = rule_.weights[outer]
+        outer_err = math.sqrt(np.sum(w * np.abs(data.values[outer] - want) ** 2)
+                              / np.sum(w * np.abs(want) ** 2))
+        assert 100.0 * outer_err <= err <= 1e-3, (outer_err, err)
+
+    def test_explicit_cutoff_flags_far_nodes(self):
+        # --cutoff keeps its meaning: a node farther than it from every sample p
+        # is missing, on top of the nodes the grid does not cover
+        x_hat, theta_hat = benchmark_directions("L", 2.2, n=24)
+        values = synthesize_born(PHANTOM, 1.0, theta_hat - x_hat).values
+        target = P.build_quadrature(P.Geometry.limited_aperture(2.2), 40, "midpoint")
+        free = ingest_farfield(x_hat, theta_hat, values, 1.0, 1.0, target)
+        cut = ingest_farfield(x_hat, theta_hat, values, 1.0, 1.0, target, cutoff=0.05)
+        gap = np.sqrt(((target.nodes[:, None, :] - (theta_hat - x_hat)[None]) ** 2)
+                      .sum(axis=2)).min(axis=1)
+        assert cut.meta["cutoff"] == 0.05 and cut.meta["interp"] == "angle"
+        assert np.array_equal(cut.flags, free.flags | (gap > 0.05))
+        assert 0 < cut.flags.sum() < len(cut.flags)
+        kept = cut.valid
+        assert np.array_equal(cut.values[kept], free.values[kept])
+        assert not cut.values[~kept].any()
+
+
 class TestNoise:
     def _data(self):
         rng = np.random.default_rng(5)
@@ -514,6 +644,17 @@ class TestDataGridIO:
         assert np.array_equal(back.flags, data.flags)
         assert back.geometry.kind == "disk" and back.geometry.h == 2.0
         assert back.meta["seed"] == 3
+
+    @pytest.mark.parametrize("key,value", [("cutoff", math.inf), ("delta_abs", math.nan),
+                                           ("kappa", -math.inf)])
+    def test_non_finite_header_not_written(self, tmp_path, key, value):
+        # strict JSON has no Infinity or NaN: the header is refused, not written
+        data = replace(TestNoise()._data(), meta={"kappa": 1.0, "delta": 0.0, "seed": None,
+                                                 key: value})
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ParameterError, match="finite"):
+            write_datagrid(path, data)
+        assert not path.exists()
 
     def test_flag_other_than_0_or_1_refused(self):
         # a grid write_datagrid would write and read_datagrid refuse
