@@ -1,5 +1,6 @@
 """Command-line surface: basis caching, data synthesis, ingestion,
-reconstruction, extrapolation, validation, and the stability experiment.
+reconstruction, extrapolation, validation, and the stability experiment; each
+stage pairs either kind of basis with its setup or data by `paired(domain, c)`.
 
 Exit codes: 0 success, 1 computation failure, 2 bad configuration or
 arguments.  All outputs are deterministic for a fixed configuration and seed.
@@ -20,15 +21,14 @@ import numpy as np
 
 from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
-from .disk_basis import DiskBasis, compute_disk_basis, default_truncation
+from .disk_basis import compute_disk_basis, default_truncation
 from .errors import ParameterError, ProlateError
 from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, write_csv,
                       write_datagrid)
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
 from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
                     write_field_csv, write_result)
-from .symset_basis import (PAIRING_TOL, RULE_VERSION, Geometry, build_quadrature,
-                           compute_symset_basis)
+from .symset_basis import RULE_VERSION, Geometry, build_quadrature, compute_symset_basis
 
 __all__ = ["run", "main", "experiment_stability", "write_stability"]
 
@@ -180,36 +180,11 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _load_basis_for_setup(path: str, setup: ProblemSetup):
-    """A cached basis paired with a setup's bandwidth and data domain."""
-    basis = cachemod.load_basis(path)
-    if isinstance(basis, DiskBasis) != (setup.regime == "full"):
-        raise ParameterError("the full-aperture regime pairs with a disk basis file, "
-                             "the limited and multifreq regimes with a symset basis file")
-    _check_bandwidth(basis, setup.c_param, "setup c parameter")
-    return basis.paired(setup.domain)
-
-
-def _pair_with_data(basis, data):
-    """A cached basis paired with a data file's domain and, where its header
-    records the kernel scale kappa, with its bandwidth kappa h^2."""
-    basis = basis.paired(data.geometry)
-    if data.meta.get("kappa") is not None:
-        _check_bandwidth(basis, data.meta["kappa"] * data.geometry.h**2, "data kappa h^2")
-    return basis
-
-
-def _check_bandwidth(basis, c: float, source: str) -> None:
-    """ParameterError unless basis.c is c, the bandwidth of a setup or data file, to PAIRING_TOL."""
-    if abs(basis.c - c) > PAIRING_TOL * max(1.0, c):
-        raise ParameterError(f"basis bandwidth {basis.c!r} does not match the {source} {c!r}")
-
-
 def _cmd_synthesize(args) -> int:
     _flag("--noise", args.noise, positive=False)
     with _sized_by("--contrast-resolution"):
         setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
-    basis = _load_basis_for_setup(args.basis, setup)
+    basis = cachemod.load_basis(args.basis).paired(setup.domain, setup.c_param)
     data = synthesize_setup(setup, basis.quad)
     if args.noise > 0.0:
         data = add_noise(data, args.noise, args.seed)
@@ -221,10 +196,12 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_ingest(args) -> int:
     _flag("--k", args.k, positive=True)
+    if not (math.isfinite(args.k * args.k) and args.k * args.k >= sys.float_info.min):
+        raise ParameterError(f"--k {args.k!r} is out of range: k^2 must be a finite normal float")
     if args.cutoff is not None:
         _flag("--cutoff", args.cutoff, positive=True)
     basis = cachemod.load_basis(args.basis)
-    if isinstance(basis, DiskBasis):
+    if getattr(basis, "geometry", None) is None:  # ingest maps onto a set's own domain
         raise ParameterError("ingest requires a symset basis or a scaled target; "
                              "build a symset disk basis for full-aperture targets")
     table = read_columns(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y",
@@ -300,7 +277,7 @@ def _cmd_reconstruct(args) -> int:
         raise ParameterError(f"--field-grid must be at least 1, got {args.field_grid}")
     _grid_flag("--field-grid", args.field_grid)
     data = read_datagrid(args.data)
-    basis = _pair_with_data(cachemod.load_basis(args.basis), data)
+    basis = cachemod.load_basis(args.basis).paired(data.geometry, data.bandwidth)
     if args.auto_alpha:
         for name in ("delta", "E", "sigma", "c0"):
             if getattr(args, name) is None:
@@ -332,10 +309,7 @@ def _field_axis(b: float, n: int) -> np.ndarray:
 
 def _cmd_extrapolate(args) -> int:
     data = read_datagrid(args.data)
-    basis = cachemod.load_basis(args.basis)
-    if not isinstance(basis, DiskBasis):
-        raise ParameterError("extrapolate requires a disk basis file")
-    basis = _pair_with_data(basis, data)
+    basis = cachemod.load_basis(args.basis).paired(data.geometry, data.bandwidth)
     targets = read_columns(args.targets, ["x", "y"], "target")
     if not len(targets):
         raise ParameterError(f"{args.targets}: no target rows")
@@ -372,6 +346,10 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     """
     clean = synthesize_setup(setup, basis.quad)  # refuses a setup not contained in its domain
     u_norm = clean.weighted_norm()
+    levels = list(dict.fromkeys(d for d in deltas if d > 0))
+    if levels and u_norm == 0.0:  # add_noise draws noise relative to u_norm
+        raise ParameterError("the setup's Born data is zero, so no noise level delta > 0 "
+                             "can be drawn relative to its norm")
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     w = basis.quad.weights
     cuts = [basis.cutoff(alpha) for alpha in alphas]  # the checks of `reconstruct`, per alpha
@@ -379,7 +357,6 @@ def experiment_stability(setup: ProblemSetup, basis, deltas, alphas, seed: int,
     # noise rate 1/beta(alpha), or 1/alpha on a set, whose cutoff keeps |mu| > alpha
     floors = [alpha if beta is None else beta for alpha, (_, beta) in zip(alphas, cuts)]
     rates = [1.0 / f if f > 0 else np.inf for f in floors]
-    levels = list(dict.fromkeys(d for d in deltas if d > 0))
     # (group, seed) per data column: group 0 is the clean data, group g the level levels[g - 1]
     columns = [(0, None)] + [(g, s) for g in range(1, len(levels) + 1) for s in range(n_seeds)]
     sums = np.zeros((len(alphas), len(levels) + 1))  # error sums per alpha and group
@@ -418,7 +395,7 @@ def _cmd_stability(args) -> int:
     alphas = _flag_list("--alphas", args.alphas, positive=True)
     with _sized_by("--contrast-resolution"):
         setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
-    basis = _load_basis_for_setup(args.basis, setup)
+    basis = cachemod.load_basis(args.basis).paired(setup.domain, setup.c_param)
     write_stability(args.out, experiment_stability(setup, basis, deltas, alphas, args.seed,
                                                    args.seeds))
     print(args.out)

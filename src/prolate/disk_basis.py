@@ -50,6 +50,7 @@ from .numerics import (
     sym_eig,
     zernike_radial_table,
 )
+from .symset_basis import check_bandwidth
 
 __all__ = [
     "MODE_DTYPE",
@@ -141,16 +142,12 @@ class DiskBasis:
         """Sturm-Liouville eigenvalues chi per mode."""
         return self.modes["chi"]
 
-    def keep(self, alpha: float) -> np.ndarray:
-        """Spectral-cutoff mask of the index set J(alpha) = {chi < 1/alpha}."""
-        return self.chis < 1.0 / alpha
-
     def cutoff(self, alpha: float) -> tuple[np.ndarray, float]:
-        """The mask of J(alpha) and beta(alpha), the smallest retained |mu|; raises if
-        J(alpha) is empty."""
+        """The mask of the index set J(alpha) = {chi < 1/alpha} and beta(alpha), the
+        smallest retained |mu|; raises if J(alpha) is empty."""
         if alpha <= 0.0:
             raise ParameterError("alpha must be positive")
-        keep = self.keep(alpha)
+        keep = self.chis < 1.0 / alpha
         if not keep.any():
             raise EmptyCutoffError(f"no modes with chi < {1.0 / alpha:.6g}")
         return keep, float(np.min(np.abs(self.mu[keep])))
@@ -293,11 +290,30 @@ class DiskBasis:
         quad = QuadratureRule(s * self.quad.nodes, s**2 * self.quad.weights)
         return replace(self, radius=radius, quad=quad)
 
-    def paired(self, domain) -> "DiskBasis":
-        """The basis dilated onto the disk `domain` of a setup or data file: radius h."""
-        if domain is None or domain.kind != "disk":
-            raise ParameterError("data was not produced on a scaled disk domain")
+    def paired(self, domain, c: float | None) -> "DiskBasis":
+        """The basis dilated onto a setup's or data file's disk `domain` of bandwidth `c`."""
+        kind = domain and domain.kind
+        if kind != "disk":
+            raise ParameterError(f"a disk basis pairs only with a disk domain, got {kind!r}")
+        check_bandwidth(self.c, c)
         return self.dilated(domain.h)
+
+    def checks(self) -> tuple[float, list]:
+        """The Gram tolerance of `analysis.validate_basis` and the disk's own identities,
+        (name, residual, threshold): chi in [d(d + 2), d(d + 2) + c^2], d = m + 2n, alpha
+        of phase i^m, and |alpha| not rising along n on each order m (usable, ell = 1)."""
+        modes, chis = self.modes, self.chis
+        degree = modes["m"] + 2 * modes["n"]
+        lo = degree * (degree + 2)
+        slack = np.maximum(lo - chis, chis - (lo + self.c * self.c))
+        phases = modes["alpha"] * np.array([1, -1j, -1, 1j])[modes["m"] % 4]  # alpha (-i)^m
+        chain = modes[(modes["ell"] == 1) & modes["usable"]]
+        chain = chain[np.lexsort((chain["n"], chain["m"]))]
+        mags = np.abs(chain["alpha"])
+        rise = ((mags[1:] - mags[:-1]) / mags[:-1])[chain["m"][1:] == chain["m"][:-1]]
+        return 1e-8, [("eigenvalue_bracketing", slack.max(), -1e-12),
+                      ("alpha_parity", (np.abs(phases.imag) / np.abs(phases)).max(), 1e-10),
+                      ("alpha_monotone_chains", float(rise.max(initial=0.0)), 1e-10)]
 
 
 def default_truncation(c: float, n_max: int) -> int:

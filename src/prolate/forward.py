@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -235,6 +236,12 @@ class DataGrid:
     @property
     def valid(self) -> np.ndarray:
         return self.flags == 0
+
+    @property
+    def bandwidth(self) -> float | None:
+        """kappa h^2, the bandwidth of the data's basis; None without kappa or domain."""
+        kappa = self.meta.get("kappa")
+        return None if kappa is None or self.geometry is None else kappa * self.geometry.h**2
 
     def weighted_norm(self) -> float:
         ok = self.valid
@@ -593,8 +600,9 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
     On both paths a node farther than an explicit `cutoff` (in node units)
     from every sample is flagged missing.
     """
-    if not (k > 0.0 and kappa > 0.0):
-        raise ParameterError(f"ingest_farfield requires k, kappa > 0, got {k!r}, {kappa!r}")
+    if not (k > 0.0 and kappa > 0.0 and math.isfinite(k * k) and k * k >= sys.float_info.min):
+        raise ParameterError(f"ingest_farfield requires kappa > 0 and k > 0 with k^2 a finite "
+                             f"normal float, got {k!r}, {kappa!r}")
     scale = k / kappa
     directions = np.asarray(x_hat, dtype=float).reshape(-1, 2)
     incident = np.asarray(theta_hat, dtype=float).reshape(-1, 2)

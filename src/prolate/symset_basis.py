@@ -50,6 +50,7 @@ __all__ = [
     "analytic_area",
     "bounding_box",
     "build_quadrature",
+    "check_bandwidth",
     "compute_symset_basis",
 ]
 
@@ -142,6 +143,15 @@ class Geometry:
         if kind != "disk":  # only a disk's shape field, its radius, has a default (1)
             check_keys(d, (shape,), f"{kind} geometry record")
         return Geometry(kind=kind, h=d.get("h", 1.0), **{shape: d.get(shape, 1.0)})
+
+
+def check_bandwidth(basis_c: float, c: float | None) -> None:
+    """ParameterError unless `c`, the bandwidth of a setup or data file, is the basis
+    bandwidth `basis_c` to PAIRING_TOL; None (data that records no kappa) is refused."""
+    if c is None:
+        raise ParameterError("the data records no kappa to check the basis bandwidth against")
+    if abs(basis_c - c) > PAIRING_TOL * max(1.0, c):
+        raise ParameterError(f"basis bandwidth {basis_c!r} does not match the bandwidth {c!r}")
 
 
 def _limited_membership(theta_cap: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -378,12 +388,30 @@ class SymSetBasis:
             raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
         return keep, None
 
-    def paired(self, domain: Geometry | None) -> "SymSetBasis":
-        """The basis itself, once `domain`, of a setup or data file, matches its geometry."""
+    def paired(self, domain: Geometry | None, c: float | None) -> "SymSetBasis":
+        """The basis itself, once a setup's or data file's `domain` and bandwidth `c` match."""
         if domain is None or not self.geometry.matches(domain):
             raise ParameterError(f"basis geometry {self.geometry.to_dict()} does not match the "
                                  f"data domain {domain and domain.to_dict()}")
+        check_bandwidth(self.c, c)
         return self
+
+    def checks(self) -> tuple[float, list]:
+        """The Gram tolerance of `analysis.validate_basis` and the set's own identities,
+        (name, residual, threshold): alpha real/imaginary by parity, the Hilbert-Schmidt
+        sum against the squared total weight and area, and parity on mirrored nodes."""
+        alphas, even, vals = self.alphas, self.modes["even"], self.node_values
+        wrong = np.where(even, np.abs(alphas.imag), np.abs(alphas.real))
+        total = float(np.sum(self.spectrum_even**2) + np.sum(self.spectrum_odd**2))
+        sq = self.quad.total_weight**2
+        area2 = analytic_area(self.geometry) ** 2
+        sgn = np.where(even, 1.0, -1.0)[:, None]
+        dev = np.abs(vals[:, mirror_indices(self.quad)] - sgn * vals).max(axis=1)
+        worst = float((dev / np.abs(vals).max(axis=1)).max(initial=0.0))
+        return 1e-6, [("parity_eigenvalue_type", (wrong / np.abs(alphas)).max(), 1e-12),
+                      ("hilbert_schmidt_discrete", abs(total - sq) / sq, 1e-10),
+                      ("hilbert_schmidt_area", abs(total - area2) / area2, 1e-3),
+                      ("parity_node_symmetry", worst, 1e-8)]
 
     def inner(self, weighted) -> np.ndarray:
         """node_values @ weighted for node samples, (N,) or (N, k), real or complex."""

@@ -6,6 +6,7 @@ from prolate.analysis import (project_pi_alpha, projection_error_report, sobolev
                               extrapolate, validate_basis)
 from prolate.disk_basis import with_perturbed_alpha
 from prolate.forward import DataGrid
+from prolate.recon import expand, project
 from prolate.symset_basis import mirror_indices
 
 
@@ -16,6 +17,25 @@ def psi_hat(basis):
 def make_grid(basis, values):
     return DataGrid(nodes=basis.quad.nodes, weights=basis.quad.weights, values=values,
                     flags=np.zeros(len(basis.quad), dtype=np.uint8))
+
+
+@pytest.fixture(scope="module", params=["L", "M"])
+def set_basis(request):
+    """Small L(2.2) polar and M(0.6, 0.8) midpoint bases at c = 2, h = 2, whose 24 |mu|
+    fall to 0.16 and 0.01 of the largest."""
+    if request.param == "L":
+        geo, method = P.Geometry.limited_aperture(2.2, h=2.0), "polar"
+    else:
+        geo, method = P.Geometry.multi_freq((0.6, 0.8), h=2.0), "midpoint"
+    return P.compute_symset_basis(2.0, geo, P.build_quadrature(geo, 48, method=method), 24)
+
+
+def set_born_data(basis):
+    """Born data on the set basis's rule of a disk inside the set."""
+    x = 0.9 * np.array(basis.geometry.x_star if basis.geometry.kind == "multi_freq" else (1, 0))
+    q = P.ContrastField.from_shapes([{"type": "disk", "center": (x * basis.geometry.h).tolist(),
+                                      "radius": 0.5, "value": 1.0}], resolution=40)
+    return P.synthesize_born(q, basis.kernel_scale, basis.quad, geometry=basis.geometry)
 
 
 class TestProjection:
@@ -48,6 +68,18 @@ class TestProjection:
         u = np.ones(len(disk_c5.quad))
         proj = project_pi_alpha(u, disk_c5, alpha=1.0)  # 1/alpha below every chi
         assert np.all(proj == 0.0)
+
+    def test_set_keeps_modes_above_alpha(self, set_basis, wnorm):
+        # pi_alpha on a set is the cutoff {|mu| > alpha}: it fixes each retained
+        # normalized mode and annihilates each dropped one
+        mags = np.abs(set_basis.mu)
+        gap = int(np.argmax(mags[4:-1] / mags[5:])) + 4  # a clear gap past the first modes
+        alpha = float(np.sqrt(mags[gap] * mags[gap + 1]))
+        w = set_basis.quad.weights
+        for n, u in enumerate(psi_hat(set_basis)):
+            proj = project_pi_alpha(u, set_basis, alpha)
+            assert wnorm(w, proj - (u if n <= gap else 0.0)) <= 1e-10, n
+        assert np.all(project_pi_alpha(u, set_basis, 2.0 * mags.max()) == 0.0)
 
     def test_sobolev_bound_exact_construction(self, disk_c5, wnorm):
         # u built with coefficients chi^{-s/2} b has H~s norm ||b||; the
@@ -183,6 +215,20 @@ class TestExtrapolate:
         b = extrapolate(make_grid(scaled_c6, v + 0j), scaled_c6, pts)
         ab = extrapolate(make_grid(scaled_c6, u + 3.0 * v), scaled_c6, pts)
         assert np.abs(ab - (a + 3.0 * b)).max() < 1e-10 * np.abs(ab).max()
+
+
+    def test_set_extension_is_the_projection_at_the_nodes(self, set_basis):
+        # the Nystrom extension through the Born sum reproduces, on the nodes, the
+        # projection of the data onto every mode of the set basis
+        data = set_born_data(set_basis)
+        want = expand(set_basis, project(set_basis, data.weights * data.values),
+                      np.ones(len(set_basis.modes), dtype=bool))
+        got = extrapolate(data, set_basis, set_basis.quad.nodes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        h = set_basis.geometry.h
+        t = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
+        outside = 2.5 * h * np.stack([np.cos(t), np.sin(t)], axis=1)
+        assert np.isfinite(extrapolate(data, set_basis, outside)).all()
 
 
 class TestValidateBasis:

@@ -653,9 +653,10 @@ class TestIngestGrid:
 
 
 class TestPairing:
-    """A basis file of the wrong kind for a stage, setup or data file, or one
-    on another domain than the setup's, exits 2 with one line and writes no
-    output."""
+    """A basis file on another data domain than the setup's or data file's
+    (`paired`), or one without a set's domain for `ingest`, exits 2 with one
+    line and writes no output; a basis on that domain is accepted whatever its
+    type."""
 
     SETUP_L = {"regime": "limited", "k": 1.0, "c_param": 5.0, "theta": 2.2,
                "contrast": {"shapes": [{"type": "disk", "center": [0.0, 0.0], "radius": 1.0,
@@ -689,22 +690,46 @@ class TestPairing:
         return files
 
     @pytest.mark.parametrize("argv,message", [
-        (["synthesize", "limited", "--basis", "disk"], "regime"),
-        (["synthesize", "full", "--basis", "L"], "regime"),
-        (["synthesize", "full", "--basis", "symset-disk"], "regime"),
+        (["synthesize", "limited", "--basis", "disk"],
+         "a disk basis pairs only with a disk domain, got 'limited_aperture'"),
+        (["synthesize", "full", "--basis", "L"], "does not match the data domain"),
         (["synthesize", "limited-theta", "--basis", "L"], "does not match"),
         (["stability", "limited-theta", "--basis", "L", "--deltas", "0,1e-3",
           "--alphas", "0.5"], "does not match"),
         (["reconstruct", "dataL", "--basis", "disk", "--alpha", "0.01"], "disk domain"),
-        (["extrapolate", "dataL", "--basis", "L", "--targets", "targets"], "disk basis"),
         (["ingest", "farfield", "--k", "1", "--basis", "disk"], "symset basis"),
-    ], ids=["disk-limited", "L-full", "symset-disk-full", "theta-synthesize",
-            "theta-stability", "disk-L-data", "extrapolate-symset", "ingest-disk"])
+    ], ids=["disk-limited", "L-full", "theta-synthesize", "theta-stability", "disk-L-data",
+            "ingest-disk"])
     def test_refused(self, tmp_path, files, capsys, argv, message):
         out = tmp_path / "out"
         code, err = _exit_and_error(capsys, [files.get(a, a) for a in argv] + ["-o", str(out)])
         assert code == 2 and len(err) == 1 and message in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "full", "--basis", "symset-disk"],
+        ["extrapolate", "dataL", "--basis", "L", "--targets", "targets"],
+    ], ids=["symset-disk-full", "extrapolate-symset"])
+    def test_accepted(self, tmp_path, files, capsys, argv):
+        # a full setup's disk B(0, c / 2k) is the symset disk basis's domain, and its
+        # kernel scale 4 k^2 / c that basis's c / h^2; extrapolate runs on any basis
+        out = tmp_path / "out"
+        assert run([files.get(a, a) for a in argv] + ["-o", str(out)]) == 0
+        assert out.exists()
+
+    def test_full_setup_on_symset_disk_basis(self, tmp_path, files, capsys):
+        data, rec, table = (str(tmp_path / name) for name in ("data.csv", "rec.json", "t.csv"))
+        for argv in (["synthesize", files["full"], "--basis", files["symset-disk"], "-o", data,
+                      "--contrast-resolution", "24"],
+                     ["reconstruct", data, "--basis", files["symset-disk"], "--alpha", "1e-3",
+                      "-o", rec],
+                     ["stability", files["full"], "--basis", files["symset-disk"],
+                      "--deltas", "0,1e-3", "--alphas", "0.5", "--contrast-resolution", "24",
+                      "-o", table]):
+            assert run(argv) == 0, capsys.readouterr().err
+        assert read_datagrid(data).bandwidth == pytest.approx(5.0, rel=1e-14)
+        assert json.loads(Path(rec).read_text())["modes"]
+        assert len(Path(table).read_text().splitlines()) == 3
 
 
 class TestFarFieldReader:
@@ -805,8 +830,10 @@ class TestFarFieldReader:
 # run in one process in which `import scipy` fails: L(2.2) at h = 1 (k = c =
 # 5) and at h = 2 (k = 2.5, so ingest scales p by k / kappa = h), and
 # M(0.6, 0.8) at h = 1 on a ring layout of far-field directions, each basis ->
-# synthesize -> ingest -> reconstruct --field-out -> stability; and the
-# full-aperture disk, basis -> synthesize -> reconstruct -> extrapolate.
+# synthesize -> ingest -> reconstruct --field-out -> stability -> extrapolate
+# (the Nystrom extension, to a point inside the set and one outside 2h) ->
+# validate; and the full-aperture disk, basis -> synthesize -> reconstruct ->
+# extrapolate.
 # Prints the exit code of each stage, the interpolation each ingest recorded,
 # then the scipy modules loaded.
 NUMPY_ONLY_PIPELINES = """
@@ -825,6 +852,8 @@ def stage(*argv):
     return out.getvalue().strip().splitlines()[-1] if out.getvalue().strip() else ""
 
 shapes = [{"type": "disk", "center": [0.9, 0.2], "radius": 0.25, "value": 1.0}]
+with open("targetsL.csv", "w") as f:  # inside L(2.2)_h and outside 2h, at h = 1 and 2
+    f.write("x,y\\n0.3,0.1\\n6.0,1.0\\n")
 for h, k in ((1.0, 5.0), (2.0, 2.5)):
     setup = f"setup{h:g}.json"
     with open(setup, "w") as f:
@@ -847,6 +876,9 @@ for h, k in ((1.0, 5.0), (2.0, 2.5)):
           "-o", f"rec{h:g}.json", "--field-out", f"field{h:g}.csv", "--field-grid", "8")
     stage("stability", setup, "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
           "-o", f"table{h:g}.csv")
+    stage("extrapolate", f"data{h:g}.csv", "--basis", basis, "--targets", "targetsL.csv",
+          "-o", f"ext{h:g}.csv")
+    stage("validate", "--basis", basis, "-o", f"valid{h:g}.json")
 
 # M(0.6, 0.8): x_hat = -+s x* at 24 fractions s, theta_hat = s e(t) at 48 angles
 x_star = np.array([0.6, 0.8])
@@ -872,6 +904,10 @@ stage("reconstruct", "ingM.csv", "--basis", basis, "--alpha", "1e-3", "-o", "rec
       "--field-out", "fieldM.csv", "--field-grid", "8")
 stage("stability", "setupM.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
       "-o", "tableM.csv")
+with open("targetsM.csv", "w") as f:
+    f.write("x,y\\n0.54,0.72\\n3.0,0.5\\n")
+stage("extrapolate", "dataM.csv", "--basis", basis, "--targets", "targetsM.csv", "-o", "extM.csv")
+stage("validate", "--basis", basis, "-o", "validM.json")
 
 with open("full.json", "w") as f:
     json.dump({"regime": "full", "k": 1.0, "contrast": {"shapes": [
@@ -900,7 +936,7 @@ def test_numpy_only_pipelines(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, interp, scipy_modules = proc.stdout.strip().splitlines()[-3:]
-    assert codes == str([0] * 19), proc.stderr
+    assert codes == str([0] * 25), proc.stderr
     assert interp == str(["angle"] * 3)
     assert scipy_modules == "[]"
 
@@ -1086,6 +1122,24 @@ class TestBadFlags:
                                              "--seed=-1"])
         assert code == 2 and len(err) == 1 and "--seed" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["2e154", "1e-308"])
+    def test_ingest_k_out_of_range(self, tmp_path, cache_dir, capsys, k):
+        # k^2 overflows (an OverflowError from k**2) or underflows to 0 (every node
+        # flagged missing after divide-by-zero warnings)
+        assert run(["basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5",
+                    "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip()
+        samples, out = tmp_path / "ff.csv", tmp_path / "ing.csv"
+        table = _far_field_file(samples, n=16)
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", k,
+                                             "--basis", basis_file, "-o", str(out)])
+        assert code == 2 and len(err) == 1 and err[0].startswith(f"error: --k {float(k)!r}"), err
+        assert not out.exists()
+        basis = P.load_basis(basis_file)
+        with pytest.raises(ParameterError, match="k\\^2 a finite normal float"):
+            P.ingest_farfield(table[:, 0:2], table[:, 2:4], table[:, 4], float(k),
+                              basis.kernel_scale, basis.quad)
 
     @pytest.mark.parametrize("alpha", ["nan", "0", "-0.01"])
     def test_reconstruct_alpha(self, tmp_path, disk_basis_file, capsys, alpha):
@@ -1549,6 +1603,20 @@ class TestStability:
             assert error <= bound * (1.0 + 1e-9)
 
 
+    def test_zero_contrast(self, tmp_path, cache_dir, disk_basis_file, capsys):
+        # noise levels are drawn relative to the clean data's norm, here 0
+        zero = {**SETUP, "contrast": {"shapes": [{**SETUP["contrast"]["shapes"][0],
+                                                  "value": 0.0}]}}
+        setup, out = write_setup(tmp_path, zero), tmp_path / "table.csv"
+        argv = ["stability", str(setup), "--basis", disk_basis_file, "--alphas", "0.05",
+                "-o", str(out)]
+        code, err = _exit_and_error(capsys, argv + ["--deltas", "0,1e-3"])
+        assert code == 2 and len(err) == 1 and "Born data is zero" in err[0], err
+        assert not out.exists()
+        assert run(argv + ["--deltas", "0"]) == 0
+        assert out.read_text().splitlines()[1:] == ["0.0,0.05,0.0,0.0"]
+
+
 def _edit_field(path, row, column, value):
     """Set field `column` of data row `row` (0-based) of a data file to `value`."""
     lines = path.read_text().split("\n")
@@ -1556,6 +1624,11 @@ def _edit_field(path, row, column, value):
     fields[column] = value
     lines[2 + row] = ",".join(fields)
     path.write_text("\n".join(lines))
+
+
+def _null_kappa(path):
+    """Rewrite the kernel scale kappa in a data file's header to null."""
+    _rewrite_json_line(path, 0, lambda h: h.update(kappa=None))
 
 
 class TestBornDataOfTheBasis:
@@ -1606,9 +1679,15 @@ class TestBornDataOfTheBasis:
          "'delta'"),
         (RECONSTRUCT, lambda p: _rewrite_json_line(p, 0, lambda h: h.update(kappa="abc")),
          "'kappa'"),
+        # without kappa the bandwidth c = kappa h^2 cannot be checked: c = 9.5 and c = 10
+        # share their rule bit for bit, so nothing else would stop the c = 9.5 basis
+        (["reconstruct", "data", "--basis", "c9.5", "--alpha", "0.01"], _null_kappa,
+         "the data records no kappa"),
+        (["extrapolate", "data", "--basis", "c9.5", "--targets", "targets"], _null_kappa,
+         "the data records no kappa"),
     ], ids=["stability-uncontained", "reconstruct-negative-weight",
             "extrapolate-negative-weight", "reconstruct-c9.5-on-c10", "extrapolate-c9.5-on-c10",
-            "flag-7", "delta-x", "kappa-abc"])
+            "flag-7", "delta-x", "kappa-abc", "reconstruct-kappa-null", "extrapolate-kappa-null"])
     def test_refused(self, tmp_path, files, capsys, argv, edit, message):
         if edit is not None:
             edit(Path(files["data"]))
@@ -1616,6 +1695,11 @@ class TestBornDataOfTheBasis:
         code, err = _exit_and_error(capsys, [files.get(a, a) for a in argv] + ["-o", str(out)])
         assert code == 2 and len(err) == 1 and message in err[0], err
         assert not out.exists()
+
+    def test_null_kappa_read(self, files):
+        _null_kappa(Path(files["data"]))
+        data = read_datagrid(files["data"])
+        assert data.meta["kappa"] is None and data.bandwidth is None
 
     def test_intact_data_accepted(self, tmp_path, files, capsys):
         for argv in (self.RECONSTRUCT, self.EXTRAPOLATE):

@@ -100,7 +100,7 @@ def test_disk_reconstruction_field_off_nodes(scaled_c6):
         [{"type": "disk", "center": (0.4, -0.3), "radius": 1.2, "value": 1.0}], resolution=80)
     data = P.synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
     rec = reconstruct(data, scaled_c6, alpha=1.0 / 60.0)
-    keep = scaled_c6.keep(1.0 / 60.0)
+    keep = scaled_c6.cutoff(1.0 / 60.0)[0]
     assert 1 < keep.sum() < len(keep)
     # at the nodes the field is the node-sampled Picard series
     assert np.abs(rec.field(scaled_c6.quad.nodes) - rec.node_field).max() \

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the standard-library `ast`: no
 module imports a name it never uses, no private module-level name is left
-unreferenced across the package, and the command line imports no private name
-of another module.  The re-exports of `__init__` are exempt."""
+unreferenced across the package, the command line imports no private name
+of another module, and the stages neither import nor test for a basis class.
+The re-exports of `__init__` are exempt."""
 
 import ast
 import pathlib
@@ -106,3 +107,17 @@ def test_cli_imports_no_private_name():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert not private, private
+
+
+@pytest.mark.parametrize("name", ["cli.py", "analysis.py", "recon.py"])
+def test_no_basis_type_dispatch(name):
+    # the stages use a basis through its interface alone (paired, cutoff, checks,
+    # inner, on_nodes, combine), so they neither import nor test for a basis class
+    tree = _tree(PACKAGE / name)
+    classes = {"DiskBasis", "SymSetBasis"}
+    imported = [f"{name}:{line} {bound}" for bound, line in _imported(tree) if bound in classes]
+    dispatch = [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and classes & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}]
+    assert not imported and not dispatch, imported + dispatch

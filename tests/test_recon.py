@@ -118,7 +118,7 @@ class TestProjection:
         rec = reconstruct(data, basis, alpha)
         w = np.where(data.valid, data.weights, 0.0)
         psi_hat = basis.node_values / basis.mode_norms[:, None]
-        keep = basis.keep(alpha)
+        keep = basis.cutoff(alpha)[0]
         coeffs = (psi_hat @ (w * data.values) / basis.mu)[keep]
         node_field = coeffs @ psi_hat[keep]
         predicted = (coeffs * basis.mu[keep]) @ psi_hat[keep]
