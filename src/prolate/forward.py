@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
-from .numerics import (GridPiece, QuadratureRule, SupportPiece, _born_sum, _piece,
-                       annulus_polar_rule, disk_polar_rule, nearest)
+from .numerics import (GridPiece, QuadratureRule, RingPiece, SupportPiece, _annulus_rings,
+                       _born_sum, _disk_rings, _piece, _polar_layout, nearest)
 from .symset_basis import Geometry
 
 __all__ = [
@@ -46,39 +46,37 @@ class ContrastField:
 
     `evaluate` returns q at (N, 2) points and vanishes off the support;
     overlapping shape values add.  `pieces` holds q times the quadrature
-    weight on the support nodes, as one `SupportPiece` per shape (centred at
-    the shape centre, so an overlap is counted once per shape, each with its
-    own value), one `GridPiece` per pixel grid (centred at the grid centre)
-    or one at the origin for an explicit rule; `quad` holds the same nodes,
-    centre + offset.  `radius` is that of the smallest origin-centred disk
-    containing the support, and `boundary` holds points sampling the support
-    boundary.
+    weight on the support nodes, as one `RingPiece` per disk or annulus (the
+    rings of its polar rule about the shape centre, so an overlap is counted
+    once per shape, each with its own value), one `GridPiece` per pixel grid
+    (centred at the grid centre) or one `SupportPiece` at the origin for an
+    explicit rule; `quad` holds the same nodes, centre + offset.  `radius` is
+    that of the smallest origin-centred disk containing the support, and
+    `boundary` holds points sampling the support boundary.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     quad: QuadratureRule
-    pieces: tuple[SupportPiece | GridPiece, ...]
+    pieces: tuple[RingPiece | GridPiece | SupportPiece, ...]
     radius: float
     boundary: np.ndarray
 
     @staticmethod
-    def from_shapes(shapes: list[dict], resolution: int = 160, method: str = "polar") -> "ContrastField":
-        """Disks {type, center, radius, value} and annuli (r_inner, r_outer in place of radius)."""
+    def from_shapes(shapes: list[dict], resolution: int = 160) -> "ContrastField":
+        """Disks {type, center, radius, value} and annuli (r_inner, r_outer in place of radius),
+        each on the polar rule of `resolution` radii and as many angles, rounded up to even."""
         if not shapes:
             raise ParameterError("contrast needs at least one shape")
         shapes = [_check_shape(sh) for sh in shapes]
         nodes, weights, pieces = [], [], []
+        n_t = resolution + resolution % 2
         for sh in shapes:
-            n_t = resolution + resolution % 2
-            if method != "polar":
-                rule = _midpoint_disk(sh.inner, sh.outer, resolution)
-            elif sh.disk:
-                rule = disk_polar_rule(sh.outer, resolution, n_t)
-            else:
-                rule = annulus_polar_rule(sh.inner, sh.outer, resolution, n_t)
+            r, wr = (_disk_rings(sh.outer, resolution) if sh.disk
+                     else _annulus_rings(sh.inner, sh.outer, resolution))
+            rule = _polar_layout(r, wr, n_t)
             nodes.append(rule.nodes + sh.center)
             weights.append(rule.weights)
-            pieces.append(_piece(sh.center, rule.nodes, sh.value * rule.weights))
+            pieces.append(RingPiece(sh.center, r, 2.0 * np.pi * sh.value * wr, n_t))
         quad = QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
@@ -200,17 +198,6 @@ def _check_shape(sh) -> _Shape:
     if sh["type"] == "disk":
         return _Shape(True, center, 0.0, x["radius"], x["value"])
     return _Shape(False, center, x["r_inner"], x["r_outer"], x["value"])
-
-
-def _midpoint_disk(r_inner: float, r_outer: float, resolution: int) -> QuadratureRule:
-    """Midpoint rule on the origin-centred disk or annulus; symmetric under p -> -p."""
-    step = 2.0 * r_outer / resolution
-    g = step * (np.arange(resolution) - (resolution - 1) / 2.0)
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    d2 = X**2 + Y**2
-    keep = (d2 < r_outer**2) & (d2 > r_inner**2) if r_inner > 0 else d2 < r_outer**2
-    pts = np.stack([X[keep], Y[keep]], axis=1)
-    return QuadratureRule(pts, np.full(len(pts), step * step))
 
 
 @dataclass(frozen=True)
@@ -620,8 +607,11 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
                         meta=meta, geometry=geometry)
     k2 = k**2
     vals = np.empty(len(values), dtype=complex)
-    vals.real = values.real / k2  # the parts divided separately, as a complex by a real
-    vals.imag = values.imag / k2
+    with np.errstate(over="ignore"):
+        vals.real = values.real / k2  # the parts divided separately, as a complex by a real
+        vals.imag = values.imag / k2
+    if np.any(np.isfinite(values) & ~np.isfinite(vals)):
+        raise ParameterError(f"far-field values / k^2 overflow at k = {k!r}")
     grid = _direction_grid(directions, incident)
     if grid is not None:
         values, flags, cutoff = _ingest_grid(grid, x_hat, theta_hat, vals, scale, target, cutoff)

@@ -911,7 +911,9 @@ stage("validate", "--basis", basis, "-o", "validM.json")
 
 with open("full.json", "w") as f:
     json.dump({"regime": "full", "k": 1.0, "contrast": {"shapes": [
-        {"type": "disk", "center": [0.7, 0.3], "radius": 1.1, "value": 1.0}]}}, f)
+        {"type": "disk", "center": [0.7, 0.3], "radius": 1.1, "value": 1.0},
+        {"type": "annulus", "center": [-0.4, -0.2], "r_inner": 0.3, "r_outer": 0.6,
+         "value": 0.5}]}}, f)
 with open("targets.csv", "w") as f:
     f.write("x,y\\n0.1,0.2\\n3.0,0.5\\n")
 basis = stage("basis", "disk", "--c", "4.09547008329", "--m-max", "4", "--n-max", "4",
@@ -920,6 +922,8 @@ stage("synthesize", "full.json", "--basis", basis, "-o", "full.csv", "--contrast
 stage("reconstruct", "full.csv", "--basis", basis, "--alpha", "1e-2", "-o", "full_rec.json",
       "--field-out", "full_field.csv", "--field-grid", "8")
 stage("extrapolate", "full.csv", "--basis", basis, "--targets", "targets.csv", "-o", "ext.csv")
+stage("stability", "full.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "1e-2",
+      "--contrast-resolution", "24", "-o", "full_table.csv")
 print(codes)
 interp = []
 for name in ("ing1.csv", "ing2.csv", "ingM.csv"):
@@ -936,7 +940,7 @@ def test_numpy_only_pipelines(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, interp, scipy_modules = proc.stdout.strip().splitlines()[-3:]
-    assert codes == str([0] * 25), proc.stderr
+    assert codes == str([0] * 26), proc.stderr
     assert interp == str(["angle"] * 3)
     assert scipy_modules == "[]"
 
@@ -1139,6 +1143,26 @@ class TestBadFlags:
         basis = P.load_basis(basis_file)
         with pytest.raises(ParameterError, match="k\\^2 a finite normal float"):
             P.ingest_farfield(table[:, 0:2], table[:, 2:4], table[:, 4], float(k),
+                              basis.kernel_scale, basis.quad)
+
+    def test_ingest_values_overflow(self, tmp_path, cache_dir, capsys):
+        # k^2 = 1e-10 is a normal float, but values of 1e300 divided by it are not
+        assert run(["basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5",
+                    "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip()
+        samples, out = tmp_path / "ff.csv", tmp_path / "ing.csv"
+        table = _far_field_file(samples, n=16)
+        table[:, 4] = 1e300
+        np.savetxt(samples, table, delimiter=",", fmt="%.17g", comments="",
+                   header=",".join(FAR_COLUMNS))
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "1e-5",
+                                             "--basis", basis_file, "-o", str(out)])
+        assert code == 2 and len(err) == 1, err
+        assert err[0] == f"error: {samples}: far-field values / k^2 overflow at k = 1e-05"
+        assert not out.exists()
+        basis = P.load_basis(basis_file)
+        with pytest.raises(ParameterError, match="overflow at k = 1e-05"):
+            P.ingest_farfield(table[:, 0:2], table[:, 2:4], table[:, 4], 1e-5,
                               basis.kernel_scale, basis.quad)
 
     @pytest.mark.parametrize("alpha", ["nan", "0", "-0.01"])

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import prolate as P
-from prolate import forward
+from prolate import forward, numerics
 from prolate.disk_basis import eval_psi
 from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_row, _group_rows,
                              _loadtxt, _read_table, _split_columns, add_noise, far_field,
                              ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
-from prolate.numerics import GridPiece, _point_map, bessel_j, disk_polar_rule, mirror_map
+from prolate.numerics import (GridPiece, RingPiece, _aliased_orders, _born_sum, _piece, _point_map,
+                              annulus_polar_rule, bessel_j, disk_polar_rule, mirror_map)
 from prolate.recon import write_field_csv
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
@@ -37,6 +38,23 @@ def _row_pass_columns(path, monkeypatch):
         f.readline()
         f.readline()
         return _split_columns(_read_table(path, f, 3, _ROW_DTYPE, _data_row))
+
+
+def midpoint_rule(r_inner, r_outer, resolution):
+    """Midpoint rule on the origin-centred disk or annulus; symmetric under p -> -p."""
+    step = 2.0 * r_outer / resolution
+    g = step * (np.arange(resolution) - (resolution - 1) / 2.0)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    d2 = X**2 + Y**2
+    keep = (d2 < r_outer**2) & (d2 > r_inner**2) if r_inner > 0 else d2 < r_outer**2
+    pts = np.stack([X[keep], Y[keep]], axis=1)
+    return P.QuadratureRule(pts, np.full(len(pts), step * step))
+
+
+def midpoint_disk(resolution):
+    """The DISK contrast on the midpoint rule: a brute-force oracle."""
+    return ContrastField.from_callable(ContrastField.from_shapes(DISK, 8).evaluate,
+                                       midpoint_rule(0.0, 0.8, resolution))
 
 
 def disk_closed_form(radius, kappa, pts):
@@ -75,7 +93,7 @@ class TestSynthesize:
 
     def test_closed_form_agrees_with_bruteforce_oracle(self):
         # midpoint brute force at ~1e6 nodes confirms the Bessel closed form
-        q = ContrastField.from_shapes(DISK, resolution=1100, method="midpoint")
+        q = midpoint_disk(1100)
         targets = np.array([[0.9, 0.2], [1.6, -0.6]])
         data = synthesize_born(q, 1.5, targets)
         closed = disk_closed_form(0.8, 1.5, targets)
@@ -119,7 +137,7 @@ class TestSynthesize:
         closed = disk_closed_form(0.8, 1.5, targets)
         errs = {}
         for res in (50, 100, 400):
-            q = ContrastField.from_shapes(DISK, resolution=res, method="midpoint")
+            q = midpoint_disk(res)
             errs[res] = np.linalg.norm(synthesize_born(q, 1.5, targets).values - closed)
         assert errs[100] <= errs[50] / 2.0
         assert errs[400] <= errs[100] / 2.0
@@ -138,10 +156,9 @@ class TestSynthesize:
         assert q.evaluate(np.array([[0.05, 0.05], [0.35, 0.35]])).tolist() == [1.0, 0.0]
 
 
-def shape_support(shapes, resolution, method="polar"):
+def shape_support(shapes, resolution):
     """Support nodes and values value * weight, one shape at a time."""
-    rules = [(sh["value"], ContrastField.from_shapes([sh], resolution, method).quad)
-             for sh in shapes]
+    rules = [(sh["value"], ContrastField.from_shapes([sh], resolution).quad) for sh in shapes]
     return (np.concatenate([r.nodes for _, r in rules]),
             np.concatenate([v * r.weights for v, r in rules]))
 
@@ -176,9 +193,21 @@ def _complex_asymmetric_support():
     return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
 
 
-def _shapes(shapes, resolution, method="polar"):
-    return (ContrastField.from_shapes(shapes, resolution, method),
-            *shape_support(shapes, resolution, method))
+def _shapes(shapes, resolution):
+    return ContrastField.from_shapes(shapes, resolution), *shape_support(shapes, resolution)
+
+
+def _midpoint_shapes(shapes, resolution):
+    """The shapes on the midpoint rule, one folded piece per shape about its
+    centre, like a shape on any other rule."""
+    rules = [(np.asarray(sh["center"], dtype=float), sh["value"],
+              midpoint_rule(sh.get("r_inner", 0.0), sh.get("r_outer", sh.get("radius")),
+                            resolution)) for sh in shapes]
+    nodes = np.concatenate([c + r.nodes for c, _, r in rules])
+    weights = np.concatenate([r.weights for _, _, r in rules])
+    q = replace(ContrastField.from_shapes(shapes, 8), quad=P.QuadratureRule(nodes, weights),
+                pieces=tuple(_piece(c, r.nodes, v * r.weights) for c, v, r in rules))
+    return q, nodes, np.concatenate([v * r.weights for _, v, r in rules])
 
 
 def _callable_support(quad, f):
@@ -214,8 +243,8 @@ def _zero_lines_grid():
 
 SUPPORTS = {
     "polar_off_centre": lambda: _shapes(OFF_CENTRE, 24),
-    "midpoint_odd": lambda: _shapes(OFF_CENTRE[:1], 31, "midpoint"),
-    "midpoint_even": lambda: _shapes(OFF_CENTRE, 30, "midpoint"),
+    "midpoint_odd": lambda: _midpoint_shapes(OFF_CENTRE[:1], 31),
+    "midpoint_even": lambda: _midpoint_shapes(OFF_CENTRE, 30),
     "grid": _grid_support,
     "grid_40": lambda: _grid(np.random.default_rng(5).uniform(-1.0, 2.0, (40, 40)), 0.03, 0.03),
     "grid_zero_lines": _zero_lines_grid,
@@ -291,10 +320,12 @@ class TestBornKernel:
     def test_real_symmetric_shapes_have_no_odd_part(self):
         q = ContrastField.from_shapes(OFF_CENTRE, 24)
         assert len(q.pieces) == 2
+        x = 1.3 * TARGETS["asymmetric"]()[None]
         for piece, sh in zip(q.pieces, OFF_CENTRE):
+            assert isinstance(piece, RingPiece)
             assert np.array_equal(piece.center, sh["center"])
-            assert not piece.odd.any()
-        assert sum(len(p.offsets) for p in q.pieces) == len(q.quad) // 2
+            assert not piece.sums(x)[1].any()
+        assert sum(len(p.radii) * p.n_t for p in q.pieces) == len(q.quad)
 
     def test_cases_cover_the_reflection_cases(self):
         # every target set but the random one is symmetric under both p -> -p
@@ -308,7 +339,10 @@ class TestBornKernel:
         assert (_point_map(pts, (1.0, -1.0)) == mirror_map(pts)).sum() == 7
         # supports with and without R, with and without mirror pairs
         perm = {name: [p.perm is not None for p in make()[0].pieces]
-                for name, make in SUPPORTS.items() if not name.startswith("grid")}
+                for name, make in SUPPORTS.items()
+                if not name.startswith("grid") and name != "polar_off_centre"}
+        # a shape's ring piece does not fold: the case is its polar nodes, folded
+        perm["polar_off_centre"] = [p.perm is not None for p in _folded_shapes(OFF_CENTRE, 24)]
         assert perm == {"polar_off_centre": [True, True], "midpoint_odd": [True],
                         "midpoint_even": [True, True], "complex_callable": [True],
                         "complex_asymmetric": [False], "real_x_axis": [True],
@@ -356,6 +390,70 @@ class TestBornKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def _folded_shapes(shapes, resolution):
+    """The shapes' pieces as folded sums over the nodes of their polar rules,
+    the reference for their ring sums."""
+    n_t = resolution + resolution % 2
+    rules = [disk_polar_rule(sh["radius"], resolution, n_t) if sh["type"] == "disk"
+             else annulus_polar_rule(sh["r_inner"], sh["r_outer"], resolution, n_t)
+             for sh in shapes]
+    return tuple(_piece(np.asarray(sh["center"], dtype=float), r.nodes, sh["value"] * r.weights)
+                 for sh, r in zip(shapes, rules))
+
+
+RING_SHAPES = OFF_CENTRE + [{"type": "disk", "center": (0.0, 0.0), "radius": 0.3, "value": 0.4}]
+RING_TARGETS = {
+    # symmetric under p -> -p and the x-axis reflection, with p = 0 among them
+    "symmetric": lambda: np.concatenate([disk_polar_rule(3.0, 20, 30).nodes, np.zeros((1, 2))]),
+    "asymmetric": lambda: np.concatenate([np.random.default_rng(9).uniform(-3.0, 3.0, (400, 2)),
+                                          np.zeros((1, 2))]),
+    # fewer targets than Chebyshev points: the profiles are taken at the targets
+    "few": lambda: np.random.default_rng(10).uniform(-3.0, 3.0, (7, 2)),
+}
+
+
+class TestRingSums:
+    """A shape's ring sums equal the folded sum over the nodes of its polar rule."""
+
+    @pytest.mark.parametrize("kappa", [0.4, 5.0, 50.0, 200.0])
+    @pytest.mark.parametrize("resolution", [8, 24, 40])
+    @pytest.mark.parametrize("targets", sorted(RING_TARGETS))
+    def test_matches_folded_sum(self, kappa, resolution, targets):
+        pts = RING_TARGETS[targets]()
+        q = ContrastField.from_shapes(RING_SHAPES, resolution)
+        got = synthesize_born(q, kappa, pts).values
+        want = _born_sum(_folded_shapes(RING_SHAPES, resolution), kappa, pts)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_aliased_orders(self):
+        # the largest |x| r of the kappa = 200 and 0.4 cases above: on 8 angles
+        # the first aliases orders up to 600, on 24 angles the second keeps J_0
+        span = 3.0 * np.sqrt(2.0) * ContrastField.from_shapes(OFF_CENTRE, 8).pieces[0].radii.max()
+        assert _aliased_orders(200.0 * span, 8) == 75
+        assert _aliased_orders(0.4 * span, 8) == 1 and _aliased_orders(0.4 * span, 24) == 0
+
+    @pytest.mark.parametrize("kappa", [0.4, 5.0, 200.0])
+    def test_far_field_single_target(self, kappa):
+        q = ContrastField.from_shapes(RING_SHAPES, 12)
+        x_hat, t_hat = np.array([0.6, 0.8]), np.array([-1.0, 0.0])
+        want = kappa**2 * _born_sum(_folded_shapes(RING_SHAPES, 12), kappa,
+                                    (t_hat - x_hat)[None, :])[0]
+        assert abs(far_field(q, x_hat, t_hat, kappa) - want) <= 1e-13 * abs(want)
+        assert far_field(q, x_hat, x_hat, kappa) == pytest.approx(
+            kappa**2 * sum(sh["value"] * ContrastField.from_shapes([sh], 12).quad.total_weight
+                           for sh in RING_SHAPES), rel=1e-14)
+
+    def test_shapes_skip_the_target_maps(self, monkeypatch):
+        calls = []
+        real = numerics.mirror_map
+        monkeypatch.setattr(numerics, "mirror_map", lambda pts: calls.append(len(pts)) or real(pts))
+        pts = RING_TARGETS["symmetric"]()
+        synthesize_born(ContrastField.from_shapes(RING_SHAPES, 24), 1.0, pts)
+        assert calls == []
+        synthesize_born(_grid_support()[0], 1.0, pts)
+        assert calls == [len(pts)]
 
 
 class TestFarField:
