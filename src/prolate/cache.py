@@ -169,7 +169,6 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
         "c": basis.c,
         "n_modes": len(basis.modes),
         "n_nodes": len(basis.quad),
-        "complete": basis.complete,
     }
     _write_container(path, meta, [
         ("nodes", basis.quad.nodes),
@@ -190,13 +189,12 @@ def _symset_basis(entries: dict, arrays: dict) -> SymSetBasis:
         c=entries["c"], geometry=entries["geometry"],
         quad=QuadratureRule(arrays["nodes"], arrays["weights"]), modes=_frozen(modes),
         node_values=_frozen(arrays["node_values"]),
-        spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"],
-        complete=entries["complete"])
+        spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"])
 
 
 # Metadata entries a load reads, per basis kind.
 _REQUIRED = {False: ("c", "m_max", "n_max", "J", "quad_size", "modes"),
-             True: ("geometry_params", "c", "n_modes", "n_nodes", "complete")}
+             True: ("geometry_params", "c", "n_modes", "n_nodes")}
 
 
 def _count(value) -> int:
@@ -223,7 +221,7 @@ def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
         n, nodes = _count(meta["n_modes"]), _count(meta["n_nodes"])
         return ({"c": _bandwidth(meta["c"]),
                  "geometry": Geometry.from_dict(meta["geometry_params"]),
-                 "n_modes": n, "complete": bool(meta["complete"])},
+                 "n_modes": n},
                 {"nodes": (nodes, 2), "weights": (nodes,), "parity": (n,), "alpha": (n, 2),
                  "node_values": (n, nodes), "spectrum_even": None, "spectrum_odd": None})
     records = np.array(meta["modes"], dtype=np.int64)

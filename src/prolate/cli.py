@@ -22,7 +22,7 @@ import numpy as np
 from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
 from .disk_basis import compute_disk_basis, default_truncation
-from .errors import ParameterError, ProlateError
+from .errors import EmptyQuadratureError, ParameterError, ProlateError
 from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, write_csv,
                       write_datagrid)
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
@@ -120,13 +120,9 @@ def _basis_cache_path(args) -> tuple[str, dict]:
         params = {"J": J}
     else:
         geo = _geometry_from_args(args)
-        key = cachemod.cache_key(
-            f"symset-{args.geometry}", c=args.c, h=args.h, resolution=args.resolution,
-            modes=args.modes, method=args.method, rule=RULE_VERSION,
-            radius=args.radius if args.geometry == "disk" else 0.0,
-            theta=args.theta or 0.0,
-            x_star=geo.x_star if args.geometry == "M" else (0.0, 0.0),
-        )
+        shape = {name: v for name, v in geo.to_dict().items() if name != "kind"}  # in the prefix
+        key = cachemod.cache_key(f"symset-{args.geometry}", c=args.c, resolution=args.resolution,
+                                 modes=args.modes, method=args.method, rule=RULE_VERSION, **shape)
         params = {"geometry": geo}
     return os.path.join(out_dir, key + ".gpswf"), params
 
@@ -173,7 +169,11 @@ def _cmd_basis(args) -> int:
     else:
         geo = params["geometry"]
         with _sized_by("--resolution"):
-            quad = build_quadrature(geo, args.resolution, method=args.method)
+            try:
+                quad = build_quadrature(geo, args.resolution, method=args.method)
+            except EmptyQuadratureError as exc:  # the set is too thin for the grid
+                raise ParameterError(f"{exc} at --resolution {args.resolution}; "
+                                     "raise --resolution") from exc
             basis = compute_symset_basis(args.c, geo, quad, args.modes)
         cachemod.save_symset_basis(path, basis)
     print(path)

@@ -433,11 +433,3 @@ def eval_psi(basis, mode, x) -> float | np.ndarray:
     weights = np.zeros(len(basis.modes))
     weights[mode if np.ndim(mode) == 0 else basis.mode_index(mode)] = 1.0
     return basis.combine(weights, x)
-
-
-def with_perturbed_alpha(basis: DiskBasis, index: int, factor: float) -> DiskBasis:
-    """Copy of the basis with one alpha scaled by `factor` (for fault-injection checks)."""
-    modes = basis.modes.copy()
-    modes["alpha"][index] *= factor
-    modes["gamma"][index] *= factor
-    return replace(basis, modes=_frozen(modes))

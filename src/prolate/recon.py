@@ -35,7 +35,6 @@ __all__ = [
     "reconstruct",
     "choose_alpha_partial",
     "write_result",
-    "read_result",
 ]
 
 MAX_MISSING_WEIGHT = 0.10
@@ -159,11 +158,6 @@ def write_result(path, result: ReconstructionResult) -> None:
     }
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
-def read_result(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
 
 
 def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:

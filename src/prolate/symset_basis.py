@@ -154,37 +154,12 @@ def check_bandwidth(basis_c: float, c: float | None) -> None:
         raise ParameterError(f"basis bandwidth {basis_c!r} does not match the bandwidth {c!r}")
 
 
-def _limited_membership(theta_cap: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """p in L(Theta) iff some unit pair (x_hat, theta_hat = x_hat + p) exists
-    with both arguments strictly inside (-Theta, Theta).
-
-    Unit solutions of |x_hat + p| = 1 satisfy x_hat.p = -|p|^2 / 2, giving at
-    most two candidates; p = 0 lies in the interior iff Theta > pi / 2.
-    """
-    rho2 = px * px + py * py
-    rho = np.sqrt(rho2)
-    out = np.zeros(rho.shape, dtype=bool)
-    origin = rho < 1e-14
-    out[origin] = theta_cap > math.pi / 2.0
-    ok = (~origin) & (rho < 2.0)
-    if ok.any():
-        ux, uy = px[ok] / rho[ok], py[ok] / rho[ok]
-        t = -rho[ok] / 2.0
-        s = np.sqrt(np.maximum(0.0, 1.0 - rho2[ok] / 4.0))
-        hit = np.zeros(t.shape, dtype=bool)
-        for sgn in (1.0, -1.0):
-            xh = t * ux - sgn * s * uy
-            yh = t * uy + sgn * s * ux
-            good = (np.abs(np.arctan2(yh, xh)) < theta_cap) & (
-                np.abs(np.arctan2(yh + py[ok], xh + px[ok])) < theta_cap
-            )
-            hit |= good
-        out[ok] = hit
-    return out
-
-
 def membership(geometry: Geometry, p) -> bool | np.ndarray:
-    """True iff p / h lies in the open set A."""
+    """True iff p / h lies in the open set A.
+
+    The disk and M test their disks in closed form; L(Theta), star-shaped about
+    the origin, tests |p| / h < radial_profile(arg p), its one definition.
+    """
     pts = np.atleast_2d(np.asarray(p, dtype=float)) / geometry.h
     x, y = pts[:, 0], pts[:, 1]
     if geometry.kind == "disk":
@@ -193,7 +168,7 @@ def membership(geometry: Geometry, p) -> bool | np.ndarray:
         ax, ay = geometry.x_star
         out = ((x - ax) ** 2 + (y - ay) ** 2 < 1.0) | ((x + ax) ** 2 + (y + ay) ** 2 < 1.0)
     else:
-        out = _limited_membership(geometry.theta, x, y)
+        out = np.hypot(x, y) < radial_profile(geometry, np.arctan2(y, x))
     return bool(out[0]) if np.asarray(p).ndim == 1 else out
 
 
@@ -205,9 +180,11 @@ def radial_profile(geometry: Geometry, phi) -> np.ndarray:
     """Radial extent of A along direction phi (unit scale, multiply by h).
 
     All three geometries are star-shaped about the origin, so membership is
-    equivalent to |p| / h < radial_profile(phi).  For the limited-aperture set
-    the profile follows from the parametrization p = 2 sin(u) e(v + pi/2) with
-    the constraint u + |v| < Theta.
+    equivalent to |p| / h < radial_profile(phi); `membership` tests L(Theta)
+    this way.  The disk and M keep their closed-form disk tests, which round
+    exact-boundary points (cell centres of M midpoint grids) differently.  For
+    the limited-aperture set the profile follows from the parametrization
+    p = 2 sin(u) e(v + pi/2) with the constraint u + |v| < Theta.
     """
     phi = np.asarray(phi, dtype=float)
     if geometry.kind == "disk":
@@ -343,7 +320,6 @@ class SymSetBasis:
     node_values: np.ndarray
     spectrum_even: np.ndarray = None
     spectrum_odd: np.ndarray = None
-    complete: bool = True  # False if fewer than requested survived the floor
 
     @property
     def kernel_scale(self) -> float:
@@ -351,8 +327,9 @@ class SymSetBasis:
 
     @property
     def extent(self) -> float:
-        """Half-width 2h of the field square [-2h, 2h]^2, which holds L(Theta)_h and M_h."""
-        return 2.0 * self.geometry.h
+        """Half-width of the field square that holds A_h: `bounding_box`, the square the
+        midpoint grid covers (R h for a disk of radius R, 2h for L(Theta) and M)."""
+        return bounding_box(self.geometry)
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -594,8 +571,7 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
                        modes=_frozen(np.array(rows, dtype=MODE_DTYPE)),
                        node_values=_frozen(np.reshape(table, (len(table), len(quad)))),
                        spectrum_even=np.sort(np.concatenate(spectra["even"])),
-                       spectrum_odd=np.sort(np.concatenate(spectra["odd"])),
-                       complete=len(table) >= n_modes)
+                       spectrum_odd=np.sort(np.concatenate(spectra["odd"])))
 
 
 def mirror_indices(quad: QuadratureRule) -> np.ndarray:

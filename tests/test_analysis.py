@@ -1,13 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import prolate as P
 from prolate.analysis import (project_pi_alpha, projection_error_report, sobolev_norm_tilde,
                               extrapolate, validate_basis)
-from prolate.disk_basis import with_perturbed_alpha
 from prolate.forward import DataGrid
+from prolate.numerics import _frozen
 from prolate.recon import expand, project
 from prolate.symset_basis import mirror_indices
+
+
+def with_perturbed_alpha(basis, index, factor):
+    """Copy of a disk basis with one alpha scaled by `factor` (for fault-injection checks)."""
+    modes = basis.modes.copy()
+    modes["alpha"][index] *= factor
+    modes["gamma"][index] *= factor
+    return replace(basis, modes=_frozen(modes))
 
 
 def psi_hat(basis):

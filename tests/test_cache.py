@@ -53,6 +53,15 @@ class TestSymsetRoundTrip:
         assert np.array_equal(back.spectrum_even, symset_disk_c5.spectrum_even)
         assert np.array_equal(back.spectrum_odd, symset_disk_c5.spectrum_odd)
 
+    def test_old_complete_entry_is_ignored(self, symset_disk_c5, tmp_path):
+        # files written before the unread "complete" entry was dropped still load
+        path = tmp_path / "sym.gpswf"
+        save_symset_basis(path, symset_disk_c5)
+        assert "complete" not in json.loads(path.read_bytes().split(b"\n", 2)[1])
+        _rewrite_metadata(path, lambda meta: meta.update(complete=True))
+        cache.verify_basis(path, symset=True)
+        assert np.array_equal(load_basis(path).node_values, symset_disk_c5.node_values)
+
     def test_node_values_held_once(self, symset_disk_c5, tmp_path, monkeypatch):
         # the loaded table is the array read from the container, not a copy
         path = tmp_path / "sym.gpswf"

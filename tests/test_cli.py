@@ -198,6 +198,22 @@ class TestBasisCommand:
         second = capsys.readouterr().out.strip()
         assert second != first and os.path.exists(first) and os.path.exists(second)
 
+    @pytest.mark.parametrize("base,ignored", [
+        (["--geometry", "disk", "--radius", "1.5"], ["--theta", "2.2"]),
+        (["--geometry", "M", "--x-star", "0.6,0.8"], ["--theta", "2.2", "--radius", "1.5"]),
+        (["--geometry", "L", "--theta", "2.2"], ["--radius", "1.5", "--x-star", "0,1"]),
+    ], ids=["disk-theta", "M-theta-radius", "L-radius-x-star"])
+    def test_symset_cache_key_reads_the_geometry(self, cache_dir, capsys, base, ignored):
+        # the key holds the fields of Geometry.to_dict(), so a flag the geometry
+        # ignores cannot split one basis into two cache files
+        argv = ["basis", "symset", *base, "--c", "3.0", "--resolution", "24", "--modes", "4",
+                "--method", "polar"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out.strip()
+        assert run([*argv, *ignored]) == 0
+        assert capsys.readouterr().out.strip() == first
+        assert [p.name for p in cache_dir.glob("*.gpswf")] == [os.path.basename(first)]
+
     def test_symset_basis(self, cache_dir, capsys):
         assert run(["basis", "symset", "--geometry", "L", "--c", "3.0", "--theta", "2.2",
                     "--resolution", "48", "--modes", "8", "--method", "polar"]) == 0
@@ -234,6 +250,24 @@ class TestSynthesizeReconstruct:
         lines = field.read_text().strip().splitlines()
         assert lines[0] == "x,y,q"
         assert len(lines) == 1 + 16 * 16
+
+    def test_symset_field_square_holds_the_domain(self, tmp_path, cache_dir, capsys):
+        # the --field-out square of a set basis is its bounding box: R h for a disk
+        assert run(["basis", "symset", "--geometry", "disk", "--radius", "3", "--c", "2",
+                    "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip()
+        basis = P.load_basis(basis_file)
+        data, rec, field = (tmp_path / name for name in ("data.csv", "rec.json", "field.csv"))
+        P.write_datagrid(data, P.DataGrid(basis.quad.nodes, basis.quad.weights,
+                                          basis.mu[0] * basis.node_values[0],
+                                          np.zeros(len(basis.quad), dtype=np.uint8),
+                                          meta={"kappa": basis.kernel_scale},
+                                          geometry=basis.geometry))
+        assert run(["reconstruct", str(data), "--basis", basis_file, "--alpha", "1e-3",
+                    "-o", str(rec), "--field-out", str(field), "--field-grid", "8"]) == 0
+        pts = np.loadtxt(field, delimiter=",", skiprows=1)[:, :2]
+        assert np.hypot(*basis.quad.nodes.T).max() > 2.9
+        assert pts.min() == -3.0 and pts.max() == 3.0
 
     def test_empty_cutoff_exits_one(self, tmp_path, disk_basis_file):
         setup = write_setup(tmp_path)
@@ -829,13 +863,15 @@ class TestFarFieldReader:
 # The tiny pipelines of the CI job that installs the package without scipy,
 # run in one process in which `import scipy` fails: L(2.2) at h = 1 (k = c =
 # 5) and at h = 2 (k = 2.5, so ingest scales p by k / kappa = h), and
-# M(0.6, 0.8) at h = 1 on a ring layout of far-field directions, each basis ->
-# synthesize -> ingest -> reconstruct --field-out -> stability -> extrapolate
-# (the Nystrom extension, to a point inside the set and one outside 2h) ->
-# validate; and the full-aperture disk, basis -> synthesize -> reconstruct ->
-# extrapolate.
+# M(0.6, 0.8) at h = 1 on a ring layout of far-field directions, each on its
+# polar rule, basis -> synthesize -> ingest -> reconstruct --field-out ->
+# stability -> extrapolate (the Nystrom extension, to a point inside the set
+# and one outside 2h) -> validate; L(2.2) at h = 1 on its midpoint rule, basis
+# -> synthesize -> ingest -> reconstruct --field-out -> stability -> validate,
+# which fails the Hilbert-Schmidt area check alone; and the full-aperture disk,
+# basis -> synthesize -> reconstruct -> extrapolate -> stability.
 # Prints the exit code of each stage, the interpolation each ingest recorded,
-# then the scipy modules loaded.
+# the checks the midpoint basis failed, then the scipy modules loaded.
 NUMPY_ONLY_PIPELINES = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -879,6 +915,19 @@ for h, k in ((1.0, 5.0), (2.0, 2.5)):
     stage("extrapolate", f"data{h:g}.csv", "--basis", basis, "--targets", "targetsL.csv",
           "-o", f"ext{h:g}.csv")
     stage("validate", "--basis", basis, "-o", f"valid{h:g}.json")
+
+# L(2.2) at h = 1 on the midpoint rule, which `--method auto` picks for L and M;
+# validate exits 1 on the rule's known Hilbert-Schmidt area defect
+basis = stage("basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5",
+              "--resolution", "24", "--modes", "6", "--method", "midpoint", "-o", "cache")
+stage("synthesize", "setup1.json", "--basis", basis, "-o", "dataMid.csv",
+      "--contrast-resolution", "24")
+stage("ingest", "ff1.csv", "--k", 5.0, "--basis", basis, "-o", "ingMid.csv")
+stage("reconstruct", "ingMid.csv", "--basis", basis, "--alpha", "1e-3", "-o", "recMid.json",
+      "--field-out", "fieldMid.csv", "--field-grid", "8")
+stage("stability", "setup1.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
+      "-o", "tableMid.csv")
+stage("validate", "--basis", basis, "-o", "validMid.json")
 
 # M(0.6, 0.8): x_hat = -+s x* at 24 fractions s, theta_hat = s e(t) at 48 angles
 x_star = np.array([0.6, 0.8])
@@ -926,10 +975,12 @@ stage("stability", "full.json", "--basis", basis, "--deltas", "0,1e-3", "--alpha
       "--contrast-resolution", "24", "-o", "full_table.csv")
 print(codes)
 interp = []
-for name in ("ing1.csv", "ing2.csv", "ingM.csv"):
+for name in ("ing1.csv", "ing2.csv", "ingMid.csv", "ingM.csv"):
     with open(name) as f:
         interp.append(json.loads(f.readline())["meta"].get("interp"))
 print(interp)
+with open("validMid.json") as f:
+    print([c["check"] for c in json.load(f) if not c["passed"]])
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
 """
 
@@ -939,9 +990,10 @@ def test_numpy_only_pipelines(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PIPELINES], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, interp, scipy_modules = proc.stdout.strip().splitlines()[-3:]
-    assert codes == str([0] * 26), proc.stderr
-    assert interp == str(["angle"] * 3)
+    codes, interp, failed, scipy_modules = proc.stdout.strip().splitlines()[-4:]
+    assert codes == str([0] * 19 + [1] + [0] * 12), proc.stderr
+    assert interp == str(["angle"] * 4)
+    assert failed == str(["hilbert_schmidt_area"])
     assert scipy_modules == "[]"
 
 
@@ -1224,6 +1276,10 @@ class TestBadFlags:
         (["symset", "--geometry", "M", "--c", "3", "--x-star", "x,0"], "--x-star"),
         (["symset", "--geometry", "M", "--c", "3", "--x-star", "1"], "'x_star'"),
         (["symset", "--geometry", "M", "--c", "3", "--x-star", "0.6,0.8,7"], "'x_star'"),
+        # a set with no grid node inside it is a flag error, not a computation failure
+        (["symset", "--geometry", "L", "--c", "5", "--theta", "0.05", "--resolution", "8"],
+         "--resolution"),
+        (["symset", "--geometry", "L", "--c", "5", "--theta", "1e-9"], "--resolution"),
     ])
     def test_basis_numbers(self, cache_dir, capsys, argv, flag):
         code, err = _exit_and_error(capsys, ["basis", *argv])

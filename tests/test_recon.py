@@ -9,7 +9,12 @@ from prolate.errors import DataCoverageError, EmptyCutoffError, ParameterError
 from prolate.forward import DataGrid, add_noise
 from prolate.numerics import real_matmul
 from prolate.recon import (choose_alpha_partial, effective_weights, expand, picard_coefficients,
-                           project, read_result, reconstruct, write_result)
+                           project, reconstruct, write_result)
+
+
+def read_result(path) -> dict:
+    with open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
 
 
 def make_grid(basis, values, flags=None, meta=None):

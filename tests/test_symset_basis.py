@@ -81,16 +81,30 @@ class TestMembership:
                     Geometry.disk(radius=1.4)):
             assert np.array_equal(membership(geo, pts), membership(geo, -pts))
 
-    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 2.2, math.pi])
-    def test_limited_membership_matches_radial_profile(self, theta):
-        geo = Geometry.limited_aperture(theta)
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(-2.1, 2.1, (4000, 2))
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        bound = radial_profile(geo, np.arctan2(pts[:, 1], pts[:, 0]))
-        clear = np.abs(rho - bound) > 1e-9
-        got = membership(geo, pts)[clear]
-        assert np.array_equal(got, (rho < bound)[clear])
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 0.55 * math.pi, 2.2, 2.35619449,
+                                       0.85 * math.pi, math.pi])
+    def test_limited_membership_matches_closed_form(self, theta):
+        # p / h = e(b) - e(a) with a, b in (-Theta, Theta) is 2 sin(d) e(m +- pi/2)
+        # with m = (a + b) / 2 and |d| = (b - a) / 2, so p is in L(Theta)_h iff
+        # |p| < 2h and asin(|p| / 2h) + min |wrap(arg p -+ pi/2)| < Theta; checked on
+        # every midpoint-grid centre `build_quadrature` tests, off the boundary
+        for h in (1.0, 5.0):
+            geo = Geometry.limited_aperture(theta, h=h)
+            grids = []
+            for resolution in range(8, 131):
+                step = 4.0 * h / resolution
+                c = step * (np.arange(resolution) - (resolution - 1) / 2.0)
+                grids.append(np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2))
+            pts = np.concatenate(grids)
+            r = np.hypot(pts[:, 0], pts[:, 1]) / h
+            phi = np.arctan2(pts[:, 1], pts[:, 0])
+            m = np.minimum(*(np.abs((phi + shift + math.pi) % (2.0 * math.pi) - math.pi)
+                             for shift in (-math.pi / 2, math.pi / 2)))
+            f = np.arcsin(np.clip(r / 2.0, 0.0, 1.0)) + m
+            clear = (np.abs(f - theta) > 1e-12) & (np.abs(r - 2.0) > 1e-12)
+            assert clear.mean() > 0.99
+            got = membership(geo, pts)[clear]
+            assert np.array_equal(got, ((r < 2.0) & (f < theta))[clear])
 
     def test_membership_against_parameter_sweep(self):
         theta = 2.0
@@ -259,7 +273,7 @@ class TestBuildQuadrature:
         cell = np.stack([u, v], axis=1) / (4.0 * geo.h / resolution) + (resolution - 1) / 2.0
         assert np.abs(cell - np.round(cell)).max() <= 1e-12
 
-    @pytest.mark.parametrize("resolution", [34, 102, 170])
+    @pytest.mark.parametrize("resolution", [39, 78, 170])
     def test_midpoint_rule_symmetric_by_construction(self, resolution):
         # at these resolutions some boundary cells of L(pi/2) test inside
         # while their mirror cells test outside; the rule keeps neither
@@ -635,7 +649,7 @@ class TestFoldInputs:
         # the solve folds over {1, -1, R, -R} only: every rule build_quadrature
         # makes records its reflection R, and a rule without one is refused
         quad = build_quadrature(geo, resolution, method=method)
-        assert compute_symset_basis(5.0, geo, quad, 4).complete
+        assert len(compute_symset_basis(5.0, geo, quad, 4).modes) == 4
         with pytest.raises(ParameterError, match="records no reflection"):
             compute_symset_basis(5.0, geo, P.QuadratureRule(quad.nodes, quad.weights), 4)
 
