@@ -44,8 +44,8 @@ def main():
     w = basis.quad.weights
     q_nodes = setup.contrast.evaluate(basis.quad.nodes)
     for alpha in (1.0 / 30.0, 1.0 / 80.0, 1.0 / 200.0):
-        rec = reconstruct(data, basis, alpha=float(alpha), realify=True)
-        err = np.sqrt(np.sum(w * (rec.node_field - q_nodes) ** 2))
+        rec = reconstruct(data, basis, alpha=float(alpha))
+        err = np.sqrt(np.sum(w * (rec.node_field.real - q_nodes) ** 2))
         print(f"alpha = {alpha:.5f}: {rec.diagnostics['mode_count']} modes, "
               f"beta = {rec.beta_alpha:.3e}, L2 error = {err:.4f}")
         out = f"{args.prefix}_alpha_{alpha:.5f}.csv"

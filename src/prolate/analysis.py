@@ -51,8 +51,6 @@ def project_pi_alpha(u: np.ndarray, basis, alpha: float) -> np.ndarray:
     `u` must be sampled on the basis quadrature, of the unit or scaled disk or
     of a set.  An empty cutoff returns the zero field.
     """
-    if alpha <= 0.0:
-        raise ParameterError("alpha must be positive")
     u = np.asarray(u)
     if u.shape[-1] != len(basis.quad):
         raise ParameterError("samples must live on the basis quadrature")

@@ -22,7 +22,7 @@ import numpy as np
 from . import cache as cachemod
 from .analysis import extrapolate, validate_basis
 from .disk_basis import compute_disk_basis, default_truncation
-from .errors import EmptyQuadratureError, ParameterError, ProlateError
+from .errors import EmptyQuadratureError, ParameterError, ProlateError, finite_number
 from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, write_csv,
                       write_datagrid)
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
@@ -79,13 +79,12 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("data")
     r.add_argument("--basis", required=True)
     r.add_argument("--alpha", type=float, default=None)
-    r.add_argument("--auto-alpha", action="store_true",
-                   help="use the a-priori rule alpha = c0 (delta/E)^(1/(1+sigma))")
-    r.add_argument("--delta", type=float, default=None)
+    r.add_argument("--delta", type=float, default=None,
+                   help="with --E --sigma --c0 in place of --alpha: the a-priori rule "
+                        "alpha = c0 (delta/E)^(1/(1+sigma))")
     r.add_argument("--E", type=float, default=None)
     r.add_argument("--sigma", type=float, default=None)
     r.add_argument("--c0", type=float, default=None)
-    r.add_argument("--realify", action="store_true")
     r.add_argument("-o", "--out", required=True)
     r.add_argument("--field-out", default=None)
     r.add_argument("--field-grid", type=int, default=64)
@@ -147,13 +146,13 @@ def _sized_by(flags: str):
 
 
 def _cmd_basis(args) -> int:
-    _flag("--c", args.c, positive=True)
+    finite_number("--c", args.c, positive=True)
     if args.basis_kind == "symset":
         _grid_flag("--resolution", args.resolution)
-        _flag("--h", args.h, positive=True)
-        _flag("--radius", args.radius, positive=True)
+        finite_number("--h", args.h, positive=True)
+        finite_number("--radius", args.radius, positive=True)
         if args.theta is not None:
-            _flag("--theta", args.theta, positive=True)
+            finite_number("--theta", args.theta, positive=True)
     path, params = _basis_cache_path(args)
     if os.path.exists(path):
         try:
@@ -181,7 +180,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    _flag("--noise", args.noise, positive=False)
+    finite_number("--noise", args.noise, positive=False)
     with _sized_by("--contrast-resolution"):
         setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
     basis = cachemod.load_basis(args.basis).paired(setup.domain, setup.c_param)
@@ -195,11 +194,11 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    _flag("--k", args.k, positive=True)
+    finite_number("--k", args.k, positive=True)
     if not (math.isfinite(args.k * args.k) and args.k * args.k >= sys.float_info.min):
         raise ParameterError(f"--k {args.k!r} is out of range: k^2 must be a finite normal float")
     if args.cutoff is not None:
-        _flag("--cutoff", args.cutoff, positive=True)
+        finite_number("--cutoff", args.cutoff, positive=True)
     basis = cachemod.load_basis(args.basis)
     if getattr(basis, "geometry", None) is None:  # ingest maps onto a set's own domain
         raise ParameterError("ingest requires a symset basis or a scaled target; "
@@ -217,14 +216,6 @@ def _cmd_ingest(args) -> int:
     write_datagrid(args.out, data)
     print(args.out)
     return 0
-
-
-def _flag(name: str, value: float, positive: bool) -> float:
-    """A numeric flag value, finite and > 0 (positive) or >= 0."""
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        raise ParameterError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, "
-                             f"got {value!r}")
-    return value
 
 
 def _grid_flag(name: str, n: int) -> None:
@@ -246,8 +237,8 @@ def _numbers(name: str, text: str) -> list[float]:
 
 
 def _flag_list(name: str, text: str, positive: bool) -> list[float]:
-    """A comma-separated numeric flag, each value checked as by `_flag`."""
-    return [_flag(name, v, positive) for v in _numbers(name, text)]
+    """A comma-separated numeric flag, each value checked by `finite_number`."""
+    return [finite_number(name, v, positive) for v in _numbers(name, text)]
 
 
 # Flags whose value is a comma-separated list of numbers.
@@ -278,16 +269,17 @@ def _cmd_reconstruct(args) -> int:
     _grid_flag("--field-grid", args.field_grid)
     data = read_datagrid(args.data)
     basis = cachemod.load_basis(args.basis).paired(data.geometry, data.bandwidth)
-    if args.auto_alpha:
-        for name in ("delta", "E", "sigma", "c0"):
-            if getattr(args, name) is None:
-                raise ParameterError("--auto-alpha requires --delta --E --sigma --c0")
-        alpha = choose_alpha_partial(args.delta, args.E, args.sigma, args.c0)
-    elif args.alpha is not None:
-        alpha = _flag("--alpha", args.alpha, positive=True)
+    rule = {name: getattr(args, name) for name in ("delta", "E", "sigma", "c0")}
+    given = sum(value is not None for value in rule.values())
+    if args.alpha is not None and given:
+        raise ParameterError("--alpha excludes the rule flags --delta --E --sigma --c0")
+    if args.alpha is not None:
+        alpha = finite_number("--alpha", args.alpha, positive=True)
+    elif given == len(rule):
+        alpha = choose_alpha_partial(**rule)
     else:
-        raise ParameterError("reconstruct requires --alpha or --auto-alpha")
-    result = reconstruct(data, basis, alpha, realify=args.realify)
+        raise ParameterError("reconstruct requires --alpha or all of --delta --E --sigma --c0")
+    result = reconstruct(data, basis, alpha)
     if args.field_out:  # evaluated first, so a field too large to build writes no file
         with _sized_by("--field-grid"):
             g = _field_axis(basis.extent, args.field_grid)

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyCutoffError, ParameterError
+from .errors import EmptyCutoffError, ParameterError, finite_number
 from .numerics import (
     QuadratureRule,
     _from_real_columns,
@@ -145,9 +145,7 @@ class DiskBasis:
     def cutoff(self, alpha: float) -> tuple[np.ndarray, float]:
         """The mask of the index set J(alpha) = {chi < 1/alpha} and beta(alpha), the
         smallest retained |mu|; raises if J(alpha) is empty."""
-        if alpha <= 0.0:
-            raise ParameterError("alpha must be positive")
-        keep = self.chis < 1.0 / alpha
+        keep = self.chis < 1.0 / finite_number("alpha", alpha, positive=True)
         if not keep.any():
             raise EmptyCutoffError(f"no modes with chi < {1.0 / alpha:.6g}")
         return keep, float(np.min(np.abs(self.mu[keep])))
@@ -284,9 +282,7 @@ class DiskBasis:
 
     def dilated(self, radius: float) -> "DiskBasis":
         """The basis dilated onto the disk of `radius`, from any radius."""
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ParameterError(f"dilation radius must be a finite number > 0, got {radius!r}")
-        s = radius / self.radius
+        s = finite_number("dilation radius", radius, positive=True) / self.radius
         quad = QuadratureRule(s * self.quad.nodes, s**2 * self.quad.weights)
         return replace(self, radius=radius, quad=quad)
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the input-record checks that raise one."""
 
+import math
 import reprlib
 
 import numpy as np
@@ -40,6 +41,14 @@ def check_keys(record, keys, what: str) -> None:
     missing = [key for key in keys if key not in record]
     if missing:
         raise ParameterError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
+def finite_number(name: str, value: float, positive: bool) -> float:
+    """`value`, once it is finite and > 0 (positive) or >= 0; else a ParameterError naming it."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ParameterError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, "
+                             f"got {float(value)!r}")
+    return value
 
 
 _NUMERIC_KINDS = {(): "a finite number", (2,): "a pair of finite numbers",

@@ -17,13 +17,14 @@ beta(alpha) (`cutoff`, beta None on a set), and `reconstruct` inverts over it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataCoverageError, ParameterError
+from .errors import DataCoverageError, ParameterError, finite_number
 from .forward import DataGrid, write_csv
 
 __all__ = [
@@ -103,12 +104,13 @@ def picard_coefficients(data: DataGrid, basis, values=None) -> np.ndarray:
                    data.values if values is None else values)
 
 
-def reconstruct(data: DataGrid, basis, alpha: float,
-                realify: bool = False) -> ReconstructionResult:
+def reconstruct(data: DataGrid, basis, alpha: float) -> ReconstructionResult:
     """Spectral-cutoff regularized reconstruction: the Picard series over `basis.cutoff(alpha)`.
 
     Returns the field q = sum coeff_i psi_hat_i over the retained modes, their
     `keys` as the cutoff set, and beta(alpha) on the data disk (None on a set).
+    The field stays complex (a contrast may be); `dropped_imag_norm` is the
+    weighted norm of its imaginary part on the nodes, which a real field drops.
     """
     keep, beta = basis.cutoff(alpha)  # raises on an empty cutoff
     w = effective_weights(data, basis)
@@ -122,26 +124,20 @@ def reconstruct(data: DataGrid, basis, alpha: float,
         "residual": residual,
         "mode_count": int(keep.sum()),
         "delta": data.meta.get("delta_abs", data.meta.get("delta", 0.0)),
+        "dropped_imag_norm": float(np.sqrt(np.sum(w * node_field.imag**2))),
     }
-    if realify:
-        diagnostics["dropped_imag_norm"] = float(np.sqrt(np.sum(w * node_field.imag**2)))
-        node_field = node_field.real
-
     weights = np.where(keep, coeffs / basis.mode_norms, 0.0)  # q = sum coeff_i psi_i / ||psi_i||
-
-    def field_eval(x):
-        values = basis.combine(weights, x)
-        return values.real if realify else values
-
     return ReconstructionResult(coefficients=coeffs[keep], cutoff_set=basis.keys[keep].tolist(),
                                 beta_alpha=beta, alpha=float(alpha), node_field=node_field,
-                                field=field_eval, diagnostics=diagnostics)
+                                field=functools.partial(basis.combine, weights),
+                                diagnostics=diagnostics)
 
 
 def choose_alpha_partial(delta: float, E: float, sigma: float, c0: float) -> float:
-    """A-priori cutoff alpha(delta) = c0 (delta / E)^(1 / (1 + sigma))."""
-    if not all(np.isfinite(v) and v > 0.0 for v in (delta, E, sigma, c0)):
-        raise ParameterError("choose_alpha_partial requires finite positive arguments")
+    """A-priori cutoff alpha(delta) = c0 (delta / E)^(1 / (1 + sigma)), from finite
+    positive arguments; the cutoff checks the result (it may round to 0 or inf)."""
+    for name, value in (("delta", delta), ("E", E), ("sigma", sigma), ("c0", c0)):
+        finite_number(name, value, positive=True)
     return float(c0 * (delta / E) ** (1.0 / (1.0 + sigma)))
 
 

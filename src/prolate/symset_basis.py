@@ -36,7 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyCutoffError, EmptyQuadratureError, ParameterError, check_keys, numeric
+from .errors import (EmptyCutoffError, EmptyQuadratureError, ParameterError, check_keys,
+                     finite_number, numeric)
 from .numerics import (QuadratureRule, _born_sum, _fold, _frozen, _piece, axis_reflection,
                        disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
                        sym_eig)
@@ -358,9 +359,7 @@ class SymSetBasis:
 
     def cutoff(self, alpha: float) -> tuple[np.ndarray, None]:
         """The spectral-cutoff mask {|mu_n| > alpha} and no beta; raises if it is empty."""
-        if alpha < 0.0:
-            raise ParameterError("alpha must be nonnegative")
-        keep = np.abs(self.mu) > alpha
+        keep = np.abs(self.mu) > finite_number("alpha", alpha, positive=True)
         if not keep.any():
             raise EmptyCutoffError(f"no modes with |mu| > {alpha:.6g}")
         return keep, None

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -310,7 +312,7 @@ class TestSynthesizeReconstruct:
         assert run(["synthesize", str(setup), "--basis", basis_file, "-o", str(data),
                     "--noise", "0.01", "--seed", "1"]) == 0
         rec = tmp_path / "recL.json"
-        assert run(["reconstruct", str(data), "--basis", basis_file, "--auto-alpha",
+        assert run(["reconstruct", str(data), "--basis", basis_file,
                     "--delta", "0.05", "--E", "1.0", "--sigma", "1.0", "--c0", "1.0",
                     "-o", str(rec)]) == 0
         payload = json.loads(rec.read_text())
@@ -860,141 +862,38 @@ class TestFarFieldReader:
         assert read_datagrid(out).valid.any()
 
 
-# The tiny pipelines of the CI job that installs the package without scipy,
-# run in one process in which `import scipy` fails: L(2.2) at h = 1 (k = c =
-# 5) and at h = 2 (k = 2.5, so ingest scales p by k / kappa = h), and
-# M(0.6, 0.8) at h = 1 on a ring layout of far-field directions, each on its
-# polar rule, basis -> synthesize -> ingest -> reconstruct --field-out ->
-# stability -> extrapolate (the Nystrom extension, to a point inside the set
-# and one outside 2h) -> validate; L(2.2) at h = 1 on its midpoint rule, basis
-# -> synthesize -> ingest -> reconstruct --field-out -> stability -> validate,
-# which fails the Hilbert-Schmidt area check alone; and the full-aperture disk,
-# basis -> synthesize -> reconstruct -> extrapolate -> stability.
-# Prints the exit code of each stage, the interpolation each ingest recorded,
-# the checks the midpoint basis failed, then the scipy modules loaded.
-NUMPY_ONLY_PIPELINES = """
-import contextlib, io, json, sys
-sys.modules["scipy"] = None
-import numpy as np
-from prolate import ContrastField, synthesize_born
-from prolate.cli import run
+def _readme_commands():
+    """The argv of each `prolate` command in the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("prolate "):
+                yield shlex.split(line, comments=True)[1:]
 
-codes = []
 
-def stage(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        codes.append(run([str(a) for a in argv]))
-    return out.getvalue().strip().splitlines()[-1] if out.getvalue().strip() else ""
+README_COMMANDS = list(_readme_commands())
 
-shapes = [{"type": "disk", "center": [0.9, 0.2], "radius": 0.25, "value": 1.0}]
-with open("targetsL.csv", "w") as f:  # inside L(2.2)_h and outside 2h, at h = 1 and 2
-    f.write("x,y\\n0.3,0.1\\n6.0,1.0\\n")
-for h, k in ((1.0, 5.0), (2.0, 2.5)):
-    setup = f"setup{h:g}.json"
-    with open(setup, "w") as f:
-        json.dump({"regime": "limited", "k": k, "theta": 2.2, "c_param": 5.0,
-                   "contrast": {"shapes": shapes}}, f)
-    t = 2.2 * ((np.arange(48) + 0.5) / 48 * 2.0 - 1.0)
-    e = np.stack([np.cos(t), np.sin(t)], axis=1)
-    x_hat, theta_hat = np.repeat(e, 48, axis=0), np.tile(e, (48, 1))
-    u = k * k * synthesize_born(ContrastField.from_shapes(shapes, resolution=40), k,
-                                theta_hat - x_hat).values
-    np.savetxt(f"ff{h:g}.csv", np.column_stack([x_hat, theta_hat, u.real, u.imag]),
-               delimiter=",", fmt="%.17g", comments="",
-               header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
-    basis = stage("basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5", "--h", h,
-                  "--resolution", "24", "--modes", "6", "--method", "polar", "-o", "cache")
-    stage("synthesize", setup, "--basis", basis, "-o", f"data{h:g}.csv",
-          "--contrast-resolution", "24")
-    stage("ingest", f"ff{h:g}.csv", "--k", k, "--basis", basis, "-o", f"ing{h:g}.csv")
-    stage("reconstruct", f"ing{h:g}.csv", "--basis", basis, "--alpha", "1e-3",
-          "-o", f"rec{h:g}.json", "--field-out", f"field{h:g}.csv", "--field-grid", "8")
-    stage("stability", setup, "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
-          "-o", f"table{h:g}.csv")
-    stage("extrapolate", f"data{h:g}.csv", "--basis", basis, "--targets", "targetsL.csv",
-          "-o", f"ext{h:g}.csv")
-    stage("validate", "--basis", basis, "-o", f"valid{h:g}.json")
 
-# L(2.2) at h = 1 on the midpoint rule, which `--method auto` picks for L and M;
-# validate exits 1 on the rule's known Hilbert-Schmidt area defect
-basis = stage("basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5",
-              "--resolution", "24", "--modes", "6", "--method", "midpoint", "-o", "cache")
-stage("synthesize", "setup1.json", "--basis", basis, "-o", "dataMid.csv",
-      "--contrast-resolution", "24")
-stage("ingest", "ff1.csv", "--k", 5.0, "--basis", basis, "-o", "ingMid.csv")
-stage("reconstruct", "ingMid.csv", "--basis", basis, "--alpha", "1e-3", "-o", "recMid.json",
-      "--field-out", "fieldMid.csv", "--field-grid", "8")
-stage("stability", "setup1.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
-      "-o", "tableMid.csv")
-stage("validate", "--basis", basis, "-o", "validMid.json")
+def test_readme_names_every_command():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "basis", "synthesize", "ingest", "reconstruct", "extrapolate", "validate", "stability"}
 
-# M(0.6, 0.8): x_hat = -+s x* at 24 fractions s, theta_hat = s e(t) at 48 angles
-x_star = np.array([0.6, 0.8])
-shapes = [{"type": "disk", "center": [0.54, 0.72], "radius": 0.3, "value": 1.0}]
-with open("setupM.json", "w") as f:
-    json.dump({"regime": "multifreq", "K": 5.0, "x_star": x_star.tolist(), "c_param": 5.0,
-               "contrast": {"shapes": shapes}}, f)
-s = np.sqrt((np.arange(24) + 0.5) / 24)
-t = 2.0 * np.pi * (np.arange(48) + 0.5) / 48
-e = np.stack([np.cos(t), np.sin(t)], axis=1)
-x_hat = np.concatenate([np.repeat(-sign * s[:, None] * x_star, 48, axis=0) for sign in (1, -1)])
-theta_hat = np.tile((s[:, None, None] * e).reshape(-1, 2), (2, 1))
-u = 25.0 * synthesize_born(ContrastField.from_shapes(shapes, resolution=40), 5.0,
-                           theta_hat - x_hat).values
-np.savetxt("ffM.csv", np.column_stack([x_hat, theta_hat, u.real, u.imag]), delimiter=",",
-           fmt="%.17g", comments="", header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
-basis = stage("basis", "symset", "--geometry", "M", "--x-star", "0.6,0.8", "--c", "5",
-              "--resolution", "24", "--modes", "6", "--method", "polar", "-o", "cache")
-stage("synthesize", "setupM.json", "--basis", basis, "-o", "dataM.csv",
-      "--contrast-resolution", "24")
-stage("ingest", "ffM.csv", "--k", 5.0, "--basis", basis, "-o", "ingM.csv")
-stage("reconstruct", "ingM.csv", "--basis", basis, "--alpha", "1e-3", "-o", "recM.json",
-      "--field-out", "fieldM.csv", "--field-grid", "8")
-stage("stability", "setupM.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
-      "-o", "tableM.csv")
-with open("targetsM.csv", "w") as f:
-    f.write("x,y\\n0.54,0.72\\n3.0,0.5\\n")
-stage("extrapolate", "dataM.csv", "--basis", basis, "--targets", "targetsM.csv", "-o", "extM.csv")
-stage("validate", "--basis", basis, "-o", "validM.json")
 
-with open("full.json", "w") as f:
-    json.dump({"regime": "full", "k": 1.0, "contrast": {"shapes": [
-        {"type": "disk", "center": [0.7, 0.3], "radius": 1.1, "value": 1.0},
-        {"type": "annulus", "center": [-0.4, -0.2], "r_inner": 0.3, "r_outer": 0.6,
-         "value": 0.5}]}}, f)
-with open("targets.csv", "w") as f:
-    f.write("x,y\\n0.1,0.2\\n3.0,0.5\\n")
-basis = stage("basis", "disk", "--c", "4.09547008329", "--m-max", "4", "--n-max", "4",
-              "-o", "cache")
-stage("synthesize", "full.json", "--basis", basis, "-o", "full.csv", "--contrast-resolution", "24")
-stage("reconstruct", "full.csv", "--basis", basis, "--alpha", "1e-2", "-o", "full_rec.json",
-      "--field-out", "full_field.csv", "--field-grid", "8")
-stage("extrapolate", "full.csv", "--basis", basis, "--targets", "targets.csv", "-o", "ext.csv")
-stage("stability", "full.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "1e-2",
-      "--contrast-resolution", "24", "-o", "full_table.csv")
-print(codes)
-interp = []
-for name in ("ing1.csv", "ing2.csv", "ingMid.csv", "ingM.csv"):
-    with open(name) as f:
-        interp.append(json.loads(f.readline())["meta"].get("interp"))
-print(interp)
-with open("validMid.json") as f:
-    print([c["check"] for c in json.load(f) if not c["passed"]])
-print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
-"""
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_readme_command_parses(argv):
+    try:
+        cli._parser().parse_args(cli._attach_list_values(argv))
+    except SystemExit:
+        pytest.fail(f"README command does not parse: prolate {' '.join(argv)}")
 
 
 def test_numpy_only_pipelines(tmp_path):
+    # the script the CI job without scipy runs against the installed package
+    script = os.path.join(os.path.dirname(__file__), "numpy_only_pipelines.py")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(P.__file__)))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PIPELINES], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    codes, interp, failed, scipy_modules = proc.stdout.strip().splitlines()[-4:]
-    assert codes == str([0] * 19 + [1] + [0] * 12), proc.stderr
-    assert interp == str(["angle"] * 4)
-    assert failed == str(["hilbert_schmidt_area"])
-    assert scipy_modules == "[]"
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("b", [1.0, 2.0, 2.5, 3.7, 5.123, 10.0 / 3.0])
@@ -1226,6 +1125,34 @@ class TestBadFlags:
         code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
                                              disk_basis_file, f"--alpha={alpha}", "-o", str(rec)])
         assert code == 2 and len(err) == 1 and "--alpha" in err[0], err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("flags,line", [
+        # the rule's alpha underflows to 0, which on a set would keep every mode unregularized
+        (["--delta", "1e-300", "--E", "1e300", "--sigma", "1e-300", "--c0", "1"],
+         "alpha must be a finite number > 0, got 0.0"),
+        # the rule's alpha overflows to inf
+        (["--delta", "1e300", "--E", "1e-300", "--sigma", "1", "--c0", "1"],
+         "alpha must be a finite number > 0, got inf"),
+        # two sources of alpha
+        (["--alpha", "0.01", "--delta", "1e-3", "--E", "1", "--sigma", "1", "--c0", "1"],
+         "--alpha excludes"),
+        (["--delta", "nan", "--E", "1", "--sigma", "1", "--c0", "1"], "delta must be"),
+        (["--delta", "1e-3", "--E", "1"], "reconstruct requires --alpha or all of"),
+    ], ids=["rule-zero", "rule-inf", "alpha-and-rule", "delta-nan", "incomplete-rule"])
+    def test_reconstruct_alpha_rule(self, tmp_path, cache_dir, capsys, flags, line):
+        assert run(["basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5",
+                    "--resolution", "24", "--modes", "6", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip()
+        setup, data, rec = tmp_path / "setup.json", tmp_path / "data.csv", tmp_path / "rec.json"
+        setup.write_text(json.dumps({"regime": "limited", "k": 5.0, "theta": 2.2, "c_param": 5.0,
+                                     "contrast": {"shapes": [{"type": "disk", "center": [0.9, 0.2],
+                                                              "radius": 0.25, "value": 1.0}]}}))
+        assert run(["synthesize", str(setup), "--basis", basis_file, "-o", str(data),
+                    "--contrast-resolution", "24"]) == 0
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis", basis_file,
+                                             *flags, "-o", str(rec)])
+        assert code == 2 and len(err) == 1 and err[0].startswith(f"error: {line}"), err
         assert not rec.exists()
 
     @pytest.mark.parametrize("grid", ["-3", "0"])

@@ -212,6 +212,21 @@ class TestBetaOfAlpha:
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(betas, betas[1:]))
 
 
+@pytest.mark.parametrize("name", ["scaled_c6", "symset_disk_c5"])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+def test_cutoff_refuses_alpha(request, name, alpha):
+    # one check and one message on both bases, also through the projector; alpha = 0
+    # would keep every mode of a set unregularized
+    basis = request.getfixturevalue(name)
+    message = f"alpha must be a finite number > 0, got {alpha!r}"
+    with pytest.raises(ParameterError) as info:
+        basis.cutoff(alpha)
+    assert str(info.value) == message
+    with pytest.raises(ParameterError) as info:
+        P.project_pi_alpha(np.ones(len(basis.quad)), basis, alpha)
+    assert str(info.value) == message
+
+
 class TestReconstructFull:
     def test_exact_recovery_of_band_limited(self, scaled_c6):
         rng = np.random.default_rng(4)
@@ -281,11 +296,16 @@ class TestReconstructFull:
             errs.append(wnorm(w, rec.node_field - q_nodes))
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(errs, errs[1:]))
 
-    def test_realify_diagnostic(self, scaled_c6):
+    def test_realify_diagnostic(self, scaled_c6, wnorm):
+        # the field stays complex; the diagnostic is the norm of the imaginary
+        # part that a real field (the field CSV) drops, here 0.5 ||psi_hat_1||
         data = eigen_data(scaled_c6, {1: 1.0 + 0.5j})
-        rec = reconstruct(data, scaled_c6, alpha=1.0 / 40.0, realify=True)
-        assert not np.iscomplexobj(rec.node_field)
-        assert rec.diagnostics["dropped_imag_norm"] > 0.0
+        rec = reconstruct(data, scaled_c6, alpha=1.0 / 40.0)
+        dropped = rec.diagnostics["dropped_imag_norm"]
+        assert dropped == pytest.approx(wnorm(scaled_c6.quad.weights, rec.node_field.imag))
+        assert dropped == pytest.approx(0.5, rel=1e-8)
+        assert reconstruct(eigen_data(scaled_c6, {1: 1.0}), scaled_c6,
+                           alpha=1.0 / 40.0).diagnostics["dropped_imag_norm"] < 1e-12
 
     def test_result_file_round_trip(self, scaled_c6, tmp_path):
         data = eigen_data(scaled_c6, {0: 2.0})
@@ -396,6 +416,8 @@ class TestReconstructPartial:
         assert a2 > a1
         with pytest.raises(ParameterError):
             choose_alpha_partial(0.0, 1.0, 1.0, 1.0)
-        for bad in ((float("nan"), 1.0, 1.0, 1.0), (0.04, 1.0, float("inf"), 1.0)):
-            with pytest.raises(ParameterError):
+        for bad, name in (((float("nan"), 1.0, 1.0, 1.0), "delta"),
+                          ((0.04, 1.0, float("inf"), 1.0), "sigma"),
+                          ((0.04, 1.0, 1.0, -2.0), "c0")):
+            with pytest.raises(ParameterError, match=f"^{name} must be a finite number > 0"):
                 choose_alpha_partial(*bad)
