@@ -16,7 +16,7 @@ import secrets
 
 import numpy as np
 
-from .disk_basis import MODE_DTYPE as DISK_MODE, DiskBasis, disk_basis_from_modes
+from .disk_basis import MODE_DTYPE as DISK_MODE, DiskBasis, disk_basis_from_radial
 from .errors import CacheError, ParameterError
 from .numerics import QuadratureRule, _frozen
 from .symset_basis import MODE_DTYPE as SYMSET_MODE, Geometry, SymSetBasis
@@ -130,7 +130,9 @@ def _pairs(values: np.ndarray) -> np.ndarray:
 
 
 def save_disk_basis(path, basis: DiskBasis) -> None:
-    """Write the unit-disk system; a dilated basis is refused, since a load rebuilds radius 1."""
+    """Write the unit-disk system with its radial factors on the polar rule, which
+    a load reads back instead of rebuilding them; a dilated basis is refused,
+    since a load rebuilds radius 1."""
     if basis.radius != 1.0:
         raise ParameterError(f"only a unit-disk basis can be cached, got radius {basis.radius!r}")
     modes = basis.modes
@@ -144,7 +146,8 @@ def save_disk_basis(path, basis: DiskBasis) -> None:
         "modes": np.column_stack([basis.keys, modes["usable"]]).tolist(),
     }
     _write_container(path, meta, [("chi", modes["chi"]), ("gamma", modes["gamma"]),
-                                  ("alpha", _pairs(modes["alpha"])), ("coeffs", basis.coeffs)])
+                                  ("alpha", _pairs(modes["alpha"])), ("coeffs", basis.coeffs),
+                                  ("radial", basis.radial)])
 
 
 def _disk_basis(entries: dict, arrays: dict) -> DiskBasis:
@@ -154,8 +157,8 @@ def _disk_basis(entries: dict, arrays: dict) -> DiskBasis:
     modes["usable"] = records[:, 3] != 0
     modes["chi"], modes["gamma"] = arrays["chi"], arrays["gamma"]
     modes["alpha"] = arrays["alpha"].view(complex)[:, 0]
-    return disk_basis_from_modes(entries["c"], entries["J"], modes, arrays["coeffs"],
-                                 *entries["quad_size"])
+    return disk_basis_from_radial(entries["c"], entries["J"], modes, arrays["coeffs"],
+                                  arrays["radial"], entries["quad_size"][1])
 
 
 _GEO_LABEL = {"disk": "disk", "limited_aperture": "L", "multi_freq": "M"}
@@ -215,7 +218,7 @@ def _bandwidth(value) -> float:
 def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
     """The metadata entries a load reads, parsed as the load uses them, and the
     arrays it reads, each with the shape the entries give it (None: any): one
-    row per mode, one column per node or radial coefficient.  TypeError or
+    row per mode, one column per node, radial coefficient or ring.  TypeError or
     ValueError where an entry is malformed; builds no table."""
     if symset:
         n, nodes = _count(meta["n_modes"]), _count(meta["n_nodes"])
@@ -233,7 +236,7 @@ def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
                          f"got {[n_r, n_t]}")
     n, J = len(records), _count(meta["J"])
     return ({"c": _bandwidth(meta["c"]), "J": J, "modes": records, "quad_size": (n_r, n_t)},
-            {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, J)})
+            {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, J), "radial": (n, n_r)})
 
 
 def _check_layout(path, meta: dict, arrays: dict, symset: bool) -> dict:

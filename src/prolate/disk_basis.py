@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,11 +59,12 @@ __all__ = [
     "compute_disk_basis",
     "default_truncation",
     "disk_basis_from_modes",
+    "disk_basis_from_radial",
     "eval_psi",
 ]
 
 GAMMA_FLOOR = 1e-300
-# Entries per Bessel table block in `DiskBasis.combine` (2 MiB of float64).
+# Entries per Zernike or Bessel table block in `DiskBasis.combine` (2 MiB of float64).
 _BESSEL_BLOCK = 1 << 18
 
 
@@ -229,47 +230,54 @@ class DiskBasis:
         reduction and the Zernike-Bessel identity (module docstring) make
         sqrt(c)/gamma Y(theta) sum_j a_j (-1)^j sqrt(2(m+2j+1)) J_{m+2j+1}(c|x|) / (c|x|).
         Both are linear in the a_j, so the weights (over gamma outside) are
-        folded into one coefficient vector per (m, ell).  Inside, one Zernike
-        table is built per azimuthal order; outside, one Bessel table
-        J_0..J_{m+2J-1}(c|x|) serves every order, built in blocks of points of
-        at most _BESSEL_BLOCK entries.
+        folded into one coefficient vector per (m, ell).  The radial sums are
+        tabulated once per distinct |x| and gathered to the points: inside, one
+        Zernike table of every live order; outside, one Bessel table
+        J_0..J_{m+2J-1}(c|x|) that serves every order; each in blocks of radii
+        of at most _BESSEL_BLOCK entries.
         """
         weights = np.asarray(weights)
         xy = np.atleast_2d(np.asarray(pts, dtype=float) / self.radius)
-        r = np.hypot(xy[:, 0], xy[:, 1])
         theta = np.arctan2(xy[:, 1], xy[:, 0])
-        inside = r <= 1.0
-        outside = np.flatnonzero(~inside)
+        radii, at = np.unique(np.hypot(xy[:, 0], xy[:, 1]), return_inverse=True)
+        split = int(np.searchsorted(radii, 1.0, side="right"))  # radii[:split] <= 1
         out = np.zeros(len(xy), dtype=np.result_type(weights, float))
         live = np.nonzero(weights)[0]
         live_orders = self.modes["m"][live]
         orders = np.unique(live_orders)
         J = self.truncation
         j = np.arange(J)
-        exterior = {}  # m -> Bessel-row coefficients (J, 2) of the weights over gamma
-        for m in orders:
+        # per live order, the (J, 2) coefficients inside and outside; columns cos, sin
+        interior = np.empty((len(orders), J, 2), dtype=out.dtype)
+        exterior = np.empty_like(interior)
+        for i, m in enumerate(orders):
             idx = live[live_orders == m]
-            fold = np.zeros((len(idx), 2), dtype=out.dtype)  # columns: cos, sin (ell = 1, 2)
+            fold = np.zeros((len(idx), 2), dtype=out.dtype)  # columns: ell = 1, 2
             fold[np.arange(len(idx)), self.modes["ell"][idx] - 1] = weights[idx]
             coeffs = self.coeffs[idx].T
-            if inside.any():
-                radial = real_matmul(zernike_radial_table(m, J, r[inside]).T, coeffs @ fold)
-                out[inside] += _angular_sum(m, radial, theta[inside])
-            if len(outside):
-                gamma = self.modes["gamma"][idx]
+            interior[i] = coeffs @ fold
+            if split < len(radii):
                 identity = math.sqrt(self.c) * (-1.0) ** j * np.sqrt(2.0 * (m + 2 * j + 1))
-                exterior[m] = identity[:, None] * (coeffs @ (fold / gamma[:, None]))
-        if exterior:
-            top = int(orders[-1]) + 2 * J - 1
-            block = max(1, _BESSEL_BLOCK // (top + 1))
-            for lo in range(0, len(outside), block):
-                sel = outside[lo:lo + block]
-                cr = self.c * r[sel]
-                table = bessel_table(top, cr)
-                table /= cr
-                for m, f in exterior.items():
-                    rows = table[m + 1:m + 2 * J:2].T  # J_{m+2j+1}(c|x|) / (c|x|)
-                    out[sel] += _angular_sum(m, real_matmul(rows, f), theta[sel])
+                exterior[i] = identity[:, None] * (coeffs @ (fold / self.modes["gamma"][idx, None]))
+        # the radial sums per order, distinct radius and column
+        profile = np.empty((len(orders), len(radii), 2), dtype=out.dtype)
+        top = int(orders.max(initial=0)) + 2 * J - 1
+        block = max(1, _BESSEL_BLOCK // max(len(orders) * J, top + 1))
+        for lo in range(0, split, block):
+            rows = slice(lo, min(lo + block, split))
+            table = zernike_radial_table(orders, J, radii[rows])
+            for i, f in enumerate(interior):
+                profile[i, rows] = real_matmul(table[i].T, f)
+        for lo in range(split, len(radii), block):
+            rows = slice(lo, lo + block)
+            cr = self.c * radii[rows]
+            table = bessel_table(top, cr)
+            table /= cr
+            for i, m in enumerate(orders):
+                # J_{m+2j+1}(c|x|) / (c|x|)
+                profile[i, rows] = real_matmul(table[m + 1:m + 2 * J:2].T, exterior[i])
+        for i, m in enumerate(orders):
+            out += _angular_sum(m, profile[i, at], theta)
         out /= self.radius
         return out[0] if np.ndim(pts) == 1 else out
 
@@ -404,23 +412,39 @@ def disk_basis_from_modes(c: float, J: int, modes: np.ndarray, coeffs: np.ndarra
     """The unit-disk basis of the sorted mode table and its (modes, J) radial
     coefficients on the n_r x n_t polar rule.
 
-    The radii and angles are read off the rule's first rings and first angles.
-    One pass gives the Zernike tables of all orders; per order, one product
-    gives the radial factors of its modes.
+    One pass gives the Zernike tables of all orders at the rule's radii; per
+    order, one product gives the radial factors of its modes.
     """
-    quad = disk_polar_rule(1.0, n_r, n_t)
-    half = n_t // 2
-    block = n_r * half
-    r = np.hypot(quad.nodes[:block, 0], quad.nodes[:block, 1]).reshape(n_r, half)[:, 0]
-    theta = np.arctan2(quad.nodes[:block, 1], quad.nodes[:block, 0]).reshape(n_r, half)[0]
+    r = _unit_rule(n_r, n_t)[1]
     orders = modes["m"]
     tables = zernike_radial_table(np.arange(orders.max(initial=0) + 1), J, r)
     radial = np.empty((len(modes), n_r))
     for m in np.unique(orders):
         idx = np.flatnonzero(orders == m)
         radial[idx] = coeffs[idx] @ tables[m]
+    return disk_basis_from_radial(c, J, modes, coeffs, radial, n_t)
+
+
+def disk_basis_from_radial(c: float, J: int, modes: np.ndarray, coeffs: np.ndarray,
+                           radial: np.ndarray, n_t: int) -> DiskBasis:
+    """The unit-disk basis of the sorted mode table, its (modes, J) radial
+    coefficients and its (modes, n_r) radial factors at the radii of the
+    n_r x n_t polar rule; builds no table."""
+    quad, _, theta = _unit_rule(radial.shape[1], n_t)
     return DiskBasis(c=float(c), truncation=int(J), modes=_frozen(modes), coeffs=_frozen(coeffs),
-                     quad=quad, radial=_frozen(radial), angles=_frozen(theta))
+                     quad=quad, radial=_frozen(radial), angles=theta)
+
+
+@lru_cache(maxsize=16)
+def _unit_rule(n_r: int, n_t: int) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
+    """The n_r x n_t polar rule on the unit disk, built once per size and shared,
+    with its radii and half-circle angles read off its first rings and first angles."""
+    quad = disk_polar_rule(1.0, n_r, n_t)
+    block = n_r * (n_t // 2)
+    x, y = quad.nodes[:block, 0], quad.nodes[:block, 1]
+    r = np.hypot(x, y).reshape(n_r, -1)[:, 0]
+    theta = np.arctan2(y, x).reshape(n_r, -1)[0]
+    return quad, _frozen(r), _frozen(theta)
 
 
 def eval_psi(basis, mode, x) -> float | np.ndarray:

@@ -764,32 +764,32 @@ class RingPiece(NamedTuple):
     def sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The cos and sin sums (A, B) at the (g, n, 2) points x, each (g, n).
 
-        The profiles are taken at P = ceil(X) + RING_EXTRA_POINTS Chebyshev
-        points in |x| on [0, max|x|] and interpolated barycentrically to the
-        targets, in row blocks of at most BLOCK_ENTRIES weights; with at most P
-        targets (or X below the series range of `bessel_table`) they are taken
-        at the targets themselves.
+        The profiles are taken once per distinct |x| and gathered to the
+        targets, whose cos(k n_t arg x) factors stay per target (in row blocks
+        of at most BLOCK_ENTRIES).  With at most P = ceil(X) +
+        RING_EXTRA_POINTS distinct |x| (or X below the series range of
+        `bessel_table`) they are taken at those radii themselves; otherwise at
+        P Chebyshev points in |x| on [0, max|x|], interpolated barycentrically
+        to the distinct radii in row blocks of at most BLOCK_ENTRIES weights.
         """
         pts = x.reshape(-1, 2)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
+        rho, at = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
         top = float(rho.max(initial=0.0))
         span = top * float(self.radii.max())
         orders = _aliased_orders(span, self.n_t)
-        angle = self.n_t * np.arctan2(pts[:, 1], pts[:, 0]) - np.pi
-        k = np.arange(orders + 1)
         n_cheb = math.ceil(span) + RING_EXTRA_POINTS
-        if len(pts) <= n_cheb or span < _SERIES_BELOW:
-            a = np.einsum("ij,ij->i", self.profiles(rho, orders), np.cos(np.outer(angle, k)))
+        if len(rho) <= n_cheb or span < _SERIES_BELOW:
+            prof = self.profiles(rho, orders)
         else:
-            a = np.empty(len(pts))
             j = np.arange(n_cheb)
             nodes = 0.5 * top * (1.0 + np.cos(np.pi * j / (n_cheb - 1)))
             bary = np.where(j % 2, -1.0, 1.0)
             bary[[0, -1]] *= 0.5
-            prof = self.profiles(nodes, orders)
+            at_nodes = self.profiles(nodes, orders)
+            prof = np.empty((len(rho), orders + 1))
             block = max(1, BLOCK_ENTRIES // n_cheb)
-            table = np.empty((min(block, len(pts)), n_cheb))
-            for start in range(0, len(pts), block):
+            table = np.empty((min(block, len(rho)), n_cheb))
+            for start in range(0, len(rho), block):
                 rows = slice(start, start + block)
                 diff = np.subtract.outer(rho[rows], nodes, out=table[:len(rho[rows])])
                 hit = diff == 0.0
@@ -798,7 +798,14 @@ class RingPiece(NamedTuple):
                 exact = hit.any(axis=1)
                 weight[exact] = hit[exact]
                 weight /= weight.sum(axis=1, keepdims=True)
-                a[rows] = np.einsum("ij,ij->i", weight @ prof, np.cos(np.outer(angle[rows], k)))
+                prof[rows] = weight @ at_nodes
+        angle = self.n_t * np.arctan2(pts[:, 1], pts[:, 0]) - np.pi
+        k = np.arange(orders + 1)
+        a = np.empty(len(pts))
+        block = max(1, BLOCK_ENTRIES // (orders + 1))
+        for start in range(0, len(pts), block):
+            rows = slice(start, start + block)
+            a[rows] = np.einsum("ij,ij->i", prof[at[rows]], np.cos(np.outer(angle[rows], k)))
         a = a.reshape(x.shape[:2])
         return a, np.zeros_like(a)
 

@@ -135,10 +135,13 @@ def reconstruct(data: DataGrid, basis, alpha: float) -> ReconstructionResult:
 
 def choose_alpha_partial(delta: float, E: float, sigma: float, c0: float) -> float:
     """A-priori cutoff alpha(delta) = c0 (delta / E)^(1 / (1 + sigma)), from finite
-    positive arguments; the cutoff checks the result (it may round to 0 or inf)."""
-    for name, value in (("delta", delta), ("E", E), ("sigma", sigma), ("c0", c0)):
-        finite_number(name, value, positive=True)
-    return float(c0 * (delta / E) ** (1.0 / (1.0 + sigma)))
+    positive arguments; the cutoff checks the result (it may round to 0 or inf).
+
+    The arithmetic is on Python floats, whose overflow gives inf without the
+    warning numpy scalars raise."""
+    delta, E, sigma, c0 = (float(finite_number(name, value, positive=True)) for name, value in
+                           (("delta", delta), ("E", E), ("sigma", sigma), ("c0", c0)))
+    return c0 * (delta / E) ** (1.0 / (1.0 + sigma))
 
 
 def write_result(path, result: ReconstructionResult) -> None:

@@ -37,6 +37,28 @@ class TestDiskRoundTrip:
         assert path.read_bytes().startswith(b"GPSWF1\n")
 
 
+class TestDiskLoadReadsRadial:
+    """A disk load reads the stored radial factors and builds no Zernike table."""
+
+    @pytest.mark.parametrize("which", ["disk_c5", "readme"])
+    def test_load_builds_no_zernike_table(self, which, request, tmp_path, monkeypatch):
+        basis = (P.compute_disk_basis(10.0, 8, 8) if which == "readme"
+                 else request.getfixturevalue(which))
+        path = tmp_path / "disk.gpswf"
+        save_disk_basis(path, basis)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("Zernike table built on a load")
+
+        monkeypatch.setattr(P.disk_basis, "zernike_radial_table", no_table)
+        back = load_basis(path)
+        assert np.array_equal(back.radial, basis.radial)  # bitwise
+        assert np.array_equal(back.angles, basis.angles)
+        assert np.array_equal(back.node_values, basis.node_values)
+        assert back.quad_size == basis.quad_size
+        assert not back.radial.flags.writeable
+
+
 class TestSymsetRoundTrip:
     def test_bit_exact(self, symset_disk_c5, tmp_path):
         path = tmp_path / "sym.gpswf"
@@ -247,7 +269,7 @@ class TestPinnedMetadata:
     DISK_5_1_1 = {
         "J": 17,
         "arrays": [["chi", "<f8", [6]], ["gamma", "<f8", [6]], ["alpha", "<f8", [6, 2]],
-                   ["coeffs", "<f8", [6, 17]]],
+                   ["coeffs", "<f8", [6, 17]], ["radial", "<f8", [6, 37]]],
         "c": 5.0,
         "format": 1,
         "geometry": "disk",

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import prolate as P
-from prolate import cli, forward
+from prolate import cache, cli, forward
 from prolate.cli import experiment_stability, run
 from prolate.errors import ParameterError
 from prolate.forward import add_noise, read_datagrid
@@ -161,6 +161,31 @@ class TestBasisCommand:
         assert run(argv) == 0
         assert capsys.readouterr().out.strip() == path
         assert P.load_basis(path) is not None
+
+    def test_disk_file_without_radial(self, cache_dir, tmp_path, capsys):
+        # a disk file of the layout before `radial` was stored: `basis disk`
+        # recomputes it at its key path, and any other stage exits 1 naming it
+        argv = ["basis", "disk", "--c", "5.0", "--m-max", "2", "--n-max", "2"]
+        assert run(argv) == 0
+        path = capsys.readouterr().out.strip()
+        old = tmp_path / "old.gpswf"
+        meta, arrays = cache._read_container(path)
+        arrays.pop("radial")
+        meta = {k: v for k, v in meta.items() if k not in ("format", "arrays", "payload_sha256")}
+        cache._write_container(old, meta, list(arrays.items()))
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", path, "-o", str(data),
+                    "--contrast-resolution", "24"]) == 0
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis", str(old),
+                                             "--alpha", "1e-2", "-o", str(tmp_path / "r.json")])
+        assert code == 1 and len(err) == 1 and "radial" in err[0], err
+        os.replace(old, path)
+        assert run(argv) == 0
+        assert capsys.readouterr().out.strip() == path
+        assert [name for name, _, _ in cache._read_container(path)[0]["arrays"]] == [
+            "chi", "gamma", "alpha", "coeffs", "radial"]
+        assert run(["reconstruct", str(data), "--basis", path, "--alpha", "1e-2",
+                    "-o", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0, "4.0", True])
     @pytest.mark.parametrize("kind", ["disk", "L"])

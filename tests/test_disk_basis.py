@@ -126,6 +126,30 @@ class TestNodeValuesOnLoad:
         assert not loaded.node_values.flags.writeable
 
 
+class TestCombineDistinctRadii:
+    """`combine` tabulates its radial sums once per distinct |x| and gathers
+    them to the points."""
+
+    def test_symmetric_grid_matches_point_by_point(self, disk_c10, monkeypatch):
+        # a symmetric grid over [-1.5, 1.5]^2 repeats its radii inside and
+        # outside the unit disk; one Zernike call serves every live order
+        g = 1.5 * (2.0 * np.arange(32) - 31) / 31
+        pts = np.stack([np.repeat(g, 32), np.tile(g, 32)], axis=1)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        for part in (r <= 1.0, r > 1.0):
+            assert len(np.unique(r[part])) < part.sum() // 4
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(len(disk_c10.modes)) + 1j * rng.standard_normal(len(disk_c10.modes))
+        calls = []
+        real = disk_basis.zernike_radial_table
+        monkeypatch.setattr(disk_basis, "zernike_radial_table",
+                            lambda *args: calls.append(args) or real(*args))
+        got = disk_c10.combine(w, pts)
+        assert len(calls) == 1 and len(calls[0][0]) == len(np.unique(disk_c10.modes["m"]))
+        want = np.array([disk_c10.combine(w, p) for p in pts])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestAssemble:
     def test_c_zero_decouples(self):
         tri = assemble_sl_matrix(0.0, 0, 3)

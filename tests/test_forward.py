@@ -427,6 +427,33 @@ class TestRingSums:
         want = _born_sum(_folded_shapes(RING_SHAPES, resolution), kappa, pts)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("kappa", [0.4, 5.0])
+    @pytest.mark.parametrize("n_r,branch", [(6, "direct"), (82, "interpolated")])
+    def test_disk_rule_targets(self, kappa, n_r, branch, monkeypatch):
+        # a polar rule's nodes share few radii, so each piece takes its profiles
+        # once per distinct |x|: at those radii when there are at most P of them,
+        # else at the P Chebyshev points
+        pts = disk_polar_rule(3.0, n_r, 42).nodes
+        q = ContrastField.from_shapes(RING_SHAPES, 24)
+        x = kappa * pts
+        distinct = len(np.unique(np.hypot(x[:, 0], x[:, 1])))
+        calls = []
+        real = RingPiece.profiles
+
+        def profiles(piece, rho, orders):
+            calls.append(len(rho))
+            return real(piece, rho, orders)
+
+        monkeypatch.setattr(RingPiece, "profiles", profiles)
+        got = synthesize_born(q, kappa, pts).values
+        cheb = [math.ceil(np.hypot(x[:, 0], x[:, 1]).max() * piece.radii.max()) + 30
+                for piece in q.pieces]
+        assert distinct < len(pts) // 10
+        assert calls == ([distinct] * len(q.pieces) if branch == "direct" else cheb)
+        assert all((distinct <= p) == (branch == "direct") for p in cheb)
+        want = _born_sum(_folded_shapes(RING_SHAPES, 24), kappa, pts)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_aliased_orders(self):
         # the largest |x| r of the kappa = 200 and 0.4 cases above: on 8 angles
         # the first aliases orders up to 600, on 24 angles the second keeps J_0

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -421,3 +422,17 @@ class TestReconstructPartial:
                           ((0.04, 1.0, 1.0, -2.0), "c0")):
             with pytest.raises(ParameterError, match=f"^{name} must be a finite number > 0"):
                 choose_alpha_partial(*bad)
+
+    def test_choose_alpha_numpy_scalars(self, disk_c5):
+        # numpy scalars overflow to inf as Python floats do, with no warning
+        # (the module runs under -W error), and the cutoff then refuses inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = choose_alpha_partial(np.float64(1e300), np.float64(1e-300), 1.0, 1.0)
+            assert alpha == np.inf and type(alpha) is float
+            assert choose_alpha_partial(np.float64(1e-300), np.float64(1e300), np.float64(1e-300),
+                                        np.float64(1.0)) == 0.0
+            assert choose_alpha_partial(*map(np.float64, (0.04, 1.0, 1.0, 1.0))) == \
+                choose_alpha_partial(0.04, 1.0, 1.0, 1.0)
+        with pytest.raises(ParameterError, match="^alpha must be a finite number > 0, got inf"):
+            disk_c5.cutoff(alpha)

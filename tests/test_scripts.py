@@ -1,12 +1,15 @@
 """Smoke runs of the experiment scripts on tiny configurations, each in its
 own working directory."""
 
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +57,35 @@ def test_aperture_spectra(tmp_path):
         mags = rows[rows[:, 0] == theta, 2]
         assert len(mags) == 10
         assert (np.diff(mags) <= 0.0).all()
+
+
+def test_corpus(tmp_path):
+    # the tiny corpus: one sha256 line per file it writes, and a comparison of
+    # two directories that names the changed file and its relative difference
+    out = run_script("corpus.py", ["corpus", "--tiny"], tmp_path)
+    root = tmp_path / "corpus"
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    listing = [line.split("  ") for line in out.strip().splitlines()]
+    assert [name for _, name in listing] == files
+    assert {"field.csv", "ext.csv", "report.json", "table.csv", "ingL.csv", "fieldM.csv",
+            "reportM.json"} <= set(files)
+    assert sum(name.startswith("cache/") for name in files) == 3
+    for digest, name in listing:
+        assert digest == hashlib.sha256((root / name).read_bytes()).hexdigest()
+
+    shutil.copytree(root, tmp_path / "other")
+    assert run_script("corpus.py", ["--compare", "corpus", "other"], tmp_path).strip() == \
+        f"0 of {len(files)} files differ"
+    field = tmp_path / "other" / "field.csv"
+    lines = field.read_text().splitlines()
+    x, y, q = lines[1].split(",")
+    lines[1] = f"{x},{y},{float(q) + 1e-3 * max(abs(float(r.split(',')[2])) for r in lines[1:])!r}"
+    field.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "corpus.py"), "--compare",
+                           "corpus", "other"], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1
+    changed, total = proc.stdout.splitlines()
+    assert total == f"1 of {len(files)} files differ"
+    head, rel, column = changed.rsplit(" ", 2)
+    assert head == "field.csv: max relative difference" and column == "(q)"
+    assert float(rel) == pytest.approx(1e-3, rel=1e-2)
