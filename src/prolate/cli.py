@@ -72,7 +72,6 @@ def _parser() -> argparse.ArgumentParser:
     i.add_argument("samples")
     i.add_argument("--k", type=float, required=True)
     i.add_argument("--basis", required=True)
-    i.add_argument("--cutoff", type=float, default=None)
     i.add_argument("-o", "--out", required=True)
 
     r = sub.add_parser("reconstruct", help="DataGrid + basis -> contrast coefficients")
@@ -197,20 +196,16 @@ def _cmd_ingest(args) -> int:
     finite_number("--k", args.k, positive=True)
     if not (math.isfinite(args.k * args.k) and args.k * args.k >= sys.float_info.min):
         raise ParameterError(f"--k {args.k!r} is out of range: k^2 must be a finite normal float")
-    if args.cutoff is not None:
-        finite_number("--cutoff", args.cutoff, positive=True)
     basis = cachemod.load_basis(args.basis)
     if getattr(basis, "geometry", None) is None:  # ingest maps onto a set's own domain
         raise ParameterError("ingest requires a symset basis or a scaled target; "
                              "build a symset disk basis for full-aperture targets")
     table = read_columns(args.samples, ["xhat_x", "xhat_y", "thetahat_x", "thetahat_y",
                                         "re", "im"], "far-field")
-    if not len(table):
-        raise ParameterError(f"{args.samples}: no far-field rows")
     values = np.ascontiguousarray(table[:, 4:]).view(complex)[:, 0]
     try:
         data = ingest_farfield(table[:, 0:2], table[:, 2:4], values, args.k, basis.kernel_scale,
-                               basis.quad, cutoff=args.cutoff, geometry=basis.geometry)
+                               basis.quad, geometry=basis.geometry)
     except ParameterError as exc:
         raise ParameterError(f"{args.samples}: {exc}") from exc
     write_datagrid(args.out, data)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
 from .numerics import (GridPiece, QuadratureRule, RingPiece, SupportPiece, _annulus_rings,
-                       _born_sum, _disk_rings, _piece, _polar_layout, nearest)
+                       _born_sum, _disk_rings, _piece, _polar_layout)
 from .symset_basis import Geometry
 
 __all__ = [
@@ -293,24 +293,13 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse, np.diff(np.append(np.flatnonzero(start), len(order)))
 
 
-def _median_spacing(rows: np.ndarray) -> float:
-    """Median distance from each distinct row (to 1e-12) to the nearest other
-    one; ParameterError if there are fewer than two."""
-    inverse, counts = _group_rows(np.round(rows / 1e-12).astype(np.int64))
-    if len(counts) < 2:
-        raise ParameterError(f"{len(counts)} distinct direction pair; the default cutoff "
-                             f"needs at least 2")
-    distinct = np.empty((len(counts), rows.shape[1]))
-    distinct[inverse] = rows
-    return float(np.median(nearest(distinct, distinct, 2)[0][:, 1]))
-
-
 # Points per axis of the Lagrange stencils that interpolate far fields on a
 # direction grid, and the tolerance (relative) of the layout tests that
 # recognise such a grid: unit lengths, ring radii, the line through the
-# origin, and ring angles shared by every group.
+# origin, and ring angles shared by every group.  The tolerance is that of
+# text input: it admits grids written at 6 significant digits.
 GRID_ORDER = 8
-GRID_TOL = 1e-12
+GRID_TOL = 1e-5
 
 
 class _Arc(NamedTuple):
@@ -406,17 +395,23 @@ class _DirectionGrid(NamedTuple):
     x_star: np.ndarray | None
 
 
-def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid | None:
-    """The direction grid the rows lie on, or None.  Rows sharing an exact
-    x_hat form a group; every group must hold the same ring of theta_hat
-    angles, at least 2, strictly increasing.  Either every x_hat and theta_hat
-    is a unit vector, or the x_hat lie on one line through the origin, x_hat =
-    -+s x*, and each group's theta_hat has length s, with at least 2 groups on
-    each side of x* that holds any."""
+def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid:
+    """The direction grid the rows lie on; ParameterError naming the first
+    condition of the layout they break.  Rows sharing an exact x_hat form a
+    group; every group must hold the same ring of theta_hat angles, at least
+    2, strictly increasing.  Either every x_hat and theta_hat is a unit
+    vector, or the x_hat lie on one line through the origin, x_hat = -+s x*,
+    and each group's theta_hat has length s, with at least 2 groups on each
+    side of x* that holds any.  Lengths, the line and the shared angles are
+    tested to GRID_TOL."""
     group, counts = _group_rows(x_hat)
     m = int(counts[0])
     if len(counts) < 2 or m < 2 or np.any(counts != m):
-        return None
+        lo, hi = int(counts.min()), int(counts.max())
+        rows = f"{lo} row{'s' * (hi > 1)}" if lo == hi else f"{lo} to {hi} rows"
+        raise ParameterError(f"not a direction grid: {len(counts)} distinct x_hat with {rows} "
+                             f"each; a grid needs at least 2, each with the same number of "
+                             f"rows, at least 2")
     head = np.empty(len(counts), dtype=np.intp)
     head[group] = np.arange(len(group))
     gx = x_hat[head]
@@ -426,7 +421,7 @@ def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid 
         a = np.arctan2(gx[:, 1], gx[:, 0])
         rank = np.argsort(a)
         if not np.all(np.diff(a[rank]) > 0.0):
-            return None
+            raise ParameterError("not a direction grid: two distinct x_hat at one angle")
         arc, shift = _arc(a[rank])
         rank = np.roll(rank, -shift)
         sides = ((0, arc),)
@@ -435,7 +430,9 @@ def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid 
         x_star = gx[np.argmax(r)] / r.max()
         if not (np.all(r > 0.0) and np.all(np.abs(rt - rx) <= GRID_TOL * rx)
                 and np.all(np.abs(gx[:, 0] * x_star[1] - gx[:, 1] * x_star[0]) <= GRID_TOL * r)):
-            return None
+            raise ParameterError(f"not a direction grid: the directions are neither unit "
+                                 f"vectors nor x_hat on one line through the origin with "
+                                 f"|theta_hat| = |x_hat| (to {GRID_TOL:g})")
         a = gx @ x_star
         rank = np.lexsort((r, a > 0.0))
         s = r[rank]
@@ -443,7 +440,9 @@ def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid 
         sides = []
         for lo, hi in ((0, split), (split, len(s))):
             if hi - lo == 1 or not np.all(np.diff(s[lo:hi]) > 0.0):
-                return None
+                raise ParameterError(f"not a direction grid: {hi - lo} x_hat on one side of "
+                                     f"x* with {len(np.unique(s[lo:hi]))} distinct lengths; a "
+                                     f"side that holds any needs at least 2, all distinct")
             sides.append((lo, _Arc(s[lo:hi], False)) if hi > lo else None)
         sides = tuple(sides)
     position = np.empty(len(counts), dtype=np.intp)
@@ -451,9 +450,11 @@ def _direction_grid(x_hat: np.ndarray, theta_hat: np.ndarray) -> _DirectionGrid 
     b = np.arctan2(theta_hat[:, 1], theta_hat[:, 0])
     order = np.lexsort((b, position[group])).reshape(len(counts), m)
     angles = b[order]
-    if not (np.all(np.diff(angles, axis=1) > 0.0)
-            and np.all(np.abs(angles - angles[0]) <= GRID_TOL)):
-        return None
+    if not np.all(np.diff(angles, axis=1) > 0.0):
+        raise ParameterError("not a direction grid: an x_hat repeats a theta_hat angle")
+    if not np.all(np.abs(angles - angles[0]) <= GRID_TOL):
+        raise ParameterError(f"not a direction grid: the theta_hat angles differ between "
+                             f"x_hat (to {GRID_TOL:g})")
     ring, shift = _arc(angles[0])
     return _DirectionGrid(np.roll(order, -shift, axis=1), ring, sides, x_star)
 
@@ -506,29 +507,6 @@ def _preimages(grid: _DirectionGrid, p: np.ndarray):
     return s, b, side, covered
 
 
-def _ingest_grid(grid: _DirectionGrid, x_hat, theta_hat, vals, scale: float,
-                 target: QuadratureRule, cutoff: float | None) -> tuple:
-    """Values, flags and cutoff of the angle path of `ingest_farfield`."""
-    a, b, side, covered = _preimages(grid, target.nodes / scale)
-    table = vals[grid.order]
-    values = np.zeros(len(target), dtype=complex)
-    for j, run in enumerate(grid.sides):
-        sel = covered & (side == j)
-        if run is None or not sel.any():
-            continue
-        ia, ca = run[1].stencil(a[sel])
-        ib, cb = grid.ring.stencil(b[sel])
-        # along the ring angle on each stencil group, then across the groups
-        rows = np.einsum("nab,nb->na", table[run[0] + ia[:, :, None], ib[:, None, :]], cb)
-        values[sel] = np.einsum("na,na->n", rows, ca)
-    if cutoff is None:
-        cutoff = 3.0 * _grid_spacing(grid, x_hat, theta_hat)
-    else:
-        covered &= nearest(theta_hat - x_hat, target.nodes, 1)[0][:, 0] <= cutoff
-    values[~covered] = 0.0
-    return values, (~covered).astype(np.uint8), cutoff
-
-
 def _grid_spacing(grid: _DirectionGrid, x_hat: np.ndarray, theta_hat: np.ndarray) -> float:
     """Median over the rows of the distance in (x_hat, theta_hat) to the
     nearer of the nearest other sample of its group and the sample at the
@@ -554,38 +532,25 @@ def _grid_spacing(grid: _DirectionGrid, x_hat: np.ndarray, theta_hat: np.ndarray
 
 
 def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: QuadratureRule,
-                    cutoff: float | None = None, geometry: Geometry | None = None) -> DataGrid:
+                    geometry: Geometry | None = None) -> DataGrid:
     """Map far-field samples (x_hat[j], theta_hat[j], values[j]) at wavenumber k
     onto p = (k / kappa)(theta_hat - x_hat), where the data of kernel scale
     kappa (the target basis's c / h^2) is u(p) = values / k^2, and resample
-    onto the target rule; kappa and the cutoff are recorded in the meta.
+    onto the target rule.
 
-    x_hat and theta_hat are (n, 2) arrays of directions.  Where they lie on a
-    direction grid (`_direction_grid`: rows grouped by exact x_hat, each group
-    the same ring of theta_hat angles; unit pairs, or x_hat = -+s x* on a line
-    with |theta_hat| = s), each node p is mapped to its preimage
-    (kappa / k) p in the two grid parameters (`_preimages`) and its value
-    interpolated there with GRID_ORDER-point barycentric Lagrange stencils,
-    along the ring angle on the nearest groups, then across them; a node is
-    covered if its preimage lies within half a step of the sampled range, and
-    the meta records "interp": "angle".  The cutoff defaults to 3x the median
-    distance from each scaled (x_hat, theta_hat) row to the nearer of its
-    group's nearest other sample and the sample at its ring angle in the
-    nearest other group, which on unit pairs is the default of the scattered
-    path below.
-
-    Other samples are scattered: duplicate p points (to 1e-12) are averaged;
-    target values come from inverse-distance weighting of the 4 nearest
-    samples (`numerics.nearest`: of samples at equal distance, the one whose
-    p comes first in lexicographic order), first order only.  The cutoff
-    defaults to 3x the sampling step of the scaled directions: the median
-    distance from each distinct (x_hat, theta_hat) pair to its nearest
-    neighbour, which needs at least two distinct pairs (ParameterError
-    otherwise).  (The merged p points are no measure of the step: where
-    distinct pairs nearly repeat a p, their spacing collapses far below it.)
-
-    On both paths a node farther than an explicit `cutoff` (in node units)
-    from every sample is flagged missing.
+    x_hat and theta_hat are (n, 2) arrays of directions on a direction grid
+    (`_direction_grid`: rows grouped by exact x_hat, each group the same ring
+    of theta_hat angles; unit pairs, or x_hat = -+s x* on a line with
+    |theta_hat| = s); other samples, and none, raise ParameterError.  Each
+    node p is mapped to its preimage (kappa / k) p in the two grid
+    parameters (`_preimages`) and its value interpolated there with
+    GRID_ORDER-point barycentric Lagrange stencils, along the ring angle on
+    the nearest groups, then across them.  A node is covered if its preimage
+    lies within half a step of the sampled range; the others are flagged
+    missing.  The meta records kappa, "interp": "angle" and, as "cutoff",
+    3x the median distance from each scaled (x_hat, theta_hat) row to the
+    nearer of its group's nearest other sample and the sample at its ring
+    angle in the nearest other group; the cutoff is recorded, not applied.
     """
     if not (k > 0.0 and kappa > 0.0 and math.isfinite(k * k) and k * k >= sys.float_info.min):
         raise ParameterError(f"ingest_farfield requires kappa > 0 and k > 0 with k^2 a finite "
@@ -593,18 +558,13 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
     scale = k / kappa
     directions = np.asarray(x_hat, dtype=float).reshape(-1, 2)
     incident = np.asarray(theta_hat, dtype=float).reshape(-1, 2)
-    x_hat, theta_hat = scale * directions, scale * incident
     values = np.asarray(values).reshape(-1)
-    meta = {"kappa": float(kappa), "delta": 0.0, "seed": None}
-    if not len(x_hat) == len(theta_hat) == len(values):
+    if not len(directions) == len(incident) == len(values):
         raise ParameterError(f"ingest_farfield needs as many directions as values, got "
-                             f"{len(x_hat)} x_hat, {len(theta_hat)} theta_hat, {len(values)} values")
-    n_t = len(target)
+                             f"{len(directions)} x_hat, {len(incident)} theta_hat, "
+                             f"{len(values)} values")
     if len(values) == 0:
-        return DataGrid(nodes=target.nodes, weights=target.weights,
-                        values=np.zeros(n_t, dtype=complex),
-                        flags=np.ones(n_t, dtype=np.uint8),
-                        meta=meta, geometry=geometry)
+        raise ParameterError("no far-field rows")
     k2 = k**2
     vals = np.empty(len(values), dtype=complex)
     with np.errstate(over="ignore"):
@@ -613,34 +573,24 @@ def ingest_farfield(x_hat, theta_hat, values, k: float, kappa: float, target: Qu
     if np.any(np.isfinite(values) & ~np.isfinite(vals)):
         raise ParameterError(f"far-field values / k^2 overflow at k = {k!r}")
     grid = _direction_grid(directions, incident)
-    if grid is not None:
-        values, flags, cutoff = _ingest_grid(grid, x_hat, theta_hat, vals, scale, target, cutoff)
-        return DataGrid(nodes=target.nodes, weights=target.weights, values=values, flags=flags,
-                        meta={**meta, "cutoff": float(cutoff), "interp": "angle"},
-                        geometry=geometry)
-    pts = theta_hat - x_hat
-    inverse, counts = _group_rows(np.round(pts / 1e-12).astype(np.int64))
-    # group sums in sample order, as sequential adds
-    merged_pts = np.stack([np.bincount(inverse, pts[:, j], len(counts)) for j in (0, 1)], axis=1)
-    merged_vals = np.empty(len(counts), dtype=complex)
-    merged_vals.real = np.bincount(inverse, vals.real, len(counts))
-    merged_vals.imag = np.bincount(inverse, vals.imag, len(counts))
-    merged_pts /= counts[:, None]
-    merged_vals /= counts
-    if cutoff is None:
-        cutoff = 3.0 * _median_spacing(np.concatenate([x_hat, theta_hat], axis=1))
-    dist, idx = nearest(merged_pts, target.nodes, 4)
-    flags = (dist[:, 0] > cutoff).astype(np.uint8)
-    values = np.zeros(n_t, dtype=complex)
-    exact = dist[:, 0] < 1e-13
-    values[exact] = merged_vals[idx[exact, 0]]
-    rest = ~exact
-    if rest.any():
-        wgt = 1.0 / dist[rest]
-        values[rest] = np.sum(wgt * merged_vals[idx[rest]], axis=1) / np.sum(wgt, axis=1)
-    values[flags == 1] = 0.0
-    return DataGrid(nodes=target.nodes, weights=target.weights, values=values, flags=flags,
-                    meta={**meta, "cutoff": float(cutoff)}, geometry=geometry)
+    a, b, side, covered = _preimages(grid, target.nodes / scale)
+    table = vals[grid.order]
+    out = np.zeros(len(target), dtype=complex)
+    for j, run in enumerate(grid.sides):
+        sel = covered & (side == j)
+        if run is None or not sel.any():
+            continue
+        ia, ca = run[1].stencil(a[sel])
+        ib, cb = grid.ring.stencil(b[sel])
+        # along the ring angle on each stencil group, then across the groups
+        rows = np.einsum("nab,nb->na", table[run[0] + ia[:, :, None], ib[:, None, :]], cb)
+        out[sel] = np.einsum("na,na->n", rows, ca)
+    cutoff = 3.0 * _grid_spacing(grid, scale * directions, scale * incident)
+    return DataGrid(nodes=target.nodes, weights=target.weights, values=out,
+                    flags=(~covered).astype(np.uint8),
+                    meta={"kappa": float(kappa), "delta": 0.0, "seed": None, "cutoff": cutoff,
+                          "interp": "angle"},
+                    geometry=geometry)
 
 
 def add_noise(data: DataGrid, delta: float, seed: int) -> DataGrid:

@@ -31,7 +31,6 @@ __all__ = [
     "zernike_radial_table",
     "real_matmul",
     "mirror_map",
-    "nearest",
     "SupportPiece",
     "GridPiece",
     "RingPiece",
@@ -311,237 +310,6 @@ def mirror_map(points) -> np.ndarray | None:
     A point at the origin is its own mirror.
     """
     return _point_map(points, (-1.0, -1.0))
-
-
-# Candidate entries per block of the neighbour search: a block's work tables
-# take 128 kB each, so its temporaries stay under about 1 MB.
-NEAREST_BLOCK = 16_384
-# Queries set up at a time: their run tables take about 80 kB each.
-_QUERY_CHUNK = 1_024
-# The search grid spans at most three axes of the points (those of widest
-# spread) in at most 2^16 cells, so its int32 cell-start table is 256 kB.
-_GRID_AXES = 3
-_GRID_CELLS = 1 << 16
-# Queries sampled for the first cell size (the median of their k-th
-# neighbour distances, by brute force); as few queries left unsettled take
-# every point as a candidate, at about the cost of one more grid.
-_CELL_SAMPLES = 8
-
-
-def nearest(points, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest points to each query, nearest first: distances and
-    indices, each of shape (len(queries), min(k, len(points))).
-
-    A distance is the square root of the squared coordinate differences
-    summed in coordinate order, as a k-d tree (scipy's cKDTree) computes it,
-    so the distances are a tree's bit for bit.  Points at equal distance
-    (equal sums of squares) go by the lower index, both in the order and in
-    which tied points make up the k.
-
-    The points are binned on a uniform grid over at most three of their
-    axes, those of widest spread.  A query's candidates are the points of
-    the 3 x 3 x 3 cells around its own (3^g for g grid axes), laid out in
-    blocks of at most NEAREST_BLOCK entries.  Its k nearest candidates are
-    its k nearest points when the k-th is no farther than the nearest face
-    of those cells, since a point closer than that lies within them on
-    every grid axis.  Queries that fall short are searched again on a grid
-    of twice the cell size; once a few are left, or the rest would fit one
-    block against every point, every point is their candidate.  The first
-    cell size is the median k-th neighbour distance of a few queries.
-    """
-    pts = np.asarray(points, dtype=float)
-    qs = np.asarray(queries, dtype=float)
-    if pts.ndim != 2 or qs.ndim != 2 or pts.shape[1] != qs.shape[1]:
-        raise ParameterError(f"nearest needs (n, d) points and (m, d) queries, got shapes "
-                             f"{pts.shape} and {qs.shape}")
-    if k < 1:
-        raise ParameterError(f"nearest needs k >= 1, got {k}")
-    if not (np.isfinite(pts).all() and np.isfinite(qs).all()):
-        raise ParameterError("nearest needs finite coordinates")
-    n, m = len(pts), len(qs)
-    kk = min(k, n)
-    dist = np.empty((m, kk))
-    idx = np.empty((m, kk), dtype=np.intp)
-    if m == 0 or kk == 0:
-        return dist, idx
-    P = np.ascontiguousarray(pts.T)
-    Q = P if qs is pts else np.ascontiguousarray(qs.T)
-    lo = P.min(axis=1)
-    span = P.max(axis=1) - lo
-    axes = np.sort(np.argsort(-span, kind="stable")[:_GRID_AXES])
-    few = max(_CELL_SAMPLES, NEAREST_BLOCK // n)
-    cell = np.inf if span.max() == 0.0 or m <= few else _first_cell(P, Q, kk)
-    todo = np.arange(m)
-    while len(todo):
-        if len(todo) <= few:
-            cell = np.inf
-        grid = _Grid(P, axes, lo[axes], span[axes], cell)
-        left = [grid.search(Q, todo[i:i + _QUERY_CHUNK], kk, dist, idx)
-                for i in range(0, len(todo), _QUERY_CHUNK)]
-        todo = np.concatenate(left)
-        cell = 2.0 * grid.cell
-    return dist, idx
-
-
-def _first_cell(P: np.ndarray, Q: np.ndarray, kk: int) -> float:
-    """The median k-th neighbour distance of _CELL_SAMPLES evenly spaced queries."""
-    d2 = np.empty(P.shape[1])
-    kth = []
-    for q in Q[:, ::max(1, Q.shape[1] // _CELL_SAMPLES)][:, :_CELL_SAMPLES].T:
-        np.subtract(P[0], q[0], out=d2)
-        d2 *= d2
-        for a in range(1, len(P)):
-            d2 += (P[a] - q[a]) ** 2
-        kth.append(np.partition(d2, kk - 1)[kk - 1])
-    return float(np.sqrt(np.median(kth)))
-
-
-class _Grid:
-    """The points binned on a uniform grid of `cell`-wide cells over the grid
-    axes `axes`, whose lowest point coordinates and spreads are lo and span.
-    The cell is widened to at most _GRID_CELLS cells; an infinite cell makes
-    one cell of every point."""
-
-    def __init__(self, P: np.ndarray, axes, lo, span, cell: float):
-        if np.isfinite(cell):
-            cell = max(cell, float(span.max()) / _GRID_CELLS)
-            while np.prod(np.floor(span / cell) + 1.0) > _GRID_CELLS:
-                cell *= 1.25
-        self.cell, self.axes, self.lo = cell, axes, lo
-        self.shape = (np.floor(span / cell) + 1.0).astype(np.int64)
-        self.strides = np.cumprod(np.concatenate([[1], self.shape[:0:-1]]))[::-1]
-        key = np.zeros(P.shape[1], dtype=np.int64)
-        for j, a in enumerate(axes):
-            key += np.floor((P[a] - lo[j]) / cell).astype(np.int64) * self.strides[j]
-        # points in cell order; start[c] is where cell c's points begin
-        self.order = np.argsort(key)
-        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(key, minlength=len(self.start) - 1), out=self.start[1:])
-        # their coordinates in that order, then one inf column that pads short rows
-        self.cols = np.full((P.shape[0], P.shape[1] + 1), np.inf)
-        for a in range(P.shape[0]):
-            np.take(P[a], self.order, out=self.cols[a, :-1])
-
-    def runs(self, q: np.ndarray):
-        """For query columns q, each query's block of 3^g cells as 3^(g-1) runs
-        of consecutive cells along the last grid axis, then one run that pads
-        the query's candidates from the inf column: a run holds `count`
-        points from `first` in the sorted order, `first` less the candidates
-        of the runs before it, so that first + i is the query's i-th
-        candidate; and `total` candidates in all.  `margin2` is the squared
-        distance from each query to its block's nearest face (infinite if
-        the block holds every cell)."""
-        m = q.shape[1]
-        G = self.shape
-        margin = np.full(m, np.inf)
-        whole = np.ones(m, dtype=bool)
-        qc = np.empty((len(G), m), dtype=np.int64)
-        for j, a in enumerate(self.axes):
-            u = (q[a] - self.lo[j]) / self.cell
-            fl = np.floor(u)
-            np.minimum(margin, np.minimum(u - fl + 1.0, fl + 2.0 - u), out=margin)
-            whole &= (fl <= 1.0) & (fl >= G[j] - 2)
-            qc[j] = np.clip(fl, -2, G[j] + 1)
-        # 1e-6 cell of slack covers the rounding of u, whose cells number under 2^17
-        margin = (margin - 1e-6) * self.cell
-        margin2 = np.where(whole, np.inf, margin * margin)
-        run_lo = np.maximum(qc[-1] - 1, 0)
-        run_hi = np.minimum(qc[-1] + 2, G[-1])
-        base, ok = np.zeros((1, m), dtype=np.int64), (run_lo < run_hi)[None]
-        for j in range(len(G) - 1):
-            c = qc[j] + np.array([-1, 0, 1])[:, None]
-            base = (base[:, None] + c * self.strides[j]).reshape(-1, m)
-            ok = (ok[:, None] & (c >= 0) & (c < G[j])).reshape(-1, m)
-        # a run outside the grid reads the empty range from start[0] to start[0]
-        first = np.empty((len(base) + 1, m), dtype=np.intp)
-        first[:-1] = self.start.take(np.where(ok, base + run_lo, 0))
-        count = np.zeros(first.shape, dtype=np.intp)
-        count[:-1] = self.start.take(np.where(ok, base + run_hi, 0)) - first[:-1]
-        total = count.sum(axis=0)
-        first -= np.cumsum(count, axis=0) - count
-        first[-1] = self.cols.shape[1] - 1 - total
-        return first, count, total, margin2
-
-    def search(self, Q, todo, kk, dist, idx) -> np.ndarray:
-        """Fill dist and idx for the queries `todo` (columns of Q) whose kk
-        nearest points this grid settles; return the others."""
-        q = Q.take(todo, axis=1)
-        first, count, total, margin2 = self.runs(q)
-        # queries in ascending candidate count, so that a block pads little
-        by_total = np.argsort(total, kind="stable")
-        total, todo, q = total.take(by_total), todo.take(by_total), q.take(by_total, axis=1)
-        first, count = first.take(by_total, axis=1), count.take(by_total, axis=1)
-        margin2 = margin2.take(by_total)
-        d, n = self.cols.shape[0], self.cols.shape[1] - 1
-        m = len(todo)
-        size = max(NEAREST_BLOCK, int(total[-1]))
-        ramp = np.arange(size)
-        src_buf = np.empty(size, dtype=np.intp)
-        d2_buf, x_buf = np.empty(size), np.empty(size)
-        mask_buf = np.empty(size, dtype=bool)
-        picked = []
-        pos = int(np.searchsorted(total, kk))  # fewer than kk candidates: left for a coarser grid
-        while pos < m:
-            b = min(m - pos, NEAREST_BLOCK // int(total[pos]))
-            if b > 1 and b * total[pos + b - 1] > NEAREST_BLOCK:
-                b = NEAREST_BLOCK // int(total[pos + b - 1])
-            b = max(b, 1)
-            rows = slice(pos, pos + b)
-            width = int(total[pos + b - 1])
-            pos += b
-            # the candidates' positions in the sorted order, one query per column
-            count[-1, rows] = width - total[rows]
-            flat = np.repeat((first[:, rows] - ramp[:b] * width).T.ravel(),
-                             count[:, rows].T.ravel())
-            flat += ramp[:b * width]
-            src = src_buf[:b * width].reshape(width, b)
-            src[...] = flat.reshape(b, width).T
-            d2 = d2_buf[:b * width].reshape(width, b)
-            x = x_buf[:b * width].reshape(width, b)
-            qb = q[:, rows]
-            # the padding run reads past the last column, which "clip" makes the
-            # inf column (and unlike "raise" it writes `out` without a buffer)
-            np.take(self.cols[0], src, out=d2, mode="clip")
-            d2 -= qb[0]
-            d2 *= d2
-            for a in range(1, d):
-                np.take(self.cols[a], src, out=x, mode="clip")
-                x -= qb[a]
-                x *= x
-                d2 += x
-            # each column's kk-th smallest value, and how many entries are no larger
-            v = np.partition(d2, kk - 1, axis=0)[kk - 1]
-            mask = np.less_equal(d2, v, out=mask_buf[:b * width].reshape(width, b))
-            within = np.count_nonzero(mask, axis=0)
-            done = v <= margin2[rows]
-            if done.any():
-                # every entry <= v of each settled query, query by query
-                mask &= done
-                e = np.flatnonzero(mask.T)
-                at = (e % width) * b + e // width
-                picked.append((rows.start + np.flatnonzero(done), within[done],
-                               d2.ravel().take(at), src.ravel().take(at)))
-        if not picked:
-            return todo
-        rows, per, dd, ii = (np.concatenate(part) for part in zip(*picked))
-        ii = self.order.take(ii)
-        if len(dd) == kk * len(per):
-            dd, ii = dd.reshape(-1, kk), ii.reshape(-1, kk)
-        else:  # ties at the kk-th distance: pad every query's entries to the most
-            col = np.arange(len(dd)) - np.repeat(np.cumsum(per) - per, per)
-            row = np.repeat(np.arange(len(per)), per)
-            dd_pad = np.full((len(per), int(per.max())), np.inf)
-            ii_pad = np.full(dd_pad.shape, n, dtype=np.intp)
-            dd_pad[row, col], ii_pad[row, col] = dd, ii
-            dd, ii = dd_pad, ii_pad
-        # by distance, then index
-        best = np.lexsort((ii, dd), axis=1)[:, :kk]
-        line = np.arange(len(per))[:, None]
-        dist[todo[rows]] = np.sqrt(dd[line, best])
-        idx[todo[rows]] = ii[line, best]
-        settled = np.ones(m, dtype=bool)
-        settled[rows] = False
-        return todo[settled]
 
 
 # Entries of one real table block (cos, sin, Bessel or interpolation

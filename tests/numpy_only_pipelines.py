@@ -12,7 +12,10 @@ synthesize -> ingest -> reconstruct --field-out -> stability -> extrapolate
 (the Nystrom extension, to a point inside the set and one outside 2h) ->
 validate; L(2.2) at h = 1 on its midpoint rule, basis -> synthesize -> ingest
 -> reconstruct --field-out -> stability -> validate, which fails the
-Hilbert-Schmidt area check alone; and the full-aperture disk and annulus, basis
+Hilbert-Schmidt area check alone, then ingest of the same far-field grid
+written at 6 significant digits and, with one row dropped, an ingest that
+exits 2 because the rows are no direction grid; and the full-aperture disk
+and annulus, basis
 disk -> synthesize -> reconstruct -> extrapolate -> stability, each stage
 dilating the disk basis onto the data disk.
 
@@ -89,6 +92,12 @@ stage("reconstruct", "ingMid.csv", "--basis", basis, "--alpha", "1e-3", "-o", "r
 stage("stability", "setup1.json", "--basis", basis, "--deltas", "0,1e-3", "--alphas", "0.5",
       "-o", "tableMid.csv")
 stage("validate", "--basis", basis, "-o", "validMid.json")
+table = np.loadtxt("ff1.csv", delimiter=",", skiprows=1)
+for name, rows in (("ff6g.csv", table), ("ffDropped.csv", table[1:])):
+    np.savetxt(name, rows, delimiter=",", fmt="%.6g", comments="",
+               header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
+stage("ingest", "ff6g.csv", "--k", 5.0, "--basis", basis, "-o", "ing6g.csv")
+stage("ingest", "ffDropped.csv", "--k", 5.0, "--basis", basis, "-o", "ingDropped.csv")
 
 # M(0.6, 0.8): x_hat = -+s x* at 24 fractions s, theta_hat = s e(t) at 48 angles
 x_star = np.array([0.6, 0.8])
@@ -134,14 +143,15 @@ stage("stability", "full.json", "--basis", basis, "--deltas", "0,1e-3", "--alpha
       "--contrast-resolution", "24", "-o", "full_table.csv")
 
 interp = []
-for name in ("ing1.csv", "ing2.csv", "ingMid.csv", "ingM.csv"):
+for name in ("ing1.csv", "ing2.csv", "ingMid.csv", "ing6g.csv", "ingM.csv"):
     with open(name) as f:
         interp.append(json.loads(f.readline())["meta"].get("interp"))
 with open("validMid.json") as f:
     failed = [c["check"] for c in json.load(f) if not c["passed"]]
 checks = [
-    ("exit codes", codes, [0] * 19 + [1] + [0] * 12),  # validate of the midpoint basis exits 1
-    ("ingest interpolation", interp, ["angle"] * 4),
+    # validate of the midpoint basis exits 1, and ingest of the grid less a row exits 2
+    ("exit codes", codes, [0] * 19 + [1, 0, 2] + [0] * 12),
+    ("ingest interpolation", interp, ["angle"] * 5),
     ("midpoint basis failed checks", failed, ["hilbert_schmidt_area"]),
     ("scipy modules loaded",
      sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod), []),

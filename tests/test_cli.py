@@ -481,8 +481,7 @@ def _per_row_ingest(samples, k, basis):
     parsed by float(), each direction scaled by k / kappa and value / k^2
     formed per row.  The per-row samples are handed to ingest_farfield with
     k = kappa = 1, under which its own mapping leaves them bit for bit
-    unchanged (the default cutoff is taken from the scaled directions), and
-    the basis's kappa is put back in the meta."""
+    unchanged, and the basis's kappa is put back in the meta."""
     with open(samples, encoding="utf-8") as f:
         f.readline()
         rows = [[float(v) for v in line.strip().split(",")[:6]] for line in f if line.strip()]
@@ -495,6 +494,13 @@ def _per_row_ingest(samples, k, basis):
     return replace(data, meta={**data.meta, "kappa": basis.kernel_scale})
 
 
+def _grid_rows(table, values):
+    """Far-field CSV text of the directions of `table` with `values`, each
+    field the repr of its float."""
+    rows = [",".join(map(repr, r)) for r in np.column_stack([table[:, :4], values]).tolist()]
+    return ",".join(FAR_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+
+
 class TestIngestArrayPath:
     """`ingest` parses the far-field file in one pass and maps it with array
     arithmetic; its output is byte-identical to the per-row mapping."""
@@ -502,53 +508,45 @@ class TestIngestArrayPath:
     @pytest.mark.parametrize("geometry", [["--geometry", "L", "--theta", "2.2"],
                                           ["--geometry", "M", "--x-star=0.6,-0.8"]])
     def test_byte_identical_to_per_row_reference(self, tmp_path, cache_dir, capsys, geometry):
-        assert run(["basis", "symset", *geometry, "--c", "3.0", "--resolution", "40",
+        # c = k = 1.7 at h = 1, so that k / kappa is 1 and the per-row
+        # directions are the file's, a direction grid on either layout
+        assert run(["basis", "symset", *geometry, "--c", "1.7", "--resolution", "40",
                     "--modes", "6", "--method", "polar"]) == 0
         basis_file = capsys.readouterr().out.strip().splitlines()[-1]
         basis = P.load_basis(basis_file)
-        rng = np.random.default_rng(8)
-        t = rng.uniform(-math.pi, math.pi, (2, 150))
-        x_hat = np.stack([np.cos(t[0]), np.sin(t[0])], axis=1)
-        theta_hat = np.stack([np.cos(t[1]), np.sin(t[1])], axis=1)
-        theta_hat[:20] = x_hat[:20]  # twenty samples merge at p = 0
-        node = basis.quad.nodes[7]
-        x_hat = np.concatenate([x_hat, [[0.0, 0.0], [0.0, 0.0]]])
-        # a duplicate exact hit: p = (k / kappa) theta_hat is the node to rounding
-        hit_dir = node / (1.7 / basis.kernel_scale)
-        theta_hat = np.concatenate([theta_hat, [hit_dir, hit_dir]])
-        values = rng.standard_normal((len(x_hat), 2)) * [[1e3, 1e-3]]
-        rows = ["xhat_x,xhat_y,thetahat_x,thetahat_y,re,im"]
-        rows += [",".join(map(repr, r)) for r in np.column_stack([x_hat, theta_hat,
-                                                                   values]).tolist()]
         samples = tmp_path / "ff.csv"
-        samples.write_text("\n".join(rows) + "\n")
+        write = _far_field_file if geometry[1] == "L" else _ring_far_field_file
+        table = write(samples, n=16)
+        rng = np.random.default_rng(8)
+        table = table[rng.permutation(len(table))]
+        values = rng.standard_normal((len(table), 2)) * [[1e3, 1e-3]]
+        samples.write_text(_grid_rows(table, values))
         out, ref = tmp_path / "ing.csv", tmp_path / "ref.csv"
         assert run(["ingest", str(samples), "--k", "1.7", "--basis", basis_file,
                     "-o", str(out)]) == 0
         want = _per_row_ingest(samples, 1.7, basis)
         P.write_datagrid(ref, want)
         assert out.read_bytes() == ref.read_bytes()
-        # the exact-hit node takes the mean of its two samples, not an interpolation
-        hit = np.flatnonzero(np.all(basis.quad.nodes == node, axis=1))
-        a, b = (complex(*v) / 1.7**2 for v in values[-2:])
-        assert want.values[hit[0]] == (a + b) / 2
+        assert want.meta["interp"] == "angle" and want.valid.any()
 
     def test_blank_lines_and_extra_columns(self, tmp_path, cache_dir, capsys):
         # rows with a seventh field or blank lines take the line-by-line parse
         assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
                     "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
         basis_file = capsys.readouterr().out.strip().splitlines()[-1]
-        body = ["1.0,0.0,0.0,1.0,0.5,0.1", "0.0,1.0,-1.0,0.0,-0.25,2.0",
-                "0.6,0.8,0.8,-0.6,1e-3,-4.5"]
         plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
-        plain.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im\n" + "\n".join(body) + "\n")
+        table = _far_field_file(plain, n=4)
+        table = table[np.random.default_rng(3).permutation(len(table))]
+        text = _grid_rows(table, table[:, 4:])
+        plain.write_text(text)
         extra.write_text("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im,note\n\n"
-                         + "\n  \n".join(r + ",x" for r in body) + "\n\n")
+                         + "\n  \n".join(r + ",x" for r in text.splitlines()[1:]) + "\n\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for samples, out in ((plain, a), (extra, b)):
             assert run(["ingest", str(samples), "--k", "1.0", "--basis", basis_file,
                         "-o", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert read_datagrid(a).valid.any()
 
     @pytest.mark.parametrize("header,body,message", [
         ("xhat_x,xhat_y,thetahat_x,thetahat_y,re,im", "1.0,0.0,-1.0,0.0,abc,0.0",
@@ -633,11 +631,15 @@ def _header_meta(path):
 
 class TestIngestGrid:
     """`ingest` of a far-field file on a direction grid interpolates in the
-    grid's angles with no neighbour search, whatever the order of the rows; a
-    file that is not quite such a grid takes the scattered path, unchanged."""
+    grid's angles, whatever the order of the rows; a file that is not quite
+    such a grid exits 2 with one line naming the layout condition it breaks."""
 
     GEOMETRIES = {"L": ["--geometry", "L", "--theta", "2.2"],
                   "M": ["--geometry", "M", "--x-star=0.6,-0.8"]}
+    # what each edit of a 16 x 16 grid (16 x_hat of 16 rows each) breaks
+    NEAR_GRIDS = {"dropped row": "16 distinct x_hat with 15 to 16 rows",
+                  "jittered direction": "17 distinct x_hat with 1 to 16 rows",
+                  "duplicated row": "16 distinct x_hat with 16 to 17 rows"}
 
     @pytest.fixture(params=["L", "M"])
     def grid_case(self, request, tmp_path, cache_dir, capsys):
@@ -649,10 +651,16 @@ class TestIngestGrid:
         write = _far_field_file if request.param == "L" else _ring_far_field_file
         return basis_file, samples, write(samples, n=16)
 
-    def _ingest(self, samples, basis_file, out, *flags):
+    def _ingest(self, samples, basis_file, out):
         assert run(["ingest", str(samples), "--k", "5.0", "--basis", basis_file,
-                    "-o", str(out), *flags]) == 0
+                    "-o", str(out)]) == 0
         return out.read_bytes()
+
+    def _refused(self, capsys, samples, basis_file, out, condition):
+        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "5.0",
+                                             "--basis", basis_file, "-o", str(out)])
+        assert (code, err) == (2, [f"error: {samples}: not a direction grid: {condition}"])
+        assert not out.exists()
 
     def test_rows_in_any_order(self, tmp_path, grid_case):
         basis_file, samples, table = grid_case
@@ -664,20 +672,8 @@ class TestIngestGrid:
         meta = _header_meta(tmp_path / "ing.csv")
         assert meta["interp"] == "angle" and 0.0 < meta["cutoff"] < math.inf
 
-    def test_no_neighbour_search(self, tmp_path, grid_case, monkeypatch):
-        basis_file, samples, _ = grid_case
-
-        def refuse(*args):
-            raise AssertionError("numerics.nearest called")
-
-        monkeypatch.setattr(forward, "nearest", refuse)
-        self._ingest(samples, basis_file, tmp_path / "ing.csv")
-        with pytest.raises(AssertionError, match="nearest called"):  # only to honour --cutoff
-            run(["ingest", str(samples), "--k", "5.0", "--basis", basis_file,
-                 "-o", str(tmp_path / "cut.csv"), "--cutoff", "0.5"])
-
     @pytest.mark.parametrize("edit", ["dropped row", "jittered direction", "duplicated row"])
-    def test_near_grids_take_the_scattered_path(self, tmp_path, grid_case, monkeypatch, edit):
+    def test_near_grids_are_refused(self, tmp_path, grid_case, capsys, edit):
         basis_file, samples, table = grid_case
         if edit == "dropped row":
             table = np.delete(table, 37, axis=0)
@@ -689,28 +685,23 @@ class TestIngestGrid:
         near = tmp_path / "near.csv"
         np.savetxt(near, table, delimiter=",", fmt="%.17g", comments="",
                    header=",".join(FAR_COLUMNS))
-        got = self._ingest(near, basis_file, tmp_path / "ing.csv")
-        assert "interp" not in _header_meta(tmp_path / "ing.csv")
-        monkeypatch.setattr(forward, "_direction_grid", lambda *a: None)
-        assert self._ingest(near, basis_file, tmp_path / "scattered.csv") == got
+        self._refused(capsys, near, basis_file, tmp_path / "ing.csv",
+                      f"{self.NEAR_GRIDS[edit]} each; a grid needs at least 2, each with the "
+                      f"same number of rows, at least 2")
 
     @pytest.mark.parametrize("body", ["1.0,0.0,0.0,1.0,0.5,0.1\n",
                                       "1.0,0.0,0.0,1.0,0.5,0.1\n" * 2 + "1.0,0.0,0.0,1.0,0.7,0.0\n"])
     def test_one_direction_pair(self, tmp_path, cache_dir, capsys, body):
-        # no step to take a default cutoff from: without --cutoff it once
-        # flagged every node valid and wrote "cutoff": Infinity
+        # one x_hat is no grid: there is no step across the groups
         assert run(["basis", "symset", *self.GEOMETRIES["L"], "--c", "5.0",
                     "--resolution", "24", "--modes", "4", "--method", "polar"]) == 0
         basis_file = capsys.readouterr().out.strip().splitlines()[-1]
-        samples, out = tmp_path / "ff.csv", tmp_path / "ing.csv"
+        samples = tmp_path / "ff.csv"
         samples.write_text(",".join(FAR_COLUMNS) + "\n" + body)
-        code, err = _exit_and_error(capsys, ["ingest", str(samples), "--k", "5.0",
-                                             "--basis", basis_file, "-o", str(out)])
-        assert (code, err) == (2, [f"error: {samples}: 1 distinct direction pair; "
-                                   f"the default cutoff needs at least 2"])
-        assert not out.exists()
-        self._ingest(samples, basis_file, out, "--cutoff", "0.5")
-        assert _header_meta(out) == {"cutoff": 0.5}
+        rows = len(body.splitlines())
+        self._refused(capsys, samples, basis_file, tmp_path / "ing.csv",
+                      f"1 distinct x_hat with {rows} row{'s' * (rows > 1)} each; a grid needs "
+                      f"at least 2, each with the same number of rows, at least 2")
 
 
 class TestPairing:
@@ -1238,8 +1229,7 @@ class TestBadFlags:
         assert code == 2 and len(err) == 1 and flag in err[0], err
         assert not list(cache_dir.glob("*.gpswf"))
 
-    @pytest.mark.parametrize("flag,value", [("--k", "nan"), ("--k", "inf"),
-                                            ("--cutoff", "nan"), ("--cutoff", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--k", "nan"), ("--k", "inf")])
     def test_ingest_numbers(self, tmp_path, cache_dir, capsys, flag, value):
         assert run(["basis", "symset", "--geometry", "disk", "--c", "2.0", "--radius", "2.0",
                     "--resolution", "32", "--modes", "6", "--method", "polar"]) == 0
