@@ -42,12 +42,26 @@ def _quantize(name: str, x: float) -> int:
     return int(round(q))
 
 
+def _rule_digest(rule: QuadratureRule) -> str:
+    """sha256 of a rule's arrays: nodes, weights, reflection map and axis."""
+    digest = hashlib.sha256()
+    reflection = () if rule.reflection is None else rule.reflection
+    for values, dtype in ((rule.nodes, "<f8"), (rule.weights, "<f8"), (reflection, "<i8"),
+                          (rule.axis, "<f8")):
+        digest.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
 def cache_key(kind: str, **params) -> str:
-    """Deterministic cache key: geometry kind plus 1e-12-quantized parameters."""
+    """Deterministic cache key: geometry kind plus 1e-12-quantized parameters; a
+    QuadratureRule parameter enters as the sha256 of its arrays, so rules equal
+    bitwise share a key and a rule that moves any node or weight gets a new one."""
     parts = [f"v{FORMAT_VERSION}", kind]
     for name in sorted(params):
         v = params[name]
-        if isinstance(v, float):
+        if isinstance(v, QuadratureRule):
+            parts.append(f"{name}={_rule_digest(v)}")
+        elif isinstance(v, float):
             parts.append(f"{name}={_quantize(name, v)}")
         elif isinstance(v, (tuple, list)):
             parts.append(f"{name}=" + ",".join(str(_quantize(name, x)) for x in v))

@@ -28,7 +28,7 @@ from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, w
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
 from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
                     write_field_csv, write_result)
-from .symset_basis import RULE_VERSION, Geometry, build_quadrature, compute_symset_basis
+from .symset_basis import Geometry, build_quadrature, compute_symset_basis
 
 __all__ = ["run", "main", "experiment_stability", "write_stability"]
 
@@ -46,7 +46,6 @@ def _parser() -> argparse.ArgumentParser:
     bd.add_argument("--c", type=float, required=True)
     bd.add_argument("--m-max", type=int, required=True)
     bd.add_argument("--n-max", type=int, required=True)
-    bd.add_argument("--truncation", type=int, default=None)
     bd.add_argument("-o", "--out-dir", default=None)
     bs = bsub.add_parser("symset")
     bs.add_argument("--geometry", choices=["disk", "L", "M"], required=True)
@@ -110,21 +109,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _basis_cache_path(args) -> tuple[str, dict]:
-    out_dir = cachemod.cache_dir(args.out_dir)
-    if args.basis_kind == "disk":
-        J = args.truncation if args.truncation is not None else default_truncation(args.c, args.n_max)
-        key = cachemod.cache_key("disk", c=args.c, m_max=args.m_max, n_max=args.n_max, J=J)
-        params = {"J": J}
-    else:
-        geo = _geometry_from_args(args)
-        shape = {name: v for name, v in geo.to_dict().items() if name != "kind"}  # in the prefix
-        key = cachemod.cache_key(f"symset-{args.geometry}", c=args.c, resolution=args.resolution,
-                                 modes=args.modes, method=args.method, rule=RULE_VERSION, **shape)
-        params = {"geometry": geo}
-    return os.path.join(out_dir, key + ".gpswf"), params
-
-
 def _geometry_from_args(args) -> Geometry:
     if args.geometry == "disk":
         return Geometry.disk(radius=args.radius, h=args.h)
@@ -145,14 +129,32 @@ def _sized_by(flags: str):
 
 
 def _cmd_basis(args) -> int:
+    """Print the basis's cache path, computing the file on a miss.  A set file
+    is named by the rule it is solved on, built first, so flag sets that build
+    one rule share one file."""
     finite_number("--c", args.c, positive=True)
-    if args.basis_kind == "symset":
+    if args.basis_kind == "disk":
+        key = cachemod.cache_key("disk", c=args.c, m_max=args.m_max, n_max=args.n_max,
+                                 J=default_truncation(args.c, args.n_max))
+    else:
         _grid_flag("--resolution", args.resolution)
         finite_number("--h", args.h, positive=True)
         finite_number("--radius", args.radius, positive=True)
         if args.theta is not None:
             finite_number("--theta", args.theta, positive=True)
-    path, params = _basis_cache_path(args)
+        geo = _geometry_from_args(args)
+        kind = f"symset-{args.geometry}"
+        shape = {name: v for name, v in geo.to_dict().items() if name != "kind"}  # in the prefix
+        # refuses a number the key cannot hold before a rule is built from it
+        cachemod.cache_key(kind, c=args.c, **shape)
+        with _sized_by("--resolution"):
+            try:
+                quad = build_quadrature(geo, args.resolution, method=args.method)
+            except EmptyQuadratureError as exc:  # the set is too thin for the grid
+                raise ParameterError(f"{exc} at --resolution {args.resolution}; "
+                                     "raise --resolution") from exc
+        key = cachemod.cache_key(kind, c=args.c, modes=args.modes, rule=quad, **shape)
+    path = os.path.join(cachemod.cache_dir(args.out_dir), key + ".gpswf")
     if os.path.exists(path):
         try:
             cachemod.verify_basis(path, symset=args.basis_kind == "symset")
@@ -162,16 +164,10 @@ def _cmd_basis(args) -> int:
             pass  # checksum mismatch: recompute below, never trust a corrupt cache
     if args.basis_kind == "disk":
         with _sized_by("--c, --m-max and --n-max"):
-            basis = compute_disk_basis(args.c, args.m_max, args.n_max, truncation=params["J"])
+            basis = compute_disk_basis(args.c, args.m_max, args.n_max)
         cachemod.save_disk_basis(path, basis)
     else:
-        geo = params["geometry"]
         with _sized_by("--resolution"):
-            try:
-                quad = build_quadrature(geo, args.resolution, method=args.method)
-            except EmptyQuadratureError as exc:  # the set is too thin for the grid
-                raise ParameterError(f"{exc} at --resolution {args.resolution}; "
-                                     "raise --resolution") from exc
             basis = compute_symset_basis(args.c, geo, quad, args.modes)
         cachemod.save_symset_basis(path, basis)
     print(path)

@@ -374,29 +374,21 @@ class SupportPiece(NamedTuple):
         return a.reshape(x.shape[:2]), b.reshape(x.shape[:2])
 
 
-class _Fold(NamedTuple):
-    """How `_piece` folds values on a fixed set of offsets: the offsets it
-    keeps, at `keep`, with the mirror `partner` of each (None where the set
-    has no mirror pairs), and the map `perm`, `sign` that the x-axis
-    reflection induces on them (None without that symmetry)."""
-
-    offsets: np.ndarray
-    keep: np.ndarray
-    partner: np.ndarray | None
-    perm: np.ndarray | None
-    sign: np.ndarray | None
-
-
-def _fold(offsets) -> _Fold:
-    """The mirror pairs and the reflection map of the offsets, for `_piece`."""
+def _piece(center, offsets: np.ndarray, values: np.ndarray) -> SupportPiece:
+    """Fold the support values at centre + offsets by the mirror pairs of the
+    offsets, and record the map that the x-axis reflection induces on them."""
     offsets = np.asarray(offsets, dtype=float)
     idx = np.arange(len(offsets))
     mirror = mirror_map(offsets)
     if mirror is None:
-        keep, partner, mirror = idx, None, idx
+        keep, mirror = idx, idx
+        even = odd = values
     else:
         keep = idx[mirror >= idx]
         partner = mirror[keep]
+        even = values[keep] + values[partner]
+        odd = values[keep] - values[partner]
+        even[partner == keep] /= 2.0
     refl = _point_map(offsets, (1.0, -1.0))
     perm = sign = None
     if refl is not None:
@@ -408,23 +400,7 @@ def _fold(offsets) -> _Fold:
         flipped = mirror[image] < image
         perm = pos[np.where(flipped, mirror[image], image)]
         sign = np.where(flipped, -1.0, 1.0)
-    return _Fold(offsets[keep], keep, partner, perm, sign)
-
-
-def _piece(center, offsets: np.ndarray, values: np.ndarray, fold: _Fold | None = None
-           ) -> SupportPiece:
-    """Fold the support values at centre + offsets by the mirror pairs of the
-    offsets, and record the map that the x-axis reflection induces on them.
-    `fold` is `_fold(offsets)`, for a caller that keeps it across values."""
-    fold = _fold(offsets) if fold is None else fold
-    if fold.partner is None:
-        even = odd = values
-    else:
-        even = values[fold.keep] + values[fold.partner]
-        odd = values[fold.keep] - values[fold.partner]
-        even[fold.partner == fold.keep] /= 2.0
-    return SupportPiece(np.asarray(center, dtype=float), fold.offsets, even, odd, fold.perm,
-                        fold.sign)
+    return SupportPiece(np.asarray(center, dtype=float), offsets[keep], even, odd, perm, sign)
 
 
 class GridPiece(NamedTuple):

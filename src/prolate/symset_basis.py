@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (EmptyCutoffError, EmptyQuadratureError, ParameterError, check_keys,
                      finite_number, numeric)
-from .numerics import (QuadratureRule, _born_sum, _fold, _frozen, _piece, axis_reflection,
+from .numerics import (QuadratureRule, _born_sum, _frozen, _piece, axis_reflection,
                        disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
                        sym_eig)
 
@@ -56,11 +56,6 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-14
-# Version of the node layouts `build_quadrature` produces; basis cache keys
-# record it, so a basis cached on an older layout is never served.  Version 2
-# lays the M polar rule out in the x* frame and symmetrizes the polar angle
-# tables about pi/2; version 3 lays the M midpoint grid out in that frame too.
-RULE_VERSION = 3
 # One record per symmetric-set mode: its parity under p -> -p and its
 # eigenvalue alpha on the unit-scale set A (real if even, imaginary if odd).
 MODE_DTYPE = np.dtype([("even", bool), ("alpha", complex)], align=True)
@@ -352,11 +347,6 @@ class SymSetBasis:
         """L2(A_h) norms, equal to (c / 2 pi) |alpha_n| per mode."""
         return _frozen((self.c / (2.0 * np.pi)) * np.abs(self.alphas))
 
-    @cached_property
-    def _node_fold(self):
-        """The nodes' mirror pairs and reflection map, found once per basis for `combine`."""
-        return _fold(self.quad.nodes)
-
     def cutoff(self, alpha: float) -> tuple[np.ndarray, None]:
         """The spectral-cutoff mask {|mu_n| > alpha} and no beta; raises if it is empty."""
         keep = np.abs(self.mu) > finite_number("alpha", alpha, positive=True)
@@ -409,7 +399,7 @@ class SymSetBasis:
         """
         weights = np.asarray(weights)
         field = self.quad.weights * self.on_nodes(weights / self.mu)
-        out = _born_sum((_piece((0.0, 0.0), self.quad.nodes, field, self._node_fold),),
+        out = _born_sum((_piece((0.0, 0.0), self.quad.nodes, field),),
                         self.kernel_scale, np.atleast_2d(np.asarray(pts, dtype=float)))
         out = out if np.iscomplexobj(weights) else out.real.copy()
         return out[0] if np.ndim(pts) == 1 else out

@@ -214,32 +214,81 @@ class TestBasisCommand:
         assert capsys.readouterr().out.strip() == path
         assert P.load_basis(path).c == float(argv[argv.index("--c") + 1])
 
-    def test_symset_cache_key_records_rule_version(self, cache_dir, capsys, monkeypatch):
-        # a basis cached on an older quadrature layout is never served
+    def test_symset_cache_key_reads_the_rule(self, cache_dir, capsys, monkeypatch):
+        # a builder change that moves any weight, here every weight by one ulp,
+        # names a new file, so no basis solved on the old rule is served
         argv = ["basis", "symset", "--geometry", "M", "--c", "3.0", "--resolution", "40",
                 "--modes", "6", "--method", "polar"]
         assert run(argv) == 0
         first = capsys.readouterr().out.strip()
-        monkeypatch.setattr(cli, "RULE_VERSION", cli.RULE_VERSION + 1)
+        build = cli.build_quadrature
+
+        def moved(*args, **kwargs):
+            quad = build(*args, **kwargs)
+            return replace(quad, weights=np.nextafter(quad.weights, np.inf))
+
+        monkeypatch.setattr(cli, "build_quadrature", moved)
         assert run(argv) == 0
         second = capsys.readouterr().out.strip()
         assert second != first and os.path.exists(first) and os.path.exists(second)
+        assert not np.array_equal(P.load_basis(first).quad.weights,
+                                  P.load_basis(second).quad.weights)
 
-    @pytest.mark.parametrize("base,ignored", [
-        (["--geometry", "disk", "--radius", "1.5"], ["--theta", "2.2"]),
-        (["--geometry", "M", "--x-star", "0.6,0.8"], ["--theta", "2.2", "--radius", "1.5"]),
-        (["--geometry", "L", "--theta", "2.2"], ["--radius", "1.5", "--x-star", "0,1"]),
-    ], ids=["disk-theta", "M-theta-radius", "L-radius-x-star"])
-    def test_symset_cache_key_reads_the_geometry(self, cache_dir, capsys, base, ignored):
+    @pytest.mark.parametrize("base,other,shared", [
+        (["--geometry", "disk", "--radius", "1.5"], ["--theta", "2.2"], True),
+        (["--geometry", "M", "--x-star", "0.6,0.8"], ["--theta", "2.2", "--radius", "1.5"],
+         True),
+        (["--geometry", "L", "--theta", "2.2"], ["--radius", "1.5", "--x-star", "0,1"], True),
+        (["--geometry", "L", "--theta", "2.2", "--method", "midpoint"], ["--theta", "2.2001"],
+         False),
+    ], ids=["disk-theta", "M-theta-radius", "L-radius-x-star", "L-same-rule-other-theta"])
+    def test_symset_cache_key_reads_the_geometry(self, cache_dir, capsys, base, other, shared):
         # the key holds the fields of Geometry.to_dict(), so a flag the geometry
-        # ignores cannot split one basis into two cache files
-        argv = ["basis", "symset", *base, "--c", "3.0", "--resolution", "24", "--modes", "4",
-                "--method", "polar"]
+        # ignores cannot split one basis into two cache files; and two domains
+        # that build one rule bitwise (L(2.2) and L(2.2001) on the midpoint grid
+        # of 24) still name a file each, since each pairs with its own setups
+        argv = ["basis", "symset", "--c", "3.0", "--resolution", "24", "--modes", "4",
+                "--method", "polar", *base]
         assert run(argv) == 0
         first = capsys.readouterr().out.strip()
-        assert run([*argv, *ignored]) == 0
+        assert run([*argv, *other]) == 0
+        second = capsys.readouterr().out.strip()
+        assert (second == first) == shared
+        assert sorted(p.name for p in cache_dir.glob("*.gpswf")) == sorted(
+            {os.path.basename(first), os.path.basename(second)})
+        one, two = P.load_basis(first).quad, P.load_basis(second).quad
+        assert np.array_equal(one.nodes, two.nodes) and np.array_equal(one.weights, two.weights)
+
+    @pytest.mark.parametrize("argv,flags,other", [
+        (["--geometry", "L", "--theta", "2.2", "--resolution", "24"],
+         ["--method", "auto"], ["--method", "midpoint"]),
+        (["--geometry", "disk", "--resolution", "24"], ["--method", "auto"], ["--method", "polar"]),
+        (["--geometry", "L", "--theta", "2.2", "--method", "polar"],
+         ["--resolution", "8"], ["--resolution", "64"]),
+        (["--geometry", "M", "--x-star", "0.6,0.8", "--method", "polar"],
+         ["--resolution", "24"], ["--resolution", "96"]),
+    ], ids=["L-auto-midpoint", "disk-auto-polar", "L-polar-8-64", "M-polar-24-96"])
+    def test_symset_flags_building_one_rule_share_one_file(self, cache_dir, capsys, monkeypatch,
+                                                            argv, flags, other):
+        # the file is named by the rule the flags build, not by the flags: a
+        # second flag set that builds the same rule is served the first file
+        argv = ["basis", "symset", "--c", "5.0", "--modes", "6", *argv]
+        assert run([*argv, *flags]) == 0
+        first = capsys.readouterr().out.strip()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a rule already cached was solved again")
+
+        monkeypatch.setattr(cli, "compute_symset_basis", no_solve)
+        assert run([*argv, *other]) == 0
         assert capsys.readouterr().out.strip() == first
         assert [p.name for p in cache_dir.glob("*.gpswf")] == [os.path.basename(first)]
+
+    def test_readme_disk_basis_file_name(self, tmp_path, capsys):
+        # the README walkthrough's disk basis keeps its file name
+        assert run(["basis", "disk", "--c", "10", "--m-max", "8", "--n-max", "8",
+                    "-o", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip() == str(tmp_path / "disk_a9ca8c8b88568500.gpswf")
 
     def test_symset_basis(self, cache_dir, capsys):
         assert run(["basis", "symset", "--geometry", "L", "--c", "3.0", "--theta", "2.2",

@@ -9,13 +9,11 @@ symmetric-set bases.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import prolate as P
-from prolate import numerics
 from prolate.recon import reconstruct
 
 
@@ -164,19 +162,3 @@ def test_pair_folded_matches_all_node_sum(request, name, kind):
         one = np.where(sel, w, 0.0)
         want = unfolded_sum(basis, one, pts)
         assert np.abs(basis.combine(one, pts) - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def test_node_maps_found_once_per_basis(symset_L, monkeypatch):
-    # the nodes' mirror and reflection maps are fixed per basis: repeated
-    # combine calls look the mirror pairs up once, the points' on each call
-    basis = replace(symset_L)  # a fresh instance, nothing cached yet
-    calls = []
-    real = numerics.mirror_map
-    monkeypatch.setattr(numerics, "mirror_map", lambda pts: calls.append(len(pts)) or real(pts))
-    pts = exterior_points(basis, n=5)
-    w = mode_weights(basis, "complex")
-    first = basis.combine(w, pts)
-    for _ in range(3):
-        assert np.array_equal(basis.combine(w, pts), first)
-    assert calls.count(len(basis.quad)) == 1 and calls.count(len(pts)) == 4
-    assert np.array_equal(first, symset_L.combine(w, pts))

@@ -2,14 +2,18 @@
 module imports a name it never uses, no private module-level name is left
 unreferenced across the package, the command line imports no private name
 of another module, and the stages neither import nor test for a basis class.
-The re-exports of `__init__` are exempt."""
+The re-exports of `__init__` are exempt.  The README names every option of
+the command line."""
 
+import argparse
 import ast
 import pathlib
+import re
 
 import pytest
 
 import prolate
+from prolate import cli
 
 PACKAGE = pathlib.Path(prolate.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -121,3 +125,24 @@ def test_no_basis_type_dispatch(name):
                 and node.func.id == "isinstance"
                 and classes & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}]
     assert not imported and not dispatch, imported + dispatch
+
+
+def _options(parser, command="prolate"):
+    """(command, option strings) of each option of the parser and of its
+    subcommands, --help aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, f"{command} {name}")
+        elif action.option_strings and "--help" not in action.option_strings:
+            yield command, action.option_strings
+
+
+def test_every_cli_option_is_named_in_the_readme():
+    # an option is named if one of its strings appears as a whole token, so
+    # `--c` is not found inside `--c0`
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    unnamed = [f"{command} {'/'.join(strings)}" for command, strings in _options(cli._parser())
+               if not any(re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])", readme)
+                          for s in strings)]
+    assert not unnamed, unnamed
