@@ -64,11 +64,11 @@ def _far_field(path, k, disk, x_hat, theta_hat) -> None:
     """Far-field samples k^2 int exp(i k d.y) q(y) dy, d = theta_hat - x_hat, of one
     disk of radius a, centre c and value v, in closed form:
     k^2 v exp(i k d.c) 2 pi a^2 J_1(k|d| a) / (k|d| a)."""
-    from prolate import bessel_j
+    from prolate.numerics import bessel_table
 
     d = theta_hat - x_hat
     ka = k * disk["radius"] * np.hypot(d[:, 0], d[:, 1])
-    jinc = np.where(ka > 0.0, bessel_j(1, ka) / np.where(ka > 0.0, ka, 1.0), 0.5)
+    jinc = np.where(ka > 0.0, bessel_table(1, ka)[1] / np.where(ka > 0.0, ka, 1.0), 0.5)
     u = (k * k * disk["value"] * 2.0 * math.pi * disk["radius"] ** 2 * jinc
          * np.exp(1j * k * (d @ np.asarray(disk["center"]))))
     np.savetxt(path, np.column_stack([x_hat, theta_hat, u.real, u.imag]), delimiter=",",

@@ -12,8 +12,8 @@ from .forward import (ContrastField, DataGrid, add_noise, far_field, ingest_farf
                       read_datagrid, synthesize_born, write_datagrid)
 from .geometry_config import (ProblemSetup, SetupReport, effective_kernel_scale, read_setup,
                               setup_from_dict, validate_setup)
-from .numerics import (QuadratureRule, bessel_j, disk_polar_rule, gauss_legendre,
-                       gauss_legendre_01, sym_eig, zernike_radial)
+from .numerics import (QuadratureRule, disk_polar_rule, gauss_legendre, gauss_legendre_01,
+                       sym_eig, zernike_radial)
 from .recon import ReconstructionResult, choose_alpha_partial, picard_coefficients, reconstruct
 from .symset_basis import (Geometry, SymSetBasis, analytic_area, build_quadrature,
                            compute_symset_basis, membership, radial_profile)

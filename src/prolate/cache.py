@@ -186,15 +186,15 @@ def save_symset_basis(path, basis: SymSetBasis) -> None:
         "c": basis.c,
         "n_modes": len(basis.modes),
         "n_nodes": len(basis.quad),
+        "hs_norm2": basis.hs_norm2,
     }
     _write_container(path, meta, [
         ("nodes", basis.quad.nodes),
         ("weights", basis.quad.weights),
         ("parity", ~basis.modes["even"]),
         ("alpha", _pairs(basis.alphas)),
+        ("residual", basis.modes["residual"]),
         ("node_values", basis.node_values),
-        ("spectrum_even", basis.spectrum_even),
-        ("spectrum_odd", basis.spectrum_odd),
     ])
 
 
@@ -202,16 +202,16 @@ def _symset_basis(entries: dict, arrays: dict) -> SymSetBasis:
     modes = np.empty(entries["n_modes"], dtype=SYMSET_MODE)
     modes["even"] = arrays["parity"] == 0
     modes["alpha"] = arrays["alpha"].view(complex)[:, 0]
+    modes["residual"] = arrays["residual"]
     return SymSetBasis(
         c=entries["c"], geometry=entries["geometry"],
         quad=QuadratureRule(arrays["nodes"], arrays["weights"]), modes=_frozen(modes),
-        node_values=_frozen(arrays["node_values"]),
-        spectrum_even=arrays["spectrum_even"], spectrum_odd=arrays["spectrum_odd"])
+        node_values=_frozen(arrays["node_values"]), hs_norm2=entries["hs_norm2"])
 
 
 # Metadata entries a load reads, per basis kind.
 _REQUIRED = {False: ("c", "m_max", "n_max", "J", "quad_size", "modes"),
-             True: ("geometry_params", "c", "n_modes", "n_nodes")}
+             True: ("geometry_params", "c", "n_modes", "n_nodes", "hs_norm2")}
 
 
 def _count(value) -> int:
@@ -221,26 +221,26 @@ def _count(value) -> int:
     return value
 
 
-def _bandwidth(value) -> float:
-    """The bandwidth c, a finite positive JSON number (no string or boolean); else ValueError."""
+def _positive(name: str, value) -> float:
+    """A finite positive JSON number (no string or boolean) as a float; else ValueError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not (math.isfinite(value) and value > 0.0)):
-        raise ValueError(f"bandwidth c must be a finite positive number, got {value!r}")
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
 
 def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
     """The metadata entries a load reads, parsed as the load uses them, and the
-    arrays it reads, each with the shape the entries give it (None: any): one
-    row per mode, one column per node, radial coefficient or ring.  TypeError or
-    ValueError where an entry is malformed; builds no table."""
+    arrays it reads, each with the shape the entries give it: one row per mode,
+    one column per node, radial coefficient or ring.  TypeError or ValueError
+    where an entry is malformed; builds no table."""
     if symset:
         n, nodes = _count(meta["n_modes"]), _count(meta["n_nodes"])
-        return ({"c": _bandwidth(meta["c"]),
+        return ({"c": _positive("bandwidth c", meta["c"]),
                  "geometry": Geometry.from_dict(meta["geometry_params"]),
-                 "n_modes": n},
+                 "n_modes": n, "hs_norm2": _positive("hs_norm2", meta["hs_norm2"])},
                 {"nodes": (nodes, 2), "weights": (nodes,), "parity": (n,), "alpha": (n, 2),
-                 "node_values": (n, nodes), "spectrum_even": None, "spectrum_odd": None})
+                 "residual": (n,), "node_values": (n, nodes)})
     records = np.array(meta["modes"], dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != 4:
         raise ValueError("mode records must hold 4 integers each")
@@ -249,7 +249,8 @@ def _entries(meta: dict, symset: bool) -> tuple[dict, dict]:
         raise ValueError(f"quad_size must be 2 positive integers, the second even, "
                          f"got {[n_r, n_t]}")
     n, J = len(records), _count(meta["J"])
-    return ({"c": _bandwidth(meta["c"]), "J": J, "modes": records, "quad_size": (n_r, n_t)},
+    return ({"c": _positive("bandwidth c", meta["c"]), "J": J, "modes": records,
+             "quad_size": (n_r, n_t)},
             {"chi": (n,), "gamma": (n,), "alpha": (n, 2), "coeffs": (n, J), "radial": (n, n_r)})
 
 
@@ -273,7 +274,7 @@ def _check_layout(path, meta: dict, arrays: dict, symset: bool) -> dict:
     if missing:
         raise CacheError(f"{path}: malformed basis container (missing {', '.join(missing)})")
     wrong = [f"{name} {arrays[name].shape} for {shape}" for name, shape in shapes.items()
-             if shape is not None and arrays[name].shape != shape]
+             if arrays[name].shape != shape]
     if wrong:
         raise CacheError(f"{path}: malformed basis container (array shape {', '.join(wrong)})")
     return entries

@@ -28,7 +28,7 @@ from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, w
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
 from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
                     write_field_csv, write_result)
-from .symset_basis import Geometry, build_quadrature, compute_symset_basis
+from .symset_basis import Geometry, bounding_box, build_quadrature, compute_symset_basis
 
 __all__ = ["run", "main", "experiment_stability", "write_stability"]
 
@@ -119,6 +119,19 @@ def _geometry_from_args(args) -> Geometry:
     return Geometry.multi_freq(_numbers("--x-star", args.x_star), h=args.h)
 
 
+# Natural logs of the smallest and the largest normal float64.
+_LOG_FLOATS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def _check_scale(geo: Geometry, flags: str) -> None:
+    """ParameterError naming `flags` unless (2b)^4 is a normal float, b the half-width
+    of the set's bounding box: it bounds the squared area of the set, which the
+    Hilbert-Schmidt checks compare, and the squares of the rule's weights."""
+    if not _LOG_FLOATS[0] < 4.0 * math.log(2.0 * bounding_box(geo)) < _LOG_FLOATS[1]:
+        raise ParameterError(f"{flags} out of range: a set of half-width "
+                             f"{bounding_box(geo):.3g} has a squared area outside the float range")
+
+
 @contextlib.contextmanager
 def _sized_by(flags: str):
     """An OverflowError where `flags` size an allocation, as a ParameterError naming them."""
@@ -147,6 +160,7 @@ def _cmd_basis(args) -> int:
         shape = {name: v for name, v in geo.to_dict().items() if name != "kind"}  # in the prefix
         # refuses a number the key cannot hold before a rule is built from it
         cachemod.cache_key(kind, c=args.c, **shape)
+        _check_scale(geo, "--h and --radius" if args.geometry == "disk" else "--h")
         with _sized_by("--resolution"):
             try:
                 quad = build_quadrature(geo, args.resolution, method=args.method)

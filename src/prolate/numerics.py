@@ -5,7 +5,9 @@ plain immutable containers, Gauss-Legendre rules are built once per size and
 shared, the Bessel functions J_0..J_M and the disk polynomials of one
 azimuthal order come as whole tables from three-term recurrences (one pass for
 all orders or degrees, never one special-function call per order), and dense
-eigensolves go to LAPACK through numpy behind a small contract-checked wrapper.
+eigensolves go to LAPACK through numpy behind a small contract-checked wrapper,
+which `top_eigenpairs` calls where its block Krylov solve for the leading
+eigenpairs would be slower.
 One evaluator of the Fourier operator, `_born_sum`, synthesizes Born data
 and far fields and extends symmetric-set modes off their nodes.
 """
@@ -23,7 +25,6 @@ from .errors import EigensolverError, ParameterError
 
 __all__ = [
     "QuadratureRule",
-    "bessel_j",
     "bessel_table",
     "gauss_legendre",
     "gauss_legendre_01",
@@ -35,6 +36,7 @@ __all__ = [
     "GridPiece",
     "RingPiece",
     "sym_eig",
+    "top_eigenpairs",
     "disk_polar_rule",
     "annulus_polar_rule",
     "half_circle",
@@ -83,14 +85,6 @@ class QuadratureRule:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-
-def bessel_j(order: int, x):
-    """Bessel function of the first kind J_m(x) for integer order m >= 0, x >= 0."""
-    if order < 0 or int(order) != order:
-        raise ParameterError(f"order must be a nonnegative integer, got {order}")
-    out = bessel_table(int(order), x)[-1]
-    return float(out) if out.ndim == 0 else out
 
 
 # Miller's recurrence checks its values once a bound on them passes _CHECK
@@ -593,23 +587,122 @@ def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
     return values
 
 
-def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvectors as orthonormal columns) of a dense real
-    symmetric matrix; EigensolverError if LAPACK fails to converge."""
+def _symmetric(matrix, who: str) -> np.ndarray:
+    """`matrix` as a float array once it is square and symmetric; else ParameterError."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError("sym_eig requires a square matrix")
+        raise ParameterError(f"{who} requires a square matrix")
     # |a - a^T| <= 1e-12 max(1, max|a|) in one temporary; a NaN entry fails the test
     asym = np.subtract(a, a.T)
     np.abs(asym, out=asym)
     if not asym.max(initial=0.0) <= 1e-12 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0)):
-        raise ParameterError("sym_eig requires a symmetric matrix")
-    del asym
+        raise ParameterError(f"{who} requires a symmetric matrix")
+    return a
+
+
+def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, eigenvectors as orthonormal columns) of a dense real
+    symmetric matrix; EigensolverError if LAPACK fails to converge."""
+    a = _symmetric(matrix, "sym_eig")
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
     return vals, vecs
+
+
+# Constants of `top_eigenpairs`, measured on the symmetry-class blocks of
+# `symset_basis` (orders 158-902, c = 2-20, k = 30-40; 2 BLAS threads on a
+# 2-core x86 host).  Columns added to the Krylov space per product with B: 8
+# beat 16 and 24 on the blocks of order 290-390 that c = 5 sets give.
+KRYLOV_BLOCK = 8
+# A new direction is dropped once its norm falls below this fraction of ||B||_F.
+KRYLOV_DROP = 1e-13
+# A Ritz pair is converged once ||B v - theta v|| <= KRYLOV_TOL |theta_0|.
+KRYLOV_TOL = 1e-13
+# At the first Rayleigh-Ritz step, |theta_{k-1}| / |theta_0| predicts the solve:
+# a k-th pair still near the plateau of the spectrum needs a space of about half
+# the order.  Every block that Krylov lost to the dense solve had a ratio >= 0.35,
+# and every block of the benchmark's c = 5 sets <= 0.35; the Ritz ratio
+# |theta_{k+P-1}| / |theta_{k-1}| did not separate them (losers from 0.09).  A
+# ratio at or above the switch goes dense.
+KRYLOV_SWITCH = 0.3
+# Rayleigh-Ritz steps run once the space has k + P + 1 columns, then each time
+# it has grown by this factor.
+KRYLOV_GROWTH = 1.25
+
+
+def _top_dense(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k largest-|lambda| eigenpairs of `a` from `sym_eig`, with their residuals."""
+    vals, vecs = sym_eig(a)
+    top = np.argsort(-np.abs(vals))[:k]
+    vals, vecs = vals[top], vecs[:, top]
+    return vals, vecs, np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+
+
+def _krylov_top(a: np.ndarray, k: int):
+    """The solve of `top_eigenpairs` in its block Krylov space, or None where the
+    dense solve takes over."""
+    n, p = len(a), KRYLOV_BLOCK
+    if 2 * (k + p + 1) > n:
+        return None
+    drop = KRYLOV_DROP * float(np.linalg.norm(a))
+    q = bq = np.empty((n, 0))  # orthonormal basis of the space and B times it
+    x = a[:, np.linspace(0, n - 1, p).round().astype(np.intp)]
+    checkpoint, first = k + p + 1, True
+    while True:
+        for _ in range(2):
+            x -= q @ (q.T @ x)
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        u = u[:, s > drop]
+        u -= q @ (q.T @ u)
+        u = np.linalg.qr(u)[0]
+        grew = u.shape[1] > 0
+        if grew:
+            x = a @ u
+            q, bq = np.hstack([q, u]), np.hstack([bq, x])
+        m = q.shape[1]
+        if grew and m < checkpoint:
+            continue
+        t = q.T @ bq
+        theta, y = np.linalg.eigh(0.5 * (t + t.T))
+        order = np.argsort(-np.abs(theta))
+        if m < k or (first and grew and abs(theta[order[k - 1]])
+                     >= KRYLOV_SWITCH * abs(theta[order[0]])):
+            return None
+        first = False
+        top = order[:k]
+        vecs = q @ y[:, top]
+        res = np.linalg.norm(bq @ y[:, top] - vecs * theta[top], axis=0)
+        if np.all(res <= KRYLOV_TOL * abs(theta[order[0]])):
+            return theta[top], vecs, res
+        checkpoint = math.ceil(KRYLOV_GROWTH * m)
+        if not grew or checkpoint > n // 2:
+            return None
+
+
+def top_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors as orthonormal columns, residuals ||B v - lambda v||) of
+    the k largest-|lambda| eigenpairs of a real symmetric B, |lambda| descending.
+
+    A block Krylov space (Musco & Musco, NeurIPS 2015) grows from KRYLOV_BLOCK
+    evenly spaced columns of B, so the result is deterministic.  Each new block
+    is projected off the space twice, its directions below KRYLOV_DROP ||B||_F
+    are dropped, and the kept ones are projected once more and re-orthonormalized.
+    Rayleigh-Ritz steps at growing checkpoints stop the solve once every one of
+    the k Ritz pairs has a residual <= KRYLOV_TOL |theta_0|.  A dense `sym_eig`
+    of the whole block takes over where the space cannot hold k pairs, where
+    the first step finds |theta_{k-1}| >= KRYLOV_SWITCH |theta_0|, or where the
+    space would grow past half the order of B.  EigensolverError if LAPACK
+    fails to converge.
+    """
+    a = _symmetric(matrix, "top_eigenpairs")
+    k = min(int(k), len(a))
+    try:
+        found = _krylov_top(a, k)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"block Krylov eigensolver did not converge: {exc}") from exc
+    return _top_dense(a, k) if found is None else found
 
 
 def half_circle(half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

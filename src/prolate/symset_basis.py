@@ -23,8 +23,10 @@ products cos cos, -sin sin (even modes) and sin cos, cos sin (odd modes) of
 c/h^2 u_i u_j and c/h^2 v_i v_j.  Each class costs one (N/4)^3 eigensolve on
 (N/4)^2 memory instead of N^3 on N^2.  A rule that records no reflection
 has no such fold and is refused.
-Merged eigenpairs are ordered by |alpha| and normalized to unit plane
-energy, i.e. weighted node-norm squared equal to (c / 2 pi)^2 |alpha_n|^2.
+Each block is solved for its leading eigenpairs only (`numerics.top_eigenpairs`),
+and each kept mode records its residual.  Merged eigenpairs are ordered by
+|alpha| and normalized to unit plane energy, i.e. weighted node-norm squared
+equal to (c / 2 pi)^2 |alpha_n|^2.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (EmptyCutoffError, EmptyQuadratureError, ParameterError, che
                      finite_number, numeric)
 from .numerics import (QuadratureRule, _born_sum, _frozen, _piece, axis_reflection,
                        disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
-                       sym_eig)
+                       top_eigenpairs)
 
 __all__ = [
     "Geometry",
@@ -56,9 +58,11 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-14
-# One record per symmetric-set mode: its parity under p -> -p and its
-# eigenvalue alpha on the unit-scale set A (real if even, imaginary if odd).
-MODE_DTYPE = np.dtype([("even", bool), ("alpha", complex)], align=True)
+# One record per symmetric-set mode: its parity under p -> -p, its eigenvalue
+# alpha on the unit-scale set A (real if even, imaginary if odd) and the
+# residual ||B u - lambda u|| / h^2 of its unit eigenvector u in its class block,
+# in the units of alpha.
+MODE_DTYPE = np.dtype([("even", bool), ("alpha", complex), ("residual", float)], align=True)
 # Direction of the sign probe in `compute_symset_basis`: irrational components,
 # so it lies on no symmetry axis of any geometry.
 SIGN_DIRECTION = (0.6180339887498949, 0.4142135623730950)
@@ -303,10 +307,10 @@ class SymSetBasis:
 
     `modes` is a read-only MODE_DTYPE array with one record per mode, and
     `node_values` the read-only (modes, N) table of their samples on `quad`.
-    `spectrum_even` / `spectrum_odd` keep the complete folded eigenvalue lists
-    (operator scale, i.e. h^2 beta; about N/2 entries each, the nonzero part
-    of the N x N Nystrom spectra), which the Hilbert-Schmidt sum rule checks
-    against the squared domain measure.
+    `hs_norm2` is sum_chi ||B_chi||_F^2 over the class blocks of the solve
+    (operator scale, i.e. of h^2 beta).  For symmetric blocks it equals the sum
+    of the squared eigenvalues, the nonzero part of the N x N Nystrom spectra,
+    which the Hilbert-Schmidt sum rule checks against the squared domain measure.
     """
 
     c: float
@@ -314,8 +318,7 @@ class SymSetBasis:
     quad: QuadratureRule
     modes: np.ndarray
     node_values: np.ndarray
-    spectrum_even: np.ndarray = None
-    spectrum_odd: np.ndarray = None
+    hs_norm2: float
 
     @property
     def kernel_scale(self) -> float:
@@ -365,19 +368,20 @@ class SymSetBasis:
     def checks(self) -> tuple[float, list]:
         """The Gram tolerance of `analysis.validate_basis` and the set's own identities,
         (name, residual, threshold): alpha real/imaginary by parity, the Hilbert-Schmidt
-        sum against the squared total weight and area, and parity on mirrored nodes."""
+        sum against the squared total weight and area, parity on mirrored nodes, and
+        the largest eigenpair residual against |alpha_0|."""
         alphas, even, vals = self.alphas, self.modes["even"], self.node_values
         wrong = np.where(even, np.abs(alphas.imag), np.abs(alphas.real))
-        total = float(np.sum(self.spectrum_even**2) + np.sum(self.spectrum_odd**2))
         sq = self.quad.total_weight**2
         area2 = analytic_area(self.geometry) ** 2
         sgn = np.where(even, 1.0, -1.0)[:, None]
         dev = np.abs(vals[:, mirror_indices(self.quad)] - sgn * vals).max(axis=1)
         worst = float((dev / np.abs(vals).max(axis=1)).max(initial=0.0))
         return 1e-6, [("parity_eigenvalue_type", (wrong / np.abs(alphas)).max(), 1e-12),
-                      ("hilbert_schmidt_discrete", abs(total - sq) / sq, 1e-10),
-                      ("hilbert_schmidt_area", abs(total - area2) / area2, 1e-3),
-                      ("parity_node_symmetry", worst, 1e-8)]
+                      ("hilbert_schmidt_discrete", abs(self.hs_norm2 - sq) / sq, 1e-10),
+                      ("hilbert_schmidt_area", abs(self.hs_norm2 - area2) / area2, 1e-3),
+                      ("parity_node_symmetry", worst, 1e-8),
+                      ("eigen_residual", self.modes["residual"].max() / abs(alphas[0]), 1e-12)]
 
     def inner(self, weighted) -> np.ndarray:
         """node_values @ weighted for node samples, (N,) or (N, k), real or complex."""
@@ -465,11 +469,29 @@ def _class_kernel(pts: np.ndarray, axis, scale: float, mw: np.ndarray,
     return a
 
 
-# Peak bytes of the folded solve per entry of the largest class block: the
-# kernel, the eigensolver's copy, its eigenvectors and divide-and-conquer
-# workspace, plus the interpreter and libraries.  The CLI-default L(3 pi/4),
-# h = 5 basis (midpoint rule, N = 10,276, four class blocks of 2,569) peaks at
-# 294 MiB RSS with 2 BLAS threads, 47 B per entry; rounded up.
+def _class_blocks(scale: float, quad: QuadratureRule, maps: np.ndarray):
+    """Each symmetry class of the rule's group `maps` (`_symmetry_maps`) in turn:
+    (characters, orbit representatives, m w, its block sqrt(m w) K_chi sqrt(m w))
+    at kernel scale `scale`, as `compute_symset_basis` describes.  Each block is
+    assembled when the next one is asked for, so one is held at a time."""
+    rep = np.flatnonzero(maps.min(axis=0) == np.arange(len(quad)))  # lowest index of each orbit
+    fixes = maps[:, rep] == rep  # (4, representatives): the stabilizers
+    orbit = len(maps) / fixes.sum(axis=0)
+    for chars in _CHARACTERS:
+        live = ~np.any(fixes & (chars[:, None] < 0), axis=0)
+        sub = rep[live]
+        mw = orbit[live] * quad.weights[sub]
+        yield chars, sub, mw, _class_kernel(quad.nodes[sub], quad.axis, scale, mw, chars)
+
+
+# Peak bytes of the folded solve per entry of the largest class block, on the
+# path that bounds it, the dense fallback of `top_eigenpairs`: the kernel, the
+# eigensolver's copy, its eigenvectors and divide-and-conquer workspace, plus
+# the interpreter and libraries.  The CLI-default L(3 pi/4), h = 5 basis
+# (midpoint rule, N = 10,276, four class blocks of 2,569) peaked at 294 MiB RSS
+# with 2 BLAS threads when every block was solved dense, 47 B per entry;
+# rounded up.  On the block Krylov path the same basis peaks at 159 MiB, set
+# by the assembly of a block (two arrays of its size).
 PEAK_BYTES_PER_ENTRY = 48.0
 
 
@@ -495,12 +517,14 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
     node orbit, v(g p) = chi(g) v(p), and vanishes on orbits whose
     stabilizer chi does not fix.  Each class is solved as B = sqrt(m w)
     K_chi sqrt(m w) over those representatives (m the orbit size, K_chi as
-    in `_class_kernel`); its eigenvalues are nonzero eigenvalues of the full
+    in `_class_kernel`) for its top n_modes eigenpairs by |lambda|
+    (`top_eigenpairs`); its eigenvalues are nonzero eigenvalues of the full
     Nystrom matrix, and an eigenvector u lifts to v = u / sqrt(m w) on the
     representatives.  Classes even under p -> -p give even modes (alpha =
     beta, the cos kernel), the others odd modes (alpha = i beta, the sin
     kernel).  Eigenpairs are merged, sorted by |alpha| descending, and the
-    top n_modes above the floor 1e-14 |alpha_0| are kept.
+    top n_modes above the floor 1e-14 |alpha_0| are kept, each with its
+    residual.  The blocks' squared Frobenius norms are summed as `hs_norm2`.
     """
     if c <= 0.0:
         raise ParameterError("compute_symset_basis requires c > 0")
@@ -510,31 +534,27 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
         raise ParameterError("n_modes must be much smaller than the node count")
     _check_memory(len(quad))
     maps = _symmetry_maps(quad)
-    rep = np.flatnonzero(maps.min(axis=0) == np.arange(len(quad)))  # lowest index of each orbit
-    fixes = maps[:, rep] == rep  # (4, representatives): the stabilizers
-    orbit = len(maps) / fixes.sum(axis=0)
-    pts, w = quad.nodes, quad.weights
     h2 = geometry.h**2
     candidates: list[tuple[float, int, int]] = []
-    spectra = {"even": [], "odd": []}
-    classes = []  # (characters, representatives, m w, top eigenvectors, their eigenvalues)
-    for k, chars in enumerate(_CHARACTERS):
-        live = ~np.any(fixes & (chars[:, None] < 0), axis=0)
-        sub = rep[live]
-        mw = orbit[live] * w[sub]
-        vals, vecs = sym_eig(_class_kernel(pts[sub], quad.axis, c / h2, mw, chars))
-        spectra["even" if chars[1] > 0 else "odd"].append(vals)
-        top = np.argsort(-np.abs(vals))[:n_modes]
-        classes.append((chars, sub, mw, vecs[:, top], vals[top]))
-        del vecs  # free before the next class's kernel is assembled
+    hs_norm2 = 0.0
+    classes = []  # (characters, representatives, m w, top eigenvectors, eigenvalues, residuals)
+    # no enumerate(): its reused result tuple would keep each block alive
+    # while the next one is assembled
+    for chars, sub, mw, block in _class_blocks(c / h2, quad, maps):
+        hs_norm2 += float(np.vdot(block, block))
+        vals, vecs, res = top_eigenpairs(block, n_modes)
+        del block  # free before the next class's kernel is assembled
         # the matrix eigenvalue lambda approximates h^2 beta
-        candidates += [(-abs(float(vals[j]) / h2), k, rank) for rank, j in enumerate(top)]
+        candidates += [(-abs(float(lam) / h2), len(classes), rank)
+                       for rank, lam in enumerate(vals)]
+        classes.append((chars, sub, mw, vecs, vals, res))
     candidates.sort()
     floor = ALPHA_FLOOR * -candidates[0][0] if candidates else 0.0
     # Each mode is signed by its weighted inner product with the generic
     # function exp(t) cos((c/h) t + pi/4), t = a.p/h.  It has no parity and no
     # mirror symmetry, so the sign is never a rounding-level tie between
     # mirror nodes and does not depend on the eigensolver.
+    pts, w = quad.nodes, quad.weights
     t = pts @ np.array(SIGN_DIRECTION) / geometry.h
     probe = w * np.exp(t) * np.cos((c / geometry.h) * t + 0.25 * np.pi)
     rows, table = [], []
@@ -543,7 +563,7 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
             break
         if -negabs < floor:
             continue
-        chars, sub, mw, vecs, lams = classes[k]
+        chars, sub, mw, vecs, lams, res = classes[k]
         even = chars[1] > 0
         lam = float(lams[rank])
         alpha = complex(lam / h2) if even else complex(0.0, lam / h2)
@@ -554,13 +574,12 @@ def compute_symset_basis(c: float, geometry: Geometry, quad: QuadratureRule,
             v[g[sub]] = chi * x
         if np.dot(probe, v) < 0.0:
             v = -v
-        rows.append((even, alpha))
+        rows.append((even, alpha, float(res[rank]) / h2))
         table.append(v)
     return SymSetBasis(c=float(c), geometry=geometry, quad=quad,
                        modes=_frozen(np.array(rows, dtype=MODE_DTYPE)),
                        node_values=_frozen(np.reshape(table, (len(table), len(quad)))),
-                       spectrum_even=np.sort(np.concatenate(spectra["even"])),
-                       spectrum_odd=np.sort(np.concatenate(spectra["odd"])))
+                       hs_norm2=hs_norm2)
 
 
 def mirror_indices(quad: QuadratureRule) -> np.ndarray:

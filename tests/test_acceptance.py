@@ -17,8 +17,10 @@ import prolate as P
 from prolate.cli import run as cli_run
 from prolate.disk_basis import assemble_sl_matrix, eval_psi
 from prolate.forward import DataGrid, add_noise, synthesize_born
-from prolate.numerics import bessel_j, disk_polar_rule, sym_eig
+from prolate.numerics import disk_polar_rule, sym_eig
 from prolate.recon import choose_alpha_partial, picard_coefficients, reconstruct
+
+from oracles import bessel_j, class_spectra
 
 
 @pytest.fixture()
@@ -103,7 +105,10 @@ def test_04_hilbert_schmidt_sum_rule(criterion, symset_disk_c5):
         quadM = P.build_quadrature(geoM, 200, method="polar")
         geometries["M"] = P.compute_symset_basis(5.0, geoM, quadM, 20)
         for name, basis in geometries.items():
-            total = float(np.sum(basis.spectrum_even**2) + np.sum(basis.spectrum_odd**2))
+            # the complete dense spectra, computed here: the basis stores their
+            # sum of squares as the blocks' squared Frobenius norms
+            total = float(sum(np.sum(vals**2) for vals in class_spectra(basis)))
+            assert basis.hs_norm2 == pytest.approx(total, rel=1e-12), name
             area2 = P.analytic_area(basis.geometry) ** 2
             assert abs(total - area2) / area2 < 1e-3, name
 

@@ -8,6 +8,8 @@ from prolate import cache
 from prolate.cache import cache_key, load_basis, save_disk_basis, save_symset_basis
 from prolate.errors import CacheError
 
+from oracles import class_spectra
+
 
 class TestDiskRoundTrip:
     def test_bit_exact(self, disk_c5, tmp_path):
@@ -72,8 +74,12 @@ class TestSymsetRoundTrip:
         assert np.array_equal(back.modes["even"], symset_disk_c5.modes["even"])
         assert np.array_equal(back.alphas, symset_disk_c5.alphas)
         assert np.array_equal(back.node_values, symset_disk_c5.node_values)
-        assert np.array_equal(back.spectrum_even, symset_disk_c5.spectrum_even)
-        assert np.array_equal(back.spectrum_odd, symset_disk_c5.spectrum_odd)
+        assert np.array_equal(back.modes["residual"], symset_disk_c5.modes["residual"])
+        assert back.hs_norm2 == symset_disk_c5.hs_norm2
+        # the complete spectra are not stored: the dense oracle's sum of squares
+        # is the stored Frobenius sum (the loaded rule records no reflection to fold by)
+        total = float(sum(np.sum(vals**2) for vals in class_spectra(symset_disk_c5)))
+        assert back.hs_norm2 == pytest.approx(total, rel=1e-12)
 
     def test_old_complete_entry_is_ignored(self, symset_disk_c5, tmp_path):
         # files written before the unread "complete" entry was dropped still load

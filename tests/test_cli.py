@@ -22,6 +22,8 @@ from prolate.forward import add_noise, read_datagrid
 from prolate.geometry_config import effective_kernel_scale, setup_from_dict
 from prolate.numerics import mirror_map
 
+from oracles import class_spectra
+
 
 SETUP = {
     "regime": "full",
@@ -186,6 +188,71 @@ class TestBasisCommand:
             "chi", "gamma", "alpha", "coeffs", "radial"]
         assert run(["reconstruct", str(data), "--basis", path, "--alpha", "1e-2",
                     "-o", str(tmp_path / "r.json")]) == 0
+
+    L_ARGV = ["basis", "symset", "--geometry", "L", "--c", "5.0", "--theta", "2.2", "--h", "5",
+              "--resolution", "24", "--modes", "4", "--method", "polar"]
+
+    @pytest.mark.parametrize("stage", ["synthesize", "ingest", "reconstruct", "extrapolate",
+                                       "validate", "stability"])
+    def test_symset_file_with_spectra(self, cache_dir, tmp_path, capsys, stage):
+        # a set file of the layout that stored the complete spectra and neither
+        # residuals nor hs_norm2: every other stage exits 1 naming the missing
+        # entry, and `basis symset` recomputes it at its key path
+        assert run(self.L_ARGV) == 0
+        path = capsys.readouterr().out.strip()
+        geo = P.Geometry.limited_aperture(2.2, h=5.0)
+        spectra = class_spectra(P.compute_symset_basis(
+            5.0, geo, P.build_quadrature(geo, 24, method="polar"), 4))
+        meta, arrays = cache._read_container(path)
+        meta = {k: v for k, v in meta.items()
+                if k not in ("format", "arrays", "payload_sha256", "hs_norm2")}
+        arrays.pop("residual")
+        arrays["spectrum_even"] = np.sort(np.concatenate(spectra[:2]))
+        arrays["spectrum_odd"] = np.sort(np.concatenate(spectra[2:]))
+        old = tmp_path / "old.gpswf"
+        cache._write_container(old, meta, list(arrays.items()))
+        setup = str(write_setup(tmp_path, TestPairing.SETUP_L))
+        data, targets, far = tmp_path / "data.csv", tmp_path / "t.csv", tmp_path / "ff.csv"
+        assert run(["synthesize", setup, "--basis", path, "-o", str(data),
+                    "--contrast-resolution", "24"]) == 0
+        targets.write_text("x,y\n0.1,0.2\n")
+        _far_field_file(far, n=8)
+        out = str(tmp_path / "out")
+        argv = {"synthesize": [setup, "--contrast-resolution", "24"],
+                "ingest": [str(far), "--k", "1"],
+                "reconstruct": [str(data), "--alpha", "1e-2"],
+                "extrapolate": [str(data), "--targets", str(targets)],
+                "validate": [],
+                "stability": [setup, "--deltas", "0,1e-3", "--alphas", "0.5",
+                              "--contrast-resolution", "24"]}[stage]
+        code, err = _exit_and_error(capsys, [stage, *argv, "--basis", str(old), "-o", out])
+        assert code == 1 and len(err) == 1 and "missing hs_norm2" in err[0], err
+        assert not os.path.exists(out)
+        os.replace(old, path)
+        assert run(self.L_ARGV) == 0
+        assert capsys.readouterr().out.strip() == path
+        assert [name for name, _, _ in cache._read_container(path)[0]["arrays"]] == [
+            "nodes", "weights", "parity", "alpha", "residual", "node_values"]
+        assert run([stage, *argv, "--basis", path, "-o", out]) in (0, 1)  # validate: the area
+
+    def test_corrupt_residual_fails_validate(self, cache_dir, tmp_path, capsys):
+        assert run(self.L_ARGV) == 0
+        path = capsys.readouterr().out.strip()
+        report = tmp_path / "report.json"
+        run(["validate", "--basis", path, "-o", str(report)])
+        before = {entry["check"]: entry for entry in json.loads(report.read_text())}
+        assert before["eigen_residual"]["passed"], before
+        meta, arrays = cache._read_container(path)
+        meta = {k: v for k, v in meta.items() if k not in ("format", "arrays", "payload_sha256")}
+        alpha0 = np.abs(arrays["alpha"].view(complex)[0, 0])
+        arrays["residual"][-1] = 1e-9 * alpha0
+        cache._write_container(path, meta, list(arrays.items()))
+        assert run(["validate", "--basis", path, "-o", str(report)]) == 1
+        after = {entry["check"]: entry for entry in json.loads(report.read_text())}
+        assert not after["eigen_residual"]["passed"]
+        assert after["eigen_residual"]["residual"] == pytest.approx(1e-9)
+        assert {k: v["passed"] for k, v in after.items() if k != "eigen_residual"} == {
+            k: v["passed"] for k, v in before.items() if k != "eigen_residual"}
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -5.0, "4.0", True])
     @pytest.mark.parametrize("kind", ["disk", "L"])
@@ -1142,6 +1209,21 @@ class TestBadFlags:
                                              "--seed=-1"])
         assert code == 2 and len(err) == 1 and "--seed" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--geometry", "disk", "--h", "1e200"],
+                                       ["--geometry", "disk", "--radius", "1e200"],
+                                       ["--geometry", "L", "--theta", "2.2", "--h", "1e100"],
+                                       ["--geometry", "M", "--h", "1e-90"]],
+                             ids=["disk-h", "disk-radius", "L-large", "M-small"])
+    def test_set_scale_out_of_range(self, cache_dir, capsys, flags):
+        # a set whose squared area leaves the float range: its rule weights or
+        # the Hilbert-Schmidt sums `validate` compares would overflow or vanish
+        code, err = _exit_and_error(capsys, ["basis", "symset", *flags, "--c", "3",
+                                             "--resolution", "24", "--modes", "4"])
+        assert code == 2 and len(err) == 1 and "--h" in err[0], err
+        assert ("--radius" in err[0]) == (flags[1] == "disk")
+        assert not cache_dir.exists() or not os.listdir(cache_dir)
 
     @pytest.mark.parametrize("k", ["2e154", "1e-308"])
     def test_ingest_k_out_of_range(self, tmp_path, cache_dir, capsys, k):

@@ -14,8 +14,10 @@ from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_row, _gr
                              _loadtxt, _read_table, _split_columns, add_noise, far_field,
                              ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
 from prolate.numerics import (GridPiece, RingPiece, _aliased_orders, _born_sum, _piece, _point_map,
-                              annulus_polar_rule, bessel_j, disk_polar_rule, mirror_map)
+                              annulus_polar_rule, disk_polar_rule, mirror_map)
 from prolate.recon import write_field_csv
+
+from oracles import bessel_j
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
 

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, jv
 
+from prolate import numerics, symset_basis
 from prolate.errors import EigensolverError, ParameterError
-from prolate.numerics import (QuadratureRule, bessel_j, bessel_table, disk_polar_rule,
+from prolate.numerics import (QuadratureRule, bessel_table, disk_polar_rule,
                               gauss_legendre, gauss_legendre_01, mirror_map, sym_eig,
-                              zernike_radial, zernike_radial_table)
+                              top_eigenpairs, zernike_radial, zernike_radial_table)
 from prolate.symset_basis import Geometry, build_quadrature
+
+from oracles import bessel_j
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -65,9 +68,9 @@ class TestBessel:
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
-            bessel_j(-1, 1.0)
+            bessel_table(-1, 1.0)
         with pytest.raises(ParameterError):
-            bessel_j(0, -0.5)
+            bessel_table(0, -0.5)
 
     def test_vectorized(self):
         x = np.linspace(0.0, 20.0, 7)
@@ -268,6 +271,70 @@ class TestZernikeVectorCoefficients:
         got, want = zernike_radial_table(m, count, r), zernike_table_by_degree(m, count, r)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _class_block(c: float, theta: float = 2.2, resolution: int = 96, k: int = 0) -> np.ndarray:
+    """Class block k of the symmetric-set solve on L(theta), polar rule."""
+    quad = build_quadrature(Geometry.limited_aperture(theta), resolution, method="polar")
+    blocks = symset_basis._class_blocks(c, quad, symset_basis._symmetry_maps(quad))
+    return [block for *_, block in blocks][k]
+
+
+class TestTopEigenpairs:
+    """The block Krylov solve and its dense fallback against numpy's eigvalsh."""
+
+    @staticmethod
+    def _check(a, k, vals, vecs, res):
+        ref = np.linalg.eigvalsh(a)
+        ref = ref[np.argsort(-np.abs(ref))][:k]
+        assert np.abs(np.abs(vals) - np.abs(ref)).max() <= 1e-13 * abs(ref[0])
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-13
+        actual = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+        assert np.allclose(res, actual, rtol=1e-3, atol=1e-15 * abs(ref[0]))  # to rounding
+        assert res.max() <= 1e-13 * abs(ref[0])
+
+    @pytest.mark.parametrize("switch,dense", [(math.inf, 0), (0.0, 1)], ids=["krylov", "dense"])
+    def test_each_path(self, monkeypatch, switch, dense):
+        # a switch no Ritz ratio reaches keeps the Krylov path, a switch of 0
+        # takes the dense one at the first Rayleigh-Ritz step
+        a = _class_block(5.0)
+        calls = []
+        monkeypatch.setattr(numerics, "KRYLOV_SWITCH", switch)
+        monkeypatch.setattr(numerics, "sym_eig", lambda m: calls.append(len(m)) or sym_eig(m))
+        vals, vecs, res = top_eigenpairs(a, 30)
+        assert calls == [len(a)] * dense
+        self._check(a, 30, vals, vecs, res)
+
+    def test_default_switch_on_a_plateau(self, monkeypatch):
+        # at c = 20 the 30th pair is still near the top of the spectrum: dense
+        calls = []
+        monkeypatch.setattr(numerics, "sym_eig", lambda m: calls.append(len(m)) or sym_eig(m))
+        a = _class_block(20.0)
+        self._check(a, 30, *top_eigenpairs(a, 30))
+        assert calls == [len(a)]
+
+    def test_space_short_of_k_pairs_goes_dense(self, monkeypatch):
+        # on L(1.2) at c = 2 the space stops growing below 40 columns: no 40
+        # pairs to certify
+        calls = []
+        monkeypatch.setattr(numerics, "sym_eig", lambda m: calls.append(len(m)) or sym_eig(m))
+        a = _class_block(2.0, 1.2, 160)
+        self._check(a, 40, *top_eigenpairs(a, 40))
+        assert calls == [len(a)]
+
+    @pytest.mark.parametrize("dim", [1, 5, 37])
+    def test_small_matrices(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        a = a + a.T
+        k = min(4, dim)
+        self._check(a, k, *top_eigenpairs(a, k))
+
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(ParameterError, match="top_eigenpairs requires a symmetric"):
+            top_eigenpairs(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+        with pytest.raises(ParameterError, match="square"):
+            top_eigenpairs(np.zeros((2, 3)), 1)
 
 
 class TestSymEig:

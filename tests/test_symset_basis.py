@@ -15,6 +15,8 @@ from prolate.symset_basis import (Geometry, analytic_area, build_quadrature,
                                   compute_symset_basis, membership,
                                   mirror_indices, radial_profile)
 
+from oracles import class_spectra
+
 
 def beta(basis, i):
     """Signed real eigenvalue of the cos (even) or sin (odd) kernel on A for mode i."""
@@ -304,13 +306,14 @@ class TestEigensystem:
         assert np.abs(nystrom - galerkin).max() / galerkin.min() < 1e-4
 
     def test_hilbert_schmidt_sum_rule(self, symset_disk_c5):
-        total = float(np.sum(symset_disk_c5.spectrum_even**2)
-                      + np.sum(symset_disk_c5.spectrum_odd**2))
+        # the complete spectra from a dense solve here, against the stored sum
+        total = float(sum(np.sum(vals**2) for vals in class_spectra(symset_disk_c5)))
+        assert symset_disk_c5.hs_norm2 == pytest.approx(total, rel=1e-12)
         assert total == pytest.approx(symset_disk_c5.quad.total_weight**2, rel=1e-12)
         assert total == pytest.approx(math.pi**2, rel=1e-3)
 
     def test_parity_types(self, symset_disk_c5):
-        for even, alpha in symset_disk_c5.modes.tolist():
+        for even, alpha, _ in symset_disk_c5.modes.tolist():
             if even:
                 assert alpha.imag == 0.0
             else:
@@ -360,13 +363,18 @@ class TestEigensystem:
         assert counts == sorted(counts, reverse=True)
 
     def test_signs_do_not_depend_on_the_eigensolver(self, monkeypatch):
-        # the README L(3pi/4) basis from numpy's eigh and from scipy's MRRR driver:
-        # every mode keeps its sign (the argmax |v| rule flipped 3 of these 30)
+        # the README L(3pi/4) basis from `top_eigenpairs` and from scipy's MRRR
+        # solver (evr): every mode keeps its sign (the argmax |v| rule flipped 3 of these 30)
         geo = Geometry.limited_aperture(2.35619449, h=5.0)
         quad = build_quadrature(geo, 96, method="polar")
         reference = compute_symset_basis(5.0, geo, quad, 30)
-        monkeypatch.setattr(symset_basis, "sym_eig",
-                            lambda a: scipy.linalg.eigh(a, driver="evr"))
+
+        def mrrr(a, k):
+            vals, vecs = scipy.linalg.eigh(a, driver="evr")
+            top = np.argsort(-np.abs(vals))[:k]
+            return vals[top], vecs[:, top], np.zeros(len(top))
+
+        monkeypatch.setattr(symset_basis, "top_eigenpairs", mrrr)
         other = compute_symset_basis(5.0, geo, quad, 30)
         w = quad.weights
         assert np.array_equal(reference.modes["even"], other.modes["even"])
@@ -478,22 +486,29 @@ class TestParityFold:
         basis, _ = case
         assert 200 <= len(basis.quad) <= 800
         n_half = (len(basis.quad) + 1) // 2
-        assert len(basis.spectrum_even) == n_half
-        assert len(basis.spectrum_odd) == len(basis.quad) // 2
+        spectra = class_spectra(basis)
+        assert len(spectra[0]) + len(spectra[1]) == n_half
+        assert len(spectra[2]) + len(spectra[3]) == len(basis.quad) // 2
 
     def test_top_eigenvalues(self, case):
+        # the dense spectra of the even (cos) and odd (sin) class blocks, and the
+        # kept eigenvalues of each parity, against the unfolded solves
         basis, ref = case
         top = 2 * self.N_MODES + 8
         lam0 = max(abs(ref["even"][0][0]), abs(ref["odd"][0][0]))
-        for parity, spectrum in (("even", basis.spectrum_even), ("odd", basis.spectrum_odd)):
+        spectra = class_spectra(basis)
+        for parity, even, blocks in (("even", True, spectra[:2]), ("odd", False, spectra[2:])):
+            spectrum = np.concatenate(blocks)
             folded = spectrum[np.argsort(-np.abs(spectrum))][:top]
             assert np.abs(folded - ref[parity][0][:top]).max() <= 1e-12 * lam0
+            kept = [beta(basis, i) * basis.geometry.h**2
+                    for i in np.flatnonzero(basis.modes["even"] == even)]
+            assert np.abs(kept - ref[parity][0][:len(kept)]).max() <= 1e-12 * lam0
 
     def test_hilbert_schmidt_sums(self, case):
         basis, ref = case
-        for parity, spectrum in (("even", basis.spectrum_even), ("odd", basis.spectrum_odd)):
-            full = float(np.sum(ref[parity][0] ** 2))
-            assert float(np.sum(spectrum**2)) == pytest.approx(full, rel=1e-12)
+        full = float(np.sum(ref["even"][0] ** 2) + np.sum(ref["odd"][0] ** 2))
+        assert basis.hs_norm2 == pytest.approx(full, rel=1e-12)
 
     def test_node_values_span_reference_clusters(self, case):
         # eigenvectors are unique only up to rotation inside a (near-)degenerate
@@ -573,6 +588,49 @@ class TestParityFold:
             assert area["residual"] == pytest.approx(rule_error, rel=1e-8)
 
 
+def assert_matches_dense(basis):
+    """The kept |alpha| against the leading eigenvalues of the dense class spectra
+    to 1e-13 |alpha_0|, the stored Frobenius sum against their sum of squares, and
+    every stored residual certified to 1e-13 |alpha_0|."""
+    spectra = class_spectra(basis)
+    dense = np.sort(np.abs(np.concatenate(spectra)))[::-1] / basis.geometry.h**2
+    kept = np.abs(basis.alphas)
+    assert np.abs(kept - dense[:len(kept)]).max() <= 1e-13 * dense[0]
+    assert basis.hs_norm2 == pytest.approx(sum(np.sum(v**2) for v in spectra), rel=1e-12)
+    assert basis.modes["residual"].max() <= 1e-13 * dense[0]
+
+
+# The rules on which the truncated solve is checked for c in {2, 5, 10, 20}.
+SOLVE_GRID = {
+    "L2.2_polar96": (Geometry.limited_aperture(2.2), 96, "polar"),
+    "L1.2_polar160": (Geometry.limited_aperture(1.2), 160, "polar"),
+    "M_midpoint96": (Geometry.multi_freq((0.6, 0.8)), 96, "midpoint"),
+    "M_polar136": (Geometry.multi_freq((0.6, 0.8)), 136, "polar"),
+    "L2.356_midpoint46": (Geometry.limited_aperture(2.356), 46, "midpoint"),
+}
+
+
+class TestTruncatedSolve:
+    """Each class block is solved for its kept modes only (`top_eigenpairs`); the
+    kept modes are those of the complete dense spectra."""
+
+    def test_fixture_basis(self, symset_disk_c5):
+        assert_matches_dense(symset_disk_c5)
+
+    @pytest.mark.parametrize("c", [2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("rule", sorted(SOLVE_GRID))
+    def test_grid(self, rule, c):
+        geo, res, method = SOLVE_GRID[rule]
+        basis = compute_symset_basis(c, geo, build_quadrature(geo, res, method=method), 40)
+        assert len(basis.modes) == 40
+        assert_matches_dense(basis)
+
+    def test_fold_cases(self):
+        for geo, res, method in FOLD_CASES.values():
+            quad = build_quadrature(geo, res, method=method)
+            assert_matches_dense(compute_symset_basis(5.0, geo, quad, TestParityFold.N_MODES))
+
+
 class TestFoldInputs:
     def test_midpoint_odd_resolution_has_origin_node(self):
         quad = build_quadrature(Geometry.limited_aperture(0.75 * math.pi), 25, method="midpoint")
@@ -590,9 +648,9 @@ class TestFoldInputs:
         by_dict = np.array([lookup[(x, y)] for x, y in map(tuple, quad.nodes)])
         monkeypatch.setattr(symset_basis, "mirror_indices", lambda q: by_dict)
         ref = compute_symset_basis(5.0, geo, quad, 12)
-        assert np.array_equal(basis.alphas, ref.alphas)
+        assert np.array_equal(basis.modes, ref.modes)
         assert np.array_equal(basis.node_values, ref.node_values)
-        assert np.array_equal(basis.spectrum_even, ref.spectrum_even)
+        assert basis.hs_norm2 == ref.hs_norm2
 
     @pytest.mark.parametrize("name", ["L_midpoint_odd", "L_polar", "M_polar", "disk_polar"])
     def test_same_modes_as_dict_reflection(self, name):
@@ -610,10 +668,9 @@ class TestFoldInputs:
         ref = compute_symset_basis(5.0, geo, P.QuadratureRule(quad.nodes, quad.weights,
                                                               reflection=by_dict,
                                                               axis=quad.axis), 12)
-        assert np.array_equal(basis.alphas, ref.alphas)
+        assert np.array_equal(basis.modes, ref.modes)
         assert np.array_equal(basis.node_values, ref.node_values)
-        assert np.array_equal(basis.spectrum_even, ref.spectrum_even)
-        assert np.array_equal(basis.spectrum_odd, ref.spectrum_odd)
+        assert basis.hs_norm2 == ref.hs_norm2
 
     def test_wrong_reflection_rejected(self):
         geo = Geometry.disk()
