@@ -5,9 +5,9 @@ plain immutable containers, Gauss-Legendre rules are built once per size and
 shared, the Bessel functions J_0..J_M and the disk polynomials of one
 azimuthal order come as whole tables from three-term recurrences (one pass for
 all orders or degrees, never one special-function call per order), and dense
-eigensolves go to LAPACK through numpy behind a small contract-checked wrapper,
-which `top_eigenpairs` calls where its block Krylov solve for the leading
-eigenpairs would be slower.
+eigensolves go to LAPACK through numpy behind contract-checked wrappers:
+`sym_eig` for a whole spectrum, and `top_eigenpairs` for the leading
+eigenpairs, by a block Krylov solve or, where that would be slower, a dense one.
 One evaluator of the Fourier operator, `_born_sum`, synthesizes Born data
 and far fields and extends symmetric-set modes off their nodes.
 """
@@ -622,19 +622,25 @@ KRYLOV_DROP = 1e-13
 KRYLOV_TOL = 1e-13
 # At the first Rayleigh-Ritz step, |theta_{k-1}| / |theta_0| predicts the solve:
 # a k-th pair still near the plateau of the spectrum needs a space of about half
-# the order.  Every block that Krylov lost to the dense solve had a ratio >= 0.35,
-# and every block of the benchmark's c = 5 sets <= 0.35; the Ritz ratio
-# |theta_{k+P-1}| / |theta_{k-1}| did not separate them (losers from 0.09).  A
-# ratio at or above the switch goes dense.
-KRYLOV_SWITCH = 0.3
+# the order.  A ratio at or above the switch goes dense.  On 254 blocks (the
+# c = 2-20 grid of the tests at k = 30 and 40, and the c = 5 sets of 20 ops of
+# two benchmark seeds at k = 30), Krylov beat the dense solve 1.2-4.4x on every
+# block below 0.345 and lost 0.4-0.6x on every block of order <= 380 from 0.375
+# up.  Between them it won four blocks (0.354-0.363) and lost one (0.348, order
+# 288).  A lower switch would send the benchmark's blocks of 0.30-0.35 dense,
+# which Krylov solves 1.6-2.7x faster.  Above the switch, blocks of order 902
+# at c = 10 still win on Krylov; the order is not part of the test.  The Ritz
+# ratio |theta_{k+P-1}| / |theta_{k-1}| did not separate winners from losers.
+KRYLOV_SWITCH = 0.35
 # Rayleigh-Ritz steps run once the space has k + P + 1 columns, then each time
 # it has grown by this factor.
 KRYLOV_GROWTH = 1.25
 
 
 def _top_dense(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k largest-|lambda| eigenpairs of `a` from `sym_eig`, with their residuals."""
-    vals, vecs = sym_eig(a)
+    """The k largest-|lambda| eigenpairs of the checked block `a` from a dense
+    `eigh`, with their residuals."""
+    vals, vecs = np.linalg.eigh(a)
     top = np.argsort(-np.abs(vals))[:k]
     vals, vecs = vals[top], vecs[:, top]
     return vals, vecs, np.linalg.norm(a @ vecs - vecs * vals, axis=0)
@@ -690,7 +696,7 @@ def top_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is projected off the space twice, its directions below KRYLOV_DROP ||B||_F
     are dropped, and the kept ones are projected once more and re-orthonormalized.
     Rayleigh-Ritz steps at growing checkpoints stop the solve once every one of
-    the k Ritz pairs has a residual <= KRYLOV_TOL |theta_0|.  A dense `sym_eig`
+    the k Ritz pairs has a residual <= KRYLOV_TOL |theta_0|.  A dense `eigh`
     of the whole block takes over where the space cannot hold k pairs, where
     the first step finds |theta_{k-1}| >= KRYLOV_SWITCH |theta_0|, or where the
     space would grow past half the order of B.  EigensolverError if LAPACK
@@ -700,9 +706,9 @@ def top_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = min(int(k), len(a))
     try:
         found = _krylov_top(a, k)
+        return _top_dense(a, k) if found is None else found
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"block Krylov eigensolver did not converge: {exc}") from exc
-    return _top_dense(a, k) if found is None else found
+        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
 def half_circle(half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -293,22 +293,27 @@ class TestTopEigenpairs:
         assert np.allclose(res, actual, rtol=1e-3, atol=1e-15 * abs(ref[0]))  # to rounding
         assert res.max() <= 1e-13 * abs(ref[0])
 
+    @staticmethod
+    def _count_dense(monkeypatch):
+        """The orders of the blocks handed to the dense solve, as they are handed."""
+        calls, dense = [], numerics._top_dense
+        monkeypatch.setattr(numerics, "_top_dense", lambda m, k: calls.append(len(m)) or dense(m, k))
+        return calls
+
     @pytest.mark.parametrize("switch,dense", [(math.inf, 0), (0.0, 1)], ids=["krylov", "dense"])
     def test_each_path(self, monkeypatch, switch, dense):
         # a switch no Ritz ratio reaches keeps the Krylov path, a switch of 0
         # takes the dense one at the first Rayleigh-Ritz step
         a = _class_block(5.0)
-        calls = []
         monkeypatch.setattr(numerics, "KRYLOV_SWITCH", switch)
-        monkeypatch.setattr(numerics, "sym_eig", lambda m: calls.append(len(m)) or sym_eig(m))
+        calls = self._count_dense(monkeypatch)
         vals, vecs, res = top_eigenpairs(a, 30)
         assert calls == [len(a)] * dense
         self._check(a, 30, vals, vecs, res)
 
     def test_default_switch_on_a_plateau(self, monkeypatch):
         # at c = 20 the 30th pair is still near the top of the spectrum: dense
-        calls = []
-        monkeypatch.setattr(numerics, "sym_eig", lambda m: calls.append(len(m)) or sym_eig(m))
+        calls = self._count_dense(monkeypatch)
         a = _class_block(20.0)
         self._check(a, 30, *top_eigenpairs(a, 30))
         assert calls == [len(a)]
@@ -316,8 +321,7 @@ class TestTopEigenpairs:
     def test_space_short_of_k_pairs_goes_dense(self, monkeypatch):
         # on L(1.2) at c = 2 the space stops growing below 40 columns: no 40
         # pairs to certify
-        calls = []
-        monkeypatch.setattr(numerics, "sym_eig", lambda m: calls.append(len(m)) or sym_eig(m))
+        calls = self._count_dense(monkeypatch)
         a = _class_block(2.0, 1.2, 160)
         self._check(a, 40, *top_eigenpairs(a, 40))
         assert calls == [len(a)]
@@ -329,6 +333,13 @@ class TestTopEigenpairs:
         a = a + a.T
         k = min(4, dim)
         self._check(a, k, *top_eigenpairs(a, k))
+
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            top_eigenpairs(np.eye(3), 1)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ParameterError, match="top_eigenpairs requires a symmetric"):

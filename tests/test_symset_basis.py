@@ -506,7 +506,13 @@ class TestParityFold:
             assert np.abs(kept - ref[parity][0][:len(kept)]).max() <= 1e-12 * lam0
 
     def test_hilbert_schmidt_sums(self, case):
+        # the dense spectra of the class blocks carry each parity's weight, and
+        # the stored sum of squared block norms carries both
         basis, ref = case
+        spectra = class_spectra(basis)
+        for parity, blocks in (("even", spectra[:2]), ("odd", spectra[2:])):
+            folded = float(sum(np.sum(vals**2) for vals in blocks))
+            assert folded == pytest.approx(float(np.sum(ref[parity][0] ** 2)), rel=1e-12)
         full = float(np.sum(ref["even"][0] ** 2) + np.sum(ref["odd"][0] ** 2))
         assert basis.hs_norm2 == pytest.approx(full, rel=1e-12)
 
