@@ -3,6 +3,7 @@
 
     python scripts/corpus.py OUT_DIR [--tiny]
     python scripts/corpus.py --compare A B
+    python scripts/corpus.py --check DIR
 
 The first form runs, in one process and in OUT_DIR, the README disk
 walkthrough (basis disk, synthesize with noise, reconstruct with a field,
@@ -16,6 +17,12 @@ The second form prints, for each file that differs between two corpus
 directories, the largest difference of its numbers relative to the largest
 |value| of the same column (a CSV column, a JSON key path with list indices
 dropped, or a cache array), and exits 1 if any file differs.
+
+The third form checks that no file of a corpus directory holds NaN or
+infinity: every `.json` file, and every data file's JSON header line, must
+parse as strict JSON, and every CSV field that reads as a number must be
+finite.  It prints each file that fails, with the reason, and exits 1 if any
+does.
 """
 
 from __future__ import annotations
@@ -236,6 +243,43 @@ def difference(path_a: str, path_b: str) -> str:
     return "; ".join(notes) or "differs in formatting only"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _strict_problem(path: str) -> str | None:
+    """Why the JSON or CSV file `path` is not strict (the first bad line), or None."""
+    with open(path, encoding="utf-8") as f:
+        if path.endswith(".json"):
+            try:
+                json.load(f, parse_constant=_refuse_constant)
+            except ValueError as exc:
+                return str(exc)
+            return None
+        for lineno, line in enumerate(f, 1):
+            if line.startswith("{"):
+                try:
+                    json.loads(line, parse_constant=_refuse_constant)
+                except ValueError as exc:
+                    return f"line {lineno}: {exc}"
+            elif any(v is not None and not math.isfinite(v) for v in map(_number, line.split(","))):
+                return f"line {lineno}: a number that is not finite"
+    return None
+
+
+def check(root: str) -> int:
+    """Print each JSON or CSV file under root that holds NaN or infinity; 1 if any does."""
+    names = [name for name in _files(root) if name.endswith((".json", ".csv"))]
+    bad = 0
+    for name in names:
+        problem = _strict_problem(os.path.join(root, name))
+        if problem:
+            print(f"{name}: {problem}")
+            bad += 1
+    print(f"{bad} of {len(names)} JSON and CSV files are not strict")
+    return 1 if bad else 0
+
+
 def compare(root_a: str, root_b: str) -> int:
     files_a, files_b = set(_files(root_a)), set(_files(root_b))
     names = sorted(files_a | files_b)
@@ -262,11 +306,15 @@ def main() -> int:
     ap.add_argument("--tiny", action="store_true", help="smallest sizes, for a smoke run")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two corpus directories instead")
+    ap.add_argument("--check", metavar="DIR",
+                    help="check that no JSON or CSV file of a corpus holds NaN or infinity")
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
+    if args.check:
+        return check(args.check)
     if not args.out_dir:
-        ap.error("give OUT_DIR or --compare A B")
+        ap.error("give OUT_DIR, --compare A B or --check DIR")
     os.makedirs(args.out_dir, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(args.out_dir)

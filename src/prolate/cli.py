@@ -416,9 +416,14 @@ def run(argv) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # synthesize and stability
             raise ParameterError(f"--seed must be a nonnegative integer, got {args.seed}")
-        return handlers[args.command](args)
+        # an overflow or a NaN from finite input stops the stage before it writes
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return handlers[args.command](args)
     except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: {args.command}: {exc}; an input is out of the float range", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size flag too large to honour
         detail = f" ({exc})" if str(exc) else ""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
 from .numerics import (GridPiece, QuadratureRule, RingPiece, SupportPiece, _annulus_rings,
-                       _born_sum, _disk_rings, _piece, _polar_layout)
+                       _born_sum, _disk_rings, _polar_layout)
 from .symset_basis import Geometry
 
 __all__ = [
@@ -135,19 +135,6 @@ class ContrastField:
                    for di in (0, 1) for dj in (0, 1)]
         return ContrastField(evaluate=evaluate, quad=quad, pieces=(piece,),
                              radius=_node_radius(quad), boundary=np.concatenate(corners))
-
-    @staticmethod
-    def from_callable(evaluate: Callable, quad: QuadratureRule,
-                      circumradius: float | None = None) -> "ContrastField":
-        """Arbitrary oracle backed by an explicit support quadrature (tests, band-limited fields).
-
-        The support is taken to be the origin-centred disk of radius
-        `circumradius` (default: the farthest node).
-        """
-        radius = _node_radius(quad) if circumradius is None else float(circumradius)
-        piece = _piece((0.0, 0.0), quad.nodes, evaluate(quad.nodes) * quad.weights)
-        return ContrastField(evaluate=evaluate, quad=quad, pieces=(piece,), radius=radius,
-                             boundary=_circles([((0.0, 0.0), radius)], BOUNDARY_SAMPLES))
 
     @staticmethod
     def from_config(cfg: dict, resolution: int = 160) -> "ContrastField":
@@ -645,11 +632,15 @@ def write_datagrid(path, data: DataGrid) -> None:
 def write_csv(path, header: str, *columns) -> None:
     """The text file `path`: the header lines, then one CSV row per entry of the
     columns, each field the repr of the entry as a Python number (a float's
-    shortest round-trip digits)."""
+    shortest round-trip digits); ParameterError, and no file, where an entry
+    is not finite."""
+    columns = [np.asarray(c) for c in columns]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ParameterError(f"{path}: refusing to write a number that is not finite")
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         f.writelines(map((",".join(["{!r}"] * len(columns)) + "\n").format,
-                         *(np.asarray(c).tolist() for c in columns)))
+                         *(c.tolist() for c in columns)))
 
 
 _ROW_DTYPE = np.dtype([("numbers", "<f8", (5,)), ("flag", "u1")])

@@ -145,18 +145,22 @@ def choose_alpha_partial(delta: float, E: float, sigma: float, c0: float) -> flo
 
 
 def write_result(path, result: ReconstructionResult) -> None:
+    """The result as one line of strict JSON with sorted keys, which CPython's C encoder
+    writes (an `indent` selects the Python one); ParameterError, and no file, for NaN or inf."""
     payload = {
         "alpha": result.alpha,
         "beta_alpha": result.beta_alpha,
         "delta": result.diagnostics.get("delta", 0.0),
         "diagnostics": {k: v for k, v in result.diagnostics.items() if k != "delta"},
-        "modes": [
-            {"id": mid, "coeff_re": float(np.real(cf)), "coeff_im": float(np.imag(cf))}
-            for mid, cf in zip(result.cutoff_set, result.coefficients)
-        ],
+        "modes": [{"id": mid, "coeff_re": cf.real, "coeff_im": cf.imag}
+                  for mid, cf in zip(result.cutoff_set, result.coefficients.tolist())],
     }
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ParameterError(f"{path}: a reconstructed number is not finite") from None
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        f.write(text + "\n")
 
 
 def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:

@@ -1,10 +1,12 @@
 """Reference values that only the tests need: Bessel functions of one order,
-and the complete dense spectra of a symmetric-set solve's class blocks."""
+the complete dense spectra of a symmetric-set solve's class blocks, and a
+contrast given by a point oracle on an explicit rule."""
 
 import numpy as np
 
 from prolate.errors import ParameterError
-from prolate.numerics import bessel_table
+from prolate.forward import BOUNDARY_SAMPLES, ContrastField, _circles, _node_radius
+from prolate.numerics import _piece, bessel_table
 from prolate.symset_basis import _class_blocks, _symmetry_maps
 
 
@@ -25,3 +27,14 @@ def class_spectra(basis) -> list[np.ndarray]:
         vals = np.linalg.eigvalsh(block)
         out.append(vals[np.argsort(-np.abs(vals))])
     return out
+
+
+def contrast_from_callable(evaluate, quad, circumradius=None) -> ContrastField:
+    """A contrast given by the point oracle `evaluate`, backed by the support
+    quadrature `quad` (one `SupportPiece` at the origin); its support is taken
+    to be the origin-centred disk of radius `circumradius` (default: the
+    farthest node)."""
+    radius = _node_radius(quad) if circumradius is None else float(circumradius)
+    piece = _piece((0.0, 0.0), quad.nodes, evaluate(quad.nodes) * quad.weights)
+    return ContrastField(evaluate=evaluate, quad=quad, pieces=(piece,), radius=radius,
+                         boundary=_circles([((0.0, 0.0), radius)], BOUNDARY_SAMPLES))

@@ -20,7 +20,7 @@ from prolate.forward import DataGrid, add_noise, synthesize_born
 from prolate.numerics import disk_polar_rule, sym_eig
 from prolate.recon import choose_alpha_partial, picard_coefficients, reconstruct
 
-from oracles import bessel_j, class_spectra
+from oracles import bessel_j, class_spectra, contrast_from_callable
 
 
 @pytest.fixture()
@@ -127,7 +127,7 @@ def test_05_picard_round_trip(criterion, scaled_c6):
             return out
 
         omega = disk_polar_rule(scaled_c6.radius, 90, 96)
-        q = P.ContrastField.from_callable(q_field, omega, circumradius=scaled_c6.radius)
+        q = contrast_from_callable(q_field, omega, circumradius=scaled_c6.radius)
         data = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
         chi_max = scaled_c6.chis.max()
         rec = reconstruct(data, scaled_c6, alpha=0.99 / chi_max)
@@ -166,7 +166,7 @@ def test_07_regularized_error_bound(criterion, scaled_c6):
             return out
 
         omega = disk_polar_rule(scaled_c6.radius, 90, 96)
-        q = P.ContrastField.from_callable(q_field, omega, circumradius=scaled_c6.radius)
+        q = contrast_from_callable(q_field, omega, circumradius=scaled_c6.radius)
         clean = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
         u_norm = clean.weighted_norm()
         w = scaled_c6.quad.weights

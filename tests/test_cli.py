@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1090,6 +1091,81 @@ class TestNonFiniteInput:
         assert code == 2
         assert len(err) == 1 and "non-finite" in err[0]
         assert not out.exists()
+
+
+class TestNonFiniteOutput:
+    """Finite input whose result leaves the float range (a contrast value of
+    1e308, data values of 1e300) exits 2 with one stderr line naming the stage,
+    warns nothing and writes no file; so does a result that holds a NaN.  The
+    cases are the README walkthrough's, on its basis and setup."""
+
+    README = {**SETUP, "c_param": 10.0}
+
+    @pytest.fixture()
+    def basis_file(self, cache_dir, capsys):
+        assert run(["basis", "disk", "--c", "10", "--m-max", "8", "--n-max", "8"]) == 0
+        return capsys.readouterr().out.strip().splitlines()[-1]
+
+    @staticmethod
+    def _refused(capsys, argv, outputs, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _exit_and_error(capsys, argv)
+        assert code == 2 and len(err) == 1 and message in err[0], err
+        assert not caught, [str(w.message) for w in caught]
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command", ["synthesize", "stability"])
+    def test_huge_contrast(self, tmp_path, basis_file, capsys, command):
+        huge = {**self.README, "contrast": {"shapes": [{**SETUP["contrast"]["shapes"][0],
+                                                        "value": 1e308}]}}
+        out = tmp_path / "out.csv"
+        extra = [] if command == "synthesize" else ["--deltas", "0,1e-3", "--alphas", "0.05,0.01"]
+        self._refused(capsys, [command, str(write_setup(tmp_path, huge)), "--basis",
+                               basis_file, "-o", str(out), *extra], [out],
+                      f"error: {command}: ")
+
+    @pytest.fixture()
+    def huge_data(self, tmp_path, basis_file):
+        """Noisy data whose `re` field is 1e300 on every row: finite, and read without complaint."""
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path, self.README)), "--basis", basis_file,
+                    "-o", str(data), "--noise", "0.01", "--seed", "7"]) == 0
+        head, columns, *rows = data.read_text().splitlines()
+        rows = [",".join(row.split(",")[:3] + ["1e300"] + row.split(",")[4:]) for row in rows]
+        data.write_text("\n".join([head, columns, *rows]) + "\n")
+        assert np.isfinite(read_datagrid(data).values).all()
+        return data
+
+    def test_reconstruct(self, tmp_path, basis_file, huge_data, capsys):
+        rec, field = tmp_path / "rec.json", tmp_path / "field.csv"
+        self._refused(capsys, ["reconstruct", str(huge_data), "--basis", basis_file,
+                               "--alpha", "1e-2", "-o", str(rec), "--field-out", str(field)],
+                      [rec, field], "error: reconstruct: ")
+
+    def test_extrapolate(self, tmp_path, basis_file, huge_data, capsys):
+        targets, out = tmp_path / "targets.csv", tmp_path / "ext.csv"
+        targets.write_text("x,y\n6.0,0.0\n8.0,2.0\n")
+        self._refused(capsys, ["extrapolate", str(huge_data), "--basis", basis_file,
+                               "--targets", str(targets), "-o", str(out)], [out],
+                      "error: extrapolate: ")
+
+    def test_nan_coefficient(self, tmp_path, basis_file, capsys, monkeypatch):
+        # the JSON writer's own refusal, behind the floating-point checks
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path, self.README)), "--basis", basis_file,
+                    "-o", str(data)]) == 0
+
+        def with_nan(*args):
+            result = P.reconstruct(*args)
+            coefficients = result.coefficients.copy()
+            coefficients[0] = math.nan
+            return replace(result, coefficients=coefficients)
+
+        monkeypatch.setattr(cli, "reconstruct", with_nan)
+        rec = tmp_path / "rec.json"
+        self._refused(capsys, ["reconstruct", str(data), "--basis", basis_file,
+                               "--alpha", "1e-2", "-o", str(rec)], [rec], "not finite")
 
 
 class TestMalformedInput:

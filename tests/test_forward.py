@@ -12,12 +12,13 @@ from prolate.disk_basis import eval_psi
 from prolate.errors import DataCoverageError, ParameterError
 from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_row, _group_rows,
                              _loadtxt, _read_table, _split_columns, add_noise, far_field,
-                             ingest_farfield, read_datagrid, synthesize_born, write_datagrid)
+                             ingest_farfield, read_datagrid, synthesize_born, write_csv,
+                             write_datagrid)
 from prolate.numerics import (GridPiece, RingPiece, _aliased_orders, _born_sum, _piece, _point_map,
                               annulus_polar_rule, disk_polar_rule, mirror_map)
 from prolate.recon import write_field_csv
 
-from oracles import bessel_j
+from oracles import bessel_j, contrast_from_callable
 
 DISK = [{"type": "disk", "center": (0.0, 0.0), "radius": 0.8, "value": 1.0}]
 
@@ -55,8 +56,8 @@ def midpoint_rule(r_inner, r_outer, resolution):
 
 def midpoint_disk(resolution):
     """The DISK contrast on the midpoint rule: a brute-force oracle."""
-    return ContrastField.from_callable(ContrastField.from_shapes(DISK, 8).evaluate,
-                                       midpoint_rule(0.0, 0.8, resolution))
+    return contrast_from_callable(ContrastField.from_shapes(DISK, 8).evaluate,
+                                  midpoint_rule(0.0, 0.8, resolution))
 
 
 def disk_closed_form(radius, kappa, pts):
@@ -104,7 +105,7 @@ class TestSynthesize:
     def test_mode_is_forward_eigenfunction(self, scaled_c6):
         i = 4
         quad = disk_polar_rule(scaled_c6.radius, 90, 96)
-        q = ContrastField.from_callable(
+        q = contrast_from_callable(
             lambda pts: eval_psi(scaled_c6, i, pts),
             quad, circumradius=scaled_c6.radius)
         data = synthesize_born(q, scaled_c6.kernel_scale, scaled_c6.quad)
@@ -118,10 +119,10 @@ class TestSynthesize:
             [{"type": "annulus", "center": (0.1, 0.0), "r_inner": 0.2, "r_outer": 0.5,
               "value": 2.0}], resolution=64)
         fields = [
-            ContrastField.from_callable(qa.evaluate, shared, circumradius=0.8),
-            ContrastField.from_callable(qb.evaluate, shared, circumradius=0.8),
-            ContrastField.from_callable(lambda p: qa.evaluate(p) + qb.evaluate(p), shared,
-                                        circumradius=0.8),
+            contrast_from_callable(qa.evaluate, shared, circumradius=0.8),
+            contrast_from_callable(qb.evaluate, shared, circumradius=0.8),
+            contrast_from_callable(lambda p: qa.evaluate(p) + qb.evaluate(p), shared,
+                                   circumradius=0.8),
         ]
         targets = np.array([[0.5, 0.5], [1.0, 0.0]])
         ua, ub, uab = (synthesize_born(f, 2.0, targets).values for f in fields)
@@ -186,13 +187,13 @@ def _grid_support():
 def _complex_support():
     quad = disk_polar_rule(0.9, 20, 24)
     f = lambda p: (1.0 + 0.5j * p[:, 0]) * np.exp(p[:, 1]) + 0.3j * p[:, 1] ** 2  # noqa: E731
-    return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
+    return contrast_from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
 
 
 def _complex_asymmetric_support():
     quad = disk_polar_rule(0.6, 12, 16, center=(0.2, -0.1))
     f = lambda p: 1.0 + 2.0j * p[:, 0]  # noqa: E731
-    return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
+    return contrast_from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
 
 
 def _shapes(shapes, resolution):
@@ -213,7 +214,7 @@ def _midpoint_shapes(shapes, resolution):
 
 
 def _callable_support(quad, f):
-    return ContrastField.from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
+    return contrast_from_callable(f, quad), quad.nodes, f(quad.nodes) * quad.weights
 
 
 def _real(p):
@@ -745,6 +746,14 @@ class TestDataGridIO:
         path = tmp_path / "grid.csv"
         with pytest.raises(ParameterError, match="finite"):
             write_datagrid(path, data)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_not_written(self, tmp_path, bad):
+        # every CLI CSV goes through write_csv: it refuses the number before it opens the file
+        path = tmp_path / "out.csv"
+        with pytest.raises(ParameterError, match="not finite"):
+            write_csv(path, "x,q", np.array([0.0, 1.0]), [2.5, bad])
         assert not path.exists()
 
     def test_flag_other_than_0_or_1_refused(self):

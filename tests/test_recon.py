@@ -334,6 +334,40 @@ class TestReconstructFull:
             assert json.dumps([m["id"] for m in read_result(path)["modes"]]) == want
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestResultFile:
+    """rec.json is one line of strict JSON with sorted keys, holding the result's
+    coefficients and cutoff set bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def readme_disk(self):
+        """The README walkthrough's basis: c = 10, m, n <= 8, on the data disk B(0, 5)."""
+        return P.compute_disk_basis(10.0, 8, 8).dilated(5.0)
+
+    @pytest.mark.parametrize("fixture", ["readme_disk", "symset_disk_c5"])
+    def test_one_strict_line(self, fixture, request, tmp_path):
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(29)
+        n = len(basis.quad)
+        data = make_grid(basis, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        alpha = 1e-2 if fixture == "readme_disk" else float(np.median(np.abs(basis.mu)))
+        rec = reconstruct(data, basis, alpha)
+        assert rec.diagnostics["mode_count"] > 10
+        path = tmp_path / "rec.json"
+        write_result(path, rec)
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        back = json.loads(text, parse_constant=_refuse_constant)
+        assert text == json.dumps(back, sort_keys=True) + "\n"
+        modes = back["modes"]
+        assert [m["id"] for m in modes] == rec.cutoff_set
+        for key, part in (("coeff_re", rec.coefficients.real), ("coeff_im", rec.coefficients.imag)):
+            assert np.array([m[key] for m in modes]).tobytes() == part.tobytes()
+
+
 class TestReconstructPartial:
     def test_single_mode_recovery(self, symset_disk_c5):
         data = eigen_data(symset_disk_c5, {3: 2.5})

@@ -89,3 +89,21 @@ def test_corpus(tmp_path):
     head, rel, column = changed.rsplit(" ", 2)
     assert head == "field.csv: max relative difference" and column == "(q)"
     assert float(rel) == pytest.approx(1e-3, rel=1e-2)
+
+    # every JSON file and data header is strict JSON and every CSV number finite;
+    # a NaN or an infinity in any of them is named
+    strict = sum(name.endswith((".json", ".csv")) for name in files)
+    assert run_script("corpus.py", ["--check", "corpus"], tmp_path).strip() == \
+        f"0 of {strict} JSON and CSV files are not strict"
+    edits = {"rec.json": lambda text: text.replace('"residual": ', '"residual": NaN, "x": ', 1),
+             "data.csv": lambda text: text.replace('"delta": ', '"delta": Infinity, "x": ', 1),
+             "table.csv": lambda text: text + "0.0,0.05,-inf,0.0\n"}
+    for name, edit in edits.items():
+        path = tmp_path / "other" / name
+        path.write_text(edit(path.read_text()))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "corpus.py"), "--check",
+                           "other"], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == sorted(edits)
+    assert lines[-1] == f"3 of {strict} JSON and CSV files are not strict"
