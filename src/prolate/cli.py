@@ -292,7 +292,11 @@ def _cmd_reconstruct(args) -> int:
             field = result.field(pts)
     write_result(args.out, result)
     if args.field_out:
-        write_field_csv(args.field_out, pts, field)
+        try:
+            write_field_csv(args.field_out, pts, field)
+        except BaseException:
+            os.remove(args.out)  # a stage that fails leaves no file
+            raise
     print(args.out)
     return 0
 

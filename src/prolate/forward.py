@@ -629,18 +629,34 @@ def write_datagrid(path, data: DataGrid) -> None:
               data.values.imag, data.flags)
 
 
+# Rows per block of `write_csv`, which holds one block's strings, not every row's.
+_CSV_BLOCK = 1 << 16
+
+
 def write_csv(path, header: str, *columns) -> None:
     """The text file `path`: the header lines, then one CSV row per entry of the
-    columns, each field the repr of the entry as a Python number (a float's
-    shortest round-trip digits); ParameterError, and no file, where an entry
-    is not finite."""
+    columns of real numbers, each field the repr of the entry as a Python
+    number (a float's shortest round-trip digits); ParameterError, and no
+    file, where an entry is not finite.
+
+    The rows are written _CSV_BLOCK at a time.  In a block, each column's
+    distinct values are formatted once: they are keyed by their bits (an
+    unsigned view), so 0.0 and -0.0 stay apart, and the rows gather the strings.
+    """
     columns = [np.asarray(c) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
         raise ParameterError(f"{path}: refusing to write a number that is not finite")
+    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
-        f.writelines(map((",".join(["{!r}"] * len(columns)) + "\n").format,
-                         *(c.tolist() for c in columns)))
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            fields = []
+            for c in columns:
+                block = c[lo:lo + _CSV_BLOCK]
+                keys, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
+                text = np.array(list(map(repr, keys.view(block.dtype).tolist())), dtype=object)
+                fields.append(text[inverse].tolist())
+            f.writelines(map(row.__mod__, zip(*fields)))
 
 
 _ROW_DTYPE = np.dtype([("numbers", "<f8", (5,)), ("flag", "u1")])

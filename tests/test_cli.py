@@ -1533,6 +1533,18 @@ class TestBadFlags:
         assert code == 2 and len(err) == 1 and "out of memory" in err[0], err
         assert not rec.exists() and not field.exists()
 
+    def test_field_that_cannot_be_written(self, tmp_path, disk_basis_file, capsys):
+        # a field file that cannot be opened fails the stage, and its result is not left behind
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        rec, field = tmp_path / "rec.json", tmp_path / "missing" / "field.csv"
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01", "-o", str(rec),
+                                             "--field-out", str(field), "--field-grid", "8"])
+        assert code == 2 and len(err) == 1 and str(field) in err[0], err
+        assert not rec.exists() and not field.exists()
+
     @pytest.mark.parametrize("grid", ["9223372036854775807", "10000000000000000000"])
     def test_field_grid_too_large_to_index(self, tmp_path, disk_basis_file, grid):
         # np.arange(2^63 - 1) is empty (a header-only field); 10^19 is a size numpy

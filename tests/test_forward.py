@@ -790,7 +790,7 @@ class TestDataGridIO:
         with pytest.raises(ParameterError, match="line 5: malformed data row"):
             read_datagrid(path)
 
-    def test_rows_are_the_per_row_format(self, tmp_path):
+    def test_rows_are_the_per_row_format(self, tmp_path, monkeypatch):
         # the vectorized writers emit the bytes of the row-by-row f"{float(x)!r}" format
         rng = np.random.default_rng(8)
         edge = np.array([-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, -2.5, 1e16, 3.0])
@@ -814,6 +814,52 @@ class TestDataGridIO:
             rows = "".join(f"{float(x)!r},{float(y)!r},{float(np.real(v))!r}\n"
                            for (x, y), v in zip(nodes, field))
             assert (tmp_path / "field.csv").read_text() == "x,y,q\n" + rows
+
+        # write_csv formats each distinct value of a column once per row block: zeros
+        # of either sign stay apart (they are equal as numbers), and a repeated value,
+        # a flag, a Python list and a strided view are written as row by row, in one
+        # block and in four
+        for block in (forward._CSV_BLOCK, 3):
+            monkeypatch.setattr(forward, "_CSV_BLOCK", block)
+            self._check_repeated_values(tmp_path)
+
+    @staticmethod
+    def _check_repeated_values(tmp_path):
+        zeros = np.array([0.0, -0.0, 5e-324, 0.0, 5e-324, -0.0, 5e-324, -0.0, 0.0, 5e-324])
+        flags = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+        listed = [0.1, -0.0, 0.1, 2.5, 0.0, 2.5, 0.1, 1e16, 0.0, -0.0]
+        values = zeros[::-1] * 3.0 + 1j * np.array(listed)
+        nodes = np.column_stack([zeros, np.tile([0.5, -0.0], 5)])
+        columns = (zeros, flags, listed, values.real, values.imag, nodes[:, 0], nodes[:, 1])
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b,c,d,e,f,g", *columns)
+        rows = "".join(",".join(f"{float(x)!r}" if isinstance(x, float) else f"{int(x)!r}"
+                                for x in row) + "\n"
+                       for row in zip(*(np.asarray(c).tolist() for c in columns)))
+        assert path.read_text() == "a,b,c,d,e,f,g\n" + rows
+        data = DataGrid(nodes=nodes, weights=np.abs(zeros) + 0.5, values=values, flags=flags,
+                        meta={"kappa": 2.0})
+        write_datagrid(path, data)
+        rows = "".join(f"{float(x)!r},{float(y)!r},{float(w)!r},{float(v.real)!r},"
+                       f"{float(v.imag)!r},{int(f)}\n"
+                       for (x, y), w, v, f in zip(data.nodes, data.weights, data.values, data.flags))
+        assert path.read_text().split("\n", 2)[2] == rows
+
+    def test_writer_holds_one_block(self, tmp_path, monkeypatch):
+        # a 65,536-row field written 4,096 rows at a time: the writer's strings are those
+        # of one block, not of every row
+        monkeypatch.setattr(forward, "_CSV_BLOCK", 4096)
+        g = np.linspace(-1.0, 1.0, 256)
+        points = np.stack([np.repeat(g, 256), np.tile(g, 256)], axis=1)
+        values = np.random.default_rng(3).standard_normal(len(points))
+        tracemalloc.start()
+        try:
+            write_field_csv(tmp_path / "field.csv", points, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert len((tmp_path / "field.csv").read_text().splitlines()) == 1 + len(points)
 
     ROW = "0.5,-0.25,0.125,1.5,-2.0,0"
     # data bodies (as bytes, after the two header lines) and whether the

@@ -2,6 +2,7 @@
 own working directory."""
 
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -107,3 +108,38 @@ def test_corpus(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == sorted(edits)
     assert lines[-1] == f"3 of {strict} JSON and CSV files are not strict"
+
+
+def test_ab_bench_summary():
+    # the verdicts of scripts/ab_bench.py on canned run records, without running the benchmark
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    specs = [{"name": "ops_per_ref_s", "better": "higher", "bound": 0.15},
+             {"name": "op_p50_ref_s", "better": "lower", "bound": 0.2},
+             {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+             {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+    def records(ops, p50, rss, setup, failed):
+        return [{"attempted": 20, "failed": f, "metrics": {
+                    "ops_per_ref_s": {"value": o}, "op_p50_ref_s": {"value": p},
+                    "peak_rss_mb": {"value": r}, "setup_s": {"value": s}}}
+                for o, p, r, s, f in zip(ops, p50, rss, setup, failed)]
+
+    rss = [69.8, 70.0, 70.2, 69.9, 70.1, 69.8, 70.0, 70.2, 69.9, 70.1]
+    parent = records([14.0, 14.5, 14.2, 14.8, 14.1, 14.6, 14.3, 14.4, 14.7, 14.9],
+                     [0.07] * 10, rss, [2.0] * 10, [0] * 10)
+    # ops: 9 of 10 pairs won by more than the parent's IQR; p50 25 % slower; rss and
+    # set-up within their bounds, rss a gain that wins 9 pairs by less than the IQR
+    change = records([15.5, 15.6, 15.2, 15.9, 15.4, 14.5, 15.3, 15.8, 15.7, 15.6],
+                     [0.0875] * 10, [r - 0.05 for r in rss[:9]] + [70.15], [2.4] * 10,
+                     [0] * 9 + [2])
+    lines = ab.summarize(specs, parent, change)
+    assert [line.rsplit("  ", 1)[1] for line in lines[:-1]] == \
+        ["gain", "worse", "no change", "no change"]
+    assert "won 9/10" in lines[0] and "parent 14.45 [14.225, 14.675]" in lines[0]
+    assert "won 0/10" in lines[1]
+    assert lines[-1] == "failed ops: parent 0 of 200, change 2 of 200"
+    # 8 of 10 pairs is not a gain, however large the gap
+    change[1]["metrics"]["ops_per_ref_s"]["value"] = 14.0
+    assert ab.summarize(specs, parent, change)[0].endswith("won 8/10  parent IQR 0.45  no change")
