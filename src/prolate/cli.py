@@ -26,6 +26,7 @@ from .errors import EmptyQuadratureError, ParameterError, ProlateError, finite_n
 from .forward import (add_noise, ingest_farfield, read_columns, read_datagrid, write_csv,
                       write_datagrid)
 from .geometry_config import ProblemSetup, read_setup, synthesize_setup
+from .numerics import grid_points
 from .recon import (choose_alpha_partial, expand, picard_coefficients, reconstruct,
                     write_field_csv, write_result)
 from .symset_basis import Geometry, bounding_box, build_quadrature, compute_symset_basis
@@ -288,12 +289,11 @@ def _cmd_reconstruct(args) -> int:
     if args.field_out:  # evaluated first, so a field too large to build writes no file
         with _sized_by("--field-grid"):
             g = _field_axis(basis.extent, args.field_grid)
-            pts = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)  # x-major
-            field = result.field(pts)
+            field = result.field_grid(g)
     write_result(args.out, result)
     if args.field_out:
         try:
-            write_field_csv(args.field_out, pts, field)
+            write_field_csv(args.field_out, grid_points(g), field)
         except BaseException:
             os.remove(args.out)  # a stage that fails leaves no file
             raise
@@ -303,8 +303,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _field_axis(b: float, n: int) -> np.ndarray:
     """n points spaced evenly over [-b, b] and exactly symmetric about 0 (g == -g[::-1]
-    bitwise, which np.linspace is not), so Born sums over the field grid fold over
-    p -> -p; the one point of n = 1 is 0."""
+    bitwise, which np.linspace is not), as a set basis's `combine_grid` requires; the
+    one point of n = 1 is 0."""
     return b * ((2.0 * np.arange(n) - (n - 1)) / max(n - 1, 1))
 
 
@@ -423,7 +423,8 @@ def run(argv) -> int:
         # an overflow or a NaN from finite input stops the stage before it writes
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return handlers[args.command](args)
-    except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+        # an input or output file that cannot be opened, read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import EmptyCutoffError, ParameterError, finite_number
 from .numerics import (
+    BLOCK_ENTRIES,
     QuadratureRule,
     _from_real_columns,
     _frozen,
@@ -46,6 +47,7 @@ from .numerics import (
     bessel_table,
     disk_polar_rule,
     gauss_legendre_01,
+    grid_points,
     real_matmul,
     sym_eig,
     zernike_radial_table,
@@ -231,15 +233,17 @@ class DiskBasis:
         sqrt(c)/gamma Y(theta) sum_j a_j (-1)^j sqrt(2(m+2j+1)) J_{m+2j+1}(c|x|) / (c|x|).
         Both are linear in the a_j, so the weights (over gamma outside) are
         folded into one coefficient vector per (m, ell).  The radial sums are
-        tabulated once per distinct |x| and gathered to the points: inside, one
-        Zernike table of every live order; outside, one Bessel table
-        J_0..J_{m+2J-1}(c|x|) that serves every order; each in blocks of radii
-        of at most _BESSEL_BLOCK entries.
+        tabulated once per distinct |x|: inside, one Zernike table of every live
+        order; outside, one Bessel table J_0..J_{m+2J-1}(c|x|) that serves every
+        order; each in blocks of radii of at most _BESSEL_BLOCK entries.  They
+        are gathered to the points, and the angular sums taken, in blocks of
+        BLOCK_ENTRIES points, so memory beyond the radius tables stays bounded.
         """
         weights = np.asarray(weights)
-        xy = np.atleast_2d(np.asarray(pts, dtype=float) / self.radius)
-        theta = np.arctan2(xy[:, 1], xy[:, 0])
-        radii, at = np.unique(np.hypot(xy[:, 0], xy[:, 1]), return_inverse=True)
+        xy = np.atleast_2d(np.asarray(pts, dtype=float))
+        # the unit-disk coordinates xy / radius are formed per use, never held whole
+        radii, at = np.unique(np.hypot(xy[:, 0] / self.radius, xy[:, 1] / self.radius),
+                              return_inverse=True)
         split = int(np.searchsorted(radii, 1.0, side="right"))  # radii[:split] <= 1
         out = np.zeros(len(xy), dtype=np.result_type(weights, float))
         live = np.nonzero(weights)[0]
@@ -276,10 +280,18 @@ class DiskBasis:
             for i, m in enumerate(orders):
                 # J_{m+2j+1}(c|x|) / (c|x|)
                 profile[i, rows] = real_matmul(table[m + 1:m + 2 * J:2].T, exterior[i])
-        for i, m in enumerate(orders):
-            out += _angular_sum(m, profile[i, at], theta)
+        for lo in range(0, len(xy), BLOCK_ENTRIES):
+            rows = slice(lo, lo + BLOCK_ENTRIES)
+            unit = xy[rows] / self.radius
+            theta = np.arctan2(unit[:, 1], unit[:, 0])
+            for i, m in enumerate(orders):
+                out[rows] += _angular_sum(m, profile[i, at[rows]], theta)
         out /= self.radius
         return out[0] if np.ndim(pts) == 1 else out
+
+    def combine_grid(self, weights, axis) -> np.ndarray:
+        """`combine` at `grid_points(axis)`: the (len(axis)^2,) values, x-major."""
+        return self.combine(weights, grid_points(axis))
 
     def mode_index(self, key: tuple[int, int, int]) -> int:
         """Index of the mode with (m, n, ell) == key."""

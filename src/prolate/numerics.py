@@ -32,6 +32,7 @@ __all__ = [
     "zernike_radial_table",
     "real_matmul",
     "mirror_map",
+    "grid_points",
     "SupportPiece",
     "GridPiece",
     "RingPiece",
@@ -304,6 +305,12 @@ def mirror_map(points) -> np.ndarray | None:
     A point at the origin is its own mirror.
     """
     return _point_map(points, (-1.0, -1.0))
+
+
+def grid_points(axis) -> np.ndarray:
+    """The (n^2, 2) points (axis[k], axis[l]) of the square grid on an n-point axis, x-major."""
+    axis = np.asarray(axis, dtype=float)
+    return np.stack([np.repeat(axis, len(axis)), np.tile(axis, len(axis))], axis=1)
 
 
 # Entries of one real table block (cos, sin, Bessel or interpolation
@@ -592,11 +599,15 @@ def _symmetric(matrix, who: str) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"{who} requires a square matrix")
-    # |a - a^T| <= 1e-12 max(1, max|a|) in one temporary; a NaN entry fails the test
-    asym = np.subtract(a, a.T)
-    np.abs(asym, out=asym)
-    if not asym.max(initial=0.0) <= 1e-12 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0)):
-        raise ParameterError(f"{who} requires a symmetric matrix")
+    # |a - a^T| <= 1e-12 max(1, max|a|), over row blocks of at most BLOCK_ENTRIES
+    # entries; a NaN entry fails the test
+    tol = 1e-12 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
+    step = max(1, BLOCK_ENTRIES // max(len(a), 1))
+    for lo in range(0, len(a), step):
+        asym = np.subtract(a[lo:lo + step], a[:, lo:lo + step].T)
+        np.abs(asym, out=asym)
+        if not asym.max(initial=0.0) <= tol:
+            raise ParameterError(f"{who} requires a symmetric matrix")
     return a
 
 

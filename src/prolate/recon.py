@@ -50,7 +50,8 @@ class ReconstructionResult:
     beta_alpha: float | None          # on the data disk only
     alpha: float
     node_field: np.ndarray            # reconstruction sampled on the basis quadrature
-    field: Callable[[np.ndarray], np.ndarray]
+    field: Callable[[np.ndarray], np.ndarray]       # at (n, 2) points
+    field_grid: Callable[[np.ndarray], np.ndarray]  # at `grid_points(axis)` of an axis
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -130,6 +131,7 @@ def reconstruct(data: DataGrid, basis, alpha: float) -> ReconstructionResult:
     return ReconstructionResult(coefficients=coeffs[keep], cutoff_set=basis.keys[keep].tolist(),
                                 beta_alpha=beta, alpha=float(alpha), node_field=node_field,
                                 field=functools.partial(basis.combine, weights),
+                                field_grid=functools.partial(basis.combine_grid, weights),
                                 diagnostics=diagnostics)
 
 

@@ -40,9 +40,9 @@ import numpy as np
 
 from .errors import (EmptyCutoffError, EmptyQuadratureError, ParameterError, check_keys,
                      finite_number, numeric)
-from .numerics import (QuadratureRule, _born_sum, _frozen, _piece, axis_reflection,
-                       disk_polar_rule, gauss_legendre_01, half_circle, mirror_map, real_matmul,
-                       top_eigenpairs)
+from .numerics import (BLOCK_ENTRIES, QuadratureRule, _born_sum, _frozen, _piece,
+                       axis_reflection, disk_polar_rule, gauss_legendre_01, half_circle,
+                       mirror_map, real_matmul, top_eigenpairs)
 
 __all__ = [
     "Geometry",
@@ -408,6 +408,46 @@ class SymSetBasis:
         out = out if np.iscomplexobj(weights) else out.real.copy()
         return out[0] if np.ndim(pts) == 1 else out
 
+    def combine_grid(self, weights, axis) -> np.ndarray:
+        """`combine` at `grid_points(axis)`, for an axis symmetric about 0 (axis ==
+        -axis[::-1]): the (len(axis)^2,) values, x-major.
+
+        The node field of `combine`, folded by mirror pairs (`_piece`: one node
+        d_j of each pair, even part E_j and odd part O_j), sums to A + iB at
+        (a_k, a_l) with A = C_1 E C_2^T - S_1 E S_2^T and B = S_1 O C_2^T +
+        C_1 O S_2^T, where C_i and S_i are cos and sin of kappa a d_ji: so it
+        is C_1 P + S_1 Q with P = E C_2^T + i O S_2^T and Q = i O C_2^T - E S_2^T,
+        two real products per block of nodes.  The tables are evaluated on the
+        nonnegative half of the axis and mirrored (cos is even, sin odd), in
+        node blocks of at most BLOCK_ENTRIES entries per table.  E and O are
+        complex even for real weights (mu is imaginary on odd modes).
+        """
+        weights = np.asarray(weights)
+        axis = np.asarray(axis, dtype=float)
+        if not np.array_equal(axis, -axis[::-1]):
+            raise ParameterError("a field grid's axis must be symmetric about 0")
+        field = self.quad.weights * self.on_nodes(weights / self.mu)
+        piece = _piece((0.0, 0.0), self.quad.nodes, field)
+        n, half = len(axis), len(axis) // 2
+        kappa_axis = self.kernel_scale * axis[half:]
+        out = np.zeros((n, n), dtype=complex)
+        step = max(1, BLOCK_ENTRIES // max(n, 1))
+        for lo in range(0, len(piece.offsets), step):
+            nodes = piece.offsets[lo:lo + step]
+            tables = np.empty((2, 2, len(nodes), n))  # (coordinate, cos/sin, node, axis point)
+            for (cos, sin), d in zip(tables, nodes.T):
+                phase = np.multiply.outer(d, kappa_axis, out=cos[:, half:])
+                np.sin(phase, out=sin[:, half:])
+                np.cos(phase, out=phase)
+                cos[:, :half] = cos[:, n - 1:n - 1 - half:-1]
+                np.negative(sin[:, n - 1:n - 1 - half:-1], out=sin[:, :half])
+            (c1, s1), (c2, s2) = tables
+            even, odd = piece.even[lo:lo + step, None], 1j * piece.odd[lo:lo + step, None]
+            out += real_matmul(c1.T, even * c2 + odd * s2)
+            out += real_matmul(s1.T, odd * c2 - even * s2)
+        out = out.ravel()
+        return out if np.iscomplexobj(weights) else out.real.copy()
+
 
 def _symmetry_maps(quad: QuadratureRule) -> np.ndarray:
     """Index maps of the rule's symmetry group, shape (4, N): the identity,
@@ -437,6 +477,10 @@ def _symmetry_maps(quad: QuadratureRule) -> np.ndarray:
     return np.array(maps)
 
 
+# Entries of one row chunk of a class kernel's tables.  A chunk evaluates its
+# whole diagonal square, so a larger chunk adds trigonometry and a smaller one
+# adds calls; 8,192-16,384 were fastest on blocks of order 280-360 (2-core x86).
+KERNEL_CHUNK = 16_384
 # Characters of the symmetry group, one row per symmetry class, on the rows
 # (identity, p -> -p, R, -R) of `_symmetry_maps`.  The second entry is the parity.
 _CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
@@ -449,18 +493,29 @@ def _class_kernel(pts: np.ndarray, axis, scale: float, mw: np.ndarray,
     In frame coordinates (u, v) of the axis, K is the separable product
     f(scale u_i u_j) g(scale v_i v_j): cos cos, -sin sin, sin cos or cos sin,
     with g = cos for classes even under the reflection and f = cos for classes
-    even under -R.
+    even under -R.  u_i u_j == u_j u_i in floating point, so K is evaluated on
+    the upper triangle only, in chunks of rows whose g table holds at most
+    KERNEL_CHUNK entries, and each chunk is copied to its mirror; the sign and
+    the scaling (row factor first) then run on the whole block.
     """
     e = np.asarray(axis)
     u, v = pts @ e, pts @ np.array([-e[1], e[0]])
-    a = np.multiply.outer(u, u)
-    a *= scale
-    (np.cos if chars[3] > 0 else np.sin)(a, out=a)
-    b = np.multiply.outer(v, v)
-    b *= scale
-    (np.cos if chars[2] > 0 else np.sin)(b, out=b)
-    a *= b
-    del b
+    f = np.cos if chars[3] > 0 else np.sin
+    g = np.cos if chars[2] > 0 else np.sin
+    n = len(u)
+    a = np.empty((n, n))
+    step = max(1, KERNEL_CHUNK // max(n, 1))
+    table = np.empty(min(step, n) * n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows = np.multiply.outer(u[lo:hi], u[lo:], out=a[lo:hi, lo:])
+        rows *= scale
+        f(rows, out=rows)
+        b = np.multiply.outer(v[lo:hi], v[lo:], out=table[:rows.size].reshape(rows.shape))
+        b *= scale
+        g(b, out=b)
+        rows *= b
+        a[hi:, lo:hi] = rows[:, hi - lo:].T
     if chars[1] > 0 > chars[2]:
         np.negative(a, out=a)  # -sin sin
     s = np.sqrt(mw)
@@ -490,8 +545,9 @@ def _class_blocks(scale: float, quad: QuadratureRule, maps: np.ndarray):
 # the interpreter and libraries.  The CLI-default L(3 pi/4), h = 5 basis
 # (midpoint rule, N = 10,276, four class blocks of 2,569) peaked at 294 MiB RSS
 # with 2 BLAS threads when every block was solved dense, 47 B per entry;
-# rounded up.  On the block Krylov path the same basis peaks at 159 MiB, set
-# by the assembly of a block (two arrays of its size).
+# rounded up.  On the block Krylov path the same basis peaks at 109 MiB, set
+# by one block: `_class_kernel` assembles it in place and `top_eigenpairs`
+# checks its symmetry by row blocks, so no second array of its size is made.
 PEAK_BYTES_PER_ENTRY = 48.0
 
 

@@ -1,6 +1,7 @@
 """Reference values that only the tests need: Bessel functions of one order,
-the complete dense spectra of a symmetric-set solve's class blocks, and a
-contrast given by a point oracle on an explicit rule."""
+a symmetric-set class kernel assembled from two whole tables, the complete
+dense spectra of a symmetric-set solve's class blocks, and a contrast given by
+a point oracle on an explicit rule."""
 
 import numpy as np
 
@@ -16,6 +17,26 @@ def bessel_j(order: int, x):
         raise ParameterError(f"order must be a nonnegative integer, got {order}")
     out = bessel_table(int(order), x)[-1]
     return float(out) if out.ndim == 0 else out
+
+
+def class_kernel(pts, axis, scale, mw, chars) -> np.ndarray:
+    """sqrt(mw_i) K(p_i, p_j) sqrt(mw_j) of one symmetry class, as `_class_kernel`
+    defines it, from the two whole tables f(scale u_i u_j) and g(scale v_i v_j)."""
+    e = np.asarray(axis)
+    u, v = pts @ e, pts @ np.array([-e[1], e[0]])
+    a = np.multiply.outer(u, u)
+    a *= scale
+    (np.cos if chars[3] > 0 else np.sin)(a, out=a)
+    b = np.multiply.outer(v, v)
+    b *= scale
+    (np.cos if chars[2] > 0 else np.sin)(b, out=b)
+    a *= b
+    if chars[1] > 0 > chars[2]:
+        np.negative(a, out=a)  # -sin sin
+    s = np.sqrt(mw)
+    a *= s[:, None]
+    a *= s[None, :]
+    return a
 
 
 def class_spectra(basis) -> list[np.ndarray]:

@@ -413,6 +413,33 @@ class TestSynthesizeReconstruct:
         assert np.hypot(*basis.quad.nodes.T).max() > 2.9
         assert pts.min() == -3.0 and pts.max() == 3.0
 
+    def test_symset_field_is_the_mode_sum(self, tmp_path, cache_dir, capsys):
+        # each --field-out row of a set basis is the real part of `combine` of the
+        # reconstructed weights at its point; the data holds even and odd modes,
+        # so the node field the grid sums is complex (mu is imaginary on odd modes)
+        assert run(["basis", "symset", "--geometry", "L", "--theta", "2.2", "--c", "5",
+                    "--resolution", "32", "--modes", "8", "--method", "polar"]) == 0
+        basis_file = capsys.readouterr().out.strip()
+        basis = P.load_basis(basis_file)
+        assert basis.modes["even"].any() and not basis.modes["even"].all()
+        coeffs = np.random.default_rng(9).standard_normal(len(basis.modes))
+        data, rec, field = (tmp_path / name for name in ("data.csv", "rec.json", "field.csv"))
+        P.write_datagrid(data, P.DataGrid(basis.quad.nodes, basis.quad.weights,
+                                          (coeffs * basis.mu) @ basis.node_values,
+                                          np.zeros(len(basis.quad), dtype=np.uint8),
+                                          meta={"kappa": basis.kernel_scale},
+                                          geometry=basis.geometry))
+        assert run(["reconstruct", str(data), "--basis", basis_file, "--alpha", "1e-9",
+                    "-o", str(rec), "--field-out", str(field), "--field-grid", "7"]) == 0
+        table = np.loadtxt(field, delimiter=",", skiprows=1)
+        weights = np.zeros(len(basis.modes), dtype=complex)
+        for mode in json.loads(rec.read_text())["modes"]:
+            weights[mode["id"]] = complex(mode["coeff_re"], mode["coeff_im"])
+        assert np.count_nonzero(weights) == len(weights)
+        want = basis.combine(weights / basis.mode_norms, table[:, :2]).real
+        assert len(table) == 49
+        assert np.abs(table[:, 2] - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_empty_cutoff_exits_one(self, tmp_path, disk_basis_file):
         setup = write_setup(tmp_path)
         data = tmp_path / "data.csv"
@@ -1544,6 +1571,26 @@ class TestBadFlags:
                                              "--field-out", str(field), "--field-grid", "8"])
         assert code == 2 and len(err) == 1 and str(field) in err[0], err
         assert not rec.exists() and not field.exists()
+
+    @pytest.mark.parametrize("flag", ["-o", "--field-out"])
+    def test_output_path_that_is_a_directory(self, tmp_path, disk_basis_file, capsys, flag):
+        # an output that cannot be opened exits 2 with one line naming it, and
+        # the stage leaves no file behind
+        data = tmp_path / "data.csv"
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data), "--contrast-resolution", "40"]) == 0
+        paths = {"-o": tmp_path / "rec.json", "--field-out": tmp_path / "field.csv"}
+        paths[flag] = tmp_path / "taken"
+        paths[flag].mkdir()
+        code, err = _exit_and_error(capsys, ["reconstruct", str(data), "--basis",
+                                             disk_basis_file, "--alpha", "0.01",
+                                             "-o", str(paths["-o"]),
+                                             "--field-out", str(paths["--field-out"]),
+                                             "--field-grid", "8"])
+        assert code == 2 and len(err) == 1 and str(paths[flag]) in err[0], err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "data.csv",
+                                                               "setup.json", "taken"]
+        assert not any(paths[flag].iterdir())
 
     @pytest.mark.parametrize("grid", ["9223372036854775807", "10000000000000000000"])
     def test_field_grid_too_large_to_index(self, tmp_path, disk_basis_file, grid):

@@ -5,7 +5,8 @@ Fourier eigenrelation
     combine(w, x) = sum_p exp(i kappa x.p) (sum_i w_i psi_i(p) / mu_i) w_p
 
 outside it, and the per-mode sum, for the scaled disk basis and three
-symmetric-set bases.
+symmetric-set bases; and its grid form `combine_grid` against the kernel sum
+over every node.
 """
 
 import math
@@ -14,6 +15,9 @@ import numpy as np
 import pytest
 
 import prolate as P
+from prolate.cli import _field_axis
+from prolate.errors import ParameterError
+from prolate.numerics import grid_points
 from prolate.recon import reconstruct
 
 
@@ -162,3 +166,30 @@ def test_pair_folded_matches_all_node_sum(request, name, kind):
         one = np.where(sel, w, 0.0)
         want = unfolded_sum(basis, one, pts)
         assert np.abs(basis.combine(one, pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["symset_L", "symset_M", "symset_L_odd_midpoint"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_grid_matches_all_node_sum(request, name, kind, n):
+    # the per-axis cos and sin tables, mirrored from the axis's nonnegative
+    # half, against the kernel sum over every node at every grid point; the
+    # node field is complex for real weights too (mu is imaginary on odd modes)
+    basis = request.getfixturevalue(name)
+    w = mode_weights(basis, kind, seed=6)
+    axis = _field_axis(basis.extent, n)
+    want = unfolded_sum(basis, w, grid_points(axis))
+    got = basis.combine_grid(w, axis)
+    assert got.dtype == want.dtype and got.shape == (n * n,)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_grid_axis_must_be_symmetric(symset_L, scaled_c6):
+    w = mode_weights(symset_L, "real")
+    with pytest.raises(ParameterError, match="symmetric about 0"):
+        symset_L.combine_grid(w, np.array([-1.0, 0.0, 1.5]))
+    # the disk basis evaluates the grid's points one by one, on any axis
+    w = mode_weights(scaled_c6, "complex")
+    axis = np.array([-1.0, 0.25, 2.0])
+    assert np.array_equal(scaled_c6.combine_grid(w, axis),
+                          scaled_c6.combine(w, grid_points(axis)))

@@ -278,6 +278,32 @@ class TestEval:
         blocked = disk_c5.combine(w, pts)
         assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
 
+    def test_angular_blocks_agree(self, disk_c5, monkeypatch):
+        # the radial sums are gathered to the points and summed over orders in
+        # blocks of points, each point's terms in the same order, so bitwise
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(len(disk_c5.modes)) + 1j * rng.standard_normal(len(disk_c5.modes))
+        pts = rng.uniform(-2.5, 2.5, (300, 2))
+        whole = disk_c5.combine(w, pts)
+        monkeypatch.setattr(disk_basis, "BLOCK_ENTRIES", 7)
+        assert np.array_equal(disk_c5.combine(w, pts), whole)
+
+    def test_field_grid_memory(self, disk_c5):
+        # a 512^2 grid: the radial sums are held once per distinct radius (about
+        # one point in eight), and the gathers and angular sums take blocks of
+        # points, so the peak is set by the sort of the radii, 58 bytes per
+        # point (the whole-array gathers took 98)
+        axis = 1.5 * (2.0 * np.arange(512) - 511) / 511
+        pts = np.stack([np.repeat(axis, 512), np.tile(axis, 512)], axis=1)
+        w = np.random.default_rng(6).standard_normal(len(disk_c5.modes))
+        tracemalloc.start()
+        try:
+            disk_c5.combine(w, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * len(pts)
+
     def test_exterior_matches_per_mode_jv_quadrature(self, disk_c5):
         # the radial reduction sqrt(c)/gamma int_0^1 J_m(c|x|s) R(s) s ds with scipy's
         # jv, on a Gauss rule sized for the oscillation c|x|s; the error scale is

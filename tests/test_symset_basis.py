@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prolate as P
-from prolate import symset_basis
+from prolate import numerics, symset_basis
 from prolate.disk_basis import eval_psi
 from prolate.errors import EmptyQuadratureError, ParameterError
 from prolate.symset_basis import (Geometry, analytic_area, build_quadrature,
                                   compute_symset_basis, membership,
                                   mirror_indices, radial_profile)
 
-from oracles import class_spectra
+from oracles import class_kernel, class_spectra
 
 
 def beta(basis, i):
@@ -727,3 +727,44 @@ class TestFoldInputs:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestClassKernel:
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("resolution,method", [(64, "polar"), (33, "midpoint")],
+                             ids=["polar", "odd_midpoint"])
+    def test_is_the_two_table_kernel(self, monkeypatch, resolution, method, rows):
+        # the triangle is filled in row chunks and mirrored, and the block is
+        # bitwise the one assembled from two whole tables; the odd midpoint rule
+        # has nodes on both axes, which some classes drop
+        geo = Geometry.limited_aperture(0.75 * math.pi)
+        quad = build_quadrature(geo, resolution, method=method)
+        maps = symset_basis._symmetry_maps(quad)
+        seen = []
+        for chars, sub, mw, _ in symset_basis._class_blocks(3.0, quad, maps):
+            if rows is not None:
+                monkeypatch.setattr(symset_basis, "KERNEL_CHUNK", rows * len(sub))
+            args = (quad.nodes[sub], quad.axis, 3.0, mw, chars)
+            assert np.array_equal(symset_basis._class_kernel(*args), class_kernel(*args))
+            seen.append(tuple(chars))
+        assert len(set(seen)) == 4
+
+    def test_assembly_holds_one_block(self):
+        # the two-table assembly holds two blocks at once; the triangle holds
+        # one, and checking its symmetry allocates no block-sized temporary
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-2.0, 2.0, (1000, 2))
+        mw = rng.uniform(0.5, 1.5, 1000)
+        block_bytes = 8 * 1000**2
+        for chars in symset_basis._CHARACTERS:
+            tracemalloc.start()
+            try:
+                block = symset_basis._class_kernel(pts, (0.6, 0.8), 5.0, mw, chars)
+                assembled = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                numerics._symmetric(block, "test")
+                checked = tracemalloc.get_traced_memory()[1] - block_bytes
+            finally:
+                tracemalloc.stop()
+            assert assembled < 1.3 * block_bytes
+            assert checked < 0.25 * block_bytes
