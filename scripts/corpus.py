@@ -8,8 +8,9 @@
 The first form runs, in one process and in OUT_DIR, the README disk
 walkthrough (basis disk, synthesize with noise, reconstruct with a field,
 extrapolate, validate, stability) and two partial-data pipelines, an L(Theta)
-polar and an M midpoint basis, each through synthesize, ingest of a
-closed-form far field, reconstruct with a field and validate.  It prints one
+polar basis with a disk phantom and an M midpoint basis with an annulus, each
+through synthesize, ingest of a closed-form far field, reconstruct with a field
+and validate.  It prints one
 `sha256  file` line per file, in path order, as `sha256sum` does, so two
 listings compare with `diff`.  `--tiny` shrinks every size, for a smoke run.
 
@@ -48,9 +49,10 @@ SIZES = {
 DISK_SETUP = {"regime": "full", "k": 1.0, "c_param": 10.0,
               "contrast": {"shapes": [{"type": "disk", "center": [0.0, 0.0],
                                        "radius": 0.8, "value": 1.0}]}}
-# one disk inside each partial-data domain at h = 1
+# one shape inside each partial-data domain at h = 1: a disk in L, an annulus in M
 PHANTOMS = {"L": {"type": "disk", "center": [0.9, 0.2], "radius": 0.25, "value": 1.0},
-            "M": {"type": "disk", "center": [0.54, 0.72], "radius": 0.3, "value": 1.0}}
+            "M": {"type": "annulus", "center": [0.54, 0.72], "r_inner": 0.15, "r_outer": 0.3,
+                  "value": 1.0}}
 
 
 def _stage(*argv) -> str:
@@ -67,17 +69,22 @@ def _stage(*argv) -> str:
     return lines[-1] if lines else ""
 
 
-def _far_field(path, k, disk, x_hat, theta_hat) -> None:
+def _far_field(path, k, shape, x_hat, theta_hat) -> None:
     """Far-field samples k^2 int exp(i k d.y) q(y) dy, d = theta_hat - x_hat, of one
-    disk of radius a, centre c and value v, in closed form:
-    k^2 v exp(i k d.c) 2 pi a^2 J_1(k|d| a) / (k|d| a)."""
+    shape of centre c and value v, in closed form: for a disk of radius a,
+    k^2 v exp(i k d.c) 2 pi a^2 J_1(k|d| a) / (k|d| a), and for an annulus the
+    same of its outer disk minus that of its inner one."""
     from prolate.numerics import bessel_table
 
     d = theta_hat - x_hat
-    ka = k * disk["radius"] * np.hypot(d[:, 0], d[:, 1])
-    jinc = np.where(ka > 0.0, bessel_table(1, ka)[1] / np.where(ka > 0.0, ka, 1.0), 0.5)
-    u = (k * k * disk["value"] * 2.0 * math.pi * disk["radius"] ** 2 * jinc
-         * np.exp(1j * k * (d @ np.asarray(disk["center"]))))
+    radii = ([(shape["radius"], 1.0)] if shape["type"] == "disk"
+             else [(shape["r_outer"], 1.0), (shape["r_inner"], -1.0)])
+    u = 0.0
+    for a, sign in radii:
+        ka = k * a * np.hypot(d[:, 0], d[:, 1])
+        jinc = np.where(ka > 0.0, bessel_table(1, ka)[1] / np.where(ka > 0.0, ka, 1.0), 0.5)
+        u = u + sign * k * k * shape["value"] * 2.0 * math.pi * a**2 * jinc
+    u = u * np.exp(1j * k * (d @ np.asarray(shape["center"])))
     np.savetxt(path, np.column_stack([x_hat, theta_hat, u.real, u.imag]), delimiter=",",
                fmt="%.17g", comments="", header="xhat_x,xhat_y,thetahat_x,thetahat_y,re,im")
 

@@ -189,10 +189,18 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+def _read_setup(args) -> ProblemSetup:
+    """The setup file of `args`, its shapes' support rules sized by --contrast-resolution."""
+    if args.contrast_resolution < 1:
+        raise ParameterError(f"--contrast-resolution must be at least 1, "
+                             f"got {args.contrast_resolution}")
+    with _sized_by("--contrast-resolution"):
+        return read_setup(args.setup, contrast_resolution=args.contrast_resolution)
+
+
 def _cmd_synthesize(args) -> int:
     finite_number("--noise", args.noise, positive=False)
-    with _sized_by("--contrast-resolution"):
-        setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
+    setup = _read_setup(args)
     basis = cachemod.load_basis(args.basis).paired(setup.domain, setup.c_param)
     data = synthesize_setup(setup, basis.quad)
     if args.noise > 0.0:
@@ -394,8 +402,7 @@ def _cmd_stability(args) -> int:
         raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
     deltas = _flag_list("--deltas", args.deltas, positive=False)
     alphas = _flag_list("--alphas", args.alphas, positive=True)
-    with _sized_by("--contrast-resolution"):
-        setup = read_setup(args.setup, contrast_resolution=args.contrast_resolution)
+    setup = _read_setup(args)
     basis = cachemod.load_basis(args.basis).paired(setup.domain, setup.c_param)
     write_stability(args.out, experiment_stability(setup, basis, deltas, alphas, args.seed,
                                                    args.seeds))

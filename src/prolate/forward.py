@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DataCoverageError, ParameterError, check_keys, numeric
-from .numerics import (GridPiece, QuadratureRule, RingPiece, SupportPiece, _annulus_rings,
+from .numerics import (AnnulusPiece, GridPiece, QuadratureRule, SupportPiece, _annulus_rings,
                        _born_sum, _disk_rings, _polar_layout)
 from .symset_basis import Geometry
 
@@ -45,58 +45,50 @@ class ContrastField:
     """The unknown medium contrast: point oracle, quadrature, and support extent.
 
     `evaluate` returns q at (N, 2) points and vanishes off the support;
-    overlapping shape values add.  `pieces` holds q times the quadrature
-    weight on the support nodes, as one `RingPiece` per disk or annulus (the
-    rings of its polar rule about the shape centre, so an overlap is counted
-    once per shape, each with its own value), one `GridPiece` per pixel grid
-    (centred at the grid centre) or one `SupportPiece` at the origin for an
-    explicit rule; `quad` holds the same nodes, centre + offset.  `radius` is
-    that of the smallest origin-centred disk containing the support, and
-    `boundary` holds points sampling the support boundary.
+    overlapping shape values add.  `pieces` holds one closed-form
+    `AnnulusPiece` per disk or annulus (so an overlap counts once per shape),
+    or q times the quadrature weight on the support nodes as one `GridPiece`
+    per pixel grid (centred at the grid centre) or one `SupportPiece` at the
+    origin for an explicit rule; `quad` holds the support nodes (for shapes,
+    their polar rules, which synthesis does not read).  `radius` is that of
+    the smallest origin-centred disk containing the support, and `boundary`
+    holds points sampling the support boundary.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     quad: QuadratureRule
-    pieces: tuple[RingPiece | GridPiece | SupportPiece, ...]
+    pieces: tuple[AnnulusPiece | GridPiece | SupportPiece, ...]
     radius: float
     boundary: np.ndarray
 
     @staticmethod
     def from_shapes(shapes: list[dict], resolution: int = 160) -> "ContrastField":
-        """Disks {type, center, radius, value} and annuli (r_inner, r_outer in place of radius),
-        each on the polar rule of `resolution` radii and as many angles, rounded up to even."""
+        """Disks {type, center, radius, value} and annuli (r_inner, r_outer in place of radius);
+        `quad` holds each on the polar rule of `resolution` radii and as many angles, rounded
+        up to even."""
         if not shapes:
             raise ParameterError("contrast needs at least one shape")
         shapes = [_check_shape(sh) for sh in shapes]
-        nodes, weights, pieces = [], [], []
-        n_t = resolution + resolution % 2
-        for sh in shapes:
-            r, wr = (_disk_rings(sh.outer, resolution) if sh.disk
-                     else _annulus_rings(sh.inner, sh.outer, resolution))
-            rule = _polar_layout(r, wr, n_t)
-            nodes.append(rule.nodes + sh.center)
-            weights.append(rule.weights)
-            pieces.append(RingPiece(sh.center, r, 2.0 * np.pi * sh.value * wr, n_t))
-        quad = QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
+        rules = [_polar_layout(*(_disk_rings(sh.outer, resolution) if sh.disk
+                                 else _annulus_rings(sh.inner, sh.outer, resolution)),
+                               resolution + resolution % 2) for sh in shapes]
+        quad = QuadratureRule(np.concatenate([r.nodes + sh.center for r, sh in zip(rules, shapes)]),
+                              np.concatenate([r.weights for r in rules]))
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             out = np.zeros(len(pts))
-            for sh in shapes:
-                cx, cy = sh.center
-                d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
-                if sh.disk:
-                    out += np.where(d2 < sh.outer**2, sh.value, 0.0)
-                else:
-                    inside = (d2 > sh.inner**2) & (d2 < sh.outer**2)
-                    out += np.where(inside, sh.value, 0.0)
+            for sh in shapes:  # a disk holds its centre, an annulus never does
+                d2 = (pts[:, 0] - sh.center[0]) ** 2 + (pts[:, 1] - sh.center[1]) ** 2
+                out += np.where((d2 < sh.outer**2) & (sh.disk | (d2 > sh.inner**2)), sh.value, 0.0)
             return out
 
         radius = float(max(np.hypot(*sh.center) + sh.outer for sh in shapes))
         boundary = _circles([(sh.center, r) for sh in shapes
                              for r in ((sh.outer,) if sh.disk else (sh.inner, sh.outer))],
                             max(64, BOUNDARY_SAMPLES // len(shapes)))
-        return ContrastField(evaluate=evaluate, quad=quad, pieces=tuple(pieces),
+        pieces = tuple(AnnulusPiece(sh.center, sh.inner, sh.outer, sh.value) for sh in shapes)
+        return ContrastField(evaluate=evaluate, quad=quad, pieces=pieces,
                              radius=radius, boundary=boundary)
 
     @staticmethod
@@ -223,7 +215,10 @@ class DataGrid:
 
 
 def _oscillation_resolved(q: ContrastField, kappa: float, targets: np.ndarray) -> bool:
-    """Heuristic: at least ~10 support nodes per oscillation period of the kernel."""
+    """Heuristic: at least ~10 support nodes per oscillation period of the kernel.
+    A contrast of closed-form shape pieces only is resolved at every kappa."""
+    if all(isinstance(piece, AnnulusPiece) for piece in q.pieces):
+        return True
     support = q.quad.nodes
     diam = float(np.ptp(support[:, 0]) + np.ptp(support[:, 1]))
     if diam == 0.0:
@@ -239,8 +234,9 @@ def synthesize_born(q: ContrastField, kernel_scale: float, targets,
 
     `targets` is a QuadratureRule (its nodes and weights are carried into the
     DataGrid) or a bare (N, 2) array (unit weights).  Sets meta flag
-    "underresolved" when the support quadrature looks too coarse for the
-    kernel oscillation.
+    "underresolved" when the support quadrature of a pixel grid or an explicit
+    rule looks too coarse for the kernel oscillation; disks and annuli are
+    exact at every kappa.
     """
     if kernel_scale <= 0.0:
         raise ParameterError("kernel_scale must be positive")

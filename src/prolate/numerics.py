@@ -35,7 +35,7 @@ __all__ = [
     "grid_points",
     "SupportPiece",
     "GridPiece",
-    "RingPiece",
+    "AnnulusPiece",
     "sym_eig",
     "top_eigenpairs",
     "disk_polar_rule",
@@ -97,6 +97,56 @@ _RESCALE = 1e150
 # Below this argument J_m(x) = (x/2)^m / m! to rounding (the next series term
 # is x^2 / (4 (m+1)) < 1e-16 relative) and is taken from that term directly.
 _SERIES_BELOW = 1e-8
+# Above this argument, and above the largest order, J_0 and J_1 come from the
+# first HANKEL_TERMS terms of Hankel's expansion, whose first omitted term is
+# below 1e-20 there and falls as the argument grows.
+HANKEL_ABOVE = 40.0
+HANKEL_TERMS = 18
+
+
+def _hankel_coefficients(nu: int) -> np.ndarray:
+    """(-1)^floor(k/2) a_k(nu) of DLMF 10.17.1, k < HANKEL_TERMS, a_k(nu) =
+    prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k)."""
+    a = [1.0]
+    for k in range(1, HANKEL_TERMS):
+        a.append(a[-1] * (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k))
+    return np.array(a) * (-1.0) ** (np.arange(HANKEL_TERMS) // 2)
+
+
+_HANKEL = (_hankel_coefficients(0), _hankel_coefficients(1))
+
+
+def _hankel_table(m_max: int, x: np.ndarray) -> np.ndarray:
+    """J_0(x) .. J_{m_max}(x) for x > max(m_max, HANKEL_ABOVE), shape (m_max + 1, len(x)).
+
+    J_nu = (2 / (pi x))^(1/2) (P cos w - Q sin w), w = x - nu pi/2 - pi/4, with
+    P and Q the even and odd terms of Hankel's expansion (DLMF 10.17.3) in
+    powers of 1/x.  The phase is reduced by libm's cos x and sin x, which are
+    exact to rounding at any x, and then rotated by the multiple of pi/4; the
+    higher orders follow by the forward recurrence J_{k+1} = (2k/x) J_k -
+    J_{k-1}, stable for orders below x.  The cost does not grow with x.
+    """
+    c, s = np.cos(x), np.sin(x)
+    scale = np.sqrt(1.0 / np.pi) / np.sqrt(x)
+    table = np.empty((m_max + 1, len(x)))
+    with np.errstate(under="ignore"):  # powers of 1/x and tiny J_k flush to 0 at huge x
+        t = 1.0 / x
+        t2 = t * t
+        pq = []
+        for coef in _HANKEL:
+            even, odd = np.zeros_like(x), np.zeros_like(x)
+            for k in range(HANKEL_TERMS - 2, -1, -2):  # Horner in 1/x^2
+                even = even * t2 + coef[k]
+                odd = odd * t2 + coef[k + 1]
+            pq.append((even, odd * t))
+        (p0, q0), (p1, q1) = pq
+        # cos, sin of x - pi/4 are (c + s, s - c) / sqrt 2; of x - 3 pi/4, (s - c, -c - s) / sqrt 2
+        table[0] = scale * (p0 * (c + s) + q0 * (c - s))
+        if m_max >= 1:
+            table[1] = scale * (p1 * (s - c) + q1 * (c + s))
+        for k in range(1, m_max):
+            table[k + 1] = 2.0 * k * t * table[k] - table[k - 1]
+    return table
 
 
 def bessel_table(m_max: int, x) -> np.ndarray:
@@ -110,7 +160,10 @@ def bessel_table(m_max: int, x) -> np.ndarray:
     away from the zeros of J_m and from values below about 1e-280, which may
     flush to 0).  A column is rescaled before it can overflow, together with
     the rows it has already produced.  Arguments below 1e-8 take the leading
-    series term, so x = 0 gives exactly J_0 = 1 and J_m = 0.
+    series term, so x = 0 gives exactly J_0 = 1 and J_m = 0.  Arguments above
+    both m_max and HANKEL_ABOVE come from `_hankel_table` instead, so the
+    recurrence starts past the turning point of the other arguments only, and
+    no argument, however large, lengthens it.
     """
     if m_max < 0 or int(m_max) != m_max:
         raise ParameterError(f"m_max must be a nonnegative integer, got {m_max}")
@@ -121,7 +174,8 @@ def bessel_table(m_max: int, x) -> np.ndarray:
     m_max = int(m_max)
     table = np.empty((m_max + 1, flat.size))
     small = flat < _SERIES_BELOW
-    xs = np.where(small, 1.0, flat)  # series columns run a dummy recurrence
+    far = flat > max(m_max, HANKEL_ABOVE)
+    xs = np.where(small | far, 1.0, flat)  # series and Hankel columns run a dummy recurrence
     top = float(xs.max(initial=1.0))
     n = max(m_max, math.ceil(top)) + 16 + math.ceil(10.0 * np.cbrt(0.5 * top))
     n += n % 2
@@ -155,6 +209,8 @@ def bessel_table(m_max: int, x) -> np.ndarray:
         for k in range(m_max + 1):
             table[k, small] = term
             term = term * half / (k + 1)
+    if far.any():
+        table[:, far] = _hankel_table(m_max, flat[far])
     return table.reshape((m_max + 1,) + x.shape)
 
 
@@ -450,108 +506,29 @@ class GridPiece(NamedTuple):
         return np.stack([p - q, p + q])[:len(x)], np.stack([u + w, u - w])[:len(x)]
 
 
-# Aliased orders k n_t are kept while the bound (X/2)^m / m! on J_m over
-# [0, X] exceeds this; the rest add less than it times the ring weights.
-RING_ORDER_TOL = 1e-18
-# Chebyshev points of a radial profile beyond the largest argument X.
-RING_EXTRA_POINTS = 30
-
-
-def _aliased_orders(top: float, n_t: int) -> int:
-    """The number of orders k n_t, k >= 1, whose bound (top/2)^m / m! exceeds
-    RING_ORDER_TOL; the bound rises up to m = top/2 and falls after it."""
-    if top <= 0.0:
-        return 0
-    log_half, log_tol, k = math.log(0.5 * top), math.log(RING_ORDER_TOL), 0
-    while (k + 1) * n_t * log_half - math.lgamma((k + 1) * n_t + 1) > log_tol:
-        k += 1
-    return k
-
-
-class RingPiece(NamedTuple):
-    """Polar-rule support: rings of radii r_a about `center`, each with n_t
-    nodes at the angles (2b+1) pi / n_t, and ring weights W_a (value times
-    radial weight times 2 pi, so each node of ring a carries W_a / n_t).
-
-    By Jacobi-Anger the sum over the n_t angles of a ring keeps only the
-    Bessel orders m = k n_t that they alias together:
-    A(x) = sum_a W_a [J_0(|x| r_a) + 2 sum_k>=1 (-1)^(k n_t/2) J_(k n_t)(|x| r_a)
-    cos(k n_t (arg x - pi/n_t))], exact to rounding, and B = 0.  An order is
-    kept while its bound (X/2)^m / m! exceeds RING_ORDER_TOL, X = max|x| max r_a.
-    """
+class AnnulusPiece(NamedTuple):
+    """A disk (inner = 0) or annulus inner < |d| < outer about `center` of
+    constant `value`, in closed form: at |x| = rho, B = 0 and A(x) = value 2 pi
+    [outer J_1(rho outer) - inner J_1(rho inner)] / rho, or value pi (outer^2
+    - inner^2) where rho outer is below the series range of `bessel_table`."""
 
     center: np.ndarray
-    radii: np.ndarray
-    weights: np.ndarray
-    n_t: int
+    inner: float
+    outer: float
+    value: float
 
-    folds = False  # A is even and B = 0: no target fold saves work
-
-    def profiles(self, rho: np.ndarray, orders: int) -> np.ndarray:
-        """The radial profiles c_k sum_a W_a J_(k n_t)(rho r_a), k = 0..orders,
-        with c_0 = 1 and c_k = 2 (-1)^(k n_t/2), at each rho: (len(rho), orders + 1).
-
-        `bessel_table` runs over blocks of rho whose tables hold at most
-        4 BLOCK_ENTRIES entries, of which every n_t-th order is kept: its
-        recurrence makes a few numpy calls per order and block, and at 600
-        orders blocks of BLOCK_ENTRIES took 5 times as long."""
-        m_max = orders * self.n_t
-        sign = (-1.0) ** (np.arange(orders + 1) * (self.n_t // 2))
-        coef = np.where(np.arange(orders + 1) > 0, 2.0 * sign, 1.0)
-        out = np.empty((len(rho), orders + 1))
-        block = max(1, 4 * BLOCK_ENTRIES // ((m_max + 1) * len(self.radii)))
-        for start in range(0, len(rho), block):
-            rows = slice(start, start + block)
-            table = bessel_table(m_max, np.multiply.outer(rho[rows], self.radii))
-            out[rows] = (table[::self.n_t] @ self.weights).T
-        return out * coef
+    folds = False  # A depends on |x| only and B = 0: no target fold saves work
 
     def sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The cos and sin sums (A, B) at the (g, n, 2) points x, each (g, n).
-
-        The profiles are taken once per distinct |x| and gathered to the
-        targets, whose cos(k n_t arg x) factors stay per target (in row blocks
-        of at most BLOCK_ENTRIES).  With at most P = ceil(X) +
-        RING_EXTRA_POINTS distinct |x| (or X below the series range of
-        `bessel_table`) they are taken at those radii themselves; otherwise at
-        P Chebyshev points in |x| on [0, max|x|], interpolated barycentrically
-        to the distinct radii in row blocks of at most BLOCK_ENTRIES weights.
-        """
-        pts = x.reshape(-1, 2)
-        rho, at = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
-        top = float(rho.max(initial=0.0))
-        span = top * float(self.radii.max())
-        orders = _aliased_orders(span, self.n_t)
-        n_cheb = math.ceil(span) + RING_EXTRA_POINTS
-        if len(rho) <= n_cheb or span < _SERIES_BELOW:
-            prof = self.profiles(rho, orders)
-        else:
-            j = np.arange(n_cheb)
-            nodes = 0.5 * top * (1.0 + np.cos(np.pi * j / (n_cheb - 1)))
-            bary = np.where(j % 2, -1.0, 1.0)
-            bary[[0, -1]] *= 0.5
-            at_nodes = self.profiles(nodes, orders)
-            prof = np.empty((len(rho), orders + 1))
-            block = max(1, BLOCK_ENTRIES // n_cheb)
-            table = np.empty((min(block, len(rho)), n_cheb))
-            for start in range(0, len(rho), block):
-                rows = slice(start, start + block)
-                diff = np.subtract.outer(rho[rows], nodes, out=table[:len(rho[rows])])
-                hit = diff == 0.0
-                diff[hit] = 1.0
-                weight = np.divide(bary, diff, out=diff)
-                exact = hit.any(axis=1)
-                weight[exact] = hit[exact]
-                weight /= weight.sum(axis=1, keepdims=True)
-                prof[rows] = weight @ at_nodes
-        angle = self.n_t * np.arctan2(pts[:, 1], pts[:, 0]) - np.pi
-        k = np.arange(orders + 1)
-        a = np.empty(len(pts))
-        block = max(1, BLOCK_ENTRIES // (orders + 1))
-        for start in range(0, len(pts), block):
-            rows = slice(start, start + block)
-            a[rows] = np.einsum("ij,ij->i", prof[at[rows]], np.cos(np.outer(angle[rows], k)))
-        a = a.reshape(x.shape[:2])
+        A is taken once per distinct |x| (a polar rule's targets share few)."""
+        rho, at = np.unique(np.hypot(x[..., 0], x[..., 1]).ravel(), return_inverse=True)
+        a = np.full(rho.shape, self.value * np.pi * (self.outer**2 - self.inner**2))
+        far = rho * self.outer >= _SERIES_BELOW
+        radii = np.array([self.outer, self.inner])
+        j1 = bessel_table(1, np.multiply.outer(rho[far], radii))[1]
+        a[far] = (j1 @ (2.0 * np.pi * self.value * radii * [1.0, -1.0])) / rho[far]
+        a = a[at].reshape(x.shape[:-1])
         return a, np.zeros_like(a)
 
 
@@ -559,14 +536,14 @@ def _born_sum(pieces, kappa: float, targets: np.ndarray) -> np.ndarray:
     """sum_j a_j exp(i kappa p.q_j) over the support nodes q_j of every piece, at each target p.
 
     A piece centred at c adds exp(i kappa p.c) (A + iB), with A even and B
-    odd in p (`SupportPiece`, `GridPiece`, `RingPiece`), so when the targets
+    odd in p (`SupportPiece`, `GridPiece`, `AnnulusPiece`), so when the targets
     are symmetric under p -> -p only one target of each mirror pair is
     computed, and its mirror gets exp(-i kappa p.c) (A - iB).  When they are
     also symmetric under the x-axis reflection R, one target of each orbit
     {p, -p, Rp, -Rp} is computed, and a piece gives its sums at p and Rp from
     one table.  The targets' symmetry maps are looked up only when some piece
-    `folds`; a `RingPiece` costs O(n) per target either way, and takes all of
-    them.
+    `folds`; an `AnnulusPiece` costs O(1) per target either way, and takes all
+    of them.
     """
     idx = np.arange(len(targets))
     mirror = mirror_map(targets) if any(piece.folds for piece in pieces) else None

@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -395,6 +396,19 @@ class TestSynthesizeReconstruct:
         assert lines[0] == "x,y,q"
         assert len(lines) == 1 + 16 * 16
 
+    def test_contrast_resolution_leaves_shapes_alone(self, tmp_path, disk_basis_file):
+        # disks and annuli are synthesized in closed form, whatever the resolution
+        setup = write_setup(tmp_path, {**SETUP, "contrast": {"shapes": [
+            SETUP["contrast"]["shapes"][0],
+            {"type": "annulus", "center": [0.3, -0.4], "r_inner": 0.2, "r_outer": 0.5,
+             "value": -0.6}]}})
+        files = [tmp_path / f"data{n}.csv" for n in (8, 160)]
+        for n, data in zip((8, 160), files):
+            assert run(["synthesize", str(setup), "--basis", disk_basis_file, "-o", str(data),
+                        "--contrast-resolution", str(n)]) == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert read_datagrid(files[0]).meta["underresolved"] is False
+
     def test_symset_field_square_holds_the_domain(self, tmp_path, cache_dir, capsys):
         # the --field-out square of a set basis is its bounding box: R h for a disk
         assert run(["basis", "symset", "--geometry", "disk", "--radius", "3", "--c", "2",
@@ -587,6 +601,20 @@ class TestIngestExtrapolate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y,re,im"
         assert len(lines) == 3
+
+    def test_extrapolate_far_targets(self, tmp_path, disk_basis_file):
+        # the exterior Bessel table of a target does not grow with its distance:
+        # each of these rows once took longer than a minute, (1e200, 0) hours
+        data, targets, out = (tmp_path / name for name in ("data.csv", "targets.csv", "ext.csv"))
+        assert run(["synthesize", str(write_setup(tmp_path)), "--basis", disk_basis_file,
+                    "-o", str(data)]) == 0
+        targets.write_text("x,y\n1e7,0\n1e12,0\n0,-1e200\n")
+        start = time.perf_counter()
+        assert run(["extrapolate", str(data), "--basis", disk_basis_file,
+                    "--targets", str(targets), "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 10.0
+        values = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert values.shape == (3, 4) and np.isfinite(values).all()
 
     def test_extrapolate_rows_are_the_per_row_format(self, tmp_path, disk_basis_file):
         setup = write_setup(tmp_path)
@@ -1311,6 +1339,18 @@ class TestBadFlags:
                                              disk_basis_file, "-o", str(out), *extra,
                                              "--seed=-1"])
         assert code == 2 and len(err) == 1 and "--seed" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,value", [("synthesize", "0"), ("stability", "-2")])
+    def test_contrast_resolution_below_one(self, tmp_path, disk_basis_file, capsys, command,
+                                           value):
+        out = tmp_path / "out.csv"
+        extra = [] if command == "synthesize" else ["--deltas", "0,1e-3", "--alphas", "0.05"]
+        code, err = _exit_and_error(capsys, [command, str(write_setup(tmp_path)), "--basis",
+                                             disk_basis_file, "-o", str(out), *extra,
+                                             "--contrast-resolution", value])
+        assert code == 2 and err == [f"error: --contrast-resolution must be at least 1, "
+                                     f"got {value}"], err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -14,7 +14,7 @@ from prolate.forward import (_ROW_DTYPE, ContrastField, DataGrid, _data_row, _gr
                              _loadtxt, _read_table, _split_columns, add_noise, far_field,
                              ingest_farfield, read_datagrid, synthesize_born, write_csv,
                              write_datagrid)
-from prolate.numerics import (GridPiece, RingPiece, _aliased_orders, _born_sum, _piece, _point_map,
+from prolate.numerics import (AnnulusPiece, GridPiece, _piece, _point_map,
                               annulus_polar_rule, disk_polar_rule, mirror_map)
 from prolate.recon import write_field_csv
 
@@ -146,9 +146,14 @@ class TestSynthesize:
         assert errs[400] <= errs[100] / 2.0
 
     def test_underresolved_flag(self):
-        q = ContrastField.from_shapes(DISK, resolution=8)
-        data = synthesize_born(q, 200.0, np.array([[3.0, 0.0]]))
-        assert data.meta["underresolved"]
+        # an explicit rule of 8 x 8 nodes cannot resolve kappa = 200; the same
+        # disk as a shape is synthesized in closed form, exact at any kappa
+        target = np.array([[3.0, 0.0]])
+        coarse = contrast_from_callable(ContrastField.from_shapes(DISK, 8).evaluate,
+                                        disk_polar_rule(0.8, 8, 8))
+        assert synthesize_born(coarse, 200.0, target).meta["underresolved"]
+        shapes = ContrastField.from_shapes(DISK, resolution=8)
+        assert synthesize_born(shapes, 200.0, target).meta["underresolved"] is False
 
     def test_grid_contrast(self):
         vals = np.zeros((8, 8))
@@ -197,7 +202,10 @@ def _complex_asymmetric_support():
 
 
 def _shapes(shapes, resolution):
-    return ContrastField.from_shapes(shapes, resolution), *shape_support(shapes, resolution)
+    """The shapes as folded sums over the nodes of their polar rules."""
+    q = replace(ContrastField.from_shapes(shapes, resolution),
+                pieces=_folded_shapes(shapes, resolution))
+    return q, *shape_support(shapes, resolution)
 
 
 def _midpoint_shapes(shapes, resolution):
@@ -325,10 +333,13 @@ class TestBornKernel:
         assert len(q.pieces) == 2
         x = 1.3 * TARGETS["asymmetric"]()[None]
         for piece, sh in zip(q.pieces, OFF_CENTRE):
-            assert isinstance(piece, RingPiece)
+            assert isinstance(piece, AnnulusPiece)
             assert np.array_equal(piece.center, sh["center"])
+            assert (piece.inner, piece.outer) == (sh.get("r_inner", 0.0),
+                                                  sh.get("r_outer", sh.get("radius")))
             assert not piece.sums(x)[1].any()
-        assert sum(len(p.radii) * p.n_t for p in q.pieces) == len(q.quad)
+        # the support rule stays each shape's 24 x 24 polar rule
+        assert len(q.quad) == 2 * 24 * 24
 
     def test_cases_cover_the_reflection_cases(self):
         # every target set but the random one is symmetric under both p -> -p
@@ -342,10 +353,7 @@ class TestBornKernel:
         assert (_point_map(pts, (1.0, -1.0)) == mirror_map(pts)).sum() == 7
         # supports with and without R, with and without mirror pairs
         perm = {name: [p.perm is not None for p in make()[0].pieces]
-                for name, make in SUPPORTS.items()
-                if not name.startswith("grid") and name != "polar_off_centre"}
-        # a shape's ring piece does not fold: the case is its polar nodes, folded
-        perm["polar_off_centre"] = [p.perm is not None for p in _folded_shapes(OFF_CENTRE, 24)]
+                for name, make in SUPPORTS.items() if not name.startswith("grid")}
         assert perm == {"polar_off_centre": [True, True], "midpoint_odd": [True],
                         "midpoint_even": [True, True], "complex_callable": [True],
                         "complex_asymmetric": [False], "real_x_axis": [True],
@@ -396,8 +404,7 @@ class TestBornKernel:
 
 
 def _folded_shapes(shapes, resolution):
-    """The shapes' pieces as folded sums over the nodes of their polar rules,
-    the reference for their ring sums."""
+    """The shapes' pieces as folded sums over the nodes of their polar rules."""
     n_t = resolution + resolution % 2
     rules = [disk_polar_rule(sh["radius"], resolution, n_t) if sh["type"] == "disk"
              else annulus_polar_rule(sh["r_inner"], sh["r_outer"], resolution, n_t)
@@ -406,19 +413,37 @@ def _folded_shapes(shapes, resolution):
                  for sh, r in zip(shapes, rules))
 
 
+def shapes_closed_form(shapes, kappa, pts):
+    """The shapes' Born data by scipy's J_1: value exp(i kappa p.c) 2 pi [r_o
+    J_1(rho r_o) - r_i J_1(rho r_i)] / rho with rho = kappa |p|, each term
+    2 pi r J_1(rho r) / rho taken from its two-term series pi r^2 (1 - (rho r)^2 / 8)
+    where rho r < 1e-4 (the next term is below 1e-18 relative)."""
+    j1 = pytest.importorskip("scipy.special").j1
+    rho = kappa * np.hypot(pts[:, 0], pts[:, 1])
+    out = np.zeros(len(pts), dtype=complex)
+    for sh in shapes:
+        terms = np.zeros(len(pts))
+        for r, sign in ((sh.get("radius", sh.get("r_outer")), 1.0), (sh.get("r_inner", 0.0), -1.0)):
+            series = rho * r < 1e-4
+            terms[series] += sign * math.pi * r**2 * (1.0 - (rho[series] * r) ** 2 / 8.0)
+            terms[~series] += sign * 2.0 * math.pi * r * j1(rho[~series] * r) / rho[~series]
+        out += sh["value"] * np.exp(1j * kappa * (pts @ np.asarray(sh["center"]))) * terms
+    return out
+
+
 RING_SHAPES = OFF_CENTRE + [{"type": "disk", "center": (0.0, 0.0), "radius": 0.3, "value": 0.4}]
 RING_TARGETS = {
     # symmetric under p -> -p and the x-axis reflection, with p = 0 among them
     "symmetric": lambda: np.concatenate([disk_polar_rule(3.0, 20, 30).nodes, np.zeros((1, 2))]),
     "asymmetric": lambda: np.concatenate([np.random.default_rng(9).uniform(-3.0, 3.0, (400, 2)),
                                           np.zeros((1, 2))]),
-    # fewer targets than Chebyshev points: the profiles are taken at the targets
     "few": lambda: np.random.default_rng(10).uniform(-3.0, 3.0, (7, 2)),
 }
 
 
 class TestRingSums:
-    """A shape's ring sums equal the folded sum over the nodes of its polar rule."""
+    """A shape's sums equal the closed form of its integral, at every kappa and
+    whatever the resolution of its support rule."""
 
     @pytest.mark.parametrize("kappa", [0.4, 5.0, 50.0, 200.0])
     @pytest.mark.parametrize("resolution", [8, 24, 40])
@@ -426,50 +451,16 @@ class TestRingSums:
     def test_matches_folded_sum(self, kappa, resolution, targets):
         pts = RING_TARGETS[targets]()
         q = ContrastField.from_shapes(RING_SHAPES, resolution)
-        got = synthesize_born(q, kappa, pts).values
-        want = _born_sum(_folded_shapes(RING_SHAPES, resolution), kappa, pts)
+        with np.errstate(all="raise"):
+            got = synthesize_born(q, kappa, pts).values
+        want = shapes_closed_form(RING_SHAPES, kappa, pts)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    @pytest.mark.parametrize("kappa", [0.4, 5.0])
-    @pytest.mark.parametrize("n_r,branch", [(6, "direct"), (82, "interpolated")])
-    def test_disk_rule_targets(self, kappa, n_r, branch, monkeypatch):
-        # a polar rule's nodes share few radii, so each piece takes its profiles
-        # once per distinct |x|: at those radii when there are at most P of them,
-        # else at the P Chebyshev points
-        pts = disk_polar_rule(3.0, n_r, 42).nodes
-        q = ContrastField.from_shapes(RING_SHAPES, 24)
-        x = kappa * pts
-        distinct = len(np.unique(np.hypot(x[:, 0], x[:, 1])))
-        calls = []
-        real = RingPiece.profiles
-
-        def profiles(piece, rho, orders):
-            calls.append(len(rho))
-            return real(piece, rho, orders)
-
-        monkeypatch.setattr(RingPiece, "profiles", profiles)
-        got = synthesize_born(q, kappa, pts).values
-        cheb = [math.ceil(np.hypot(x[:, 0], x[:, 1]).max() * piece.radii.max()) + 30
-                for piece in q.pieces]
-        assert distinct < len(pts) // 10
-        assert calls == ([distinct] * len(q.pieces) if branch == "direct" else cheb)
-        assert all((distinct <= p) == (branch == "direct") for p in cheb)
-        want = _born_sum(_folded_shapes(RING_SHAPES, 24), kappa, pts)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_aliased_orders(self):
-        # the largest |x| r of the kappa = 200 and 0.4 cases above: on 8 angles
-        # the first aliases orders up to 600, on 24 angles the second keeps J_0
-        span = 3.0 * np.sqrt(2.0) * ContrastField.from_shapes(OFF_CENTRE, 8).pieces[0].radii.max()
-        assert _aliased_orders(200.0 * span, 8) == 75
-        assert _aliased_orders(0.4 * span, 8) == 1 and _aliased_orders(0.4 * span, 24) == 0
 
     @pytest.mark.parametrize("kappa", [0.4, 5.0, 200.0])
     def test_far_field_single_target(self, kappa):
         q = ContrastField.from_shapes(RING_SHAPES, 12)
         x_hat, t_hat = np.array([0.6, 0.8]), np.array([-1.0, 0.0])
-        want = kappa**2 * _born_sum(_folded_shapes(RING_SHAPES, 12), kappa,
-                                    (t_hat - x_hat)[None, :])[0]
+        want = kappa**2 * shapes_closed_form(RING_SHAPES, kappa, (t_hat - x_hat)[None, :])[0]
         assert abs(far_field(q, x_hat, t_hat, kappa) - want) <= 1e-13 * abs(want)
         assert far_field(q, x_hat, x_hat, kappa) == pytest.approx(
             kappa**2 * sum(sh["value"] * ContrastField.from_shapes([sh], 12).quad.total_weight
@@ -484,6 +475,59 @@ class TestRingSums:
         assert calls == []
         synthesize_born(_grid_support()[0], 1.0, pts)
         assert calls == [len(pts)]
+
+
+def _targets_in_disk(n, radius, seed):
+    """n random targets spread uniformly over the origin-centred disk of `radius`."""
+    rng = np.random.default_rng(seed)
+    r, t = radius * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+
+CLOSED_FORM_CASES = {
+    # the README disk on the README data nodes (its basis has kappa = 10 / 5^2)
+    "readme_disk": (DISK, 0.4, lambda: disk_polar_rule(5.0, 82, 42).nodes),
+    "off_centre": (OFF_CENTRE, 1.3, TARGETS["asymmetric"]),
+    # an 8 x 8 polar rule errs here by about 100 times max|u|, and a 160 x 160 one by 10
+    "kappa_200": ([{"type": "disk", "center": (0.1, 0.0), "radius": 1.0, "value": 1.0}], 200.0,
+                  lambda: _targets_in_disk(400, 4.2, 12)),
+}
+
+
+class TestClosedForm:
+    """Disks and annuli are synthesized in closed form: exact at any kappa,
+    whatever the resolution of the support rule, with no 0/0 at p = 0."""
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_matches_scipy(self, case):
+        shapes, kappa, make = CLOSED_FORM_CASES[case]
+        pts = make()
+        with np.errstate(all="raise"):
+            data = synthesize_born(ContrastField.from_shapes(shapes, 8), kappa, pts)
+        want = shapes_closed_form(shapes, kappa, pts)
+        assert np.abs(data.values - want).max() <= 1e-13 * np.abs(want).max()
+        assert data.meta["underresolved"] is False
+
+    def test_annulus_without_hole_is_the_disk(self):
+        disk = {"type": "disk", "center": (0.3, -0.2), "radius": 0.7, "value": 1.3}
+        annulus = {"type": "annulus", "center": (0.3, -0.2), "r_inner": 0.0, "r_outer": 0.7,
+                   "value": 1.3}
+        pts = np.concatenate([TARGETS["asymmetric"](), np.zeros((1, 2))])
+        with np.errstate(all="raise"):
+            u = [synthesize_born(ContrastField.from_shapes([sh], 8), 2.0, pts).values
+                 for sh in (disk, annulus)]
+        assert np.array_equal(u[0], u[1])
+        want = shapes_closed_form([disk], 2.0, pts)
+        assert np.abs(u[0] - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [DISK[0], OFF_CENTRE[0], OFF_CENTRE[1]],
+                             ids=["disk", "off_centre_disk", "annulus"])
+    def test_zero_target_is_the_integral(self, shape):
+        r_o, r_i = shape.get("radius", shape.get("r_outer")), shape.get("r_inner", 0.0)
+        with np.errstate(all="raise"):
+            u = synthesize_born(ContrastField.from_shapes([shape], 8), 200.0,
+                                np.zeros((1, 2))).values[0]
+        assert u == shape["value"] * math.pi * (r_o**2 - r_i**2)
 
 
 class TestFarField:

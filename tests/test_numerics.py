@@ -78,7 +78,8 @@ class TestBessel:
 
 
 class TestBesselTable:
-    """One Miller recurrence for every order, against scipy's jv as the oracle."""
+    """One Miller recurrence for every order, or Hankel's expansion and the
+    forward recurrence at large arguments, against scipy's jv as the oracle."""
 
     X = np.concatenate([[0.0, 1e-300, 1e-9, 1e-3, 1e-2, 0.1], np.linspace(0.5, 200.0, 1200)])
 
@@ -119,6 +120,38 @@ class TestBesselTable:
         assert table.shape == (6, 3, 4)
         assert np.abs(table[:, 1] - bessel_table(5, x[1])).max() <= 1e-15
         assert bessel_table(0, 2.5).shape == (1,)
+
+    def test_large_arguments_match_jv(self):
+        # above max(m_max, HANKEL_ABOVE) the table comes from Hankel's expansion;
+        # jv carries a phase error of about eps x there, so the bound grows with x
+        # as in the disk basis's exterior test
+        rng = np.random.default_rng(3)
+        x = np.concatenate([np.exp(rng.uniform(math.log(40.0), math.log(1e7), 2000)),
+                            [np.nextafter(80.0, np.inf), 1e3]])
+        with np.errstate(all="raise"):
+            table = bessel_table(80, x)
+        oracle = jv(np.arange(81)[:, None], x[None, :])
+        assert np.all(np.abs(table - oracle) <= 1e-13 * np.maximum(1.0, x / 100.0))
+
+    def test_hankel_meets_miller(self):
+        # the same arguments through both paths: Hankel's where they exceed
+        # m_max = 1 or 30, Miller's where m_max = 150 exceeds them all
+        x = np.linspace(numerics.HANKEL_ABOVE, 140.0, 501)[1:]
+        miller = bessel_table(150, x)
+        for m_max in (1, 30):
+            assert np.abs(bessel_table(m_max, x) - miller[:m_max + 1]).max() <= 2e-15
+
+    def test_huge_arguments(self):
+        # the recurrence never runs up to the argument, so 1e200 costs what 50 does;
+        # J_0 is its leading Hankel term to 1/(8x) relative
+        x = np.array([1e12, 1e200, np.finfo(float).max])
+        with np.errstate(all="raise"):
+            table = bessel_table(60, np.concatenate([x, [0.0, 3.0]]))
+        assert np.isfinite(table).all()
+        assert np.array_equal(table[:, 3:], bessel_table(60, np.array([0.0, 3.0])))
+        for xi, j0 in zip(x[:2], table[0]):
+            lead = (math.cos(xi) + math.sin(xi)) / math.sqrt(math.pi * xi)
+            assert abs(j0 - lead) <= 1e-12 / math.sqrt(xi)
 
     def test_rejects_bad_arguments(self):
         for x in (-1.0, np.nan, np.inf):
